@@ -6,8 +6,8 @@ package quicspin_test
 //	go test -bench=. -benchmem
 //
 // Each benchmark prints its table or histogram once (the reproduction
-// output recorded in EXPERIMENTS.md) and then times the analysis
-// computation. The underlying measurement campaign — world generation and
+// output recorded in EXPERIMENTS.md) and then times regenerating it from
+// the folded accumulator state. The underlying measurement campaign — world generation and
 // the packet-level emulated scans — runs once, shared by all benchmarks.
 // Control the population size with QUICSPIN_SCALE (default 4000; the
 // calibrated reproduction in EXPERIMENTS.md uses 2000).
@@ -23,20 +23,16 @@ import (
 
 	"quicspin/internal/analysis"
 	"quicspin/internal/core"
-	"quicspin/internal/flowtable"
-	"quicspin/internal/resilience"
 	"quicspin/internal/scanner"
-	"quicspin/internal/shard"
 	"quicspin/internal/websim"
-	"quicspin/internal/wire"
 )
 
 var (
 	benchOnce sync.Once
-	benchW    *websim.World
-	benchV4   *analysis.Week
-	benchV6   *analysis.Week
-	benchLong []*analysis.Week
+	benchV4   *analysis.Accumulator
+	benchV6   *analysis.Accumulator
+	benchR4   *scanner.Result // kept for the §5.2 reordering count
+	benchLong *analysis.CampaignAccumulator
 )
 
 func benchScale() int {
@@ -50,8 +46,9 @@ func benchScale() int {
 
 // fixture runs the shared measurement campaign: one emulated IPv4 scan and
 // one emulated IPv6 scan of the final campaign week (Tables 1-4, Figs.
-// 3-4), plus twelve weekly fast-engine scans (Fig. 2).
-func fixture(b *testing.B) (*websim.World, *analysis.Week, *analysis.Week, []*analysis.Week) {
+// 3-4), plus twelve weekly fast-engine scans (Fig. 2), each folded into its
+// accumulator.
+func fixture(b *testing.B) (v4, v6 *analysis.Accumulator, long *analysis.CampaignAccumulator) {
 	b.Helper()
 	benchOnce.Do(func() {
 		scale := benchScale()
@@ -59,19 +56,22 @@ func fixture(b *testing.B) (*websim.World, *analysis.Week, *analysis.Week, []*an
 		prof.Scale = scale
 		fmt.Printf("## generating world at scale 1/%d and scanning (set QUICSPIN_SCALE to change)...\n", scale)
 		start := time.Now()
-		benchW = websim.Generate(prof)
-		r4 := mustRun(benchW, scanner.Config{Week: prof.Weeks, Engine: scanner.EngineEmulated, Seed: 99})
-		benchV4 = analysis.Analyze(r4)
-		r6 := mustRun(benchW, scanner.Config{Week: prof.Weeks, IPv6: true, Engine: scanner.EngineEmulated, Seed: 99})
-		benchV6 = analysis.Analyze(r6)
+		w := websim.Generate(prof)
+		benchR4 = mustRun(w, scanner.Config{Week: prof.Weeks, Engine: scanner.EngineEmulated, Seed: 99})
+		benchV4 = analysis.NewAccumulator(prof.Weeks, false, w.ASDB()).AddResult(benchR4)
+		r6 := mustRun(w, scanner.Config{Week: prof.Weeks, IPv6: true, Engine: scanner.EngineEmulated, Seed: 99})
+		benchV6 = analysis.NewAccumulator(prof.Weeks, true, w.ASDB()).AddResult(r6)
+		benchLong = analysis.NewCampaignAccumulator()
 		for wk := 1; wk <= prof.Weeks; wk++ {
-			r := mustRun(benchW, scanner.Config{Week: wk, Engine: scanner.EngineFast, Seed: 99})
-			benchLong = append(benchLong, analysis.Analyze(r))
+			cfg := scanner.Config{Week: wk, Engine: scanner.EngineFast, Seed: 99}
+			if err := scanner.RunStream(w, cfg, benchLong.StartWeek(wk, false, w.ASDB()).Sink()); err != nil {
+				panic(err)
+			}
 		}
 		fmt.Printf("## campaign complete in %v (%d domains, %d servers)\n\n",
-			time.Since(start).Round(time.Millisecond), len(benchW.Domains), len(benchW.Servers()))
+			time.Since(start).Round(time.Millisecond), len(w.Domains), len(w.Servers()))
 	})
-	return benchW, benchV4, benchV6, benchLong
+	return benchV4, benchV6, benchLong
 }
 
 var printOnce sync.Map
@@ -82,113 +82,74 @@ func printFixture(key, out string) {
 	}
 }
 
+// benchRender prints one rendering once and then times regenerating it
+// from the folded state.
+func benchRender(b *testing.B, key string, render func() string) {
+	printFixture(key, render())
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		render()
+	}
+}
+
 // BenchmarkTable1_IPv4Overview regenerates Table 1: Total/Resolved/QUIC/
 // Spin domains and IPs for the Toplists, CZDS and com/net/org views.
 func BenchmarkTable1_IPv4Overview(b *testing.B) {
-	_, v4, _, _ := fixture(b)
-	printFixture("t1", analysis.RenderOverview(v4).String())
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		for _, v := range analysis.StandardViews() {
-			analysis.Overview(v4, v)
-		}
-	}
+	v4, _, _ := fixture(b)
+	benchRender(b, "t1", func() string { return v4.RenderOverview().String() })
 }
 
 // BenchmarkTable2_ASOrganizations regenerates Table 2: QUIC connections
 // and spin activity per AS organisation for com/net/org.
 func BenchmarkTable2_ASOrganizations(b *testing.B) {
-	w, v4, _, _ := fixture(b)
-	printFixture("t2", analysis.RenderOrgTable(v4, w.ASDB(), 8).String())
-	view := analysis.StandardViews()[2]
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		analysis.OrgTable(v4, w.ASDB(), view, 8)
-	}
+	v4, _, _ := fixture(b)
+	benchRender(b, "t2", func() string { return v4.RenderOrgTable(8).String() })
 }
 
 // BenchmarkTable3_SpinConfiguration regenerates Table 3: the All Zero /
 // All One / Spin / Grease breakdown of QUIC domains.
 func BenchmarkTable3_SpinConfiguration(b *testing.B) {
-	_, v4, _, _ := fixture(b)
-	printFixture("t3", analysis.RenderSpinConfig(v4).String())
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		for _, v := range analysis.StandardViews() {
-			analysis.SpinConfig(v4, v)
-		}
-	}
+	v4, _, _ := fixture(b)
+	benchRender(b, "t3", func() string { return v4.RenderSpinConfig().String() })
 }
 
 // BenchmarkFigure2_RFCCompliance regenerates Fig. 2: the histogram of
 // weeks with spin activity across the 12-week campaign next to the
 // RFC 9000 (1-in-16) and RFC 9312 (1-in-8) binomial reference shares.
 func BenchmarkFigure2_RFCCompliance(b *testing.B) {
-	_, _, _, weeks := fixture(b)
-	l := analysis.Longitudinally(weeks)
-	printFixture("f2", analysis.RenderLongitudinal(l).String())
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		analysis.Longitudinally(weeks)
-	}
+	_, _, long := fixture(b)
+	benchRender(b, "f2", func() string { return analysis.RenderLongitudinal(long.Longitudinal()).String() })
 }
 
 // BenchmarkTable4_IPv6Overview regenerates Table 4: the IPv6 view of the
 // adoption overview.
 func BenchmarkTable4_IPv6Overview(b *testing.B) {
-	_, _, v6, _ := fixture(b)
-	printFixture("t4", analysis.RenderOverview(v6).String())
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		for _, v := range analysis.StandardViews() {
-			analysis.Overview(v6, v)
-		}
-	}
+	_, v6, _ := fixture(b)
+	benchRender(b, "t4", func() string { return v6.RenderOverview().String() })
 }
 
 // BenchmarkFigure3_AbsoluteAccuracy regenerates Fig. 3: histograms of the
 // absolute difference between the mean spin-bit estimate and the mean
 // stack estimate, for Spin/Grease in received (R) and sorted (S) order.
 func BenchmarkFigure3_AbsoluteAccuracy(b *testing.B) {
-	_, v4, _, _ := fixture(b)
-	weeks := []*analysis.Week{v4}
-	printFixture("f3", analysis.RenderAccuracy(weeks, 3))
-	sets := accuracySets()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		for _, s := range sets {
-			analysis.AbsHistogram(weeks, s)
-		}
-	}
+	v4, _, _ := fixture(b)
+	benchRender(b, "f3", func() string { return v4.RenderAccuracy(3) })
 }
 
 // BenchmarkFigure4_RelativeAccuracy regenerates Fig. 4: histograms of the
 // mapped ratio of means, plus the paper's §5.2 headline shares.
 func BenchmarkFigure4_RelativeAccuracy(b *testing.B) {
-	_, v4, _, _ := fixture(b)
-	weeks := []*analysis.Week{v4}
-	h := analysis.Headlines(weeks)
-	ri := analysis.Reordering(weeks)
-	printFixture("f4", analysis.RenderAccuracy(weeks, 4)+fmt.Sprintf(
+	v4, _, _ := fixture(b)
+	h := v4.Headlines()
+	ri := analysis.Reordering(benchR4)
+	printFixture("f4", v4.RenderAccuracy(4)+fmt.Sprintf(
 		"headlines (Spin R, n=%d): overestimate=%.1f%% within-25ms=%.1f%% >200ms=%.1f%% within-25%%=%.1f%% within-2x=%.1f%% >3x=%.1f%%\n"+
 			"reordering impact: %d/%d connections differ between R and S\n",
 		h.N, h.OverestimateShare*100, h.Within25ms*100, h.Over200ms*100,
 		h.Within25pct*100, h.Within2x*100, h.Over3x*100, ri.Differing, ri.Conns))
-	sets := accuracySets()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		for _, s := range sets {
-			analysis.RatioHistogram(weeks, s)
-		}
-	}
-}
-
-func accuracySets() []analysis.AccuracySet {
-	return []analysis.AccuracySet{
-		{Class: analysis.ClassSpin},
-		{Class: analysis.ClassSpin, Sorted: true},
-		{Class: analysis.ClassGrease},
-		{Class: analysis.ClassGrease, Sorted: true},
+		v4.RenderAccuracy(4)
 	}
 }
 
@@ -256,102 +217,6 @@ func BenchmarkAblation_ConnectionLength(b *testing.B) {
 	}
 }
 
-// BenchmarkCampaign measures end-to-end campaign throughput of both
-// engines over the QUICSPIN_SCALE population. domains/sec is the headline
-// number of BENCH_PR5.json (see scripts/bench.sh); allocs/op and B/op track
-// the memory cost of one full weekly scan.
-func BenchmarkCampaign(b *testing.B) {
-	prof := websim.DefaultProfile()
-	prof.Scale = benchScale()
-	w := websim.Generate(prof)
-	for _, eng := range []struct {
-		name string
-		e    scanner.Engine
-	}{{"fast", scanner.EngineFast}, {"emulated", scanner.EngineEmulated}} {
-		b.Run(eng.name, func(b *testing.B) {
-			b.ReportAllocs()
-			start := time.Now()
-			for i := 0; i < b.N; i++ {
-				mustRun(w, scanner.Config{Week: 12, Engine: eng.e, Seed: 99, Workers: 4})
-			}
-			elapsed := time.Since(start).Seconds()
-			if elapsed > 0 {
-				b.ReportMetric(float64(b.N*len(w.Domains))/elapsed, "domains/sec")
-			}
-		})
-	}
-}
-
-// BenchmarkCampaignSharded measures the distributed coordinator's cost:
-// the same one-week fast-engine campaign at 1 and 8 shards. On a machine
-// with spare cores, domains/sec scales near-linearly up to
-// min(shards, GOMAXPROCS); on a single core the 8-shard run must still
-// stay within a constant factor of unsharded throughput (the coordinator,
-// per-shard journals and merge are overhead, not work amplification).
-// scripts/bench.sh gates both properties self-relatively, calibrated to
-// the host's core count.
-func BenchmarkCampaignSharded(b *testing.B) {
-	prof := websim.DefaultProfile()
-	prof.Scale = benchScale()
-	w := websim.Generate(prof)
-	for _, shards := range []int{1, 8} {
-		b.Run(fmt.Sprintf("shards-%d", shards), func(b *testing.B) {
-			b.ReportAllocs()
-			start := time.Now()
-			for i := 0; i < b.N; i++ {
-				_, err := shard.Run(w, shard.Config{
-					Shards: shards,
-					Weeks:  []int{12},
-					ForWeek: func(week int) scanner.Config {
-						return scanner.Config{Engine: scanner.EngineFast, Seed: 99, Workers: 4}
-					},
-				})
-				if err != nil {
-					b.Fatal(err)
-				}
-			}
-			elapsed := time.Since(start).Seconds()
-			if elapsed > 0 {
-				b.ReportMetric(float64(b.N*len(w.Domains))/elapsed, "domains/sec")
-			}
-		})
-	}
-}
-
-// BenchmarkCampaignJournal measures the checkpoint journal's cost on the
-// scan hot path: the same one-week fast-engine campaign writing every
-// domain to a journal, without and with aggressive segment rotation
-// (64 KiB segments force rotations throughout the run). scripts/bench.sh
-// gates the pair self-relatively — the rotating run must stay within a
-// constant factor of the non-rotating one, proving rotation happens off
-// the hot path — while the unjournaled hot path itself is gated against
-// BENCH_PR5.json by BenchmarkCampaign above.
-func BenchmarkCampaignJournal(b *testing.B) {
-	prof := websim.DefaultProfile()
-	prof.Scale = benchScale()
-	w := websim.Generate(prof)
-	for _, c := range []struct {
-		name string
-		seg  int64
-	}{{"journal", 0}, {"journal-rotate", 64 << 10}} {
-		b.Run(c.name, func(b *testing.B) {
-			b.ReportAllocs()
-			start := time.Now()
-			for i := 0; i < b.N; i++ {
-				mustRun(w, scanner.Config{
-					Week: 12, Engine: scanner.EngineFast, Seed: 99, Workers: 4,
-					Checkpoint: b.TempDir(),
-					Journal:    resilience.JournalConfig{SegmentBytes: c.seg},
-				})
-			}
-			elapsed := time.Since(start).Seconds()
-			if elapsed > 0 {
-				b.ReportMetric(float64(b.N*len(w.Domains))/elapsed, "domains/sec")
-			}
-		})
-	}
-}
-
 // BenchmarkScanThroughput times the two campaign engines per domain.
 func BenchmarkScanThroughput(b *testing.B) {
 	prof := websim.DefaultProfile()
@@ -414,12 +279,11 @@ func spinAccuracyForBody(body int) float64 {
 	prof.LegacyOrgs = nil
 	w := websim.Generate(prof)
 	res := mustRun(w, scanner.Config{Week: 1, Engine: scanner.EngineEmulated, Seed: 5, Workers: 1})
-	wk := analysis.Analyze(res)
 	var sum float64
 	n := 0
-	for i := range wk.Domains {
-		for j := range wk.Domains[i].Conns {
-			c := &wk.Domains[i].Conns[j]
+	for i := range res.Domains {
+		for j := range res.Domains[i].Conns {
+			c := analysis.AnalyzeConn(&res.Domains[i].Conns[j])
 			if c.HasAccuracy {
 				sum += c.RatioR
 				n++
@@ -440,59 +304,4 @@ func mustRun(w *websim.World, cfg scanner.Config) *scanner.Result {
 		panic(err)
 	}
 	return r
-}
-
-// BenchmarkFlowtableIngest measures the passive observer's per-packet hot
-// path (internal/flowtable): packets/sec through the fixed-size flow
-// table under steady churn. Every wrap of the prebuilt trace shifts the
-// flow keys into a fresh epoch, so admissions and LRU/idle evictions run
-// continuously, like a live vantage. scripts/bench.sh gates this entry at
-// zero allocs/op.
-func BenchmarkFlowtableIngest(b *testing.B) {
-	const (
-		nFlows  = 64
-		perFlow = 64
-	)
-	// Locally seeded rng: the trace is identical on every run.
-	rng := rand.New(rand.NewSource(42))
-	cidBytes := make([]byte, 8)
-	rng.Read(cidBytes)
-	cid := wire.NewConnectionID(cidBytes)
-	trace := make([]flowtable.Packet, 0, nFlows*perFlow)
-	pns := make([]uint64, nFlows)
-	for p := 0; p < perFlow; p++ {
-		for f := 0; f < nFlows; f++ {
-			hdr := &wire.Header{DstConnID: cid, PacketNumber: pns[f], SpinBit: pns[f]%2 == 1, Reserved: 3}
-			pkt, err := wire.AppendShortHeader(nil, hdr, wire.PingFrame{}.Append(nil), wire.NoAckedPacket)
-			if err != nil {
-				b.Fatalf("building packet: %v", err)
-			}
-			trace = append(trace, flowtable.Packet{Src: uint64(1 + f), Dst: uint64(1) << 32, Data: pkt})
-			pns[f]++
-		}
-	}
-	tbl := flowtable.New(flowtable.Config{Slots: 256, IdleTimeout: time.Hour, DCIDLen: 8})
-	base := time.Date(2022, 4, 11, 0, 0, 0, 0, time.UTC).UnixNano()
-	tn := base
-	epoch := uint64(0)
-	b.ReportAllocs()
-	b.ResetTimer()
-	start := time.Now()
-	for i := 0; i < b.N; i++ {
-		j := i % len(trace)
-		if j == 0 {
-			epoch += nFlows // fresh flow keys: constant admission + eviction churn
-		}
-		p := &trace[j]
-		tn += int64(time.Millisecond)
-		tbl.Ingest(tn, p.Src+epoch, p.Dst, p.Data)
-	}
-	elapsed := time.Since(start).Seconds()
-	if elapsed > 0 {
-		b.ReportMetric(float64(b.N)/elapsed, "packets/sec")
-	}
-	b.StopTimer()
-	if st := tbl.Stats(); st.Samples == 0 && b.N > nFlows*4 {
-		b.Fatalf("benchmark produced no RTT samples: %+v", st)
-	}
 }

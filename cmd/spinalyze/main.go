@@ -55,65 +55,70 @@ func main() {
 	if err != nil {
 		log.Fatalf("parsing qlogs: %v", err)
 	}
-	var weeks []*analysis.Week
+	// Table 2 attribution happens while folding, so the snapshot loads first;
+	// without one the resolver stays nil and Table 2 is skipped.
+	var resolver *asdb.Resolver
+	if *asdbPath != "" {
+		fh, err := os.Open(*asdbPath)
+		if err != nil {
+			log.Fatalf("open asdb: %v", err)
+		}
+		tbl, orgs, err := asdb.ReadSnapshot(fh)
+		fh.Close()
+		if err != nil {
+			log.Fatalf("parse asdb: %v", err)
+		}
+		resolver = &asdb.Resolver{Table: tbl, Orgs: orgs}
+	}
+	camp := analysis.NewCampaignAccumulator()
 	for _, res := range results {
 		log.Printf("loaded week %d (ipv6=%v): %d domains", res.Week, res.IPv6, len(res.Domains))
-		weeks = append(weeks, analysis.Analyze(res))
+		camp.StartWeek(res.Week, res.IPv6, resolver).AddResult(res)
 	}
+	weeks := camp.Weeks()
 	wk := weeks[len(weeks)-1]
 
 	show := func(n int) bool { return *table == 0 && *fig == 0 || *table == n }
 	showFig := func(n int) bool { return *table == 0 && *fig == 0 || *fig == n }
 
 	if show(1) || show(4) {
-		if err := analysis.RenderOverview(wk).Render(os.Stdout); err != nil {
+		if err := wk.RenderOverview().Render(os.Stdout); err != nil {
 			log.Fatal(err)
 		}
 		fmt.Println()
 	}
 	if show(2) {
-		if *asdbPath == "" {
+		if resolver == nil {
 			log.Print("skipping Table 2: no -asdb snapshot given")
 		} else {
-			fh, err := os.Open(*asdbPath)
-			if err != nil {
-				log.Fatalf("open asdb: %v", err)
-			}
-			tbl, orgs, err := asdb.ReadSnapshot(fh)
-			fh.Close()
-			if err != nil {
-				log.Fatalf("parse asdb: %v", err)
-			}
-			res := &asdb.Resolver{Table: tbl, Orgs: orgs}
-			if err := analysis.RenderOrgTable(wk, res, 8).Render(os.Stdout); err != nil {
+			if err := wk.RenderOrgTable(8).Render(os.Stdout); err != nil {
 				log.Fatal(err)
 			}
 			fmt.Println()
 		}
 	}
 	if show(3) {
-		if err := analysis.RenderSpinConfig(wk).Render(os.Stdout); err != nil {
+		if err := wk.RenderSpinConfig().Render(os.Stdout); err != nil {
 			log.Fatal(err)
 		}
 		fmt.Println()
-		if err := analysis.RenderSoftwareTable(wk, analysis.StandardViews()[1]).Render(os.Stdout); err != nil {
+		if err := wk.RenderSoftwareTable().Render(os.Stdout); err != nil {
 			log.Fatal(err)
 		}
 		fmt.Println()
 	}
 	if len(weeks) > 1 && (*table == 0 && *fig == 0 || *fig == 2) {
-		l := analysis.Longitudinally(weeks)
-		if err := analysis.RenderLongitudinal(l).Render(os.Stdout); err != nil {
+		if err := analysis.RenderLongitudinal(camp.Longitudinal()).Render(os.Stdout); err != nil {
 			log.Fatal(err)
 		}
 		fmt.Println()
 	}
 	if showFig(3) {
-		fmt.Print(analysis.RenderAccuracy(weeks, 3))
+		fmt.Print(camp.RenderAccuracy(3))
 	}
 	if showFig(4) {
-		fmt.Print(analysis.RenderAccuracy(weeks, 4))
-		h := analysis.Headlines(weeks)
+		fmt.Print(camp.RenderAccuracy(4))
+		h := camp.Headlines()
 		fmt.Printf("headlines: n=%d overestimate=%.1f%% within-25ms=%.1f%% >200ms=%.1f%% within-25%%=%.1f%% within-2x=%.1f%% >3x=%.1f%%\n",
 			h.N, h.OverestimateShare*100, h.Within25ms*100, h.Over200ms*100,
 			h.Within25pct*100, h.Within2x*100, h.Over3x*100)

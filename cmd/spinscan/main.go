@@ -1,8 +1,8 @@
 // Command spinscan runs the measurement campaign of the paper against the
 // synthetic web: it generates a scaled-down population (ICANN-zone and
 // toplist domains over hosting organisations), scans every domain over
-// QUIC-lite in virtual time, and either prints the adoption tables
-// directly or writes per-connection qlog traces for cmd/spinalyze.
+// QUIC-lite in virtual time, prints the adoption tables, and optionally
+// writes per-connection qlog traces for cmd/spinalyze.
 //
 // Usage:
 //
@@ -63,7 +63,6 @@ func main() {
 	breakerCooldown := flag.Duration("breaker-cooldown", 0, "virtual cooldown before an open breaker probes again (0 = 30s default)")
 	checkpoint := flag.String("checkpoint", "", "journal completed domains to this directory (enables -resume)")
 	resume := flag.Bool("resume", false, "replay the -checkpoint journal and scan only the remainder")
-	stream := flag.Bool("stream", true, "stream results through incremental aggregation (false = legacy batch pipeline)")
 	lazyWorld := flag.Bool("lazy-world", false, "synthesise domains and servers on demand instead of materialising the population")
 	traceOn := flag.Bool("trace", false, "record per-domain stage traces into the flight recorder (serves /debug/traces with -debug-addr)")
 	traceDir := flag.String("trace-dir", "", "write flight-recorder dumps (panic/stall/budget postmortems) to this directory; implies -trace")
@@ -76,12 +75,11 @@ func main() {
 	shardStall := flag.Duration("shard-stall-timeout", 0, "kill and restart a shard worker that delivers nothing for this long (0 disables the stall watchdog)")
 	strictShards := flag.Bool("strict-shards", false, "abort the campaign when any shard exhausts its restart budget instead of merging the survivors with a coverage report")
 	shardFaults := flag.String("shard-faults", "", `chaos-test fault plan, e.g. "seed:3,drop:0.1,corrupt:0.05,crash:1@40" (drop/dup/corrupt/delay:P, max-delay:DUR, crash|panic|stall:SHARD@DOMAINS[xTIMES])`)
-	followMode := flag.Bool("follow", false, "continuous campaign service: scan week after week through the streaming pipeline (bound with -follow-weeks, stop with SIGINT/SIGTERM)")
-	followWeeks := flag.Int("follow-weeks", 0, "stop -follow after this many weeks (0 = run until signalled; -weeks is an alias when set)")
-	followInterval := flag.Duration("follow-interval", 0, "pause between consecutive -follow weeks (interruptible; 0 = back to back)")
-	weekRestarts := flag.Int("week-restarts", 0, "per-week retry budget in -follow mode: failed weeks are retried from the journal this many times (0 = 2)")
-	retainWeeks := flag.Int("journal-retain-weeks", 0, "in -follow mode, prune -checkpoint records older than the last N weeks during between-week compaction (0 keeps all)")
-	journalCompact := flag.Bool("journal-compact", false, "in -follow mode, compact the -checkpoint journal after every completed week (implied by -journal-retain-weeks)")
+	followMode := flag.Bool("follow", false, "continuous campaign service: keep scanning week after week from week 1 (bound with -weeks, stop with SIGINT/SIGTERM)")
+	followInterval := flag.Duration("follow-interval", 0, "pause between consecutive weeks (interruptible; 0 = back to back)")
+	weekRestarts := flag.Int("week-restarts", 0, "per-week retry budget: failed weeks are retried from the journal this many times (0 = 2)")
+	retainWeeks := flag.Int("journal-retain-weeks", 0, "prune -checkpoint records older than the last N weeks during between-week compaction (0 keeps all)")
+	journalCompact := flag.Bool("journal-compact", false, "compact the -checkpoint journal after every completed week (implied by -journal-retain-weeks)")
 	journalSync := flag.Int("journal-sync", 0, "fsync the checkpoint journal every N records (0 = only on rotation and close; 1 = every record)")
 	journalSegBytes := flag.Int64("journal-segment-bytes", 0, "rotate checkpoint journal segments past this size (0 disables size-based rotation)")
 	storageFaults := flag.String("storage-faults", "", `inject checkpoint storage faults, e.g. "seed:7,short-write:0.1,write-err:0.2,sync-err:0.1,rename-err:0.05,open-err:0.05"`)
@@ -131,13 +129,15 @@ func main() {
 		alerts = telemetry.NewAlertEngine(reg, log.Printf)
 	}
 
-	first, last := *week, *week
-	if *weeks > 0 {
-		first, last = 1, *weeks
+	// The week schedule: -week is that one week, -weeks N is weeks 1..N, and
+	// -follow only lifts the bound (nweeks 0 = until signalled).
+	first, nweeks := *week, 1
+	if *weeks > 0 || *followMode {
+		first, nweeks = 1, *weeks
 	}
-	// Validate the flag-derived config once, before any scanning: Run
-	// would reject it anyway, but failing before world generation is
-	// friendlier.
+	// Validate the flag-derived config once, before any scanning: the
+	// scanner would reject it anyway, but failing before world generation
+	// is friendlier.
 	baseCfg := scanner.Config{
 		Week: first, IPv6: *ipv6, Engine: eng, Workers: *workers,
 		Timeout: *timeout, MaxRedirects: *maxRedirects, Telemetry: reg, Trace: tracer,
@@ -180,12 +180,6 @@ func main() {
 		os.Exit(exitCodeFor(s))
 	}()
 	baseCfg.Interrupt = interrupt
-	exitInterrupted := func() {
-		if code := int(sigCode.Load()); code != 0 {
-			os.Exit(code)
-		}
-		os.Exit(130)
-	}
 
 	// The live dashboard rides on the streaming sink; it stays nil (a
 	// valid no-op sink wrapper) without a debug endpoint to serve it.
@@ -256,11 +250,25 @@ func main() {
 	reg.Gauge("spinscan_workers_total").Set(int64(nw))
 
 	stopProgress, setProgress := startProgress(reg, *progressEvery, log.Printf, alerts)
+	// exitInterrupted ends a gracefully stopped campaign: say how to pick it
+	// up again, then exit with the stopping signal's code.
+	exitInterrupted := func() {
+		stopProgress()
+		if *checkpoint != "" {
+			log.Printf("campaign interrupted; resume with: spinscan -checkpoint %s -resume (plus the original flags)", *checkpoint)
+		} else {
+			log.Printf("campaign interrupted (no -checkpoint journal; a rerun starts from scratch)")
+		}
+		if code := int(sigCode.Load()); code != 0 {
+			os.Exit(code)
+		}
+		os.Exit(130)
+	}
 
 	// Runtime tunables: loaded at startup when -tunables is given, reloaded
 	// on SIGHUP. Alerts and the progress cadence apply immediately; breaker
-	// settings are staged here and applied by follow mode at the next week
-	// boundary (a scan in flight is never reconfigured).
+	// settings are staged here and applied by the week scheduler at the next
+	// week boundary (a scan in flight is never reconfigured).
 	var tunMu sync.Mutex
 	var breakerOverride campaign.Tunables
 	applyTunables := func(t *campaign.Tunables, origin string) error {
@@ -312,13 +320,9 @@ func main() {
 			}
 		}()
 	}
-	// With -stream (and no qlog output, which needs materialised results)
-	// each domain flows straight into the incremental aggregators and is
-	// dropped — memory stays bounded by the aggregate state, not the
-	// population. -stream=false runs the legacy batch pipeline, retained as
-	// the streaming path's test oracle.
-	streamSummary := *stream && *qlogDir == ""
-	var analyzed []*analysis.Week
+	// Every domain flows straight into the incremental aggregators (and the
+	// qlog export, when asked for) and is dropped — memory stays bounded by
+	// the aggregate state, not the population.
 	var camp *analysis.CampaignAccumulator
 	var shardRes *shard.Result
 	if *shards > 0 || *vantagesSpec != "" {
@@ -327,8 +331,11 @@ func main() {
 		// telemetry labels), optionally repeats the campaign from several
 		// vantage points, and merges the shard accumulators back into one
 		// campaign with byte-identical tables.
-		if !streamSummary {
-			log.Fatalf("-shards/-vantages require the streaming pipeline (-stream and no -qlog-dir)")
+		if *qlogDir != "" {
+			log.Fatalf("-qlog-dir cannot be combined with -shards/-vantages (the shard coordinator owns the per-shard sinks)")
+		}
+		if *followMode {
+			log.Fatalf("-follow is a single-process service; use -shards/-vantages without -follow for distributed scan-out")
 		}
 		tr, err := shard.ParseTransport(*shardTransport)
 		if err != nil {
@@ -342,8 +349,8 @@ func main() {
 		if nshards == 0 {
 			nshards = 1
 		}
-		weeksList := make([]int, 0, last-first+1)
-		for wk := first; wk <= last; wk++ {
+		weeksList := make([]int, 0, nweeks)
+		for wk := first; wk < first+nweeks; wk++ {
 			weeksList = append(weeksList, wk)
 		}
 		nv := len(vantages)
@@ -355,7 +362,7 @@ func main() {
 			log.Fatalf("-shard-faults: %v", err)
 		}
 		log.Printf("scanning weeks %d-%d across %d shards, %d vantage(s), %s transport...",
-			first, last, nshards, nv, tr)
+			first, first+nweeks-1, nshards, nv, tr)
 		shardRes, err = shard.Run(world, shard.Config{
 			Shards:   nshards,
 			Weeks:    weeksList,
@@ -381,49 +388,52 @@ func main() {
 			Logf:         log.Printf,
 		})
 		if errors.Is(err, scanner.ErrInterrupted) {
-			if *checkpoint != "" {
-				log.Printf("campaign interrupted; resume with: spinscan -checkpoint %s -resume (plus the original flags)", *checkpoint)
-			} else {
-				log.Printf("campaign interrupted (no -checkpoint journal; a rerun starts from scratch)")
-			}
 			exitInterrupted()
 		}
 		if err != nil {
 			log.Fatal(err)
 		}
 		camp = shardRes.Vantages[0].Campaign
-	}
-	if *followMode {
-		// Follow mode: the continuous campaign service. Weeks run back to
-		// back (or -follow-interval apart) through the same streaming path,
-		// journal and seed derivation as the one-shot loop, so a follow
-		// campaign stopped after N weeks is byte-identical to -weeks N.
-		if !streamSummary {
-			log.Fatalf("-follow requires the streaming pipeline (-stream and no -qlog-dir)")
+	} else {
+		// One week scheduler for every unsharded mode: a one-shot run and the
+		// -follow service share the streaming path, journal and seed
+		// derivation, so a follow campaign stopped after N weeks is
+		// byte-identical to -weeks N.
+		if *qlogDir != "" {
+			if err := os.MkdirAll(*qlogDir, 0o755); err != nil {
+				log.Fatalf("-qlog-dir: %v", err)
+			}
 		}
-		if *shards > 0 || *vantagesSpec != "" {
-			log.Fatalf("-follow is a single-process service; use -shards/-vantages without -follow for distributed scan-out")
-		}
-		if *followWeeks == 0 && *weeks > 0 {
-			*followWeeks = *weeks
-		}
-		if *followWeeks > 0 {
-			log.Printf("follow mode: weeks 1-%d (%s engine)...", *followWeeks, *engine)
-		} else {
+		if nweeks == 0 {
 			log.Printf("follow mode: continuous campaign from week 1 (%s engine; stop with SIGINT/SIGTERM)...", *engine)
 		}
-		fres, ferr := campaign.Follow(campaign.Config{
-			World:        world,
-			Base:         baseCfg,
-			SeedBase:     prof.Seed,
-			StartWeek:    1,
-			MaxWeeks:     *followWeeks,
-			Interval:     *followInterval,
-			Live:         live,
+		fres, err := campaign.Follow(campaign.Config{
+			World:     world,
+			Base:      baseCfg,
+			SeedBase:  prof.Seed,
+			StartWeek: first,
+			MaxWeeks:  nweeks,
+			Interval:  *followInterval,
+			Sink: func(acc *analysis.Accumulator) func(int, *scanner.DomainResult) error {
+				sink := live.Sink(acc)
+				if *qlogDir == "" {
+					return sink
+				}
+				qlogs := scanner.QlogSink(acc.Week, acc.IPv6, func(name string) (io.WriteCloser, error) {
+					return os.Create(filepath.Join(*qlogDir, name))
+				})
+				return func(i int, d *scanner.DomainResult) error {
+					if err := qlogs(i, d); err != nil {
+						return fmt.Errorf("writing qlogs: %w", err)
+					}
+					return sink(i, d)
+				}
+			},
 			WeekRestarts: *weekRestarts,
 			RetainWeeks:  *retainWeeks,
 			Compact:      *journalCompact || *retainWeeks > 0,
 			Reconfigure: func(cfg *scanner.Config) {
+				log.Printf("scanning week %d (%s, ipv6=%v)...", cfg.Week, *engine, cfg.IPv6)
 				tunMu.Lock()
 				defer tunMu.Unlock()
 				if breakerOverride.HasBreakerThreshold {
@@ -438,109 +448,44 @@ func main() {
 			},
 			Logf: log.Printf,
 		})
-		if ferr != nil {
-			log.Fatal(ferr)
-		}
-		camp = fres.Campaign
-		if fres.Interrupted {
-			stopProgress()
-			if *checkpoint != "" {
-				log.Printf("follow campaign interrupted after %d completed week(s); resume with: spinscan -follow -checkpoint %s -resume (plus the original flags)",
-					fres.WeeksDone, *checkpoint)
-			} else {
-				log.Printf("follow campaign interrupted after %d completed week(s) (no -checkpoint journal; a rerun starts from scratch)", fres.WeeksDone)
-			}
-			exitInterrupted()
-		}
-		log.Printf("follow campaign done: %d week(s), %d restart(s), compaction kept %d of %d record(s)",
-			fres.WeeksDone, fres.Restarts, fres.Compactions.Kept, fres.Compactions.Records)
-	}
-	if streamSummary && camp == nil {
-		camp = analysis.NewCampaignAccumulator()
-	}
-	for wk := first; shardRes == nil && !*followMode && wk <= last; wk++ {
-		log.Printf("scanning week %d (%s, ipv6=%v)...", wk, *engine, *ipv6)
-		cfg := baseCfg
-		cfg.Week = wk
-		cfg.Seed = prof.Seed + int64(wk)
-		var err error
-		if streamSummary {
-			acc := camp.StartWeek(wk, cfg.IPv6, world.ASDB())
-			err = scanner.RunStream(world, cfg, live.Sink(acc))
-		} else {
-			run := scanner.Run
-			if !*stream {
-				run = scanner.RunBatch
-			}
-			var res *scanner.Result
-			res, err = run(world, cfg)
-			if err == nil {
-				if *qlogDir != "" {
-					if qerr := writeQlogs(res, *qlogDir); qerr != nil {
-						log.Fatalf("writing qlogs: %v", qerr)
-					}
-				}
-				analyzed = append(analyzed, analysis.Analyze(res))
-			}
-		}
-		if errors.Is(err, scanner.ErrInterrupted) {
-			if *checkpoint != "" {
-				log.Printf("campaign interrupted; resume with: spinscan -checkpoint %s -resume (plus the original flags)", *checkpoint)
-			} else {
-				log.Printf("campaign interrupted (no -checkpoint journal; a rerun starts from scratch)")
-			}
-			exitInterrupted()
-		}
 		if err != nil {
 			log.Fatal(err)
 		}
+		log.Printf("campaign: %d week(s) completed, %d restart(s), compaction kept %d of %d record(s)",
+			fres.WeeksDone, fres.Restarts, fres.Compactions.Kept, fres.Compactions.Records)
+		if fres.Interrupted {
+			exitInterrupted()
+		}
+		camp = fres.Campaign
 	}
 	stopProgress()
 
 	if !*summary {
 		return
 	}
-	var tables []*report.Table
-	var accuracy string
-	if streamSummary {
-		wks := camp.Weeks()
-		a := wks[len(wks)-1]
-		tables = []*report.Table{
-			a.RenderOverview(), a.RenderOrgTable(8), a.RenderSpinConfig(),
-			a.RenderSoftwareTable(), a.RenderErrorClasses(),
-		}
-		if len(wks) > 1 {
-			tables = append(tables, analysis.RenderLongitudinal(camp.Longitudinal()))
-		}
-		if shardRes != nil && len(shardRes.Vantages) > 1 {
-			tables = append(tables, shard.RenderAgreement(shardRes))
-		}
-		// A degraded merge (lost shards, no -strict-shards) ships its
-		// coverage accounting with the tables: which shards survived, what
-		// domain ranges are missing, and a per-table confidence caveat.
-		if shardRes != nil && !shardRes.Vantages[0].Coverage.Complete() {
-			cov := shardRes.Vantages[0].Coverage
-			for _, tb := range tables {
-				if note := cov.Confidence(tb.Title); note != "" {
-					log.Printf("coverage: %s", note)
-				}
+	wks := camp.Weeks()
+	a := wks[len(wks)-1]
+	tables := []*report.Table{
+		a.RenderOverview(), a.RenderOrgTable(8), a.RenderSpinConfig(),
+		a.RenderSoftwareTable(), a.RenderErrorClasses(),
+	}
+	if len(wks) > 1 {
+		tables = append(tables, analysis.RenderLongitudinal(camp.Longitudinal()))
+	}
+	if shardRes != nil && len(shardRes.Vantages) > 1 {
+		tables = append(tables, shard.RenderAgreement(shardRes))
+	}
+	// A degraded merge (lost shards, no -strict-shards) ships its coverage
+	// accounting with the tables: which shards survived, what domain ranges
+	// are missing, and a per-table confidence caveat.
+	if shardRes != nil && !shardRes.Vantages[0].Coverage.Complete() {
+		cov := shardRes.Vantages[0].Coverage
+		for _, tb := range tables {
+			if note := cov.Confidence(tb.Title); note != "" {
+				log.Printf("coverage: %s", note)
 			}
-			tables = append(tables, shard.RenderCoverage(cov))
 		}
-		accuracy = camp.RenderAccuracy(4)
-	} else {
-		wk := analyzed[len(analyzed)-1]
-		tables = []*report.Table{
-			analysis.RenderOverview(wk),
-			analysis.RenderOrgTable(wk, world.ASDB(), 8),
-			analysis.RenderSpinConfig(wk),
-			analysis.RenderSoftwareTable(wk, analysis.StandardViews()[1]),
-			analysis.RenderErrorClasses(wk),
-		}
-		if len(analyzed) > 1 {
-			tables = append(tables, analysis.RenderLongitudinal(analysis.Longitudinally(analyzed)))
-		}
-		accuracy = analysis.RenderAccuracy(analyzed, 4)
+		tables = append(tables, shard.RenderCoverage(cov))
 	}
 	for i, t := range tables {
 		if i > 0 {
@@ -551,7 +496,7 @@ func main() {
 		}
 	}
 	fmt.Println()
-	fmt.Print(accuracy)
+	fmt.Print(camp.RenderAccuracy(4))
 }
 
 // exitCodeFor maps a stopping signal to the conventional 128+signal exit
@@ -630,13 +575,4 @@ func runConformance(world *websim.World, worldSeed int64, week int, ipv6 bool, w
 	if !rep.OK() || !inv.OK() {
 		os.Exit(1)
 	}
-}
-
-func writeQlogs(res *scanner.Result, dir string) error {
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return err
-	}
-	return scanner.WriteResultQlogs(res, func(name string) (io.WriteCloser, error) {
-		return os.Create(filepath.Join(dir, name))
-	})
 }

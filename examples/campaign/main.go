@@ -22,22 +22,23 @@ func main() {
 	fmt.Printf("  %d domains, %d server IPs, %d organisations\n\n",
 		len(world.Domains), len(world.Servers()), len(world.Orgs))
 
-	res, err := scanner.Run(world, scanner.Config{
+	// Every scanned domain streams straight into the week's accumulator;
+	// nothing per-domain is retained.
+	acc := analysis.NewAccumulator(prof.Weeks, false, world.ASDB())
+	must(scanner.RunStream(world, scanner.Config{
 		Week:   prof.Weeks,
 		Engine: scanner.EngineEmulated,
 		Seed:   1,
-	})
-	must(err)
-	wk := analysis.Analyze(res)
+	}, acc.Sink()))
 
-	must(analysis.RenderOverview(wk).Render(os.Stdout))
+	must(acc.RenderOverview().Render(os.Stdout))
 	fmt.Println()
-	must(analysis.RenderOrgTable(wk, world.ASDB(), 8).Render(os.Stdout))
+	must(acc.RenderOrgTable(8).Render(os.Stdout))
 	fmt.Println()
-	must(analysis.RenderSpinConfig(wk).Render(os.Stdout))
+	must(acc.RenderSpinConfig().Render(os.Stdout))
 	fmt.Println()
 
-	h := analysis.Headlines([]*analysis.Week{wk})
+	h := acc.Headlines()
 	fmt.Printf("RTT accuracy over %d spinning connections (paper §5.2):\n", h.N)
 	fmt.Printf("  overestimating the stack RTT:   %5.1f%%  (paper: 97.7%%)\n", h.OverestimateShare*100)
 	fmt.Printf("  within 25%% of the stack RTT:    %5.1f%%  (paper: 30.5%%)\n", h.Within25pct*100)

@@ -9,7 +9,6 @@ package analysis
 import (
 	"time"
 
-	"quicspin/internal/asdb"
 	"quicspin/internal/core"
 	"quicspin/internal/scanner"
 	"quicspin/internal/stats"
@@ -167,34 +166,12 @@ func DomainClass(conns []Conn) Class {
 	return best
 }
 
-// Week is a fully analysed measurement run.
-type Week struct {
-	Week int
-	IPv6 bool
-	// Domains mirrors the scan result's order.
-	Domains []DomainAnalysis
-}
-
-// DomainAnalysis carries per-domain classification plus per-conn analyses.
+// DomainAnalysis is one domain as the folds see it: the scan record, its
+// per-connection analyses and the derived Table 3 class.
 type DomainAnalysis struct {
 	Src   *scanner.DomainResult
 	Conns []Conn
 	Class Class
-}
-
-// Analyze runs the pipeline over one scan result.
-func Analyze(r *scanner.Result) *Week {
-	w := &Week{Week: r.Week, IPv6: r.IPv6, Domains: make([]DomainAnalysis, len(r.Domains))}
-	for i := range r.Domains {
-		d := &r.Domains[i]
-		da := DomainAnalysis{Src: d, Conns: make([]Conn, len(d.Conns))}
-		for j := range d.Conns {
-			da.Conns[j] = AnalyzeConn(&d.Conns[j])
-		}
-		da.Class = DomainClass(da.Conns)
-		w.Domains[i] = da
-	}
-	return w
 }
 
 // View selects which domains contribute to a table row.
@@ -219,30 +196,11 @@ type OverviewRow struct {
 	TotalIPs, QUICIPs, SpinIPs                              int
 }
 
-// Overview aggregates the Table 1/4 counts for one view by driving the
-// same fold the streaming Accumulator uses.
-func Overview(w *Week, v View) OverviewRow {
-	f := newOverviewFold(v)
-	for i := range w.Domains {
-		f.add(&w.Domains[i])
-	}
-	return f.finish()
-}
-
 // ConfigRow is one row of Table 3.
 type ConfigRow struct {
 	Label                               string
 	QUICDomains                         int
 	AllZero, AllOne, Spin, Grease, None int
-}
-
-// SpinConfig aggregates the Table 3 classification for one view.
-func SpinConfig(w *Week, v View) ConfigRow {
-	f := newConfigFold(v)
-	for i := range w.Domains {
-		f.add(&w.Domains[i])
-	}
-	return f.row
 }
 
 // OrgRow is one row of Table 2.
@@ -252,17 +210,6 @@ type OrgRow struct {
 	TotalConns int
 	SpinConns  int
 	SpinRank   int // 1-based by spin connections; 0 when none
-}
-
-// OrgTable attributes QUIC connections to AS organisations via the
-// IP→ASN→org resolver and returns rows ranked by connection count; orgs
-// beyond topN are merged into an "<other>" row appended last.
-func OrgTable(w *Week, res *asdb.Resolver, v View, topN int) []OrgRow {
-	f := newOrgFold(v, res)
-	for i := range w.Domains {
-		f.add(&w.Domains[i])
-	}
-	return f.finish(topN)
 }
 
 // --- Fig. 2: longitudinal RFC compliance --------------------------------
@@ -280,19 +227,6 @@ type Longitudinal struct {
 	// RFC9000 and RFC9312 are the binomial reference shares for disabling
 	// on one in 16 / one in 8 connections.
 	RFC9000, RFC9312 []float64
-}
-
-// Longitudinally computes the Fig. 2 histogram from one analysed run per
-// week. Domains are matched by name, so the weekly runs may come from
-// independently loaded qlog sets.
-func Longitudinally(weeks []*Week) Longitudinal {
-	f := newLongFold()
-	for _, w := range weeks {
-		for i := range w.Domains {
-			f.add(&w.Domains[i])
-		}
-	}
-	return f.finish(len(weeks))
 }
 
 // rfcShares computes the theoretical share of domains spinning in k of n
@@ -324,46 +258,6 @@ var Fig3Edges = []float64{-200, -100, -50, -25, 0, 25, 50, 100, 200}
 // Fig4Edges are the mapped-ratio bins (values lie in (−∞,−1] ∪ [1,∞)).
 var Fig4Edges = []float64{-3, -2, -1.25, 1.25, 2, 3}
 
-// AbsHistogram builds the Fig. 3 histogram (absolute difference of means,
-// in milliseconds) over connections in the given set.
-func AbsHistogram(weeks []*Week, set AccuracySet) *stats.Histogram {
-	h := stats.NewHistogram(Fig3Edges)
-	eachAccuracyConn(weeks, set.Class, func(c *Conn) {
-		d := c.AbsR
-		if set.Sorted {
-			d = c.AbsS
-		}
-		h.Add(float64(d) / float64(time.Millisecond))
-	})
-	return h
-}
-
-// RatioHistogram builds the Fig. 4 histogram (mapped ratio of means).
-func RatioHistogram(weeks []*Week, set AccuracySet) *stats.Histogram {
-	h := stats.NewHistogram(Fig4Edges)
-	eachAccuracyConn(weeks, set.Class, func(c *Conn) {
-		r := c.RatioR
-		if set.Sorted {
-			r = c.RatioS
-		}
-		h.Add(r)
-	})
-	return h
-}
-
-func eachAccuracyConn(weeks []*Week, class Class, fn func(c *Conn)) {
-	for _, w := range weeks {
-		for i := range w.Domains {
-			for j := range w.Domains[i].Conns {
-				c := &w.Domains[i].Conns[j]
-				if c.Class == class && c.HasAccuracy {
-					fn(c)
-				}
-			}
-		}
-	}
-}
-
 // ReorderingImpact quantifies §5.2's R-vs-S comparison.
 type ReorderingImpact struct {
 	// Conns is the number of accuracy-contributing connections.
@@ -377,32 +271,46 @@ type ReorderingImpact struct {
 	Improved int
 }
 
-// Reordering computes the impact of packet reordering on spin estimates.
-func Reordering(weeks []*Week) ReorderingImpact {
+// Reordering computes the impact of packet reordering on spin estimates
+// over the spinning, accuracy-contributing connections of materialised
+// scans. It needs each connection's R and S means side by side, which the
+// accumulators' histograms do not retain, so it works from the results.
+func Reordering(results ...*scanner.Result) ReorderingImpact {
 	var out ReorderingImpact
-	eachAccuracyConn(weeks, ClassSpin, func(c *Conn) {
-		out.Conns++
-		if c.SpinMeanR == c.SpinMeanS {
-			return
+	for _, r := range results {
+		for i := range r.Domains {
+			for j := range r.Domains[i].Conns {
+				c := AnalyzeConn(&r.Domains[i].Conns[j])
+				if c.Class == ClassSpin && c.HasAccuracy {
+					out.observe(&c)
+				}
+			}
 		}
-		out.Differing++
-		diff := c.SpinMeanR - c.SpinMeanS
-		if diff < 0 {
-			diff = -diff
-		}
-		if diff < time.Millisecond {
-			out.Sub1ms++
-		}
-		absR, absS := c.AbsR, c.AbsS
-		if absR < 0 {
-			absR = -absR
-		}
-		if absS < 0 {
-			absS = -absS
-		}
-		if absS < absR {
-			out.Improved++
-		}
-	})
+	}
 	return out
+}
+
+func (out *ReorderingImpact) observe(c *Conn) {
+	out.Conns++
+	if c.SpinMeanR == c.SpinMeanS {
+		return
+	}
+	out.Differing++
+	diff := c.SpinMeanR - c.SpinMeanS
+	if diff < 0 {
+		diff = -diff
+	}
+	if diff < time.Millisecond {
+		out.Sub1ms++
+	}
+	absR, absS := c.AbsR, c.AbsS
+	if absR < 0 {
+		absR = -absR
+	}
+	if absS < 0 {
+		absS = -absS
+	}
+	if absS < absR {
+		out.Improved++
+	}
 }

@@ -3,6 +3,7 @@ package analysis
 import (
 	"fmt"
 	"math"
+	"net/netip"
 	"testing"
 	"time"
 
@@ -166,23 +167,20 @@ func TestLongitudinallySynthetic(t *testing.T) {
 	// Build three weeks over four domains:
 	// d0: spins every week; d1: spins week 1 only (QUIC all weeks);
 	// d2: never spins; d3: spins but loses QUIC in week 3.
-	mkWeek := func(classes []Class, quic []bool) *Week {
-		w := &Week{Domains: make([]DomainAnalysis, len(classes))}
+	f := newLongFold()
+	addWeek := func(classes []Class, quic []bool) {
 		for i := range classes {
 			src := &scanner.DomainResult{Domain: fmt.Sprintf("d%d", i), Conns: nil}
 			if quic[i] {
 				src.Conns = []scanner.ConnResult{{QUIC: true}}
 			}
-			w.Domains[i] = DomainAnalysis{Src: src, Class: classes[i]}
+			f.add(&DomainAnalysis{Src: src, Class: classes[i]})
 		}
-		return w
 	}
-	weeks := []*Week{
-		mkWeek([]Class{ClassSpin, ClassSpin, ClassAllZero, ClassSpin}, []bool{true, true, true, true}),
-		mkWeek([]Class{ClassSpin, ClassAllZero, ClassAllZero, ClassSpin}, []bool{true, true, true, true}),
-		mkWeek([]Class{ClassSpin, ClassAllZero, ClassAllZero, ClassNone}, []bool{true, true, true, false}),
-	}
-	l := Longitudinally(weeks)
+	addWeek([]Class{ClassSpin, ClassSpin, ClassAllZero, ClassSpin}, []bool{true, true, true, true})
+	addWeek([]Class{ClassSpin, ClassAllZero, ClassAllZero, ClassSpin}, []bool{true, true, true, true})
+	addWeek([]Class{ClassSpin, ClassAllZero, ClassAllZero, ClassNone}, []bool{true, true, true, false})
+	l := f.finish(3)
 	if l.EverSpun != 3 {
 		t.Errorf("EverSpun = %d, want 3", l.EverSpun)
 	}
@@ -200,12 +198,30 @@ func TestReorderingImpact(t *testing.T) {
 	better := Conn{Class: ClassSpin, HasAccuracy: true,
 		SpinMeanR: 100, SpinMeanS: 100 - time.Duration(500)*time.Microsecond,
 		AbsR: 10 * time.Millisecond, AbsS: 9 * time.Millisecond}
-	w := &Week{Domains: []DomainAnalysis{{
-		Src:   &scanner.DomainResult{},
-		Conns: []Conn{same, better},
-	}}}
-	r := Reordering([]*Week{w})
+	var r ReorderingImpact
+	r.observe(&same)
+	r.observe(&better)
 	if r.Conns != 2 || r.Differing != 1 || r.Sub1ms != 1 || r.Improved != 1 {
 		t.Errorf("impact = %+v", r)
+	}
+}
+
+// TestNilResolverAttributesUnknown pins analysis without an asdb snapshot
+// (spinalyze without -asdb): a QUIC connection in the com/net/org view
+// reaches the Table 2 fold, which must bucket it under "<unknown>" instead
+// of dereferencing the missing resolver.
+func TestNilResolverAttributesUnknown(t *testing.T) {
+	conn := *mkConn(40*time.Millisecond, 6, 40*time.Millisecond)
+	conn.IP = netip.MustParseAddr("198.51.100.7")
+	res := &scanner.Result{Week: 3, Domains: []scanner.DomainResult{{
+		Domain: "example.com", TLD: "com", Resolved: true, Conns: []scanner.ConnResult{conn},
+	}}}
+	a := NewAccumulator(res.Week, res.IPv6, nil).AddResult(res)
+	rows := a.orgs.finish(8)
+	if len(rows) != 1 || rows[0].Org != "<unknown>" || rows[0].TotalConns != 1 || rows[0].SpinConns != 1 {
+		t.Errorf("org rows = %+v, want one <unknown> row with the spinning connection", rows)
+	}
+	if got := a.OverviewRows()[2]; got.QUICDomains != 1 || got.SpinDomains != 1 {
+		t.Errorf("com/net/org overview = %+v", got)
 	}
 }

@@ -15,10 +15,11 @@ import (
 var (
 	fixtureOnce sync.Once
 	fxWorld     *websim.World
-	fxV4, fxV6  *Week
+	fxV4, fxV6  *Accumulator
+	fxResultV4  *scanner.Result // kept for Reordering, which works from results
 )
 
-func fixture(t *testing.T) (*websim.World, *Week, *Week) {
+func fixture(t *testing.T) (*websim.World, *Accumulator, *Accumulator) {
 	t.Helper()
 	fixtureOnce.Do(func() {
 		p := websim.DefaultProfile()
@@ -31,22 +32,21 @@ func fixture(t *testing.T) (*websim.World, *Week, *Week) {
 		if err4 != nil {
 			panic(err4)
 		}
-		fxV4 = Analyze(r4)
+		fxResultV4 = r4
+		fxV4 = NewAccumulator(week, false, fxWorld.ASDB()).AddResult(r4)
 		r6, err6 := scanner.Run(fxWorld, scanner.Config{Week: week, IPv6: true, Engine: scanner.EngineEmulated, Seed: 99, Workers: 8})
 		if err6 != nil {
 			panic(err6)
 		}
-		fxV6 = Analyze(r6)
+		fxV6 = NewAccumulator(week, true, fxWorld.ASDB()).AddResult(r6)
 	})
 	return fxWorld, fxV4, fxV6
 }
 
 func TestOverviewShapesIPv4(t *testing.T) {
 	_, wk, _ := fixture(t)
-	views := StandardViews()
-	top := Overview(wk, views[0])
-	zone := Overview(wk, views[1])
-	cno := Overview(wk, views[2])
+	rows := wk.OverviewRows() // StandardViews order
+	top, zone, cno := rows[0], rows[1], rows[2]
 
 	if top.TotalDomains == 0 || zone.TotalDomains == 0 || cno.TotalDomains == 0 {
 		t.Fatalf("empty views: %+v %+v %+v", top, zone, cno)
@@ -76,8 +76,8 @@ func TestOverviewShapesIPv4(t *testing.T) {
 }
 
 func TestOrgTableShapes(t *testing.T) {
-	w, wk, _ := fixture(t)
-	rows := OrgTable(wk, w.ASDB(), StandardViews()[2], 8)
+	_, wk, _ := fixture(t)
+	rows := wk.orgs.finish(8)
 	if len(rows) < 5 {
 		t.Fatalf("too few org rows: %d", len(rows))
 	}
@@ -124,7 +124,7 @@ func TestOrgTableShapes(t *testing.T) {
 
 func TestSpinConfigShapes(t *testing.T) {
 	_, wk, _ := fixture(t)
-	r := SpinConfig(wk, StandardViews()[1])
+	r := wk.ConfigRows()[1]
 	if r.QUICDomains == 0 {
 		t.Fatal("no QUIC domains")
 	}
@@ -145,8 +145,8 @@ func TestSpinConfigShapes(t *testing.T) {
 
 func TestIPv6Shapes(t *testing.T) {
 	_, wk4, wk6 := fixture(t)
-	zone4 := Overview(wk4, StandardViews()[1])
-	zone6 := Overview(wk6, StandardViews()[1])
+	zone4 := wk4.OverviewRows()[1]
+	zone6 := wk6.OverviewRows()[1]
 	if zone6.ResolvedDomains >= zone4.ResolvedDomains {
 		t.Errorf("v6 resolved (%d) should be below v4 (%d)", zone6.ResolvedDomains, zone4.ResolvedDomains)
 	}
@@ -161,8 +161,8 @@ func TestIPv6Shapes(t *testing.T) {
 		t.Errorf("v6 QUIC IPs (%d) not above v4 (%d)", zone6.QUICIPs, zone4.QUICIPs)
 	}
 	// Toplist v6 domain spin share below the v4 share (2.3 % vs 6.9 %).
-	top4 := Overview(wk4, StandardViews()[0])
-	top6 := Overview(wk6, StandardViews()[0])
+	top4 := wk4.OverviewRows()[0]
+	top6 := wk6.OverviewRows()[0]
 	s4, s6 := share(top4.SpinDomains, top4.QUICDomains), share(top6.SpinDomains, top6.QUICDomains)
 	if s6 >= s4 {
 		t.Errorf("toplist v6 spin share %.3f not below v4 %.3f", s6, s4)
@@ -171,7 +171,7 @@ func TestIPv6Shapes(t *testing.T) {
 
 func TestAccuracyShapes(t *testing.T) {
 	_, wk, _ := fixture(t)
-	h := Headlines([]*Week{wk})
+	h := wk.Headlines()
 	if h.N < 100 {
 		t.Fatalf("only %d accuracy connections; population too small", h.N)
 	}
@@ -185,7 +185,7 @@ func TestAccuracyShapes(t *testing.T) {
 		t.Errorf("over-3x share = %.3f, want ≈0.517", h.Over3x)
 	}
 	// Reordering must be a non-issue (paper: 0.28 % differing).
-	ri := Reordering([]*Week{wk})
+	ri := Reordering(fxResultV4)
 	if ri.Conns == 0 {
 		t.Fatal("no reordering sample")
 	}
@@ -195,24 +195,25 @@ func TestAccuracyShapes(t *testing.T) {
 }
 
 func TestRenderersProduceTables(t *testing.T) {
-	w, wk, _ := fixture(t)
-	if s := RenderOverview(wk).String(); !strings.Contains(s, "CZDS") || !strings.Contains(s, "#IPs") {
+	_, wk, _ := fixture(t)
+	if s := wk.RenderOverview().String(); !strings.Contains(s, "CZDS") || !strings.Contains(s, "#IPs") {
 		t.Errorf("overview table:\n%s", s)
 	}
-	if s := RenderOrgTable(wk, w.ASDB(), 8).String(); !strings.Contains(s, "AS Organization") {
+	if s := wk.RenderOrgTable(8).String(); !strings.Contains(s, "AS Organization") {
 		t.Errorf("org table:\n%s", s)
 	}
-	if s := RenderSpinConfig(wk).String(); !strings.Contains(s, "All Zero") {
+	if s := wk.RenderSpinConfig().String(); !strings.Contains(s, "All Zero") {
 		t.Errorf("config table:\n%s", s)
 	}
-	if s := RenderAccuracy([]*Week{wk}, 3); !strings.Contains(s, "Figure 3") {
+	if s := wk.RenderAccuracy(3); !strings.Contains(s, "Figure 3") {
 		t.Errorf("fig 3 output:\n%s", s)
 	}
-	if s := RenderAccuracy([]*Week{wk}, 4); !strings.Contains(s, "Figure 4") {
+	if s := wk.RenderAccuracy(4); !strings.Contains(s, "Figure 4") {
 		t.Errorf("fig 4 output:\n%s", s)
 	}
-	l := Longitudinally([]*Week{wk})
-	if s := RenderLongitudinal(l).String(); !strings.Contains(s, "RFC 9000") {
+	camp := NewCampaignAccumulator()
+	camp.StartWeek(fxResultV4.Week, false, nil).AddResult(fxResultV4)
+	if s := RenderLongitudinal(camp.Longitudinal()).String(); !strings.Contains(s, "RFC 9000") {
 		t.Errorf("fig 2 output:\n%s", s)
 	}
 }
@@ -230,14 +231,8 @@ func TestTableDeterminism(t *testing.T) {
 	p.Scale = 50_000
 	w := websim.Generate(p)
 	render := func(eng scanner.Engine, workers int) (string, string) {
-		r, err := scanner.Run(w, scanner.Config{
-			Week: 3, Engine: eng, Seed: 7, Workers: workers,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		wk := Analyze(r)
-		return RenderOverview(wk).String(), RenderSpinConfig(wk).String()
+		a := streamWeek(t, w, scanner.Config{Week: 3, Engine: eng, Seed: 7, Workers: workers})
+		return a.RenderOverview().String(), a.RenderSpinConfig().String()
 	}
 	for _, eng := range []struct {
 		name string

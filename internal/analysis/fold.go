@@ -11,12 +11,9 @@ import (
 	"quicspin/internal/stats"
 )
 
-// Fold objects: each aggregate's per-domain increment, shared between the
-// batch functions (Overview, SpinConfig, OrgTable, SoftwareTable, the
-// renderers) and the streaming Accumulator. Both paths execute the same
-// add() methods, so a streamed campaign renders byte-identical tables to a
-// batch-analysed one — the folds ARE the aggregation logic, the batch
-// entry points merely drive them over a materialised Week.
+// Fold objects: each aggregate's per-domain increment. The folds ARE the
+// aggregation logic; the Accumulator merely drives every fold over each
+// delivered domain.
 
 // ipState tracks whether an IP ever carried a QUIC or spinning connection.
 type ipState struct{ quic, spin bool }
@@ -187,7 +184,10 @@ func (f *orgFold) finish(topN int) []OrgRow {
 	return append(rows[:topN:topN], other)
 }
 
-// softwareFold accumulates the §4.2 Server-header attribution.
+// softwareFold accumulates the §4.2 Server-header attribution: QUIC
+// connections by Server header for one view, restricted — like the paper —
+// to connections where the header could be matched unambiguously (a
+// response was received).
 type softwareFold struct {
 	v   View
 	agg map[string]*SoftwareRow

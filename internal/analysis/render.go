@@ -3,25 +3,14 @@ package analysis
 import (
 	"fmt"
 
-	"quicspin/internal/asdb"
 	"quicspin/internal/hostile"
 	"quicspin/internal/report"
 	"quicspin/internal/resilience"
 	"quicspin/internal/stats"
 )
 
-// RenderOverview renders Table 1 (IPv4) or Table 4 (IPv6) for the three
-// standard views.
-func RenderOverview(w *Week) *report.Table {
-	rows := make([]OverviewRow, 0, 3)
-	for _, v := range StandardViews() {
-		rows = append(rows, Overview(w, v))
-	}
-	return renderOverviewTable(w.Week, w.IPv6, rows)
-}
-
-// renderOverviewTable formats Table 1/4 from already-aggregated rows; the
-// batch and streaming paths share it so their output cannot drift.
+// renderOverviewTable formats Table 1 (IPv4) or Table 4 (IPv6) from
+// aggregated rows.
 func renderOverviewTable(week int, ipv6 bool, rows []OverviewRow) *report.Table {
 	title := "Table 1. Overview of IPv4 results"
 	if ipv6 {
@@ -40,12 +29,6 @@ func renderOverviewTable(week int, ipv6 bool, rows []OverviewRow) *report.Table 
 			stats.Percent(row.SpinIPs, row.QUICIPs))
 	}
 	return t
-}
-
-// RenderOrgTable renders Table 2 for the com/net/org view.
-func RenderOrgTable(w *Week, res *asdb.Resolver, topN int) *report.Table {
-	view := StandardViews()[2]
-	return renderOrgTable(w.Week, OrgTable(w, res, view, topN))
 }
 
 // renderOrgTable formats Table 2 from ranked rows.
@@ -67,15 +50,6 @@ func renderOrgTable(week int, rows []OrgRow) *report.Table {
 	return t
 }
 
-// RenderSpinConfig renders Table 3.
-func RenderSpinConfig(w *Week) *report.Table {
-	rows := make([]ConfigRow, 0, 3)
-	for _, v := range StandardViews() {
-		rows = append(rows, SpinConfig(w, v))
-	}
-	return renderSpinConfigTable(w.Week, rows)
-}
-
 // renderSpinConfigTable formats Table 3 from aggregated rows.
 func renderSpinConfigTable(week int, rows []ConfigRow) *report.Table {
 	t := report.NewTable(
@@ -90,18 +64,9 @@ func renderSpinConfigTable(week int, rows []ConfigRow) *report.Table {
 	return t
 }
 
-// RenderErrorClasses renders the connection-failure breakdown by resilience
-// error class, with hostile-endpoint profiles broken out beneath the hostile
-// class. Shares are over all connection attempts of the week.
-func RenderErrorClasses(w *Week) *report.Table {
-	f := newErrorClassFold()
-	for i := range w.Domains {
-		f.add(w.Domains[i].Src)
-	}
-	return renderErrorTable(w.Week, f)
-}
-
-// renderErrorTable formats Table 5 from a folded error breakdown.
+// renderErrorTable formats Table 5, the connection-failure breakdown by
+// resilience error class, with hostile-endpoint profiles broken out beneath
+// the hostile class. Shares are over all connection attempts of the week.
 func renderErrorTable(week int, f *errorClassFold) *report.Table {
 	t := report.NewTable(
 		fmt.Sprintf("Table 5. Connection errors by class (week %d)", week),
@@ -143,19 +108,8 @@ func RenderLongitudinal(l Longitudinal) *report.Table {
 	return t
 }
 
-// RenderAccuracy renders one Fig. 3 or Fig. 4 histogram (abs difference or
-// mapped ratio) with the paper's headline shares below it.
-func RenderAccuracy(weeks []*Week, fig int) string {
-	return renderAccuracyFrom(fig, func(i int) *stats.Histogram {
-		if fig == 3 {
-			return AbsHistogram(weeks, accuracySets[i])
-		}
-		return RatioHistogram(weeks, accuracySets[i])
-	})
-}
-
-// renderAccuracyFrom formats the four Fig. 3/4 panels given a source of
-// per-panel histograms (batch recomputation or a streaming fold).
+// renderAccuracyFrom formats the four Fig. 3 (abs difference) or Fig. 4
+// (mapped ratio) panels given a source of per-panel histograms.
 func renderAccuracyFrom(fig int, hist func(i int) *stats.Histogram) string {
 	unit := "mapped ratio of means"
 	if fig == 3 {
@@ -180,16 +134,4 @@ type AccuracyHeadlines struct {
 	Within25pct       float64
 	Within2x          float64
 	Over3x            float64
-}
-
-// Headlines computes the headline accuracy shares over the spin set in
-// received order.
-func Headlines(weeks []*Week) AccuracyHeadlines {
-	f := newAccuracyFold()
-	for _, w := range weeks {
-		for i := range w.Domains {
-			f.add(&w.Domains[i])
-		}
-	}
-	return f.headlines()
 }

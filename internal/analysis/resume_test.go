@@ -19,8 +19,8 @@ func renderTables(t *testing.T, w *websim.World, cfg scanner.Config) (string, st
 	if err != nil {
 		t.Fatal(err)
 	}
-	wk := Analyze(r)
-	return RenderOverview(wk).String(), RenderSpinConfig(wk).String()
+	a := NewAccumulator(r.Week, r.IPv6, w.ASDB()).AddResult(r)
+	return a.RenderOverview().String(), a.RenderSpinConfig().String()
 }
 
 // TestResumeIdentical is the acceptance gate for checkpoint/resume: a

@@ -17,18 +17,6 @@ type SoftwareRow struct {
 	SpinConns int
 }
 
-// SoftwareTable aggregates QUIC connections by Server header for one view,
-// restricted — like the paper — to connections where the header could be
-// matched unambiguously (i.e. a response was received). Rows are ordered
-// by spinning connections.
-func SoftwareTable(w *Week, v View) []SoftwareRow {
-	f := newSoftwareFold(v)
-	for i := range w.Domains {
-		f.add(&w.Domains[i])
-	}
-	return f.finish()
-}
-
 // SpinShareOfSoftware returns the given software's share of all spinning
 // connections in the view (the paper's ">80 % LiteSpeed" number).
 func SpinShareOfSoftware(rows []SoftwareRow, software string) float64 {
@@ -43,11 +31,6 @@ func SpinShareOfSoftware(rows []SoftwareRow, software string) float64 {
 		return 0
 	}
 	return float64(match) / float64(total)
-}
-
-// RenderSoftwareTable renders the §4.2 webserver attribution.
-func RenderSoftwareTable(w *Week, v View) *report.Table {
-	return renderSoftwareTable(v.Label, w.Week, SoftwareTable(w, v))
 }
 
 // renderSoftwareTable formats the attribution table from sorted rows.

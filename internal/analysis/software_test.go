@@ -17,10 +17,10 @@ func TestSoftwareTableSynthetic(t *testing.T) {
 		}
 		return c, a
 	}
-	w := &Week{}
+	f := newSoftwareFold(StandardViews()[1])
 	add := func(server string, spin bool) {
 		c, a := mk(server, spin)
-		w.Domains = append(w.Domains, DomainAnalysis{
+		f.add(&DomainAnalysis{
 			Src:   &scanner.DomainResult{Domain: "d", TLD: "com", Resolved: true, Conns: []scanner.ConnResult{c}},
 			Conns: []Conn{a},
 		})
@@ -31,7 +31,7 @@ func TestSoftwareTableSynthetic(t *testing.T) {
 	add("nginx", false)
 	add("imunify360-webshield", true)
 
-	rows := SoftwareTable(w, StandardViews()[1])
+	rows := f.finish()
 	if len(rows) != 3 {
 		t.Fatalf("rows = %+v", rows)
 	}
@@ -51,7 +51,7 @@ func TestSoftwareTableSynthetic(t *testing.T) {
 // LiteSpeed (plus imunify360-webshield, its suspected derivative).
 func TestLiteSpeedCarriesSpinSupport(t *testing.T) {
 	_, wk, _ := fixture(t)
-	rows := SoftwareTable(wk, StandardViews()[1])
+	rows := wk.software.finish()
 	if len(rows) == 0 {
 		t.Fatal("no software rows")
 	}
@@ -66,7 +66,7 @@ func TestLiteSpeedCarriesSpinSupport(t *testing.T) {
 			t.Errorf("%s shows %d spinning connections", r.Software, r.SpinConns)
 		}
 	}
-	if s := RenderSoftwareTable(wk, StandardViews()[1]).String(); !strings.Contains(s, "LiteSpeed") {
+	if s := wk.RenderSoftwareTable().String(); !strings.Contains(s, "LiteSpeed") {
 		t.Errorf("render:\n%s", s)
 	}
 }

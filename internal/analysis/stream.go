@@ -7,17 +7,13 @@ import (
 	"quicspin/internal/stats"
 )
 
-// Accumulator is the streaming counterpart of Analyze + the batch
-// aggregate functions: it folds one week's scan results domain by domain
-// and can render every per-week table without ever retaining a per-domain
-// row. Feed it from scanner.RunStream via Sink (or call Add directly);
+// Accumulator is the analysis pipeline for one measurement week: it folds
+// scan results domain by domain and can render every per-week table without
+// ever retaining a per-domain row. Feed it from scanner.RunStream via Sink,
+// from a materialised scanner.Result via AddResult, or call Add directly;
 // memory use is bounded by the aggregate state (IP/org/software/domain-name
-// maps), not by the population size.
-//
-// It drives the exact fold objects the batch functions drive, and the
-// renderers share the row-formatting helpers, so a streamed campaign's
-// tables are byte-identical to a batch-analysed one — the equivalence tests
-// in stream_test.go pin this.
+// maps), not by the population size. The renderings are pinned by the
+// golden suite in golden_test.go.
 type Accumulator struct {
 	Week int
 	IPv6 bool
@@ -34,9 +30,10 @@ type Accumulator struct {
 	scratch []Conn // reused per Add; aggregate state never aliases it
 }
 
-// NewAccumulator prepares streaming aggregation for one measurement week.
-// res resolves connection IPs to AS organisations for Table 2 (it must be
-// the world's resolver, as with OrgTable).
+// NewAccumulator prepares aggregation for one measurement week. res
+// resolves connection IPs to AS organisations for Table 2 (the world's
+// resolver, or a loaded snapshot); with a nil resolver every connection is
+// attributed to "<unknown>".
 func NewAccumulator(week int, ipv6 bool, res *asdb.Resolver) *Accumulator {
 	a := &Accumulator{
 		Week:     week,
@@ -80,6 +77,16 @@ func (a *Accumulator) Add(d *scanner.DomainResult) Class {
 	return da.Class
 }
 
+// AddResult folds every domain of a materialised scan — scanner.Run's, or
+// one reassembled from qlog traces by scanner.MergeQlogConns — and returns
+// a for chaining.
+func (a *Accumulator) AddResult(r *scanner.Result) *Accumulator {
+	for i := range r.Domains {
+		a.Add(&r.Domains[i])
+	}
+	return a
+}
+
 // Sink adapts the accumulator to scanner.RunStream's delivery callback.
 func (a *Accumulator) Sink() func(i int, d *scanner.DomainResult) error {
 	return func(_ int, d *scanner.DomainResult) error {
@@ -90,29 +97,21 @@ func (a *Accumulator) Sink() func(i int, d *scanner.DomainResult) error {
 
 // RenderOverview renders Table 1/4 from the folded state.
 func (a *Accumulator) RenderOverview() *report.Table {
-	rows := make([]OverviewRow, 0, len(a.overview))
-	for _, f := range a.overview {
-		rows = append(rows, f.finish())
-	}
-	return renderOverviewTable(a.Week, a.IPv6, rows)
+	return renderOverviewTable(a.Week, a.IPv6, a.OverviewRows())
 }
 
-// RenderOrgTable renders Table 2 (com/net/org view, as in the batch path).
+// RenderOrgTable renders Table 2 (com/net/org view): organisations ranked
+// by connection count, those beyond topN merged into an "<other>" row.
 func (a *Accumulator) RenderOrgTable(topN int) *report.Table {
 	return renderOrgTable(a.Week, a.orgs.finish(topN))
 }
 
 // RenderSpinConfig renders Table 3.
 func (a *Accumulator) RenderSpinConfig() *report.Table {
-	rows := make([]ConfigRow, 0, len(a.config))
-	for _, f := range a.config {
-		rows = append(rows, f.row)
-	}
-	return renderSpinConfigTable(a.Week, rows)
+	return renderSpinConfigTable(a.Week, a.ConfigRows())
 }
 
-// RenderSoftwareTable renders the §4.2 attribution (CZDS view, matching
-// the batch summary).
+// RenderSoftwareTable renders the §4.2 webserver attribution (CZDS view).
 func (a *Accumulator) RenderSoftwareTable() *report.Table {
 	return renderSoftwareTable(a.software.v.Label, a.Week, a.software.finish())
 }
@@ -156,14 +155,13 @@ func (a *Accumulator) Headlines() AccuracyHeadlines {
 
 // CampaignAccumulator spans a multi-week campaign: it owns the shared
 // Fig. 2 fold (cross-week spin history by domain name) and merges the
-// weekly accuracy folds for campaign-level Figs. 3/4, mirroring the batch
-// pipeline's Longitudinally(weeks) and RenderAccuracy(weeks, fig).
+// weekly accuracy folds for campaign-level Figs. 3/4.
 type CampaignAccumulator struct {
 	long  *longFold
 	weeks []*Accumulator
 }
 
-// NewCampaignAccumulator prepares a streaming multi-week campaign.
+// NewCampaignAccumulator prepares a multi-week campaign.
 func NewCampaignAccumulator() *CampaignAccumulator {
 	return &CampaignAccumulator{long: newLongFold()}
 }
@@ -190,19 +188,33 @@ func (c *CampaignAccumulator) StartWeek(week int, ipv6 bool, res *asdb.Resolver)
 // independent of the order they were started in.
 func (c *CampaignAccumulator) Weeks() []*Accumulator { return c.weeks }
 
-// Longitudinal computes the Fig. 2 dataset over all started weeks.
+// Longitudinal computes the Fig. 2 dataset over all started weeks. Domains
+// are matched by name, so the weeks may come from independently loaded qlog
+// sets.
 func (c *CampaignAccumulator) Longitudinal() Longitudinal {
 	return c.long.finish(len(c.weeks))
 }
 
-// RenderAccuracy renders campaign-level Fig. 3 or Fig. 4 panels over every
-// week's connections, like the batch RenderAccuracy(weeks, fig).
-func (c *CampaignAccumulator) RenderAccuracy(fig int) string {
+// accuracy merges every week's accuracy fold.
+func (c *CampaignAccumulator) accuracy() *accuracyFold {
 	merged := newAccuracyFold()
 	for _, a := range c.weeks {
 		merged.merge(a.acc)
 	}
+	return merged
+}
+
+// RenderAccuracy renders campaign-level Fig. 3 or Fig. 4 panels over every
+// week's connections.
+func (c *CampaignAccumulator) RenderAccuracy(fig int) string {
+	merged := c.accuracy()
 	return renderAccuracyFrom(fig, func(i int) *stats.Histogram {
 		return merged.histAt(fig, i)
 	})
+}
+
+// Headlines returns the §5.2 headline accuracy shares over every week's
+// connections.
+func (c *CampaignAccumulator) Headlines() AccuracyHeadlines {
+	return c.accuracy().headlines()
 }

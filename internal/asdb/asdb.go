@@ -133,7 +133,11 @@ type Resolver struct {
 
 // OrgOf attributes an IP to an organisation name; unknown IPs map to
 // "<unknown>", matching how the paper buckets unattributable connections.
+// A nil resolver (analysis without an asdb snapshot) knows no IP.
 func (r *Resolver) OrgOf(ip netip.Addr) string {
+	if r == nil {
+		return "<unknown>"
+	}
 	asn, ok := r.Table.Lookup(ip)
 	if !ok {
 		return "<unknown>"

@@ -1,8 +1,8 @@
-// Package campaign runs continuous measurement campaigns: the follow-mode
-// scheduler behind `spinscan -follow` scans week after week in virtual
-// time through the streaming scanner, feeding rolling checkpoint journals
-// and the live dashboard indefinitely while staying byte-identical to the
-// equivalent one-shot multi-week run.
+// Package campaign runs multi-week measurement campaigns: the week
+// scheduler behind `spinscan` scans week after week in virtual time through
+// the streaming scanner, feeding rolling checkpoint journals and the live
+// dashboard. A one-shot `-weeks N` run and the continuous `-follow` service
+// are the same loop; -follow only lifts the week bound.
 package campaign
 
 import (
@@ -27,9 +27,7 @@ type Config struct {
 	// scheduler between domains; Base.Checkpoint (optional) is the rolling
 	// journal every week shares.
 	Base scanner.Config
-	// SeedBase derives each week's scan seed as SeedBase + week — the same
-	// derivation the one-shot multi-week loop uses, which is what makes
-	// follow-mode results comparable (and byte-identical) to it.
+	// SeedBase derives each week's scan seed as SeedBase + week.
 	SeedBase int64
 	// StartWeek is the first week scanned; zero means 1.
 	StartWeek int
@@ -39,8 +37,12 @@ type Config struct {
 	// nicety for real deployments; smoke tests leave it 0). The wait is
 	// interruptible.
 	Interval time.Duration
-	// Live, when non-nil, receives every delivery for the dashboard.
-	Live *analysis.Live
+	// Sink, when non-nil, builds each week attempt's RunStream sink around
+	// the attempt's accumulator — the place to tee deliveries into the live
+	// dashboard (analysis.Live.Sink) or a qlog export (scanner.QlogSink).
+	// The returned sink must fold every delivery into acc. Nil means
+	// acc.Sink().
+	Sink func(acc *analysis.Accumulator) func(i int, d *scanner.DomainResult) error
 	// WeekRestarts is the per-week retry budget: a week whose scan fails
 	// (not an interrupt) is retried from the journal this many times — with
 	// a fresh week-isolated accumulator, so a crashed attempt can never
@@ -90,18 +92,18 @@ type Result struct {
 	Compactions resilience.CompactStats
 }
 
-// Follow runs the continuous campaign: week after week through
-// scanner.RunStream until MaxWeeks weeks completed or Base.Interrupt
-// fires.
+// Follow runs the campaign: week after week through scanner.RunStream
+// until MaxWeeks weeks completed or Base.Interrupt fires.
 //
 // Each week scans into a fresh week-isolated CampaignAccumulator that is
 // merged into the campaign only on success, so a failed attempt — worker
 // panic storm, poisoned engine, storage chaos — leaves no partial state
 // behind; the retry resumes from the checkpoint journal and rebuilds the
 // week deterministically. Between weeks the journal is compacted and
-// pruned to the retention horizon. The merged result is byte-identical to
-// the one-shot `-weeks N` run in every rendered table
-// (TestFollowMatchesOneShot pins this, with and without storage faults).
+// pruned to the retention horizon. The merged result is byte-identical in
+// every rendered table to folding the same weeks straight into one
+// CampaignAccumulator (TestFollowMatchesOneShot pins this against a
+// test-local reference loop, with and without storage faults).
 func Follow(cfg Config) (*Result, error) {
 	if cfg.World == nil {
 		return nil, errors.New("campaign: Follow requires a World")
@@ -162,7 +164,11 @@ func runWeek(cfg *Config, wcfg scanner.Config, res *Result) (interrupted bool, e
 		// campaign's.
 		attemptCamp := analysis.NewCampaignAccumulator()
 		acc := attemptCamp.StartWeek(wcfg.Week, wcfg.IPv6, cfg.World.ASDB())
-		err := scanner.RunStream(cfg.World, wcfg, cfg.Live.Sink(acc))
+		sink := acc.Sink()
+		if cfg.Sink != nil {
+			sink = cfg.Sink(acc)
+		}
+		err := scanner.RunStream(cfg.World, wcfg, sink)
 		switch {
 		case err == nil:
 			if merr := res.Campaign.Merge(attemptCamp); merr != nil {

@@ -47,8 +47,10 @@ func renderCampaign(c *analysis.CampaignAccumulator) string {
 	return b.String()
 }
 
-// oneShot replicates spinscan's one-shot `-weeks N` loop: one shared
-// CampaignAccumulator, StartWeek + RunStream per week.
+// oneShot is the reference Follow is held to: the plainest possible week
+// loop — one shared CampaignAccumulator, StartWeek + RunStream per week, no
+// isolation, retries or journal. spinscan itself runs every mode through
+// Follow, so this loop exists only here.
 func oneShot(t *testing.T, w *websim.World, base scanner.Config, seedBase int64, weeks int) *analysis.CampaignAccumulator {
 	t.Helper()
 	camp := analysis.NewCampaignAccumulator()
@@ -64,8 +66,8 @@ func oneShot(t *testing.T, w *websim.World, base scanner.Config, seedBase int64,
 	return camp
 }
 
-// TestFollowMatchesOneShot is the tentpole determinism proof: `-follow`
-// stopped after N weeks is byte-identical to the one-shot `-weeks N` run —
+// TestFollowMatchesOneShot is the tentpole determinism proof: Follow over
+// N weeks is byte-identical to the plain reference loop above —
 // both engines, 1 and 4 workers, with and without storage faults on the
 // follow side (the reference never journals at all).
 func TestFollowMatchesOneShot(t *testing.T) {

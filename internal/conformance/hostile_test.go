@@ -3,7 +3,6 @@ package conformance
 import (
 	"fmt"
 	"sort"
-	"strings"
 	"testing"
 
 	"quicspin/internal/analysis"
@@ -68,18 +67,9 @@ func hostileWorld(t *testing.T, scale int) *websim.World {
 // pipeline; byte-identical strings mean byte-identical tables.
 func renderTables(t *testing.T, res *scanner.Result) string {
 	t.Helper()
-	wk := analysis.Analyze(res)
-	var b strings.Builder
-	if err := analysis.RenderOverview(wk).Render(&b); err != nil {
-		t.Fatal(err)
-	}
-	if err := analysis.RenderSpinConfig(wk).Render(&b); err != nil {
-		t.Fatal(err)
-	}
-	if err := analysis.RenderErrorClasses(wk).Render(&b); err != nil {
-		t.Fatal(err)
-	}
-	return b.String()
+	// No table rendered here attributes organisations, so no resolver.
+	acc := analysis.NewAccumulator(res.Week, res.IPv6, nil).AddResult(res)
+	return acc.RenderOverview().String() + acc.RenderSpinConfig().String() + acc.RenderErrorClasses().String()
 }
 
 // profilesSeen collects the hostile profiles visible in a result's

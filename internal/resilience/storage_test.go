@@ -8,6 +8,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 )
 
@@ -377,6 +378,39 @@ func TestJournalRotation(t *testing.T) {
 	}
 	if torn != 0 || len(got) != 50 {
 		t.Fatalf("replay = (%d keys, %d torn), want (50, 0)", len(got), torn)
+	}
+
+	// Rotation stays off the per-record path: the same records through
+	// aggressively rotating 64 KiB segments may allocate at most 10 % more
+	// than through never-rotating ones. Allocation counts are
+	// near-deterministic, so "rotation allocates per record" cannot hide.
+	rec := map[string]string{"domain": "example.com", "server": "LiteSpeed", "err": strings.Repeat("x", 200)}
+	appendAllocs := func(cfg JournalConfig) (allocs float64, rotations int64) {
+		allocs = testing.AllocsPerRun(1, func() {
+			j, err := OpenJournalWith(t.TempDir(), cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := 0; i < 4000; i++ {
+				if err := j.Append(i%4, "w3/v4/example.com", rec); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := j.Close(); err != nil {
+				t.Fatal(err)
+			}
+			rotations = j.Stats().Rotations
+		})
+		return allocs, rotations
+	}
+	plain, _ := appendAllocs(JournalConfig{})
+	rotating, rotations := appendAllocs(JournalConfig{SegmentBytes: 64 << 10})
+	if rotations < 10 {
+		t.Fatalf("only %d rotations; the allocation comparison is vacuous", rotations)
+	}
+	t.Logf("4000 appends: %.0f allocs plain, %.0f rotating (%d rotations)", plain, rotating, rotations)
+	if rotating > plain*1.10 {
+		t.Errorf("rotating journal allocates %.0f vs %.0f non-rotating (> 1.10x): rotation allocates on the append path", rotating, plain)
 	}
 }
 

@@ -151,18 +151,20 @@ func ReadConnQlog(r io.Reader) (*DomainResult, *ConnResult, int, bool, error) {
 	return d, c, geti("week"), getb("ipv6"), nil
 }
 
-// WriteResultQlogs writes one qlog file per connection under open(name).
-// The open callback abstracts the filesystem so tests can collect buffers.
-func WriteResultQlogs(res *Result, open func(name string) (io.WriteCloser, error)) error {
-	for i := range res.Domains {
-		d := &res.Domains[i]
+// QlogSink returns a RunStream sink that writes one qlog file per connection
+// under open(name) as each domain is delivered, so exporting traces never
+// materialises the week. Unresolved domains have no connections and emit no
+// files. The open callback abstracts the filesystem so tests can collect
+// buffers.
+func QlogSink(week int, ipv6 bool, open func(name string) (io.WriteCloser, error)) func(i int, d *DomainResult) error {
+	return func(_ int, d *DomainResult) error {
 		for j := range d.Conns {
-			name := fmt.Sprintf("%s.conn%d.week%d.qlog", d.Domain, j, res.Week)
+			name := fmt.Sprintf("%s.conn%d.week%d.qlog", d.Domain, j, week)
 			w, err := open(name)
 			if err != nil {
 				return err
 			}
-			if err := WriteConnQlog(w, d, j, res.Week, res.IPv6); err != nil {
+			if err := WriteConnQlog(w, d, j, week, ipv6); err != nil {
 				w.Close()
 				return fmt.Errorf("scanner: writing %s: %w", name, err)
 			}
@@ -170,8 +172,8 @@ func WriteResultQlogs(res *Result, open func(name string) (io.WriteCloser, error
 				return err
 			}
 		}
+		return nil
 	}
-	return nil
 }
 
 // MergeQlogConns reassembles one Result per campaign week from

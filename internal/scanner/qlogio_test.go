@@ -21,13 +21,15 @@ func TestQlogRoundTrip(t *testing.T) {
 	// Serialise everything, then reassemble and compare per-connection
 	// fields.
 	files := map[string]*closableBuffer{}
-	err := WriteResultQlogs(res, func(name string) (io.WriteCloser, error) {
+	sink := QlogSink(res.Week, res.IPv6, func(name string) (io.WriteCloser, error) {
 		b := &closableBuffer{}
 		files[name] = b
 		return b, nil
 	})
-	if err != nil {
-		t.Fatal(err)
+	for i := range res.Domains {
+		if err := sink(i, &res.Domains[i]); err != nil {
+			t.Fatal(err)
+		}
 	}
 	if len(files) == 0 {
 		t.Fatal("no qlog files written")

@@ -130,31 +130,3 @@ func breakerKey(w *websim.World, cfg Config, d *websim.Domain) string {
 	}
 	return "unattributed"
 }
-
-// batchGate precomputes every domain's breaker group and canonical
-// position for RunBatch's strided workers. The streaming pipeline assigns
-// the same slots incrementally in its generator instead, so lazy worlds
-// never materialise the population just for breaker bookkeeping.
-type batchGate struct {
-	keys []string // "" = domain does not participate
-	pos  []int
-}
-
-func newBatchGate(w *websim.World, cfg Config) *batchGate {
-	if !cfg.Breaker.Enabled() {
-		return nil
-	}
-	n := w.NumDomains()
-	g := &batchGate{keys: make([]string, n), pos: make([]int, n)}
-	next := map[string]int{}
-	for i := 0; i < n; i++ {
-		key := breakerKey(w, cfg, w.DomainAt(i))
-		if key == "" {
-			continue
-		}
-		g.keys[i] = key
-		g.pos[i] = next[key]
-		next[key]++
-	}
-	return g
-}

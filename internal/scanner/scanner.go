@@ -24,7 +24,6 @@ import (
 	"net/netip"
 	"runtime"
 	"strings"
-	"sync"
 	"time"
 
 	"quicspin/internal/core"
@@ -134,8 +133,7 @@ type Config struct {
 	// derived from (Seed, Week, domain), so concatenating shard runs is
 	// byte-identical to one unsharded run — internal/shard builds its
 	// coordinator on exactly this. Only RunStream supports sharding; Run
-	// and RunBatch reject it (their materialised Result is indexed by the
-	// full population).
+	// rejects it (its materialised Result stands for the full population).
 	Shard ShardRange
 	// Vantage shifts every network path by a vantage point's extra one-way
 	// delay and jitter, emulating scans from distinct locations (the
@@ -340,91 +338,31 @@ type Result struct {
 	Domains []DomainResult
 }
 
-// Run executes a measurement of every domain in the world's population
-// through the streaming pipeline (domain generator → worker pool →
-// aggregator) and materialises the full Result. Use RunStream to consume
-// results incrementally without materialising them, or RunBatch for the
-// legacy shard-strided execution kept as a test oracle; all three produce
-// identical per-domain results for a fixed Config.Seed, independent of
-// Config.Workers.
+// Run executes a measurement of every domain in the world's population and
+// materialises the full Result: it is RunStream with a collecting sink, so
+// the two produce identical per-domain results for a fixed Config.Seed,
+// independent of Config.Workers. Use RunStream to consume results
+// incrementally without retaining them.
 //
 // It returns an error for invalid configs (see Config.Validate), for an
-// unreadable or unwritable checkpoint directory, and — wrapped around the
-// partial Result — ErrInterrupted when the campaign was stopped early.
+// unreadable or unwritable checkpoint directory, and — alongside the
+// partial Result — ErrInterrupted when the campaign was stopped early. An
+// interrupted Result holds the longest completed prefix of the population
+// (what RunStream delivered); domains completed beyond the first gap are in
+// the checkpoint journal, when one is configured, and nowhere else.
 func Run(w *websim.World, cfg Config) (*Result, error) {
 	if cfg.Shard.enabled() {
 		return nil, fmt.Errorf("scanner: Config.Shard requires RunStream (Run materialises the full population)")
 	}
-	c, err := newCampaign(w, cfg)
-	if err != nil {
-		return nil, err
-	}
-	defer c.close()
-	out := &Result{Week: cfg.Week, IPv6: cfg.IPv6, Domains: make([]DomainResult, w.NumDomains())}
-	c.runPipeline(func(rb *resultBatch) {
-		copy(out.Domains[rb.start:], rb.results)
+	out := &Result{Week: cfg.Week, IPv6: cfg.IPv6, Domains: make([]DomainResult, 0, w.NumDomains())}
+	err := RunStream(w, cfg, func(_ int, d *DomainResult) error {
+		out.Domains = append(out.Domains, *d)
+		return nil
 	})
-	c.finish()
-	if c.interrupted.Load() {
-		return out, ErrInterrupted
-	}
-	return out, nil
-}
-
-// RunBatch is the pre-streaming campaign implementation: every worker
-// strides over the materialised population and writes results in place.
-// It is retained as the oracle for the streaming pipeline's equivalence
-// tests (and as a fallback via spinscan -stream=false); new callers
-// should use Run or RunStream.
-func RunBatch(w *websim.World, cfg Config) (*Result, error) {
-	if cfg.Shard.enabled() {
-		return nil, fmt.Errorf("scanner: Config.Shard requires RunStream (RunBatch materialises the full population)")
-	}
-	c, err := newCampaign(w, cfg)
-	if err != nil {
+	if err != nil && !errors.Is(err, ErrInterrupted) {
 		return nil, err
 	}
-	defer c.close()
-	n := w.NumDomains()
-	nw := cfg.workers()
-	if nw > n {
-		nw = 1
-	}
-	gate := newBatchGate(w, cfg)
-	out := &Result{Week: cfg.Week, IPv6: cfg.IPv6, Domains: make([]DomainResult, n)}
-	var wg sync.WaitGroup
-	for shard := 0; shard < nw; shard++ {
-		wg.Add(1)
-		go func(shard int) {
-			defer wg.Done()
-			c.tm.workersActive.Add(1)
-			defer c.tm.workersActive.Add(-1)
-			rec := cfg.Trace.Recorder(shard)
-			eng := buildEngine(w, cfg, newEngineRng(cfg, shard), c.tm, rec)
-			for i := shard; i < n; i += nw {
-				if c.interrupted.Load() {
-					return
-				}
-				// Workers ascend within their shards, so breaker waits are
-				// only ever on strictly-earlier indices and cannot deadlock.
-				key, pos := "", 0
-				if gate != nil {
-					key, pos = gate.keys[i], gate.pos[i]
-				}
-				res, ok := c.scanStep(&eng, shard, rec, w.DomainAt(i), key, pos)
-				if !ok {
-					return
-				}
-				out.Domains[i] = res
-			}
-		}(shard)
-	}
-	wg.Wait()
-	c.finish()
-	if c.interrupted.Load() {
-		return out, ErrInterrupted
-	}
-	return out, nil
+	return out, err
 }
 
 // buildEngine constructs a worker's engine; also used to rebuild one whose

@@ -42,9 +42,7 @@ type resultBatch struct {
 
 // campaign is the shared state of one measurement run: configuration,
 // telemetry, the checkpoint journal, the circuit breaker, and interrupt
-// bookkeeping. Both the streaming pipeline (Run, RunStream) and the legacy
-// batch oracle (RunBatch) execute domains through campaign.scanStep, so
-// the two paths cannot drift apart semantically.
+// bookkeeping. Every domain executes through campaign.scanStep.
 type campaign struct {
 	w        *websim.World
 	cfg      Config
@@ -274,11 +272,12 @@ func (c *campaign) worker(shard int, work <-chan domainBatch, results chan<- res
 
 // runPipeline executes the streaming campaign: a generator synthesises
 // domains on demand in canonical order (lazy worlds never materialise
-// their population), a worker pool scans them, and deliver consumes
-// finished batches on the caller's goroutine in completion order. Memory
-// stays bounded by workers + channel capacities, independent of the
-// population size.
-func (c *campaign) runPipeline(deliver func(rb *resultBatch)) {
+// their population), a worker pool scans them, and finished batches are
+// reordered on the caller's goroutine and handed to sink in canonical
+// order. Memory stays bounded by workers + channel capacities, independent
+// of the population size. It returns the first sink error, which also
+// stops the campaign.
+func (c *campaign) runPipeline(sink func(i int, res *DomainResult) error) (sinkErr error) {
 	lo, n := c.bounds()
 	nw := c.cfg.workers()
 	if nw > n-lo {
@@ -328,14 +327,31 @@ func (c *campaign) runPipeline(deliver func(rb *resultBatch)) {
 		wg.Wait()
 		close(results)
 	}()
-	delivered := 0
+	pending := map[int]resultBatch{}
+	next := lo // start index of the next batch to deliver
+	stopped := false
+	completed := 0
 	var lastMem time.Time
 	for rb := range results {
-		deliver(&rb)
-		delivered += len(rb.results)
+		pending[rb.start] = rb
+		for b, ok := pending[next]; ok; b, ok = pending[next] {
+			delete(pending, next)
+			for j := 0; j < len(b.results) && !stopped; j++ {
+				if err := sink(b.start+j, &b.results[j]); err != nil {
+					sinkErr = err
+					stopped = true
+					c.interrupt()
+				}
+			}
+			if len(b.results) < b.dispatched {
+				stopped = true // interrupted mid-batch: a gap follows
+			}
+			next = b.start + b.dispatched
+		}
+		completed += len(rb.results)
 		el := time.Since(c.started)
 		if el > 0 {
-			c.tm.domainsPerSec.Set(int64(float64(delivered) / el.Seconds()))
+			c.tm.domainsPerSec.Set(int64(float64(completed) / el.Seconds()))
 		}
 		// Keep the allocation gauges live for mid-scan scrapes, but
 		// throttle ReadMemStats (it stops the world) to once a second.
@@ -347,6 +363,7 @@ func (c *campaign) runPipeline(deliver func(rb *resultBatch)) {
 			c.tm.allocObjects.Set(int64(m.Mallocs - c.memStart.Mallocs))
 		}
 	}
+	return sinkErr
 }
 
 // RunStream executes a measurement campaign and hands every DomainResult
@@ -367,34 +384,7 @@ func RunStream(w *websim.World, cfg Config, sink func(i int, res *DomainResult) 
 		return err
 	}
 	defer c.close()
-	pending := map[int]resultBatch{}
-	next, _ := c.bounds() // start index of the next batch to deliver
-	stopped := false
-	var sinkErr error
-	c.runPipeline(func(rb *resultBatch) {
-		pending[rb.start] = *rb
-		for {
-			b, ok := pending[next]
-			if !ok {
-				return
-			}
-			delete(pending, next)
-			for j := range b.results {
-				if stopped {
-					break
-				}
-				if err := sink(b.start+j, &b.results[j]); err != nil {
-					sinkErr = err
-					stopped = true
-					c.interrupt()
-				}
-			}
-			if len(b.results) < b.dispatched {
-				stopped = true // interrupted mid-batch: a gap follows
-			}
-			next = b.start + b.dispatched
-		}
-	})
+	sinkErr := c.runPipeline(sink)
 	c.finish()
 	if sinkErr != nil {
 		return sinkErr

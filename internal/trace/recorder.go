@@ -38,7 +38,7 @@ func New(cfg Config) *Tracer {
 }
 
 // Recorder returns the recorder for one worker shard, creating it on
-// first use; repeated calls (engine rebuilds, RunBatch restarts) return
+// first use; repeated calls (a campaign's later weeks, shard restarts) return
 // the same recorder so its flight ring survives. Returns nil (a no-op
 // recorder) on a nil tracer.
 func (t *Tracer) Recorder(worker int) *Recorder {

@@ -52,11 +52,6 @@ cov_floor ./internal/analysis 75
 cov_floor ./internal/shard 75
 cov_floor ./internal/flowtable 75
 
-# Benchmark smoke: prove the BenchmarkCampaign harness (the input to
-# scripts/bench.sh and BENCH_PR5.json) still runs; the full regression gate
-# is ./scripts/bench.sh.
-./scripts/bench.sh smoke
-
 # Native Go fuzzing needs no build tags, so `go vet ./...` above already
 # covers the fuzz harnesses; here each target gets a short guided run
 # beyond its seed corpus (which plain `go test` replays as unit tests).
@@ -111,6 +106,29 @@ if ! diff -u "$tmp/reference.txt" "$tmp/resumed.txt"; then
     echo "resumed tables differ from the uninterrupted reference" >&2
     exit 1
 fi
+
+# qlog interchange smoke: spinscan streams per-connection traces to
+# -qlog-dir while scanning; spinalyze must rebuild Tables 2 and 3 from them
+# byte-identically (with the -asdb-out snapshot), and must also run without
+# a snapshot (Table 2 skipped, nothing crashes on the missing resolver).
+# Table 1 is not compared: unresolved domains emit no traces, so its Total
+# column legitimately differs.
+echo "== qlog interchange smoke"
+"$tmp/spinscan" -scale 200000 -week 3 -progress 0 -qlog-dir "$tmp/qlogs" -asdb-out "$tmp/asdb.txt" \
+    2>/dev/null >"$tmp/qlog-scan.txt"
+go build -o "$tmp/spinalyze" ./cmd/spinalyze
+"$tmp/spinalyze" -qlog-dir "$tmp/qlogs" -asdb "$tmp/asdb.txt" 2>/dev/null >"$tmp/qlog-analyzed.txt"
+"$tmp/spinalyze" -qlog-dir "$tmp/qlogs" 2>/dev/null >/dev/null
+# table N FILE: the block from "Table N." to the next blank line.
+table() { awk -v t="Table $1." 'index($0, t) == 1 { on = 1 } on && $0 == "" { exit } on' "$2"; }
+for n in 2 3; do
+    table "$n" "$tmp/qlog-scan.txt" >"$tmp/qlog-t$n-scan.txt"
+    table "$n" "$tmp/qlog-analyzed.txt" >"$tmp/qlog-t$n-analyzed.txt"
+    if [ ! -s "$tmp/qlog-t$n-scan.txt" ] || ! diff -u "$tmp/qlog-t$n-scan.txt" "$tmp/qlog-t$n-analyzed.txt"; then
+        echo "spinalyze Table $n differs from (or is missing in) spinscan's output" >&2
+        exit 1
+    fi
+done
 
 # Sharded interrupt-and-resume smoke: the same unclean-death contract for
 # the distributed coordinator — SIGKILL a sharded campaign mid-run, resume
