@@ -32,6 +32,7 @@ import (
 	"quicspin/internal/asdb"
 	"quicspin/internal/campaign"
 	"quicspin/internal/conformance"
+	"quicspin/internal/fault"
 	"quicspin/internal/report"
 	"quicspin/internal/resilience"
 	"quicspin/internal/scanner"
@@ -41,63 +42,83 @@ import (
 	"quicspin/internal/websim"
 )
 
-func main() {
-	scale := flag.Int("scale", 2000, "population scale divisor (1000 = 216k CZDS domains)")
-	seed := flag.Int64("seed", 20230515, "world generation seed")
-	hostileFrac := flag.Float64("hostile-frac", 0, "fraction of QUIC servers assigned a hostile-endpoint misbehavior profile (0-1)")
-	week := flag.Int("week", 12, "campaign week to scan (1-12)")
-	weeks := flag.Int("weeks", 0, "scan this many consecutive weeks instead of one")
-	ipv6 := flag.Bool("ipv6", false, "scan AAAA targets (Table 4 view)")
-	engine := flag.String("engine", "emulated", "scan engine: emulated or fast")
-	workers := flag.Int("workers", 0, "parallel workers (0 = GOMAXPROCS)")
-	timeout := flag.Duration("timeout", 0, "per-connection virtual timeout (0 = 6s default)")
-	maxRedirects := flag.Int("max-redirects", 0, "redirect-follow bound (0 = default of 3)")
-	qlogDir := flag.String("qlog-dir", "", "write per-connection qlog traces to this directory")
-	asdbOut := flag.String("asdb-out", "", "write the world's prefix→ASN→org snapshot here (for spinalyze -asdb)")
-	summary := flag.Bool("summary", true, "print adoption tables after scanning")
-	conform := flag.Bool("conformance", false, "run the engine differential + invariant conformance suite instead of scanning")
-	debugAddr := flag.String("debug-addr", "", "serve /metrics, /snapshot and /debug/pprof on this address (e.g. :9090)")
-	progressEvery := flag.Duration("progress", 5*time.Second, "progress report interval (0 disables)")
-	retries := flag.Int("retries", 0, "per-domain retry budget for transient failures (0 disables)")
-	breakerThreshold := flag.Int("breaker-threshold", 0, "open a prefix circuit breaker after this many consecutive transient failures per AS (0 disables)")
-	breakerCooldown := flag.Duration("breaker-cooldown", 0, "virtual cooldown before an open breaker probes again (0 = 30s default)")
-	checkpoint := flag.String("checkpoint", "", "journal completed domains to this directory (enables -resume)")
-	resume := flag.Bool("resume", false, "replay the -checkpoint journal and scan only the remainder")
-	lazyWorld := flag.Bool("lazy-world", false, "synthesise domains and servers on demand instead of materialising the population")
-	traceOn := flag.Bool("trace", false, "record per-domain stage traces into the flight recorder (serves /debug/traces with -debug-addr)")
-	traceDir := flag.String("trace-dir", "", "write flight-recorder dumps (panic/stall/budget postmortems) to this directory; implies -trace")
-	flightDepth := flag.Int("flight-recorder", 0, "per-worker flight-recorder ring depth (0 = 64 default)")
-	alertSpec := flag.String("alerts", "", `threshold alerts evaluated each progress tick, e.g. "error-rate<=0.05,domains-per-sec>=100,spin-share>=0.01"`)
-	shards := flag.Int("shards", 0, "split the population into this many concurrently scanned shards (0 = unsharded)")
-	vantagesSpec := flag.String("vantages", "", `scan from multiple vantage points, e.g. "local,far:30+5" (name[:extra_delay_ms[+jitter_ms]], comma-separated)`)
-	shardTransport := flag.String("shard-transport", "inproc", "shard accumulator merge path: inproc, serialized or udp")
-	shardRestarts := flag.Int("shard-restarts", 2, "restart budget per shard worker: crashed/stalled shards are relaunched from their journals this many times before being declared lost")
-	shardStall := flag.Duration("shard-stall-timeout", 0, "kill and restart a shard worker that delivers nothing for this long (0 disables the stall watchdog)")
-	strictShards := flag.Bool("strict-shards", false, "abort the campaign when any shard exhausts its restart budget instead of merging the survivors with a coverage report")
-	shardFaults := flag.String("shard-faults", "", `chaos-test fault plan, e.g. "seed:3,drop:0.1,corrupt:0.05,crash:1@40" (drop/dup/corrupt/delay:P, max-delay:DUR, crash|panic|stall:SHARD@DOMAINS[xTIMES])`)
-	followMode := flag.Bool("follow", false, "continuous campaign service: keep scanning week after week from week 1 (bound with -weeks, stop with SIGINT/SIGTERM)")
-	followInterval := flag.Duration("follow-interval", 0, "pause between consecutive weeks (interruptible; 0 = back to back)")
-	weekRestarts := flag.Int("week-restarts", 0, "per-week retry budget: failed weeks are retried from the journal this many times (0 = 2)")
-	retainWeeks := flag.Int("journal-retain-weeks", 0, "prune -checkpoint records older than the last N weeks during between-week compaction (0 keeps all)")
-	journalCompact := flag.Bool("journal-compact", false, "compact the -checkpoint journal after every completed week (implied by -journal-retain-weeks)")
-	journalSync := flag.Int("journal-sync", 0, "fsync the checkpoint journal every N records (0 = only on rotation and close; 1 = every record)")
-	journalSegBytes := flag.Int64("journal-segment-bytes", 0, "rotate checkpoint journal segments past this size (0 disables size-based rotation)")
-	storageFaults := flag.String("storage-faults", "", `inject checkpoint storage faults, e.g. "seed:7,short-write:0.1,write-err:0.2,sync-err:0.1,rename-err:0.05,open-err:0.05"`)
-	tunablesPath := flag.String("tunables", "", "runtime tunables file (alerts, progress, breaker-threshold, breaker-cooldown); SIGHUP reloads it without restart")
-	liveWindows := flag.Int("live-max-windows", 0, "cap the live dashboard's closed rolling windows (0 = keep all)")
-	liveBytes := flag.Int64("live-max-bytes", 0, "cap the live dashboard's rolling-window memory in bytes (0 = unbounded)")
-	flag.Parse()
+// The flags live at package level so tests can count and set them.
+var (
+	scale            = flag.Int("scale", 2000, "population scale divisor (1000 = 216k CZDS domains)")
+	seed             = flag.Int64("seed", 20230515, "world generation seed")
+	hostileFrac      = flag.Float64("hostile-frac", 0, "fraction of QUIC servers assigned a hostile-endpoint misbehavior profile (0-1)")
+	week             = flag.Int("week", 12, "campaign week to scan (1-12)")
+	weeks            = flag.Int("weeks", 0, "scan this many consecutive weeks instead of one")
+	ipv6             = flag.Bool("ipv6", false, "scan AAAA targets (Table 4 view)")
+	engine           = flag.String("engine", "emulated", "scan engine: emulated or fast")
+	workers          = flag.Int("workers", 0, "parallel workers (0 = GOMAXPROCS)")
+	timeout          = flag.Duration("timeout", 0, "per-connection virtual timeout (0 = 6s default)")
+	maxRedirects     = flag.Int("max-redirects", 0, "redirect-follow bound (0 = default of 3)")
+	qlogDir          = flag.String("qlog-dir", "", "write per-connection qlog traces to this directory")
+	asdbOut          = flag.String("asdb-out", "", "write the world's prefix→ASN→org snapshot here (for spinalyze -asdb)")
+	summary          = flag.Bool("summary", true, "print adoption tables after scanning")
+	conform          = flag.Bool("conformance", false, "run the engine differential + invariant conformance suite instead of scanning")
+	debugAddr        = flag.String("debug-addr", "", "serve /metrics, /snapshot and /debug/pprof on this address (e.g. :9090)")
+	progressEvery    = flag.Duration("progress", 5*time.Second, "progress report interval (0 disables)")
+	retries          = flag.Int("retries", 0, "per-domain retry budget for transient failures (0 disables)")
+	breakerThreshold = flag.Int("breaker-threshold", 0, "open a prefix circuit breaker after this many consecutive transient failures per AS (0 disables)")
+	breakerCooldown  = flag.Duration("breaker-cooldown", 0, "virtual cooldown before an open breaker probes again (0 = 30s default)")
+	checkpoint       = flag.String("checkpoint", "", "journal completed domains to this directory (enables -resume)")
+	resume           = flag.Bool("resume", false, "replay the -checkpoint journal and scan only the remainder")
+	lazyWorld        = flag.Bool("lazy-world", false, "synthesise domains and servers on demand instead of materialising the population")
+	traceOn          = flag.Bool("trace", false, "record per-domain stage traces into the flight recorder (serves /debug/traces with -debug-addr)")
+	traceDir         = flag.String("trace-dir", "", "write flight-recorder dumps (panic/stall/budget postmortems) to this directory; implies -trace")
+	flightDepth      = flag.Int("flight-recorder", 0, "per-worker flight-recorder ring depth (0 = 64 default)")
+	alertSpec        = flag.String("alerts", "", `threshold alerts evaluated each progress tick, e.g. "error-rate<=0.05,domains-per-sec>=100,spin-share>=0.01"`)
+	shards           = flag.Int("shards", 0, "split the population into this many concurrently scanned shards (0 = unsharded)")
+	vantagesSpec     = flag.String("vantages", "", `scan from multiple vantage points, e.g. "local,far:30+5" (name[:extra_delay_ms[+jitter_ms]], comma-separated)`)
+	shardTransport   = flag.String("shard-transport", "inproc", "shard accumulator merge path: inproc, serialized or udp")
+	restarts         = flag.Int("restarts", 2, "restart budget: a failed week (unsharded) or a crashed/stalled shard worker is relaunched from its journal this many times before the campaign fails or the shard is declared lost")
+	shardStall       = flag.Duration("shard-stall-timeout", 0, "kill and restart a shard worker that delivers nothing for this long (0 disables the stall watchdog)")
+	strictShards     = flag.Bool("strict-shards", false, "abort the campaign when any shard exhausts its restart budget instead of merging the survivors with a coverage report")
+	faultSpec        = flag.String("faults", "", `chaos-test fault plan, one grammar for every layer, e.g. "seed:3,udp.drop:0.05,udp.max-delay:2ms,fs.short-write:0.1,shard.crash:1@40x2,dns.timeout:0.3/2,net.blackout:0.1/1,scan.interrupt:5000" (see internal/fault)`)
+	followMode       = flag.Bool("follow", false, "continuous campaign service: keep scanning week after week from week 1 (bound with -weeks, stop with SIGINT/SIGTERM)")
+	followInterval   = flag.Duration("follow-interval", 0, "pause between consecutive weeks (interruptible; 0 = back to back)")
+	retainWeeks      = flag.Int("journal-retain-weeks", 0, "prune -checkpoint records older than the last N weeks during between-week compaction (0 keeps all)")
+	journalCompact   = flag.Bool("journal-compact", false, "compact the -checkpoint journal after every completed week (implied by -journal-retain-weeks)")
+	journalSync      = flag.Int("journal-sync", 0, "fsync the checkpoint journal every N records (0 = only on rotation and close; 1 = every record)")
+	journalSegBytes  = flag.Int64("journal-segment-bytes", 0, "rotate checkpoint journal segments past this size (0 disables size-based rotation)")
+	tunablesPath     = flag.String("tunables", "", "runtime tunables file (alerts, progress, breaker-threshold, breaker-cooldown); SIGHUP reloads it without restart")
+	liveWindows      = flag.Int("live-max-windows", 0, "cap the live dashboard's closed rolling windows (0 = keep all)")
+	liveBytes        = flag.Int64("live-max-bytes", 0, "cap the live dashboard's rolling-window memory in bytes (0 = unbounded)")
+)
 
+// validateFlags rejects flag values the zero-default helpers further down
+// would silently misread, naming the flag.
+func validateFlags() error {
 	// The scale is a population divisor; zero or negative values would
 	// send world generation into nonsense (or enormous) populations.
 	if *scale <= 0 {
-		log.Fatalf("-scale must be positive (got %d)", *scale)
+		return fmt.Errorf("-scale must be positive (got %d)", *scale)
 	}
 	if *hostileFrac < 0 || *hostileFrac > 1 {
-		log.Fatalf("-hostile-frac must be in [0, 1] (got %g)", *hostileFrac)
+		return fmt.Errorf("-hostile-frac must be in [0, 1] (got %g)", *hostileFrac)
 	}
-	if *shards < 0 {
-		log.Fatalf("-shards must be >= 0 (got %d)", *shards)
+	for _, f := range []struct {
+		name string
+		v    int
+	}{{"shards", *shards}, {"weeks", *weeks}, {"retries", *retries}, {"restarts", *restarts}} {
+		if f.v < 0 {
+			return fmt.Errorf("-%s must be >= 0 (got %d)", f.name, f.v)
+		}
+	}
+	return nil
+}
+
+func main() {
+	flag.Parse()
+
+	if err := validateFlags(); err != nil {
+		log.Fatal(err)
+	}
+	faults, err := fault.Parse(*faultSpec)
+	if err != nil {
+		log.Fatalf("-faults: %v", err)
 	}
 
 	eng := scanner.EngineEmulated
@@ -150,13 +171,10 @@ func main() {
 			SegmentBytes: *journalSegBytes,
 		},
 	}
-	if *storageFaults != "" {
-		plan, err := resilience.ParseStorageFaultPlan(*storageFaults)
-		if err != nil {
-			log.Fatalf("-storage-faults: %v", err)
-		}
-		baseCfg.Journal.FS = resilience.NewFaultFS(nil, *plan)
-		log.Printf("storage fault injection armed: %s", *storageFaults)
+	if faults != nil {
+		baseCfg.Faults = faults
+		baseCfg.Journal.FS = resilience.NewFaultFS(nil, faults)
+		log.Printf("fault injection armed: %s", *faultSpec)
 	}
 	if err := baseCfg.Validate(); err != nil {
 		log.Fatal(err)
@@ -357,10 +375,6 @@ func main() {
 		if nv == 0 {
 			nv = 1
 		}
-		faultPlan, err := shard.ParseFaultPlan(*shardFaults)
-		if err != nil {
-			log.Fatalf("-shard-faults: %v", err)
-		}
 		log.Printf("scanning weeks %d-%d across %d shards, %d vantage(s), %s transport...",
 			first, first+nweeks-1, nshards, nv, tr)
 		shardRes, err = shard.Run(world, shard.Config{
@@ -381,10 +395,10 @@ func main() {
 			Telemetry:    reg,
 			Live:         live,
 			Trace:        tracer,
-			MaxRestarts:  *shardRestarts,
+			MaxRestarts:  *restarts,
 			StallTimeout: *shardStall,
 			StrictShards: *strictShards,
-			Faults:       faultPlan,
+			Faults:       faults,
 			Logf:         log.Printf,
 		})
 		if errors.Is(err, scanner.ErrInterrupted) {
@@ -429,7 +443,7 @@ func main() {
 					return sink(i, d)
 				}
 			},
-			WeekRestarts: *weekRestarts,
+			WeekRestarts: *restarts,
 			RetainWeeks:  *retainWeeks,
 			Compact:      *journalCompact || *retainWeeks > 0,
 			Reconfigure: func(cfg *scanner.Config) {

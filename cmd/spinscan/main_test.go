@@ -2,9 +2,11 @@ package main
 
 import (
 	"encoding/json"
+	"flag"
 	"fmt"
 	"io"
 	"net/http"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -78,6 +80,50 @@ func TestDebugEndpointServesScanMetrics(t *testing.T) {
 
 	if !strings.Contains(get("/debug/pprof/"), "goroutine") {
 		t.Error("/debug/pprof/ index not served")
+	}
+}
+
+// TestOptionBudget pins the two option counts ROADMAP tracks, so neither
+// regrows unnoticed: a new flag or scanner.Config field has to replace one.
+func TestOptionBudget(t *testing.T) {
+	flags := 0
+	flag.VisitAll(func(f *flag.Flag) {
+		if !strings.HasPrefix(f.Name, "test.") {
+			flags++
+		}
+	})
+	if flags > 42 {
+		t.Errorf("spinscan defines %d flags, budget 42", flags)
+	}
+	exported := 0
+	cfg := reflect.TypeOf(scanner.Config{})
+	for i := 0; i < cfg.NumField(); i++ {
+		if cfg.Field(i).IsExported() {
+			exported++
+		}
+	}
+	if exported > 18 {
+		t.Errorf("scanner.Config has %d exported fields, budget 18", exported)
+	}
+}
+
+// TestValidateFlagsRejectsNegatives: a negative count must exit naming its
+// flag instead of being read as "use the default".
+func TestValidateFlagsRejectsNegatives(t *testing.T) {
+	if err := validateFlags(); err != nil {
+		t.Fatalf("defaults rejected: %v", err)
+	}
+	for _, name := range []string{"weeks", "retries", "restarts"} {
+		f := flag.Lookup(name)
+		if err := flag.Set(name, "-1"); err != nil {
+			t.Fatal(err)
+		}
+		if err := validateFlags(); err == nil || !strings.Contains(err.Error(), "-"+name+" ") {
+			t.Errorf("-%s -1: validateFlags = %v, want an error naming the flag", name, err)
+		}
+		if err := flag.Set(name, f.DefValue); err != nil {
+			t.Fatal(err)
+		}
 	}
 }
 

@@ -5,7 +5,7 @@ import (
 	"strings"
 	"testing"
 
-	"quicspin/internal/dns"
+	"quicspin/internal/fault"
 	"quicspin/internal/resilience"
 	"quicspin/internal/scanner"
 	"quicspin/internal/websim"
@@ -45,7 +45,7 @@ func TestResumeIdentical(t *testing.T) {
 		dir := t.TempDir()
 		interrupted := ref
 		interrupted.Checkpoint = dir
-		interrupted.InterruptAfter = int64(len(w.Domains) / 2)
+		interrupted.Faults = interruptHalfway(w)
 		if _, err := scanner.Run(w, interrupted); !errors.Is(err, scanner.ErrInterrupted) {
 			t.Fatalf("interrupted run error = %v, want ErrInterrupted", err)
 		}
@@ -66,6 +66,12 @@ func TestResumeIdentical(t *testing.T) {
 	}
 }
 
+// interruptHalfway is a plan that kills a run once half the population has
+// completed.
+func interruptHalfway(w *websim.World) *fault.Plan {
+	return fault.New(1, fault.Rule{Site: fault.Scan, Kind: fault.Interrupt, P: 1, After: len(w.Domains) / 2, Times: 1})
+}
+
 // TestResumeIdenticalEmulated covers the packet-level engine at a smaller
 // scale: journal replay and the rescanned remainder must reproduce the
 // uninterrupted tables byte-for-byte despite per-worker event loops.
@@ -79,7 +85,7 @@ func TestResumeIdenticalEmulated(t *testing.T) {
 	dir := t.TempDir()
 	interrupted := base
 	interrupted.Checkpoint = dir
-	interrupted.InterruptAfter = int64(len(w.Domains) / 2)
+	interrupted.Faults = interruptHalfway(w)
 	if _, err := scanner.Run(w, interrupted); !errors.Is(err, scanner.ErrInterrupted) {
 		t.Fatalf("interrupted run error = %v, want ErrInterrupted", err)
 	}
@@ -96,17 +102,19 @@ func TestResumeIdenticalEmulated(t *testing.T) {
 }
 
 // TestTableDeterminismUnderRetries extends the worker-invariance gate to
-// campaigns with transient failures and retries: a pure-function DNS
-// failure schedule plus a retry budget must leave Table 1 and Table 3
-// byte-identical for Workers ∈ {1, 4, 16}.
+// campaigns with transient failures and retries: injected DNS timeouts
+// plus a retry budget must leave Table 1 and Table 3 byte-identical for
+// Workers ∈ {1, 4, 16}.
 func TestTableDeterminismUnderRetries(t *testing.T) {
 	p := websim.DefaultProfile()
 	p.Scale = 50_000
 	w := websim.Generate(p)
 	base := scanner.Config{
 		Week: 3, Engine: scanner.EngineFast, Seed: 7,
-		Retry:       resilience.RetryPolicy{MaxRetries: 2},
-		DNSSchedule: func(name string, _ dns.RType) int { return len(name) % 3 },
+		Retry: resilience.RetryPolicy{MaxRetries: 2},
+		Faults: fault.New(7,
+			fault.Rule{Site: fault.DNS, Kind: fault.Timeout, P: 0.33, Times: 1},
+			fault.Rule{Site: fault.DNS, Kind: fault.Timeout, P: 0.33, Times: 2}),
 	}
 	ref := base
 	ref.Workers = 1

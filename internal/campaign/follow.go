@@ -46,7 +46,8 @@ type Config struct {
 	// WeekRestarts is the per-week retry budget: a week whose scan fails
 	// (not an interrupt) is retried from the journal this many times — with
 	// a fresh week-isolated accumulator, so a crashed attempt can never
-	// pollute the campaign — before Follow gives up. Zero means 2.
+	// pollute the campaign — before Follow gives up. Zero means a failed
+	// week fails the campaign.
 	WeekRestarts int
 	// RetainWeeks, with a checkpoint journal, prunes records older than
 	// the last N weeks during the between-weeks compaction; zero keeps
@@ -153,10 +154,6 @@ func Follow(cfg Config) (*Result, error) {
 // runWeek scans one week, retrying from the journal within the restart
 // budget. Only a successful attempt merges into the campaign.
 func runWeek(cfg *Config, wcfg scanner.Config, res *Result) (interrupted bool, err error) {
-	restarts := cfg.WeekRestarts
-	if restarts <= 0 {
-		restarts = 2
-	}
 	for attempt := 0; ; attempt++ {
 		// A week-isolated accumulator: merged on success, dropped on
 		// failure. StartWeek wires the week into the attempt's own
@@ -179,10 +176,10 @@ func runWeek(cfg *Config, wcfg scanner.Config, res *Result) (interrupted bool, e
 			// Graceful shutdown: completed domains are in the journal (when
 			// configured); the week is abandoned for a later -resume.
 			return true, nil
-		case attempt < restarts:
+		case attempt < cfg.WeekRestarts:
 			res.Restarts++
 			cfg.logf("campaign: week %d attempt %d failed: %v (restarting from journal, %d restart(s) left)",
-				wcfg.Week, attempt+1, err, restarts-attempt)
+				wcfg.Week, attempt+1, err, cfg.WeekRestarts-attempt)
 			if wcfg.Checkpoint != "" {
 				// Resume skips everything the failed attempt journaled; with
 				// no journal the retry simply rescans, deterministically.

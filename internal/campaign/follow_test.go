@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"quicspin/internal/analysis"
+	"quicspin/internal/fault"
 	"quicspin/internal/resilience"
 	"quicspin/internal/scanner"
 	"quicspin/internal/telemetry"
@@ -89,15 +90,13 @@ func TestFollowMatchesOneShot(t *testing.T) {
 					if faults {
 						fb.Checkpoint = t.TempDir()
 						fb.Journal = resilience.JournalConfig{
-							FS: resilience.NewFaultFS(nil, resilience.StorageFaultPlan{
-								Seed: 11, ShortWrite: 0.1, WriteErr: 0.1, SyncErr: 0.1, OpenErr: 0.05,
-							}),
+							FS:           resilience.NewFaultFS(nil, storageFaults(t, "seed:11,fs.short-write:0.1,fs.write-err:0.1,fs.sync-err:0.1,fs.open-err:0.05")),
 							SegmentBytes: 4096,
 							SyncEvery:    8,
 						}
 					}
 					res, err := Follow(Config{
-						World: w, Base: fb, SeedBase: seedBase, MaxWeeks: weeks,
+						World: w, Base: fb, SeedBase: seedBase, MaxWeeks: weeks, WeekRestarts: 2,
 					})
 					if err != nil {
 						t.Fatal(err)
@@ -112,6 +111,16 @@ func TestFollowMatchesOneShot(t *testing.T) {
 			}
 		}
 	}
+}
+
+// storageFaults parses a fault spec the way spinscan -faults does.
+func storageFaults(t *testing.T, spec string) *fault.Plan {
+	t.Helper()
+	plan, err := fault.Parse(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return plan
 }
 
 // diffHead returns the first diverging lines of two renderings.
@@ -140,14 +149,12 @@ func TestFollowChaosCampaign(t *testing.T) {
 	fb := base
 	fb.Telemetry = reg
 	fb.Checkpoint = t.TempDir()
-	fs := resilience.NewFaultFS(nil, resilience.StorageFaultPlan{
-		Seed: 3, ShortWrite: 0.2, WriteErr: 0.35, SyncErr: 0.3, OpenErr: 0.2,
-	})
+	plan := storageFaults(t, "seed:3,fs.short-write:0.2,fs.write-err:0.35,fs.sync-err:0.3,fs.open-err:0.2")
 	fb.Journal = resilience.JournalConfig{
-		FS: fs, SegmentBytes: 2048, SyncEvery: 4, DegradeAfter: 3, ProbeEvery: 8,
+		FS: resilience.NewFaultFS(nil, plan), SegmentBytes: 2048, SyncEvery: 4, DegradeAfter: 3, ProbeEvery: 8,
 	}
 	res, err := Follow(Config{
-		World: w, Base: fb, SeedBase: seedBase, MaxWeeks: weeks,
+		World: w, Base: fb, SeedBase: seedBase, MaxWeeks: weeks, WeekRestarts: 2,
 		Compact: true, Logf: t.Logf,
 	})
 	if err != nil {
@@ -159,7 +166,7 @@ func TestFollowChaosCampaign(t *testing.T) {
 	if got := renderCampaign(res.Campaign); got != want {
 		t.Errorf("chaos tables diverge from fault-free reference:\n%s", diffHead(want, got))
 	}
-	if fs.Injected() == 0 {
+	if plan.Injected(fault.FS, fault.AnyKind) == 0 {
 		t.Fatal("fault plan injected nothing")
 	}
 	if v := reg.Counter("scan_panics_total").Value(); v != 0 {
@@ -189,15 +196,9 @@ func TestFollowInterruptResume(t *testing.T) {
 	dir := t.TempDir()
 	fb := base
 	fb.Checkpoint = dir
-	n := int64(w.NumDomains())
-	res, err := Follow(Config{
-		World: w, Base: fb, SeedBase: seedBase, MaxWeeks: weeks,
-		Reconfigure: func(cfg *scanner.Config) {
-			if cfg.Week == 2 {
-				cfg.InterruptAfter = n / 2 // die mid-week-2
-			}
-		},
-	})
+	// The plan counts completed domains across weeks: die mid-week-2.
+	fb.Faults = fault.New(1, fault.Rule{Site: fault.Scan, Kind: fault.Interrupt, P: 1, After: w.NumDomains() * 3 / 2, Times: 1})
+	res, err := Follow(Config{World: w, Base: fb, SeedBase: seedBase, MaxWeeks: weeks})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -288,7 +289,7 @@ func TestFollowWeekRestartRecovers(t *testing.T) {
 	fb.Checkpoint = t.TempDir()
 	fb.Journal = resilience.JournalConfig{FS: &flakyReadDirFS{FS: resilience.OSFS, fails: 1}}
 	res, err := Follow(Config{
-		World: w, Base: fb, SeedBase: seedBase, MaxWeeks: weeks, Logf: t.Logf,
+		World: w, Base: fb, SeedBase: seedBase, MaxWeeks: weeks, WeekRestarts: 1, Logf: t.Logf,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -5,7 +5,7 @@ import (
 	"strconv"
 	"testing"
 
-	"quicspin/internal/dns"
+	"quicspin/internal/fault"
 	"quicspin/internal/resilience"
 	"quicspin/internal/websim"
 )
@@ -59,45 +59,36 @@ func TestDifferentialEngines(t *testing.T) {
 }
 
 // TestDifferentialEnginesUnderRetries re-runs the differential contract
-// with injected transient failures (a DNS schedule plus fail-first network
-// outages) and recovery retries enabled: the fast engine must mirror the
-// emulated engine's retry behaviour exactly — same recovered resolutions,
-// same redirect chains, same classifications. Workers is 1 because
-// fail-first attempt counters live per worker engine.
+// with injected transient failures (DNS timeouts plus fail-first network
+// outages, from one fault spec) and recovery retries enabled: the fast
+// engine must mirror the emulated engine's retry behaviour exactly — same
+// recovered resolutions, same redirect chains, same classifications.
 func TestDifferentialEnginesUnderRetries(t *testing.T) {
 	prof := websim.DefaultProfile()
 	prof.Scale = 30_000
 	world := websim.Generate(prof)
 	const week = 1
 
-	// Fail the first connection attempt against a spread of ground-truth
-	// addresses, and time out the first two lookups of every third domain.
-	fail := map[string]int{}
-	for i, d := range world.Domains {
-		if i%5 == 0 && d.V4.IsValid() {
-			fail[d.V4.String()] = 1
-		}
+	// Fail the first connection attempt against a fifth of the server
+	// addresses, and time out the first two lookups of a third of the names.
+	faults, err := fault.Parse("net.blackout:0.2/1,dns.timeout:0.33/2")
+	if err != nil {
+		t.Fatal(err)
 	}
-	schedule := func(name string, _ dns.RType) int {
-		if len(name)%3 == 0 {
-			return 2
-		}
-		return 0
-	}
-
 	rep, err := RunDiff(DiffConfig{
-		World:        world,
-		Week:         week,
-		Seed:         prof.Seed + week,
-		Workers:      1,
-		Retry:        resilience.RetryPolicy{MaxRetries: 3},
-		DNSSchedule:  schedule,
-		NetFailFirst: fail,
+		World:  world,
+		Week:   week,
+		Seed:   prof.Seed + week,
+		Retry:  resilience.RetryPolicy{MaxRetries: 3},
+		Faults: faults,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Log(rep.Summary())
+	if faults.Injected(fault.DNS, fault.Timeout) == 0 || faults.Injected(fault.Net, fault.Blackout) == 0 {
+		t.Error("the fault plan injected nothing at one of its sites")
+	}
 	if rep.QUICDomains == 0 || rep.ClassChecked == 0 {
 		t.Error("retry differential population is vacuous")
 	}

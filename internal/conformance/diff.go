@@ -27,7 +27,7 @@ import (
 
 	"quicspin/internal/analysis"
 	"quicspin/internal/core"
-	"quicspin/internal/dns"
+	"quicspin/internal/fault"
 	"quicspin/internal/hostile"
 	"quicspin/internal/resilience"
 	"quicspin/internal/scanner"
@@ -59,14 +59,11 @@ type DiffConfig struct {
 	// fast/emulated spin-RTT ratios; zero means 1.5. Individual domains may
 	// diverge, but the population must not be biased.
 	MaxMedianRatio float64
-	// Retry, DNSSchedule and NetFailFirst are passed to both engines
-	// verbatim, so the differential contract can be exercised under
-	// injected transient failures and recovery retries. NetFailFirst
-	// counters live per worker in both engines, so runs using it should
-	// set Workers to 1 to keep attempt accounting scan-order-independent.
-	Retry        resilience.RetryPolicy
-	DNSSchedule  func(name string, t dns.RType) int
-	NetFailFirst map[string]int
+	// Retry and Faults are passed to both engines verbatim, so the
+	// differential contract can be exercised under injected transient
+	// failures (the plan's dns and net rules) and recovery retries.
+	Retry  resilience.RetryPolicy
+	Faults *fault.Plan
 }
 
 func (c DiffConfig) maxDomainLogRatio() float64 {
@@ -156,8 +153,7 @@ func RunDiff(cfg DiffConfig) (*DiffReport, error) {
 		Timeout:      cfg.Timeout,
 		MaxRedirects: cfg.MaxRedirects,
 		Retry:        cfg.Retry,
-		DNSSchedule:  cfg.DNSSchedule,
-		NetFailFirst: cfg.NetFailFirst,
+		Faults:       cfg.Faults,
 	}
 	fastCfg, emuCfg := base, base
 	fastCfg.Engine = scanner.EngineFast

@@ -13,6 +13,7 @@ import (
 	"strings"
 	"sync"
 
+	"quicspin/internal/fault"
 	"quicspin/internal/telemetry"
 )
 
@@ -81,10 +82,9 @@ type Resolver struct {
 	stats Stats
 	cache map[cacheKey]cacheEntry
 
-	// schedule, when set, injects transient failures as a pure function of
-	// (name, type, attempt): the first schedule(name, t) attempts time out,
-	// later attempts resolve normally. See SetSchedule.
-	schedule func(name string, t RType) int
+	// faults, when set, times out lookups the plan's dns rules select. See
+	// SetFaults.
+	faults *fault.Plan
 
 	tmQueries *telemetry.Counter
 	tmHits    *telemetry.Counter
@@ -157,16 +157,15 @@ func (r *Resolver) SetTelemetry(reg *telemetry.Registry) {
 	}
 }
 
-// SetSchedule installs a transient-failure schedule for tests: a lookup
-// for (name, t) times out on attempts 0..k-1 where k = schedule(name, t),
-// then succeeds. The schedule is consulted *before* the cache and depends
-// only on (name, type, attempt), never on resolver state, so injected
-// failures stay deterministic across worker counts and cache warm-up
-// order. A nil schedule (the default) disables injection.
-func (r *Resolver) SetSchedule(schedule func(name string, t RType) int) {
+// SetFaults installs a fault plan: a lookup the plan's dns.timeout rules
+// select at (name, attempt) times out. The plan is consulted *before* the
+// cache and its decision depends only on (name, attempt), never on
+// resolver state, so injected failures stay deterministic across worker
+// counts and cache warm-up order. A nil plan (the default) injects nothing.
+func (r *Resolver) SetFaults(plan *fault.Plan) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	r.schedule = schedule
+	r.faults = plan
 }
 
 // Lookup resolves name to addresses of the given type (attempt 0).
@@ -175,19 +174,20 @@ func (r *Resolver) Lookup(name string, t RType) ([]netip.Addr, error) {
 }
 
 // LookupAttempt resolves name to addresses of the given type, identifying
-// the caller's per-domain retry attempt (0-based) so failure schedules can
-// fail the first k attempts deterministically.
+// the caller's per-domain retry attempt (0-based) so a fault plan can fail
+// the first k attempts deterministically.
 func (r *Resolver) LookupAttempt(name string, t RType, attempt int) ([]netip.Addr, error) {
 	name = Normalize(name)
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	r.stats.Queries++
 	r.tmQueries.Inc()
-	// The schedule outranks the cache: a scheduled timeout must fire even
-	// for cached names, or injected-failure tests would depend on which
-	// worker warmed the cache first.
-	if r.schedule != nil && attempt < r.schedule(name, t) {
-		if _, ok := r.backend.Zone(name); ok {
+	// The plan outranks the cache: an injected timeout must fire even for
+	// cached names, or injected-failure tests would depend on which worker
+	// warmed the cache first. A name without a zone has no server to time
+	// out.
+	if r.faults != nil {
+		if _, ok := r.backend.Zone(name); ok && r.faults.Hit(fault.DNS, fault.Timeout, name, attempt) {
 			return r.finishLocked(nil, fmt.Errorf("%w: %s %s", ErrTimeout, name, t))
 		}
 	}

@@ -6,6 +6,7 @@ import (
 	"net/netip"
 	"testing"
 
+	"quicspin/internal/fault"
 	"quicspin/internal/telemetry"
 )
 
@@ -158,12 +159,7 @@ func TestCacheDoesNotRetainTimeouts(t *testing.T) {
 
 func TestScheduleFailsFirstAttempts(t *testing.T) {
 	r := NewResolver(backend(), rand.New(rand.NewSource(1)))
-	r.SetSchedule(func(name string, tt RType) int {
-		if name == "www.example.com" && tt == TypeA {
-			return 2
-		}
-		return 0
-	})
+	r.SetFaults(fault.New(1, fault.Rule{Site: fault.DNS, Kind: fault.Timeout, Target: "www.example.com", P: 1, Times: 2}))
 	for attempt := 0; attempt < 2; attempt++ {
 		if _, err := r.LookupAttempt("www.example.com", TypeA, attempt); !errors.Is(err, ErrTimeout) {
 			t.Fatalf("attempt %d: want timeout, got %v", attempt, err)
@@ -172,9 +168,9 @@ func TestScheduleFailsFirstAttempts(t *testing.T) {
 	if addrs, err := r.LookupAttempt("www.example.com", TypeA, 2); err != nil || len(addrs) != 1 {
 		t.Fatalf("attempt 2: want success, got (%v, %v)", addrs, err)
 	}
-	// Unscheduled names and record types are untouched.
-	if _, err := r.LookupAttempt("www.example.com", TypeAAAA, 0); err != nil {
-		t.Fatalf("AAAA attempt 0: %v", err)
+	// Names the plan does not select are untouched.
+	if _, err := r.LookupAttempt("v4only.example.com", TypeA, 0); err != nil {
+		t.Fatalf("unselected name, attempt 0: %v", err)
 	}
 	// NXDOMAIN outranks the schedule (name does not exist, so there is no
 	// server to time out).
@@ -186,12 +182,7 @@ func TestScheduleFailsFirstAttempts(t *testing.T) {
 func TestScheduleOutranksCache(t *testing.T) {
 	r := NewResolver(backend(), rand.New(rand.NewSource(1)))
 	r.EnableCache()
-	r.SetSchedule(func(name string, tt RType) int {
-		if name == "www.example.com" {
-			return 1
-		}
-		return 0
-	})
+	r.SetFaults(fault.New(1, fault.Rule{Site: fault.DNS, Kind: fault.Timeout, Target: "www.example.com", P: 1, Times: 1}))
 	// Warm the cache with a successful attempt-1 lookup first: a scheduled
 	// attempt-0 timeout must still fire afterwards, or injected failures
 	// would depend on cache warm-up order across workers.

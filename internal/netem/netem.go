@@ -101,13 +101,6 @@ type Network struct {
 	tap     TapFunc
 	stats   Stats
 	dropAll map[string]bool // blackholed hosts (e.g. unresponsive targets)
-	// failFirst/outage implement injectable transient outages for tests:
-	// SetFailFirst(addr, k) makes the first k connection attempts against
-	// addr lose every packet, after which the host recovers. failFirst
-	// counts remaining failing attempts; outage marks hosts inside a
-	// currently-failing attempt (consulted like dropAll at send/delivery).
-	failFirst map[string]int
-	outage    map[string]bool
 	// lastDelivery enforces FIFO ordering per directed path: real paths
 	// are queues, so jitter delays packets but does not reorder them.
 	// Only ReorderRate-selected packets escape the clamp.
@@ -166,8 +159,6 @@ func New(loop *sim.Loop, def PathConfig, rng *rand.Rand) *Network {
 		hosts:        make(map[string]Handler),
 		paths:        make(map[[2]string]PathConfig),
 		dropAll:      make(map[string]bool),
-		failFirst:    make(map[string]int),
-		outage:       make(map[string]bool),
 		lastDelivery: make(map[[2]string]time.Time),
 		manglers:     make(map[string]Mangler),
 	}
@@ -210,41 +201,14 @@ func (n *Network) ClearPath(a, b string) {
 }
 
 // Blackhole silently discards all traffic to addr when on is true,
-// emulating unresponsive hosts or filtered UDP.
+// emulating unresponsive hosts or filtered UDP. The scanner switches it on
+// for the length of one connection attempt to inject a transient outage.
 func (n *Network) Blackhole(addr string, on bool) {
 	if on {
 		n.dropAll[addr] = true
 	} else {
 		delete(n.dropAll, addr)
 	}
-}
-
-// SetFailFirst schedules a transient outage for tests: the first k
-// connection attempts against addr (as announced via BeginAttempt) lose
-// every packet in both directions, then the host recovers. k <= 0 clears
-// the schedule. This models "fail first k attempts, then succeed" so
-// retry and breaker paths can be exercised deterministically.
-func (n *Network) SetFailFirst(addr string, k int) {
-	if k <= 0 {
-		delete(n.failFirst, addr)
-		delete(n.outage, addr)
-		return
-	}
-	n.failFirst[addr] = k
-}
-
-// BeginAttempt announces the start of one connection attempt against addr
-// and reports whether the attempt can succeed. While a scheduled outage is
-// active the host behaves exactly like a blackholed one; once the budget
-// is exhausted the host recovers.
-func (n *Network) BeginAttempt(addr string) bool {
-	if k := n.failFirst[addr]; k > 0 {
-		n.failFirst[addr] = k - 1
-		n.outage[addr] = true
-		return false
-	}
-	delete(n.outage, addr)
-	return true
 }
 
 // SetTap installs an observer called at each successful delivery.
@@ -287,7 +251,7 @@ func (n *Network) pathConfig(from, to string) PathConfig {
 func (n *Network) Send(from, to string, data []byte) {
 	n.stats.Sent++
 	n.tm.sent.Inc()
-	if n.dropAll[to] || n.outage[to] || n.outage[from] {
+	if n.dropAll[to] {
 		n.stats.Dropped++
 		n.tm.dropped.Inc()
 		return
@@ -385,7 +349,7 @@ func (d *delivery) run(now time.Time) {
 	n.freeDel = append(n.freeDel, d)
 	defer func() { n.freeBufs = append(n.freeBufs, data) }()
 	h, ok := n.hosts[to]
-	if !ok || n.dropAll[to] || n.outage[to] || n.outage[from] {
+	if !ok || n.dropAll[to] {
 		n.stats.Dropped++
 		n.tm.dropped.Inc()
 		return

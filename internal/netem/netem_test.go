@@ -205,51 +205,36 @@ func TestTelemetryCountersMirrorStats(t *testing.T) {
 	}
 }
 
+// TestFailFirstOutage pins the mechanism behind an injected transient
+// outage: the scanner blackholes the server for each failing attempt and
+// lifts the blackhole for the next one.
 func TestFailFirstOutage(t *testing.T) {
 	loop, n := newNet(PathConfig{Delay: time.Millisecond}, 1)
 	delivered := 0
 	n.Attach("srv", func(time.Time, string, []byte) { delivered++ })
-	n.Attach("cli", func(time.Time, string, []byte) { delivered++ })
-	n.SetFailFirst("srv", 2)
-
-	// Attempts 1 and 2: every packet is lost, both directions.
-	for attempt := 0; attempt < 2; attempt++ {
-		if n.BeginAttempt("srv") {
-			t.Fatalf("attempt %d: expected failure", attempt)
-		}
+	for attempt := 0; attempt < 3; attempt++ {
+		n.Blackhole("srv", attempt < 2) // attempts 1 and 2 fail
 		n.Send("cli", "srv", []byte{1})
-		n.Send("srv", "cli", []byte{2})
 		loop.Run()
-		if delivered != 0 {
-			t.Fatalf("attempt %d: %d packets delivered during outage", attempt, delivered)
+		if want := attempt / 2; delivered != want {
+			t.Fatalf("attempt %d: %d packets reached the server, want %d", attempt, delivered, want)
 		}
-	}
-
-	// Attempt 3: the host has recovered.
-	if !n.BeginAttempt("srv") {
-		t.Fatal("attempt 2: expected recovery")
-	}
-	n.Send("cli", "srv", []byte{1})
-	n.Send("srv", "cli", []byte{2})
-	loop.Run()
-	if delivered != 2 {
-		t.Fatalf("after recovery: delivered = %d, want 2", delivered)
-	}
-
-	// Unscheduled hosts always succeed.
-	if !n.BeginAttempt("other") {
-		t.Fatal("unscheduled host reported failing")
 	}
 }
 
+// TestFailFirstClear: the blackhole is also checked at delivery, so
+// lifting it mid-outage saves a packet already in flight.
 func TestFailFirstClear(t *testing.T) {
-	_, n := newNet(PathConfig{}, 1)
-	n.SetFailFirst("srv", 5)
-	if n.BeginAttempt("srv") {
-		t.Fatal("expected scheduled failure")
+	loop, n := newNet(PathConfig{Delay: time.Millisecond}, 1)
+	delivered := 0
+	n.Attach("srv", func(time.Time, string, []byte) { delivered++ })
+	for _, lifted := range []bool{true, false} {
+		n.Send("cli", "srv", []byte{1})
+		n.Blackhole("srv", true) // the packet is in flight
+		n.Blackhole("srv", !lifted)
+		loop.Run()
 	}
-	n.SetFailFirst("srv", 0) // clear mid-outage
-	if !n.BeginAttempt("srv") {
-		t.Fatal("cleared schedule still failing")
+	if delivered != 1 {
+		t.Fatalf("delivered = %d, want only the packet whose blackhole was lifted", delivered)
 	}
 }

@@ -4,10 +4,9 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"math/rand"
-	"strconv"
-	"strings"
-	"sync"
+	"path/filepath"
+
+	"quicspin/internal/fault"
 )
 
 // Storage fault errors. FaultFS returns these wrapped with the operation
@@ -24,166 +23,49 @@ var (
 	ErrSyncFailed = errors.New("fsync failed (injected)")
 )
 
-// StorageFaultPlan is a deterministic chaos schedule for the journal's
-// filesystem: every write-path operation fails with the configured
-// probabilities, drawn from a seeded rng so a failing run replays exactly.
-// The read path (Open, ReadDir) is never faulted — replay correctness
-// under write faults is the property being tested, and a fault plan that
-// corrupted reads would test the test instead.
-type StorageFaultPlan struct {
-	// Seed drives the fault dice (default 1 via ParseStorageFaultPlan).
-	Seed int64
-	// ShortWrite is the probability a Write persists only a prefix of the
-	// buffer before failing with ErrIO — the torn-line generator.
-	ShortWrite float64
-	// WriteErr is the probability a Write fails outright with ErrNoSpace
-	// (nothing persisted).
-	WriteErr float64
-	// SyncErr is the probability a Sync fails with ErrSyncFailed.
-	SyncErr float64
-	// RenameErr is the probability a Rename fails with ErrIO, leaving the
-	// source in place (the torn-rename case: compaction staging files
-	// stranded next to live segments).
-	RenameErr float64
-	// OpenErr is the probability OpenAppend/Create fails with ErrNoSpace.
-	OpenErr float64
-}
-
-// Enabled reports whether the plan injects anything.
-func (p StorageFaultPlan) Enabled() bool {
-	return p.ShortWrite > 0 || p.WriteErr > 0 || p.SyncErr > 0 || p.RenameErr > 0 || p.OpenErr > 0
-}
-
-// ParseStorageFaultPlan parses the spinscan -storage-faults flag: a
-// comma-separated list of directives.
+// FaultFS wraps an FS with a fault plan's fs rules: every write-path
+// operation fails with the configured shares (short-write tears a write
+// mid-line with ErrIO after a prefix lands; write-err and open-err are
+// ErrNoSpace; sync-err is ErrSyncFailed; rename-err is ErrIO and leaves
+// the source in place — the torn rename that strands compaction staging
+// files next to live segments). The read path (Open, ReadDir) is never
+// faulted — replay correctness under write faults is the property being
+// tested, and a plan that corrupted reads would test the test instead.
 //
-//	seed:N          fault rng seed (default 1)
-//	short-write:P   probability a journal write tears mid-line (EIO after
-//	                a prefix lands on disk)
-//	write-err:P     probability a journal write fails outright (ENOSPC)
-//	sync-err:P      probability an fsync fails (EIO)
-//	rename-err:P    probability a compaction rename fails (torn rename)
-//	open-err:P      probability opening a new segment fails (ENOSPC)
-//
-// An empty spec returns nil. Probabilities are in [0, 1].
-func ParseStorageFaultPlan(spec string) (*StorageFaultPlan, error) {
-	if strings.TrimSpace(spec) == "" {
-		return nil, nil
-	}
-	plan := &StorageFaultPlan{Seed: 1}
-	for _, item := range strings.Split(spec, ",") {
-		item = strings.TrimSpace(item)
-		key, val, ok := strings.Cut(item, ":")
-		if !ok || val == "" {
-			return nil, fmt.Errorf("resilience: storage fault directive %q: want key:value", item)
-		}
-		if key == "seed" {
-			n, err := strconv.ParseInt(val, 10, 64)
-			if err != nil {
-				return nil, fmt.Errorf("resilience: storage fault seed %q: %v", val, err)
-			}
-			plan.Seed = n
-			continue
-		}
-		p, err := strconv.ParseFloat(val, 64)
-		if err != nil || p < 0 || p > 1 {
-			return nil, fmt.Errorf("resilience: storage fault probability %q: want a value in [0, 1]", item)
-		}
-		switch key {
-		case "short-write":
-			plan.ShortWrite = p
-		case "write-err":
-			plan.WriteErr = p
-		case "sync-err":
-			plan.SyncErr = p
-		case "rename-err":
-			plan.RenameErr = p
-		case "open-err":
-			plan.OpenErr = p
-		default:
-			return nil, fmt.Errorf("resilience: unknown storage fault directive %q", key)
-		}
-	}
-	return plan, nil
-}
-
-// FaultFS wraps an FS with the plan's seeded faults. All fault dice share
-// one rng guarded by a mutex, drawn in operation order — concurrent
-// writers make the interleaving scheduling-dependent, but every individual
-// operation's fate is an honest Bernoulli draw, and single-writer tests
-// replay exactly.
+// Operations are numbered by the plan in the order they arrive —
+// concurrent writers make the interleaving scheduling-dependent, but every
+// individual operation's fate is an honest Bernoulli draw, and
+// single-writer tests replay exactly.
 type FaultFS struct {
 	inner FS
-	plan  StorageFaultPlan
-
-	mu  sync.Mutex
-	rng *rand.Rand
-
-	// injected counts the faults actually fired, for tests asserting the
-	// plan did something.
-	injected int64
+	plan  *fault.Plan
 }
 
 // NewFaultFS wraps inner (nil = the real filesystem) with plan's faults.
-func NewFaultFS(inner FS, plan StorageFaultPlan) *FaultFS {
-	return &FaultFS{
-		inner: fsOrOS(inner),
-		plan:  plan,
-		rng:   rand.New(rand.NewSource(plan.Seed)),
-	}
+func NewFaultFS(inner FS, plan *fault.Plan) *FaultFS {
+	return &FaultFS{inner: fsOrOS(inner), plan: plan}
 }
 
-// Injected returns the number of faults fired so far.
-func (f *FaultFS) Injected() int64 {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return f.injected
-}
-
-// roll draws one fault die; reports whether a fault with probability p
-// fires, counting it when it does.
-func (f *FaultFS) roll(p float64) bool {
-	if p <= 0 {
-		return false
-	}
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	if f.rng.Float64() < p {
-		f.injected++
-		return true
-	}
-	return false
-}
-
-// shortLen draws the surviving prefix length for a torn write of n bytes:
-// at least 1 byte and strictly less than n (n ≤ 1 tears to zero bytes).
-func (f *FaultFS) shortLen(n int) int {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	if n <= 1 {
-		return 0
-	}
-	return 1 + f.rng.Intn(n-1)
+// hit numbers one operation on path and reports whether a fault of the
+// given kind fires on it. Files are targeted by base name, so a plan means
+// the same in every checkpoint directory.
+func (f *FaultFS) hit(kind fault.Kind, path string) bool {
+	return f.plan.Hit(fault.FS, kind, filepath.Base(path), f.plan.Next(fault.FS))
 }
 
 func (f *FaultFS) MkdirAll(dir string) error { return f.inner.MkdirAll(dir) }
 
 func (f *FaultFS) OpenAppend(path string) (File, error) {
-	if f.roll(f.plan.OpenErr) {
-		return nil, fmt.Errorf("open %s: %w", path, ErrNoSpace)
-	}
-	file, err := f.inner.OpenAppend(path)
-	if err != nil {
-		return nil, err
-	}
-	return &faultFile{fs: f, inner: file, path: path}, nil
+	return f.open("open", path, f.inner.OpenAppend)
 }
 
-func (f *FaultFS) Create(path string) (File, error) {
-	if f.roll(f.plan.OpenErr) {
-		return nil, fmt.Errorf("create %s: %w", path, ErrNoSpace)
+func (f *FaultFS) Create(path string) (File, error) { return f.open("create", path, f.inner.Create) }
+
+func (f *FaultFS) open(op, path string, open func(string) (File, error)) (File, error) {
+	if f.hit(fault.OpenErr, path) {
+		return nil, fmt.Errorf("%s %s: %w", op, path, ErrNoSpace)
 	}
-	file, err := f.inner.Create(path)
+	file, err := open(path)
 	if err != nil {
 		return nil, err
 	}
@@ -195,7 +77,7 @@ func (f *FaultFS) Open(path string) (io.ReadCloser, error) { return f.inner.Open
 func (f *FaultFS) ReadDir(dir string) ([]string, error) { return f.inner.ReadDir(dir) }
 
 func (f *FaultFS) Rename(oldpath, newpath string) error {
-	if f.roll(f.plan.RenameErr) {
+	if f.hit(fault.RenameErr, oldpath) {
 		return fmt.Errorf("rename %s: %w", oldpath, ErrIO)
 	}
 	return f.inner.Rename(oldpath, newpath)
@@ -211,11 +93,17 @@ type faultFile struct {
 }
 
 func (f *faultFile) Write(p []byte) (int, error) {
-	if f.fs.roll(f.fs.plan.WriteErr) {
+	plan, name, op := f.fs.plan, filepath.Base(f.path), f.fs.plan.Next(fault.FS)
+	if plan.Hit(fault.FS, fault.WriteErr, name, op) {
 		return 0, fmt.Errorf("write %s: %w", f.path, ErrNoSpace)
 	}
-	if f.fs.roll(f.fs.plan.ShortWrite) {
-		n := f.fs.shortLen(len(p))
+	if plan.Hit(fault.FS, fault.ShortWrite, name, op) {
+		// The surviving prefix: at least 1 byte and strictly less than
+		// the write (a write of one byte or none tears to nothing).
+		n := 0
+		if len(p) > 1 {
+			n = 1 + plan.Draw(fault.FS, fault.ShortWrite, name, op, len(p)-1)
+		}
 		if n > 0 {
 			// The prefix genuinely lands on disk: replay must cope with
 			// the torn bytes this leaves mid-file or at the tail.
@@ -229,7 +117,7 @@ func (f *faultFile) Write(p []byte) (int, error) {
 }
 
 func (f *faultFile) Sync() error {
-	if f.fs.roll(f.fs.plan.SyncErr) {
+	if f.fs.hit(fault.SyncErr, f.path) {
 		return fmt.Errorf("sync %s: %w", f.path, ErrSyncFailed)
 	}
 	return f.inner.Sync()

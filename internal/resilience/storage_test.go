@@ -10,6 +10,8 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"quicspin/internal/fault"
 )
 
 // replayEqual asserts two replayed journals hold identical key→value maps.
@@ -44,9 +46,7 @@ func TestCompactionEquivalence(t *testing.T) {
 			if trial%2 == 1 {
 				// Odd trials build the journal under storage chaos; acked
 				// records must still compact equivalently.
-				fs = NewFaultFS(nil, StorageFaultPlan{
-					Seed: int64(trial), ShortWrite: 0.1, WriteErr: 0.1, SyncErr: 0.1, OpenErr: 0.02,
-				})
+				fs = NewFaultFS(nil, fsPlan(int64(trial), 0.1, 0.1, 0.1, 0.02))
 				cfg.FS = fs
 				cfg.DegradeAfter = -1 // keep trying: chaos, not degradation, under test
 			}
@@ -612,9 +612,8 @@ func TestJournalAckedSurviveChaos(t *testing.T) {
 		seed := seed
 		t.Run(fmt.Sprintf("seed-%d", seed), func(t *testing.T) {
 			dir := t.TempDir()
-			fs := NewFaultFS(nil, StorageFaultPlan{
-				Seed: seed, ShortWrite: 0.15, WriteErr: 0.1, SyncErr: 0.15, OpenErr: 0.05,
-			})
+			plan := fsPlan(seed, 0.15, 0.1, 0.15, 0.05)
+			fs := NewFaultFS(nil, plan)
 			j, err := OpenJournalWith(dir, JournalConfig{
 				FS: fs, SegmentBytes: 256, SyncEvery: 3, DegradeAfter: -1,
 			})
@@ -647,7 +646,8 @@ func TestJournalAckedSurviveChaos(t *testing.T) {
 			if err := j.Close(); err != nil {
 				t.Logf("close under chaos: %v", err)
 			}
-			if fs.Injected() == 0 {
+			injected := plan.Injected(fault.FS, fault.AnyKind)
+			if injected == 0 {
 				t.Fatal("fault plan injected nothing")
 			}
 			if ackCount == 0 {
@@ -657,7 +657,7 @@ func TestJournalAckedSurviveChaos(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			t.Logf("acked=%d keys=%d torn=%d injected=%d", ackCount, len(acked), torn, fs.Injected())
+			t.Logf("acked=%d keys=%d torn=%d injected=%d", ackCount, len(acked), torn, injected)
 			for key, want := range acked {
 				raw, ok := got[key]
 				if !ok {
@@ -684,12 +684,11 @@ func TestJournalAckedSurviveChaos(t *testing.T) {
 	}
 }
 
-// TestFaultFSDeterminism: two FaultFS instances with the same plan inject
+// TestFaultFSDeterminism: two FaultFS instances with equal plans inject
 // the identical fault sequence over the identical operation sequence.
 func TestFaultFSDeterminism(t *testing.T) {
-	plan := StorageFaultPlan{Seed: 7, ShortWrite: 0.2, WriteErr: 0.2, SyncErr: 0.2, OpenErr: 0.1}
 	run := func() []string {
-		fs := NewFaultFS(nil, plan)
+		fs := NewFaultFS(nil, fsPlan(7, 0.2, 0.2, 0.2, 0.1))
 		dir := t.TempDir()
 		var outcomes []string
 		var f File
@@ -734,25 +733,47 @@ func TestFaultFSDeterminism(t *testing.T) {
 	}
 }
 
-// TestParseStorageFaultPlan covers the flag grammar.
-func TestParseStorageFaultPlan(t *testing.T) {
-	p, err := ParseStorageFaultPlan("seed:42,short-write:0.1,write-err:0.2,sync-err:0.3,rename-err:0.4,open-err:0.5")
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := StorageFaultPlan{Seed: 42, ShortWrite: 0.1, WriteErr: 0.2, SyncErr: 0.3, RenameErr: 0.4, OpenErr: 0.5}
-	if *p != want {
-		t.Fatalf("plan = %+v, want %+v", *p, want)
-	}
-	if !p.Enabled() {
-		t.Error("plan not enabled")
-	}
-	if p, err := ParseStorageFaultPlan("  "); err != nil || p != nil {
-		t.Errorf("empty spec = (%v, %v), want (nil, nil)", p, err)
-	}
-	for _, bad := range []string{"bogus:1", "short-write:2", "short-write:x", "seed:x", "short-write"} {
-		if _, err := ParseStorageFaultPlan(bad); err == nil {
-			t.Errorf("spec %q parsed, want error", bad)
+// fsPlan is a storage chaos plan with the given per-operation shares.
+func fsPlan(seed int64, shortWrite, writeErr, syncErr, openErr float64) *fault.Plan {
+	return fault.New(seed,
+		fault.Rule{Site: fault.FS, Kind: fault.ShortWrite, P: shortWrite},
+		fault.Rule{Site: fault.FS, Kind: fault.WriteErr, P: writeErr},
+		fault.Rule{Site: fault.FS, Kind: fault.SyncErr, P: syncErr},
+		fault.Rule{Site: fault.FS, Kind: fault.OpenErr, P: openErr})
+}
+
+// TestFaultFSDirectives pins what each fs directive of the fault grammar
+// does to the filesystem: which operation fails, with which error, and —
+// for a torn write — that a proper prefix reaches the disk.
+func TestFaultFSDirectives(t *testing.T) {
+	line := []byte(`{"k":"x","v":1}` + "\n")
+	for spec, want := range map[string]error{
+		"fs.open-err:1": ErrNoSpace, "fs.write-err:1": ErrNoSpace, "fs.short-write:1": ErrIO,
+		"fs.sync-err:1": ErrSyncFailed, "fs.rename-err:1": ErrIO,
+		"fs.write-err:other.jsonl@1": nil, // pinned to another file
+	} {
+		plan, err := fault.Parse(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fs := NewFaultFS(nil, plan)
+		path := filepath.Join(t.TempDir(), "seg.jsonl")
+		// The first failure of open, write, sync, rename is the directive's.
+		f, err := fs.OpenAppend(path)
+		if err == nil {
+			if _, err = f.Write(line); err == nil {
+				err = f.Sync()
+			}
+			f.Close()
+		}
+		if err == nil {
+			err = fs.Rename(path, path+".new")
+		}
+		if !errors.Is(err, want) || plan.Injected(fault.FS, fault.AnyKind) > 1 {
+			t.Errorf("%s: first error %v after %d faults, want %v after one", spec, err, plan.Injected(fault.FS, fault.AnyKind), want)
+		}
+		if data, _ := os.ReadFile(path); strings.Contains(spec, "short") && (len(data) == 0 || len(data) >= len(line)) {
+			t.Errorf("%s: %d of %d bytes on disk, want a proper prefix", spec, len(data), len(line))
 		}
 	}
 }

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"quicspin/internal/dns"
+	"quicspin/internal/fault"
 	"quicspin/internal/h3"
 	"quicspin/internal/hostile"
 	"quicspin/internal/netem"
@@ -70,10 +71,7 @@ func newEmulatedEngine(w *websim.World, cfg Config, rng *rand.Rand, tm *scanTele
 	e.net.SetTelemetry(cfg.Telemetry)
 	e.resolver.EnableCache()
 	e.resolver.SetTelemetry(cfg.Telemetry)
-	e.resolver.SetSchedule(cfg.DNSSchedule)
-	for addr, k := range cfg.NetFailFirst {
-		e.net.SetFailFirst(addr, k)
-	}
+	e.resolver.SetFaults(cfg.Faults)
 	return e
 }
 
@@ -120,8 +118,12 @@ func (e *emulatedEngine) clockNow() time.Time { return e.loop.Now() }
 // deadline — a stall.
 const defaultWatchdogSteps = 4 << 20
 
+// watchdogWall is the wall-clock bound beside the step budget: a connection
+// whose loop has spun this long is declared stalled.
+const watchdogWall = 30 * time.Second
+
 // connect performs one request/response exchange against ip.
-func (e *emulatedEngine) connect(target string, ip netip.Addr, hop int, path string) ConnResult {
+func (e *emulatedEngine) connect(target string, ip netip.Addr, hop, attempt int, path string) ConnResult {
 	out := ConnResult{Target: target, IP: ip, Hop: hop}
 	if e.stalled {
 		out.Err = "stall: engine marked unhealthy"
@@ -133,7 +135,11 @@ func (e *emulatedEngine) connect(target string, ip netip.Addr, hop int, path str
 	e.clientSeq++
 	clientAddr := fmt.Sprintf("probe-%d", e.clientSeq)
 	serverAddr := ip.String()
-	e.net.BeginAttempt(serverAddr) // injected-outage accounting (tests)
+	if e.cfg.Faults.Hit(fault.Net, fault.Blackout, serverAddr, attempt) {
+		// An injected outage: the server hears nothing for this attempt.
+		e.net.Blackhole(serverAddr, true)
+		defer e.net.Blackhole(serverAddr, false)
+	}
 	if srv != nil {
 		path := e.world.PathConfig(srv)
 		if v := e.cfg.Vantage; v.ExtraDelay != 0 || v.ExtraJitter != 0 {
@@ -229,10 +235,6 @@ func (e *emulatedEngine) connect(target string, ip netip.Addr, hop int, path str
 	if budget <= 0 {
 		budget = defaultWatchdogSteps
 	}
-	wall := e.cfg.Watchdog
-	if wall == 0 {
-		wall = 30 * time.Second
-	}
 	wallStart := time.Now()
 	steps := 0
 	for !done && e.loop.Now().Before(deadline) {
@@ -243,7 +245,7 @@ func (e *emulatedEngine) connect(target string, ip netip.Addr, hop int, path str
 		// Watchdog: a deterministic step budget, plus a wall-clock bound
 		// checked every 1024 steps (cheap enough for the hot path). Either
 		// trips only when the loop spins without advancing virtual time.
-		if steps >= budget || (wall > 0 && steps%1024 == 0 && time.Since(wallStart) > wall) {
+		if steps >= budget || (steps%1024 == 0 && time.Since(wallStart) > watchdogWall) {
 			e.stalled = true
 			e.tm.stalls.Inc()
 			stage := "h3"
@@ -279,7 +281,7 @@ func (e *emulatedEngine) connect(target string, ip netip.Addr, hop int, path str
 			out.ZeroPkts++
 		}
 	}
-	if out.HasFlips() || e.cfg.KeepAllObservations {
+	if out.HasFlips() {
 		out.Observations = append(out.Observations, obs...)
 	}
 	out.StackRTTs = append(out.StackRTTs, conn.RTT().Samples()...)

@@ -7,6 +7,7 @@ import (
 
 	"quicspin/internal/core"
 	"quicspin/internal/dns"
+	"quicspin/internal/fault"
 	"quicspin/internal/hostile"
 	"quicspin/internal/targets"
 	"quicspin/internal/trace"
@@ -34,10 +35,6 @@ type fastEngine struct {
 	// O(1) until the first draw (see lazySource), which skips the expensive
 	// math/rand state rebuild for every domain whose scan rolls no dice.
 	drng *rand.Rand
-	// failFirst mirrors netem's injected-outage schedule for engine parity:
-	// the first k connection attempts against an address time out, then it
-	// recovers. Counters live per engine (per worker), like netem's.
-	failFirst map[string]int
 
 	// times and obs are per-connection synthesis scratch, reused across
 	// connections to keep the campaign hot loop allocation-free; retained
@@ -60,20 +57,15 @@ func newFastEngine(w *websim.World, cfg Config, rng *rand.Rand, tm *scanTelemetr
 	e.clock = func() time.Time { return e.now }
 	e.resolver.EnableCache()
 	e.resolver.SetTelemetry(cfg.Telemetry)
-	e.resolver.SetSchedule(cfg.DNSSchedule)
-	if len(cfg.NetFailFirst) > 0 {
-		e.failFirst = make(map[string]int, len(cfg.NetFailFirst))
-		for addr, k := range cfg.NetFailFirst {
-			e.failFirst[addr] = k
-		}
-	}
+	e.resolver.SetFaults(cfg.Faults)
 	return e
 }
 
 func (e *fastEngine) scanDomain(d *websim.Domain) DomainResult {
 	// Reseed the reusable Rand in place: (*rand.Rand).Seed resets its Read
 	// cache and re-arms the lazy source, so the stream is byte-identical to
-	// a fresh domainRng — without the state rebuild for draw-free scans.
+	// a fresh source seeded with it — without the state rebuild for
+	// draw-free scans.
 	e.drng.Seed(domainSeed(e.cfg, d.Name))
 	e.rng = e.drng
 	// No virtual clock to advance here: retry backoff only draws jitter
@@ -97,7 +89,7 @@ const (
 	fastStackSamples = 4
 )
 
-func (e *fastEngine) connect(target string, ip netip.Addr, hop int, path string) ConnResult {
+func (e *fastEngine) connect(target string, ip netip.Addr, hop, attempt int, path string) ConnResult {
 	out := ConnResult{Target: target, IP: ip, Hop: hop}
 	rec := e.rec
 	if rec != nil {
@@ -106,8 +98,8 @@ func (e *fastEngine) connect(target string, ip netip.Addr, hop int, path string)
 		rec.SpanAttr("target", target)
 		rec.SpanAttr("ip", ip.String())
 	}
-	if k := e.failFirst[ip.String()]; k > 0 {
-		e.failFirst[ip.String()] = k - 1
+	// The nil check spares the fault-free hot loop ip.String()'s allocation.
+	if f := e.cfg.Faults; f != nil && f.Hit(fault.Net, fault.Blackout, ip.String(), attempt) {
 		// Mirror the emulated engine during an injected outage: every
 		// packet is lost, so the handshake times out.
 		out.Err = "timeout: no QUIC handshake"
@@ -335,7 +327,7 @@ func (e *fastEngine) synthesizeObservations(out *ConnResult, mode core.Mode, srv
 	// Only series with flips are retained (unless the caller keeps all), so
 	// the synthesis above runs entirely in scratch and the retained minority
 	// is copied out exactly-sized here.
-	if out.HasFlips() || e.cfg.KeepAllObservations {
+	if out.HasFlips() {
 		out.Observations = append(make([]core.Observation, 0, len(obs)), obs...)
 	}
 	return lastAt

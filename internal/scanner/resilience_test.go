@@ -8,26 +8,21 @@ import (
 	"testing"
 
 	"quicspin/internal/dns"
+	"quicspin/internal/fault"
 	"quicspin/internal/resilience"
 	"quicspin/internal/telemetry"
 	"quicspin/internal/websim"
 )
 
-// firstCleanTarget walks a baseline run in canonical order and returns a
-// domain whose landing connection (a) succeeded with a single-hop 200 and
-// (b) was the first dial ever made against its IP — so an injected
-// fail-first outage against that IP deterministically hits this domain's
-// first attempt when Workers is 1.
+// firstCleanTarget walks a baseline run in canonical order and returns the
+// first domain whose landing connection succeeded with a single-hop 200 —
+// a victim for an injected outage against its IP.
 func firstCleanTarget(t *testing.T, w *websim.World, base *Result) (victim *websim.Domain, ip netip.Addr) {
 	t.Helper()
-	seen := map[netip.Addr]bool{}
 	for i := range base.Domains {
 		d := &base.Domains[i]
-		if len(d.Conns) == 1 && d.Conns[0].Err == "" && d.Conns[0].Status == 200 && !seen[d.Conns[0].IP] {
+		if len(d.Conns) == 1 && d.Conns[0].Err == "" && d.Conns[0].Status == 200 {
 			return w.Domains[i], d.Conns[0].IP
-		}
-		for j := range d.Conns {
-			seen[d.Conns[j].IP] = true
 		}
 	}
 	t.Fatal("no clean single-hop target in baseline")
@@ -44,7 +39,7 @@ func TestPanicIsolation(t *testing.T) {
 	reg := telemetry.New()
 	cfg := base
 	cfg.Telemetry = reg
-	cfg.panicHook = func(name string) bool { return name == victim }
+	cfg.Faults = fault.New(1, fault.Rule{Site: fault.Scan, Kind: fault.Panic, Target: victim, P: 1})
 	r := mustRun(t, w, cfg)
 
 	vr := &r.Domains[idx]
@@ -110,16 +105,10 @@ func TestDNSRetryTransient(t *testing.T) {
 			t.Fatal("no resolved domain in baseline")
 		}
 		host := dns.Normalize(w.Domains[idx].Host())
-		schedule := func(name string, _ dns.RType) int {
-			if name == host {
-				return 2
-			}
-			return 0
-		}
 
-		// Without retries the scheduled timeouts are terminal.
+		// Without retries the injected timeouts are terminal.
 		noRetry := base
-		noRetry.DNSSchedule = schedule
+		noRetry.Faults = fault.New(1, fault.Rule{Site: fault.DNS, Kind: fault.Timeout, Target: host, P: 1, Times: 2})
 		r := mustRun(t, w, noRetry)
 		if r.Domains[idx].Resolved || !strings.Contains(r.Domains[idx].DNSErr, "timed out") {
 			t.Fatalf("engine %v: without retries, want DNS timeout, got %+v", eng, r.Domains[idx])
@@ -132,7 +121,7 @@ func TestDNSRetryTransient(t *testing.T) {
 		withRetry.Telemetry = reg
 		r = mustRun(t, w, withRetry)
 		if !r.Domains[idx].Resolved {
-			t.Fatalf("engine %v: retries did not recover scheduled DNS timeouts: %+v", eng, r.Domains[idx])
+			t.Fatalf("engine %v: retries did not recover injected DNS timeouts: %+v", eng, r.Domains[idx])
 		}
 		if got := reg.Snapshot().Counters[`retries_total{stage="dns"}`]; got < 2 {
 			t.Errorf("engine %v: dns retries = %d, want >= 2", eng, got)
@@ -156,7 +145,7 @@ func TestConnRetryFailFirst(t *testing.T) {
 
 		// Without retries the injected outage is terminal for the landing.
 		noRetry := base
-		noRetry.NetFailFirst = map[string]int{ip.String(): 1}
+		noRetry.Faults = fault.New(1, fault.Rule{Site: fault.Net, Kind: fault.Blackout, Target: ip.String(), P: 1, Times: 1})
 		r := mustRun(t, w, noRetry)
 		vr := &r.Domains[idx]
 		if len(vr.Conns) != 1 || vr.Conns[0].Err != "timeout: no QUIC handshake" {
@@ -219,15 +208,19 @@ func TestMultiAddressFallback(t *testing.T) {
 	}
 }
 
-// TestRetryWorkerInvariance: with a pure-function DNS failure schedule and
+// TestRetryWorkerInvariance: with injected DNS and connection failures and
 // retries enabled, results must stay byte-identical across worker counts —
-// backoff jitter comes from the per-domain rng, never from shared state.
+// fault decisions are keyed by (name or address, attempt) and backoff
+// jitter comes from the per-domain rng, never from shared state.
 func TestRetryWorkerInvariance(t *testing.T) {
 	w := testWorld(60_000)
-	schedule := func(name string, _ dns.RType) int { return len(name) % 3 }
 	for _, eng := range []Engine{EngineEmulated, EngineFast} {
 		cfg := Config{Week: 1, Engine: eng, Seed: 5, Workers: 1,
-			Retry: resilience.RetryPolicy{MaxRetries: 2}, DNSSchedule: schedule}
+			Retry: resilience.RetryPolicy{MaxRetries: 2},
+			Faults: fault.New(5,
+				fault.Rule{Site: fault.DNS, Kind: fault.Timeout, P: 0.33, Times: 1},
+				fault.Rule{Site: fault.DNS, Kind: fault.Timeout, P: 0.33, Times: 2},
+				fault.Rule{Site: fault.Net, Kind: fault.Blackout, P: 0.2, Times: 1})}
 		a := mustRun(t, w, cfg)
 		cfg.Workers = 5
 		b := mustRun(t, w, cfg)
@@ -240,8 +233,7 @@ func TestBreakerCampaign(t *testing.T) {
 	base := Config{Week: 1, Engine: EngineFast, Seed: 7, Workers: 1}
 
 	// Find the AS with the most resolvable domains and fail every address
-	// in it permanently (k effectively infinite, so attempt counters stay
-	// worker-invariant).
+	// in it permanently.
 	asOf := func(d *websim.Domain) (string, bool) {
 		if !d.V4.IsValid() {
 			return "", false
@@ -267,18 +259,18 @@ func TestBreakerCampaign(t *testing.T) {
 	if best < 6 {
 		t.Fatalf("largest AS group has only %d domains", best)
 	}
-	fail := map[string]int{}
+	var fail []fault.Rule
 	var groupIdx []int
 	for i, d := range w.Domains {
 		if key, ok := asOf(d); ok && key == target {
-			fail[d.V4.String()] = 1 << 30
+			fail = append(fail, fault.Rule{Site: fault.Net, Kind: fault.Blackout, Target: d.V4.String(), P: 1})
 			groupIdx = append(groupIdx, i)
 		}
 	}
 
 	reg := telemetry.New()
 	cfg := base
-	cfg.NetFailFirst = fail
+	cfg.Faults = fault.New(1, fail...)
 	cfg.Breaker = resilience.BreakerConfig{Threshold: 3}
 	cfg.Telemetry = reg
 	r := mustRun(t, w, cfg)
@@ -343,7 +335,7 @@ func TestInterruptAndResume(t *testing.T) {
 	dir := t.TempDir()
 	interrupted := base
 	interrupted.Checkpoint = dir
-	interrupted.InterruptAfter = int64(len(w.Domains) / 2)
+	interrupted.Faults = fault.New(1, fault.Rule{Site: fault.Scan, Kind: fault.Interrupt, P: 1, After: len(w.Domains) / 2, Times: 1})
 	_, err := Run(w, interrupted)
 	if !errors.Is(err, ErrInterrupted) {
 		t.Fatalf("interrupted run error = %v, want ErrInterrupted", err)

@@ -64,8 +64,9 @@ func fnv64a(s string) uint64 {
 }
 
 // domainSeed derives the per-domain stream seed from (Seed, Week, name).
-// It must stay in lockstep with domainRng: both engines and the resume
-// machinery rely on a domain's stream being a pure function of these three.
+// Both engines reseed with it at the start of every domain, which makes
+// spin dice, response plans and path noise a function of the domain alone —
+// not of scan order or worker count; the resume machinery relies on that.
 func domainSeed(cfg Config, name string) int64 {
 	return cfg.Seed ^ int64(cfg.Week)<<32 ^ int64(fnv64a(name))
 }

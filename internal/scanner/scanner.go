@@ -28,6 +28,7 @@ import (
 
 	"quicspin/internal/core"
 	"quicspin/internal/dns"
+	"quicspin/internal/fault"
 	"quicspin/internal/resilience"
 	"quicspin/internal/telemetry"
 	"quicspin/internal/trace"
@@ -35,8 +36,9 @@ import (
 )
 
 // ErrInterrupted reports that Run stopped early because Config.Interrupt
-// fired (or InterruptAfter elapsed). The partial Result is still returned;
-// completed domains are in the checkpoint journal when one is configured.
+// fired (or the fault plan injected an interrupt). The partial Result is
+// still returned; completed domains are in the checkpoint journal when one
+// is configured.
 var ErrInterrupted = errors.New("scanner: campaign interrupted")
 
 // Engine selects how connections are executed.
@@ -70,9 +72,6 @@ type Config struct {
 	// domain), so results are deterministic for a fixed Seed regardless
 	// of the Workers value.
 	Workers int
-	// KeepAllObservations retains spin observation series even for
-	// connections without flips (memory-hungry; useful for debugging).
-	KeepAllObservations bool
 	// Telemetry receives campaign metrics (counters, error classes,
 	// per-stage virtual-time histograms). Nil disables instrumentation at
 	// near-zero cost on the hot path.
@@ -114,19 +113,12 @@ type Config struct {
 	// is closed (or receives); Run then returns the partial Result with
 	// ErrInterrupted.
 	Interrupt <-chan struct{}
-	// InterruptAfter, when positive, interrupts the campaign after that
-	// many domains have completed — the in-process equivalent of killing a
-	// run halfway through (used by resume tests and smoke checks).
-	InterruptAfter int64
-	// Watchdog is the wall-clock budget per emulated connection before the
-	// event loop is declared stalled (the domain gets a "stall:" result
-	// and the engine is rebuilt). Zero means 30s; negative disables the
-	// wall-clock check. A deterministic step budget applies regardless.
-	Watchdog time.Duration
-	// DNSSchedule injects transient DNS failures for tests: a lookup for
-	// (name, type) times out on attempts 0..k-1 where k = DNSSchedule(name,
-	// type). Must be a pure function of its arguments.
-	DNSSchedule func(name string, t dns.RType) int
+	// Faults, when non-nil, injects the plan's dns (lookup timeouts), net
+	// (connection attempts that lose every packet) and scan (an interrupt
+	// after n completed domains, a panicking domain scan) rules, keyed by
+	// (name or address, retry attempt): the same failures in both engines
+	// and for every Workers value.
+	Faults *fault.Plan
 	// Shard restricts the run to the contiguous population index range
 	// [Shard.Start, Shard.End). The zero value scans the whole population.
 	// Sink indices stay population-global, and per-domain randomness is
@@ -142,16 +134,7 @@ type Config struct {
 	// the netem path, the fast engine widens its closed-form RTT model. The
 	// zero value scans from the baseline vantage.
 	Vantage Vantage
-	// NetFailFirst injects transient connection failures for tests: the
-	// first k attempts against an address (keyed by its string form) lose
-	// every packet, then the host recovers. Attempt counters live per
-	// worker engine, so use Workers=1 (or an effectively-infinite k) when
-	// asserting exact counts.
-	NetFailFirst map[string]int
 
-	// panicHook, when set, makes the named domain's scan panic (exercising
-	// worker isolation); in-package tests only.
-	panicHook func(domain string) bool
 	// watchdogSteps overrides the deterministic per-connection step budget
 	// of the emulated watchdog; in-package tests only. Zero means 4M.
 	watchdogSteps int
@@ -263,7 +246,7 @@ type ConnResult struct {
 	// ZeroPkts and OnePkts count received 1-RTT packets by spin value.
 	ZeroPkts, OnePkts int
 	// Observations is the received spin series; retained only for
-	// connections with spin flips unless Config.KeepAllObservations.
+	// connections with spin flips.
 	Observations []core.Observation
 	// StackRTTs are the QUIC stack estimator's accepted samples (the
 	// paper's baseline), in arrival order.
@@ -392,30 +375,21 @@ func scanSafely(eng engine, cfg Config, d *websim.Domain) (res DomainResult, pan
 	return eng.scanDomain(d), false
 }
 
-// maybePanic fires the test-only injected fault. runChain calls it once
+// maybePanic fires the plan's scan.panic fault. runChain calls it once
 // per scan, after the stage spans exist but before the trace commits, so
 // the recovered panic's flight dump carries the victim's full stage trace.
 func maybePanic(cfg Config, d *websim.Domain) {
-	if cfg.panicHook != nil && cfg.panicHook(d.Name) {
+	if cfg.Faults.Hit(fault.Scan, fault.Panic, d.Name, 0) {
 		panic("injected scanner fault")
 	}
 }
 
 // newEngineRng derives a worker shard's random stream from the run seed.
 // It only seeds engine-construction randomness; every per-domain draw
-// comes from domainRng so that sharding cannot influence results.
+// comes from the domainSeed stream so that sharding cannot influence
+// results.
 func newEngineRng(cfg Config, shard int) *rand.Rand {
 	return rand.New(rand.NewSource(cfg.Seed ^ int64(cfg.Week)<<32 ^ int64(shard)*0x9e3779b9))
-}
-
-// domainRng derives the random stream for one domain's scan from
-// (Seed, Week, domain name). Both engines reseed with it at the start of
-// every domain, which makes spin dice, response plans and path noise a
-// function of the domain alone — not of scan order or worker count.
-// The engines themselves reseed a reusable lazy Rand (see newLazyRand)
-// with domainSeed instead of calling this; the streams are identical.
-func domainRng(cfg Config, name string) *rand.Rand {
-	return rand.New(rand.NewSource(domainSeed(cfg, name)))
 }
 
 // engine executes one domain scan. healthy reports whether the engine can
@@ -493,9 +467,9 @@ func resolveRetry(rt *retrier, res *dns.Resolver, host string, ipv6 bool) ([]net
 // connectRetry dials until success or budget exhaustion, rotating through
 // the resolved addresses across attempts (zgrab2-style fallback: the first
 // address may be down while a later one answers).
-func connectRetry(rt *retrier, addrs []netip.Addr, dial func(ip netip.Addr) ConnResult) ConnResult {
+func connectRetry(rt *retrier, addrs []netip.Addr, dial func(ip netip.Addr, attempt int) ConnResult) ConnResult {
 	for attempt := 0; ; attempt++ {
-		conn := dial(addrs[attempt%len(addrs)])
+		conn := dial(addrs[attempt%len(addrs)], attempt)
 		if conn.Err == "" || !rt.retry(retryStageConn, conn.Err) {
 			return conn
 		}
@@ -504,12 +478,13 @@ func connectRetry(rt *retrier, addrs []netip.Addr, dial func(ip netip.Addr) Conn
 
 // runChain executes one domain's full scan — landing request plus redirect
 // chain — with retry and multi-address fallback. Both engines share it;
-// dial performs one engine-specific connection attempt. rec and now carry
+// dial performs one engine-specific connection attempt (attempt is its
+// 0-based index within the hop's retries). rec and now carry
 // the shard's trace recorder and the engine's virtual clock; with tracing
 // disabled (nil rec) every trace block is skipped and the scan allocates
 // nothing extra. Tracing reads the clock but draws no randomness, so the
 // DomainResult is identical with tracing on or off.
-func runChain(cfg Config, rng *rand.Rand, resolver *dns.Resolver, sleep func(time.Duration), tm *scanTelemetry, rec *trace.Recorder, now func() time.Time, d *websim.Domain, dial func(target string, ip netip.Addr, hop int, path string) ConnResult) DomainResult {
+func runChain(cfg Config, rng *rand.Rand, resolver *dns.Resolver, sleep func(time.Duration), tm *scanTelemetry, rec *trace.Recorder, now func() time.Time, d *websim.Domain, dial func(target string, ip netip.Addr, hop, attempt int, path string) ConnResult) DomainResult {
 	rt := &retrier{policy: cfg.Retry, rng: rng, sleep: sleep, tm: tm}
 	res := DomainResult{Domain: d.Name, TLD: d.TLD, Toplist: d.Toplist}
 	target, path := d.Host(), "/"
@@ -535,8 +510,8 @@ func runChain(cfg Config, rng *rand.Rand, resolver *dns.Resolver, sleep func(tim
 	}
 	for hop := 0; hop <= cfg.maxRedirects(); hop++ {
 		hop := hop
-		conn := connectRetry(rt, addrs, func(ip netip.Addr) ConnResult {
-			return dial(target, ip, hop, path)
+		conn := connectRetry(rt, addrs, func(ip netip.Addr, attempt int) ConnResult {
+			return dial(target, ip, hop, attempt, path)
 		})
 		res.Conns = append(res.Conns, conn)
 		if conn.Redirect == "" {

@@ -4,11 +4,12 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"runtime"
+	"runtime/metrics"
 	"sync"
 	"sync/atomic"
 	"time"
 
+	"quicspin/internal/fault"
 	"quicspin/internal/resilience"
 	"quicspin/internal/trace"
 	"quicspin/internal/websim"
@@ -54,7 +55,7 @@ type campaign struct {
 	interrupted atomic.Bool
 	completed   atomic.Int64
 	started     time.Time
-	memStart    runtime.MemStats
+	allocs      *allocMeter // nil without telemetry
 
 	stopWatch chan struct{}
 }
@@ -95,9 +96,35 @@ func newCampaign(w *websim.World, cfg Config) (*campaign, error) {
 	}
 	c.started = time.Now()
 	if cfg.Telemetry != nil {
-		runtime.ReadMemStats(&c.memStart)
+		c.allocs = newAllocMeter()
 	}
 	return c, nil
+}
+
+// allocMeter feeds scan_alloc_bytes and scan_allocs: the heap bytes and
+// objects the process has allocated since the campaign started. It reads
+// runtime/metrics — which, unlike runtime.ReadMemStats, does not stop the
+// world — into samples allocated once.
+type allocMeter struct {
+	now, base [2]metrics.Sample
+}
+
+func newAllocMeter() *allocMeter {
+	m := &allocMeter{}
+	m.now[0].Name, m.now[1].Name = "/gc/heap/allocs:bytes", "/gc/heap/allocs:objects"
+	metrics.Read(m.now[:])
+	m.base = m.now
+	return m
+}
+
+// publish sets the gauges; a nil meter (no telemetry) does nothing.
+func (m *allocMeter) publish(tm *scanTelemetry) {
+	if m == nil {
+		return
+	}
+	metrics.Read(m.now[:])
+	tm.allocBytes.Set(int64(m.now[0].Value.Uint64() - m.base[0].Value.Uint64()))
+	tm.allocObjects.Set(int64(m.now[1].Value.Uint64() - m.base[1].Value.Uint64()))
 }
 
 // bounds returns the population index range this run covers: the shard
@@ -122,12 +149,7 @@ func (c *campaign) finish() {
 	if el := time.Since(c.started); el > 0 {
 		c.tm.domainsPerSec.Set(int64(float64(c.completed.Load()) / el.Seconds()))
 	}
-	if c.cfg.Telemetry != nil {
-		var m runtime.MemStats
-		runtime.ReadMemStats(&m)
-		c.tm.allocBytes.Set(int64(m.TotalAlloc - c.memStart.TotalAlloc))
-		c.tm.allocObjects.Set(int64(m.Mallocs - c.memStart.Mallocs))
-	}
+	c.allocs.publish(c.tm)
 }
 
 func (c *campaign) close() {
@@ -235,7 +257,8 @@ func (c *campaign) scanStep(eng *engine, shard int, rec *trace.Recorder, d *webs
 		}
 		c.tm.checkpointDegraded.Set(boolGauge(c.journal.Degraded()))
 	}
-	if n := c.completed.Add(1); c.cfg.InterruptAfter > 0 && n >= c.cfg.InterruptAfter {
+	c.completed.Add(1)
+	if f := c.cfg.Faults; f != nil && f.Hit(fault.Scan, fault.Interrupt, "", f.Next(fault.Scan)) {
 		c.interrupt()
 	}
 	return res, true
@@ -353,14 +376,11 @@ func (c *campaign) runPipeline(sink func(i int, res *DomainResult) error) (sinkE
 		if el > 0 {
 			c.tm.domainsPerSec.Set(int64(float64(completed) / el.Seconds()))
 		}
-		// Keep the allocation gauges live for mid-scan scrapes, but
-		// throttle ReadMemStats (it stops the world) to once a second.
-		if c.cfg.Telemetry != nil && time.Since(lastMem) >= time.Second {
+		// Keep the allocation gauges live for mid-scan scrapes; once a
+		// second is plenty.
+		if c.allocs != nil && time.Since(lastMem) >= time.Second {
 			lastMem = time.Now()
-			var m runtime.MemStats
-			runtime.ReadMemStats(&m)
-			c.tm.allocBytes.Set(int64(m.TotalAlloc - c.memStart.TotalAlloc))
-			c.tm.allocObjects.Set(int64(m.Mallocs - c.memStart.Mallocs))
+			c.allocs.publish(c.tm)
 		}
 	}
 	return sinkErr

@@ -120,6 +120,12 @@ func TestEngineTelemetryConsistent(t *testing.T) {
 		if snap.Counters["dns_cache_misses_total"] == 0 {
 			t.Errorf("engine %d: no dns cache misses recorded", eng)
 		}
+		// The run's allocation gauges: every scanned domain allocates at
+		// least its result, and no object is smaller than a byte.
+		bytes, objs := snap.Gauges["scan_alloc_bytes"], snap.Gauges["scan_allocs"]
+		if objs < int64(len(w.Domains)) || bytes < objs {
+			t.Errorf("engine %d: scan_alloc_bytes = %d, scan_allocs = %d over %d domains", eng, bytes, objs, len(w.Domains))
+		}
 	}
 }
 

@@ -7,6 +7,7 @@ import (
 	"sync"
 	"testing"
 
+	"quicspin/internal/fault"
 	"quicspin/internal/trace"
 )
 
@@ -93,7 +94,7 @@ func TestPanicProducesFlightDump(t *testing.T) {
 		mu.Unlock()
 	}})
 	cfg := Config{Week: 1, Engine: EngineEmulated, Seed: 3, Workers: 3, Trace: tr}
-	cfg.panicHook = func(name string) bool { return name == victim }
+	cfg.Faults = fault.New(1, fault.Rule{Site: fault.Scan, Kind: fault.Panic, Target: victim, P: 1})
 	r := mustRun(t, w, cfg)
 
 	vr := &r.Domains[idx]

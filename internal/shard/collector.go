@@ -9,10 +9,12 @@ import (
 	"math/rand"
 	"net"
 	"sort"
+	"strconv"
 	"strings"
 	"sync"
 	"time"
 
+	"quicspin/internal/fault"
 	"quicspin/internal/resilience"
 	"quicspin/internal/transport"
 	"quicspin/internal/udprun"
@@ -127,11 +129,11 @@ type Collector struct {
 }
 
 // NewCollector starts a collector expecting one submission per shard on a
-// fresh loopback socket (Addr reports where). A non-nil faults profile
-// injects datagram faults into the collector's outbound traffic (its acks
-// and transport-level replies) — the receive-side half of a fault plan,
+// fresh loopback socket (Addr reports where). A non-nil faults plan
+// injects its udp faults into the collector's outbound traffic (its acks
+// and transport-level replies) — the receive-side half of the exchange,
 // the worker's FaultConn being the send side.
-func NewCollector(want int, faults *udprun.FaultConfig) (*Collector, error) {
+func NewCollector(want int, faults *fault.Plan) (*Collector, error) {
 	pc, err := net.ListenPacket("udp", "127.0.0.1:0")
 	if err != nil {
 		return nil, fmt.Errorf("shard: collector listen: %w", err)
@@ -159,9 +161,7 @@ func NewCollector(want int, faults *udprun.FaultConfig) (*Collector, error) {
 	})
 	runnerConn := net.PacketConn(pc)
 	if faults != nil {
-		cfg := *faults
-		cfg.Seed = faults.Seed ^ 0xc011ec7 // distinct stream from the workers'
-		runnerConn = udprun.NewFaultConn(runnerConn, cfg)
+		runnerConn = udprun.NewFaultConn(runnerConn, faults, "collector")
 	}
 	// Checksum framing sits outside the fault injector: injected
 	// corruption mangles a protected frame, the receiver drops it, and
@@ -368,8 +368,8 @@ type SubmitPolicy struct {
 	// takes the resilience defaults (250ms base, doubling, 5s cap).
 	Backoff resilience.RetryPolicy
 	// Faults, when non-nil, wraps the submit socket in a FaultConn — the
-	// send-side half of a transport fault plan.
-	Faults *udprun.FaultConfig
+	// send-side half of the exchange.
+	Faults *fault.Plan
 	// OnRetry observes each retry before its backoff sleep: the upcoming
 	// attempt number (1-based count of completed attempts) and the error
 	// that caused it.
@@ -428,7 +428,7 @@ func SubmitWithPolicy(addr string, shard int, blob []byte, p SubmitPolicy) error
 }
 
 // submitOnce performs one submission attempt.
-func submitOnce(addr string, shard int, blob []byte, timeout time.Duration, faults *udprun.FaultConfig, attempt int) error {
+func submitOnce(addr string, shard int, blob []byte, timeout time.Duration, faults *fault.Plan, attempt int) error {
 	raddr, err := net.ResolveUDPAddr("udp", addr)
 	if err != nil {
 		return err
@@ -440,11 +440,9 @@ func submitOnce(addr string, shard int, blob []byte, timeout time.Duration, faul
 	defer pc.Close()
 	runnerConn := net.PacketConn(pc)
 	if faults != nil {
-		cfg := *faults
-		// Each (shard, attempt) pair draws a distinct deterministic fault
-		// stream, so a retry is not doomed to replay the attempt's faults.
-		cfg.Seed = faults.Seed ^ int64(shard+1)<<16 ^ int64(attempt)
-		runnerConn = udprun.NewFaultConn(runnerConn, cfg)
+		// Every datagram is a fresh operation of the plan, so a retry is
+		// not doomed to replay the attempt's faults.
+		runnerConn = udprun.NewFaultConn(runnerConn, faults, "shard-"+strconv.Itoa(shard))
 	}
 	runnerConn = udprun.NewChecksumConn(runnerConn)
 	rng := rand.New(rand.NewSource(0x5eed + int64(shard)*977 + int64(attempt)))

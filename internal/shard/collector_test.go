@@ -10,7 +10,6 @@ import (
 	"time"
 
 	"quicspin/internal/resilience"
-	"quicspin/internal/udprun"
 )
 
 func TestCollectorRoundTrip(t *testing.T) {
@@ -205,7 +204,7 @@ func TestParseSubmission(t *testing.T) {
 // aggressive datagram faults on both sides (drop, dup, corrupt, delay),
 // retried idempotent submission still delivers every blob intact.
 func TestSubmitRetriesHealFaultyTransport(t *testing.T) {
-	faults := &udprun.FaultConfig{Seed: 42, Drop: 0.1, Dup: 0.1, Corrupt: 0.05, Delay: 0.1, MaxDelay: 5 * time.Millisecond}
+	faults := mustFaults(t, "seed:42,udp.drop:0.1,udp.dup:0.1,udp.corrupt:0.05,udp.delay:0.1,udp.max-delay:5ms")
 	const want = 4
 	col, err := NewCollector(want, faults)
 	if err != nil {

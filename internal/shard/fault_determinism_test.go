@@ -1,12 +1,13 @@
 package shard
 
 import (
+	"errors"
 	"testing"
-	"time"
 
+	"quicspin/internal/fault"
+	"quicspin/internal/resilience"
 	"quicspin/internal/scanner"
 	"quicspin/internal/telemetry"
-	"quicspin/internal/udprun"
 	"quicspin/internal/websim"
 )
 
@@ -28,13 +29,7 @@ func TestShardFaultDeterminism(t *testing.T) {
 		{"fast", scanner.EngineFast, 20_000},
 		{"emulated", scanner.EngineEmulated, 100_000},
 	}
-	plan := &FaultPlan{
-		Transport: udprun.FaultConfig{Seed: 3, Drop: 0.08, Dup: 0.08, Corrupt: 0.04, Delay: 0.08, MaxDelay: 3 * time.Millisecond},
-		Crashes: []CrashSpec{
-			{Vantage: -1, Shard: 1, After: 25, Kind: "error"},
-			{Vantage: -1, Shard: 0, After: 40, Times: 2, Kind: "panic"},
-		},
-	}
+	plan := mustFaults(t, "seed:3,udp.drop:0.08,udp.dup:0.08,udp.corrupt:0.04,udp.delay:0.08,udp.max-delay:3ms,shard.crash:1@25,shard.panic:0@40x2")
 	for _, eng := range engines {
 		eng := eng
 		t.Run(eng.name, func(t *testing.T) {
@@ -84,5 +79,53 @@ func TestShardFaultDeterminism(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestOneSpecFaultsEveryLayer: one parsed spec turns on datagram faults on
+// the accumulator exchange, storage faults under every shard journal, a
+// shard worker crash and a campaign interrupt, all at once, on a 2-week,
+// 4-shard UDP journaled campaign. The interrupted run is resumed with the
+// same plan, and the tables must be byte-identical to the fault-free run —
+// with every site having actually injected something.
+func TestOneSpecFaultsEveryLayer(t *testing.T) {
+	w := fixture(t)
+	weeks := []int{1, 2}
+	golden, err := Run(w, Config{Shards: 4, Weeks: weeks, ForWeek: baseConfig(scanner.EngineFast, 2)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	plan := mustFaults(t, "seed:3,udp.drop:0.05,udp.dup:0.05,udp.corrupt:0.02,udp.delay:0.05,udp.max-delay:2ms,"+
+		"fs.short-write:0.05,fs.write-err:0.1,fs.sync-err:0.05,shard.crash:1@40,scan.interrupt:300")
+	cfg := Config{
+		Shards: 4, Weeks: weeks, Transport: TransportUDP, Checkpoint: t.TempDir(),
+		MaxRestarts: 2, RestartBackoff: fastBackoff, Faults: plan, Logf: t.Logf,
+		ForWeek: func(week int) scanner.Config {
+			sc := baseConfig(scanner.EngineFast, 2)(week)
+			sc.Faults = plan
+			sc.Journal = resilience.JournalConfig{FS: resilience.NewFaultFS(nil, plan), SegmentBytes: 4096, SyncEvery: 8}
+			return sc
+		},
+	}
+	if _, err := Run(w, cfg); !errors.Is(err, scanner.ErrInterrupted) {
+		t.Fatalf("faulted run returned %v, want the injected interrupt", err)
+	}
+	// The plan's scan counter has moved past the interrupt, so the same plan
+	// lets the resumed run finish.
+	cfg.Resume = true
+	res, err := Run(w, cfg)
+	if err != nil {
+		t.Fatalf("resumed run: %v", err)
+	}
+	if cov := res.Vantages[0].Coverage; !cov.Complete() {
+		t.Fatalf("transient faults lost shards: %+v", cov)
+	}
+	if got, want := renderCampaign(res.Vantages[0].Campaign), renderCampaign(golden.Vantages[0].Campaign); got != want {
+		t.Error("faulted and resumed campaign differs from the fault-free reference")
+	}
+	for _, site := range []fault.Site{fault.UDP, fault.FS, fault.Shard, fault.Scan} {
+		if plan.Injected(site, fault.AnyKind) == 0 {
+			t.Errorf("site %s injected nothing", site)
+		}
 	}
 }

@@ -2,69 +2,65 @@ package shard
 
 import (
 	"bytes"
+	"fmt"
 	"strings"
 	"testing"
-	"time"
+
+	"quicspin/internal/fault"
+	"quicspin/internal/scanner"
 )
 
-func TestParseFaultPlan(t *testing.T) {
-	plan, err := ParseFaultPlan("seed:9, drop:0.1, dup:0.05, corrupt:0.02, delay:0.2, max-delay:40ms, crash:1@25, panic:0@40x2, stall:3@10")
+// mustFaults parses a fault spec the way spinscan -faults does.
+func mustFaults(t *testing.T, spec string) *fault.Plan {
+	t.Helper()
+	plan, err := fault.Parse(spec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	tr := plan.Transport
-	if tr.Seed != 9 || tr.Drop != 0.1 || tr.Dup != 0.05 || tr.Corrupt != 0.02 || tr.Delay != 0.2 || tr.MaxDelay != 40*time.Millisecond {
-		t.Errorf("transport profile = %+v", tr)
+	return plan
+}
+
+// TestShardFaultRules pins the coordinator's side of a parsed fault spec
+// (fault.TestParse covers the grammar): shard rules must name a shard the
+// campaign has, and a crash scripted "after n deliveries, t times" kills
+// exactly the deliveries n..n+t-1 of its shard, whatever the kind.
+func TestShardFaultRules(t *testing.T) {
+	plan := mustFaults(t, "seed:9, udp.drop:0.1, shard.crash:1@25, shard.panic:0@40x2, shard.stall:3@10")
+	cfg := Config{Shards: 4, Weeks: []int{1}, ForWeek: baseConfig(scanner.EngineFast, 1), Faults: plan}
+	if err := cfg.Validate(); err != nil {
+		t.Errorf("plan within the shard count rejected: %v", err)
 	}
-	want := []CrashSpec{
-		{Vantage: -1, Shard: 1, After: 25, Kind: "error"},
-		{Vantage: -1, Shard: 0, After: 40, Times: 2, Kind: "panic"},
-		{Vantage: -1, Shard: 3, After: 10, Kind: "stall"},
+	cfg.Shards = 3
+	if err := cfg.Validate(); err == nil || !strings.Contains(err.Error(), `shard "3"`) {
+		t.Errorf("Validate = %v, want the out-of-range stall target rejected", err)
 	}
-	if len(plan.Crashes) != len(want) {
-		t.Fatalf("crashes = %+v, want %+v", plan.Crashes, want)
-	}
-	for i := range want {
-		if plan.Crashes[i] != want[i] {
-			t.Errorf("crash %d = %+v, want %+v", i, plan.Crashes[i], want[i])
+	interrupt := make(chan struct{})
+	close(interrupt)
+	for shard, dies := range map[string][]int64{"0": {41, 42}, "1": {26}, "2": nil, "3": {11}} {
+		hook := crashHook(plan, shard, interrupt)
+		var died []int64
+		for n := int64(1); n <= 60; n++ {
+			if hook(n) != nil {
+				died = append(died, n)
+			}
+		}
+		if fmt.Sprint(died) != fmt.Sprint(dies) {
+			t.Errorf("shard %s dies on deliveries %v, want %v", shard, died, dies)
 		}
 	}
-	if !plan.Enabled() || plan.transportFaults() == nil {
-		t.Error("parsed plan reads as disabled")
-	}
-	if c := plan.crashFor(2, 0); c == nil || c.Kind != "panic" {
-		t.Errorf("crashFor(2, 0) = %+v, want the panic spec (vantage wildcard)", c)
-	}
-	if c := plan.crashFor(0, 7); c != nil {
-		t.Errorf("crashFor(0, 7) = %+v, want nil", c)
+	if got := plan.Injected(fault.Shard, fault.AnyKind); got != 4 {
+		t.Errorf("injected shard faults = %d, want 4", got)
 	}
 }
 
-func TestParseFaultPlanEmptyAndErrors(t *testing.T) {
-	if plan, err := ParseFaultPlan("  "); plan != nil || err != nil {
-		t.Errorf("blank spec = %v, %v; want nil plan", plan, err)
-	}
-	var nilPlan *FaultPlan
-	if nilPlan.Enabled() || nilPlan.crashFor(0, 0) != nil || nilPlan.transportFaults() != nil {
-		t.Error("nil plan is not inert")
-	}
-	for _, bad := range []string{
-		"drop", "drop:", "drop:2", "drop:x", "seed:x", "max-delay:0",
-		"max-delay:soon", "warp:0.5", "crash:1", "crash:x@2", "crash:-1@2",
-		"crash:1@-2", "crash:1@2x0", "crash:1@2xq", "stall:@5",
-	} {
-		if _, err := ParseFaultPlan(bad); err == nil {
-			t.Errorf("ParseFaultPlan(%q) accepted", bad)
-		}
-	}
-}
-
+// TestCrashSpecDefaults: a crash spec without a multiplier kills one
+// delivery, so one restart recovers it.
 func TestCrashSpecDefaults(t *testing.T) {
-	if n := (CrashSpec{}).times(); n != 1 {
-		t.Errorf("zero Times = %d attempts, want 1", n)
-	}
-	if n := (CrashSpec{Times: 3}).times(); n != 3 {
-		t.Errorf("Times 3 = %d", n)
+	hook := crashHook(mustFaults(t, "shard.crash:0@3"), "0", nil)
+	for n := int64(1); n <= 10; n++ {
+		if died := hook(n) != nil; died != (n == 4) {
+			t.Errorf("delivery %d: died = %v", n, died)
+		}
 	}
 }
 

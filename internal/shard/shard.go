@@ -30,6 +30,7 @@ import (
 	"time"
 
 	"quicspin/internal/analysis"
+	"quicspin/internal/fault"
 	"quicspin/internal/resilience"
 	"quicspin/internal/scanner"
 	"quicspin/internal/telemetry"
@@ -158,9 +159,12 @@ type Config struct {
 	// coordinator merges the surviving shards and reports exactly what is
 	// missing through VantageResult.Coverage.
 	StrictShards bool
-	// Faults, when non-nil, injects the plan's scripted worker crashes and
-	// datagram faults — the chaos harness the determinism suite runs under.
-	Faults *FaultPlan
+	// Faults, when non-nil, injects the plan's shard rules (scripted worker
+	// crashes, panics and stalls; target: the shard index, index: the
+	// worker's deliveries across its restarts) and udp rules (both ends of
+	// the UDP collector exchange) — the chaos harness the determinism suite
+	// runs under. The configs ForWeek returns carry the other sites' plan.
+	Faults *fault.Plan
 	// Logf, when non-nil, receives supervisor progress lines (restarts,
 	// losses, submit retries).
 	Logf func(format string, args ...any)
@@ -199,16 +203,12 @@ func (c Config) Validate() error {
 	if c.StallTimeout < 0 {
 		return fmt.Errorf("shard: StallTimeout must be >= 0, got %v", c.StallTimeout)
 	}
-	if c.Faults != nil {
-		for _, crash := range c.Faults.Crashes {
-			switch crash.Kind {
-			case "", "error", "panic", "stall":
-			default:
-				return fmt.Errorf("shard: unknown crash kind %q (want error, panic or stall)", crash.Kind)
-			}
-			if crash.Shard < 0 || crash.Shard >= c.Shards {
-				return fmt.Errorf("shard: crash targets shard %d, campaign has %d", crash.Shard, c.Shards)
-			}
+	for _, r := range c.Faults.Rules() {
+		if r.Site != fault.Shard {
+			continue
+		}
+		if si, err := strconv.Atoi(r.Target); err != nil || si < 0 || si >= c.Shards {
+			return fmt.Errorf("shard: fault targets shard %q, campaign has shards 0-%d", r.Target, c.Shards-1)
 		}
 	}
 	return nil
@@ -237,7 +237,8 @@ type Result struct {
 // own RunStream), and the shard accumulators merge — over the configured
 // transport — into one campaign per vantage.
 //
-// On interruption (the scanner's Interrupt/InterruptAfter plumbing), Run
+// On interruption (the scanner's Interrupt channel or an injected
+// scan.interrupt fault), Run
 // merges what the shards completed and returns the partial Result with
 // scanner.ErrInterrupted, mirroring RunStream's contract. Any other shard
 // error fails the campaign.
@@ -282,7 +283,7 @@ func runVantage(w *websim.World, cfg Config, v scanner.Vantage, vi int) (*analys
 	var col *Collector
 	if cfg.Transport == TransportUDP {
 		var err error
-		if col, err = NewCollector(len(ranges), cfg.Faults.transportFaults()); err != nil {
+		if col, err = NewCollector(len(ranges), cfg.Faults); err != nil {
 			return nil, Coverage{}, err
 		}
 		defer col.Close()

@@ -238,7 +238,7 @@ func TestAgreementMath(t *testing.T) {
 	}
 }
 
-// TestInterruptAndResume interrupts every shard mid-campaign, then resumes
+// TestInterruptAndResume interrupts shards mid-campaign, then resumes
 // from the per-shard journals and requires the rendered campaign to be
 // byte-identical to an uninterrupted run — the distributed version of the
 // scanner's checkpoint contract.
@@ -250,9 +250,12 @@ func TestInterruptAndResume(t *testing.T) {
 		t.Fatal(err)
 	}
 	ckpt := t.TempDir()
+	// Domains 160..163 to complete anywhere in the campaign interrupt the
+	// shard scanning them: mid-population, whichever shards those are.
+	plan := mustFaults(t, "scan.interrupt:160x4")
 	interrupted := func(week int) scanner.Config {
 		sc := baseConfig(scanner.EngineFast, 2)(week)
-		sc.InterruptAfter = 40 // per shard, per week: dies mid-population
+		sc.Faults = plan
 		return sc
 	}
 	res, err := Run(w, Config{Shards: 4, Weeks: weeks, ForWeek: interrupted, Checkpoint: ckpt})

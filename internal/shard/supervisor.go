@@ -4,10 +4,12 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"strconv"
 	"sync/atomic"
 	"time"
 
 	"quicspin/internal/analysis"
+	"quicspin/internal/fault"
 	"quicspin/internal/scanner"
 	"quicspin/internal/telemetry"
 	"quicspin/internal/trace"
@@ -72,11 +74,15 @@ func (s *supervisor) recorder(si int) *trace.Recorder {
 // like the unsupervised coordinator behaved.
 func (s *supervisor) superviseShard(si int, r Range) (*analysis.CampaignAccumulator, ShardStatus) {
 	status := ShardStatus{Shard: si, Range: r}
-	crash := s.cfg.Faults.crashFor(s.vi, si)
+	// delivered counts the shard's deliveries across its attempts: the
+	// stall watchdog's progress signal and the index of the plan's shard
+	// faults ("after 40, twice" kills the attempt delivering the 41st
+	// domain and the next attempt's first delivery).
+	var delivered atomic.Int64
 	rng := rand.New(rand.NewSource(0x5d9e ^ int64(si)))
 	for attempt := 0; ; attempt++ {
 		status.Restarts = attempt
-		camp, err := s.attempt(si, r, attempt, crash)
+		camp, err := s.attempt(si, r, attempt > 0, &delivered)
 		if err == nil {
 			if attempt > 0 {
 				status.State = ShardRecovered
@@ -108,9 +114,9 @@ func (s *supervisor) superviseShard(si int, r Range) (*analysis.CampaignAccumula
 }
 
 // attempt runs one shard scan attempt with its fault-detection apparatus:
-// a stall watchdog (when configured), injected-crash hooks (when the
-// fault plan scripts one) and panic containment.
-func (s *supervisor) attempt(si int, r Range, attempt int, crash *CrashSpec) (camp *analysis.CampaignAccumulator, err error) {
+// a stall watchdog (when configured), the injected-crash hook (when there
+// is a fault plan) and panic containment.
+func (s *supervisor) attempt(si int, r Range, restart bool, delivered *atomic.Int64) (camp *analysis.CampaignAccumulator, err error) {
 	defer func() {
 		// Safety net for genuine panics escaping the scan path; injected
 		// panics are already contained at the delivery hook below.
@@ -122,17 +128,16 @@ func (s *supervisor) attempt(si int, r Range, attempt int, crash *CrashSpec) (ca
 	defer close(done)
 	interrupt := s.user
 	var stallCh chan struct{}
-	var progress atomic.Int64
 	if s.cfg.StallTimeout > 0 {
 		stallCh = make(chan struct{})
-		go stallWatch(&progress, s.cfg.StallTimeout, stallCh, done)
+		go stallWatch(delivered, s.cfg.StallTimeout, stallCh, done)
 		interrupt = mergeInterrupt(s.user, stallCh, done)
 	}
 	var hook func(int64) error
-	if crash != nil && attempt < crash.times() {
-		hook = crashHook(crash, interrupt)
+	if s.cfg.Faults != nil {
+		hook = crashHook(s.cfg.Faults, strconv.Itoa(si), interrupt)
 	}
-	camp, err = runShard(s.w, s.cfg, s.v, s.vi, si, r, attempt > 0, interrupt, hook, &progress)
+	camp, err = runShard(s.w, s.cfg, s.v, s.vi, si, r, restart, interrupt, hook, delivered)
 	if err != nil && errors.Is(err, scanner.ErrInterrupted) {
 		if chClosed(s.user) {
 			return camp, scanner.ErrInterrupted // operator interrupt wins
@@ -169,7 +174,7 @@ func (s *supervisor) noteLost(si, attempt int, cause error) {
 // retried, fault-injected, idempotent submission.
 func (s *supervisor) submit(si int, camp *analysis.CampaignAccumulator) error {
 	return SubmitWithPolicy(s.col.Addr().String(), si, camp.Marshal(), SubmitPolicy{
-		Faults: s.cfg.Faults.transportFaults(),
+		Faults: s.cfg.Faults,
 		OnRetry: func(attempt int, err error) {
 			s.submitRetries.Inc()
 			s.logf("shard %d (vantage %d): submit attempt %d failed (%v); retrying", si, s.vi, attempt, err)
@@ -177,37 +182,34 @@ func (s *supervisor) submit(si int, camp *analysis.CampaignAccumulator) error {
 	})
 }
 
-// crashHook scripts one attempt's injected failure. It runs inside the
-// delivery path (called with the attempt's 1-based delivery count), so a
-// "panic" kind is recovered right here at the hook boundary — letting it
-// unwind through RunStream would strand the scan pipeline's workers —
-// and converted into the error RunStream aborts with.
-func crashHook(crash *CrashSpec, interrupt <-chan struct{}) func(int64) error {
-	fired := false
+// crashHook injects the plan's faults for one shard. It runs inside the
+// delivery path (called with the shard's 1-based delivery count), so a
+// panic is recovered right here at the hook boundary — letting it unwind
+// through RunStream would strand the scan pipeline's workers — and
+// converted into the error RunStream aborts with.
+func crashHook(plan *fault.Plan, shard string, interrupt <-chan struct{}) func(int64) error {
 	return func(n int64) (err error) {
-		if fired || int(n) != crash.After+1 {
-			return nil
-		}
-		fired = true
+		before := int(n) - 1 // deliveries before this one
 		defer func() {
 			if p := recover(); p != nil {
 				err = fmt.Errorf("injected fault: worker panic: %v", p)
 			}
 		}()
-		switch crash.Kind {
-		case "panic":
-			panic(fmt.Sprintf("injected panic after %d domains", crash.After))
-		case "stall":
+		switch {
+		case plan.Hit(fault.Shard, fault.Panic, shard, before):
+			panic(fmt.Sprintf("injected panic after %d domains", before))
+		case plan.Hit(fault.Shard, fault.Stall, shard, before):
 			if interrupt == nil {
 				// No watchdog and no interrupt channel: blocking here would
 				// hang the campaign forever, so degrade to a crash.
-				return fmt.Errorf("injected fault: stall after %d domains with no stall watchdog", crash.After)
+				return fmt.Errorf("injected fault: stall after %d domains with no stall watchdog", before)
 			}
 			<-interrupt
-			return fmt.Errorf("injected fault: stall after %d domains", crash.After)
-		default:
-			return fmt.Errorf("injected fault: crash after %d domains", crash.After)
+			return fmt.Errorf("injected fault: stall after %d domains", before)
+		case plan.Hit(fault.Shard, fault.Crash, shard, before):
+			return fmt.Errorf("injected fault: crash after %d domains", before)
 		}
+		return nil
 	}
 }
 

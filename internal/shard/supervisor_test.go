@@ -12,7 +12,6 @@ import (
 	"quicspin/internal/scanner"
 	"quicspin/internal/telemetry"
 	"quicspin/internal/trace"
-	"quicspin/internal/udprun"
 )
 
 // fastBackoff keeps supervised restarts from slowing the tests down.
@@ -35,7 +34,7 @@ func TestSupervisorRecoversCrash(t *testing.T) {
 		Shards: 2, Weeks: weeks, ForWeek: baseConfig(scanner.EngineFast, 2),
 		Checkpoint: t.TempDir(), Telemetry: tm, Trace: tracer, Live: live,
 		MaxRestarts: 2, RestartBackoff: fastBackoff,
-		Faults: &FaultPlan{Crashes: []CrashSpec{{Vantage: -1, Shard: 1, After: 40, Kind: "error"}}},
+		Faults: mustFaults(t, "shard.crash:1@40"),
 	})
 	if err != nil {
 		t.Fatalf("supervised campaign failed: %v", err)
@@ -92,7 +91,7 @@ func TestSupervisorRecoversPanicAndStall(t *testing.T) {
 				Checkpoint: t.TempDir(), Telemetry: tm,
 				MaxRestarts: 3, RestartBackoff: fastBackoff,
 				StallTimeout: 150 * time.Millisecond,
-				Faults:       &FaultPlan{Crashes: []CrashSpec{{Vantage: -1, Shard: 0, After: 30, Times: 2, Kind: kind}}},
+				Faults:       mustFaults(t, "shard."+kind+":0@30x2"),
 			})
 			if err != nil {
 				t.Fatalf("%s campaign failed: %v", kind, err)
@@ -127,7 +126,7 @@ func TestShardLostDegradedMerge(t *testing.T) {
 				Shards: 2, Weeks: []int{1}, ForWeek: baseConfig(scanner.EngineFast, 2),
 				Transport: transport, Telemetry: tm, Live: live,
 				MaxRestarts: 1, RestartBackoff: fastBackoff,
-				Faults: &FaultPlan{Crashes: []CrashSpec{{Vantage: -1, Shard: 1, After: 20, Times: 99, Kind: "error"}}},
+				Faults: mustFaults(t, "shard.crash:1@20x99"),
 			})
 			if err != nil {
 				t.Fatalf("degraded campaign failed outright: %v", err)
@@ -177,7 +176,7 @@ func TestStrictShardsFailsFast(t *testing.T) {
 	_, err := Run(w, Config{
 		Shards: 2, Weeks: []int{1}, ForWeek: baseConfig(scanner.EngineFast, 2),
 		StrictShards: true, MaxRestarts: 1, RestartBackoff: fastBackoff,
-		Faults: &FaultPlan{Crashes: []CrashSpec{{Vantage: -1, Shard: 1, After: 20, Times: 99, Kind: "error"}}},
+		Faults: mustFaults(t, "shard.crash:1@20x99"),
 	})
 	if err == nil || !strings.Contains(err.Error(), "strict mode") || !strings.Contains(err.Error(), "shard 1") {
 		t.Errorf("strict campaign = %v, want a strict-mode loss error naming shard 1", err)
@@ -191,10 +190,7 @@ func TestAllShardsLost(t *testing.T) {
 	_, err := Run(w, Config{
 		Shards: 2, Weeks: []int{1}, ForWeek: baseConfig(scanner.EngineFast, 2),
 		MaxRestarts: 0, RestartBackoff: fastBackoff,
-		Faults: &FaultPlan{Crashes: []CrashSpec{
-			{Vantage: -1, Shard: 0, After: 5, Times: 99, Kind: "error"},
-			{Vantage: -1, Shard: 1, After: 5, Times: 99, Kind: "error"},
-		}},
+		Faults: mustFaults(t, "shard.crash:0@5x99,shard.crash:1@5x99"),
 	})
 	if err == nil || !strings.Contains(err.Error(), "every shard was lost") {
 		t.Errorf("all-lost campaign = %v, want a nothing-to-merge error", err)
@@ -202,15 +198,16 @@ func TestAllShardsLost(t *testing.T) {
 }
 
 // TestSupervisorPassesInterruptThrough pins that supervision does not
-// swallow operator interrupts: InterruptAfter still surfaces
+// swallow operator interrupts: an injected scan.interrupt still surfaces
 // ErrInterrupted with a partial result, and the interrupt is not burned
 // as a restart attempt.
 func TestSupervisorPassesInterruptThrough(t *testing.T) {
 	w := fixture(t)
 	tm := telemetry.New()
+	plan := mustFaults(t, "scan.interrupt:40")
 	interrupted := func(week int) scanner.Config {
 		sc := baseConfig(scanner.EngineFast, 2)(week)
-		sc.InterruptAfter = 40
+		sc.Faults = plan
 		return sc
 	}
 	res, err := Run(w, Config{
@@ -240,7 +237,7 @@ func TestStallWatchdogKillsSilentWorker(t *testing.T) {
 		Telemetry:   tm,
 		MaxRestarts: 1, RestartBackoff: fastBackoff,
 		StallTimeout: 120 * time.Millisecond,
-		Faults:       &FaultPlan{Crashes: []CrashSpec{{Vantage: -1, Shard: 0, After: 10, Times: 99, Kind: "stall"}}},
+		Faults:       mustFaults(t, "shard.stall:0@10x99"),
 	})
 	if err != nil {
 		t.Fatalf("campaign failed outright: %v", err)
@@ -268,10 +265,7 @@ func TestSupervisedUDPWithTransportFaults(t *testing.T) {
 		Shards: 2, Weeks: []int{1}, ForWeek: baseConfig(scanner.EngineFast, 2),
 		Transport: TransportUDP, Checkpoint: t.TempDir(), Telemetry: tm,
 		MaxRestarts: 2, RestartBackoff: fastBackoff,
-		Faults: &FaultPlan{
-			Transport: udprun.FaultConfig{Seed: 5, Drop: 0.08, Dup: 0.08, Corrupt: 0.04, Delay: 0.08, MaxDelay: 3 * time.Millisecond},
-			Crashes:   []CrashSpec{{Vantage: -1, Shard: 1, After: 35, Kind: "error"}},
-		},
+		Faults: mustFaults(t, "seed:5,udp.drop:0.08,udp.dup:0.08,udp.corrupt:0.04,udp.delay:0.08,udp.max-delay:3ms,shard.crash:1@35"),
 	})
 	if err != nil {
 		t.Fatalf("chaos campaign failed: %v", err)

@@ -163,17 +163,11 @@ func (h *Histogram) snapshot() HistogramSnapshot {
 	return s
 }
 
-// SpanHook observes completed spans: stage name, start time and duration.
-// Times are in the caller's clock domain (the scanner passes virtual time).
-type SpanHook func(stage string, start time.Time, d time.Duration)
-
 // Stage is a named coarse phase of a scan whose durations are recorded
-// into a histogram and, when set, forwarded to the registry's span hook.
-// A nil Stage is a valid no-op.
+// into a histogram. Times are in the caller's clock domain (the scanner
+// passes virtual time). A nil Stage is a valid no-op.
 type Stage struct {
-	reg  *Registry
-	name string
-	h    *Histogram
+	h *Histogram
 }
 
 // Start opens a span at the given instant. Valid on a nil receiver (the
@@ -200,9 +194,6 @@ func (sp Span) End(at time.Time) {
 		d = 0
 	}
 	s.h.ObserveDuration(d)
-	if hook := s.reg.hook.Load(); hook != nil {
-		(*hook)(s.name, sp.start, d)
-	}
 }
 
 // Registry is a named collection of metrics. All methods are safe for
@@ -214,7 +205,6 @@ type Registry struct {
 	gauges map[string]*Gauge
 	hists  map[string]*Histogram
 	helps  map[string]string // base family name → HELP text
-	hook   atomic.Pointer[SpanHook]
 }
 
 // New creates an empty registry.
@@ -268,19 +258,6 @@ func (r *Registry) helpTexts() map[string]string {
 		out[k] = v
 	}
 	return out
-}
-
-// SetSpanHook installs (or clears, with nil) the hook invoked at every
-// Stage span completion.
-func (r *Registry) SetSpanHook(h SpanHook) {
-	if r == nil {
-		return
-	}
-	if h == nil {
-		r.hook.Store(nil)
-		return
-	}
-	r.hook.Store(&h)
 }
 
 // Counter returns the counter registered under name, creating it on first
@@ -353,8 +330,7 @@ func (r *Registry) Stage(name, stage string, bounds []float64) *Stage {
 	if r == nil {
 		return nil
 	}
-	h := r.Histogram(Name(name, "stage", stage), bounds)
-	return &Stage{reg: r, name: stage, h: h}
+	return &Stage{h: r.Histogram(Name(name, "stage", stage), bounds)}
 }
 
 // DurationBuckets are the default bounds (seconds) for per-stage

@@ -195,9 +195,6 @@ func randomCID(cfg Config, n int) wire.ConnectionID {
 	return wire.NewConnectionID(b)
 }
 
-// IsClient reports whether this is the connection initiator.
-func (c *Conn) IsClient() bool { return c.isClient }
-
 // ODCID returns the original destination connection ID identifying the
 // connection attempt (used for qlog and demultiplexing).
 func (c *Conn) ODCID() wire.ConnectionID { return c.odcid }
@@ -224,9 +221,6 @@ func (c *Conn) TermError() error { return c.termErr }
 
 // RTT exposes the RFC 9002 estimator (the paper's baseline measurements).
 func (c *Conn) RTT() *rtt.Estimator { return c.estimator }
-
-// SpinController exposes the spin-bit controller for inspection.
-func (c *Conn) SpinController() *core.Controller { return c.spin }
 
 // Observations returns the spin-bit observation series of received 1-RTT
 // packets in arrival order (the client-side vantage point of the paper).

@@ -5,12 +5,14 @@ import (
 	"net"
 	"testing"
 	"time"
+
+	"quicspin/internal/fault"
 )
 
 // checksumPair returns checksum-framed sender and receiver sockets on
 // loopback UDP, the sender optionally corrupted by a FaultConn inside
 // the framing.
-func checksumPair(t *testing.T, faults *FaultConfig) (*ChecksumConn, *ChecksumConn, net.Addr) {
+func checksumPair(t *testing.T, faults *fault.Plan) (*ChecksumConn, *ChecksumConn, net.Addr) {
 	t.Helper()
 	recv, err := net.ListenPacket("udp", "127.0.0.1:0")
 	if err != nil {
@@ -24,7 +26,7 @@ func checksumPair(t *testing.T, faults *FaultConfig) (*ChecksumConn, *ChecksumCo
 	t.Cleanup(func() { send.Close(); recv.Close() })
 	sender := net.PacketConn(send)
 	if faults != nil {
-		sender = NewFaultConn(sender, *faults)
+		sender = NewFaultConn(sender, faults, "sender")
 	}
 	return NewChecksumConn(sender), NewChecksumConn(recv), recv.LocalAddr()
 }
@@ -48,7 +50,7 @@ func TestChecksumConnRoundTrip(t *testing.T) {
 // degradation: every bit-flipped datagram is discarded by the receiver,
 // and clean ones keep flowing on the same socket.
 func TestChecksumConnDropsCorruption(t *testing.T) {
-	send, recv, addr := checksumPair(t, &FaultConfig{Seed: 7, Corrupt: 1})
+	send, recv, addr := checksumPair(t, always(fault.Corrupt))
 	for i := 0; i < 5; i++ {
 		if _, err := send.WriteTo([]byte("mangled in transit"), addr); err != nil {
 			t.Fatal(err)

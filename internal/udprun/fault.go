@@ -1,136 +1,68 @@
 package udprun
 
 import (
-	"math/rand"
 	"net"
-	"sync"
 	"time"
+
+	"quicspin/internal/fault"
 )
 
-// FaultConfig parameterises seeded datagram fault injection for a
-// PacketConn: every outbound datagram is independently dropped,
-// duplicated, bit-flipped or held back according to the configured
-// probabilities. Wrapping both peers of an exchange therefore subjects
-// both directions to loss, duplication, corruption and reordering (a
-// delayed datagram overtakes later undelayed ones), which is how the
-// shard collector exchange is chaos-tested without leaving the process.
+// FaultConn wraps a PacketConn and applies a fault plan's udp rules to
+// every WriteTo: each outbound datagram is independently dropped,
+// duplicated, bit-flipped or held back. Reads pass through untouched, so
+// wrapping both peers of an exchange subjects both directions to loss,
+// duplication, corruption and reordering (a delayed datagram is overtaken
+// by later undelayed ones) — which is how the shard collector exchange is
+// chaos-tested without leaving the process. Safe for concurrent use.
 //
-// Faults draw from one seeded rng, so a fixed seed yields a fixed fault
-// pattern for a fixed send sequence. The transports above are expected to
-// absorb every fault (retransmission, dedup, CRC framing); fault
-// injection must never change what the application layer finally agrees
-// on — only how hard the exchange has to work for it.
-type FaultConfig struct {
-	// Seed initialises the fault rng. Zero is a valid seed.
-	Seed int64
-	// Drop is the probability an outbound datagram is silently discarded.
-	Drop float64
-	// Dup is the probability a datagram is sent twice.
-	Dup float64
-	// Corrupt is the probability exactly one bit of the datagram is
-	// flipped before sending (single-bit flips are always detectable by
-	// the CRC32 framing above this layer).
-	Corrupt float64
-	// Delay is the probability a datagram is held back for a uniform
-	// duration in (0, MaxDelay] before sending — later datagrams overtake
-	// it, reordering the stream.
-	Delay float64
-	// MaxDelay bounds the hold-back; zero means 25ms.
-	MaxDelay time.Duration
-}
-
-// Enabled reports whether any fault has a non-zero probability.
-func (c FaultConfig) Enabled() bool {
-	return c.Drop > 0 || c.Dup > 0 || c.Corrupt > 0 || c.Delay > 0
-}
-
-func (c FaultConfig) maxDelay() time.Duration {
-	if c.MaxDelay <= 0 {
-		return 25 * time.Millisecond
-	}
-	return c.MaxDelay
-}
-
-// FaultStats counts the faults a FaultConn has injected.
-type FaultStats struct {
-	Sent, Dropped, Duplicated, Corrupted, Delayed int64
-}
-
-// FaultConn wraps a PacketConn and applies a FaultConfig to every WriteTo.
-// Reads pass through untouched: wrapping each peer's socket faults that
-// peer's outbound direction, so both directions are covered when both
-// ends wrap. Safe for concurrent use.
+// The transports above are expected to absorb every fault
+// (retransmission, dedup, CRC framing); fault injection must never change
+// what the application layer finally agrees on — only how hard the
+// exchange has to work for it.
 type FaultConn struct {
 	net.PacketConn
 
-	cfg FaultConfig
-
-	mu    sync.Mutex
-	rng   *rand.Rand
-	stats FaultStats
+	plan *fault.Plan
+	// label is the fault target: it names this socket in the plan.
+	label string
 }
 
-// NewFaultConn wraps pc with seeded fault injection.
-func NewFaultConn(pc net.PacketConn, cfg FaultConfig) *FaultConn {
-	return &FaultConn{PacketConn: pc, cfg: cfg, rng: rand.New(rand.NewSource(cfg.Seed))}
+// NewFaultConn wraps pc with the plan's udp faults, naming the socket
+// label.
+func NewFaultConn(pc net.PacketConn, plan *fault.Plan, label string) *FaultConn {
+	return &FaultConn{PacketConn: pc, plan: plan, label: label}
 }
 
 // WriteTo applies the fault plan to one datagram. A dropped datagram
 // still reports success — from the sender's perspective it went out and
 // the network ate it.
 func (f *FaultConn) WriteTo(b []byte, addr net.Addr) (int, error) {
-	f.mu.Lock()
-	f.stats.Sent++
-	drop := f.rng.Float64() < f.cfg.Drop
-	dup := f.rng.Float64() < f.cfg.Dup
-	corrupt := f.rng.Float64() < f.cfg.Corrupt
-	delay := f.rng.Float64() < f.cfg.Delay
-	var flipBit int
-	var holdFor time.Duration
-	if corrupt && len(b) > 0 {
-		flipBit = f.rng.Intn(len(b) * 8)
-	}
-	if delay {
-		holdFor = time.Duration(1 + f.rng.Int63n(int64(f.cfg.maxDelay())))
-	}
-	switch {
-	case drop:
-		f.stats.Dropped++
-	default:
-		if dup {
-			f.stats.Duplicated++
-		}
-		if corrupt && len(b) > 0 {
-			f.stats.Corrupted++
-		}
-		if delay {
-			f.stats.Delayed++
-		}
-	}
-	f.mu.Unlock()
-
-	if drop {
+	n := f.plan.Next(fault.UDP)
+	hit := func(kind fault.Kind) bool { return f.plan.Hit(fault.UDP, kind, f.label, n) }
+	if hit(fault.Drop) {
 		return len(b), nil
 	}
 	data := b
-	if corrupt && len(b) > 0 {
+	if len(b) > 0 && hit(fault.Corrupt) {
+		// Exactly one flipped bit: always detectable by the CRC framing
+		// above this layer.
+		bit := f.plan.Draw(fault.UDP, fault.Corrupt, f.label, n, len(b)*8)
 		data = append([]byte(nil), b...)
-		data[flipBit/8] ^= 1 << (flipBit % 8)
+		data[bit/8] ^= 1 << (bit % 8)
 	}
 	copies := 1
-	if dup {
+	if hit(fault.Dup) {
 		copies = 2
 	}
-	if delay {
+	if hit(fault.Delay) {
 		// The held-back copy is written from a timer goroutine; a send on
 		// a socket closed in the meantime just errors and is discarded,
 		// like any datagram still in flight when its sender dies.
 		held := append([]byte(nil), data...)
-		dst := addr
-		n := copies
+		holdFor := time.Duration(1 + f.plan.Draw(fault.UDP, fault.Delay, f.label, n, int(f.plan.MaxDelay)))
 		time.AfterFunc(holdFor, func() {
-			for i := 0; i < n; i++ {
-				_, _ = f.PacketConn.WriteTo(held, dst)
+			for i := 0; i < copies; i++ {
+				_, _ = f.PacketConn.WriteTo(held, addr)
 			}
 		})
 		return len(b), nil
@@ -141,11 +73,4 @@ func (f *FaultConn) WriteTo(b []byte, addr net.Addr) (int, error) {
 		}
 	}
 	return len(b), nil
-}
-
-// Stats returns a snapshot of the injected-fault counters.
-func (f *FaultConn) Stats() FaultStats {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return f.stats
 }

@@ -5,11 +5,18 @@ import (
 	"net"
 	"testing"
 	"time"
+
+	"quicspin/internal/fault"
 )
+
+// always is a plan that applies one udp fault to every datagram.
+func always(kind fault.Kind) *fault.Plan {
+	return fault.New(1, fault.Rule{Site: fault.UDP, Kind: kind, P: 1})
+}
 
 // faultPair returns a fault-wrapped sender and a plain receiver on
 // loopback UDP.
-func faultPair(t *testing.T, cfg FaultConfig) (*FaultConn, net.PacketConn, net.Addr) {
+func faultPair(t *testing.T, plan *fault.Plan) (*FaultConn, net.PacketConn, net.Addr) {
 	t.Helper()
 	recv, err := net.ListenPacket("udp", "127.0.0.1:0")
 	if err != nil {
@@ -20,7 +27,7 @@ func faultPair(t *testing.T, cfg FaultConfig) (*FaultConn, net.PacketConn, net.A
 		recv.Close()
 		t.Fatal(err)
 	}
-	fc := NewFaultConn(send, cfg)
+	fc := NewFaultConn(send, plan, "sender")
 	t.Cleanup(func() { send.Close(); recv.Close() })
 	return fc, recv, recv.LocalAddr()
 }
@@ -42,7 +49,8 @@ func collect(t *testing.T, pc net.PacketConn, deadline time.Duration) [][]byte {
 }
 
 func TestFaultConnDrop(t *testing.T) {
-	fc, recv, addr := faultPair(t, FaultConfig{Seed: 1, Drop: 1})
+	plan := always(fault.Drop)
+	fc, recv, addr := faultPair(t, plan)
 	for i := 0; i < 5; i++ {
 		if _, err := fc.WriteTo([]byte("doomed"), addr); err != nil {
 			t.Fatalf("dropped write reported error: %v", err)
@@ -51,13 +59,14 @@ func TestFaultConnDrop(t *testing.T) {
 	if got := collect(t, recv, 100*time.Millisecond); len(got) != 0 {
 		t.Errorf("Drop=1 delivered %d datagrams", len(got))
 	}
-	if st := fc.Stats(); st.Dropped != 5 || st.Sent != 5 {
-		t.Errorf("stats = %+v, want 5 sent / 5 dropped", st)
+	if got := plan.Injected(fault.UDP, fault.Drop); got != 5 {
+		t.Errorf("injected drops = %d, want 5 of 5 sent", got)
 	}
 }
 
 func TestFaultConnDuplicate(t *testing.T) {
-	fc, recv, addr := faultPair(t, FaultConfig{Seed: 2, Dup: 1})
+	plan := always(fault.Dup)
+	fc, recv, addr := faultPair(t, plan)
 	if _, err := fc.WriteTo([]byte("twice"), addr); err != nil {
 		t.Fatal(err)
 	}
@@ -65,13 +74,13 @@ func TestFaultConnDuplicate(t *testing.T) {
 	if len(got) != 2 || !bytes.Equal(got[0], got[1]) {
 		t.Fatalf("Dup=1 delivered %d datagrams, want 2 identical", len(got))
 	}
-	if st := fc.Stats(); st.Duplicated != 1 {
-		t.Errorf("stats = %+v, want 1 duplicated", st)
+	if got := plan.Injected(fault.UDP, fault.Dup); got != 1 {
+		t.Errorf("injected duplicates = %d, want 1", got)
 	}
 }
 
 func TestFaultConnCorruptFlipsExactlyOneBit(t *testing.T) {
-	fc, recv, addr := faultPair(t, FaultConfig{Seed: 3, Corrupt: 1})
+	fc, recv, addr := faultPair(t, always(fault.Corrupt))
 	orig := []byte("payload-payload-payload")
 	if _, err := fc.WriteTo(orig, addr); err != nil {
 		t.Fatal(err)
@@ -100,7 +109,9 @@ func TestFaultConnCorruptFlipsExactlyOneBit(t *testing.T) {
 }
 
 func TestFaultConnDelayReorders(t *testing.T) {
-	fc, recv, addr := faultPair(t, FaultConfig{Seed: 4, Delay: 1, MaxDelay: 50 * time.Millisecond})
+	plan := always(fault.Delay)
+	plan.MaxDelay = 50 * time.Millisecond
+	fc, recv, addr := faultPair(t, plan)
 	if _, err := fc.WriteTo([]byte("held"), addr); err != nil {
 		t.Fatal(err)
 	}
@@ -121,18 +132,19 @@ func TestFaultConnDelayReorders(t *testing.T) {
 	if string(got[0]) != "prompt" || string(got[1]) != "held" {
 		t.Errorf("delivery order = %q, %q; want prompt before held", got[0], got[1])
 	}
-	if st := fc.Stats(); st.Delayed != 1 {
-		t.Errorf("stats = %+v, want 1 delayed", st)
+	if got := plan.Injected(fault.UDP, fault.Delay); got != 1 {
+		t.Errorf("injected delays = %d, want 1", got)
 	}
 }
 
+// TestFaultConfigEnabled: the shard layer wraps its sockets whenever there
+// is a plan; one without udp rules must leave them transparent.
 func TestFaultConfigEnabled(t *testing.T) {
-	if (FaultConfig{}).Enabled() {
-		t.Error("zero FaultConfig reports enabled")
+	fc, recv, addr := faultPair(t, fault.New(1, fault.Rule{Site: fault.FS, Kind: fault.WriteErr, P: 1}))
+	if _, err := fc.WriteTo([]byte("intact"), addr); err != nil {
+		t.Fatal(err)
 	}
-	for _, c := range []FaultConfig{{Drop: 0.1}, {Dup: 0.1}, {Corrupt: 0.1}, {Delay: 0.1}} {
-		if !c.Enabled() {
-			t.Errorf("%+v reports disabled", c)
-		}
+	if got := collect(t, recv, 100*time.Millisecond); len(got) != 1 || string(got[0]) != "intact" {
+		t.Errorf("plan without udp rules delivered %q", got)
 	}
 }

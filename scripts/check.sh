@@ -161,23 +161,25 @@ if ! diff -u "$tmp/shard-reference.txt" "$tmp/shard-resumed.txt"; then
     exit 1
 fi
 
-# Shard chaos smoke: run a sharded UDP campaign with the full fault plan —
-# a scripted worker crash recovered from the checkpoint journal plus
-# datagram drop/duplication/corruption/delay on the accumulator exchange —
-# and require the rendered tables to be byte-identical to the fault-free
+# Shard chaos smoke: run a sharded UDP campaign with faults at three sites
+# from one -faults spec — a scripted worker crash recovered from the
+# checkpoint journal, datagram drop/duplication/corruption/delay on the
+# accumulator exchange, and storage faults under every shard journal — and
+# require the rendered tables to be byte-identical to the fault-free
 # sharded reference above. The supervisor must log the restart, proving
-# the injected crash actually fired.
+# the injected crash actually fired. The seed changes from run to run
+# (neutrality must hold for every fault pattern) and is printed on failure.
 echo "== shard chaos smoke"
-"$tmp/spinscan" $shard_flags -shard-transport udp -checkpoint "$tmp/chaos-ckpt" \
-    -shard-faults "seed:3,drop:0.05,dup:0.05,corrupt:0.02,delay:0.05,max-delay:2ms,crash:1@40" \
+chaos_plan="seed:$(date +%s),udp.drop:0.05,udp.dup:0.05,udp.corrupt:0.02,udp.delay:0.05,udp.max-delay:2ms,fs.short-write:0.05,fs.write-err:0.1,fs.sync-err:0.05,shard.crash:1@40"
+"$tmp/spinscan" $shard_flags -shard-transport udp -checkpoint "$tmp/chaos-ckpt" -faults "$chaos_plan" \
     2>"$tmp/chaos.log" >"$tmp/chaos.txt"
 if ! diff -u "$tmp/shard-reference.txt" "$tmp/chaos.txt"; then
-    echo "chaos-run tables differ from the fault-free sharded reference" >&2
+    echo "chaos-run tables differ from the fault-free sharded reference (-faults $chaos_plan)" >&2
     cat "$tmp/chaos.log" >&2
     exit 1
 fi
 if ! grep -q "restarting from journal" "$tmp/chaos.log"; then
-    echo "chaos run never restarted a shard (injected crash did not fire):" >&2
+    echo "chaos run never restarted a shard (injected crash did not fire; -faults $chaos_plan):" >&2
     cat "$tmp/chaos.log" >&2
     exit 1
 fi
@@ -192,12 +194,12 @@ fi
 # equivalence contract end to end at the CLI.
 echo "== follow-mode smoke"
 follow_flags="-scale 20000 -engine emulated -weeks 3 -workers 4 -progress 0"
-storage_plan="seed:7,short-write:0.05,write-err:0.1,sync-err:0.05"
+storage_plan="seed:7,fs.short-write:0.05,fs.write-err:0.1,fs.sync-err:0.05"
 
 "$tmp/spinscan" $follow_flags 2>/dev/null >"$tmp/follow-reference.txt"
 
 "$tmp/spinscan" $follow_flags -follow -checkpoint "$tmp/follow-ckpt" \
-    -storage-faults "$storage_plan" -journal-segment-bytes 8192 -journal-sync 16 \
+    -faults "$storage_plan" -journal-segment-bytes 8192 -journal-sync 16 \
     2>"$tmp/follow.log" >"$tmp/follow-first.txt" &
 follow_pid=$!
 i=0
@@ -213,7 +215,7 @@ follow_rc=0
 wait "$follow_pid" || follow_rc=$?
 if [ "$follow_rc" = 143 ]; then
     "$tmp/spinscan" $follow_flags -follow -checkpoint "$tmp/follow-ckpt" -resume \
-        -storage-faults "$storage_plan" -journal-segment-bytes 8192 -journal-sync 16 \
+        -faults "$storage_plan" -journal-segment-bytes 8192 -journal-sync 16 \
         2>>"$tmp/follow.log" >"$tmp/follow-resumed.txt"
 elif [ "$follow_rc" = 0 ]; then
     # The campaign outran the signal; its complete output still must match.
@@ -229,8 +231,8 @@ if ! diff -u "$tmp/follow-reference.txt" "$tmp/follow-resumed.txt"; then
     cat "$tmp/follow.log" >&2
     exit 1
 fi
-if ! grep -q "storage fault injection armed" "$tmp/follow.log"; then
-    echo "storage fault plan never armed:" >&2
+if ! grep -q "fault injection armed" "$tmp/follow.log"; then
+    echo "fault plan never armed:" >&2
     cat "$tmp/follow.log" >&2
     exit 1
 fi
