@@ -77,6 +77,7 @@ func main() {
 			Body:    b,
 		}
 	})
+	ep.OnClose = func(_ string, conn *transport.Conn) { srv.Forget(conn) }
 	runner := udprun.NewEndpointRunner(ep, pc)
 	runner.OnActivity = func(ep *transport.Endpoint, now time.Time) {
 		for _, conn := range ep.Conns() {

@@ -201,6 +201,7 @@ func runEmulate(tbl *flowtable.Table, cfg emulateConfig, interrupt <-chan struct
 		ep := transport.NewEndpoint(func(peer string) transport.Config {
 			return transport.Config{Rng: rng, SpinPolicy: policy, EnableVEC: true}
 		})
+		ep.OnClose = func(_ string, conn *transport.Conn) { srv.Forget(conn) }
 		host := netem.NewServerHost(net, addr, ep)
 		host.OnActivity = func(ep *transport.Endpoint, now time.Time) {
 			for _, conn := range ep.Conns() {

@@ -14,7 +14,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 	"strconv"
 	"strings"
 )
@@ -72,12 +72,17 @@ func (r *Response) IsRedirect() bool {
 
 // EncodeRequest serialises a request for transmission on a stream.
 func EncodeRequest(req *Request) []byte {
-	var b bytes.Buffer
-	fmt.Fprintf(&b, "%s %s %s\n", req.Method, req.Path, protoLine)
-	fmt.Fprintf(&b, ":authority: %s\n", req.Authority)
-	writeHeaders(&b, req.Headers)
-	b.WriteByte('\n')
-	return b.Bytes()
+	b := make([]byte, 0, 256)
+	b = append(b, req.Method...)
+	b = append(b, ' ')
+	b = append(b, req.Path...)
+	b = append(b, ' ')
+	b = append(b, protoLine...)
+	b = append(b, "\n:authority: "...)
+	b = append(b, req.Authority...)
+	b = append(b, '\n')
+	b = appendHeaders(b, req.Headers)
+	return append(b, '\n')
 }
 
 // ParseRequest parses a complete request stream.
@@ -112,13 +117,25 @@ func ParseRequest(data []byte) (*Request, error) {
 
 // EncodeResponse serialises a response for transmission on a stream.
 func EncodeResponse(resp *Response) []byte {
-	var b bytes.Buffer
-	fmt.Fprintf(&b, "%s %d\n", protoLine, resp.Status)
-	fmt.Fprintf(&b, "content-length: %d\n", len(resp.Body))
-	writeHeaders(&b, resp.Headers)
-	b.WriteByte('\n')
-	b.Write(resp.Body)
-	return b.Bytes()
+	b := make([]byte, 0, 128+len(resp.Body))
+	b = AppendResponseHead(b, resp.Status, len(resp.Body), resp.Headers)
+	return append(b, resp.Body...)
+}
+
+// AppendResponseHead appends everything of an encoded response that comes
+// before its body — status line, content-length, headers and the blank
+// line — to dst. A server that already holds the body elsewhere sends the
+// head and the body as consecutive stream writes instead of joining them;
+// EncodeResponse is this head followed by the body.
+func AppendResponseHead(dst []byte, status, contentLength int, headers map[string]string) []byte {
+	dst = append(dst, protoLine...)
+	dst = append(dst, ' ')
+	dst = strconv.AppendInt(dst, int64(status), 10)
+	dst = append(dst, "\ncontent-length: "...)
+	dst = strconv.AppendInt(dst, int64(contentLength), 10)
+	dst = append(dst, '\n')
+	dst = appendHeaders(dst, headers)
+	return append(dst, '\n')
 }
 
 // ParseResponse parses a complete response stream.
@@ -180,15 +197,22 @@ func ParseResponse(data []byte) (*Response, error) {
 	return resp, nil
 }
 
-func writeHeaders(b *bytes.Buffer, h map[string]string) {
-	keys := make([]string, 0, len(h))
+// appendHeaders is the one header writer: "name: value" lines, names
+// lower-cased, sorted by the name as given.
+func appendHeaders(dst []byte, h map[string]string) []byte {
+	var scratch [8]string
+	keys := scratch[:0]
 	for k := range h {
 		keys = append(keys, k)
 	}
-	sort.Strings(keys)
+	slices.Sort(keys)
 	for _, k := range keys {
-		fmt.Fprintf(b, "%s: %s\n", strings.ToLower(k), h[k])
+		dst = append(dst, strings.ToLower(k)...)
+		dst = append(dst, ": "...)
+		dst = append(dst, h[k]...)
+		dst = append(dst, '\n')
 	}
+	return dst
 }
 
 func readHeaders(sc *bufio.Scanner, set func(k, v string)) error {

@@ -100,6 +100,36 @@ func TestHeadersLowercasedAndSorted(t *testing.T) {
 	}
 }
 
+// The wire text is pinned literally: the scanner's goldens depend on every
+// byte of it, and the response head sent on its own must be exactly what
+// EncodeResponse puts before the body.
+func TestEncodedTextAndResponseHead(t *testing.T) {
+	req := &Request{Method: "GET", Authority: "www.a.test", Path: "/x", Headers: map[string]string{"X-B": "2", "a": "1"}}
+	if got, want := string(EncodeRequest(req)), "GET /x HTTP/3-lite\n:authority: www.a.test\nx-b: 2\na: 1\n\n"; got != want {
+		t.Errorf("EncodeRequest = %q, want %q", got, want)
+	}
+	many := map[string]string{}
+	for _, k := range []string{"k9", "k8", "k7", "k6", "k5", "k4", "k3", "k2", "k1", "k0"} {
+		many[k] = "v"
+	}
+	for _, resp := range []*Response{
+		{Status: 200, Headers: map[string]string{"server": "LiteSpeed", "content-type": "text/html"}, Body: []byte("hello")},
+		{Status: 301, Headers: map[string]string{"location": "https://www.b.test/landing"}},
+		{Status: 404, Headers: many, Body: []byte("x")}, // more headers than the sort scratch holds
+		{Status: 500},
+	} {
+		enc := EncodeResponse(resp)
+		head := AppendResponseHead(nil, resp.Status, len(resp.Body), resp.Headers)
+		if !bytes.Equal(enc, append(head, resp.Body...)) {
+			t.Errorf("status %d: head + body differs from EncodeResponse:\n%q\n%q", resp.Status, head, enc)
+		}
+	}
+	enc := string(EncodeResponse(&Response{Status: 200, Headers: map[string]string{"server": "s", "content-type": "text/html"}, Body: []byte("hi")}))
+	if want := "HTTP/3-lite 200\ncontent-length: 2\ncontent-type: text/html\nserver: s\n\nhi"; enc != want {
+		t.Errorf("EncodeResponse = %q, want %q", enc, want)
+	}
+}
+
 func TestResponseQuickRoundTrip(t *testing.T) {
 	f := func(status uint16, body []byte, server string) bool {
 		server = strings.Map(func(r rune) rune {

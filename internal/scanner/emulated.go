@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math/rand"
 	"net/netip"
+	"sync/atomic"
 	"time"
 
 	"quicspin/internal/dns"
@@ -38,6 +39,9 @@ type emulatedEngine struct {
 	resolver  *dns.Resolver
 	servers   map[netip.Addr]*serverSite
 	clientSeq int
+	// arena recycles the buffers of every connection this engine drives,
+	// client and server side alike (all on the engine's one goroutine).
+	arena *transport.Arena
 	// drng is the reusable per-domain Rand (see lazySource): reseeding is
 	// O(1) for domains that never roll dice.
 	drng *rand.Rand
@@ -51,6 +55,10 @@ type emulatedEngine struct {
 type serverSite struct {
 	host *netem.ServerHost
 	srv  *websim.Server
+	// pending marks the request streams already answered, per live
+	// connection: the endpoint's drop hook deletes a connection's entry, so
+	// nothing here outlives its connection.
+	pending map[*transport.Conn]map[uint64]bool
 }
 
 func newEmulatedEngine(w *websim.World, cfg Config, rng *rand.Rand, tm *scanTelemetry, rec *trace.Recorder) *emulatedEngine {
@@ -64,6 +72,7 @@ func newEmulatedEngine(w *websim.World, cfg Config, rng *rand.Rand, tm *scanTele
 		clock:    loop.Now,
 		loop:     loop,
 		net:      netem.New(loop, netem.PathConfig{Delay: 10 * time.Millisecond}, rng),
+		arena:    transport.NewArena(),
 		resolver: dns.NewResolver(w.DNSBackend(), rng),
 		servers:  map[netip.Addr]*serverSite{},
 		drng:     newLazyRand(),
@@ -174,12 +183,12 @@ func (e *emulatedEngine) connect(target string, ip netip.Addr, hop, attempt int,
 		}
 		netBefore = e.net.Stats()
 	}
-	conn := transport.NewClientConn(transport.Config{Rng: e.rng, Budget: transport.DefaultBudget()}, start)
+	conn := transport.NewClientConn(transport.Config{Rng: e.rng, Budget: transport.DefaultBudget(), Arena: e.arena}, start)
 	client := netem.NewClientHost(e.net, clientAddr, serverAddr, conn)
 	client.ProcessDelay = func() time.Duration { return e.world.Turnaround(e.rng) }
 	hc := h3.NewClientConn(conn)
 	reqID, err := hc.Do(&h3.Request{
-		Method: "GET", Authority: target, Path: path, Headers: scannerHeaders(),
+		Method: "GET", Authority: target, Path: path, Headers: scannerHeaders,
 	})
 	if err != nil {
 		out.Err = errString(err)
@@ -187,6 +196,7 @@ func (e *emulatedEngine) connect(target string, ip netip.Addr, hop, attempt int,
 			rec.StageEnd(e.loop.Now())
 		}
 		client.Close()
+		conn.Release()
 		return out
 	}
 
@@ -347,6 +357,9 @@ func (e *emulatedEngine) connect(target string, ip netip.Addr, hop, attempt int,
 	client.Kick()
 	client.Close()
 	e.net.ClearPath(clientAddr, serverAddr)
+	// Everything the result keeps has been copied out above (resp.Body
+	// aliases the connection's receive buffer and is not kept).
+	conn.Release()
 	return out
 }
 
@@ -373,6 +386,7 @@ func (e *emulatedEngine) site(ip netip.Addr, srv *websim.Server) *serverSite {
 		return transport.Config{
 			Rng:        e.rng,
 			SpinPolicy: srv.PolicyForWeek(week),
+			Arena:      e.arena,
 		}
 	})
 	host := netem.NewServerHost(e.net, ip.String(), ep)
@@ -381,6 +395,7 @@ func (e *emulatedEngine) site(ip netip.Addr, srv *websim.Server) *serverSite {
 	// response and stream it according to the server's response plan
 	// (TTFB + dynamic-page chunk gaps).
 	pending := map[*transport.Conn]map[uint64]bool{}
+	ep.OnClose = func(_ string, conn *transport.Conn) { delete(pending, conn) }
 	host.OnActivity = func(ep *transport.Endpoint, now time.Time) {
 		for _, conn := range ep.Conns() {
 			if !conn.HandshakeComplete() || conn.Terminating() {
@@ -413,35 +428,44 @@ func (e *emulatedEngine) site(ip netip.Addr, srv *websim.Server) *serverSite {
 				} else {
 					resp = buildResponse(world, srv, req)
 				}
-				enc := h3.EncodeResponse(resp)
 				if srv.Hostile == hostile.MidstreamReset {
 					// Send half the response, then slam the door.
-					e.midstreamReset(host, srv, conn, id, enc)
+					e.midstreamReset(host, srv, conn, id, h3.EncodeResponse(resp))
 					continue
 				}
-				e.streamResponse(host, srv, conn, id, enc)
+				head := h3.AppendResponseHead(make([]byte, 0, 128), resp.Status, len(resp.Body), resp.Headers)
+				e.streamResponse(host, srv, conn, id, head, resp.Body)
 			}
 		}
 	}
-	s := &serverSite{host: host, srv: srv}
+	s := &serverSite{host: host, srv: srv, pending: pending}
 	e.servers[ip] = s
 	return s
 }
 
 // streamResponse schedules the chunked application writes of an encoded
-// response according to the server's response plan.
-func (e *emulatedEngine) streamResponse(host *netem.ServerHost, srv *websim.Server, conn *transport.Conn, id uint64, data []byte) {
-	plan := srv.ResponsePlan(e.rng, len(data))
+// response — head followed by body, never joined — according to the server's
+// response plan. The chunk that spans the boundary is two stream writes
+// before the one flush, so the stream and its packets are those of writing
+// the joined bytes.
+func (e *emulatedEngine) streamResponse(host *netem.ServerHost, srv *websim.Server, conn *transport.Conn, id uint64, head, body []byte) {
+	plan := srv.ResponsePlan(e.rng, len(head)+len(body))
 	off := 0
 	for i, ch := range plan {
-		piece := data[off : off+ch.Bytes]
-		off += ch.Bytes
+		start, end := off, off+ch.Bytes
+		off = end
 		fin := i == len(plan)-1
 		e.loop.After(ch.At, func(time.Time) {
 			if conn.Terminating() {
 				return
 			}
-			_ = conn.SendStream(id, piece, fin)
+			if start < len(head) {
+				cut := min(end, len(head))
+				_ = conn.SendStream(id, head[start:cut], fin && cut == end)
+			}
+			if end > len(head) {
+				_ = conn.SendStream(id, body[max(start, len(head))-len(head):end-len(head)], fin)
+			}
 			host.Kick()
 		})
 	}
@@ -495,9 +519,24 @@ func buildResponse(w *websim.World, srv *websim.Server, req *h3.Request) *h3.Res
 		hdr["location"] = "https://" + targets.PrependWWW(d.RedirectTo) + "/landing"
 		return &h3.Response{Status: 301, Headers: hdr}
 	}
-	body := make([]byte, d.BodyBytes)
-	for i := range body {
-		body[i] = byte('a' + i%26)
+	return &h3.Response{Status: 200, Headers: hdr, Body: patternBody(d.BodyBytes)}
+}
+
+// patternPage is the shared landing page every response body is sliced
+// from: byte i is 'a'+i%26. It is read-only once published — workers slice
+// it concurrently — and replaced by a longer page when a body outgrows it.
+var patternPage atomic.Pointer[[]byte]
+
+// patternBody returns the n-byte landing page. The result is shared and
+// must not be written to.
+func patternBody(n int) []byte {
+	if p := patternPage.Load(); p != nil && len(*p) >= n {
+		return (*p)[:n:n]
 	}
-	return &h3.Response{Status: 200, Headers: hdr, Body: body}
+	page := make([]byte, max(n, 256<<10))
+	for i := range page {
+		page[i] = byte('a' + i%26)
+	}
+	patternPage.Store(&page)
+	return page[:n:n]
 }

@@ -1,0 +1,95 @@
+package scanner
+
+import (
+	"runtime"
+	"testing"
+
+	"quicspin/internal/websim"
+)
+
+// quicWorld is a world whose every domain resolves to a QUIC server and
+// answers with its landing page: each scanned domain is one full exchange.
+func quicWorld(domains int) *websim.World {
+	p := websim.DefaultProfile()
+	p.Scale = p.ZoneDomains / domains
+	p.TopDomains = 1
+	p.TopResolveRate, p.ZoneResolveRate = 1, 1
+	p.TopQUICRate, p.ZoneQUICRate = 1, 1
+	p.RedirectRate = 0
+	p.LegacyOrgs = nil
+	return websim.Generate(p)
+}
+
+func quicEngine(w *websim.World) *emulatedEngine {
+	cfg := Config{Week: 12, Engine: EngineEmulated, Seed: 1, Workers: 1}
+	return newEmulatedEngine(w, cfg, newEngineRng(cfg, 0), newScanTelemetry(cfg.Telemetry), nil)
+}
+
+// The emulated engine's memory is constant in the number of domains it has
+// scanned: after one pass over a world (every server site instantiated) two
+// more passes leave the buffer pool, every site's per-connection state and
+// the live heap where they were.
+func TestEmulatedEngineBoundedMemory(t *testing.T) {
+	const n = 400
+	w := quicWorld(n)
+	e := quicEngine(w)
+	type snapshot struct {
+		pooled int
+		heap   uint64
+	}
+	pass := func() snapshot {
+		for i := 0; i < w.NumDomains(); i++ {
+			d := w.DomainAt(i)
+			if res := e.scanDomain(d); len(res.Conns) == 0 || res.Conns[0].Status != 200 {
+				t.Fatalf("%s: no 200 response: %+v", d.Name, res.Conns)
+			}
+			// After the per-domain drain nothing is live on any site.
+			for ip, s := range e.servers {
+				if live, pending := len(s.host.Endpoint().Conns()), len(s.pending); live != 0 || pending != 0 {
+					t.Fatalf("after %s: site %s holds %d live connections and %d pending entries", d.Name, ip, live, pending)
+				}
+			}
+		}
+		runtime.GC()
+		runtime.GC()
+		var m runtime.MemStats
+		runtime.ReadMemStats(&m)
+		return snapshot{e.arena.Pooled(), m.HeapInuse}
+	}
+	after1 := pass() // n domains
+	pass()
+	after3 := pass() // 2n more
+	runtime.KeepAlive(e)
+	t.Logf("pool %d -> %d buffers, live heap %d -> %d bytes", after1.pooled, after3.pooled, after1.heap, after3.heap)
+	if after1.pooled == 0 {
+		t.Fatal("the engine's arena pooled nothing")
+	}
+	if after3.pooled > after1.pooled+2 {
+		t.Errorf("buffer pool grew from %d to %d buffers over %d more domains", after1.pooled, after3.pooled, 2*n)
+	}
+	// The parent's leak held ~60 KB per scanned domain — some 50 MB here.
+	const slack = 4 << 20
+	if after3.heap > after1.heap+slack {
+		t.Errorf("live heap grew from %d to %d bytes over %d more domains (allowed: %d)", after1.heap, after3.heap, 2*n, slack)
+	}
+}
+
+// emulatedConnAllocs is the recorded steady-state allocation count of one
+// emulated domain of quicWorld (one connection, one landing page), and the
+// ceiling is that plus 10 %: a regrowth of the per-connection allocation
+// fails tier-1, not only the benchmark.
+const emulatedConnAllocs = 190
+
+func TestEmulatedConnAllocCeiling(t *testing.T) {
+	w := quicWorld(50)
+	e := quicEngine(w)
+	d := w.DomainAt(7)
+	for i := 0; i < 5; i++ { // warm the site, the pools and the DNS cache
+		e.scanDomain(d)
+	}
+	got := testing.AllocsPerRun(50, func() { e.scanDomain(d) })
+	t.Logf("%.0f allocations per emulated connection (recorded: %d)", got, emulatedConnAllocs)
+	if ceiling := float64(emulatedConnAllocs) * 1.1; got > ceiling {
+		t.Errorf("one emulated connection allocates %.0f times, ceiling %.0f (recorded %d + 10%%)", got, ceiling, emulatedConnAllocs)
+	}
+}

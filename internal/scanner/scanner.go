@@ -636,12 +636,10 @@ func redirectPath(loc string) string {
 
 // scannerHeaders carry the research contact hint the paper's ethics
 // section describes (§A: "embedding our projectname as hint in every HTTP
-// request").
-func scannerHeaders() map[string]string {
-	return map[string]string{
-		"user-agent": "quicspin-scanner/1.0",
-		"x-research": "spin-bit measurement study; opt out: https://quicspin.invalid/optout",
-	}
+// request"). Read-only: every worker's requests share the one map.
+var scannerHeaders = map[string]string{
+	"user-agent": "quicspin-scanner/1.0",
+	"x-research": "spin-bit measurement study; opt out: https://quicspin.invalid/optout",
 }
 
 func errString(err error) string {

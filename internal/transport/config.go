@@ -79,6 +79,10 @@ type Config struct {
 	// Budget bounds resources spent on received traffic (see Budget). The
 	// zero value disables all limits.
 	Budget Budget
+	// Arena, when non-nil, supplies and takes back the connection's stream,
+	// packet and datagram buffers (see Arena). Every connection sharing an
+	// arena must be driven from one goroutine. Nil means the heap.
+	Arena *Arena
 }
 
 // DefaultMaxInFlight is the default in-flight packet cap (the 10-packet

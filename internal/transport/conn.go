@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"slices"
-	"sort"
 	"time"
 
 	"quicspin/internal/core"
@@ -16,6 +15,9 @@ import (
 // Mock handshake transcript messages (see the package comment for the
 // substitution rationale). Sizes roughly mimic a TLS 1.3 exchange so that
 // handshake packets have realistic weight.
+//
+// The messages are read-only and shared: every connection's crypto send
+// streams alias them (nothing appends to a crypto stream after it is set).
 var (
 	msgClientHello    = append([]byte("quicspin:CHLO:"), make([]byte, 300)...)
 	msgServerHello    = append([]byte("quicspin:SHLO:"), make([]byte, 120)...)
@@ -128,6 +130,10 @@ type Conn struct {
 	malformedFrames    int
 	firstRecv          time.Time
 
+	// mem is the connection's handle on Config.Arena: the stream buffers,
+	// payloadScratch and dgramBufs come from it and go back in Release.
+	mem bufs
+
 	// Hot-path scratch. A campaign-scale scan pushes millions of packets
 	// through Receive/Poll; everything per-packet that is not retained
 	// (headers, parsed frames, packet payloads, datagram buffers) is
@@ -139,6 +145,7 @@ type Conn struct {
 	payloadScratch []byte          // packet payload assembly
 	framesScratch  []wire.Frame    // framesFor result list
 	idsScratch     []uint64        // sorted stream IDs in framesFor
+	recvIDsScratch []uint64        // RecvStreamIDs result list
 	dgramBufs      [][]byte        // datagram buffers, rotated per Poll
 	dgramUsed      int
 	pollOut        [][]byte // Poll result list
@@ -153,8 +160,7 @@ func NewClientConn(cfg Config, now time.Time) *Conn {
 	c.odcid = randomCID(cfg, cfg.connIDLen())
 	c.dstCID = c.odcid
 	c.scid = randomCID(cfg, cfg.connIDLen())
-	c.cryptoSend[spaceInitial].data = append([]byte(nil), msgClientHello...)
-	c.cryptoSend[spaceInitial].finSet = false
+	c.cryptoSend[spaceInitial].data = msgClientHello
 	c.idleDeadline = now.Add(cfg.idleTimeout())
 	return c
 }
@@ -177,6 +183,7 @@ func newConn(cfg Config, isClient bool) *Conn {
 	}
 	c := &Conn{
 		cfg:         cfg,
+		mem:         bufs{arena: cfg.Arena},
 		isClient:    isClient,
 		estimator:   rtt.New(cfg.maxAckDelay()),
 		streamsSend: make(map[uint64]*sendStream),
@@ -245,13 +252,16 @@ func (c *Conn) SendStream(id uint64, data []byte, fin bool) error {
 	if s.finSet {
 		return fmt.Errorf("transport: write after FIN on stream %d", id)
 	}
-	s.data = append(s.data, data...)
+	s.data = c.mem.append(s.data, data)
 	s.finSet = fin
 	return nil
 }
 
 // StreamRecv returns the reassembled contiguous data of a stream and
-// whether the stream is complete (FIN received and all bytes present).
+// whether the stream is complete (FIN received and all bytes present). The
+// slice aliases the connection's buffer: it must not be modified, and it is
+// valid until the connection is released (Release, or an Endpoint dropping
+// the closed connection).
 func (c *Conn) StreamRecv(id uint64) ([]byte, bool) {
 	r := c.streamsRecv[id]
 	if r == nil {
@@ -260,14 +270,48 @@ func (c *Conn) StreamRecv(id uint64) ([]byte, bool) {
 	return r.delivered, r.complete()
 }
 
-// RecvStreamIDs returns the IDs of streams with received data, sorted.
+// RecvStreamIDs returns the IDs of streams with received data, sorted. The
+// returned slice is reused by the next call on this connection.
 func (c *Conn) RecvStreamIDs() []uint64 {
-	ids := make([]uint64, 0, len(c.streamsRecv))
+	ids := c.recvIDsScratch[:0]
 	for id := range c.streamsRecv {
 		ids = append(ids, id)
 	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
+	slices.Sort(ids)
+	c.recvIDsScratch = ids
 	return ids
+}
+
+// Release ends the connection's use of its buffers, returning the stream,
+// packet and datagram buffers to Config.Arena. Slices obtained from
+// StreamRecv or Poll are invalid afterwards, so copy out what must survive
+// first. An Endpoint releases the connections it drops; a client
+// connection's owner calls Release once it has closed the connection and
+// sent the close. A closing connection still runs out its drain timer, with
+// no stream data left; one that was never closed is closed silently. With no
+// arena the buffers are simply left to the collector.
+func (c *Conn) Release() {
+	if c.state < stateClosing {
+		c.state = stateClosed
+	}
+	m := &c.mem
+	for sp := range c.cryptoRecv {
+		c.cryptoRecv[sp].release(m)
+	}
+	for _, r := range c.streamsRecv {
+		r.release(m)
+	}
+	for _, s := range c.streamsSend {
+		m.arena.put(s.data)
+		s.data = nil
+	}
+	m.arena.put(c.payloadScratch)
+	c.payloadScratch = nil
+	for _, b := range c.dgramBufs {
+		m.arena.put(b)
+	}
+	c.dgramBufs = nil
+	m.releaseRetired()
 }
 
 // Close initiates a local close with an application error code.
@@ -426,7 +470,7 @@ func (c *Conn) handleFrame(now time.Time, sp spaceID, f wire.Frame) error {
 		if fr.Offset > maxStreamOffset {
 			return fmt.Errorf("transport: CRYPTO offset %d exceeds limit", fr.Offset)
 		}
-		c.cryptoRecv[sp].push(fr.Offset, fr.Data, false)
+		c.cryptoRecv[sp].push(&c.mem, fr.Offset, fr.Data, false)
 		c.advanceHandshake(now)
 		return nil
 	case *wire.StreamFrame:
@@ -438,7 +482,7 @@ func (c *Conn) handleFrame(now time.Time, sp spaceID, f wire.Frame) error {
 			r = &recvStream{}
 			c.streamsRecv[fr.StreamID] = r
 		}
-		r.push(fr.Offset, fr.Data, fr.Fin)
+		r.push(&c.mem, fr.Offset, fr.Data, fr.Fin)
 		return nil
 	case wire.HandshakeDoneFrame:
 		if c.isClient {
@@ -543,7 +587,7 @@ func (c *Conn) advanceHandshake(now time.Time) {
 	if c.isClient {
 		if hasMsg(&c.cryptoRecv[spaceInitial], msgServerHello) &&
 			hasMsg(&c.cryptoRecv[spaceHandshake], msgServerFinished) && !c.sentCFIN {
-			c.cryptoSend[spaceHandshake].data = append([]byte(nil), msgClientFinished...)
+			c.cryptoSend[spaceHandshake].data = msgClientFinished
 			c.sentCFIN = true
 			c.handshakeComplete = true
 			// Initial keys are discarded once handshake keys are in use.
@@ -554,8 +598,8 @@ func (c *Conn) advanceHandshake(now time.Time) {
 	// Server.
 	if hasMsg(&c.cryptoRecv[spaceInitial], msgClientHello) && len(c.cryptoSend[spaceInitial].data) == 0 && !c.handshakeComplete {
 		if c.cryptoSend[spaceInitial].next == 0 {
-			c.cryptoSend[spaceInitial].data = append([]byte(nil), msgServerHello...)
-			c.cryptoSend[spaceHandshake].data = append([]byte(nil), msgServerFinished...)
+			c.cryptoSend[spaceInitial].data = msgServerHello
+			c.cryptoSend[spaceHandshake].data = msgServerFinished
 		}
 	}
 	if hasMsg(&c.cryptoRecv[spaceHandshake], msgClientFinished) && !c.handshakeComplete {
@@ -646,14 +690,15 @@ func (c *Conn) buildCloseDatagram(now time.Time) []byte {
 }
 
 func (c *Conn) buildDatagram(now time.Time) []byte {
-	// Datagram buffers rotate through a per-connection pool: the slot is
-	// claimed only if the datagram turns out non-empty, and the (possibly
-	// grown) buffer is stored back for the next Poll cycle.
+	// Datagram buffers rotate through a per-connection pool: a new slot
+	// takes its buffer from the arena, is claimed only if the datagram turns
+	// out non-empty, and keeps the (possibly grown) buffer for the next Poll
+	// cycle.
 	idx := c.dgramUsed
-	var buf []byte
-	if idx < len(c.dgramBufs) {
-		buf = c.dgramBufs[idx][:0]
+	if idx == len(c.dgramBufs) {
+		c.dgramBufs = append(c.dgramBufs, c.mem.arena.get(MaxDatagramSize))
 	}
+	buf := c.dgramBufs[idx][:0]
 	budget := MaxDatagramSize
 
 	for _, sp := range [...]spaceID{spaceInitial, spaceHandshake} {
@@ -686,11 +731,7 @@ func (c *Conn) buildDatagram(now time.Time) []byte {
 		return nil
 	}
 	c.dgramUsed = idx + 1
-	if idx < len(c.dgramBufs) {
-		c.dgramBufs[idx] = buf
-	} else {
-		c.dgramBufs = append(c.dgramBufs, buf)
-	}
+	c.dgramBufs[idx] = buf
 	return buf
 }
 
@@ -819,6 +860,15 @@ func frameSize(f wire.Frame) int {
 	}
 }
 
+// payloadBuf returns the empty packet-payload scratch, taking it from the
+// arena on first use.
+func (c *Conn) payloadBuf() []byte {
+	if c.payloadScratch == nil {
+		c.payloadScratch = c.mem.arena.get(MaxDatagramSize)
+	}
+	return c.payloadScratch[:0]
+}
+
 // encodeLong appends one long-header packet to buf and returns the extended
 // buffer.
 func (c *Conn) encodeLong(buf []byte, sp spaceID, frames []wire.Frame, elicits bool, now time.Time, padTo int) []byte {
@@ -836,7 +886,7 @@ func (c *Conn) encodeLong(buf []byte, sp spaceID, frames []wire.Frame, elicits b
 		SrcConnID:    c.scid,
 		PacketNumber: ss.nextPN,
 	}
-	payload := c.payloadScratch[:0]
+	payload := c.payloadBuf()
 	for _, f := range frames {
 		payload = f.Append(payload)
 	}
@@ -881,7 +931,7 @@ func (c *Conn) encodeShort(buf []byte, frames []wire.Frame, elicits bool, now ti
 	if c.cfg.EnableVEC && c.spin.Spinning() {
 		hdr.Reserved = c.vec.Next(hdr.SpinBit)
 	}
-	payload := c.payloadScratch[:0]
+	payload := c.payloadBuf()
 	for _, f := range frames {
 		payload = f.Append(payload)
 	}

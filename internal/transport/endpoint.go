@@ -18,11 +18,21 @@ type Endpoint struct {
 	NewConnConfig func(peer string) Config
 	// OnConn, when non-nil, observes every accepted connection.
 	OnConn func(peer string, conn *Conn)
+	// OnClose, when non-nil, observes every connection Advance drops, just
+	// before the endpoint releases it: the place to forget per-connection
+	// application state (and the last moment its StreamRecv data is valid).
+	OnClose func(peer string, conn *Conn)
 
 	// conns routes by the connection ID this server issued (short headers)
 	// and by the client's original DCID (Initial/Handshake long headers).
 	conns map[string]*entry
 	order []*entry
+	// cidLen is the length of the connection IDs this endpoint issues,
+	// resolved on the first short-header datagram (0 = not yet).
+	cidLen int
+	// Result lists of Poll and Conns, reused across calls.
+	pollOut  []Outgoing
+	connsOut []*Conn
 }
 
 type entry struct {
@@ -63,11 +73,14 @@ func (e *Endpoint) Receive(now time.Time, peer string, datagram []byte) error {
 		}
 	} else {
 		// Short header: destination CID is one we issued, of known length.
-		cfg := e.connIDLenProbe()
-		if len(datagram) < 1+cfg {
+		if e.cidLen == 0 {
+			// All connections share the configured length.
+			e.cidLen = e.NewConnConfig("").connIDLen()
+		}
+		if len(datagram) < 1+e.cidLen {
 			return fmt.Errorf("endpoint: runt short-header datagram")
 		}
-		dcid := wire.NewConnectionID(datagram[1 : 1+cfg])
+		dcid := wire.NewConnectionID(datagram[1 : 1+e.cidLen])
 		ent = e.conns[cidKey(dcid)]
 	}
 	if ent == nil {
@@ -76,30 +89,28 @@ func (e *Endpoint) Receive(now time.Time, peer string, datagram []byte) error {
 	return ent.conn.Receive(now, datagram)
 }
 
-// connIDLenProbe returns the length of connection IDs this endpoint issues.
-// All connections share the configured length.
-func (e *Endpoint) connIDLenProbe() int {
-	return e.NewConnConfig("").connIDLen()
-}
-
 // Outgoing is a datagram with its destination peer.
 type Outgoing struct {
 	Peer string
 	Data []byte
 }
 
-// Poll collects pending datagrams from every connection.
+// Poll collects pending datagrams from every connection. Like Conn.Poll,
+// the returned slice and the datagrams in it are valid until the next Poll
+// on this endpoint.
 func (e *Endpoint) Poll(now time.Time) []Outgoing {
-	var out []Outgoing
+	out := e.pollOut[:0]
 	for _, ent := range e.order {
 		for _, d := range ent.conn.Poll(now) {
 			out = append(out, Outgoing{Peer: ent.peer, Data: d})
 		}
 	}
+	e.pollOut = out
 	return out
 }
 
-// Advance fires timers on every connection and drops closed ones.
+// Advance fires timers on every connection and drops closed ones, reporting
+// each to OnClose and then releasing it (see Conn.Release).
 func (e *Endpoint) Advance(now time.Time) {
 	live := e.order[:0]
 	for _, ent := range e.order {
@@ -107,10 +118,15 @@ func (e *Endpoint) Advance(now time.Time) {
 		if ent.conn.Closed() {
 			delete(e.conns, cidKey(ent.conn.ODCID()))
 			delete(e.conns, cidKey(ent.conn.SCID()))
+			if e.OnClose != nil {
+				e.OnClose(ent.peer, ent.conn)
+			}
+			ent.conn.Release()
 			continue
 		}
 		live = append(live, ent)
 	}
+	clear(e.order[len(live):])
 	e.order = live
 }
 
@@ -125,12 +141,18 @@ func (e *Endpoint) NextTimeout() (time.Time, bool) {
 	return t, !t.IsZero()
 }
 
-// Conns returns the live connections in accept order.
+// Conns returns the live connections in accept order. The returned slice
+// is valid until the next Conns call on this endpoint.
 func (e *Endpoint) Conns() []*Conn {
-	out := make([]*Conn, len(e.order))
-	for i, ent := range e.order {
-		out[i] = ent.conn
+	prev := e.connsOut
+	out := prev[:0]
+	for _, ent := range e.order {
+		out = append(out, ent.conn)
 	}
+	if len(out) < len(prev) {
+		clear(prev[len(out):]) // do not pin dropped connections
+	}
+	e.connsOut = out
 	return out
 }
 

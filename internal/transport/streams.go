@@ -1,6 +1,9 @@
 package transport
 
-import "sort"
+import (
+	"cmp"
+	"slices"
+)
 
 // sendStream buffers outgoing application data for one stream.
 type sendStream struct {
@@ -49,51 +52,56 @@ type segment struct {
 type recvStream struct {
 	delivered []byte // contiguous prefix ready for the application
 	nextOff   uint64 // offset after delivered bytes
-	segments  []segment
-	finOff    uint64
-	hasFin    bool
+	// segments are the out-of-order chunks beyond nextOff, sorted by offset.
+	segments []segment
+	finOff   uint64
+	hasFin   bool
 }
 
-// push inserts a received frame and advances the contiguous prefix.
-func (r *recvStream) push(offset uint64, data []byte, fin bool) {
+// push inserts a received frame and advances the contiguous prefix. A frame
+// that continues the prefix is appended to it directly; only a frame beyond
+// a gap is copied, into a buffer of m that goes back once it is delivered.
+func (r *recvStream) push(m *bufs, offset uint64, data []byte, fin bool) {
+	end := offset + uint64(len(data))
 	if fin {
 		r.hasFin = true
-		r.finOff = offset + uint64(len(data))
+		r.finOff = end
 	}
-	if len(data) > 0 && offset+uint64(len(data)) > r.nextOff {
-		cp := make([]byte, len(data))
-		copy(cp, data)
-		r.segments = append(r.segments, segment{offset: offset, data: cp})
-		sort.Slice(r.segments, func(i, j int) bool { return r.segments[i].offset < r.segments[j].offset })
+	if len(data) == 0 || end <= r.nextOff {
+		return // nothing new
 	}
-	r.drain()
-}
-
-// drain moves contiguous segments into the delivered prefix.
-func (r *recvStream) drain() {
-	changed := true
-	for changed {
-		changed = false
-		rest := r.segments[:0]
-		for _, seg := range r.segments {
-			end := seg.offset + uint64(len(seg.data))
-			switch {
-			case end <= r.nextOff:
-				// Fully duplicate; drop.
-			case seg.offset <= r.nextOff:
-				skip := r.nextOff - seg.offset
-				r.delivered = append(r.delivered, seg.data[skip:]...)
-				r.nextOff = end
-				changed = true
-			default:
-				rest = append(rest, seg)
-			}
+	if offset > r.nextOff {
+		i, _ := slices.BinarySearchFunc(r.segments, offset, func(s segment, off uint64) int {
+			return cmp.Compare(s.offset, off)
+		})
+		r.segments = slices.Insert(r.segments, i, segment{offset: offset, data: append(m.arena.get(len(data)), data...)})
+		return
+	}
+	r.delivered = m.append(r.delivered, data[r.nextOff-offset:])
+	r.nextOff = end
+	// Deliver the queued segments the frame has joined up with.
+	n := 0
+	for ; n < len(r.segments) && r.segments[n].offset <= r.nextOff; n++ {
+		seg := r.segments[n]
+		if segEnd := seg.offset + uint64(len(seg.data)); segEnd > r.nextOff {
+			r.delivered = m.append(r.delivered, seg.data[r.nextOff-seg.offset:])
+			r.nextOff = segEnd
 		}
-		r.segments = rest
+		m.arena.put(seg.data)
 	}
+	r.segments = slices.Delete(r.segments, 0, n)
 }
 
 // complete reports whether all data up to the FIN has arrived.
 func (r *recvStream) complete() bool {
 	return r.hasFin && r.nextOff >= r.finOff && len(r.segments) == 0
+}
+
+// release returns the stream's buffers to m's arena.
+func (r *recvStream) release(m *bufs) {
+	m.arena.put(r.delivered)
+	for _, seg := range r.segments {
+		m.arena.put(seg.data)
+	}
+	r.delivered, r.segments = nil, nil
 }

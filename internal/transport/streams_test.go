@@ -52,8 +52,8 @@ func TestSendStreamEmptyFin(t *testing.T) {
 
 func TestRecvStreamInOrder(t *testing.T) {
 	r := &recvStream{}
-	r.push(0, []byte("abc"), false)
-	r.push(3, []byte("def"), true)
+	r.push(&bufs{}, 0, []byte("abc"), false)
+	r.push(&bufs{}, 3, []byte("def"), true)
 	if string(r.delivered) != "abcdef" || !r.complete() {
 		t.Errorf("delivered=%q complete=%v", r.delivered, r.complete())
 	}
@@ -61,11 +61,11 @@ func TestRecvStreamInOrder(t *testing.T) {
 
 func TestRecvStreamOutOfOrder(t *testing.T) {
 	r := &recvStream{}
-	r.push(3, []byte("def"), true)
+	r.push(&bufs{}, 3, []byte("def"), true)
 	if r.complete() || len(r.delivered) != 0 {
 		t.Fatalf("premature delivery: %q", r.delivered)
 	}
-	r.push(0, []byte("abc"), false)
+	r.push(&bufs{}, 0, []byte("abc"), false)
 	if string(r.delivered) != "abcdef" || !r.complete() {
 		t.Errorf("delivered=%q complete=%v", r.delivered, r.complete())
 	}
@@ -73,10 +73,10 @@ func TestRecvStreamOutOfOrder(t *testing.T) {
 
 func TestRecvStreamOverlapAndDuplicates(t *testing.T) {
 	r := &recvStream{}
-	r.push(0, []byte("abcd"), false)
-	r.push(2, []byte("cdef"), false) // overlaps delivered prefix
-	r.push(0, []byte("abcd"), false) // pure duplicate
-	r.push(6, []byte("gh"), true)
+	r.push(&bufs{}, 0, []byte("abcd"), false)
+	r.push(&bufs{}, 2, []byte("cdef"), false) // overlaps delivered prefix
+	r.push(&bufs{}, 0, []byte("abcd"), false) // pure duplicate
+	r.push(&bufs{}, 6, []byte("gh"), true)
 	if string(r.delivered) != "abcdefgh" || !r.complete() {
 		t.Errorf("delivered=%q complete=%v", r.delivered, r.complete())
 	}
@@ -115,7 +115,7 @@ func TestRecvStreamQuickReassembly(t *testing.T) {
 		}
 		r := &recvStream{}
 		for _, s := range segs {
-			r.push(s.off, s.data, s.fin)
+			r.push(&bufs{}, s.off, s.data, s.fin)
 		}
 		return r.complete() && bytes.Equal(r.delivered, orig)
 	}
