@@ -9,6 +9,7 @@
 //	spinscan -scale 2000 -week 12 -summary
 //	spinscan -scale 2000 -weeks 12 -engine fast -qlog-dir ./qlogs
 //	spinscan -scale 2000 -weeks 4 -shards 8 -vantages "local,far:30+5"
+//	spinscan -scale 2000 -follow -shards 4 -checkpoint ./journal -journal-retain-weeks 2
 package main
 
 import (
@@ -30,7 +31,6 @@ import (
 
 	"quicspin/internal/analysis"
 	"quicspin/internal/asdb"
-	"quicspin/internal/campaign"
 	"quicspin/internal/conformance"
 	"quicspin/internal/fault"
 	"quicspin/internal/report"
@@ -73,7 +73,7 @@ var (
 	shards           = flag.Int("shards", 0, "split the population into this many concurrently scanned shards (0 = unsharded)")
 	vantagesSpec     = flag.String("vantages", "", `scan from multiple vantage points, e.g. "local,far:30+5" (name[:extra_delay_ms[+jitter_ms]], comma-separated)`)
 	shardTransport   = flag.String("shard-transport", "inproc", "shard accumulator merge path: inproc, serialized or udp")
-	restarts         = flag.Int("restarts", 2, "restart budget: a failed week (unsharded) or a crashed/stalled shard worker is relaunched from its journal this many times before the campaign fails or the shard is declared lost")
+	restarts         = flag.Int("restarts", 2, "restart budget per population range per week: a crashed or stalled scan is relaunched from its journal this many times before the range is declared lost (unsharded, that fails the campaign)")
 	shardStall       = flag.Duration("shard-stall-timeout", 0, "kill and restart a shard worker that delivers nothing for this long (0 disables the stall watchdog)")
 	strictShards     = flag.Bool("strict-shards", false, "abort the campaign when any shard exhausts its restart budget instead of merging the survivors with a coverage report")
 	faultSpec        = flag.String("faults", "", `chaos-test fault plan, one grammar for every layer, e.g. "seed:3,udp.drop:0.05,udp.max-delay:2ms,fs.short-write:0.1,shard.crash:1@40x2,dns.timeout:0.3/2,net.blackout:0.1/1,scan.interrupt:5000" (see internal/fault)`)
@@ -151,21 +151,29 @@ func main() {
 	}
 
 	// The week schedule: -week is that one week, -weeks N is weeks 1..N, and
-	// -follow only lifts the bound (nweeks 0 = until signalled).
-	first, nweeks := *week, 1
+	// -follow alone starts at week 1 and runs until signalled.
+	weekList := []int{*week}
 	if *weeks > 0 || *followMode {
-		first, nweeks = 1, *weeks
+		weekList = []int{1}
+		for wk := 2; wk <= *weeks; wk++ {
+			weekList = append(weekList, wk)
+		}
 	}
-	// Validate the flag-derived config once, before any scanning: the
-	// scanner would reject it anyway, but failing before world generation
-	// is friendlier.
+	tr, err := shard.ParseTransport(*shardTransport)
+	if err != nil {
+		log.Fatalf("-shard-transport: %v", err)
+	}
+	vantages, err := parseVantages(*vantagesSpec)
+	if err != nil {
+		log.Fatalf("-vantages: %v", err)
+	}
+	// The per-week scan template. The runner owns the week and the journal
+	// layout, so -checkpoint and -resume go to it, not here.
 	baseCfg := scanner.Config{
-		Week: first, IPv6: *ipv6, Engine: eng, Workers: *workers,
+		IPv6: *ipv6, Engine: eng, Workers: *workers,
 		Timeout: *timeout, MaxRedirects: *maxRedirects, Telemetry: reg, Trace: tracer,
-		Retry:      resilience.RetryPolicy{MaxRetries: *retries},
-		Breaker:    resilience.BreakerConfig{Threshold: *breakerThreshold, Cooldown: *breakerCooldown},
-		Checkpoint: *checkpoint,
-		Resume:     *resume,
+		Retry:   resilience.RetryPolicy{MaxRetries: *retries},
+		Breaker: resilience.BreakerConfig{Threshold: *breakerThreshold, Cooldown: *breakerCooldown},
 		Journal: resilience.JournalConfig{
 			SyncEvery:    *journalSync,
 			SegmentBytes: *journalSegBytes,
@@ -176,7 +184,75 @@ func main() {
 		baseCfg.Journal.FS = resilience.NewFaultFS(nil, faults)
 		log.Printf("fault injection armed: %s", *faultSpec)
 	}
+
+	// The live dashboard rides on the runner's sinks; it stays nil (a valid
+	// no-op sink wrapper) without a debug endpoint to serve it.
+	var live *analysis.Live
+	if *debugAddr != "" {
+		live = analysis.NewLive(0, 0)
+		live.SetBudget(*liveWindows, *liveBytes)
+	}
+	// SIGHUP-reloaded breaker settings are staged here and picked up by
+	// ForWeek at the next week boundary.
+	var tunMu sync.Mutex
+	var breakerOverride tunables
+	interrupt := make(chan struct{})
+	campCfg := shard.Config{
+		Shards:           *shards,
+		Weeks:            weekList,
+		UntilInterrupted: *followMode && *weeks == 0,
+		Interval:         *followInterval,
+		Vantages:         vantages,
+		ForWeek: func(week int) scanner.Config {
+			cfg := baseCfg
+			cfg.Seed = *seed + int64(week)
+			log.Printf("scanning week %d (%s, ipv6=%v)...", week, *engine, cfg.IPv6)
+			tunMu.Lock()
+			defer tunMu.Unlock()
+			if breakerOverride.HasBreakerThreshold {
+				cfg.Breaker.Threshold = breakerOverride.BreakerThreshold
+			}
+			if breakerOverride.HasBreakerCooldown {
+				cfg.Breaker.Cooldown = breakerOverride.BreakerCooldown
+			}
+			return cfg
+		},
+		Interrupt:    interrupt,
+		Checkpoint:   *checkpoint,
+		Resume:       *resume,
+		Compact:      *journalCompact,
+		RetainWeeks:  *retainWeeks,
+		Transport:    tr,
+		Telemetry:    reg,
+		Live:         live,
+		Trace:        tracer,
+		MaxRestarts:  *restarts,
+		StallTimeout: *shardStall,
+		StrictShards: *strictShards,
+		Faults:       faults,
+		Logf:         log.Printf,
+	}
+	if *qlogDir != "" {
+		// One trace file per connection, written as each domain is delivered;
+		// several vantages get a subdirectory each, like their journals.
+		campCfg.Tee = func(vantage string, sc scanner.Config) func(int, *scanner.DomainResult) error {
+			dir := *qlogDir
+			if len(vantages) > 1 {
+				dir = filepath.Join(dir, vantage)
+			}
+			_ = os.MkdirAll(dir, 0o755) // a failure surfaces as os.Create's error on the first trace
+			return scanner.QlogSink(sc.Week, sc.IPv6, func(name string) (io.WriteCloser, error) {
+				return os.Create(filepath.Join(dir, name))
+			})
+		}
+	}
+	// Validate the flag-derived configs once, before any scanning: the
+	// runner would reject them anyway, but failing before world generation
+	// is friendlier.
 	if err := baseCfg.Validate(); err != nil {
+		log.Fatal(err)
+	}
+	if err := campCfg.Validate(); err != nil {
 		log.Fatal(err)
 	}
 
@@ -185,7 +261,6 @@ func main() {
 	// exit code records which signal stopped us — 130 for SIGINT, 143 for
 	// SIGTERM (128+signal, the shell convention) — so a supervisor can tell
 	// an operator's ^C from its own orchestrated stop.
-	interrupt := make(chan struct{})
 	var sigCode atomic.Int32
 	sigCh := make(chan os.Signal, 2)
 	signal.Notify(sigCh, os.Interrupt, syscall.SIGTERM)
@@ -197,14 +272,10 @@ func main() {
 		s = <-sigCh
 		os.Exit(exitCodeFor(s))
 	}()
-	baseCfg.Interrupt = interrupt
 
-	// The live dashboard rides on the streaming sink; it stays nil (a
-	// valid no-op sink wrapper) without a debug endpoint to serve it.
 	// Liveness (/livez) is the process answering; readiness (/readyz) flips
 	// to 503 while the checkpoint journal is degraded — scanning continues,
 	// but a supervisor should know checkpoints are suspended.
-	var live *analysis.Live
 	health := telemetry.NewHealth()
 	health.AddCheck("checkpoint", func() (bool, string) {
 		if reg.Gauge("scan_checkpoint_degraded").Value() != 0 {
@@ -213,8 +284,6 @@ func main() {
 		return true, ""
 	})
 	if *debugAddr != "" {
-		live = analysis.NewLive(0, 0)
-		live.SetBudget(*liveWindows, *liveBytes)
 		dbg, err := telemetry.StartDebugServer(*debugAddr, reg,
 			telemetry.Endpoint{Path: "/debug/campaign", Handler: live.Handler()},
 			telemetry.Endpoint{Path: "/debug/traces", Handler: trace.Handler(tracer)},
@@ -285,11 +354,9 @@ func main() {
 
 	// Runtime tunables: loaded at startup when -tunables is given, reloaded
 	// on SIGHUP. Alerts and the progress cadence apply immediately; breaker
-	// settings are staged here and applied by the week scheduler at the next
-	// week boundary (a scan in flight is never reconfigured).
-	var tunMu sync.Mutex
-	var breakerOverride campaign.Tunables
-	applyTunables := func(t *campaign.Tunables, origin string) error {
+	// settings are staged here and applied by ForWeek at the next week
+	// boundary (a scan in flight is never reconfigured).
+	applyTunables := func(t *tunables, origin string) error {
 		if t.HasAlerts {
 			rules, err := parseAlertRules(t.Alerts)
 			if err != nil {
@@ -316,7 +383,7 @@ func main() {
 		return nil
 	}
 	if *tunablesPath != "" {
-		t, err := campaign.LoadTunables(*tunablesPath)
+		t, err := loadTunables(*tunablesPath)
 		if err != nil {
 			log.Fatalf("-tunables: %v", err)
 		}
@@ -327,7 +394,7 @@ func main() {
 		signal.Notify(hupCh, syscall.SIGHUP)
 		go func() {
 			for range hupCh {
-				t, err := campaign.LoadTunables(*tunablesPath)
+				t, err := loadTunables(*tunablesPath)
 				if err != nil {
 					log.Printf("tunables reload: %v (keeping previous settings)", err)
 					continue
@@ -338,140 +405,24 @@ func main() {
 			}
 		}()
 	}
-	// Every domain flows straight into the incremental aggregators (and the
-	// qlog export, when asked for) and is dropped — memory stays bounded by
-	// the aggregate state, not the population.
-	var camp *analysis.CampaignAccumulator
-	var shardRes *shard.Result
-	if *shards > 0 || *vantagesSpec != "" {
-		// Distributed scan-out: the coordinator splits the population into
-		// contiguous shards (each with its own journal, breakers and
-		// telemetry labels), optionally repeats the campaign from several
-		// vantage points, and merges the shard accumulators back into one
-		// campaign with byte-identical tables.
-		if *qlogDir != "" {
-			log.Fatalf("-qlog-dir cannot be combined with -shards/-vantages (the shard coordinator owns the per-shard sinks)")
-		}
-		if *followMode {
-			log.Fatalf("-follow is a single-process service; use -shards/-vantages without -follow for distributed scan-out")
-		}
-		tr, err := shard.ParseTransport(*shardTransport)
-		if err != nil {
-			log.Fatalf("-shard-transport: %v", err)
-		}
-		vantages, err := parseVantages(*vantagesSpec)
-		if err != nil {
-			log.Fatalf("-vantages: %v", err)
-		}
-		nshards := *shards
-		if nshards == 0 {
-			nshards = 1
-		}
-		weeksList := make([]int, 0, nweeks)
-		for wk := first; wk < first+nweeks; wk++ {
-			weeksList = append(weeksList, wk)
-		}
-		nv := len(vantages)
-		if nv == 0 {
-			nv = 1
-		}
-		log.Printf("scanning weeks %d-%d across %d shards, %d vantage(s), %s transport...",
-			first, first+nweeks-1, nshards, nv, tr)
-		shardRes, err = shard.Run(world, shard.Config{
-			Shards:   nshards,
-			Weeks:    weeksList,
-			Vantages: vantages,
-			ForWeek: func(week int) scanner.Config {
-				cfg := baseCfg
-				cfg.Seed = prof.Seed + int64(week)
-				// The coordinator owns the journal layout: every
-				// (vantage, shard) pair gets its own subdirectory.
-				cfg.Checkpoint, cfg.Resume = "", false
-				return cfg
-			},
-			Checkpoint:   *checkpoint,
-			Resume:       *resume,
-			Transport:    tr,
-			Telemetry:    reg,
-			Live:         live,
-			Trace:        tracer,
-			MaxRestarts:  *restarts,
-			StallTimeout: *shardStall,
-			StrictShards: *strictShards,
-			Faults:       faults,
-			Logf:         log.Printf,
-		})
-		if errors.Is(err, scanner.ErrInterrupted) {
-			exitInterrupted()
-		}
-		if err != nil {
-			log.Fatal(err)
-		}
-		camp = shardRes.Vantages[0].Campaign
-	} else {
-		// One week scheduler for every unsharded mode: a one-shot run and the
-		// -follow service share the streaming path, journal and seed
-		// derivation, so a follow campaign stopped after N weeks is
-		// byte-identical to -weeks N.
-		if *qlogDir != "" {
-			if err := os.MkdirAll(*qlogDir, 0o755); err != nil {
-				log.Fatalf("-qlog-dir: %v", err)
-			}
-		}
-		if nweeks == 0 {
-			log.Printf("follow mode: continuous campaign from week 1 (%s engine; stop with SIGINT/SIGTERM)...", *engine)
-		}
-		fres, err := campaign.Follow(campaign.Config{
-			World:     world,
-			Base:      baseCfg,
-			SeedBase:  prof.Seed,
-			StartWeek: first,
-			MaxWeeks:  nweeks,
-			Interval:  *followInterval,
-			Sink: func(acc *analysis.Accumulator) func(int, *scanner.DomainResult) error {
-				sink := live.Sink(acc)
-				if *qlogDir == "" {
-					return sink
-				}
-				qlogs := scanner.QlogSink(acc.Week, acc.IPv6, func(name string) (io.WriteCloser, error) {
-					return os.Create(filepath.Join(*qlogDir, name))
-				})
-				return func(i int, d *scanner.DomainResult) error {
-					if err := qlogs(i, d); err != nil {
-						return fmt.Errorf("writing qlogs: %w", err)
-					}
-					return sink(i, d)
-				}
-			},
-			WeekRestarts: *restarts,
-			RetainWeeks:  *retainWeeks,
-			Compact:      *journalCompact || *retainWeeks > 0,
-			Reconfigure: func(cfg *scanner.Config) {
-				log.Printf("scanning week %d (%s, ipv6=%v)...", cfg.Week, *engine, cfg.IPv6)
-				tunMu.Lock()
-				defer tunMu.Unlock()
-				if breakerOverride.HasBreakerThreshold {
-					cfg.Breaker.Threshold = breakerOverride.BreakerThreshold
-				}
-				if breakerOverride.HasBreakerCooldown {
-					cfg.Breaker.Cooldown = breakerOverride.BreakerCooldown
-				}
-			},
-			OnWeek: func(wk int, _ *analysis.CampaignAccumulator) {
-				log.Printf("week %d complete", wk)
-			},
-			Logf: log.Printf,
-		})
-		if err != nil {
-			log.Fatal(err)
-		}
-		log.Printf("campaign: %d week(s) completed, %d restart(s), compaction kept %d of %d record(s)",
-			fres.WeeksDone, fres.Restarts, fres.Compactions.Kept, fres.Compactions.Records)
-		if fres.Interrupted {
-			exitInterrupted()
-		}
-		camp = fres.Campaign
+	// One campaign runner for every mode: a one-shot run, the -follow service
+	// and a sharded, multi-vantage scan-out are the same week loop, so any
+	// combination of them prints what its unsharded one-shot equivalent
+	// prints. Every domain flows straight into the incremental aggregators
+	// (and the qlog export, when asked for) and is dropped — memory stays
+	// bounded by the aggregate state, not the population.
+	if campCfg.UntilInterrupted {
+		log.Printf("follow mode: continuous campaign from week 1 (stop with SIGINT/SIGTERM)...")
 	}
+	res, err := shard.Run(world, campCfg)
+	if errors.Is(err, scanner.ErrInterrupted) {
+		log.Printf("campaign: %d week(s) completed", len(res.Vantages[0].Campaign.Weeks()))
+		exitInterrupted()
+	}
+	if err != nil {
+		log.Fatal(err)
+	}
+	camp := res.Vantages[0].Campaign
 	stopProgress()
 
 	if !*summary {
@@ -486,14 +437,13 @@ func main() {
 	if len(wks) > 1 {
 		tables = append(tables, analysis.RenderLongitudinal(camp.Longitudinal()))
 	}
-	if shardRes != nil && len(shardRes.Vantages) > 1 {
-		tables = append(tables, shard.RenderAgreement(shardRes))
+	if len(res.Vantages) > 1 {
+		tables = append(tables, shard.RenderAgreement(res))
 	}
 	// A degraded merge (lost shards, no -strict-shards) ships its coverage
 	// accounting with the tables: which shards survived, what domain ranges
 	// are missing, and a per-table confidence caveat.
-	if shardRes != nil && !shardRes.Vantages[0].Coverage.Complete() {
-		cov := shardRes.Vantages[0].Coverage
+	if cov := res.Vantages[0].Coverage; !cov.Complete() {
 		for _, tb := range tables {
 			if note := cov.Confidence(tb.Title); note != "" {
 				log.Printf("coverage: %s", note)

@@ -13,6 +13,7 @@ import (
 
 	"quicspin/internal/analysis"
 	"quicspin/internal/scanner"
+	"quicspin/internal/shard"
 	"quicspin/internal/telemetry"
 	"quicspin/internal/trace"
 	"quicspin/internal/websim"
@@ -83,8 +84,9 @@ func TestDebugEndpointServesScanMetrics(t *testing.T) {
 	}
 }
 
-// TestOptionBudget pins the two option counts ROADMAP tracks, so neither
-// regrows unnoticed: a new flag or scanner.Config field has to replace one.
+// TestOptionBudget pins the three option counts ROADMAP tracks, so none
+// regrows unnoticed: a new flag, scanner.Config field or runner option has
+// to replace one.
 func TestOptionBudget(t *testing.T) {
 	flags := 0
 	flag.VisitAll(func(f *flag.Flag) {
@@ -95,15 +97,20 @@ func TestOptionBudget(t *testing.T) {
 	if flags > 42 {
 		t.Errorf("spinscan defines %d flags, budget 42", flags)
 	}
-	exported := 0
-	cfg := reflect.TypeOf(scanner.Config{})
-	for i := 0; i < cfg.NumField(); i++ {
-		if cfg.Field(i).IsExported() {
-			exported++
+	for _, c := range []struct {
+		cfg    any
+		budget int
+	}{{scanner.Config{}, 18}, {shard.Config{}, 22}} {
+		exported := 0
+		typ := reflect.TypeOf(c.cfg)
+		for i := 0; i < typ.NumField(); i++ {
+			if typ.Field(i).IsExported() {
+				exported++
+			}
 		}
-	}
-	if exported > 18 {
-		t.Errorf("scanner.Config has %d exported fields, budget 18", exported)
+		if exported > c.budget {
+			t.Errorf("%v has %d exported fields, budget %d", typ, exported, c.budget)
+		}
 	}
 }
 

@@ -1,4 +1,4 @@
-package campaign
+package main
 
 import (
 	"bufio"
@@ -10,7 +10,7 @@ import (
 	"time"
 )
 
-// Tunables are the runtime settings a long-running spinscan service can
+// tunables are the runtime settings a long-running spinscan service can
 // reload without restart (SIGHUP re-reads the -tunables file). Every field
 // has a matching Has flag: only keys present in the file override the
 // command line, so a partial file adjusts one knob and leaves the rest.
@@ -25,7 +25,7 @@ import (
 //
 // Alerts and progress apply at the next progress tick; breaker settings at
 // the next week boundary (a scan in flight is never reconfigured).
-type Tunables struct {
+type tunables struct {
 	Alerts    string
 	HasAlerts bool
 
@@ -39,9 +39,9 @@ type Tunables struct {
 	HasBreakerCooldown bool
 }
 
-// ParseTunables reads the key = value tunables format.
-func ParseTunables(r io.Reader) (*Tunables, error) {
-	t := &Tunables{}
+// parseTunables reads the key = value tunables format.
+func parseTunables(r io.Reader) (*tunables, error) {
+	t := &tunables{}
 	sc := bufio.NewScanner(r)
 	for lineNo := 1; sc.Scan(); lineNo++ {
 		line := sc.Text()
@@ -54,7 +54,7 @@ func ParseTunables(r io.Reader) (*Tunables, error) {
 		}
 		key, val, ok := strings.Cut(line, "=")
 		if !ok {
-			return nil, fmt.Errorf("campaign: tunables line %d: want key = value, got %q", lineNo, line)
+			return nil, fmt.Errorf("tunables line %d: want key = value, got %q", lineNo, line)
 		}
 		key, val = strings.TrimSpace(key), strings.TrimSpace(val)
 		var err error
@@ -82,24 +82,24 @@ func ParseTunables(r io.Reader) (*Tunables, error) {
 			}
 			t.HasBreakerCooldown = true
 		default:
-			return nil, fmt.Errorf("campaign: tunables line %d: unknown key %q", lineNo, key)
+			return nil, fmt.Errorf("tunables line %d: unknown key %q", lineNo, key)
 		}
 		if err != nil {
-			return nil, fmt.Errorf("campaign: tunables line %d: %s = %q: %v", lineNo, key, val, err)
+			return nil, fmt.Errorf("tunables line %d: %s = %q: %v", lineNo, key, val, err)
 		}
 	}
 	if err := sc.Err(); err != nil {
-		return nil, fmt.Errorf("campaign: read tunables: %w", err)
+		return nil, fmt.Errorf("read tunables: %w", err)
 	}
 	return t, nil
 }
 
-// LoadTunables reads a tunables file from disk.
-func LoadTunables(path string) (*Tunables, error) {
+// loadTunables reads a tunables file from disk.
+func loadTunables(path string) (*tunables, error) {
 	f, err := os.Open(path)
 	if err != nil {
-		return nil, fmt.Errorf("campaign: open tunables: %w", err)
+		return nil, fmt.Errorf("open tunables: %w", err)
 	}
 	defer f.Close()
-	return ParseTunables(f)
+	return parseTunables(f)
 }

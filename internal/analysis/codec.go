@@ -565,9 +565,10 @@ func UnmarshalCampaign(data []byte, res *asdb.Resolver) (*CampaignAccumulator, e
 	if err != nil {
 		return nil, err
 	}
+	// length bounds n by the bytes left, so a hostile count cannot size this.
+	c.long.domains = make(map[string]*longTrack, n)
 	prev := ""
 	for i := 0; i < n; i++ {
-		t := &longTrack{}
 		name, err := d.str()
 		if err != nil {
 			return nil, err
@@ -576,6 +577,7 @@ func UnmarshalCampaign(data []byte, res *asdb.Resolver) (*CampaignAccumulator, e
 			return nil, decErr("domain names not strictly ascending (%q after %q)", name, prev)
 		}
 		prev = name
+		t := c.long.track(name)
 		if err := decodeCounts(d, &t.quicWeeks, &t.spinWeeks); err != nil {
 			return nil, err
 		}
@@ -583,7 +585,6 @@ func UnmarshalCampaign(data []byte, res *asdb.Resolver) (*CampaignAccumulator, e
 			return nil, decErr("domain %q spun in %d of %d QUIC weeks", name, t.spinWeeks, t.quicWeeks)
 		}
 		t.everSpun = t.spinWeeks > 0
-		c.long.domains[name] = t
 	}
 	nw, err := d.length(5)
 	if err != nil {

@@ -274,17 +274,30 @@ type longTrack struct {
 // state of a cross-week join — but no per-domain scan rows.
 type longFold struct {
 	domains map[string]*longTrack
+	// free is the unused tail of the current track slab: tracks are handed
+	// out of 512-record blocks, so a fold, a merge and a decode each cost one
+	// allocation per block instead of one per domain.
+	free []longTrack
 }
 
 func newLongFold() *longFold { return &longFold{domains: map[string]*longTrack{}} }
 
+// track returns the record for a domain name, adding a zero one if needed.
+func (f *longFold) track(name string) *longTrack {
+	t := f.domains[name]
+	if t == nil {
+		if len(f.free) == 0 {
+			f.free = make([]longTrack, 512)
+		}
+		t, f.free = &f.free[0], f.free[1:]
+		f.domains[name] = t
+	}
+	return t
+}
+
 // add folds one domain of one week; call it once per (domain, week).
 func (f *longFold) add(da *DomainAnalysis) {
-	t := f.domains[da.Src.Domain]
-	if t == nil {
-		t = &longTrack{}
-		f.domains[da.Src.Domain] = t
-	}
+	t := f.track(da.Src.Domain)
 	if da.Src.QUIC() {
 		t.quicWeeks++
 	}

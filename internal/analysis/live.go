@@ -151,6 +151,7 @@ func (l *Live) ShardSink(shard int, acc *Accumulator) func(i int, d *scanner.Dom
 		l.accs = map[int]*Accumulator{}
 	}
 	l.accs[shard] = acc
+	delete(l.lost, shard) // lost last week, planned again this week
 	l.cur.Week = acc.Week
 	l.mu.Unlock()
 	return func(_ int, d *scanner.DomainResult) error {
@@ -190,9 +191,9 @@ func (l *Live) NoteRestart(shard int) {
 	l.mu.Unlock()
 }
 
-// NoteLost records a shard permanently abandoned by the supervisor; the
-// dashboard's tables then cover the population minus that shard's range.
-// Nil-safe.
+// NoteLost records a shard abandoned by the supervisor for the week being
+// scanned; the dashboard's tables then cover the population minus that
+// shard's range, until its next scan registers through ShardSink. Nil-safe.
 func (l *Live) NoteLost(shard int) {
 	if l == nil {
 		return

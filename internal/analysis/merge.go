@@ -125,11 +125,7 @@ func (f *errorClassFold) merge(o *errorClassFold) {
 
 func (f *longFold) merge(o *longFold) {
 	for name, t := range o.domains {
-		dst := f.domains[name]
-		if dst == nil {
-			dst = &longTrack{}
-			f.domains[name] = dst
-		}
+		dst := f.track(name)
 		dst.everSpun = dst.everSpun || t.everSpun
 		dst.quicWeeks += t.quicWeeks
 		dst.spinWeeks += t.spinWeeks

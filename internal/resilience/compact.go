@@ -30,12 +30,12 @@ func compactName(gen int64) string { return fmt.Sprintf("compact-%06d.jsonl", ge
 //	replay(compact(J)) == replay(J)
 //
 // holds exactly — the property TestCompactionEquivalence pins. When retain
-// is non-nil, keys it rejects are dropped (the follow scheduler uses this
+// is non-nil, keys it rejects are dropped (the campaign runner uses this
 // to prune weeks outside the retention horizon). fs nil means the real
 // filesystem.
 //
 // Compact requires that no Journal is appending to dir concurrently: the
-// follow scheduler runs it between weeks, after Close. It is crash-safe at
+// campaign runner runs it between weeks, after Close. It is crash-safe at
 // every step — the compacted segment is staged as a .tmp file (invisible
 // to replay), fsynced, then renamed into place before the old segments are
 // removed. A torn rename strands only the staging file; a crash between

@@ -95,7 +95,7 @@ func TestCompactionEquivalence(t *testing.T) {
 }
 
 // TestCompactionRetention checks the retain filter drops exactly the
-// rejected keys — the follow scheduler's week-pruning hook.
+// rejected keys — the campaign runner's week-pruning hook.
 func TestCompactionRetention(t *testing.T) {
 	dir := t.TempDir()
 	j, err := OpenJournal(dir)

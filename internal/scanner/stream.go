@@ -53,9 +53,13 @@ type campaign struct {
 	br       *resilience.Breaker // nil when disabled
 
 	interrupted atomic.Bool
-	completed   atomic.Int64
-	started     time.Time
-	allocs      *allocMeter // nil without telemetry
+	// stopRequested records that the stop came from outside the pipeline
+	// (Config.Interrupt or an injected scan.interrupt), not from a failing
+	// sink: RunStream must report it even when the sink failed as well.
+	stopRequested atomic.Bool
+	completed     atomic.Int64
+	started       time.Time
+	allocs        *allocMeter // nil without telemetry
 
 	stopWatch chan struct{}
 }
@@ -89,7 +93,7 @@ func newCampaign(w *websim.World, cfg Config) (*campaign, error) {
 		go func() {
 			select {
 			case <-cfg.Interrupt:
-				c.interrupt()
+				c.requestStop()
 			case <-c.stopWatch:
 			}
 		}()
@@ -142,6 +146,12 @@ func (c *campaign) interrupt() {
 	if c.interrupted.CompareAndSwap(false, true) && c.br != nil {
 		c.br.Abort()
 	}
+}
+
+// requestStop is interrupt for a stop asked for from outside the pipeline.
+func (c *campaign) requestStop() {
+	c.stopRequested.Store(true)
+	c.interrupt()
 }
 
 // finish records end-of-run telemetry (throughput and allocation deltas).
@@ -259,7 +269,7 @@ func (c *campaign) scanStep(eng *engine, shard int, rec *trace.Recorder, d *webs
 	}
 	c.completed.Add(1)
 	if f := c.cfg.Faults; f != nil && f.Hit(fault.Scan, fault.Interrupt, "", f.Next(fault.Scan)) {
-		c.interrupt()
+		c.requestStop()
 	}
 	return res, true
 }
@@ -270,7 +280,12 @@ func (c *campaign) scanStep(eng *engine, shard int, rec *trace.Recorder, d *webs
 func (c *campaign) worker(shard int, work <-chan domainBatch, results chan<- resultBatch) {
 	c.tm.workersActive.Add(1)
 	defer c.tm.workersActive.Add(-1)
-	rec := c.cfg.Trace.Recorder(shard)
+	// A recorder has one owner. Ranges of one campaign scanned concurrently
+	// share the tracer, so the recorder id is offset by the range start: a
+	// range never has more workers than domains, which keeps the ids of
+	// disjoint ranges disjoint (and an unsharded run's ids what they were).
+	lo, _ := c.bounds()
+	rec := c.cfg.Trace.Recorder(lo + shard)
 	eng := buildEngine(c.w, c.cfg, newEngineRng(c.cfg, shard), c.tm, rec)
 	for b := range work {
 		rb := resultBatch{start: b.start, dispatched: len(b.domains)}
@@ -397,7 +412,9 @@ func (c *campaign) runPipeline(sink func(i int, res *DomainResult) error) (sinkE
 // campaign and is returned. When the campaign is interrupted, sink
 // receives the longest completed prefix of the population and RunStream
 // returns ErrInterrupted; completed domains beyond the first gap are in
-// the checkpoint journal (when configured) but are not delivered.
+// the checkpoint journal (when configured) but are not delivered. An
+// interrupt is never swallowed: when the sink fails in a run that was also
+// told to stop, the returned error wraps both.
 func RunStream(w *websim.World, cfg Config, sink func(i int, res *DomainResult) error) error {
 	c, err := newCampaign(w, cfg)
 	if err != nil {
@@ -406,10 +423,12 @@ func RunStream(w *websim.World, cfg Config, sink func(i int, res *DomainResult) 
 	defer c.close()
 	sinkErr := c.runPipeline(sink)
 	c.finish()
-	if sinkErr != nil {
+	switch {
+	case sinkErr != nil && c.stopRequested.Load():
+		return fmt.Errorf("%w (and the sink failed: %w)", ErrInterrupted, sinkErr)
+	case sinkErr != nil:
 		return sinkErr
-	}
-	if c.interrupted.Load() {
+	case c.interrupted.Load():
 		return ErrInterrupted
 	}
 	return nil

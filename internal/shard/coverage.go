@@ -37,7 +37,8 @@ func (s ShardState) String() string {
 	}
 }
 
-// ShardStatus is one shard's supervision record.
+// ShardStatus is one shard's supervision record: of one week inside the
+// runner, of the whole campaign (see vantageRun.fold) in a Coverage.
 type ShardStatus struct {
 	Shard    int
 	Range    Range
@@ -60,8 +61,8 @@ type Coverage struct {
 	TotalDomains int
 	// CoveredDomains counts population indices inside surviving shards.
 	CoveredDomains int
-	// Missing lists the population ranges of lost shards, ascending and
-	// coalesced (adjacent lost shards merge into one range).
+	// Missing lists the population ranges of shards lost in any week,
+	// ascending and coalesced (adjacent lost shards merge into one range).
 	Missing []Range
 	// Shards records every shard's supervision outcome, in shard order.
 	Shards []ShardStatus
@@ -111,6 +112,23 @@ func RenderCoverage(c Coverage) *report.Table {
 			st.State.String(), strconv.Itoa(st.Restarts), faults)
 	}
 	return t
+}
+
+// fold adds one merged week's supervision records to the campaign-long
+// ones: a shard's state is its worst over the weeks, its restarts add up and
+// every fault it absorbed is kept, prefixed by its week.
+func (vs *vantageRun) fold(week int, statuses []ShardStatus) {
+	for si, st := range statuses {
+		agg := &vs.statuses[si]
+		agg.State = max(agg.State, st.State)
+		agg.Restarts += st.Restarts
+		for _, f := range st.Faults {
+			agg.Faults = append(agg.Faults, fmt.Sprintf("week %d: %s", week, f))
+		}
+		if st.Err != nil {
+			agg.Err = st.Err
+		}
+	}
 }
 
 // buildCoverage derives the vantage's coverage accounting from the

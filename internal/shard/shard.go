@@ -1,22 +1,26 @@
-// Package shard implements the distributed scan-out coordinator: it splits
-// the domain population into contiguous shards, runs every shard through an
-// independent scanner.RunStream — its own checkpoint journal, breakers and
-// telemetry labels — and merges the shard accumulators back into one
-// campaign whose Tables 1–5 and Figs. 3–4 are byte-identical to an
-// unsharded run (determinism_test.go pins this, like worker-count
-// invariance before it).
+// Package shard is the campaign runner: Run scans the population week after
+// week, from one vantage point or several, with every week planned into
+// one or more contiguous population ranges ("shards") that are scanned
+// concurrently through scanner.RunStream — each with its own checkpoint
+// journal, breakers and telemetry labels — under a supervisor that restarts
+// crashed and stalled scans, and merged back into one campaign whose Tables
+// 1–5 and Figs. 2–4 are byte-identical to a plain unsharded week loop
+// (determinism_test.go pins this, like worker-count invariance before it).
+// A one-shot `spinscan -week N`, a `-weeks N` campaign, the `-follow`
+// service and a `-shards N` scan-out are all this one loop. (The package
+// keeps the name of the subsystem the runner grew out of; DESIGN.md §3 says
+// why.)
 //
-// Shard workers run as goroutines in this process; the accumulators they
-// produce can flow back to the coordinator three ways (Config.Transport):
-// direct in-memory merge, a round-trip through the versioned wire format
+// The ranges run as goroutines in this process; the accumulators they
+// produce flow back to the merge three ways (Config.Transport): direct
+// in-memory merge, a round-trip through the versioned wire format
 // (internal/analysis codec), or real UDP sockets via internal/udprun —
 // the exchange a multi-process deployment would use, proving the merged
 // bytes are process-agnostic.
 //
-// The coordinator also runs multi-vantage campaigns: each vantage point
-// scans the whole population through its own extra path delay/jitter
-// (scanner.Vantage), and RenderAgreement compares the per-vantage spin
-// verdict distributions.
+// Multi-vantage campaigns scan every week from each vantage point through
+// its own extra path delay/jitter (scanner.Vantage), and RenderAgreement
+// compares the per-vantage spin verdict distributions.
 package shard
 
 import (
@@ -111,82 +115,112 @@ func ParseTransport(s string) (Transport, error) {
 	}
 }
 
-// Config parameterises one distributed campaign.
+// Config parameterises one campaign.
 type Config struct {
-	// Shards is the number of population slices scanned concurrently.
+	// Shards is the number of population ranges scanned concurrently. Zero
+	// means unsharded: one range covering the whole population whose journal
+	// sits at the Checkpoint root (the layout a bare scanner.RunStream
+	// checkpoint has) — unless Vantages are configured, which need a
+	// directory each and get the layout of Shards: 1.
 	Shards int
-	// Weeks are the campaign weeks every shard scans, in order.
+	// Weeks are the campaign weeks, scanned in order. Never empty: a
+	// forgotten field must not mean "forever" (see UntilInterrupted).
 	Weeks []int
-	// Vantages are the scanning locations; each runs a full sharded
-	// campaign of its own. Empty means one baseline vantage.
+	// UntilInterrupted keeps the campaign going past the last entry of
+	// Weeks, one consecutive week after another, until Interrupt fires —
+	// the follow service. It requires Interrupt.
+	UntilInterrupted bool
+	// Interval is the real-time pause between consecutive weeks (a service
+	// nicety; zero scans back to back). The wait is interruptible.
+	Interval time.Duration
+	// Vantages are the scanning locations; each scans every week through
+	// its own path delay into its own campaign. Empty means one baseline
+	// vantage.
 	Vantages []scanner.Vantage
 	// ForWeek returns the scan configuration for one week (seed, engine,
-	// workers, retry/breaker policy, address family, interrupt channel…).
-	// The coordinator overrides Week, Shard, Vantage and — when Checkpoint
-	// is set — the per-shard checkpoint directory.
+	// workers, retry/breaker policy, address family, journal tuning…). It
+	// is called once per week, before the week's first scan, so it is also
+	// where per-week reconfiguration happens: a scan in flight is never
+	// reconfigured. Run overrides Week, Shard, Vantage, Interrupt,
+	// Checkpoint and Resume.
 	ForWeek func(week int) scanner.Config
+	// Interrupt, when non-nil, stops the campaign gracefully as soon as it
+	// is closed (or receives): Run stamps it into every scan.
+	Interrupt <-chan struct{}
+	// Tee, when non-nil, is called once per scan attempt and returns a sink
+	// that sees every delivery of that attempt before it is folded — the
+	// qlog export (scanner.QlogSink). vantage is the vantage's directory
+	// name, the one its journals sit under; sc is the attempt's scan
+	// configuration. An error from the sink fails the attempt like a crash.
+	Tee func(vantage string, sc scanner.Config) func(i int, d *scanner.DomainResult) error
 	// Checkpoint, when non-empty, is the campaign's journal root; every
-	// (vantage, shard) pair journals under its own subdirectory, so a
-	// killed campaign resumes shard by shard.
+	// (vantage, shard) pair journals under its own subdirectory (the
+	// unsharded range at the root itself), so a killed campaign resumes
+	// range by range.
 	Checkpoint string
-	// Resume replays existing per-shard journals before scanning.
+	// Resume replays the existing journals before scanning.
 	Resume bool
+	// Compact rewrites every journal down to one record per live key after
+	// each completed week. Implied by RetainWeeks > 0.
+	Compact bool
+	// RetainWeeks prunes journal records older than the last N weeks during
+	// the between-weeks compaction; zero keeps everything. Pruning trades
+	// rescan time on resume for bounded disk — results are unaffected
+	// either way (scans are deterministic).
+	RetainWeeks int
 	// Transport selects the accumulator merge path (see the constants).
 	Transport Transport
 	// Telemetry receives the shard/vantage gauges and per-shard progress
 	// counters in addition to the scanner's own campaign metrics.
 	Telemetry *telemetry.Registry
-	// Live, when non-nil, receives every shard's deliveries for the
+	// Live, when non-nil, receives every range's deliveries for the
 	// /debug/campaign dashboard (shard-merged tables, rolling windows).
 	Live *analysis.Live
-	// Trace, when non-nil, receives supervisor events (shard restarts and
-	// losses) as synthetic traces alongside the scanner's per-domain ones.
+	// Trace, when non-nil, receives supervisor events (restarts and losses)
+	// as synthetic traces alongside the scanner's per-domain ones.
 	Trace *trace.Tracer
-	// MaxRestarts is each shard's restart budget: how many times the
-	// supervisor will relaunch a crashed, panicked or stalled worker
-	// (resuming from its checkpoint journal) before declaring the shard
-	// lost. Zero means workers are never restarted.
+	// MaxRestarts is the restart budget of one range in one week: how many
+	// times the supervisor relaunches a crashed, panicked or stalled scan
+	// (resuming from its checkpoint journal) before declaring the range
+	// lost for that week. Zero means scans are never restarted.
 	MaxRestarts int
 	// RestartBackoff paces restarts (real time). The zero value takes the
 	// resilience defaults: 250ms base, doubling, capped at 5s.
 	RestartBackoff resilience.RetryPolicy
-	// StallTimeout arms the supervisor's stall watchdog: a worker that
+	// StallTimeout arms the supervisor's stall watchdog: a scan that
 	// delivers nothing for this long is killed and restarted like a crash.
 	// Zero disables stall detection.
 	StallTimeout time.Duration
-	// StrictShards restores fail-fast semantics: any shard lost after its
+	// StrictShards restores fail-fast semantics: any range lost after its
 	// restart budget aborts the campaign. When false (the default), the
-	// coordinator merges the surviving shards and reports exactly what is
-	// missing through VantageResult.Coverage.
+	// surviving ranges merge and VantageResult.Coverage reports exactly
+	// what is missing.
 	StrictShards bool
 	// Faults, when non-nil, injects the plan's shard rules (scripted worker
 	// crashes, panics and stalls; target: the shard index, index: the
-	// worker's deliveries across its restarts) and udp rules (both ends of
-	// the UDP collector exchange) — the chaos harness the determinism suite
-	// runs under. The configs ForWeek returns carry the other sites' plan.
+	// shard's deliveries across its restarts and weeks) and udp rules (both
+	// ends of the UDP collector exchange) — the chaos harness the
+	// determinism suite runs under. The configs ForWeek returns carry the
+	// other sites' plan.
 	Faults *fault.Plan
-	// Logf, when non-nil, receives supervisor progress lines (restarts,
-	// losses, submit retries).
+	// Logf, when non-nil, receives the runner's progress lines (weeks,
+	// restarts, losses, submit retries, compactions).
 	Logf func(format string, args ...any)
 }
 
-// interruptCh is the campaign's operator-interrupt channel, as configured
-// through ForWeek. The supervisor keeps it separate from its own stall
-// watchdog so it can tell an interrupt from a dead worker.
-func (c Config) interruptCh() <-chan struct{} {
-	if c.ForWeek == nil || len(c.Weeks) == 0 {
-		return nil
-	}
-	return c.ForWeek(c.Weeks[0]).Interrupt
-}
+// ranges is the number of population ranges a week is planned into.
+func (c Config) ranges() int { return max(c.Shards, 1) }
 
-// Validate reports descriptive errors for coordinator misconfiguration.
+// Validate reports descriptive errors for campaign misconfiguration.
 func (c Config) Validate() error {
-	if c.Shards < 1 {
-		return fmt.Errorf("shard: Shards must be >= 1, got %d", c.Shards)
+	if c.Shards < 0 {
+		return fmt.Errorf("shard: Shards must be >= 0 (0 means unsharded), got %d", c.Shards)
 	}
 	if len(c.Weeks) == 0 {
 		return fmt.Errorf("shard: at least one campaign week is required")
+	}
+	if c.UntilInterrupted && c.Interrupt == nil {
+		return fmt.Errorf("shard: UntilInterrupted requires an Interrupt channel")
 	}
 	if c.ForWeek == nil {
 		return fmt.Errorf("shard: ForWeek must be set")
@@ -196,6 +230,9 @@ func (c Config) Validate() error {
 	}
 	if c.Resume && c.Checkpoint == "" {
 		return fmt.Errorf("shard: Resume requires a Checkpoint directory")
+	}
+	if c.RetainWeeks < 0 {
+		return fmt.Errorf("shard: RetainWeeks must be >= 0, got %d", c.RetainWeeks)
 	}
 	if c.MaxRestarts < 0 {
 		return fmt.Errorf("shard: MaxRestarts must be >= 0, got %d", c.MaxRestarts)
@@ -207,8 +244,8 @@ func (c Config) Validate() error {
 		if r.Site != fault.Shard {
 			continue
 		}
-		if si, err := strconv.Atoi(r.Target); err != nil || si < 0 || si >= c.Shards {
-			return fmt.Errorf("shard: fault targets shard %q, campaign has shards 0-%d", r.Target, c.Shards-1)
+		if si, err := strconv.Atoi(r.Target); err != nil || si < 0 || si >= c.ranges() {
+			return fmt.Errorf("shard: fault targets shard %q, campaign has shards 0-%d", r.Target, c.ranges()-1)
 		}
 	}
 	return nil
@@ -216,93 +253,215 @@ func (c Config) Validate() error {
 
 // VantageResult is one vantage point's merged campaign.
 type VantageResult struct {
-	Vantage  scanner.Vantage
+	Vantage scanner.Vantage
+	// Campaign holds every completed week.
 	Campaign *analysis.CampaignAccumulator
-	// Coverage records each shard's supervision outcome and — for degraded
-	// merges — exactly which population ranges the campaign is missing.
+	// Coverage records each shard's supervision outcome over the campaign
+	// and — for degraded merges — exactly which population ranges some week
+	// of the campaign is missing.
 	Coverage Coverage
 }
 
-// Result is the outcome of one distributed campaign.
+// Result is the outcome of one campaign.
 type Result struct {
-	// Shards echoes the shard count the population was split into.
+	// Shards echoes Config.Shards.
 	Shards int
-	// Vantages holds one merged campaign per vantage point, in Config
-	// order.
+	// Vantages holds one campaign per vantage point, in Config order.
 	Vantages []VantageResult
 }
 
-// Run executes the distributed campaign: for every vantage point, all
-// shards scan their population slice concurrently (each week through its
-// own RunStream), and the shard accumulators merge — over the configured
-// transport — into one campaign per vantage.
+// run is the state of one Run call.
+type run struct {
+	w      *websim.World
+	cfg    Config
+	ranges []Range
+	// stop is the campaign's one interrupt: closed when Config.Interrupt
+	// fires or when any range's scan reports scanner.ErrInterrupted (an
+	// injected scan.interrupt), and stamped into every scan — an interrupt
+	// anywhere stops everything, and stays stopped.
+	stop     chan struct{}
+	stopOnce sync.Once
+
+	restarts      *telemetry.Counter
+	lost          *telemetry.Counter
+	submitRetries *telemetry.Counter
+}
+
+func (r *run) interrupt() { r.stopOnce.Do(func() { close(r.stop) }) }
+
+func (r *run) logf(format string, args ...any) {
+	if r.cfg.Logf != nil {
+		r.cfg.Logf(format, args...)
+	}
+}
+
+// vantageRun is what one vantage carries from week to week.
+type vantageRun struct {
+	v  scanner.Vantage
+	vi int
+	// dir is the vantage's subdirectory under Checkpoint (and the name Tee
+	// receives); label names it in telemetry, logs and reports.
+	dir, label string
+	camp       *analysis.CampaignAccumulator
+	// statuses is the campaign-long supervision record per shard.
+	statuses []ShardStatus
+	// delivered counts each shard's deliveries across its attempts and
+	// weeks: the stall watchdog's progress signal and the index of the
+	// plan's shard faults ("after 40, twice" kills the attempt delivering
+	// the 41st domain and the next attempt's first delivery).
+	delivered []atomic.Int64
+}
+
+// Run is the campaign runner — the one week loop of the repository. For
+// each week, for each vantage, the population is planned into
+// max(Shards, 1) ranges; every range is scanned under the supervisor
+// (attempt → restart from its journal → lost) into a week-isolated
+// accumulator; the ranges merge over the configured transport; and the week
+// folds into the vantage's campaign only on success, so a failed attempt —
+// worker panic storm, poisoned engine, storage chaos — leaves no partial
+// state behind. Between weeks the journals are compacted and pruned to the
+// retention horizon. An unsharded run is the same path with one range, and
+// a one-shot run the same loop as the follow service with a bounded Weeks.
+// The result is byte-identical in every rendered table to folding the same
+// weeks straight into one CampaignAccumulator, for any Shards, Transport,
+// worker count, resume point and injected transient fault (the determinism
+// tests pin this against a test-local reference loop).
 //
-// On interruption (the scanner's Interrupt channel or an injected
-// scan.interrupt fault), Run
-// merges what the shards completed and returns the partial Result with
-// scanner.ErrInterrupted, mirroring RunStream's contract. Any other shard
-// error fails the campaign.
+// Four rules hold for every configuration:
+//
+//   - Interrupt: an in-flight week is never merged. When Interrupt fires, or
+//     any range's scan reports scanner.ErrInterrupted, every range is told
+//     to stop and Run returns the completed weeks with
+//     scanner.ErrInterrupted; what the abandoned week finished is in the
+//     journals for a later Resume.
+//   - Restart budget: MaxRestarts is per range per week. A range lost in
+//     week k is planned again in week k+1 — a transient fault never costs
+//     a follow service a shard for good.
+//   - Coverage over weeks: a vantage's Coverage.Missing is the union of the
+//     per-week missing ranges; a shard's ShardStatus is its worst state,
+//     with its restarts summed and each Faults entry prefixed by its week.
+//   - Fault index: a shard fault's index counts the shard's deliveries over
+//     the whole campaign (per vantage), not per week: "shard.crash:1@40" is
+//     shard 1's 41st delivery wherever week boundaries fall.
+//
+// Any error other than an interrupt fails the campaign; the Result then
+// still holds the weeks completed before it.
 func Run(w *websim.World, cfg Config) (*Result, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
+	}
+	cfg.Telemetry.Describe(map[string]string{
+		"shard_restarts_total": "Supervised shard-worker restarts (crash, panic or stall recoveries).",
+		"shard_lost_total":     "Shards abandoned after exhausting their restart budget.",
+		"submit_retries_total": "Accumulator submission retries (NAKs and ack timeouts).",
+	})
+	r := &run{
+		w: w, cfg: cfg,
+		ranges:        Plan(w.NumDomains(), cfg.ranges()),
+		stop:          make(chan struct{}),
+		restarts:      cfg.Telemetry.Counter("shard_restarts_total"),
+		lost:          cfg.Telemetry.Counter("shard_lost_total"),
+		submitRetries: cfg.Telemetry.Counter("submit_retries_total"),
+	}
+	if cfg.Interrupt != nil {
+		done := make(chan struct{})
+		defer close(done)
+		go func() {
+			select {
+			case <-cfg.Interrupt:
+				r.interrupt()
+			case <-done:
+			}
+		}()
 	}
 	vantages := cfg.Vantages
 	if len(vantages) == 0 {
 		vantages = []scanner.Vantage{{}}
 	}
-	cfg.Telemetry.Gauge("shard_count").Set(int64(cfg.Shards))
+	cfg.Telemetry.Gauge("shard_count").Set(int64(len(r.ranges)))
 	cfg.Telemetry.Gauge("vantage_count").Set(int64(len(vantages)))
-	res := &Result{Shards: cfg.Shards}
+	runs := make([]*vantageRun, len(vantages))
 	for vi, v := range vantages {
-		cfg.Live.SetVantage(vantageLabel(v, vi))
-		camp, cov, err := runVantage(w, cfg, v, vi)
-		if err != nil && !errors.Is(err, scanner.ErrInterrupted) {
-			return nil, err
+		vs := &vantageRun{
+			v: v, vi: vi, dir: vantageDir(v, vi), label: vantageLabel(v, vi),
+			camp:      analysis.NewCampaignAccumulator(),
+			statuses:  make([]ShardStatus, len(r.ranges)),
+			delivered: make([]atomic.Int64, len(r.ranges)),
 		}
-		res.Vantages = append(res.Vantages, VantageResult{Vantage: v, Campaign: camp, Coverage: cov})
-		if err != nil {
-			return res, scanner.ErrInterrupted
+		for si, rg := range r.ranges {
+			vs.statuses[si] = ShardStatus{Shard: si, Range: rg}
 		}
+		runs[vi] = vs
 	}
-	return res, nil
+	err := r.weeks(runs)
+	res := &Result{Shards: cfg.Shards}
+	for _, vs := range runs {
+		res.Vantages = append(res.Vantages, VantageResult{
+			Vantage: vs.v, Campaign: vs.camp, Coverage: buildCoverage(w.NumDomains(), vs.statuses),
+		})
+	}
+	return res, err
 }
 
-// collectTimeout bounds the coordinator's wait for UDP-submitted
-// accumulators. Every successful submit completes before the shard
-// goroutine exits, so by merge time the blobs are already in — the timeout
-// only catches collector socket failures.
+// weeks is the week loop: Config.Weeks in order, then — UntilInterrupted —
+// the weeks after the last one.
+func (r *run) weeks(runs []*vantageRun) error {
+	week := 0
+	for n := 0; n < len(r.cfg.Weeks) || r.cfg.UntilInterrupted; n++ {
+		if n < len(r.cfg.Weeks) {
+			week = r.cfg.Weeks[n]
+		} else {
+			week++
+		}
+		if n > 0 && !sleepInterruptible(r.cfg.Interval, r.stop) {
+			return scanner.ErrInterrupted
+		}
+		sc := r.cfg.ForWeek(week)
+		sc.Week = week
+		for _, vs := range runs {
+			if err := r.scanWeek(vs, sc); err != nil {
+				return err
+			}
+		}
+		r.logf("campaign: week %d complete", week)
+		r.compactJournals(runs, sc)
+	}
+	return nil
+}
+
+// collectTimeout bounds the wait for UDP-submitted accumulators. Every
+// successful submit completes before the range's goroutine exits, so by
+// merge time the blobs are already in — the timeout only catches collector
+// socket failures.
 const collectTimeout = 30 * time.Second
 
-// runVantage scans the whole population from one vantage point across all
-// shards — each under the supervisor's crash/stall recovery — and merges
-// their campaigns. Shards that exhaust their restart budget are lost: in
-// strict mode that fails the campaign; otherwise the surviving shards
-// merge into a degraded campaign whose Coverage names the missing ranges.
-func runVantage(w *websim.World, cfg Config, v scanner.Vantage, vi int) (*analysis.CampaignAccumulator, Coverage, error) {
-	ranges := Plan(w.NumDomains(), cfg.Shards)
+// scanWeek scans one week of the whole population from one vantage point:
+// every range under the supervisor's crash/stall recovery, then the merge
+// into the vantage's campaign. Ranges that exhaust their restart budget are
+// lost: in strict mode that fails the campaign; otherwise the surviving
+// ranges merge and the coverage record names what is missing.
+func (r *run) scanWeek(vs *vantageRun, sc scanner.Config) error {
+	r.cfg.Live.SetVantage(vs.label)
 	var col *Collector
-	if cfg.Transport == TransportUDP {
+	if r.cfg.Transport == TransportUDP {
 		var err error
-		if col, err = NewCollector(len(ranges), cfg.Faults); err != nil {
-			return nil, Coverage{}, err
+		if col, err = NewCollector(len(r.ranges), r.cfg.Faults); err != nil {
+			return err
 		}
 		defer col.Close()
 	}
-	sup := newSupervisor(w, cfg, v, vi, col)
-	camps := make([]*analysis.CampaignAccumulator, len(ranges))
-	statuses := make([]ShardStatus, len(ranges))
+	sup := &supervisor{run: r, vs: vs, sc: sc, col: col}
+	camps := make([]*analysis.CampaignAccumulator, len(r.ranges))
+	statuses := make([]ShardStatus, len(r.ranges))
 	var wg sync.WaitGroup
-	for si, r := range ranges {
+	for si, rg := range r.ranges {
 		wg.Add(1)
-		go func(si int, r Range) {
+		go func(si int, rg Range) {
 			defer wg.Done()
-			camp, st := sup.superviseShard(si, r)
-			if col != nil && st.State != ShardLost && camp != nil {
-				// Completed and interrupted shards both ship their campaign:
-				// the merged tables then cover exactly the completed prefix
-				// of every shard, like RunStream's partial sink. A shard
-				// whose submission fails even after retries is as lost as a
-				// crashed one — its data never reached the coordinator.
+			camp, st := sup.superviseShard(si, rg)
+			if col != nil && camp != nil {
+				// A range whose submission fails even after retries is as
+				// lost as a crashed one — its data never reached the merge.
 				if serr := sup.submit(si, camp); serr != nil {
 					st.State = ShardLost
 					st.Err = serr
@@ -312,142 +471,154 @@ func runVantage(w *websim.World, cfg Config, v scanner.Vantage, vi int) (*analys
 				}
 			}
 			camps[si], statuses[si] = camp, st
-		}(si, r)
+		}(si, rg)
 	}
 	wg.Wait()
-	cov := buildCoverage(w.NumDomains(), statuses)
-	interrupted := false
-	for _, st := range statuses {
-		if errors.Is(st.Err, scanner.ErrInterrupted) {
-			interrupted = true
-		}
-	}
-	if !cov.Complete() && cfg.StrictShards {
-		first := firstLost(statuses)
-		return nil, cov, fmt.Errorf("shard: %d of %d shards lost (strict mode; first loss: shard %d: %w)",
-			len(statuses)-countSurvivors(statuses), len(statuses), first.Shard, first.Err)
-	}
-	merged, err := mergeShards(cfg, w, camps, col)
-	if err != nil {
-		return nil, cov, err
-	}
-	if interrupted {
-		return merged, cov, scanner.ErrInterrupted
-	}
-	return merged, cov, nil
-}
-
-func firstLost(statuses []ShardStatus) ShardStatus {
-	for _, st := range statuses {
-		if st.State == ShardLost {
-			return st
-		}
-	}
-	return ShardStatus{Shard: -1}
-}
-
-func countSurvivors(statuses []ShardStatus) int {
-	n := 0
-	for _, st := range statuses {
-		if st.State != ShardLost {
-			n++
-		}
-	}
-	return n
-}
-
-// runShard scans one population slice through every campaign week — one
-// supervised attempt. forceResume replays the shard's checkpoint journal
-// even on campaigns that did not ask to resume (a restart must pick up the
-// crashed attempt's progress); interrupt, when non-nil, overrides the scan
-// configuration's interrupt channel (the supervisor passes its merged
-// operator∪watchdog channel); hook, when non-nil, observes every delivery
-// with the attempt's running count (the fault plan's crash injection
-// point); progress feeds the stall watchdog.
-func runShard(w *websim.World, cfg Config, v scanner.Vantage, vi, si int, r Range,
-	forceResume bool, interrupt <-chan struct{}, hook func(int64) error, progress *atomic.Int64) (*analysis.CampaignAccumulator, error) {
-	camp := analysis.NewCampaignAccumulator()
-	counter := cfg.Telemetry.Counter(telemetry.Name("shard_domains_total", "shard", strconv.Itoa(si)))
-	for _, week := range cfg.Weeks {
-		sc := cfg.ForWeek(week)
-		sc.Week = week
-		sc.Shard = scanner.ShardRange{Start: r.Start, End: r.End}
-		sc.Vantage = v
-		if sc.Telemetry == nil {
-			sc.Telemetry = cfg.Telemetry
-		}
-		if interrupt != nil {
-			sc.Interrupt = interrupt
-		}
-		if cfg.Checkpoint != "" {
-			sc.Checkpoint = filepath.Join(cfg.Checkpoint, vantageDir(v, vi), fmt.Sprintf("shard-%03d", si))
-			sc.Resume = cfg.Resume || forceResume
-		}
-		acc := camp.StartWeek(week, sc.IPv6, w.ASDB())
-		sink := cfg.Live.ShardSink(si, acc)
-		deliver := func(i int, d *scanner.DomainResult) error {
-			counter.Inc()
-			n := progress.Add(1)
-			if hook != nil {
-				if err := hook(n); err != nil {
-					return err
-				}
+	var firstLost *ShardStatus
+	lost := 0
+	for i := range statuses {
+		switch st := &statuses[i]; {
+		case errors.Is(st.Err, scanner.ErrInterrupted):
+			return scanner.ErrInterrupted
+		case st.State == ShardLost:
+			if lost++; firstLost == nil {
+				firstLost = st
 			}
-			return sink(i, d)
-		}
-		if err := scanner.RunStream(w, sc, deliver); err != nil {
-			return camp, err
 		}
 	}
-	return camp, nil
+	switch {
+	case lost == len(statuses):
+		return fmt.Errorf("shard: week %d: every shard was lost; nothing to merge (shard %d, after %d restart(s): %w)",
+			sc.Week, firstLost.Shard, firstLost.Restarts, firstLost.Err)
+	case lost > 0 && r.cfg.StrictShards:
+		return fmt.Errorf("shard: week %d: %d of %d shards lost (strict mode; first loss: shard %d: %w)",
+			sc.Week, lost, len(statuses), firstLost.Shard, firstLost.Err)
+	}
+	if err := r.mergeWeek(vs, camps, col); err != nil {
+		return fmt.Errorf("shard: week %d: %w", sc.Week, err)
+	}
+	vs.fold(sc.Week, statuses)
+	return nil
 }
 
-// mergeShards combines the surviving per-shard campaigns in shard order
-// over the configured transport; lost shards (nil camps, unsubmitted
-// blobs) are skipped. Merging is associative and commutative (the
-// analysis merge laws), so the order is a convention, not a correctness
-// requirement.
-func mergeShards(cfg Config, w *websim.World, camps []*analysis.CampaignAccumulator, col *Collector) (*analysis.CampaignAccumulator, error) {
+// mergeWeek folds the surviving ranges' one-week campaigns into the
+// vantage's campaign, in shard order over the configured transport; lost
+// ranges (nil camps, unsubmitted blobs) are skipped. Everything that can
+// fail for a reason outside the program — the collector wait, the decode —
+// happens before the campaign is touched. Merging is associative and
+// commutative (the analysis merge laws), so the order is a convention, not
+// a correctness requirement.
+func (r *run) mergeWeek(vs *vantageRun, camps []*analysis.CampaignAccumulator, col *Collector) error {
 	if col != nil {
 		blobs, err := col.Wait(collectTimeout)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		camps = make([]*analysis.CampaignAccumulator, len(camps))
 		for si, blob := range blobs {
-			if camps[si], err = analysis.UnmarshalCampaign(blob, w.ASDB()); err != nil {
-				return nil, fmt.Errorf("shard: decoding shard %d accumulator: %w", si, err)
+			if camps[si], err = analysis.UnmarshalCampaign(blob, r.w.ASDB()); err != nil {
+				return fmt.Errorf("decoding shard %d accumulator: %w", si, err)
 			}
 		}
-	} else if cfg.Transport == TransportSerialized {
+	} else if r.cfg.Transport == TransportSerialized {
 		for si, camp := range camps {
 			if camp == nil {
 				continue
 			}
-			rt, err := analysis.UnmarshalCampaign(camp.Marshal(), w.ASDB())
+			rt, err := analysis.UnmarshalCampaign(camp.Marshal(), r.w.ASDB())
 			if err != nil {
-				return nil, fmt.Errorf("shard: round-tripping shard %d accumulator: %w", si, err)
+				return fmt.Errorf("round-tripping shard %d accumulator: %w", si, err)
 			}
 			camps[si] = rt
 		}
 	}
-	var merged *analysis.CampaignAccumulator
 	for _, camp := range camps {
-		if camp == nil {
-			continue
-		}
-		if merged == nil {
-			merged = camp
-			continue
-		}
-		if err := merged.Merge(camp); err != nil {
-			return nil, err
+		if err := vs.camp.Merge(camp); err != nil {
+			return err
 		}
 	}
-	if merged == nil {
-		return nil, fmt.Errorf("shard: every shard was lost; nothing to merge")
+	return nil
+}
+
+// compactJournals rewrites every journal down to its live records after a
+// completed week, pruning weeks outside the retention horizon. Every scan of
+// the week has closed its journal handle by now, so Compact's
+// no-concurrent-writers requirement holds. A compaction failure is a
+// storage problem, not a campaign problem: the journal is still
+// replay-consistent (Compact is crash-safe), so it is logged and the
+// campaign scans on.
+func (r *run) compactJournals(runs []*vantageRun, sc scanner.Config) {
+	if r.cfg.Checkpoint == "" || (!r.cfg.Compact && r.cfg.RetainWeeks <= 0) {
+		return
 	}
-	return merged, nil
+	var retain func(string) bool
+	if r.cfg.RetainWeeks > 0 {
+		oldest := sc.Week - r.cfg.RetainWeeks + 1
+		retain = func(key string) bool { return keyWeek(key) >= oldest }
+	}
+	var total resilience.CompactStats
+	for _, vs := range runs {
+		for si := range r.ranges {
+			cs, err := resilience.Compact(sc.Journal.FS, r.journalDir(vs, si), retain)
+			if err != nil {
+				r.logf("campaign: week %d journal compaction: %v (journal unchanged; continuing)", sc.Week, err)
+				continue
+			}
+			total.Segments += cs.Segments
+			total.Records += cs.Records
+			total.Kept += cs.Kept
+			total.Dropped += cs.Dropped
+		}
+	}
+	r.logf("campaign: week %d compaction: %d segment(s), %d record(s) -> %d kept, %d pruned",
+		sc.Week, total.Segments, total.Records, total.Kept, total.Dropped)
+}
+
+// journalDir is where one (vantage, shard) pair journals: its own
+// subdirectory of Checkpoint, or — unsharded, single vantage — the root.
+func (r *run) journalDir(vs *vantageRun, si int) string {
+	switch {
+	case r.cfg.Checkpoint == "":
+		return ""
+	case r.cfg.Shards == 0 && len(r.cfg.Vantages) == 0:
+		return r.cfg.Checkpoint
+	}
+	return filepath.Join(r.cfg.Checkpoint, vs.dir, fmt.Sprintf("shard-%03d", si))
+}
+
+// keyWeek parses the week out of a checkpoint key ("w12/v4/domain"); keys
+// that do not carry one report -1 (and are always pruned by a retention
+// filter, since they cannot belong to any live week).
+func keyWeek(key string) int {
+	if len(key) < 2 || key[0] != 'w' {
+		return -1
+	}
+	rest := key[1:]
+	slash := strings.IndexByte(rest, '/')
+	if slash <= 0 {
+		return -1
+	}
+	wk, err := strconv.Atoi(rest[:slash])
+	if err != nil {
+		return -1
+	}
+	return wk
+}
+
+// sleepInterruptible waits d (no-op when non-positive) and reports false
+// when interrupt fired instead.
+func sleepInterruptible(d time.Duration, interrupt <-chan struct{}) bool {
+	if d <= 0 {
+		return !chClosed(interrupt)
+	}
+	t := time.NewTimer(d)
+	defer t.Stop()
+	select {
+	case <-interrupt:
+		return false
+	case <-t.C:
+		return true
+	}
 }
 
 // vantageLabel names a vantage for telemetry and reports.

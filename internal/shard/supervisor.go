@@ -13,52 +13,21 @@ import (
 	"quicspin/internal/scanner"
 	"quicspin/internal/telemetry"
 	"quicspin/internal/trace"
-	"quicspin/internal/websim"
 )
 
-// supervisor owns one vantage's shard workers: it runs each shard's scan
-// attempt, watches for crashes, panics and stalls, restarts failed
-// workers from their checkpoint journals within a bounded budget, and
-// classifies every shard as ok, recovered or lost. Restarted attempts
-// resume from the per-shard journal (when the campaign checkpoints) or
-// rescan from scratch — either way the scan is deterministic, so a
-// recovered shard's accumulator is byte-identical to an undisturbed one.
+// supervisor owns one vantage's scans of one week: it runs each range's
+// scan attempt, watches for crashes, panics and stalls, restarts failed
+// attempts from their checkpoint journals within a bounded budget, and
+// classifies every shard as ok, recovered or lost. Restarted attempts resume
+// from the range's journal (when the campaign checkpoints) or rescan from
+// scratch — either way the scan is deterministic, so a recovered range's
+// accumulator is byte-identical to an undisturbed one.
 type supervisor struct {
-	w   *websim.World
-	cfg Config
-	v   scanner.Vantage
-	vi  int
+	*run
+	vs *vantageRun
+	// sc is the week's scan configuration, as ForWeek returned it.
+	sc  scanner.Config
 	col *Collector
-
-	// user is the campaign's own interrupt channel (from ForWeek), kept
-	// separate from the stall watchdog's so the supervisor can tell an
-	// operator interrupt from a dead worker.
-	user <-chan struct{}
-
-	restarts      *telemetry.Counter
-	lost          *telemetry.Counter
-	submitRetries *telemetry.Counter
-}
-
-func newSupervisor(w *websim.World, cfg Config, v scanner.Vantage, vi int, col *Collector) *supervisor {
-	cfg.Telemetry.Describe(map[string]string{
-		"shard_restarts_total": "Supervised shard-worker restarts (crash, panic or stall recoveries).",
-		"shard_lost_total":     "Shards abandoned after exhausting their restart budget.",
-		"submit_retries_total": "Accumulator submission retries (NAKs and ack timeouts).",
-	})
-	return &supervisor{
-		w: w, cfg: cfg, v: v, vi: vi, col: col,
-		user:          cfg.interruptCh(),
-		restarts:      cfg.Telemetry.Counter("shard_restarts_total"),
-		lost:          cfg.Telemetry.Counter("shard_lost_total"),
-		submitRetries: cfg.Telemetry.Counter("submit_retries_total"),
-	}
-}
-
-func (s *supervisor) logf(format string, args ...any) {
-	if s.cfg.Logf != nil {
-		s.cfg.Logf(format, args...)
-	}
 }
 
 // recorder is the supervisor's trace recorder for one shard, in the
@@ -67,22 +36,17 @@ func (s *supervisor) recorder(si int) *trace.Recorder {
 	return s.cfg.Trace.Recorder(trace.SyntheticWorkerBase - si)
 }
 
-// superviseShard runs one shard to completion, restarting failed attempts
-// until the budget runs out. It returns the shard's campaign (nil when
-// lost) and its supervision record. Interrupts pass through: the partial
-// campaign ships with ShardStatus.Err = scanner.ErrInterrupted, exactly
-// like the unsupervised coordinator behaved.
+// superviseShard runs one range's scan of the week to completion,
+// restarting failed attempts until the budget runs out. It returns the
+// range's one-week campaign (nil when lost or interrupted) and its
+// supervision record; an interrupt is ShardStatus.Err =
+// scanner.ErrInterrupted and never burns a restart.
 func (s *supervisor) superviseShard(si int, r Range) (*analysis.CampaignAccumulator, ShardStatus) {
 	status := ShardStatus{Shard: si, Range: r}
-	// delivered counts the shard's deliveries across its attempts: the
-	// stall watchdog's progress signal and the index of the plan's shard
-	// faults ("after 40, twice" kills the attempt delivering the 41st
-	// domain and the next attempt's first delivery).
-	var delivered atomic.Int64
 	rng := rand.New(rand.NewSource(0x5d9e ^ int64(si)))
 	for attempt := 0; ; attempt++ {
 		status.Restarts = attempt
-		camp, err := s.attempt(si, r, attempt > 0, &delivered)
+		camp, err := s.attempt(si, r, attempt > 0)
 		if err == nil {
 			if attempt > 0 {
 				status.State = ShardRecovered
@@ -90,11 +54,8 @@ func (s *supervisor) superviseShard(si int, r Range) (*analysis.CampaignAccumula
 			return camp, status
 		}
 		if errors.Is(err, scanner.ErrInterrupted) {
-			if attempt > 0 {
-				status.State = ShardRecovered
-			}
 			status.Err = err
-			return camp, status
+			return nil, status
 		}
 		status.Faults = append(status.Faults, fmt.Sprintf("attempt %d: %v", attempt+1, err))
 		if attempt >= s.cfg.MaxRestarts {
@@ -104,48 +65,99 @@ func (s *supervisor) superviseShard(si int, r Range) (*analysis.CampaignAccumula
 			return nil, status
 		}
 		s.noteRestart(si, attempt, err)
-		if !s.cfg.RestartBackoff.Sleep(rng, attempt, s.user) {
-			// Operator interrupt during backoff: surface the failed
-			// attempt's partial campaign like any interrupted shard.
+		if !s.cfg.RestartBackoff.Sleep(rng, attempt, s.stop) {
 			status.Err = scanner.ErrInterrupted
-			return camp, status
+			return nil, status
 		}
 	}
 }
 
-// attempt runs one shard scan attempt with its fault-detection apparatus:
-// a stall watchdog (when configured), the injected-crash hook (when there
-// is a fault plan) and panic containment.
-func (s *supervisor) attempt(si int, r Range, restart bool, delivered *atomic.Int64) (camp *analysis.CampaignAccumulator, err error) {
+// attempt runs one scan attempt with its fault-detection apparatus: a stall
+// watchdog (when configured), the injected-crash hook (when there is a
+// fault plan) and panic containment.
+func (s *supervisor) attempt(si int, r Range, restart bool) (camp *analysis.CampaignAccumulator, err error) {
 	defer func() {
 		// Safety net for genuine panics escaping the scan path; injected
 		// panics are already contained at the delivery hook below.
 		if p := recover(); p != nil {
-			err = fmt.Errorf("worker panic: %v", p)
+			camp, err = nil, fmt.Errorf("worker panic: %v", p)
 		}
 	}()
 	done := make(chan struct{})
 	defer close(done)
-	interrupt := s.user
-	var stallCh chan struct{}
+	interrupt := (<-chan struct{})(s.stop)
+	// unblock is what an injected stall blocks on: nil without a watchdog,
+	// and the hook then degrades the stall to a crash instead of hanging.
+	var stall chan struct{}
+	var unblock <-chan struct{}
 	if s.cfg.StallTimeout > 0 {
-		stallCh = make(chan struct{})
-		go stallWatch(delivered, s.cfg.StallTimeout, stallCh, done)
-		interrupt = mergeInterrupt(s.user, stallCh, done)
+		stall = make(chan struct{})
+		go stallWatch(&s.vs.delivered[si], s.cfg.StallTimeout, stall, done)
+		interrupt = mergeInterrupt(s.stop, stall, done)
+		unblock = interrupt
 	}
 	var hook func(int64) error
 	if s.cfg.Faults != nil {
-		hook = crashHook(s.cfg.Faults, strconv.Itoa(si), interrupt)
+		hook = crashHook(s.cfg.Faults, strconv.Itoa(si), unblock)
 	}
-	camp, err = runShard(s.w, s.cfg, s.v, s.vi, si, r, restart, interrupt, hook, delivered)
-	if err != nil && errors.Is(err, scanner.ErrInterrupted) {
-		if chClosed(s.user) {
-			return camp, scanner.ErrInterrupted // operator interrupt wins
-		}
-		if chClosed(stallCh) {
-			return camp, fmt.Errorf("stalled: no progress for %v", s.cfg.StallTimeout)
-		}
+	camp, err = s.scanRange(si, r, restart, interrupt, hook)
+	switch {
+	case err == nil:
+		return camp, nil
+	case chClosed(s.stop):
+		// The campaign was interrupted while this attempt died of something
+		// else: the interrupt wins, whatever the attempt reported — it must
+		// not be classified as a crash and restarted.
+		return nil, scanner.ErrInterrupted
+	case !errors.Is(err, scanner.ErrInterrupted):
+		return nil, err
+	case chClosed(stall):
+		return nil, fmt.Errorf("stalled: no progress for %v", s.cfg.StallTimeout)
 	}
+	// The scan itself was told to stop (an injected scan.interrupt): the
+	// whole campaign stops with it.
+	s.interrupt()
+	return nil, scanner.ErrInterrupted
+}
+
+// scanRange is one attempt: the week's scan of one population range into a
+// fresh week-isolated accumulator. restart replays the range's journal even
+// on campaigns that did not ask to resume (a restart must pick up the
+// crashed attempt's progress); hook, when non-nil, observes every delivery
+// with the shard's running count (the fault plan's crash injection point).
+func (s *supervisor) scanRange(si int, r Range, restart bool, interrupt <-chan struct{}, hook func(int64) error) (*analysis.CampaignAccumulator, error) {
+	sc := s.sc
+	sc.Shard = scanner.ShardRange{Start: r.Start, End: r.End}
+	sc.Vantage = s.vs.v
+	sc.Interrupt = interrupt
+	sc.Checkpoint = s.journalDir(s.vs, si)
+	sc.Resume = sc.Checkpoint != "" && (s.cfg.Resume || restart)
+	if sc.Telemetry == nil {
+		sc.Telemetry = s.cfg.Telemetry
+	}
+	camp := analysis.NewCampaignAccumulator()
+	sink := s.cfg.Live.ShardSink(si, camp.StartWeek(sc.Week, sc.IPv6, s.w.ASDB()))
+	var tee func(int, *scanner.DomainResult) error
+	if s.cfg.Tee != nil {
+		tee = s.cfg.Tee(s.vs.dir, sc)
+	}
+	counter := s.cfg.Telemetry.Counter(telemetry.Name("shard_domains_total", "shard", strconv.Itoa(si)))
+	progress := &s.vs.delivered[si]
+	err := scanner.RunStream(s.w, sc, func(i int, d *scanner.DomainResult) error {
+		counter.Inc()
+		n := progress.Add(1)
+		if hook != nil {
+			if err := hook(n); err != nil {
+				return err
+			}
+		}
+		if tee != nil {
+			if err := tee(i, d); err != nil {
+				return err
+			}
+		}
+		return sink(i, d)
+	})
 	return camp, err
 }
 
@@ -155,7 +167,7 @@ func (s *supervisor) noteRestart(si, attempt int, cause error) {
 	s.recorder(si).Event(fmt.Sprintf("shard-%03d", si), time.Now(), "restart",
 		"attempt", fmt.Sprintf("%d", attempt+1),
 		"cause", cause.Error())
-	s.logf("shard %d (vantage %d): attempt %d failed (%v); restarting from journal", si, s.vi, attempt+1, cause)
+	s.logf("shard %d (vantage %d): week %d attempt %d failed (%v); restarting from journal", si, s.vs.vi, s.sc.Week, attempt+1, cause)
 }
 
 func (s *supervisor) noteLost(si, attempt int, cause error) {
@@ -167,17 +179,17 @@ func (s *supervisor) noteLost(si, attempt int, cause error) {
 	s.recorder(si).Event(fmt.Sprintf("shard-%03d", si), time.Now(), "lost",
 		"attempts", fmt.Sprintf("%d", attempt+1),
 		"cause", cause.Error())
-	s.logf("shard %d (vantage %d): lost after %d attempt(s): %v", si, s.vi, attempt+1, cause)
+	s.logf("shard %d (vantage %d): week %d lost after %d attempt(s): %v", si, s.vs.vi, s.sc.Week, attempt+1, cause)
 }
 
-// submit ships one completed shard's campaign to the collector with
+// submit ships one completed range's campaign to the collector with
 // retried, fault-injected, idempotent submission.
 func (s *supervisor) submit(si int, camp *analysis.CampaignAccumulator) error {
 	return SubmitWithPolicy(s.col.Addr().String(), si, camp.Marshal(), SubmitPolicy{
 		Faults: s.cfg.Faults,
 		OnRetry: func(attempt int, err error) {
 			s.submitRetries.Inc()
-			s.logf("shard %d (vantage %d): submit attempt %d failed (%v); retrying", si, s.vi, attempt, err)
+			s.logf("shard %d (vantage %d): submit attempt %d failed (%v); retrying", si, s.vs.vi, attempt, err)
 		},
 	})
 }
@@ -200,8 +212,8 @@ func crashHook(plan *fault.Plan, shard string, interrupt <-chan struct{}) func(i
 			panic(fmt.Sprintf("injected panic after %d domains", before))
 		case plan.Hit(fault.Shard, fault.Stall, shard, before):
 			if interrupt == nil {
-				// No watchdog and no interrupt channel: blocking here would
-				// hang the campaign forever, so degrade to a crash.
+				// No watchdog: blocking here would hang the campaign until an
+				// operator stopped it, so degrade to a crash.
 				return fmt.Errorf("injected fault: stall after %d domains with no stall watchdog", before)
 			}
 			<-interrupt
@@ -245,12 +257,6 @@ func stallWatch(progress *atomic.Int64, timeout time.Duration, stallCh chan stru
 // mergeInterrupt fans two interrupt channels into one; done bounds the
 // helper goroutine's life to the attempt.
 func mergeInterrupt(a, b <-chan struct{}, done <-chan struct{}) <-chan struct{} {
-	if a == nil {
-		return b
-	}
-	if b == nil {
-		return a
-	}
 	out := make(chan struct{})
 	go func() {
 		select {

@@ -3,7 +3,6 @@ package shard
 import (
 	"errors"
 	"strings"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -30,8 +29,15 @@ func TestSupervisorRecoversCrash(t *testing.T) {
 	tm := telemetry.New()
 	tracer := trace.New(trace.Config{})
 	live := analysis.NewLive(100, 4)
+	// The scans trace into the same tracer as the supervisor: concurrently
+	// scanned ranges must not share a per-worker recorder.
+	traced := func(week int) scanner.Config {
+		sc := baseConfig(scanner.EngineFast, 2)(week)
+		sc.Trace = tracer
+		return sc
+	}
 	res, err := Run(w, Config{
-		Shards: 2, Weeks: weeks, ForWeek: baseConfig(scanner.EngineFast, 2),
+		Shards: 2, Weeks: weeks, ForWeek: traced,
 		Checkpoint: t.TempDir(), Telemetry: tm, Trace: tracer, Live: live,
 		MaxRestarts: 2, RestartBackoff: fastBackoff,
 		Faults: mustFaults(t, "shard.crash:1@40"),
@@ -150,10 +156,10 @@ func TestShardLostDegradedMerge(t *testing.T) {
 			}
 			// The degraded tables must equal a direct scan of the surviving
 			// range — no partial data from the lost shard's attempts.
-			var progress atomic.Int64
-			refCfg := Config{Shards: 2, Weeks: []int{1}, ForWeek: baseConfig(scanner.EngineFast, 2)}
-			ref, err := runShard(w, refCfg, scanner.Vantage{}, 0, 0, ranges[0], false, nil, nil, &progress)
-			if err != nil {
+			ref := analysis.NewCampaignAccumulator()
+			sc := baseConfig(scanner.EngineFast, 2)(1)
+			sc.Week, sc.Shard = 1, scanner.ShardRange{Start: ranges[0].Start, End: ranges[0].End}
+			if err := scanner.RunStream(w, sc, ref.StartWeek(1, false, w.ASDB()).Sink()); err != nil {
 				t.Fatal(err)
 			}
 			if got, want := renderCampaign(res.Vantages[0].Campaign), renderCampaign(ref); got != want {

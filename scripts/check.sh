@@ -184,22 +184,23 @@ if ! grep -q "restarting from journal" "$tmp/chaos.log"; then
     exit 1
 fi
 
-# Follow-mode smoke: the continuous campaign service under storage chaos.
-# A 3-week -follow campaign with an injected storage fault plan is SIGTERMed
-# once week 1 completes (so the signal lands mid-week-2), must exit 143
-# (128+SIGTERM; SIGINT is 130), then resumes from the rolling journal and
-# must render tables byte-identical to the fault-free one-shot `-weeks 3`
-# reference. This exercises the SIGTERM graceful drain, the exit-code
-# split, journal degradation under injected faults, and the follow/one-shot
-# equivalence contract end to end at the CLI.
+# Follow-mode smoke: the continuous campaign service under storage chaos,
+# sharded. A 3-week `-follow -shards 4 -shard-transport udp` campaign with
+# an injected storage fault plan is SIGTERMed once week 1 completes (so the
+# signal lands mid-week-2), must exit 143 (128+SIGTERM; SIGINT is 130), then
+# resumes from the per-shard rolling journals and must render tables
+# byte-identical to the fault-free, unsharded one-shot `-weeks 3` reference.
+# One smoke therefore pins follow ≡ one-shot and sharded ≡ unsharded at the
+# CLI, plus the SIGTERM graceful drain, the exit-code split and journal
+# degradation under injected faults.
 echo "== follow-mode smoke"
 follow_flags="-scale 20000 -engine emulated -weeks 3 -workers 4 -progress 0"
 storage_plan="seed:7,fs.short-write:0.05,fs.write-err:0.1,fs.sync-err:0.05"
 
 "$tmp/spinscan" $follow_flags 2>/dev/null >"$tmp/follow-reference.txt"
 
-"$tmp/spinscan" $follow_flags -follow -checkpoint "$tmp/follow-ckpt" \
-    -faults "$storage_plan" -journal-segment-bytes 8192 -journal-sync 16 \
+follow_service="-follow -shards 4 -shard-transport udp -journal-segment-bytes 8192 -journal-sync 16"
+"$tmp/spinscan" $follow_flags $follow_service -checkpoint "$tmp/follow-ckpt" -faults "$storage_plan" \
     2>"$tmp/follow.log" >"$tmp/follow-first.txt" &
 follow_pid=$!
 i=0
@@ -214,8 +215,7 @@ kill -TERM "$follow_pid" 2>/dev/null || true
 follow_rc=0
 wait "$follow_pid" || follow_rc=$?
 if [ "$follow_rc" = 143 ]; then
-    "$tmp/spinscan" $follow_flags -follow -checkpoint "$tmp/follow-ckpt" -resume \
-        -faults "$storage_plan" -journal-segment-bytes 8192 -journal-sync 16 \
+    "$tmp/spinscan" $follow_flags $follow_service -checkpoint "$tmp/follow-ckpt" -resume -faults "$storage_plan" \
         2>>"$tmp/follow.log" >"$tmp/follow-resumed.txt"
 elif [ "$follow_rc" = 0 ]; then
     # The campaign outran the signal; its complete output still must match.
@@ -243,7 +243,7 @@ fi
 # property gate explicitly so a failure is attributable at a glance.
 echo "== journal compaction property"
 go test -count=1 -run 'TestCompactionEquivalence|TestFollowMatchesOneShot' \
-    ./internal/resilience ./internal/campaign
+    ./internal/resilience ./internal/shard
 
 # Hostile chaos smoke: both engines must survive a 30 %-hostile world at
 # the CLI level — exit 0, non-empty adoption tables, and the hostile error
@@ -297,11 +297,13 @@ echo "== benchmark ruler untouched"
 go vet ./bench
 go test -count=1 ./bench
 
-# Live dashboard smoke: run a traced campaign with the debug endpoint on an
-# ephemeral port and scrape /debug/campaign and /debug/traces mid-scan —
-# both must answer 200 with a non-empty rolling window / trace list.
+# Live dashboard smoke: run a traced, sharded follow service with the debug
+# endpoint on an ephemeral port and scrape /debug/campaign and /debug/traces
+# mid-scan — both must answer 200 with a non-empty rolling window of a
+# 2-shard campaign / trace list. The service scans until it is killed after
+# the scrape, so it cannot finish before the first one.
 echo "== live dashboard smoke"
-"$tmp/spinscan" -scale 20000 -engine emulated -workers 2 -progress 0 \
+"$tmp/spinscan" -scale 20000 -engine emulated -workers 2 -progress 0 -follow -shards 2 \
     -trace -debug-addr 127.0.0.1:0 >/dev/null 2>"$tmp/dash.log" &
 dash_pid=$!
 dash_addr=""
@@ -322,8 +324,10 @@ while [ "$i" -lt 200 ] && kill -0 "$dash_pid" 2>/dev/null; do
     i=$((i + 1))
     code=$(curl -s -o "$tmp/campaign.json" -w '%{http_code}' \
         "http://$dash_addr/debug/campaign?format=json" || true)
-    # A non-empty open window proves the dashboard is fed mid-scan.
-    if [ "$code" = 200 ] && grep -q '"domains": [1-9]' "$tmp/campaign.json"; then
+    # A non-empty open window proves the dashboard is fed mid-scan, by both
+    # shards once each has registered its accumulator.
+    if [ "$code" = 200 ] && grep -q '"domains": [1-9]' "$tmp/campaign.json" &&
+        grep -q '"shards": 2' "$tmp/campaign.json"; then
         dash_ok=1
         break
     fi
