@@ -276,7 +276,7 @@ func TestDashboardEndpointsServe(t *testing.T) {
 		Week: 1, Engine: scanner.EngineFast, Seed: 7, Workers: 2,
 		Telemetry: reg, Trace: tracer,
 	}
-	if err := scanner.RunStream(world, cfg, live.Sink(acc)); err != nil {
+	if err := scanner.RunStream(world, cfg, live.ShardSink(0, acc)); err != nil {
 		t.Fatal(err)
 	}
 

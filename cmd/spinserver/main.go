@@ -77,13 +77,8 @@ func main() {
 			Body:    b,
 		}
 	})
-	ep.OnClose = func(_ string, conn *transport.Conn) { srv.Forget(conn) }
 	runner := udprun.NewEndpointRunner(ep, pc)
-	runner.OnActivity = func(ep *transport.Endpoint, now time.Time) {
-		for _, conn := range ep.Conns() {
-			srv.Serve("peer", conn, now)
-		}
-	}
+	runner.OnActivity = srv.ServeEndpoint
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
 	defer stop()

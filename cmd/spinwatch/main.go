@@ -201,13 +201,8 @@ func runEmulate(tbl *flowtable.Table, cfg emulateConfig, interrupt <-chan struct
 		ep := transport.NewEndpoint(func(peer string) transport.Config {
 			return transport.Config{Rng: rng, SpinPolicy: policy, EnableVEC: true}
 		})
-		ep.OnClose = func(_ string, conn *transport.Conn) { srv.Forget(conn) }
 		host := netem.NewServerHost(net, addr, ep)
-		host.OnActivity = func(ep *transport.Endpoint, now time.Time) {
-			for _, conn := range ep.Conns() {
-				srv.Serve("peer", conn, now)
-			}
-		}
+		host.OnActivity = srv.ServeEndpoint
 		if rng.Float64() < cfg.liarFrac {
 			net.SetMangler(addr, hostile.NewMangler(hostile.SpinLiar))
 			log.Printf("server %s lies about its spin bit", addr)

@@ -61,13 +61,8 @@ func runOnce(policy core.Policy) *transport.Conn {
 	h3srv := h3.NewServer(func(peer string, req *h3.Request) *h3.Response {
 		return &h3.Response{Status: 200, Headers: map[string]string{"server": "example"}, Body: make([]byte, 50000)}
 	})
-	ep.OnClose = func(_ string, conn *transport.Conn) { h3srv.Forget(conn) }
 	server := netem.NewServerHost(network, "server", ep)
-	server.OnActivity = func(ep *transport.Endpoint, now time.Time) {
-		for _, conn := range ep.Conns() {
-			h3srv.Serve("client", conn, now)
-		}
-	}
+	server.OnActivity = h3srv.ServeEndpoint
 
 	conn := transport.NewClientConn(transport.Config{Rng: rng}, loop.Now())
 	hc := h3.NewClientConn(conn)

@@ -51,13 +51,8 @@ func main() {
 			Body:    make([]byte, 60000), // multi-packet body → spin wave
 		}
 	})
-	ep.OnClose = func(_ string, conn *transport.Conn) { h3srv.Forget(conn) }
 	server := netem.NewServerHost(network, "server", ep)
-	server.OnActivity = func(ep *transport.Endpoint, now time.Time) {
-		for _, conn := range ep.Conns() {
-			h3srv.Serve("client", conn, now)
-		}
-	}
+	server.OnActivity = h3srv.ServeEndpoint
 
 	// Client: request the page and wait for it.
 	conn := transport.NewClientConn(transport.Config{Rng: rng}, loop.Now())

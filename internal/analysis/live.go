@@ -126,22 +126,15 @@ func (l *Live) trimLocked() {
 	}
 }
 
-// Sink wraps a week accumulator's delivery callback: each domain folds
-// into acc (cumulative tables) and into the rolling window. Call once per
-// week with that week's accumulator — the dashboard then renders tables
-// from the latest week while windows continue across weeks. Nil-safe: a
-// nil Live returns acc's own sink.
-func (l *Live) Sink(acc *Accumulator) func(i int, d *scanner.DomainResult) error {
-	return l.ShardSink(0, acc)
-}
-
-// ShardSink is Sink for one shard of a distributed campaign: deliveries
-// fold into that shard's accumulator and the shared rolling windows. The
-// dashboard retains the latest accumulator per shard and renders tables
-// from a merged snapshot, so /debug/campaign shows campaign-wide Tables
-// 1–5 while shards scan concurrently. All shard sinks serialise on one
-// mutex — the dashboard is a coordinator-side view, not a hot path.
-// Nil-safe: a nil Live returns acc's own sink.
+// ShardSink wraps the delivery callback of one shard's week accumulator:
+// each domain folds into acc (that shard's cumulative tables) and into the
+// shared rolling window. Call once per shard per week with that week's
+// accumulator; windows continue across weeks. The dashboard retains the
+// latest accumulator per shard and renders tables from a merged snapshot, so
+// /debug/campaign shows campaign-wide Tables 1–5 while shards scan
+// concurrently. All shard sinks serialise on one mutex — the dashboard is a
+// coordinator-side view, not a hot path. Nil-safe: a nil Live returns acc's
+// own sink.
 func (l *Live) ShardSink(shard int, acc *Accumulator) func(i int, d *scanner.DomainResult) error {
 	if l == nil {
 		return acc.Sink()

@@ -11,7 +11,7 @@ import (
 )
 
 // TestLiveDoesNotChangeTables pins that attaching the dashboard is pure
-// observation: a campaign streamed through Live.Sink renders Tables 1–5
+// observation: a campaign streamed through Live.ShardSink renders Tables 1–5
 // (and the accuracy panels) byte-identically to one streamed through the
 // plain accumulator sink.
 func TestLiveDoesNotChangeTables(t *testing.T) {
@@ -28,7 +28,7 @@ func TestLiveDoesNotChangeTables(t *testing.T) {
 
 	live := NewLive(100, 8)
 	acc := NewAccumulator(cfg.Week, cfg.IPv6, world.ASDB())
-	if err := scanner.RunStream(world, cfg, live.Sink(acc)); err != nil {
+	if err := scanner.RunStream(world, cfg, live.ShardSink(0, acc)); err != nil {
 		t.Fatalf("RunStream live: %v", err)
 	}
 	if got := renderStreamWeek(acc); got != golden {
@@ -54,7 +54,7 @@ func TestLiveDoesNotChangeTables(t *testing.T) {
 func TestLiveWindows(t *testing.T) {
 	l := NewLive(10, 3)
 	acc := NewAccumulator(1, false, nil)
-	sink := l.Sink(acc)
+	sink := l.ShardSink(0, acc)
 	ok := scanner.DomainResult{Resolved: true}
 	for i := 0; i < 35; i++ {
 		if err := sink(i, &ok); err != nil {
@@ -105,7 +105,7 @@ func TestLiveWindows(t *testing.T) {
 func TestLiveHandler(t *testing.T) {
 	l := NewLive(5, 2)
 	acc := NewAccumulator(2, false, nil)
-	sink := l.Sink(acc)
+	sink := l.ShardSink(0, acc)
 	d := scanner.DomainResult{Resolved: true}
 	for i := 0; i < 7; i++ {
 		if err := sink(i, &d); err != nil {
@@ -147,7 +147,7 @@ func TestLiveHandler(t *testing.T) {
 	if rr.Code != 200 {
 		t.Errorf("nil Live handler status %d", rr.Code)
 	}
-	nilSink := nl.Sink(NewAccumulator(1, false, nil))
+	nilSink := nl.ShardSink(0, NewAccumulator(1, false, nil))
 	if err := nilSink(0, &d); err != nil {
 		t.Errorf("nil Live sink: %v", err)
 	}
@@ -159,7 +159,7 @@ func TestLiveHandler(t *testing.T) {
 func TestLiveConcurrentSinkAndDashboard(t *testing.T) {
 	l := NewLive(25, 4)
 	acc := NewAccumulator(1, false, nil)
-	sink := l.Sink(acc)
+	sink := l.ShardSink(0, acc)
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
@@ -197,7 +197,7 @@ func TestLiveConcurrentSinkAndDashboard(t *testing.T) {
 func TestLiveBudget(t *testing.T) {
 	l := NewLive(10, 100)
 	acc := NewAccumulator(1, false, nil)
-	sink := l.Sink(acc)
+	sink := l.ShardSink(0, acc)
 	ok := scanner.DomainResult{Resolved: true}
 	for i := 0; i < 85; i++ {
 		if err := sink(i, &ok); err != nil {

@@ -275,13 +275,8 @@ func RunChaosCase(c ChaosCase) CaseResult {
 	ep := transport.NewEndpoint(func(peer string) transport.Config {
 		return transport.Config{Rng: rng, SpinPolicy: core.Policy{Mode: core.ModeSpin}, EnableVEC: true}
 	})
-	ep.OnClose = func(_ string, conn *transport.Conn) { srv.Forget(conn) }
 	server := netem.NewServerHost(net, "server", ep)
-	server.OnActivity = func(ep *transport.Endpoint, now time.Time) {
-		for _, conn := range ep.Conns() {
-			srv.Serve("client", conn, now)
-		}
-	}
+	server.OnActivity = srv.ServeEndpoint
 
 	conn := transport.NewClientConn(transport.Config{Rng: rng, EnableVEC: true}, start)
 	client := netem.NewClientHost(net, "client", "server", conn)

@@ -15,14 +15,13 @@ const FirstStreamID = 0
 // poll-driven like the transport itself: queue a request with Do, pump the
 // connection, then check Response.
 type ClientConn struct {
-	conn    *transport.Conn
-	nextID  uint64
-	pending map[uint64]bool
+	conn   *transport.Conn
+	nextID uint64
 }
 
 // NewClientConn wraps an established (or connecting) client transport conn.
 func NewClientConn(conn *transport.Conn) *ClientConn {
-	return &ClientConn{conn: conn, nextID: FirstStreamID, pending: map[uint64]bool{}}
+	return &ClientConn{conn: conn, nextID: FirstStreamID}
 }
 
 // Conn returns the underlying transport connection.
@@ -37,7 +36,6 @@ func (c *ClientConn) Do(req *Request) (uint64, error) {
 	if err := c.conn.SendStream(id, EncodeRequest(req), true); err != nil {
 		return 0, fmt.Errorf("h3: queueing request: %w", err)
 	}
-	c.pending[id] = true
 	return id, nil
 }
 
@@ -55,56 +53,37 @@ func (c *ClientConn) Response(id uint64) (*Response, bool, error) {
 	return resp, true, nil
 }
 
-// Handler produces a response for a request. peer identifies the client.
+// Handler produces a response for a request. peer is the address the
+// client's connection was accepted from.
 type Handler func(peer string, req *Request) *Response
 
 // Server serves HTTP/3-lite requests on every connection of a transport
-// endpoint. Call Serve from the endpoint driver's activity hook.
+// endpoint. It keeps no per-connection state: which request streams have been
+// answered is the connection's own knowledge (transport.Conn.AcceptStream).
 type Server struct {
 	Handler Handler
-	// served tracks answered streams per live connection.
-	served map[*transport.Conn]map[uint64]bool
 }
 
 // NewServer returns a Server with the given handler.
 func NewServer(h Handler) *Server {
-	return &Server{Handler: h, served: map[*transport.Conn]map[uint64]bool{}}
+	return &Server{Handler: h}
 }
 
-// Serve answers all newly completed request streams on conn.
-func (s *Server) Serve(peer string, conn *transport.Conn, now time.Time) {
-	if !conn.HandshakeComplete() || conn.Terminating() {
-		return
-	}
-	done := s.served[conn]
-	if done == nil {
-		done = map[uint64]bool{}
-		s.served[conn] = done
-	}
-	for _, id := range conn.RecvStreamIDs() {
-		if done[id] {
-			continue
-		}
-		data, complete := conn.StreamRecv(id)
-		if !complete {
-			continue
-		}
-		done[id] = true
-		req, err := ParseRequest(data)
+// ServeEndpoint answers every newly completed request stream on ep's
+// connections. It is the endpoint driver's activity hook
+// (netem.ServerHost.OnActivity, udprun.EndpointRunner.OnActivity).
+func (s *Server) ServeEndpoint(ep *transport.Endpoint, _ time.Time) {
+	for st, ok := ep.AcceptStream(); ok; st, ok = ep.AcceptStream() {
+		req, err := ParseRequest(st.Data)
 		var resp *Response
 		if err != nil {
 			resp = &Response{Status: 400, Headers: map[string]string{}, Body: []byte(err.Error())}
 		} else {
-			resp = s.Handler(peer, req)
+			resp = s.Handler(st.Peer, req)
 		}
 		if resp == nil {
 			resp = &Response{Status: 500, Headers: map[string]string{}}
 		}
-		_ = conn.SendStream(id, EncodeResponse(resp), true)
+		_ = st.Conn.SendStream(st.ID, EncodeResponse(resp), true)
 	}
-}
-
-// Forget releases per-connection state; call when a connection closes.
-func (s *Server) Forget(conn *transport.Conn) {
-	delete(s.served, conn)
 }

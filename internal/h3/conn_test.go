@@ -24,11 +24,7 @@ func pair(t *testing.T, handler h3.Handler) (*sim.Loop, *netem.ClientHost, *h3.C
 	})
 	srv := h3.NewServer(handler)
 	host := netem.NewServerHost(network, "server", ep)
-	host.OnActivity = func(ep *transport.Endpoint, now time.Time) {
-		for _, conn := range ep.Conns() {
-			srv.Serve("client", conn, now)
-		}
-	}
+	host.OnActivity = srv.ServeEndpoint
 	conn := transport.NewClientConn(transport.Config{Rng: rng}, loop.Now())
 	client := netem.NewClientHost(network, "client", "server", conn)
 	return loop, client, h3.NewClientConn(conn)
@@ -93,11 +89,7 @@ func TestServerAnswersMalformedRequestWith400(t *testing.T) {
 		return nil
 	})
 	host := netem.NewServerHost(network, "server", ep)
-	host.OnActivity = func(ep *transport.Endpoint, now time.Time) {
-		for _, conn := range ep.Conns() {
-			srv.Serve("client", conn, now)
-		}
-	}
+	host.OnActivity = srv.ServeEndpoint
 	conn := transport.NewClientConn(transport.Config{Rng: rng}, loop.Now())
 	if err := conn.SendStream(0, []byte("NOT A REQUEST\n\n"), true); err != nil {
 		t.Fatal(err)
@@ -133,13 +125,6 @@ func TestNilHandlerResponseBecomes500(t *testing.T) {
 	if resp.Status != 500 {
 		t.Errorf("status = %d, want 500", resp.Status)
 	}
-}
-
-func TestServerForget(t *testing.T) {
-	// Forget only drops bookkeeping; it must not panic or resend.
-	srv := h3.NewServer(func(string, *h3.Request) *h3.Response { return &h3.Response{Status: 200} })
-	conn := transport.NewClientConn(transport.Config{Rng: rand.New(rand.NewSource(1))}, epoch)
-	srv.Forget(conn) // unknown conn: no-op
 }
 
 func TestDoAfterClose(t *testing.T) {

@@ -2,6 +2,7 @@ package h3
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 	"time"
 
@@ -10,25 +11,34 @@ import (
 	"quicspin/internal/transport"
 )
 
-// A long-lived server must not remember the connections it has outlived:
-// with Forget driven from the endpoint's drop hook, a thousand sequential
-// connections leave exactly the live ones in the served table.
+// A long-lived server must not remember the connections it has outlived. It
+// cannot: which streams were answered is the connection's own knowledge, so
+// the Server holds nothing that could grow — no field of it is a map, slice,
+// pointer, channel or interface — while a thousand sequential connections are
+// each answered exactly once and dropped by the endpoint.
 func TestServerForgetsDroppedConnections(t *testing.T) {
+	for typ, i := reflect.TypeOf(Server{}), 0; i < typ.NumField(); i++ {
+		switch f := typ.Field(i); f.Type.Kind() {
+		case reflect.Map, reflect.Slice, reflect.Pointer, reflect.Chan, reflect.Interface:
+			t.Errorf("Server.%s is a %s: the server must hold no per-connection state", f.Name, f.Type.Kind())
+		}
+	}
+
 	start := time.Date(2023, 5, 15, 0, 0, 0, 0, time.UTC)
 	loop := sim.NewLoop(start)
 	rng := rand.New(rand.NewSource(5))
 	network := netem.New(loop, netem.PathConfig{Delay: 5 * time.Millisecond}, rng)
 	ep := transport.NewEndpoint(func(string) transport.Config { return transport.Config{Rng: rng} })
-	srv := NewServer(func(string, *Request) *Response {
+	handled := 0
+	srv := NewServer(func(peer string, _ *Request) *Response {
+		if peer != "client" {
+			t.Errorf("handler saw peer %q, want the client's address", peer)
+		}
+		handled++
 		return &Response{Status: 200, Headers: map[string]string{"server": "t"}, Body: []byte("ok")}
 	})
-	ep.OnClose = func(_ string, conn *transport.Conn) { srv.Forget(conn) }
 	host := netem.NewServerHost(network, "server", ep)
-	host.OnActivity = func(ep *transport.Endpoint, now time.Time) {
-		for _, conn := range ep.Conns() {
-			srv.Serve("client", conn, now)
-		}
-	}
+	host.OnActivity = srv.ServeEndpoint
 
 	const conns = 1000
 	peak := 0
@@ -53,7 +63,7 @@ func TestServerForgetsDroppedConnections(t *testing.T) {
 		if !done {
 			t.Fatalf("connection %d: no response", i)
 		}
-		peak = max(peak, len(srv.served))
+		peak = max(peak, len(ep.Conns()))
 		// Even connections drain before the next one starts; odd ones leave
 		// their server side closing while the next connection runs.
 		if i%2 == 0 {
@@ -61,16 +71,16 @@ func TestServerForgetsDroppedConnections(t *testing.T) {
 			}
 		}
 		client.Close()
-		if got, live := len(srv.served), len(ep.Conns()); got != live {
-			t.Fatalf("after connection %d: %d served entries, %d live connections", i, got, live)
+		if handled != i+1 {
+			t.Fatalf("after connection %d: %d requests handled, want one per connection", i, handled)
 		}
 	}
 	for loop.Step() {
 	}
-	if len(srv.served) != 0 || len(ep.Conns()) != 0 {
-		t.Errorf("after the drain: %d served entries, %d live connections, want 0 and 0", len(srv.served), len(ep.Conns()))
+	if live := len(ep.Conns()); live != 0 {
+		t.Errorf("after the drain: %d live connections, want 0", live)
 	}
 	if peak > 2 {
-		t.Errorf("served table peaked at %d entries over %d sequential connections, want <= 2", peak, conns)
+		t.Errorf("the endpoint peaked at %d live connections over %d sequential ones, want <= 2", peak, conns)
 	}
 }

@@ -1,6 +1,5 @@
-// Package report renders the study's tables and figures as aligned text
-// and CSV, mirroring the layout of the paper's Tables 1–4 and the
-// histogram figures.
+// Package report renders the study's tables and figures as aligned text,
+// mirroring the layout of the paper's Tables 1–4 and the histogram figures.
 package report
 
 import (
@@ -74,31 +73,6 @@ func (t *Table) String() string {
 	var b strings.Builder
 	_ = t.Render(&b)
 	return b.String()
-}
-
-// RenderCSV writes the table as CSV (minimal quoting: cells containing
-// commas or quotes are quoted).
-func (t *Table) RenderCSV(w io.Writer) error {
-	var b strings.Builder
-	writeRow := func(cells []string) {
-		for i, c := range cells {
-			if i > 0 {
-				b.WriteByte(',')
-			}
-			if strings.ContainsAny(c, ",\"\n") {
-				b.WriteString(`"` + strings.ReplaceAll(c, `"`, `""`) + `"`)
-			} else {
-				b.WriteString(c)
-			}
-		}
-		b.WriteByte('\n')
-	}
-	writeRow(t.Headers)
-	for _, row := range t.Rows {
-		writeRow(row)
-	}
-	_, err := io.WriteString(w, b.String())
-	return err
 }
 
 // Count formats an integer with thousands separators, as in the paper's

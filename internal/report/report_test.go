@@ -33,19 +33,6 @@ func TestAddRowPadding(t *testing.T) {
 	}
 }
 
-func TestRenderCSV(t *testing.T) {
-	tb := NewTable("x", "Org", "Count")
-	tb.AddRow(`Weird, "Org"`, "5")
-	var b strings.Builder
-	if err := tb.RenderCSV(&b); err != nil {
-		t.Fatal(err)
-	}
-	want := "Org,Count\n\"Weird, \"\"Org\"\"\",5\n"
-	if b.String() != want {
-		t.Errorf("CSV = %q, want %q", b.String(), want)
-	}
-}
-
 func TestCount(t *testing.T) {
 	cases := map[int]string{
 		0:         "0",

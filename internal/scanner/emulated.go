@@ -37,7 +37,7 @@ type emulatedEngine struct {
 	loop      *sim.Loop
 	net       *netem.Network
 	resolver  *dns.Resolver
-	servers   map[netip.Addr]*serverSite
+	servers   map[netip.Addr]*netem.ServerHost // instantiated server IPs
 	clientSeq int
 	// arena recycles the buffers of every connection this engine drives,
 	// client and server side alike (all on the engine's one goroutine).
@@ -49,16 +49,6 @@ type emulatedEngine struct {
 	// still holds undrained events, so the worker must rebuild the engine
 	// before scanning another domain.
 	stalled bool
-}
-
-// serverSite is one instantiated server IP on the worker's network.
-type serverSite struct {
-	host *netem.ServerHost
-	srv  *websim.Server
-	// pending marks the request streams already answered, per live
-	// connection: the endpoint's drop hook deletes a connection's entry, so
-	// nothing here outlives its connection.
-	pending map[*transport.Conn]map[uint64]bool
 }
 
 func newEmulatedEngine(w *websim.World, cfg Config, rng *rand.Rand, tm *scanTelemetry, rec *trace.Recorder) *emulatedEngine {
@@ -74,7 +64,7 @@ func newEmulatedEngine(w *websim.World, cfg Config, rng *rand.Rand, tm *scanTele
 		net:      netem.New(loop, netem.PathConfig{Delay: 10 * time.Millisecond}, rng),
 		arena:    transport.NewArena(),
 		resolver: dns.NewResolver(w.DNSBackend(), rng),
-		servers:  map[netip.Addr]*serverSite{},
+		servers:  map[netip.Addr]*netem.ServerHost{},
 		drng:     newLazyRand(),
 	}
 	e.net.SetTelemetry(cfg.Telemetry)
@@ -277,11 +267,6 @@ func (e *emulatedEngine) connect(target string, ip netip.Addr, hop, attempt int,
 	}
 
 	now := e.loop.Now()
-	e.tm.stTotal.Start(start).End(now)
-	if !hsAt.IsZero() {
-		e.tm.stHandshake.Start(start).End(hsAt)
-		e.tm.stRequest.Start(hsAt).End(now)
-	}
 	out.QUIC = conn.HandshakeComplete()
 	obs := conn.Observations()
 	for _, o := range obs {
@@ -329,28 +314,11 @@ func (e *emulatedEngine) connect(target string, ip netip.Addr, hop, attempt int,
 		out.Err = "timeout: no response"
 	}
 
+	e.tm.connTimeline(rec, start, hsAt, now, &out, obs)
 	if rec != nil {
-		// connect covers dial → handshake completion; handshake and h3 are
-		// recorded retroactively now that the exchange's instants are known
-		// (spans are a flat sequence, not a stack).
-		if !hsAt.IsZero() {
-			rec.StageEnd(hsAt)
-			rec.StageStart("handshake", start)
-			rec.StageEnd(hsAt)
-			rec.StageStart("h3", hsAt)
-			rec.StageEnd(now)
-		} else {
-			rec.StageEnd(now)
-		}
-		rec.StageStart("observe", now)
-		rec.SpanAttrInt("pkts_zero", int64(out.ZeroPkts))
-		rec.SpanAttrInt("pkts_one", int64(out.OnePkts))
-		rec.SpanAttrInt("spin_edges", int64(spinEdges(obs)))
-		rec.SpanAttrInt("rtt_samples", int64(len(out.StackRTTs)))
 		delta := e.net.Stats().Delta(netBefore)
 		rec.SpanAttrInt("pkts_sent", int64(delta.Sent))
 		rec.SpanAttrInt("pkts_dropped", int64(delta.Dropped))
-		rec.StageEnd(now)
 	}
 
 	conn.Close(now, 0, "scan complete")
@@ -370,15 +338,12 @@ func remoteClose(conn *transport.Conn) bool {
 	return ok && te.Remote
 }
 
-// site returns (building on demand) the worker-local server stack for ip.
-// Non-QUIC or unallocated addresses stay blackholes: the client's packets
-// are delivered to nobody.
-func (e *emulatedEngine) site(ip netip.Addr, srv *websim.Server) *serverSite {
-	if srv == nil || !srv.QUIC {
-		return nil
-	}
-	if s, ok := e.servers[ip]; ok {
-		return s
+// site builds, on first use, the worker-local server stack for ip. Non-QUIC
+// or unallocated addresses stay blackholes: the client's packets are
+// delivered to nobody.
+func (e *emulatedEngine) site(ip netip.Addr, srv *websim.Server) {
+	if srv == nil || !srv.QUIC || e.servers[ip] != nil {
+		return
 	}
 	week := e.cfg.Week
 	world := e.world
@@ -394,53 +359,32 @@ func (e *emulatedEngine) site(ip netip.Addr, srv *websim.Server) *serverSite {
 	// Serve with application timing: when a request completes, build the
 	// response and stream it according to the server's response plan
 	// (TTFB + dynamic-page chunk gaps).
-	pending := map[*transport.Conn]map[uint64]bool{}
-	ep.OnClose = func(_ string, conn *transport.Conn) { delete(pending, conn) }
 	host.OnActivity = func(ep *transport.Endpoint, now time.Time) {
-		for _, conn := range ep.Conns() {
-			if !conn.HandshakeComplete() || conn.Terminating() {
+		for st, ok := ep.AcceptStream(); ok; st, ok = ep.AcceptStream() {
+			conn, id := st.Conn, st.ID
+			// Site-level hostile behavior: replace the application
+			// response with the profile's pathological payload.
+			switch srv.Hostile {
+			case hostile.OversizedBody, hostile.HeaderFlood, hostile.QlogGarbage:
+				e.hostileResponse(host, srv, conn, id)
 				continue
 			}
-			seen := pending[conn]
-			if seen == nil {
-				seen = map[uint64]bool{}
-				pending[conn] = seen
+			var resp *h3.Response
+			if req, err := h3.ParseRequest(st.Data); err != nil {
+				resp = &h3.Response{Status: 400, Headers: map[string]string{"server": srv.Software}}
+			} else {
+				resp = buildResponse(world, srv, req)
 			}
-			for _, id := range conn.RecvStreamIDs() {
-				if seen[id] {
-					continue
-				}
-				data, complete := conn.StreamRecv(id)
-				if !complete {
-					continue
-				}
-				seen[id] = true
-				// Site-level hostile behavior: replace the application
-				// response with the profile's pathological payload.
-				switch srv.Hostile {
-				case hostile.OversizedBody, hostile.HeaderFlood, hostile.QlogGarbage:
-					e.hostileResponse(host, srv, conn, id)
-					continue
-				}
-				var resp *h3.Response
-				if req, err := h3.ParseRequest(data); err != nil {
-					resp = &h3.Response{Status: 400, Headers: map[string]string{"server": srv.Software}}
-				} else {
-					resp = buildResponse(world, srv, req)
-				}
-				if srv.Hostile == hostile.MidstreamReset {
-					// Send half the response, then slam the door.
-					e.midstreamReset(host, srv, conn, id, h3.EncodeResponse(resp))
-					continue
-				}
-				head := h3.AppendResponseHead(make([]byte, 0, 128), resp.Status, len(resp.Body), resp.Headers)
-				e.streamResponse(host, srv, conn, id, head, resp.Body)
+			if srv.Hostile == hostile.MidstreamReset {
+				// Send half the response, then slam the door.
+				e.midstreamReset(host, srv, conn, id, h3.EncodeResponse(resp))
+				continue
 			}
+			head := h3.AppendResponseHead(make([]byte, 0, 128), resp.Status, len(resp.Body), resp.Headers)
+			e.streamResponse(host, srv, conn, id, head, resp.Body)
 		}
 	}
-	s := &serverSite{host: host, srv: srv, pending: pending}
-	e.servers[ip] = s
-	return s
+	e.servers[ip] = host
 }
 
 // streamResponse schedules the chunked application writes of an encoded

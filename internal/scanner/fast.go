@@ -102,19 +102,11 @@ func (e *fastEngine) connect(target string, ip netip.Addr, hop, attempt int, pat
 	if f := e.cfg.Faults; f != nil && f.Hit(fault.Net, fault.Blackout, ip.String(), attempt) {
 		// Mirror the emulated engine during an injected outage: every
 		// packet is lost, so the handshake times out.
-		out.Err = "timeout: no QUIC handshake"
-		e.tm.stTotal.Start(e.now).End(e.now.Add(e.cfg.timeout()))
-		rec.StageEnd(e.now.Add(e.cfg.timeout()))
-		return out
+		return e.timedOut(out, "timeout: no QUIC handshake")
 	}
 	srv := e.world.ServerAt(ip)
 	if srv == nil || !srv.QUIC {
-		out.Err = "timeout: no QUIC handshake"
-		// Model the emulated engine's stage timing: a blackholed target
-		// burns the full virtual timeout.
-		e.tm.stTotal.Start(e.now).End(e.now.Add(e.cfg.timeout()))
-		rec.StageEnd(e.now.Add(e.cfg.timeout()))
-		return out
+		return e.timedOut(out, "timeout: no QUIC handshake")
 	}
 	if rec != nil && srv.Hostile != hostile.None {
 		rec.SpanAttr("hostile", srv.Hostile.String())
@@ -122,10 +114,7 @@ func (e *fastEngine) connect(target string, ip netip.Addr, hop, attempt int, pat
 	if srv.Hostile == hostile.Slowloris {
 		// The slowloris peer strings the handshake along without ever
 		// completing it: the scan burns the full timeout, handshake-less.
-		out.Err = hostile.ErrText(hostile.Slowloris)
-		e.tm.stTotal.Start(e.now).End(e.now.Add(e.cfg.timeout()))
-		rec.StageEnd(e.now.Add(e.cfg.timeout()))
-		return out
+		return e.timedOut(out, hostile.ErrText(hostile.Slowloris))
 	}
 	out.QUIC = true
 	switch srv.Hostile {
@@ -166,27 +155,19 @@ func (e *fastEngine) connect(target string, ip netip.Addr, hop, attempt int, pat
 	ctrl := core.NewController(false, srv.PolicyForWeek(e.cfg.Week), e.rng)
 	lastAt := e.synthesizeObservations(&out, ctrl.EffectiveMode(), srv, rtt, respBytes)
 
-	// Stage spans mirroring the emulated engine's virtual timeline:
-	// handshake completes at ~1.5 RTT, the request phase runs until the
-	// last received packet.
+	// The emulated engine's virtual timeline: the handshake completes at
+	// ~1.5 RTT, the request phase runs until the last received packet.
 	hsAt := e.now.Add(3 * rtt / 2)
-	e.tm.stHandshake.Start(e.now).End(hsAt)
-	e.tm.stRequest.Start(hsAt).End(hsAt.Add(lastAt))
-	e.tm.stTotal.Start(e.now).End(hsAt.Add(lastAt))
-	if rec != nil {
-		end := hsAt.Add(lastAt)
-		rec.StageEnd(hsAt)
-		rec.StageStart("handshake", e.now)
-		rec.StageEnd(hsAt)
-		rec.StageStart("h3", hsAt)
-		rec.StageEnd(end)
-		rec.StageStart("observe", end)
-		rec.SpanAttrInt("pkts_zero", int64(out.ZeroPkts))
-		rec.SpanAttrInt("pkts_one", int64(out.OnePkts))
-		rec.SpanAttrInt("spin_edges", int64(spinEdges(e.obs)))
-		rec.SpanAttrInt("rtt_samples", int64(len(out.StackRTTs)))
-		rec.StageEnd(end)
-	}
+	e.tm.connTimeline(rec, e.now, hsAt, hsAt.Add(lastAt), &out, e.obs)
+	return out
+}
+
+// timedOut is the outcome of an attempt that never completes a handshake. It
+// models the emulated engine's stage timing: a blackholed target burns the
+// full virtual timeout.
+func (e *fastEngine) timedOut(out ConnResult, err string) ConnResult {
+	out.Err = err
+	e.tm.connTimeline(e.rec, e.now, time.Time{}, e.now.Add(e.cfg.timeout()), nil, nil)
 	return out
 }
 
@@ -211,20 +192,11 @@ func (e *fastEngine) hostileOutcome(out ConnResult, srv *websim.Server) ConnResu
 	default:
 		out.Err = hostile.ErrText(srv.Hostile)
 	}
-	// Stage spans: handshake at ~1.5 RTT as usual, and roughly one more
-	// round trip until the degradation cutoff.
+	// Handshake at ~1.5 RTT as usual, and roughly one more round trip until
+	// the degradation cutoff.
 	rtt := e.pathRTT(srv)
 	hsAt := e.now.Add(3 * rtt / 2)
-	e.tm.stHandshake.Start(e.now).End(hsAt)
-	e.tm.stRequest.Start(hsAt).End(hsAt.Add(rtt))
-	e.tm.stTotal.Start(e.now).End(hsAt.Add(rtt))
-	if rec := e.rec; rec != nil {
-		rec.StageEnd(hsAt)
-		rec.StageStart("handshake", e.now)
-		rec.StageEnd(hsAt)
-		rec.StageStart("h3", hsAt)
-		rec.StageEnd(hsAt.Add(rtt))
-	}
+	e.tm.connTimeline(e.rec, e.now, hsAt, hsAt.Add(rtt), nil, nil)
 	return out
 }
 

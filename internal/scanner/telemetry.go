@@ -2,9 +2,12 @@ package scanner
 
 import (
 	"strings"
+	"time"
 
+	"quicspin/internal/core"
 	"quicspin/internal/hostile"
 	"quicspin/internal/telemetry"
+	"quicspin/internal/trace"
 	"quicspin/internal/transport"
 )
 
@@ -190,6 +193,41 @@ func (t *scanTelemetry) bumpBudget(kind string) {
 	if c, ok := t.budgetExceeded[kind]; ok {
 		c.Inc()
 	}
+}
+
+// connTimeline records the outcome of one connection attempt from its three
+// virtual instants, on both timelines at once: the spinscan_stage_seconds
+// histograms and the flight recorder, whose connect span has been open since
+// start. A zero hsAt means the handshake never completed — the attempt is
+// that one connect span and a total. Otherwise connect ends at hsAt and the
+// handshake and h3 spans follow retroactively (spans are a flat sequence, not
+// a stack). A non-nil out appends the observe span with the spin-series
+// counts of out and obs; attributes the caller sets next land on it.
+func (t *scanTelemetry) connTimeline(rec *trace.Recorder, start, hsAt, end time.Time, out *ConnResult, obs []core.Observation) {
+	t.stTotal.Start(start).End(end)
+	if !hsAt.IsZero() {
+		t.stHandshake.Start(start).End(hsAt)
+		t.stRequest.Start(hsAt).End(end)
+	}
+	if rec == nil {
+		return
+	}
+	if !hsAt.IsZero() {
+		rec.StageEnd(hsAt)
+		rec.StageStart("handshake", start)
+		rec.StageEnd(hsAt)
+		rec.StageStart("h3", hsAt)
+	}
+	rec.StageEnd(end)
+	if out == nil {
+		return
+	}
+	rec.StageStart("observe", end)
+	rec.SpanAttrInt("pkts_zero", int64(out.ZeroPkts))
+	rec.SpanAttrInt("pkts_one", int64(out.OnePkts))
+	rec.SpanAttrInt("spin_edges", int64(spinEdges(obs)))
+	rec.SpanAttrInt("rtt_samples", int64(len(out.StackRTTs)))
+	rec.StageEnd(end)
 }
 
 // recordDomain tallies one finished domain scan (and its connections).

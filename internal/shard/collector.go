@@ -115,10 +115,6 @@ type Collector struct {
 	cancel context.CancelFunc
 	done   chan struct{}
 
-	// handled marks connections whose submission was consumed; only the
-	// runner goroutine touches it.
-	handled map[*transport.Conn]bool
-
 	mu        sync.Mutex
 	want      int
 	blobs     map[int][]byte
@@ -141,7 +137,6 @@ func NewCollector(want int, faults *fault.Plan) (*Collector, error) {
 	c := &Collector{
 		pc:        pc,
 		done:      make(chan struct{}),
-		handled:   map[*transport.Conn]bool{},
 		want:      want,
 		blobs:     map[int][]byte{},
 		abandoned: map[int]bool{},
@@ -189,20 +184,16 @@ func (c *Collector) Close() {
 }
 
 // onActivity consumes completed submission streams, acking accepted ones
-// and nak'ing rejects. It runs on the endpoint runner's goroutine after
+// and nak'ing rejects; a completed stream other than submitStream is not a
+// submission and is ignored. It runs on the endpoint runner's goroutine after
 // every receive or timer event.
-func (c *Collector) onActivity(ep *transport.Endpoint, now time.Time) {
-	for _, conn := range ep.Conns() {
-		if c.handled[conn] || conn.Terminating() {
+func (c *Collector) onActivity(ep *transport.Endpoint, _ time.Time) {
+	for st, ok := ep.AcceptStream(); ok; st, ok = ep.AcceptStream() {
+		if st.ID != submitStream {
 			continue
 		}
-		data, fin := conn.StreamRecv(submitStream)
-		if !fin {
-			continue
-		}
-		c.handled[conn] = true
 		reply := byte(submitAck)
-		if shard, blob, derr := parseSubmission(data, c.want); derr != nil {
+		if shard, blob, derr := parseSubmission(st.Data, c.want); derr != nil {
 			// The worker retries a NAK with an identical resubmission, so
 			// transport corruption that slipped past QUIC-lite recovery
 			// heals here instead of losing the shard.
@@ -211,10 +202,12 @@ func (c *Collector) onActivity(ep *transport.Endpoint, now time.Time) {
 		} else {
 			// record dedupes; a byte-different conflict is recorded there
 			// but still acked — first submission wins and the worker must
-			// not hang retrying a verdict that will never change.
+			// not hang retrying a verdict that will never change. blob
+			// aliases the connection's receive buffer and is kept past the
+			// connection: these connections have no arena to take it back.
 			c.record(shard, blob)
 		}
-		_ = conn.SendStream(submitStream, []byte{reply}, true)
+		_ = st.Conn.SendStream(submitStream, []byte{reply}, true)
 	}
 }
 

@@ -2,7 +2,9 @@ package shard
 
 import (
 	"bytes"
+	"context"
 	"errors"
+	"math/rand"
 	"net"
 	"strings"
 	"sync"
@@ -10,6 +12,8 @@ import (
 	"time"
 
 	"quicspin/internal/resilience"
+	"quicspin/internal/transport"
+	"quicspin/internal/udprun"
 )
 
 func TestCollectorRoundTrip(t *testing.T) {
@@ -86,6 +90,88 @@ func TestCollectorDuplicate(t *testing.T) {
 	errs := col.Errors()
 	if len(errs) != 1 || errs[0].Reason != "conflict" || errs[0].Shard != 0 {
 		t.Errorf("conflicting duplicate not recorded: %v", errs)
+	}
+}
+
+// rawSubmit opens one connection to the collector, sends each payload on its
+// stream with FIN, and returns what came back per stream once the collector
+// has finished answering stream await (nothing for a stream never answered).
+func rawSubmit(t *testing.T, col *Collector, payloads map[uint64][]byte, await uint64) map[uint64][]byte {
+	t.Helper()
+	pc, err := net.ListenPacket("udp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer pc.Close()
+	conn := transport.NewClientConn(transport.Config{Rng: rand.New(rand.NewSource(1))}, time.Now())
+	for id, payload := range payloads {
+		if err := conn.SendStream(id, payload, true); err != nil {
+			t.Fatal(err)
+		}
+	}
+	replies := map[uint64][]byte{}
+	runner := udprun.NewConnRunner(conn, udprun.NewChecksumConn(pc), col.Addr())
+	runner.OnActivity = func(conn *transport.Conn, now time.Time) {
+		if _, fin := conn.StreamRecv(await); !fin || conn.Terminating() {
+			return
+		}
+		for id := range payloads {
+			if data, _ := conn.StreamRecv(id); len(data) > 0 {
+				replies[id] = append([]byte(nil), data...)
+			}
+		}
+		conn.Close(now, 0, "done")
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	if err := runner.Run(ctx); err != nil {
+		t.Fatalf("stream %d never answered: %v", await, err)
+	}
+	return replies
+}
+
+// TestCollectorAcceptsSubmitStreamOnce drives the exchange a NAK-retried
+// shard produces — several connections for one shard — byte by byte: a
+// rejected submission is NAK'd, the retry and an identical resubmission are
+// each ACK'd on their own connection, one blob remains, and a completed
+// stream other than submitStream is ignored, never parsed as a submission.
+func TestCollectorAcceptsSubmitStreamOnce(t *testing.T) {
+	col, err := NewCollector(1, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer col.Close()
+	good := frameSubmission(0, []byte("accumulator"))
+	mangled := append([]byte(nil), good...)
+	mangled[len(mangled)/2] ^= 0x40
+
+	if got := rawSubmit(t, col, map[uint64][]byte{submitStream: mangled}, submitStream); !bytes.Equal(got[submitStream], []byte{submitNak}) {
+		t.Errorf("mangled submission answered %x, want the NAK byte", got[submitStream])
+	}
+	// The good frame on stream 4 rides beside garbage on the submit stream:
+	// only the submit stream is read, so this connection is a NAK too.
+	got := rawSubmit(t, col, map[uint64][]byte{submitStream: []byte("garbage"), 4: good}, submitStream)
+	if !bytes.Equal(got[submitStream], []byte{submitNak}) || got[4] != nil {
+		t.Errorf("replies %x: want a NAK on the submit stream and silence on stream 4", got)
+	}
+	if blobs, err := col.Wait(50 * time.Millisecond); err == nil {
+		t.Fatalf("collector recorded %v from a stream that is not the submit stream", blobs)
+	}
+	for i := 0; i < 2; i++ { // the retry, then an identical resubmission
+		if got := rawSubmit(t, col, map[uint64][]byte{submitStream: good}, submitStream); !bytes.Equal(got[submitStream], []byte{submitAck}) {
+			t.Errorf("good submission %d answered %x, want the ACK byte", i, got[submitStream])
+		}
+	}
+	blobs, err := col.Wait(5 * time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(blobs) != 1 || string(blobs[0]) != "accumulator" {
+		t.Errorf("collector holds %q, want the one accumulator", blobs)
+	}
+	errs := col.Errors()
+	if len(errs) != 2 || errs[0].Reason != "crc" || errs[1].Reason != "crc" {
+		t.Errorf("decode errors %v, want the two rejected submit streams and nothing from stream 4", errs)
 	}
 }
 

@@ -1,28 +1,14 @@
 // Package sim provides the time substrate shared by the QUIC-lite transport,
-// the network emulator, and the measurement campaign engine: an abstract
-// Clock, a real-time implementation, and a deterministic virtual-time event
-// loop that lets emulated seconds cost microseconds of CPU.
+// the network emulator, and the measurement campaign engine: a deterministic
+// virtual-time event loop that lets emulated seconds cost microseconds of
+// CPU. Emulation code takes a *Loop (and every transport call takes the
+// current time explicitly) instead of calling time.Now.
 package sim
 
 import (
 	"container/heap"
-	"sync"
 	"time"
 )
-
-// Clock supplies the current time. The transport and all emulation code take
-// a Clock instead of calling time.Now so that experiments can run in virtual
-// time.
-type Clock interface {
-	// Now returns the current time on this clock.
-	Now() time.Time
-}
-
-// RealClock is a Clock backed by the wall clock.
-type RealClock struct{}
-
-// Now implements Clock.
-func (RealClock) Now() time.Time { return time.Now() }
 
 // event is a scheduled callback in a virtual-time Loop. Events are recycled
 // through the Loop's freelist once fired or reaped; gen distinguishes the
@@ -66,7 +52,7 @@ func (q *eventQueue) Pop() any {
 	return e
 }
 
-// Loop is a deterministic discrete-event simulator and virtual Clock.
+// Loop is a deterministic discrete-event simulator and virtual clock.
 // Callbacks scheduled at the same instant fire in scheduling order.
 // Loop is not safe for concurrent use; the whole point is that a simulation
 // is single-threaded and reproducible.
@@ -85,7 +71,7 @@ func NewLoop(start time.Time) *Loop {
 	return &Loop{now: start}
 }
 
-// Now implements Clock.
+// Now returns the loop's current virtual time.
 func (l *Loop) Now() time.Time { return l.now }
 
 // Timer is a value handle to a scheduled callback that can be canceled. The
@@ -198,37 +184,4 @@ func (l *Loop) Pending() int {
 		}
 	}
 	return n
-}
-
-// ManualClock is a trivially settable Clock for unit tests that do not need
-// an event queue. It is safe for concurrent use.
-type ManualClock struct {
-	mu sync.Mutex
-	t  time.Time
-}
-
-// NewManualClock returns a ManualClock set to start.
-func NewManualClock(start time.Time) *ManualClock {
-	return &ManualClock{t: start}
-}
-
-// Now implements Clock.
-func (c *ManualClock) Now() time.Time {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.t
-}
-
-// Advance moves the clock forward by d.
-func (c *ManualClock) Advance(d time.Duration) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.t = c.t.Add(d)
-}
-
-// Set moves the clock to t.
-func (c *ManualClock) Set(t time.Time) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.t = t
 }

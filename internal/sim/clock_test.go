@@ -107,30 +107,6 @@ func TestSchedulingInPastRunsAtNow(t *testing.T) {
 	}
 }
 
-func TestManualClock(t *testing.T) {
-	c := NewManualClock(epoch)
-	if !c.Now().Equal(epoch) {
-		t.Error("initial time wrong")
-	}
-	c.Advance(time.Minute)
-	if !c.Now().Equal(epoch.Add(time.Minute)) {
-		t.Error("Advance wrong")
-	}
-	c.Set(epoch)
-	if !c.Now().Equal(epoch) {
-		t.Error("Set wrong")
-	}
-}
-
-func TestRealClock(t *testing.T) {
-	before := time.Now()
-	got := RealClock{}.Now()
-	after := time.Now()
-	if got.Before(before) || got.After(after) {
-		t.Errorf("RealClock.Now() = %v outside [%v, %v]", got, before, after)
-	}
-}
-
 func BenchmarkLoopScheduleAndFire(b *testing.B) {
 	l := NewLoop(epoch)
 	b.ReportAllocs()

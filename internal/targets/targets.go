@@ -1,100 +1,10 @@
-// Package targets assembles the measurement target population the way the
-// paper does (§3.1): domain toplists (Alexa, Umbrella, Majestic, Tranco)
-// plus zone files from the ICANN Centralized Zone Data Service, with
-// deduplication and the conventional "www." prepending (§3.2.1).
+// Package targets holds the naming conventions of the paper's measurement
+// targets (§3.2.1): canonical domain spelling and the conventional "www."
+// prepending. The population itself — toplists plus CZDS zone files in the
+// paper (§3.1) — is synthesised by internal/websim.
 package targets
 
-import (
-	"bufio"
-	"fmt"
-	"io"
-	"sort"
-	"strings"
-)
-
-// Kind distinguishes the two population sources the paper reports
-// separately.
-type Kind int
-
-const (
-	// Toplist entries come from popularity rankings.
-	Toplist Kind = iota
-	// Zonelist entries come from TLD zone files (CZDS).
-	Zonelist
-)
-
-// String names the kind as in the paper's tables.
-func (k Kind) String() string {
-	if k == Zonelist {
-		return "CZDS"
-	}
-	return "Toplists"
-}
-
-// List is one named source of target domains.
-type List struct {
-	Name    string
-	Kind    Kind
-	Domains []string
-}
-
-// ParseToplist reads a toplist in either "rank,domain" CSV form (Alexa,
-// Umbrella, Majestic, Tranco all use variants of it) or plain
-// domain-per-line form. Blank lines and #-comments are skipped.
-func ParseToplist(name string, r io.Reader) (*List, error) {
-	l := &List{Name: name, Kind: Toplist}
-	sc := bufio.NewScanner(r)
-	lineNo := 0
-	for sc.Scan() {
-		lineNo++
-		line := strings.TrimSpace(sc.Text())
-		if line == "" || strings.HasPrefix(line, "#") {
-			continue
-		}
-		domain := line
-		if i := strings.LastIndexByte(line, ','); i >= 0 {
-			rank, d := line[:i], line[i+1:]
-			if d == "" {
-				return nil, fmt.Errorf("targets: %s line %d: empty domain", name, lineNo)
-			}
-			// Majestic-style files have extra columns before the domain;
-			// accept any prefix as long as the final field parses.
-			_ = rank
-			domain = d
-		}
-		l.Domains = append(l.Domains, Canonical(domain))
-	}
-	if err := sc.Err(); err != nil {
-		return nil, fmt.Errorf("targets: reading %s: %w", name, err)
-	}
-	return l, nil
-}
-
-// ParseZonefile reads a (simplified) TLD zone file: either bare domains per
-// line or master-file-style "name TTL IN NS …" records, of which only the
-// owner name is used. Owner names are de-duplicated within the file.
-func ParseZonefile(name string, r io.Reader) (*List, error) {
-	l := &List{Name: name, Kind: Zonelist}
-	seen := map[string]bool{}
-	sc := bufio.NewScanner(r)
-	for sc.Scan() {
-		line := strings.TrimSpace(sc.Text())
-		if line == "" || strings.HasPrefix(line, ";") || strings.HasPrefix(line, "#") {
-			continue
-		}
-		owner := strings.Fields(line)[0]
-		d := Canonical(owner)
-		if d == "" || seen[d] {
-			continue
-		}
-		seen[d] = true
-		l.Domains = append(l.Domains, d)
-	}
-	if err := sc.Err(); err != nil {
-		return nil, fmt.Errorf("targets: reading zone %s: %w", name, err)
-	}
-	return l, nil
-}
+import "strings"
 
 // Canonical lowercases a domain and strips any trailing dot.
 func Canonical(domain string) string {
@@ -108,60 +18,4 @@ func PrependWWW(domain string) string {
 		return domain
 	}
 	return "www." + domain
-}
-
-// Population is the merged, deduplicated target set with per-domain source
-// attribution, so results can be reported per list kind like Tables 1–4.
-type Population struct {
-	domains []string
-	kinds   map[string]Kind
-	// inBoth tracks domains present in both a toplist and a zonelist;
-	// the paper counts such domains in both views.
-	toplist  map[string]bool
-	zonelist map[string]bool
-}
-
-// Merge combines lists into a deduplicated population.
-func Merge(lists ...*List) *Population {
-	p := &Population{
-		kinds:    map[string]Kind{},
-		toplist:  map[string]bool{},
-		zonelist: map[string]bool{},
-	}
-	seen := map[string]bool{}
-	for _, l := range lists {
-		for _, d := range l.Domains {
-			if l.Kind == Toplist {
-				p.toplist[d] = true
-			} else {
-				p.zonelist[d] = true
-			}
-			if seen[d] {
-				continue
-			}
-			seen[d] = true
-			p.domains = append(p.domains, d)
-			p.kinds[d] = l.Kind
-		}
-	}
-	sort.Strings(p.domains)
-	return p
-}
-
-// Domains returns all unique domains in sorted order.
-func (p *Population) Domains() []string { return p.domains }
-
-// Len returns the number of unique domains.
-func (p *Population) Len() int { return len(p.domains) }
-
-// InToplist reports whether the domain appears in any toplist source.
-func (p *Population) InToplist(domain string) bool { return p.toplist[domain] }
-
-// InZonelist reports whether the domain appears in any zone file source.
-func (p *Population) InZonelist(domain string) bool { return p.zonelist[domain] }
-
-// CountByKind returns the number of domains in the toplist and zonelist
-// views (a domain can be in both).
-func (p *Population) CountByKind() (top, zone int) {
-	return len(p.toplist), len(p.zonelist)
 }

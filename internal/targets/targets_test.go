@@ -1,69 +1,10 @@
 package targets
 
-import (
-	"strings"
-	"testing"
-)
+import "testing"
 
-func TestParseToplistCSV(t *testing.T) {
-	src := "1,google.com\n2,YouTube.com\n\n# comment\n3,example.org.\n"
-	l, err := ParseToplist("tranco", strings.NewReader(src))
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := []string{"google.com", "youtube.com", "example.org"}
-	if len(l.Domains) != 3 {
-		t.Fatalf("domains = %v", l.Domains)
-	}
-	for i, d := range want {
-		if l.Domains[i] != d {
-			t.Errorf("domain %d = %q, want %q", i, l.Domains[i], d)
-		}
-	}
-	if l.Kind != Toplist {
-		t.Error("kind wrong")
-	}
-}
-
-func TestParseToplistPlain(t *testing.T) {
-	l, err := ParseToplist("plain", strings.NewReader("alpha.net\nbeta.net\n"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(l.Domains) != 2 || l.Domains[0] != "alpha.net" {
-		t.Errorf("domains = %v", l.Domains)
-	}
-}
-
-func TestParseToplistEmptyDomain(t *testing.T) {
-	if _, err := ParseToplist("bad", strings.NewReader("5,\n")); err == nil {
-		t.Error("empty domain accepted")
-	}
-}
-
-func TestParseZonefile(t *testing.T) {
-	src := strings.Join([]string{
-		"; zone for .com",
-		"example.com. 86400 IN NS ns1.example.com.",
-		"example.com. 86400 IN NS ns2.example.com.", // duplicate owner
-		"other.com. 86400 IN NS ns.other.com.",
-		"bare.com",
-	}, "\n")
-	l, err := ParseZonefile("com", strings.NewReader(src))
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := []string{"example.com", "other.com", "bare.com"}
-	if len(l.Domains) != len(want) {
-		t.Fatalf("domains = %v", l.Domains)
-	}
-	for i := range want {
-		if l.Domains[i] != want[i] {
-			t.Errorf("domain %d = %q, want %q", i, l.Domains[i], want[i])
-		}
-	}
-	if l.Kind != Zonelist {
-		t.Error("kind wrong")
+func TestCanonical(t *testing.T) {
+	if got := Canonical(" Example.COM. "); got != "example.com" {
+		t.Errorf("got %q", got)
 	}
 }
 
@@ -73,38 +14,5 @@ func TestPrependWWW(t *testing.T) {
 	}
 	if got := PrependWWW("www.example.com"); got != "www.example.com" {
 		t.Errorf("got %q (must not double-prepend)", got)
-	}
-}
-
-func TestMergeDeduplicates(t *testing.T) {
-	top := &List{Name: "tranco", Kind: Toplist, Domains: []string{"a.com", "b.com"}}
-	zone := &List{Name: "com", Kind: Zonelist, Domains: []string{"b.com", "c.com"}}
-	p := Merge(top, zone)
-	if p.Len() != 3 {
-		t.Fatalf("len = %d, want 3", p.Len())
-	}
-	if !p.InToplist("a.com") || p.InZonelist("a.com") {
-		t.Error("a.com attribution wrong")
-	}
-	// b.com is in both views, like popular .com domains in the paper.
-	if !p.InToplist("b.com") || !p.InZonelist("b.com") {
-		t.Error("b.com must be in both views")
-	}
-	topN, zoneN := p.CountByKind()
-	if topN != 2 || zoneN != 2 {
-		t.Errorf("counts = (%d, %d), want (2, 2)", topN, zoneN)
-	}
-	// Sorted output.
-	d := p.Domains()
-	for i := 1; i < len(d); i++ {
-		if d[i-1] >= d[i] {
-			t.Errorf("domains not sorted: %v", d)
-		}
-	}
-}
-
-func TestKindString(t *testing.T) {
-	if Toplist.String() != "Toplists" || Zonelist.String() != "CZDS" {
-		t.Error("kind names wrong")
 	}
 }

@@ -145,7 +145,6 @@ type Conn struct {
 	payloadScratch []byte          // packet payload assembly
 	framesScratch  []wire.Frame    // framesFor result list
 	idsScratch     []uint64        // sorted stream IDs in framesFor
-	recvIDsScratch []uint64        // RecvStreamIDs result list
 	dgramBufs      [][]byte        // datagram buffers, rotated per Poll
 	dgramUsed      int
 	pollOut        [][]byte // Poll result list
@@ -270,16 +269,29 @@ func (c *Conn) StreamRecv(id uint64) ([]byte, bool) {
 	return r.delivered, r.complete()
 }
 
-// RecvStreamIDs returns the IDs of streams with received data, sorted. The
-// returned slice is reused by the next call on this connection.
-func (c *Conn) RecvStreamIDs() []uint64 {
-	ids := c.recvIDsScratch[:0]
-	for id := range c.streamsRecv {
-		ids = append(ids, id)
+// AcceptStream hands the application the next completed peer stream: every
+// receive stream is returned exactly once, when its FIN and all bytes before
+// it have arrived, lowest stream ID first. ok is false when nothing is left to
+// accept — always so before the handshake completes and once the connection
+// is closing, when a stream could no longer be answered. The mark lives on the
+// stream itself, so it is released with the connection and no caller keeps a
+// table of answered streams. data is the StreamRecv slice: read-only, valid
+// until Release.
+func (c *Conn) AcceptStream() (id uint64, data []byte, ok bool) {
+	if !c.handshakeComplete || c.state >= stateClosing {
+		return 0, nil, false
 	}
-	slices.Sort(ids)
-	c.recvIDsScratch = ids
-	return ids
+	var next *recvStream
+	for sid, r := range c.streamsRecv {
+		if !r.accepted && r.complete() && (next == nil || sid < id) {
+			id, next = sid, r
+		}
+	}
+	if next == nil {
+		return 0, nil, false
+	}
+	next.accepted = true
+	return id, next.delivered, true
 }
 
 // Release ends the connection's use of its buffers, returning the stream,

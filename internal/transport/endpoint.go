@@ -16,12 +16,6 @@ type Endpoint struct {
 	// invoked once per connection so servers can roll per-connection spin
 	// policy dice with distinct qlog writers. Must be non-nil.
 	NewConnConfig func(peer string) Config
-	// OnConn, when non-nil, observes every accepted connection.
-	OnConn func(peer string, conn *Conn)
-	// OnClose, when non-nil, observes every connection Advance drops, just
-	// before the endpoint releases it: the place to forget per-connection
-	// application state (and the last moment its StreamRecv data is valid).
-	OnClose func(peer string, conn *Conn)
 
 	// conns routes by the connection ID this server issued (short headers)
 	// and by the client's original DCID (Initial/Handshake long headers).
@@ -67,9 +61,6 @@ func (e *Endpoint) Receive(now time.Time, peer string, datagram []byte) error {
 			e.conns[cidKey(hdr.DstConnID)] = ent
 			e.conns[cidKey(conn.SCID())] = ent
 			e.order = append(e.order, ent)
-			if e.OnConn != nil {
-				e.OnConn(peer, conn)
-			}
 		}
 	} else {
 		// Short header: destination CID is one we issued, of known length.
@@ -109,8 +100,9 @@ func (e *Endpoint) Poll(now time.Time) []Outgoing {
 	return out
 }
 
-// Advance fires timers on every connection and drops closed ones, reporting
-// each to OnClose and then releasing it (see Conn.Release).
+// Advance fires timers on every connection and drops closed ones, releasing
+// each (see Conn.Release): whatever the application knew about a connection's
+// streams lived on the connection and goes with it.
 func (e *Endpoint) Advance(now time.Time) {
 	live := e.order[:0]
 	for _, ent := range e.order {
@@ -118,9 +110,6 @@ func (e *Endpoint) Advance(now time.Time) {
 		if ent.conn.Closed() {
 			delete(e.conns, cidKey(ent.conn.ODCID()))
 			delete(e.conns, cidKey(ent.conn.SCID()))
-			if e.OnClose != nil {
-				e.OnClose(ent.peer, ent.conn)
-			}
 			ent.conn.Release()
 			continue
 		}
@@ -139,6 +128,28 @@ func (e *Endpoint) NextTimeout() (time.Time, bool) {
 		}
 	}
 	return t, !t.IsZero()
+}
+
+// Stream is one completed peer stream handed out by Endpoint.AcceptStream:
+// answer it with Conn.SendStream(ID, …).
+type Stream struct {
+	Peer string // the address the connection was accepted from
+	Conn *Conn
+	ID   uint64
+	Data []byte // read-only; valid until the endpoint drops Conn
+}
+
+// AcceptStream returns the next completed peer stream of any live
+// connection, connections in accept order and each connection's streams as
+// Conn.AcceptStream orders them; every stream is returned once. A server's
+// activity hook drains it: for st, ok := e.AcceptStream(); ok; ….
+func (e *Endpoint) AcceptStream() (Stream, bool) {
+	for _, ent := range e.order {
+		if id, data, ok := ent.conn.AcceptStream(); ok {
+			return Stream{Peer: ent.peer, Conn: ent.conn, ID: id, Data: data}, true
+		}
+	}
+	return Stream{}, false
 }
 
 // Conns returns the live connections in accept order. The returned slice

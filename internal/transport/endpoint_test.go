@@ -10,8 +10,9 @@ import (
 // Sequential connections through one endpoint, client and server sharing a
 // poisoned arena, over a path that drops and reorders: every response
 // arrives intact (retransmissions read send buffers the stream has since
-// outgrown), each dropped connection is reported to OnClose exactly once and
-// released, and the pool stops growing once it is warm.
+// outgrown), each request stream is accepted exactly once with its peer's
+// address, every closed connection is dropped and released, and the pool stops
+// growing once it is warm.
 func TestEndpointDropsReleasesAndRecycles(t *testing.T) {
 	arena := &Arena{poison: true}
 	rng := rand.New(rand.NewSource(11))
@@ -22,14 +23,7 @@ func TestEndpointDropsReleasesAndRecycles(t *testing.T) {
 		}
 		return Config{Rng: rng, Arena: arena}
 	})
-	accepted, closed := 0, map[*Conn]int{}
-	ep.OnConn = func(string, *Conn) { accepted++ }
-	ep.OnClose = func(_ string, c *Conn) {
-		closed[c]++
-		if data, done := c.StreamRecv(0); !done || len(data) == 0 {
-			t.Errorf("OnClose: the request stream is already gone (%d bytes, complete %v)", len(data), done)
-		}
-	}
+	accepted := 0
 
 	now := time.Date(2023, 5, 15, 0, 0, 0, 0, time.UTC)
 	request := bytes.Repeat([]byte("q"), 300)
@@ -55,13 +49,12 @@ func TestEndpointDropsReleasesAndRecycles(t *testing.T) {
 					t.Fatalf("conn %d: endpoint receive: %v", i, err)
 				}
 			}
-			for _, c := range ep.Conns() {
-				if data, done := c.StreamRecv(0); done && answered == 0 {
-					if !bytes.Equal(data, request) {
-						t.Fatalf("conn %d: server read a different request", i)
-					}
-					serverConn = c
+			for st, ok := ep.AcceptStream(); ok; st, ok = ep.AcceptStream() {
+				if st.Peer != "c" || st.ID != 0 || !bytes.Equal(st.Data, request) {
+					t.Fatalf("conn %d: accepted stream %d from %q with a different request", i, st.ID, st.Peer)
 				}
+				accepted++
+				serverConn = st.Conn
 			}
 			// Three writes over three steps: the stream's buffer is outgrown
 			// while its earlier bytes are in flight, some of them lost.
@@ -110,44 +103,24 @@ func TestEndpointDropsReleasesAndRecycles(t *testing.T) {
 			}
 		}
 	}
-	if accepted != conns || len(closed) != conns {
-		t.Errorf("%d accepted, %d reported closed, want %d each", accepted, len(closed), conns)
-	}
-	for _, n := range closed {
-		if n != 1 {
-			t.Errorf("a connection was reported closed %d times", n)
-		}
+	if accepted != conns {
+		t.Errorf("%d request streams accepted over %d connections, want one each", accepted, conns)
 	}
 	if probes > 1 {
 		t.Errorf("NewConnConfig(\"\") called %d times to learn the connection-ID length, want once", probes)
 	}
 }
 
-// Poll and Conns hand out per-endpoint scratch: polling an idle endpoint and
-// listing its connections allocate nothing.
+// Poll and Conns hand out per-endpoint scratch: polling an idle endpoint,
+// listing its connections and asking it for a stream allocate nothing.
 func TestEndpointPollAndConnsReuseScratch(t *testing.T) {
-	rng := rand.New(rand.NewSource(2))
-	ep := NewEndpoint(func(string) Config { return Config{Rng: rng} })
-	now := time.Date(2023, 5, 15, 0, 0, 0, 0, time.UTC)
-	client := NewClientConn(Config{Rng: rng}, now)
-	for n := 0; n < 50 && !client.HandshakeConfirmed(); n++ {
-		now = now.Add(time.Millisecond)
-		for _, dg := range client.Poll(now) {
-			_ = ep.Receive(now, "c", dg)
-		}
-		for _, out := range ep.Poll(now) {
-			_ = client.Receive(now, out.Data)
-		}
-	}
-	if len(ep.Conns()) != 1 {
-		t.Fatalf("%d connections", len(ep.Conns()))
-	}
+	ep, now := establishedEndpoint(t)
 	if n := testing.AllocsPerRun(100, func() {
-		if len(ep.Conns()) != 1 || len(ep.Conns()[0].RecvStreamIDs()) != 0 {
+		if _, ok := ep.AcceptStream(); ok || len(ep.Conns()) != 1 {
 			t.Fatal("unexpected connection state")
 		}
 		_ = ep.Poll(now)
 	}); n != 0 {
-		t.Errorf("Conns + RecvStreamIDs + idle Poll allocate %.0f times per call, want 0", n)
+		t.Errorf("Conns + AcceptStream + idle Poll allocate %.0f times per call, want 0", n)
 	}
 }

@@ -35,26 +35,11 @@ func newHarness(t *testing.T, path netem.PathConfig, clientCfg, serverCfg transp
 	}
 	ep := transport.NewEndpoint(func(peer string) transport.Config { return serverCfg })
 	server := netem.NewServerHost(net, "server", ep)
-	answered := map[*transport.Conn]map[uint64]bool{}
 	server.OnActivity = func(ep *transport.Endpoint, now time.Time) {
-		for _, conn := range ep.Conns() {
-			if !conn.HandshakeComplete() {
-				continue
-			}
-			if answered[conn] == nil {
-				answered[conn] = map[uint64]bool{}
-			}
-			for _, id := range conn.RecvStreamIDs() {
-				if answered[conn][id] {
-					continue
-				}
-				if data, done := conn.StreamRecv(id); done {
-					answered[conn][id] = true
-					resp := append([]byte("ECHO:"), data...)
-					if err := conn.SendStream(id, resp, true); err != nil {
-						t.Errorf("server SendStream: %v", err)
-					}
-				}
+		for st, ok := ep.AcceptStream(); ok; st, ok = ep.AcceptStream() {
+			resp := append([]byte("ECHO:"), st.Data...)
+			if err := st.Conn.SendStream(st.ID, resp, true); err != nil {
+				t.Errorf("server SendStream: %v", err)
 			}
 		}
 	}

@@ -56,6 +56,8 @@ type recvStream struct {
 	segments []segment
 	finOff   uint64
 	hasFin   bool
+	// accepted marks a completed stream Conn.AcceptStream has handed out.
+	accepted bool
 }
 
 // push inserts a received frame and advances the contiguous prefix. A frame

@@ -27,16 +27,12 @@ func startServer(t *testing.T, policy core.Policy) (net.Addr, func()) {
 	srv := h3.NewServer(func(peer string, req *h3.Request) *h3.Response {
 		return &h3.Response{
 			Status:  200,
-			Headers: map[string]string{"server": "quicspin-test"},
+			Headers: map[string]string{"server": "quicspin-test", "x-peer": peer},
 			Body:    make([]byte, 30000),
 		}
 	})
 	runner := NewEndpointRunner(ep, pc)
-	runner.OnActivity = func(ep *transport.Endpoint, now time.Time) {
-		for _, conn := range ep.Conns() {
-			srv.Serve("", conn, now)
-		}
-	}
+	runner.OnActivity = srv.ServeEndpoint
 	ctx, cancel := context.WithCancel(context.Background())
 	done := make(chan struct{})
 	go func() {
@@ -87,6 +83,11 @@ func doRequest(t *testing.T, addr net.Addr) (*h3.Response, *transport.Conn) {
 	}
 	if resp == nil {
 		t.Fatalf("no response within deadline; stats=%+v", conn.Stats())
+	}
+	// The handler is told who asked: the client's socket address, not a
+	// constant.
+	if got, want := resp.Headers["x-peer"], pc.LocalAddr().String(); got != want {
+		t.Errorf("handler saw peer %q, want %q", got, want)
 	}
 	return resp, conn
 }

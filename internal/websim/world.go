@@ -584,34 +584,6 @@ func (w *World) DomainByHost(host string) *Domain {
 	return w.byHost[host]
 }
 
-// Lists materialises the measurement input lists: one merged toplist and
-// one zone file per CZDS TLD, exactly the shape internal/targets consumes.
-func (w *World) Lists() []*targets.List {
-	top := &targets.List{Name: "toplists", Kind: targets.Toplist}
-	zones := map[string]*targets.List{}
-	for i, n := 0, w.NumDomains(); i < n; i++ {
-		d := w.DomainAt(i)
-		if d.Toplist {
-			top.Domains = append(top.Domains, d.Name)
-		}
-		if InZoneView(d.TLD) {
-			z := zones[d.TLD]
-			if z == nil {
-				z = &targets.List{Name: d.TLD, Kind: targets.Zonelist}
-				zones[d.TLD] = z
-			}
-			z.Domains = append(z.Domains, d.Name)
-		}
-	}
-	out := []*targets.List{top}
-	for _, tld := range []string{"com", "net", "org", "info", "xyz", "online"} {
-		if z, ok := zones[tld]; ok {
-			out = append(out, z)
-		}
-	}
-	return out
-}
-
 // Turnaround draws one endpoint processing latency.
 func (w *World) Turnaround(rng *rand.Rand) time.Duration {
 	p := w.Profile

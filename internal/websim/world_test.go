@@ -218,48 +218,6 @@ func TestProcessingDelayDistribution(t *testing.T) {
 	}
 }
 
-func TestLists(t *testing.T) {
-	w := Generate(smallProfile())
-	lists := w.Lists()
-	if lists[0].Kind != targets.Toplist {
-		t.Fatal("first list must be the toplist")
-	}
-	var zoneDomains int
-	for _, l := range lists[1:] {
-		if l.Kind != targets.Zonelist {
-			t.Fatalf("list %s kind = %v", l.Name, l.Kind)
-		}
-		zoneDomains += len(l.Domains)
-	}
-	if zoneDomains == 0 || len(lists[0].Domains) == 0 {
-		t.Fatal("empty lists")
-	}
-	// Toplist com/net/org domains must also appear in zone files.
-	found := false
-	for _, d := range w.Domains {
-		if d.Toplist && InZoneView(d.TLD) {
-			found = true
-			in := false
-			for _, l := range lists[1:] {
-				if l.Name == d.TLD {
-					for _, z := range l.Domains {
-						if z == d.Name {
-							in = true
-						}
-					}
-				}
-			}
-			if !in {
-				t.Fatalf("toplist domain %s missing from zone %s", d.Name, d.TLD)
-			}
-			break
-		}
-	}
-	if !found {
-		t.Skip("no toplist gTLD domain in sample")
-	}
-}
-
 func TestRedirectAssignment(t *testing.T) {
 	p := DefaultProfile()
 	p.Scale = 2000

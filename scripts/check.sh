@@ -52,6 +52,15 @@ cov_floor ./internal/analysis 75
 cov_floor ./internal/shard 75
 cov_floor ./internal/flowtable 75
 
+# Structural gate: application state keyed by the connection pointer outlives
+# the connection unless someone remembers a drop hook (PR 16's leak); it
+# belongs on the connection, as Conn.AcceptStream keeps it.
+echo "== no map[*transport.Conn] side tables"
+if grep -rn 'map\[\*transport\.Conn\]' --include='*.go' cmd internal examples; then
+    echo "per-connection state is keyed by *transport.Conn in the lines above" >&2
+    exit 1
+fi
+
 # Native Go fuzzing needs no build tags, so `go vet ./...` above already
 # covers the fuzz harnesses; here each target gets a short guided run
 # beyond its seed corpus (which plain `go test` replays as unit tests).
@@ -285,7 +294,7 @@ go test -count=1 -run 'TestIngestZeroAlloc|TestIngestBatchZeroAlloc' ./internal/
 # determinism, differential and hostile-chaos suites.
 echo "== emulated memory gate"
 go test -race -count=1 -run 'TestEmulatedEngineBoundedMemory|TestEmulatedConnAllocCeiling' ./internal/scanner
-go test -race -count=1 -run 'TestArena|TestRecvStreamMatchesReference|TestEndpointDropsReleasesAndRecycles' ./internal/transport
+go test -race -count=1 -run 'TestArena|TestRecvStreamMatchesReference|TestAcceptStream|TestEndpointDropsReleasesAndRecycles' ./internal/transport
 go test -race -count=1 -run 'TestServerForgetsDroppedConnections' ./internal/h3
 go test -race -count=1 -run 'TestGoldenEmulatedWeek|TestGoldenCampaign|TestTableDeterminism$' ./internal/analysis
 go test -race -count=1 -run 'TestDifferentialEngines$|TestHostileChaosCampaign' ./internal/conformance
