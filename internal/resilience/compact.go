@@ -64,7 +64,7 @@ func Compact(fs FS, dir string, retain func(key string) bool) (CompactStats, err
 		return cs, nil
 	}
 
-	latest, st, err := scanJournal(fs, dir)
+	latest, st, err := scanJournal(fs, dir, true)
 	if err != nil {
 		return cs, fmt.Errorf("resilience: compact: %w", err)
 	}
@@ -82,20 +82,20 @@ func Compact(fs FS, dir string, retain func(key string) bool) (CompactStats, err
 	cs.Kept = len(kept)
 
 	if len(kept) > 0 {
-		final := joinPath(dir, compactName(st.maxGen+1))
+		final := joinPath(dir, compactName(maxSegGen(segments)+1))
 		tmp := final + ".tmp"
 		f, err := fs.Create(tmp)
 		if err != nil {
 			return cs, fmt.Errorf("resilience: compact: stage segment: %w", err)
 		}
 		for _, k := range kept {
-			raw := latest[k].raw
-			if _, err := f.Write(raw); err != nil {
+			line := latest[k].line
+			if _, err := f.Write(line); err != nil {
 				f.Close()
 				_ = fs.Remove(tmp)
 				return cs, fmt.Errorf("resilience: compact: write record: %w", err)
 			}
-			cs.Bytes += int64(len(raw))
+			cs.Bytes += int64(len(line))
 		}
 		if err := f.Sync(); err != nil {
 			f.Close()

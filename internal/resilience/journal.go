@@ -22,10 +22,15 @@ import (
 //
 // Storage-fault hardening (the properties the chaos suite pins):
 //
-//   - Every record carries a monotonically increasing sequence number, so
-//     replay resolves duplicate keys — across segments, shards and process
-//     restarts — to the last complete record deterministically, regardless
-//     of directory iteration order.
+//   - Every record carries a sequence number, so replay resolves duplicate
+//     keys — across segments, shards and process restarts — to the last
+//     complete record deterministically, regardless of directory iteration
+//     order. A handle's numbers are its opening generation (one above every
+//     generation named in the directory) shifted left seqGenShift bits, plus
+//     a per-handle counter: they rise within a handle and sit above every
+//     number an earlier handle, a rotation or a Compact output can hold,
+//     without reading a single record. The one bound is 2³² records per
+//     handle.
 //   - A journal instance only ever appends to segments it created itself
 //     (each open starts a fresh generation), so existing journal bytes are
 //     never touched, let alone corrupted, by later runs.
@@ -45,8 +50,8 @@ type Journal struct {
 	cfg JournalConfig
 	fs  FS
 
-	mu     sync.Mutex
-	shards map[int]*shardWriter
+	mu     sync.Mutex                           // serialises writer creation and Close
+	shards atomic.Pointer[map[int]*shardWriter] // copy-on-write: Append reads it without j.mu
 
 	seq     atomic.Int64 // last sequence number issued
 	nextGen atomic.Int64 // next segment generation
@@ -60,6 +65,7 @@ type Journal struct {
 		appends, skipped            atomic.Int64
 		writeFailures, syncFailures atomic.Int64
 		rotations, probes           atomic.Int64
+		bytes                       atomic.Int64
 	}
 }
 
@@ -121,7 +127,8 @@ type shardWriter struct {
 	f        File
 	size     int64
 	unsynced int
-	broken   bool // a write failed: never append to this segment again
+	broken   bool   // a write failed: never append to this segment again
+	line     []byte // the record being encoded; reused across appends
 }
 
 type journalRecord struct {
@@ -130,28 +137,37 @@ type journalRecord struct {
 	V json.RawMessage `json:"v"`
 }
 
+// seqGenShift is where a handle's opening generation sits in the sequence
+// numbers it issues; the bits below count the handle's records.
+const seqGenShift = 32
+
 // OpenJournal creates (or reuses) dir with the legacy configuration.
 func OpenJournal(dir string) (*Journal, error) {
 	return OpenJournalWith(dir, JournalConfig{})
 }
 
 // OpenJournalWith creates (or reuses) dir and returns a journal that
-// appends to fresh segment files inside it. When the directory already
-// holds segments, their records are scanned once so new sequence numbers
-// continue above every existing one — the invariant replay's
-// last-complete-wins resolution rests on.
+// appends to fresh segment files inside it. Opening reads the directory's
+// file names and no record: the handle's generation is one above the
+// highest generation any segment name carries, and its sequence numbers
+// are generation<<32 + n, so they start above every number already in the
+// directory — the invariant replay's last-complete-wins resolution rests
+// on. Journals written before numbers carried a generation (plain counters
+// below 2³², or no number at all) sit below every generation-prefixed one.
 func OpenJournalWith(dir string, cfg JournalConfig) (*Journal, error) {
 	fs := fsOrOS(cfg.FS)
 	if err := fs.MkdirAll(dir); err != nil {
 		return nil, fmt.Errorf("resilience: create checkpoint dir: %w", err)
 	}
-	j := &Journal{dir: dir, cfg: cfg, fs: fs, shards: map[int]*shardWriter{}}
-	_, st, err := scanJournal(fs, dir)
+	names, err := fs.ReadDir(dir)
 	if err != nil {
-		return nil, fmt.Errorf("resilience: scan checkpoint dir: %w", err)
+		return nil, fmt.Errorf("resilience: read checkpoint dir: %w", err)
 	}
-	j.seq.Store(st.maxSeq)
-	j.nextGen.Store(st.maxGen + 1)
+	j := &Journal{dir: dir, cfg: cfg, fs: fs}
+	j.shards.Store(&map[int]*shardWriter{})
+	gen := maxSegGen(names) + 1
+	j.seq.Store(gen << seqGenShift)
+	j.nextGen.Store(gen)
 	return j, nil
 }
 
@@ -181,18 +197,53 @@ func segGen(name string) int64 {
 	return gen
 }
 
-// Append journals one key/value record to the given shard. The value is
-// marshalled to JSON and the whole line is written with one Write so it is
-// either fully present or torn (never interleaved with another record —
-// shards are per-writer segments). A storage failure is returned to the
-// caller and counted; enough consecutive failures flip the journal into
-// the degraded state, after which Append fails fast with
-// ErrJournalDegraded until a probe write succeeds.
-func (j *Journal) Append(shard int, key string, v any) error {
-	raw, err := json.Marshal(v)
-	if err != nil {
-		return fmt.Errorf("resilience: marshal checkpoint record: %w", err)
+// maxSegGen returns the highest generation among the segment names.
+func maxSegGen(names []string) int64 {
+	var gen int64
+	for _, name := range names {
+		gen = max(gen, segGen(name))
 	}
+	return gen
+}
+
+// jsonAppender is a value that encodes itself as JSON onto a buffer, the
+// bytes json.Marshal would produce (scanner.DomainResult does).
+type jsonAppender interface {
+	AppendJSON(dst []byte) ([]byte, error)
+}
+
+// writer returns shard's writer, creating it on first use. The lookup takes
+// no lock; creation copies the map.
+func (j *Journal) writer(shard int) *shardWriter {
+	if w := (*j.shards.Load())[shard]; w != nil {
+		return w
+	}
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	old := *j.shards.Load()
+	if w := old[shard]; w != nil {
+		return w
+	}
+	next := make(map[int]*shardWriter, len(old)+1)
+	for k, w := range old {
+		next[k] = w
+	}
+	w := &shardWriter{}
+	next[shard] = w
+	j.shards.Store(&next)
+	return w
+}
+
+// Append journals one key/value record to the given shard. The line is
+// encoded in one pass into the shard's buffer — a value with an AppendJSON
+// method writes itself, any other goes through json.Marshal — and written
+// with one Write so it is either fully present or torn (never interleaved
+// with another record — shards are per-writer segments). A storage failure
+// is returned to the caller and counted; enough consecutive failures flip
+// the journal into the degraded state, after which Append fails fast with
+// ErrJournalDegraded, before encoding anything, until a probe write
+// succeeds.
+func (j *Journal) Append(shard int, key string, v any) error {
 	if j.degraded.Load() {
 		// Fail fast while degraded, except for the periodic probe that
 		// detects storage recovery.
@@ -202,24 +253,16 @@ func (j *Journal) Append(shard int, key string, v any) error {
 		}
 		j.stats.probes.Add(1)
 	}
-	seq := j.seq.Add(1)
-	line, err := json.Marshal(journalRecord{K: key, S: seq, V: raw})
-	if err != nil {
-		return fmt.Errorf("resilience: marshal checkpoint line: %w", err)
-	}
-	line = append(line, '\n')
-
-	j.mu.Lock()
-	w := j.shards[shard]
-	if w == nil {
-		w = &shardWriter{}
-		j.shards[shard] = w
-	}
-	j.mu.Unlock()
-
+	w := j.writer(shard)
 	// Shards are written by a single worker each; the per-writer mutex
 	// only guards against rotation racing a close.
 	w.mu.Lock()
+	line, err := appendRecord(w.line[:0], key, j.seq.Add(1), v)
+	w.line = line
+	if err != nil {
+		w.mu.Unlock()
+		return err
+	}
 	err = j.appendLocked(w, shard, line)
 	w.mu.Unlock()
 	if err != nil {
@@ -239,6 +282,28 @@ func (j *Journal) Append(shard int, key string, v any) error {
 	return nil
 }
 
+// appendRecord appends the line {"k":key,"s":seq,"v":value}\n to dst.
+func appendRecord(dst []byte, key string, seq int64, v any) ([]byte, error) {
+	dst = append(dst, `{"k":`...)
+	dst = AppendJSONString(dst, key)
+	dst = append(dst, `,"s":`...)
+	dst = strconv.AppendInt(dst, seq, 10)
+	dst = append(dst, `,"v":`...)
+	if a, ok := v.(jsonAppender); ok {
+		var err error
+		if dst, err = a.AppendJSON(dst); err != nil {
+			return dst, fmt.Errorf("resilience: encode checkpoint record: %w", err)
+		}
+	} else {
+		raw, err := json.Marshal(v)
+		if err != nil {
+			return dst, fmt.Errorf("resilience: marshal checkpoint record: %w", err)
+		}
+		dst = append(dst, raw...)
+	}
+	return append(dst, '}', '\n'), nil
+}
+
 // appendLocked writes one line to w's segment, rotating first when the
 // segment is missing, sealed by an earlier failure, or full. Caller holds
 // w.mu.
@@ -248,7 +313,9 @@ func (j *Journal) appendLocked(w *shardWriter, shard int, line []byte) error {
 			return err
 		}
 	}
-	if _, err := w.f.Write(line); err != nil {
+	n, err := w.f.Write(line)
+	j.stats.bytes.Add(int64(n))
+	if err != nil {
 		// The tail of this segment may now hold torn bytes; seal it so the
 		// next record lands in a fresh segment and stays replayable.
 		w.broken = true
@@ -308,6 +375,9 @@ type JournalStats struct {
 	// attempts.
 	WriteFailures, SyncFailures int64
 	Rotations, Probes           int64
+	// Bytes counts the bytes handed to the filesystem through this handle,
+	// the accepted part of a failed write included.
+	Bytes int64
 	// Degraded is the current disabled-with-alert state.
 	Degraded bool
 }
@@ -321,6 +391,7 @@ func (j *Journal) Stats() JournalStats {
 		SyncFailures:  j.stats.syncFailures.Load(),
 		Rotations:     j.stats.rotations.Load(),
 		Probes:        j.stats.probes.Load(),
+		Bytes:         j.stats.bytes.Load(),
 		Degraded:      j.degraded.Load(),
 	}
 }
@@ -333,7 +404,7 @@ func (j *Journal) Close() error {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	var firstErr error
-	for _, w := range j.shards {
+	for _, w := range *j.shards.Load() {
 		w.mu.Lock()
 		if w.f != nil {
 			if !w.broken && w.unsynced > 0 {
@@ -349,7 +420,7 @@ func (j *Journal) Close() error {
 		}
 		w.mu.Unlock()
 	}
-	j.shards = map[int]*shardWriter{}
+	j.shards.Store(&map[int]*shardWriter{})
 	if firstErr != nil {
 		j.degraded.Store(true)
 	}
@@ -359,15 +430,13 @@ func (j *Journal) Close() error {
 // segRecord is one key's winning record during a journal scan.
 type segRecord struct {
 	seq  int64
-	file int // index into the sorted segment list (legacy tie-break)
-	raw  []byte
+	file int    // index into the sorted segment list (legacy tie-break)
+	line []byte // the whole line, kept only for Compact
 	val  json.RawMessage
 }
 
 type scanStats struct {
 	torn     int
-	maxSeq   int64
-	maxGen   int64
 	segments int
 	records  int
 }
@@ -377,8 +446,9 @@ type scanStats struct {
 // sequence ties — legacy records without one — fall back to (file, line)
 // order over the sorted names, which is deterministic regardless of
 // directory iteration order. Torn or corrupt lines anywhere in a segment
-// (not just the tail) are skipped and counted.
-func scanJournal(fs FS, dir string) (map[string]*segRecord, scanStats, error) {
+// (not just the tail) are skipped and counted. keepLines retains each
+// winner's whole line next to its value, which only Compact rewrites.
+func scanJournal(fs FS, dir string, keepLines bool) (map[string]*segRecord, scanStats, error) {
 	var st scanStats
 	names, err := fs.ReadDir(dir)
 	if err != nil {
@@ -388,9 +458,6 @@ func scanJournal(fs FS, dir string) (map[string]*segRecord, scanStats, error) {
 	for _, name := range names {
 		if !strings.HasSuffix(name, ".jsonl") {
 			continue
-		}
-		if g := segGen(name); g > st.maxGen {
-			st.maxGen = g
 		}
 		fileIdx := st.segments
 		st.segments++
@@ -406,18 +473,15 @@ func scanJournal(fs FS, dir string) (map[string]*segRecord, scanStats, error) {
 				var rec journalRecord
 				if complete && json.Unmarshal(line, &rec) == nil && rec.K != "" {
 					st.records++
-					if rec.S > st.maxSeq {
-						st.maxSeq = rec.S
-					}
 					prev := out[rec.K]
 					// Last complete record wins: higher seq, or — for
 					// legacy seq-less ties — later (file, line) position.
 					if prev == nil || rec.S > prev.seq || (rec.S == prev.seq && fileIdx >= prev.file) {
-						out[rec.K] = &segRecord{
-							seq: rec.S, file: fileIdx,
-							raw: append([]byte(nil), line...),
-							val: rec.V,
+						win := &segRecord{seq: rec.S, file: fileIdx, val: rec.V}
+						if keepLines {
+							win.line = append([]byte(nil), line...)
 						}
+						out[rec.K] = win
 					}
 				} else {
 					// Torn write (no trailing newline, or glued partial
@@ -450,7 +514,7 @@ func Replay(dir string) (map[string]json.RawMessage, int, error) {
 
 // ReplayFS is Replay through an injected filesystem (nil = the real one).
 func ReplayFS(fs FS, dir string) (map[string]json.RawMessage, int, error) {
-	latest, st, err := scanJournal(fsOrOS(fs), dir)
+	latest, st, err := scanJournal(fsOrOS(fs), dir, false)
 	if err != nil {
 		return nil, 0, fmt.Errorf("resilience: %w", err)
 	}

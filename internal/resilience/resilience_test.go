@@ -300,6 +300,67 @@ func TestJournalRoundTrip(t *testing.T) {
 	}
 }
 
+// TestAppendJSONStringMatchesMarshal: the journal's string escaper writes
+// what encoding/json writes, for every byte value in every position of a
+// rune and for the runes json treats specially.
+func TestAppendJSONStringMatchesMarshal(t *testing.T) {
+	inputs := []string{"", "plain", `w12/v4/example.com`, `"\\"`, "<>&", "tab\tnl\n"}
+	for b := 0; b < 256; b++ {
+		inputs = append(inputs, "a"+string([]byte{byte(b)})+"z", string([]byte{0xe2, 0x80, byte(b)}), string([]byte{byte(b), 0xa8}))
+	}
+	for _, r := range []rune{0x7f, 0x80, 0x2027, 0x2028, 0x2029, 0x202a, 0xfffd, 0x10ffff} {
+		inputs = append(inputs, "x"+string(r)+"y")
+	}
+	for _, in := range inputs {
+		want, err := json.Marshal(in)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := AppendJSONString([]byte("dst"), in); string(got) != "dst"+string(want) {
+			t.Errorf("AppendJSONString(%q) = %s, json.Marshal = %s", in, got[3:], want)
+		}
+	}
+}
+
+// TestJournalLineGrammar: the one-pass line is the line the two-pass
+// encoder wrote — json.Marshal of the {"k","s","v"} envelope — whether the
+// value encodes itself or goes through json.Marshal.
+func TestJournalLineGrammar(t *testing.T) {
+	var encodes int
+	for _, tc := range []struct {
+		key string
+		seq int64
+		v   any
+	}{
+		{"w1/v4/example.com", 1, map[string]int{"n": 1}},
+		{"w52/v6/a\"<b>\\&\x01\xff", 7<<seqGenShift + 9, []string{"<", "x"}},
+		{"self-encoding", 1 << seqGenShift, countedValue{&encodes}},
+		{"nil", 3, nil},
+	} {
+		raw := []byte("1") // what a countedValue writes for itself
+		if _, self := tc.v.(countedValue); !self {
+			var err error
+			if raw, err = json.Marshal(tc.v); err != nil {
+				t.Fatal(err)
+			}
+		}
+		want, err := json.Marshal(journalRecord{K: tc.key, S: tc.seq, V: raw})
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := appendRecord(nil, tc.key, tc.seq, tc.v)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if string(got) != string(want)+"\n" {
+			t.Errorf("line for %q:\n got %s\nwant %s", tc.key, got, want)
+		}
+	}
+	if _, err := appendRecord(nil, "k", 1, func() {}); err == nil {
+		t.Error("a value json.Marshal refuses was journaled")
+	}
+}
+
 func TestJournalReplayTornLine(t *testing.T) {
 	dir := t.TempDir()
 	j, err := OpenJournal(dir)

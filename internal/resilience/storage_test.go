@@ -5,9 +5,11 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"math/rand"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -349,6 +351,179 @@ func TestJournalSeqContinuesAcrossReopen(t *testing.T) {
 	}
 }
 
+// lineageDir builds a checkpoint directory the way its history would have:
+// a segment of seq-less lines under the oldest file name, plain counters
+// 1…n as every handle before generation-prefixed numbers wrote them, and a
+// compact-… segment holding counters too. Key k<i> holds {"n":i} where it
+// was last written; k0 and k1 are in all three files.
+func lineageDir(t *testing.T, n int) string {
+	t.Helper()
+	dir := t.TempDir()
+	var legacy, counters, compacted strings.Builder
+	for i := 0; i < n; i++ {
+		fmt.Fprintf(&legacy, `{"k":"k%d","v":{"n":-1}}`+"\n", i%2)
+		fmt.Fprintf(&counters, `{"k":"k%d","s":%d,"v":{"n":%d}}`+"\n", i, i+1, i)
+	}
+	fmt.Fprintf(&compacted, `{"k":"k0","s":%d,"v":{"n":0}}`+"\n"+`{"k":"old","s":%d,"v":{"n":-2}}`+"\n", n+1, n+2)
+	fmt.Fprintf(&counters, `{"k":"k0","s":%d,"v":{"n":0}}`+"\n", n+3) // above the compacted copy
+	for name, body := range map[string]string{
+		"shard-000.jsonl":  legacy.String(),
+		segmentName(1, 3):  counters.String(),
+		compactName(2):     compacted.String(),
+		"compact-9.tmp":    "stranded staging file\n",
+		"shard-000-7.part": "not a segment\n",
+	} {
+		if err := os.WriteFile(filepath.Join(dir, name), []byte(body), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return dir
+}
+
+// TestOpenJournalReadsNoSegment: opening costs a directory listing, however
+// many generations — rotated, compacted, legacy-named — the directory holds.
+func TestOpenJournalReadsNoSegment(t *testing.T) {
+	for _, rounds := range []int{3, 6, 12} {
+		dir := lineageDir(t, 20)
+		for round := 0; round < rounds; round++ {
+			j, err := OpenJournalWith(dir, JournalConfig{SegmentBytes: 200})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := 0; i < 30; i++ {
+				if err := j.Append(i%2, fmt.Sprintf("k%d", i), map[string]int{"n": round}); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := j.Close(); err != nil {
+				t.Fatal(err)
+			}
+			if round%3 == 1 {
+				if _, err := Compact(nil, dir, nil); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		names, _ := OSFS.ReadDir(dir)
+		fs := &countingFS{FS: OSFS}
+		j, err := OpenJournalWith(dir, JournalConfig{FS: fs})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if fs.opens != 0 {
+			t.Errorf("after %d rounds (%d files): OpenJournalWith read %d segment files, want 0", rounds, len(names), fs.opens)
+		}
+		if err := j.Append(0, "k0", map[string]int{"n": rounds}); err != nil {
+			t.Fatal(err)
+		}
+		if err := j.Close(); err != nil {
+			t.Fatal(err)
+		}
+		got, _, err := Replay(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := fmt.Sprintf(`{"n":%d}`, rounds); string(got["k0"]) != want {
+			t.Errorf("after %d rounds: k0 = %s, want the record of the handle opened last, %s", rounds, got["k0"], want)
+		}
+	}
+}
+
+// TestJournalMixedLineage: a directory written by every earlier form of the
+// journal keeps replaying, anything a new handle appends wins over all of
+// it, compaction stays an identity on the replay, and handles opened one
+// after the other issue disjoint, rising numbers across rotations.
+func TestJournalMixedLineage(t *testing.T) {
+	const n = 20
+	dir := lineageDir(t, n)
+	type value struct{ H, N int } // H is the handle that wrote it; the old files have none
+	want := map[string]int{"old": -2}
+	for i := 0; i < n; i++ {
+		want[fmt.Sprintf("k%d", i)] = i
+	}
+	check := func(stage string) {
+		t.Helper()
+		replayed, torn, err := Replay(dir)
+		if err != nil || torn != 0 {
+			t.Fatalf("%s: replay: %d torn, err %v", stage, torn, err)
+		}
+		got := map[string]int{}
+		for k, raw := range replayed {
+			var v value
+			if err := json.Unmarshal(raw, &v); err != nil {
+				t.Fatalf("%s: %s = %s: %v", stage, k, raw, err)
+			}
+			got[k] = v.N
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s: replay = %v, want %v", stage, got, want)
+		}
+	}
+	check("as found")
+
+	for h := 1; h <= 2; h++ {
+		j, err := OpenJournalWith(dir, JournalConfig{SegmentBytes: 100})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < 12; i++ {
+			key := fmt.Sprintf("k%d", (i*h)%n)
+			if err := j.Append(i%2, key, value{H: h, N: 100*h + i}); err != nil {
+				t.Fatal(err)
+			}
+			want[key] = 100*h + i
+		}
+		if st := j.Stats(); st.Rotations < 3 {
+			t.Fatalf("handle %d rotated %d times; the test needs several", h, st.Rotations)
+		}
+		if err := j.Close(); err != nil {
+			t.Fatal(err)
+		}
+		check(fmt.Sprintf("after handle %d", h))
+	}
+
+	// Every line on disk: a handle never repeats a number, and each handle's
+	// numbers lie above everything written before it was opened.
+	var lo, hi [3]int64
+	issued := map[int64]bool{}
+	names, _ := OSFS.ReadDir(dir)
+	for _, name := range names {
+		if !strings.HasSuffix(name, ".jsonl") {
+			continue
+		}
+		body, err := os.ReadFile(filepath.Join(dir, name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, line := range strings.Split(strings.TrimSpace(string(body)), "\n") {
+			var r journalRecord
+			var v value
+			if err := json.Unmarshal([]byte(line), &r); err != nil {
+				t.Fatalf("%s: %q: %v", name, line, err)
+			}
+			if err := json.Unmarshal(r.V, &v); err != nil {
+				t.Fatalf("%s: %q: %v", name, line, err)
+			}
+			if v.H > 0 && issued[r.S] {
+				t.Fatalf("sequence number %d issued twice", r.S)
+			}
+			issued[r.S] = true
+			if lo[v.H] == 0 || r.S < lo[v.H] {
+				lo[v.H] = r.S
+			}
+			hi[v.H] = max(hi[v.H], r.S)
+		}
+	}
+	if !(hi[0] < lo[1] && hi[1] < lo[2]) {
+		t.Fatalf("number ranges overlap: old files ≤ %d, handle 1 [%d, %d], handle 2 [%d, %d]", hi[0], lo[1], hi[1], lo[2], hi[2])
+	}
+
+	if _, err := Compact(nil, dir, nil); err != nil {
+		t.Fatal(err)
+	}
+	check("compacted")
+}
+
 // TestJournalRotation: SegmentBytes bounds each segment and replay reads
 // across the rotated pieces transparently.
 func TestJournalRotation(t *testing.T) {
@@ -414,10 +589,16 @@ func TestJournalRotation(t *testing.T) {
 	}
 }
 
-// countingFS counts Sync calls per handle, to pin the fsync policy.
+// countingFS counts Sync calls per handle, to pin the fsync policy, and
+// the files opened for reading, to pin what opening a journal costs.
 type countingFS struct {
 	FS
-	syncs int
+	syncs, opens int
+}
+
+func (c *countingFS) Open(path string) (io.ReadCloser, error) {
+	c.opens++
+	return c.FS.Open(path)
 }
 
 func (c *countingFS) OpenAppend(path string) (File, error) {
@@ -506,6 +687,14 @@ func (f *flakyFile) Write(p []byte) (int, error) {
 	return f.File.Write(p)
 }
 
+// countedValue counts how often the journal encodes it.
+type countedValue struct{ encodes *int }
+
+func (c countedValue) AppendJSON(dst []byte) ([]byte, error) {
+	*c.encodes++
+	return append(dst, '1'), nil
+}
+
 // TestJournalDegradedAndProbe walks the full degraded lifecycle: repeated
 // write failures flip the journal to fast-fail, probes keep testing the
 // storage, and a successful probe re-enables checkpointing.
@@ -529,9 +718,9 @@ func TestJournalDegradedAndProbe(t *testing.T) {
 	}
 	// Degraded appends fail fast without touching storage; every 4th is a
 	// probe that still fails while the disk is dead.
-	var probes, fastFails int
+	var probes, fastFails, encodes int
 	for i := 0; i < 8; i++ {
-		err := j.Append(0, "k", i)
+		err := j.Append(0, "k", countedValue{&encodes})
 		if errors.Is(err, ErrJournalDegraded) {
 			fastFails++
 		} else if err != nil {
@@ -542,6 +731,9 @@ func TestJournalDegradedAndProbe(t *testing.T) {
 	}
 	if probes != 2 || fastFails != 6 {
 		t.Fatalf("probes=%d fastFails=%d, want 2/6", probes, fastFails)
+	}
+	if encodes != probes {
+		t.Fatalf("8 degraded appends encoded their value %d times, want once per probe (%d): a fast-fail must cost no encode", encodes, probes)
 	}
 	// Storage recovers: the next probe succeeds and clears degraded.
 	fs.healed = true
@@ -649,6 +841,19 @@ func TestJournalAckedSurviveChaos(t *testing.T) {
 			injected := plan.Injected(fault.FS, fault.AnyKind)
 			if injected == 0 {
 				t.Fatal("fault plan injected nothing")
+			}
+			// Torn prefixes are on disk too, and counted.
+			var onDisk int64
+			names, _ := OSFS.ReadDir(dir)
+			for _, name := range names {
+				info, err := os.Stat(filepath.Join(dir, name))
+				if err != nil {
+					t.Fatal(err)
+				}
+				onDisk += info.Size()
+			}
+			if st := j.Stats(); st.Bytes != onDisk {
+				t.Errorf("Stats().Bytes = %d, the directory holds %d", st.Bytes, onDisk)
 			}
 			if ackCount == 0 {
 				t.Fatal("no append survived the plan; probabilities too hot")

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"net/netip"
+	"os"
 	"strings"
 	"testing"
 
@@ -349,14 +350,35 @@ func TestInterruptAndResume(t *testing.T) {
 	resumed.Resume = true
 	resumed.Workers = 2
 	resumed.Telemetry = reg
+	before := dirSize(t, dir)
 	r := mustRun(t, w, resumed)
 	sameScanResults(t, full, r)
+	if got, want := reg.Gauge("journal_bytes").Value(), dirSize(t, dir)-before; got != want || want == 0 {
+		t.Errorf("journal_bytes = %d, the resumed run grew the checkpoint directory by %d", got, want)
+	}
 	snap := reg.Snapshot()
 	if got := snap.Counters["domains_resumed_total"]; got == 0 {
 		t.Error("resume replayed no domains")
 	} else if got >= int64(len(w.Domains)) {
 		t.Errorf("resume replayed %d of %d domains; interrupt did not interrupt", got, len(w.Domains))
 	}
+}
+
+// dirSize sums the sizes of dir's files.
+func dirSize(t *testing.T, dir string) (n int64) {
+	t.Helper()
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range entries {
+		info, err := e.Info()
+		if err != nil {
+			t.Fatal(err)
+		}
+		n += info.Size()
+	}
+	return n
 }
 
 func TestValidateResilienceConfig(t *testing.T) {

@@ -34,15 +34,16 @@ func openCheckpoint(cfg Config) (*resilience.Journal, map[string]json.RawMessage
 	return journal, replayed, nil
 }
 
-// checkpointKey identifies one domain's scan within a campaign journal.
-// Week and address family are part of the key so a shared checkpoint
-// directory can never leak results across scan configurations.
-func checkpointKey(cfg Config, domain string) string {
+// checkpointPrefix is what every journal key of one run starts with; the
+// domain name follows it. Week and address family are part of the key so a
+// shared checkpoint directory can never leak results across scan
+// configurations.
+func checkpointPrefix(cfg Config) string {
 	fam := "v4"
 	if cfg.IPv6 {
 		fam = "v6"
 	}
-	return fmt.Sprintf("w%d/%s/%s", cfg.Week, fam, domain)
+	return fmt.Sprintf("w%d/%s/", cfg.Week, fam)
 }
 
 // replayResult looks one domain up in a replayed journal. The JSON round
@@ -50,11 +51,8 @@ func checkpointKey(cfg Config, domain string) string {
 // consumes (addresses as text, durations as nanosecond integers), so a
 // replayed result is byte-identical to its live counterpart in every
 // rendered table.
-func replayResult(replayed map[string]json.RawMessage, cfg Config, d *websim.Domain) (DomainResult, bool) {
-	if replayed == nil {
-		return DomainResult{}, false
-	}
-	raw, ok := replayed[checkpointKey(cfg, d.Name)]
+func replayResult(replayed map[string]json.RawMessage, key string, d *websim.Domain) (DomainResult, bool) {
+	raw, ok := replayed[key]
 	if !ok {
 		return DomainResult{}, false
 	}

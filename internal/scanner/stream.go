@@ -51,6 +51,10 @@ type campaign struct {
 	journal  *resilience.Journal
 	replayed map[string]json.RawMessage
 	br       *resilience.Breaker // nil when disabled
+	// keyPrefix + domain name is a domain's journal key; journalBytes is
+	// how much of the journal's byte count the gauge already holds.
+	keyPrefix    string
+	journalBytes int64
 
 	interrupted atomic.Bool
 	// stopRequested records that the stop came from outside the pipeline
@@ -84,7 +88,7 @@ func newCampaign(w *websim.World, cfg Config) (*campaign, error) {
 	if err != nil {
 		return nil, err
 	}
-	c.journal, c.replayed = journal, replayed
+	c.journal, c.replayed, c.keyPrefix = journal, replayed, checkpointPrefix(cfg)
 	if cfg.Breaker.Enabled() {
 		c.br = resilience.NewBreaker(cfg.Breaker)
 	}
@@ -177,7 +181,22 @@ func (c *campaign) close() {
 		c.tm.checkpointDegraded.Set(boolGauge(st.Degraded))
 		c.tm.journalRotations.Set(st.Rotations)
 		c.tm.journalSkipped.Set(st.Skipped)
+		c.publishJournalBytes()
 	}
+}
+
+// publishJournalBytes moves journal_bytes up by what the journal has
+// written since the last call. The gauge adds up over every handle that
+// shares the registry (each week and each shard opens its own), so
+// journal_bytes / spinscan_domains_total is a campaign's bytes per domain.
+// Called from the sink goroutine and, after it has finished, from close.
+func (c *campaign) publishJournalBytes() {
+	if c.journal == nil {
+		return
+	}
+	n := c.journal.Stats().Bytes
+	c.tm.journalBytes.Add(n - c.journalBytes)
+	c.journalBytes = n
 }
 
 // boolGauge maps a boolean state onto a 0/1 gauge value.
@@ -213,7 +232,11 @@ func (c *campaign) scanStep(eng *engine, shard int, rec *trace.Recorder, d *webs
 			rec.Pending("breaker", dec.State.String())
 		}
 	}
-	res, fromCheckpoint := replayResult(c.replayed, c.cfg, d)
+	var ckey string
+	if c.journal != nil {
+		ckey = c.keyPrefix + d.Name
+	}
+	res, fromCheckpoint := replayResult(c.replayed, ckey, d)
 	if fromCheckpoint {
 		c.tm.resumed.Inc()
 		if rec != nil {
@@ -256,7 +279,7 @@ func (c *campaign) scanStep(eng *engine, shard int, rec *trace.Recorder, d *webs
 	}
 	c.tm.recordDomain(&res)
 	if c.journal != nil && !fromCheckpoint {
-		if err := c.journal.Append(shard, checkpointKey(c.cfg, d.Name), &res); err != nil {
+		if err := c.journal.Append(shard, ckey, &res); err != nil {
 			// Checkpointing is an optimisation: count the failure, surface
 			// the degraded state, keep scanning. Degraded fast-fails are
 			// tallied separately (journal_appends_skipped) so the error
@@ -396,6 +419,7 @@ func (c *campaign) runPipeline(sink func(i int, res *DomainResult) error) (sinkE
 		if c.allocs != nil && time.Since(lastMem) >= time.Second {
 			lastMem = time.Now()
 			c.allocs.publish(c.tm)
+			c.publishJournalBytes()
 		}
 	}
 	return sinkErr

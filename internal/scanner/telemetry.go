@@ -43,6 +43,8 @@ import (
 //	                                    failures (probes may clear it)
 //	journal_segment_rotations           checkpoint segment rollovers
 //	journal_appends_skipped             appends fast-failed while degraded
+//	journal_bytes                       bytes written to checkpoint journals,
+//	                                    summed over weeks and shards
 //
 // Performance metric names (see EXPERIMENTS.md "Performance & benchmarking").
 //
@@ -129,6 +131,7 @@ type scanTelemetry struct {
 	checkpointDegraded *telemetry.Gauge
 	journalRotations   *telemetry.Gauge
 	journalSkipped     *telemetry.Gauge
+	journalBytes       *telemetry.Gauge
 
 	hostileDetected map[string]*telemetry.Counter
 	budgetExceeded  map[string]*telemetry.Counter
@@ -170,6 +173,7 @@ func newScanTelemetry(reg *telemetry.Registry) *scanTelemetry {
 		checkpointDegraded: reg.Gauge("scan_checkpoint_degraded"),
 		journalRotations:   reg.Gauge("journal_segment_rotations"),
 		journalSkipped:     reg.Gauge("journal_appends_skipped"),
+		journalBytes:       reg.Gauge("journal_bytes"),
 		hostileDetected:    map[string]*telemetry.Counter{},
 		budgetExceeded:     map[string]*telemetry.Counter{},
 		domainsPerSec:      reg.Gauge("scan_domains_per_sec"),

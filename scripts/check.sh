@@ -78,6 +78,7 @@ fuzz_smoke ./internal/h3 FuzzH3Request
 fuzz_smoke ./internal/analysis FuzzAccumulatorUnmarshal
 fuzz_smoke ./internal/shard FuzzSubmissionFrame
 fuzz_smoke ./internal/flowtable FuzzFlowIngest
+fuzz_smoke ./internal/scanner FuzzDomainResultJSON
 
 # Interrupt-and-resume smoke: SIGKILL a real spinscan campaign mid-run,
 # resume it from the checkpoint journal, and require the rendered tables to
@@ -248,10 +249,13 @@ fi
 
 # Journal compaction property: replay(compact(J)) == replay(J) across
 # randomized multi-generation journals, with storage-fault chaos on the odd
-# trials. Already part of the race suite above; this named run pins the
-# property gate explicitly so a failure is attributable at a glance.
+# trials; and the sequence-number lineage: a directory of seq-less, counter
+# and compacted segments replays under generation-prefixed numbers, which
+# never overlap between handles. Already part of the race suite above; this
+# named run pins the property gates explicitly so a failure is attributable
+# at a glance.
 echo "== journal compaction property"
-go test -count=1 -run 'TestCompactionEquivalence|TestFollowMatchesOneShot' \
+go test -count=1 -run 'TestCompactionEquivalence|TestJournalMixedLineage|TestFollowMatchesOneShot' \
     ./internal/resilience ./internal/shard
 
 # Hostile chaos smoke: both engines must survive a 30 %-hostile world at
