@@ -74,7 +74,17 @@ type Controller struct {
 // controller for a new connection. rng must be non-nil for any mode
 // involving randomness (greasing or DisableEveryN > 0).
 func NewController(isClient bool, p Policy, rng *rand.Rand) *Controller {
-	c := &Controller{state: NewEndpointState(isClient), mode: p.Mode, rng: rng}
+	c := &Controller{state: &EndpointState{}}
+	c.Reset(isClient, p, rng)
+	return c
+}
+
+// Reset makes c the controller of a new connection, reusing its storage. It
+// is the whole of NewController: the same dice are rolled on rng, in the same
+// order, so a recycled controller and a fresh one leave rng in the same state.
+func (c *Controller) Reset(isClient bool, p Policy, rng *rand.Rand) {
+	c.state.Reset(isClient)
+	*c = Controller{state: c.state, mode: p.Mode, rng: rng}
 	if p.Mode == ModeSpin && p.DisableEveryN > 0 && rng.Intn(p.DisableEveryN) == 0 {
 		c.disabled = true
 		c.mode = p.DisabledMode
@@ -82,7 +92,6 @@ func NewController(isClient bool, p Policy, rng *rand.Rand) *Controller {
 	if c.mode == ModeGreasePerConn {
 		c.greaseVal = rng.Intn(2) == 1
 	}
-	return c
 }
 
 // OnReceive feeds an incoming short-header packet into the spin state

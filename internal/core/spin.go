@@ -43,6 +43,11 @@ func NewEndpointState(isClient bool) *EndpointState {
 	return &EndpointState{isClient: isClient}
 }
 
+// Reset returns s to the state NewEndpointState(isClient) creates.
+func (s *EndpointState) Reset(isClient bool) {
+	*s = EndpointState{isClient: isClient}
+}
+
 // OnReceive updates the state machine with an incoming short-header packet.
 // Only the packet with the largest packet number seen so far changes the
 // state; late (reordered) packets are ignored, as the RFC requires.

@@ -239,3 +239,41 @@ func TestEndpointStateQuickLargestPNWins(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// A controller reset for a new connection is the controller NewController
+// would have made, and has drawn from the random stream what NewController
+// draws: connections recycle their controller without moving any seeded
+// output.
+func TestControllerResetMatchesNew(t *testing.T) {
+	policies := []Policy{
+		{},
+		{Mode: ModeSpin, DisableEveryN: 2, DisabledMode: ModeGreasePerConn},
+		{Mode: ModeSpin, DisableEveryN: 16, DisabledMode: ModeZero},
+		{Mode: ModeGreasePerConn},
+		{Mode: ModeGreasePerPacket},
+	}
+	used := NewController(true, Policy{Mode: ModeGreasePerConn}, rand.New(rand.NewSource(9)))
+	for seed := int64(0); seed < 50; seed++ {
+		for _, p := range policies {
+			for _, isClient := range []bool{true, false} {
+				freshRng, usedRng := rand.New(rand.NewSource(seed)), rand.New(rand.NewSource(seed))
+				fresh := NewController(isClient, p, freshRng)
+				// Leave every field of the used controller and its state dirty.
+				used.OnReceive(uint64(seed)+1, seed%2 == 0)
+				used.Next()
+				used.Reset(isClient, p, usedRng)
+				if *used.state != *fresh.state {
+					t.Fatalf("seed %d policy %+v: state %+v after Reset, %+v new", seed, p, *used.state, *fresh.state)
+				}
+				u, f := *used, *fresh
+				u.state, f.state, u.rng, f.rng = nil, nil, nil, nil
+				if u != f || used.rng != usedRng {
+					t.Fatalf("seed %d policy %+v: controller %+v after Reset, %+v new", seed, p, u, f)
+				}
+				if a, b := usedRng.Int63(), freshRng.Int63(); a != b {
+					t.Fatalf("seed %d policy %+v: Reset and NewController drew differently", seed, p)
+				}
+			}
+		}
+	}
+}

@@ -17,11 +17,23 @@ const FirstStreamID = 0
 type ClientConn struct {
 	conn   *transport.Conn
 	nextID uint64
+	// reqBuf is the request encoding scratch: the transport copies what Do
+	// queues.
+	reqBuf []byte
 }
 
 // NewClientConn wraps an established (or connecting) client transport conn.
 func NewClientConn(conn *transport.Conn) *ClientConn {
-	return &ClientConn{conn: conn, nextID: FirstStreamID}
+	c := &ClientConn{}
+	c.Reset(conn)
+	return c
+}
+
+// Reset points c at a new transport connection, as NewClientConn would
+// create it: one ClientConn (its zero value is ready for Reset) serves a
+// sequence of connections.
+func (c *ClientConn) Reset(conn *transport.Conn) {
+	c.conn, c.nextID = conn, FirstStreamID
 }
 
 // Conn returns the underlying transport connection.
@@ -33,7 +45,8 @@ func (c *ClientConn) Conn() *transport.Conn { return c.conn }
 func (c *ClientConn) Do(req *Request) (uint64, error) {
 	id := c.nextID
 	c.nextID += 4
-	if err := c.conn.SendStream(id, EncodeRequest(req), true); err != nil {
+	c.reqBuf = AppendRequest(c.reqBuf[:0], req)
+	if err := c.conn.SendStream(id, c.reqBuf, true); err != nil {
 		return 0, fmt.Errorf("h3: queueing request: %w", err)
 	}
 	return id, nil

@@ -72,7 +72,11 @@ func (r *Response) IsRedirect() bool {
 
 // EncodeRequest serialises a request for transmission on a stream.
 func EncodeRequest(req *Request) []byte {
-	b := make([]byte, 0, 256)
+	return AppendRequest(make([]byte, 0, 256), req)
+}
+
+// AppendRequest appends the encoded request to b.
+func AppendRequest(b []byte, req *Request) []byte {
 	b = append(b, req.Method...)
 	b = append(b, ' ')
 	b = append(b, req.Path...)

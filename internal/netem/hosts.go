@@ -17,11 +17,12 @@ type ClientHost struct {
 	remote string
 	conn   *transport.Conn
 	timer  sim.Timer
-	// flushFn and onTimer are the host's loop callbacks, bound once at
-	// construction so the per-packet rearm/flush cycle schedules without
-	// allocating fresh closures.
-	flushFn func(now time.Time)
-	onTimer func(now time.Time)
+	// flushFn, onTimer and onDatagram are the host's loop and network
+	// callbacks, bound once at construction so the per-packet rearm/flush
+	// cycle — and Reset — schedule and attach without allocating closures.
+	flushFn    func(now time.Time)
+	onTimer    func(now time.Time)
+	onDatagram Handler
 	// OnActivity, when set, runs after every connection event (receive or
 	// timer) so application layers can queue stream data before the flush.
 	OnActivity func(conn *transport.Conn, now time.Time)
@@ -37,20 +38,31 @@ type ClientHost struct {
 // Call Kick once after construction (and after queueing initial stream
 // data) to transmit the first flight.
 func NewClientHost(n *Network, addr, remote string, conn *transport.Conn) *ClientHost {
-	h := &ClientHost{net: n, addr: addr, remote: remote, conn: conn}
+	h := &ClientHost{net: n}
 	h.flushFn = h.flush
 	h.onTimer = func(now time.Time) {
 		h.conn.Advance(now)
 		h.fire(now)
 	}
-	n.Attach(addr, func(now time.Time, from string, data []byte) {
-		if conn.Closed() {
+	h.onDatagram = func(now time.Time, from string, data []byte) {
+		if h.conn.Closed() {
 			return
 		}
-		_ = conn.Receive(now, data) // malformed input only ends this conn
+		_ = h.conn.Receive(now, data) // malformed input only ends this conn
 		h.fire(now)
-	})
+	}
+	h.Reset(addr, remote, conn)
 	return h
+}
+
+// Reset makes a closed host (see Close) drive a new client connection at
+// addr talking to remote, keeping OnActivity and ProcessDelay: one host serves
+// a sequence of connections. The caller picks an addr it has not used
+// before, or datagrams still in flight toward the previous connection reach
+// this one.
+func (h *ClientHost) Reset(addr, remote string, conn *transport.Conn) {
+	h.addr, h.remote, h.conn = addr, remote, conn
+	h.net.Attach(addr, h.onDatagram)
 }
 
 // Conn returns the driven connection.

@@ -1,6 +1,7 @@
 package netem
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 	"time"
@@ -132,4 +133,72 @@ func TestServerHostKickFlushesDelayedResponses(t *testing.T) {
 		t.Fatalf("delayed response = (%q, %v)", data, done)
 	}
 	server.Close()
+}
+
+// One client host serves a sequence of probes, each from a fresh address, and
+// each probe leaves without a word (host closed, paths cleared, no
+// CONNECTION_CLOSE), so the server goes on retransmitting to an address nobody
+// will ever attach again. The network keeps nothing for such an address: every
+// table is as large after the third pass as after the first.
+func TestNetworkTablesBoundedAcrossProbes(t *testing.T) {
+	l := newLoopNet(5 * time.Millisecond)
+	rng := rand.New(rand.NewSource(4))
+	ep := transport.NewEndpoint(func(string) transport.Config { return transport.Config{Rng: rng} })
+	server := NewServerHost(l.net, "server", ep)
+	response := make([]byte, 20_000)
+	server.OnActivity = func(ep *transport.Endpoint, _ time.Time) {
+		for st, ok := ep.AcceptStream(); ok; st, ok = ep.AcceptStream() {
+			_ = st.Conn.SendStream(st.ID, response, true)
+		}
+	}
+	var client *ClientHost
+	activity := 0
+	probes := 0
+	pass := func() TableSizes {
+		for i := 0; i < 10; i++ {
+			probes++
+			addr := fmt.Sprintf("probe-%d", probes)
+			conn := transport.NewClientConn(transport.Config{Rng: rng}, l.loop.Now())
+			if client == nil {
+				client = NewClientHost(l.net, addr, "server", conn)
+				client.OnActivity = func(*transport.Conn, time.Time) { activity++ }
+			} else {
+				client.Reset(addr, "server", conn)
+			}
+			if client.Conn() != conn {
+				t.Fatal("the host does not drive the connection it was reset to")
+			}
+			l.net.SetSymmetricPath(addr, "server", PathConfig{Delay: 5 * time.Millisecond, Jitter: 2 * time.Millisecond})
+			_ = conn.SendStream(0, []byte("q"), true)
+			client.Kick()
+			// Leave mid-response: the server has packets in flight and more to
+			// retransmit.
+			before := activity
+			received := func() int { data, _ := conn.StreamRecv(0); return len(data) }
+			for n := 0; n < 10_000 && received() < 5000; n++ {
+				if !l.loop.Step() {
+					break
+				}
+			}
+			if received() < 5000 || activity == before {
+				t.Fatalf("probe %d: no response through the reset host (%d activity calls)", probes, activity-before)
+			}
+			client.Close()
+			l.net.ClearPath(addr, "server")
+			l.loop.Run() // the server retransmits into the void, then gives up
+		}
+		if live := len(ep.Conns()); live != 0 {
+			t.Fatalf("%d server connections outlive their probes", live)
+		}
+		return l.net.TableSizes()
+	}
+	after1 := pass()
+	pass()
+	after3 := pass()
+	if after1 != after3 {
+		t.Errorf("network tables grew: %+v after pass 1, %+v after pass 3", after1, after3)
+	}
+	if want := (TableSizes{Hosts: 1}); after3 != want {
+		t.Errorf("tables hold %+v with only the server attached, want %+v", after3, want)
+	}
 }

@@ -238,6 +238,24 @@ func (n *Network) SetRng(rng *rand.Rand) { n.rng = rng }
 // Stats returns cumulative datagram counters.
 func (n *Network) Stats() Stats { return n.stats }
 
+// TableSizes counts the entries of the network's address-keyed tables.
+type TableSizes struct {
+	Hosts, Paths, Blackholed, Ordered, Manglers int
+}
+
+// TableSizes returns the size of every address-keyed table. A campaign that
+// tears each probe down (Detach, ClearPath, ClearMangler) holds them constant
+// once its servers are attached; tests of bounded memory assert that.
+func (n *Network) TableSizes() TableSizes {
+	return TableSizes{
+		Hosts:      len(n.hosts),
+		Paths:      len(n.paths),
+		Blackholed: len(n.dropAll),
+		Ordered:    len(n.lastDelivery),
+		Manglers:   len(n.manglers),
+	}
+}
+
 func (n *Network) pathConfig(from, to string) PathConfig {
 	if cfg, ok := n.paths[[2]string{from, to}]; ok {
 		return cfg
@@ -297,7 +315,13 @@ func (n *Network) transmit(from, to string, data []byte) {
 		if last, ok := n.lastDelivery[key]; ok && at.Before(last) {
 			at = last
 		}
-		n.lastDelivery[key] = at
+		// Ordering state is kept only toward attached hosts: nobody detaches
+		// on behalf of a departed peer (a server still retransmitting to a
+		// probe address that is never reused), so an entry made for one would
+		// stay forever. The datagram itself is dropped at delivery time.
+		if _, attached := n.hosts[to]; attached {
+			n.lastDelivery[key] = at
+		}
 	}
 	cp := n.getBuf(len(data))
 	copy(cp, data)

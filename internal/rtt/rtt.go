@@ -34,10 +34,19 @@ type Estimator struct {
 // handshake is confirmed (RFC 9002 §5.3). A zero maxAckDelay uses the RFC
 // 9000 default of 25 ms.
 func New(maxAckDelay time.Duration) *Estimator {
+	e := &Estimator{}
+	e.Reset(maxAckDelay)
+	return e
+}
+
+// Reset returns e to the state New(maxAckDelay) creates, keeping the sample
+// list's storage. A Samples result obtained before the call is overwritten by
+// the samples that follow it.
+func (e *Estimator) Reset(maxAckDelay time.Duration) {
 	if maxAckDelay == 0 {
 		maxAckDelay = 25 * time.Millisecond
 	}
-	return &Estimator{maxAckDelay: maxAckDelay}
+	*e = Estimator{maxAckDelay: maxAckDelay, samples: e.samples[:0]}
 }
 
 // Update records an RTT sample. latest is the delay between sending the

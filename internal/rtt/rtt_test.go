@@ -189,3 +189,28 @@ func BenchmarkUpdate(b *testing.B) {
 		e.Update(time.Duration(50+i%20)*time.Millisecond, 5*time.Millisecond, true)
 	}
 }
+
+// Reset is New on reused storage: the estimator forgets every sample and
+// keeps only the sample list's capacity.
+func TestResetMatchesNew(t *testing.T) {
+	e := New(10 * time.Millisecond)
+	for i := 1; i <= 20; i++ {
+		e.Update(time.Duration(i)*time.Millisecond, time.Millisecond, i%2 == 0)
+	}
+	held := cap(e.Samples())
+	for _, mad := range []time.Duration{0, 40 * time.Millisecond} {
+		e.Reset(mad)
+		fresh := New(mad)
+		if e.String() != fresh.String() || e.HasSample() || len(e.Samples()) != 0 || e.PTO(true) != fresh.PTO(true) || e.Latest() != 0 {
+			t.Errorf("after Reset(%v): %v, want %v", mad, e, fresh)
+		}
+		if cap(e.Samples()) != held {
+			t.Errorf("Reset dropped the sample list's storage: cap %d, was %d", cap(e.Samples()), held)
+		}
+		e.Update(7*time.Millisecond, 0, false)
+		fresh.Update(7*time.Millisecond, 0, false)
+		if e.String() != fresh.String() || len(e.Samples()) != 1 {
+			t.Errorf("first sample after Reset(%v): %v, want %v", mad, e, fresh)
+		}
+	}
+}

@@ -2,7 +2,6 @@ package scanner
 
 import (
 	"bytes"
-	"errors"
 	"fmt"
 	"math/rand"
 	"net/netip"
@@ -39,9 +38,17 @@ type emulatedEngine struct {
 	resolver  *dns.Resolver
 	servers   map[netip.Addr]*netem.ServerHost // instantiated server IPs
 	clientSeq int
-	// arena recycles the buffers of every connection this engine drives,
-	// client and server side alike (all on the engine's one goroutine).
+	// arena recycles every connection this engine drives, client and server
+	// side alike (all on the engine's one goroutine): their buffers at once,
+	// the connections themselves when scanDomain has drained the loop.
 	arena *transport.Arena
+	// kits are the client kits, one per connection of the domain being
+	// scanned: kits[:kitsUsed] are taken, and scanDomain's drain frees them all.
+	kits     []*exchange
+	kitsUsed int
+	// processDelay is the endpoint turnaround draw every host shares, bound
+	// once like clock.
+	processDelay func() time.Duration
 	// drng is the reusable per-domain Rand (see lazySource): reseeding is
 	// O(1) for domains that never roll dice.
 	drng *rand.Rand
@@ -67,6 +74,7 @@ func newEmulatedEngine(w *websim.World, cfg Config, rng *rand.Rand, tm *scanTele
 		servers:  map[netip.Addr]*netem.ServerHost{},
 		drng:     newLazyRand(),
 	}
+	e.processDelay = func() time.Duration { return e.world.Turnaround(e.rng) }
 	e.net.SetTelemetry(cfg.Telemetry)
 	e.resolver.EnableCache()
 	e.resolver.SetTelemetry(cfg.Telemetry)
@@ -101,6 +109,11 @@ func (e *emulatedEngine) scanDomain(d *websim.Domain) DomainResult {
 	if !e.stalled {
 		for e.loop.Step() {
 		}
+		// Nothing is scheduled any more, so no callback holds a connection
+		// released during this domain or a client kit taken for it: both may
+		// be handed out again.
+		e.arena.Drained()
+		e.kitsUsed = 0
 	}
 	return res
 }
@@ -174,61 +187,29 @@ func (e *emulatedEngine) connect(target string, ip netip.Addr, hop, attempt int,
 		netBefore = e.net.Stats()
 	}
 	conn := transport.NewClientConn(transport.Config{Rng: e.rng, Budget: transport.DefaultBudget(), Arena: e.arena}, start)
-	client := netem.NewClientHost(e.net, clientAddr, serverAddr, conn)
-	client.ProcessDelay = func() time.Duration { return e.world.Turnaround(e.rng) }
-	hc := h3.NewClientConn(conn)
-	reqID, err := hc.Do(&h3.Request{
-		Method: "GET", Authority: target, Path: path, Headers: scannerHeaders,
-	})
+	x := e.kit(clientAddr, serverAddr, conn)
+	// The one teardown, on every exit: the host detaches and stops its timer,
+	// the path and ordering entries of the never-reused client address go, and
+	// the connection returns to the arena — quarantined until scanDomain has
+	// drained the loop. Everything the result keeps is copied out before
+	// (resp.Body aliases the connection's receive buffer and is not kept). A
+	// stalled exit runs it too, harmlessly: that loop is never drained and
+	// the worker rebuilds the engine, arena and all.
+	defer func() {
+		x.host.Close()
+		e.net.ClearPath(clientAddr, serverAddr)
+		conn.Release()
+	}()
+	reqID, err := x.hc.Do(&h3.Request{Method: "GET", Authority: target, Path: path, Headers: scannerHeaders})
 	if err != nil {
 		out.Err = errString(err)
 		if rec != nil {
 			rec.StageEnd(e.loop.Now())
 		}
-		client.Close()
-		conn.Release()
 		return out
 	}
-
-	done := false
-	var hsAt time.Time // virtual handshake-completion instant (stage span)
-	var resp *h3.Response
-	var respErr error
-	verdict := hostile.None
-	inspected := false // response head vetted: no further inspection needed
-	client.OnActivity = func(c *transport.Conn, now time.Time) {
-		if hsAt.IsZero() && c.HandshakeComplete() {
-			hsAt = now
-		}
-		if done {
-			return
-		}
-		// Graceful degradation: inspect the partial response stream on
-		// every delivery, so a hostile response (flood, oversize, garbage)
-		// is classified from its wire signature instead of being read to
-		// completion — or forever.
-		if !inspected {
-			if data, _ := c.StreamRecv(reqID); len(data) > 0 {
-				verdict = hostile.InspectStream(data)
-				if verdict != hostile.None {
-					done = true
-					return
-				}
-				// Once the header block has terminated acceptably, nothing
-				// later in the body can change the verdict.
-				if bytes.Contains(data, []byte("\n\n")) {
-					inspected = true
-				}
-			}
-		}
-		if r, complete, err := hc.Response(reqID); complete {
-			done, resp, respErr = true, r, err
-		}
-		if c.Terminating() {
-			done = true
-		}
-	}
-	client.Kick()
+	x.reqID = reqID
+	x.host.Kick()
 
 	deadline := e.loop.Now().Add(e.cfg.timeout())
 	budget := e.cfg.watchdogSteps
@@ -237,7 +218,7 @@ func (e *emulatedEngine) connect(target string, ip netip.Addr, hop, attempt int,
 	}
 	wallStart := time.Now()
 	steps := 0
-	for !done && e.loop.Now().Before(deadline) {
+	for !x.done && e.loop.Now().Before(deadline) {
 		if !e.loop.Step() {
 			break
 		}
@@ -249,7 +230,7 @@ func (e *emulatedEngine) connect(target string, ip netip.Addr, hop, attempt int,
 			e.stalled = true
 			e.tm.stalls.Inc()
 			stage := "h3"
-			if hsAt.IsZero() {
+			if x.hsAt.IsZero() {
 				stage = "handshake"
 			}
 			// The message names the target, the stage the loop died in, and
@@ -280,16 +261,18 @@ func (e *emulatedEngine) connect(target string, ip netip.Addr, hop, attempt int,
 		out.Observations = append(out.Observations, obs...)
 	}
 	out.StackRTTs = append(out.StackRTTs, conn.RTT().Samples()...)
-	var be *transport.BudgetError
+	resp := x.resp
+	// TermError is never wrapped (see its doc), so the concrete type decides.
+	be, _ := conn.TermError().(*transport.BudgetError)
 	switch {
-	case errors.As(conn.TermError(), &be):
+	case be != nil:
 		// A tripped resource budget wins over everything else: the scan was
 		// aborted deliberately, whatever else was in flight.
 		out.Err = hostile.BudgetErrText(be.Kind)
 		e.tm.bumpBudget(be.Kind)
 		rec.MarkDump("budget")
-	case verdict != hostile.None:
-		out.Err = hostile.ErrText(verdict)
+	case x.verdict != hostile.None:
+		out.Err = hostile.ErrText(x.verdict)
 	case resp == nil && out.QUIC && remoteClose(conn):
 		out.Err = hostile.ErrText(hostile.MidstreamReset)
 	case resp == nil && !out.QUIC && conn.Stats().PacketsReceived > 0:
@@ -306,15 +289,15 @@ func (e *emulatedEngine) connect(target string, ip netip.Addr, hop, attempt int,
 		if p := hostile.DetectSpinPattern(obs); p != hostile.None {
 			out.Err = hostile.ErrText(p)
 		}
-	case respErr != nil:
-		out.Err = respErr.Error()
+	case x.respErr != nil:
+		out.Err = x.respErr.Error()
 	case !out.QUIC:
 		out.Err = "timeout: no QUIC handshake"
 	default:
 		out.Err = "timeout: no response"
 	}
 
-	e.tm.connTimeline(rec, start, hsAt, now, &out, obs)
+	e.tm.connTimeline(rec, start, x.hsAt, now, &out, obs)
 	if rec != nil {
 		delta := e.net.Stats().Delta(netBefore)
 		rec.SpanAttrInt("pkts_sent", int64(delta.Sent))
@@ -322,13 +305,84 @@ func (e *emulatedEngine) connect(target string, ip netip.Addr, hop, attempt int,
 	}
 
 	conn.Close(now, 0, "scan complete")
-	client.Kick()
-	client.Close()
-	e.net.ClearPath(clientAddr, serverAddr)
-	// Everything the result keeps has been copied out above (resp.Body
-	// aliases the connection's receive buffer and is not kept).
-	conn.Release()
+	x.host.Kick()
 	return out
+}
+
+// exchange is the client side of one connection: the netem host, the h3
+// client and what the activity hook learns while connect steps the loop —
+// a struct's fields, with the hook bound once, rather than locals captured by
+// a closure per connection. Like a released transport.Conn it cannot serve
+// the next connection at once: a flush the host scheduled before it was closed
+// still fires later (and its turnaround draw is part of the recorded random
+// stream), so a kit is taken per connection and all are free again when
+// scanDomain has drained the loop.
+type exchange struct {
+	host *netem.ClientHost
+	hc   h3.ClientConn
+
+	reqID     uint64
+	done      bool
+	hsAt      time.Time // virtual handshake-completion instant (stage span)
+	resp      *h3.Response
+	respErr   error
+	verdict   hostile.Profile
+	inspected bool // response head vetted: no further inspection needed
+}
+
+// kit returns a free client kit pointed at a new connection from clientAddr
+// (unique per connection: a reused address would receive the previous hop's
+// stale datagrams), with nothing learned yet.
+func (e *emulatedEngine) kit(clientAddr, serverAddr string, conn *transport.Conn) *exchange {
+	var x *exchange
+	if e.kitsUsed < len(e.kits) {
+		x = e.kits[e.kitsUsed]
+		*x = exchange{host: x.host, hc: x.hc}
+		x.host.Reset(clientAddr, serverAddr, conn)
+	} else {
+		x = &exchange{host: netem.NewClientHost(e.net, clientAddr, serverAddr, conn)}
+		x.host.ProcessDelay = e.processDelay
+		x.host.OnActivity = x.onActivity
+		e.kits = append(e.kits, x)
+	}
+	e.kitsUsed++
+	x.hc.Reset(conn)
+	return x
+}
+
+// onActivity is the client host's hook: it runs after every connection event
+// and decides when the exchange is over.
+func (x *exchange) onActivity(c *transport.Conn, now time.Time) {
+	if x.hsAt.IsZero() && c.HandshakeComplete() {
+		x.hsAt = now
+	}
+	if x.done {
+		return
+	}
+	// Graceful degradation: inspect the partial response stream on
+	// every delivery, so a hostile response (flood, oversize, garbage)
+	// is classified from its wire signature instead of being read to
+	// completion — or forever.
+	if !x.inspected {
+		if data, _ := c.StreamRecv(x.reqID); len(data) > 0 {
+			x.verdict = hostile.InspectStream(data)
+			if x.verdict != hostile.None {
+				x.done = true
+				return
+			}
+			// Once the header block has terminated acceptably, nothing
+			// later in the body can change the verdict.
+			if bytes.Contains(data, []byte("\n\n")) {
+				x.inspected = true
+			}
+		}
+	}
+	if r, complete, err := x.hc.Response(x.reqID); complete {
+		x.done, x.resp, x.respErr = true, r, err
+	}
+	if c.Terminating() {
+		x.done = true
+	}
 }
 
 // remoteClose reports whether the connection was terminated by a peer
@@ -355,7 +409,7 @@ func (e *emulatedEngine) site(ip netip.Addr, srv *websim.Server) {
 		}
 	})
 	host := netem.NewServerHost(e.net, ip.String(), ep)
-	host.ProcessDelay = func() time.Duration { return e.world.Turnaround(e.rng) }
+	host.ProcessDelay = e.processDelay
 	// Serve with application timing: when a request completes, build the
 	// response and stream it according to the server's response plan
 	// (TTFB + dynamic-page chunk gaps).

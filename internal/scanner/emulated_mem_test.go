@@ -4,19 +4,27 @@ import (
 	"runtime"
 	"testing"
 
+	"quicspin/internal/netem"
 	"quicspin/internal/websim"
 )
 
 // quicWorld is a world whose every domain resolves to a QUIC server and
 // answers with its landing page: each scanned domain is one full exchange.
-func quicWorld(domains int) *websim.World {
+func quicWorld(domains int) *websim.World { return uniformWorld(domains, 1) }
+
+// uniformWorld is a world of domains that all resolve, without redirects, and
+// speak QUIC at quicRate: at 0 every scanned domain is one connection to an
+// address where nobody listens.
+func uniformWorld(domains int, quicRate float64) *websim.World {
 	p := websim.DefaultProfile()
 	p.Scale = p.ZoneDomains / domains
 	p.TopDomains = 1
 	p.TopResolveRate, p.ZoneResolveRate = 1, 1
-	p.TopQUICRate, p.ZoneQUICRate = 1, 1
+	p.TopQUICRate, p.ZoneQUICRate = quicRate, quicRate
 	p.RedirectRate = 0
-	p.LegacyOrgs = nil
+	if quicRate == 1 {
+		p.LegacyOrgs = nil // nobody to host
+	}
 	return websim.Generate(p)
 }
 
@@ -27,15 +35,16 @@ func quicEngine(w *websim.World) *emulatedEngine {
 
 // The emulated engine's memory is constant in the number of domains it has
 // scanned: after one pass over a world (every server site instantiated) two
-// more passes leave the buffer pool, every site's connection list and the
-// live heap where they were.
+// more passes leave the buffer and connection pools, every site's connection
+// list, every table of the emulated network and the live heap where they were.
 func TestEmulatedEngineBoundedMemory(t *testing.T) {
 	const n = 400
 	w := quicWorld(n)
 	e := quicEngine(w)
 	type snapshot struct {
-		pooled int
-		heap   uint64
+		pooled, conns int
+		net           netem.TableSizes
+		heap          uint64
 	}
 	pass := func() snapshot {
 		for i := 0; i < w.NumDomains(); i++ {
@@ -54,18 +63,26 @@ func TestEmulatedEngineBoundedMemory(t *testing.T) {
 		runtime.GC()
 		var m runtime.MemStats
 		runtime.ReadMemStats(&m)
-		return snapshot{e.arena.Pooled(), m.HeapInuse}
+		return snapshot{e.arena.Pooled(), e.arena.PooledConns(), e.net.TableSizes(), m.HeapInuse}
 	}
 	after1 := pass() // n domains
 	pass()
 	after3 := pass() // 2n more
 	runtime.KeepAlive(e)
-	t.Logf("pool %d -> %d buffers, live heap %d -> %d bytes", after1.pooled, after3.pooled, after1.heap, after3.heap)
-	if after1.pooled == 0 {
+	t.Logf("pool %d -> %d buffers, %d -> %d connections, live heap %d -> %d bytes", after1.pooled, after3.pooled, after1.conns, after3.conns, after1.heap, after3.heap)
+	if after1.pooled == 0 || after1.conns == 0 {
 		t.Fatal("the engine's arena pooled nothing")
 	}
 	if after3.pooled > after1.pooled+2 {
 		t.Errorf("buffer pool grew from %d to %d buffers over %d more domains", after1.pooled, after3.pooled, 2*n)
+	}
+	// One domain here is one exchange: its two connections are all the pool
+	// ever holds.
+	if after3.conns != after1.conns || after3.conns > 2 {
+		t.Errorf("connection pool went from %d to %d connections over %d more domains, want the 2 of one exchange", after1.conns, after3.conns, 2*n)
+	}
+	if after3.net != after1.net {
+		t.Errorf("the emulated network's tables grew over %d more domains: %+v, then %+v", 2*n, after1.net, after3.net)
 	}
 	// The parent's leak held ~60 KB per scanned domain — some 50 MB here.
 	const slack = 4 << 20
@@ -74,22 +91,36 @@ func TestEmulatedEngineBoundedMemory(t *testing.T) {
 	}
 }
 
-// emulatedConnAllocs is the recorded steady-state allocation count of one
-// emulated domain of quicWorld (one connection, one landing page), and the
-// ceiling is that plus 10 %: a regrowth of the per-connection allocation
-// fails tier-1, not only the benchmark.
-const emulatedConnAllocs = 185
+// emulatedConnAllocs and emulatedBlackholeAllocs are the recorded
+// steady-state allocation counts of one emulated domain — of quicWorld (one
+// answered connection, one landing page) and of a world where nobody listens
+// (one connection that times out, 87 % of a campaign's) — and each ceiling is
+// that plus 10 %: a regrowth of the per-connection allocation fails tier-1, not
+// only the benchmark.
+const (
+	emulatedConnAllocs      = 50
+	emulatedBlackholeAllocs = 5
+)
 
 func TestEmulatedConnAllocCeiling(t *testing.T) {
-	w := quicWorld(50)
+	allocCeiling(t, quicWorld(50), 200, emulatedConnAllocs)
+}
+
+func TestEmulatedBlackholeAllocCeiling(t *testing.T) {
+	allocCeiling(t, uniformWorld(50, 0), 0, emulatedBlackholeAllocs)
+}
+
+func allocCeiling(t *testing.T, w *websim.World, wantStatus, recorded int) {
 	e := quicEngine(w)
 	d := w.DomainAt(7)
 	for i := 0; i < 5; i++ { // warm the site, the pools and the DNS cache
-		e.scanDomain(d)
+		if res := e.scanDomain(d); len(res.Conns) != 1 || res.Conns[0].Status != wantStatus {
+			t.Fatalf("%s: want one connection with status %d: %+v", d.Name, wantStatus, res.Conns)
+		}
 	}
 	got := testing.AllocsPerRun(50, func() { e.scanDomain(d) })
-	t.Logf("%.0f allocations per emulated connection (recorded: %d)", got, emulatedConnAllocs)
-	if ceiling := float64(emulatedConnAllocs) * 1.1; got > ceiling {
-		t.Errorf("one emulated connection allocates %.0f times, ceiling %.0f (recorded %d + 10%%)", got, ceiling, emulatedConnAllocs)
+	t.Logf("%.0f allocations per emulated domain (recorded: %d)", got, recorded)
+	if ceiling := float64(recorded) * 1.1; got > ceiling {
+		t.Errorf("one emulated domain allocates %.0f times, ceiling %.0f (recorded %d + 10%%)", got, ceiling, recorded)
 	}
 }

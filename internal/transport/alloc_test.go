@@ -71,7 +71,7 @@ func TestReceivePathAllocBudget(t *testing.T) {
 	// packets per round. encodeShort reuses sendBuf so the sender side
 	// stays out of the measurement's way too.
 	sendBuf := make([]byte, 0, 1500)
-	pings := []wire.Frame{wire.PingFrame{}}
+	pings := []sendFrame{{kind: framePing}}
 	round := func() {
 		now = now.Add(5 * time.Millisecond)
 		dg := client.encodeShort(sendBuf[:0], pings, true, now)

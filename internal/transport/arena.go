@@ -2,25 +2,43 @@ package transport
 
 import "math/bits"
 
-// Arena recycles the byte buffers of connections — reassembled stream
-// prefixes, send-stream data, packet and datagram scratch — across the
-// connections that share it, so a long scan's memory is bounded by its live
-// connections rather than by the connections it has ever made. Like the
-// connections it serves it is single-threaded: one owner (a scan worker)
-// creates it, hands it to every connection via Config.Arena, and those
-// connections must all be driven from that owner's goroutine.
+// Arena owns everything a connection owns, for the connections that share
+// it: the byte buffers — reassembled stream prefixes, send-stream data, packet
+// and datagram scratch — and the Conn structs themselves, with the capacity
+// they have grown (sent-packet records and their frame arrays, the
+// retransmit, observation and RTT-sample lists, the stream maps and stream
+// records, the spin controller and RTT estimator). A long scan's memory is
+// therefore bounded by its live connections rather than by the connections
+// it has ever made, and in steady state a connection allocates for what it
+// sends and keeps, not for existing. Like the connections it serves the arena
+// is single-threaded: one owner (a scan worker) creates it, hands it to every
+// connection via Config.Arena, and those connections must all be driven from
+// that owner's goroutine.
+//
+// Buffers are reusable the moment Conn.Release returns them. A released Conn
+// is not: timer callbacks that captured it may still run (a server's response
+// chunks, a redirect hop's draining peer) and must find a closed connection,
+// not a stranger's live one. It waits in quarantine until the owner calls
+// Drained — a promise that nothing scheduled before the call still holds a
+// released connection, which an owner can make when its event loop is empty.
+// Nothing is checked where callbacks fire; an owner that never calls Drained
+// recycles buffers only.
 //
 // A nil *Arena is valid and pools nothing: get returns nil, so the append
-// that follows allocates from the heap, and put drops the buffer for the
-// collector. Connections therefore run one buffer code path with or without
-// an arena.
+// that follows allocates from the heap, put drops the buffer for the
+// collector, and every connection is a new Conn. Connections therefore run
+// one code path with or without an arena.
 type Arena struct {
 	// free[k] holds buffers whose capacity is at least 1<<(arenaMinShift+k).
 	free [arenaClasses][][]byte
+	// conns are released connections ready for reuse; quarantine holds those
+	// released since the last Drained call.
+	conns, quarantine []*Conn
 	// poison makes misuse loud: a returned buffer is overwritten, so a use
-	// after release reads garbage instead of plausible stale bytes, and
-	// returning one twice panics. On in race builds (the repository's checked
-	// builds) and in this package's tests.
+	// after release reads garbage instead of plausible stale bytes, returning
+	// one twice panics, and so does SendStream, Receive or a Poll that would
+	// send on a released connection. On in race builds (the repository's
+	// checked builds) and in this package's tests.
 	poison bool
 }
 
@@ -88,6 +106,40 @@ func (a *Arena) Pooled() int {
 		n += len(class)
 	}
 	return n
+}
+
+// PooledConns returns the number of released connections held, reusable or
+// still quarantined. Like Pooled it stops growing in a steady state: it is
+// bounded by the connections released between two Drained calls.
+func (a *Arena) PooledConns() int { return len(a.conns) + len(a.quarantine) }
+
+// conn returns a released connection for newConn to reset, or nil when there
+// is none (always on a nil arena).
+func (a *Arena) conn() *Conn {
+	if a == nil || len(a.conns) == 0 {
+		return nil
+	}
+	n := len(a.conns) - 1
+	c := a.conns[n]
+	a.conns[n] = nil
+	a.conns = a.conns[:n]
+	return c
+}
+
+// retire quarantines a connection that has just been released.
+func (a *Arena) retire(c *Conn) {
+	if a != nil {
+		a.quarantine = append(a.quarantine, c)
+	}
+}
+
+// Drained makes every connection released so far reusable. The caller
+// promises that no callback, timer or list still refers to one of them — the
+// emulated engine calls it with its event loop drained, between two domains.
+func (a *Arena) Drained() {
+	a.conns = append(a.conns, a.quarantine...)
+	clear(a.quarantine)
+	a.quarantine = a.quarantine[:0]
 }
 
 // bufs is one connection's handle on its arena: buffers it outgrows are

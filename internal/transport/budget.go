@@ -82,7 +82,7 @@ func (c *Conn) tripBudget(now time.Time, kind string, limit int64) error {
 		c.state = stateClosing
 		// 0x2: INTERNAL_ERROR — the closest RFC 9000 transport code for
 		// "I refuse to process more of this".
-		c.closeFrame = &wire.ConnectionCloseFrame{ErrorCode: 0x2, Reason: "resource budget exceeded"}
+		c.closeFrame = wire.ConnectionCloseFrame{ErrorCode: 0x2, Reason: "resource budget exceeded"}
 		c.drainDeadline = now.Add(3 * c.estimator.PTO(true))
 	}
 	return err

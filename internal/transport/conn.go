@@ -91,7 +91,7 @@ type Conn struct {
 	send [numSpaces]sendState
 	recv [numSpaces]recvState
 	// retransmit holds frames from lost packets awaiting resend.
-	retransmit  [numSpaces][]wire.Frame
+	retransmit  [numSpaces][]sendFrame
 	spaceActive [numSpaces]bool
 	probePing   [numSpaces]bool
 
@@ -100,6 +100,10 @@ type Conn struct {
 
 	streamsSend map[uint64]*sendStream
 	streamsRecv map[uint64]*recvStream
+	// freeSend and freeRecv hold the stream records of the connections this
+	// struct served before (see reset).
+	freeSend []*sendStream
+	freeRecv []*recvStream
 
 	handshakeComplete   bool
 	handshakeConfirmed  bool
@@ -118,7 +122,7 @@ type Conn struct {
 	idleDeadline  time.Time
 	drainDeadline time.Time
 
-	closeFrame *wire.ConnectionCloseFrame
+	closeFrame wire.ConnectionCloseFrame // valid in stateClosing
 	closeSent  bool
 	termErr    error
 
@@ -131,8 +135,10 @@ type Conn struct {
 	firstRecv          time.Time
 
 	// mem is the connection's handle on Config.Arena: the stream buffers,
-	// payloadScratch and dgramBufs come from it and go back in Release.
-	mem bufs
+	// payloadScratch and dgramBufs come from it and go back in Release, as
+	// does the connection itself; released latches that.
+	mem      bufs
+	released bool
 
 	// Hot-path scratch. A campaign-scale scan pushes millions of packets
 	// through Receive/Poll; everything per-packet that is not retained
@@ -143,7 +149,7 @@ type Conn struct {
 	sendHdr        wire.Header     // send-side header encode
 	ackScratch     wire.AckFrame   // outgoing ACK frame (never retransmitted)
 	payloadScratch []byte          // packet payload assembly
-	framesScratch  []wire.Frame    // framesFor result list
+	framesScratch  []sendFrame     // framesFor result list
 	idsScratch     []uint64        // sorted stream IDs in framesFor
 	dgramBufs      [][]byte        // datagram buffers, rotated per Poll
 	dgramUsed      int
@@ -176,29 +182,85 @@ func NewServerConn(cfg Config, odcid, clientSCID wire.ConnectionID, now time.Tim
 	return c
 }
 
+// newConn returns a connection in its initial state: a recycled one of
+// cfg.Arena, reset in place, or a new one. Either way the random stream sees
+// the same draws in the same order — the spin controller's dice here, then the
+// caller's connection IDs.
 func newConn(cfg Config, isClient bool) *Conn {
 	if cfg.Rng == nil {
 		panic("transport: Config.Rng is required")
 	}
-	c := &Conn{
-		cfg:         cfg,
-		mem:         bufs{arena: cfg.Arena},
-		isClient:    isClient,
-		estimator:   rtt.New(cfg.maxAckDelay()),
-		streamsSend: make(map[uint64]*sendStream),
-		streamsRecv: make(map[uint64]*recvStream),
-		spin:        core.NewController(isClient, cfg.SpinPolicy, cfg.Rng),
+	c := cfg.Arena.conn()
+	if c == nil {
+		c = &Conn{
+			estimator:   rtt.New(cfg.maxAckDelay()),
+			streamsSend: make(map[uint64]*sendStream),
+			streamsRecv: make(map[uint64]*recvStream),
+			spin:        core.NewController(isClient, cfg.SpinPolicy, cfg.Rng),
+		}
+	} else {
+		c.reset()
+		c.estimator.Reset(cfg.maxAckDelay())
+		c.spin.Reset(isClient, cfg.SpinPolicy, cfg.Rng)
 	}
+	c.cfg = cfg
+	c.mem.arena = cfg.Arena
+	c.isClient = isClient
 	c.spaceActive[spaceInitial] = true
 	c.spaceActive[spaceHandshake] = true
 	c.spaceActive[spaceAppData] = true
 	return c
 }
 
+// reset returns a released connection to the zero state, keeping only
+// capacity: the sent-packet records and their frame arrays, the emptied
+// slices and maps of the send and receive paths, the stream records (moved
+// to the freelists) and the estimator and spin controller, which newConn
+// resets with the new connection's parameters. Whatever is not named here is
+// zeroed, so a field added to Conn starts every connection empty;
+// TestConnRecycledIsFresh holds the list of what is kept.
+func (c *Conn) reset() {
+	kept := Conn{
+		streamsSend:   c.streamsSend,
+		streamsRecv:   c.streamsRecv,
+		freeSend:      c.freeSend,
+		freeRecv:      c.freeRecv,
+		spin:          c.spin,
+		estimator:     c.estimator,
+		obs:           c.obs[:0],
+		mem:           bufs{retired: c.mem.retired[:0]},
+		arena:         c.arena,
+		ackScratch:    wire.AckFrame{Ranges: c.ackScratch.Ranges[:0]},
+		framesScratch: c.framesScratch[:0],
+		idsScratch:    c.idsScratch[:0],
+		dgramBufs:     c.dgramBufs[:0],
+		pollOut:       c.pollOut[:0],
+	}
+	for sp := range c.send {
+		ss := &c.send[sp]
+		ss.discard()
+		kept.send[sp] = sendState{inFlight: ss.inFlight, free: ss.free}
+		kept.recv[sp].ranges = c.recv[sp].ranges[:0]
+		kept.retransmit[sp] = c.retransmit[sp][:0]
+		kept.cryptoRecv[sp].segments = c.cryptoRecv[sp].segments[:0]
+	}
+	for _, s := range c.streamsSend {
+		*s = sendStream{}
+		kept.freeSend = append(kept.freeSend, s)
+	}
+	clear(kept.streamsSend)
+	for _, r := range c.streamsRecv {
+		*r = recvStream{segments: r.segments[:0]}
+		kept.freeRecv = append(kept.freeRecv, r)
+	}
+	clear(kept.streamsRecv)
+	*c = kept
+}
+
 func randomCID(cfg Config, n int) wire.ConnectionID {
-	b := make([]byte, n)
-	cfg.Rng.Read(b)
-	return wire.NewConnectionID(b)
+	var b [wire.MaxConnIDLen]byte
+	cfg.Rng.Read(b[:n])
+	return wire.NewConnectionID(b[:n])
 }
 
 // ODCID returns the original destination connection ID identifying the
@@ -222,7 +284,8 @@ func (c *Conn) Closed() bool { return c.state == stateClosed }
 func (c *Conn) Terminating() bool { return c.state >= stateClosing }
 
 // TermError returns the terminal error (nil for a clean local close or a
-// still-open connection).
+// still-open connection). It is never wrapped: a *BudgetError or
+// *TransportError is returned as such, so callers may assert the type.
 func (c *Conn) TermError() error { return c.termErr }
 
 // RTT exposes the RFC 9002 estimator (the paper's baseline measurements).
@@ -240,12 +303,17 @@ func (c *Conn) Stats() Stats { return c.stats }
 // 9000 conventions (client-initiated bidirectional streams are 0, 4, 8, …)
 // but the transport does not enforce them.
 func (c *Conn) SendStream(id uint64, data []byte, fin bool) error {
+	c.checkLive()
 	if c.state >= stateClosing {
 		return ErrConnectionClosed
 	}
 	s := c.streamsSend[id]
 	if s == nil {
-		s = &sendStream{}
+		if n := len(c.freeSend); n > 0 {
+			s, c.freeSend = c.freeSend[n-1], c.freeSend[:n-1]
+		} else {
+			s = &sendStream{}
+		}
 		c.streamsSend[id] = s
 	}
 	if s.finSet {
@@ -294,15 +362,25 @@ func (c *Conn) AcceptStream() (id uint64, data []byte, ok bool) {
 	return id, next.delivered, true
 }
 
-// Release ends the connection's use of its buffers, returning the stream,
-// packet and datagram buffers to Config.Arena. Slices obtained from
-// StreamRecv or Poll are invalid afterwards, so copy out what must survive
-// first. An Endpoint releases the connections it drops; a client
+// Release ends the connection's use of its buffers and of itself: the
+// stream, packet and datagram buffers go back to Config.Arena, and so does the
+// Conn, to serve a later connection once the arena's owner calls
+// Arena.Drained. Slices obtained from StreamRecv or Poll are invalid
+// afterwards, and those from Observations and RTT().Samples() once the Conn
+// is reused, so copy out what must survive first; until Drained the
+// accessors (Terminating, TermError, Stats, …) still answer for this
+// connection, which is what lets a timer callback that captured it find it
+// closed. An Endpoint releases the connections it drops; a client
 // connection's owner calls Release once it has closed the connection and
-// sent the close. A closing connection still runs out its drain timer, with
-// no stream data left; one that was never closed is closed silently. With no
-// arena the buffers are simply left to the collector.
+// sent the close. A connection that was never closed is closed silently.
+// With no arena the buffers are simply left to the collector, and a released
+// closing connection still runs out its drain timer, with no stream data
+// left. Releasing twice is releasing once.
 func (c *Conn) Release() {
+	if c.released {
+		return
+	}
+	c.released = true
 	if c.state < stateClosing {
 		c.state = stateClosed
 	}
@@ -319,11 +397,23 @@ func (c *Conn) Release() {
 	}
 	m.arena.put(c.payloadScratch)
 	c.payloadScratch = nil
-	for _, b := range c.dgramBufs {
+	for i, b := range c.dgramBufs {
 		m.arena.put(b)
+		c.dgramBufs[i] = nil
 	}
-	c.dgramBufs = nil
+	c.dgramBufs = c.dgramBufs[:0]
+	clear(c.pollOut)
+	c.pollOut = c.pollOut[:0]
 	m.releaseRetired()
+	m.arena.retire(c)
+}
+
+// checkLive panics, under a poisoned arena, when a connection is used after
+// its Release: the struct may already be another connection's.
+func (c *Conn) checkLive() {
+	if c.released && c.mem.arena != nil && c.mem.arena.poison {
+		panic("transport: connection used after Release")
+	}
 }
 
 // Close initiates a local close with an application error code.
@@ -332,7 +422,7 @@ func (c *Conn) Close(now time.Time, code uint64, reason string) {
 		return
 	}
 	c.state = stateClosing
-	c.closeFrame = &wire.ConnectionCloseFrame{ErrorCode: code, Reason: reason}
+	c.closeFrame = wire.ConnectionCloseFrame{ErrorCode: code, Reason: reason}
 	c.drainDeadline = now.Add(3 * c.estimator.PTO(true))
 }
 
@@ -340,6 +430,7 @@ func (c *Conn) Close(now time.Time, code uint64, reason string) {
 
 // Receive processes one incoming UDP datagram.
 func (c *Conn) Receive(now time.Time, datagram []byte) error {
+	c.checkLive()
 	if c.state == stateClosed {
 		return ErrConnectionClosed
 	}
@@ -491,7 +582,11 @@ func (c *Conn) handleFrame(now time.Time, sp spaceID, f wire.Frame) error {
 		}
 		r := c.streamsRecv[fr.StreamID]
 		if r == nil {
-			r = &recvStream{}
+			if n := len(c.freeRecv); n > 0 {
+				r, c.freeRecv = c.freeRecv[n-1], c.freeRecv[:n-1]
+			} else {
+				r = &recvStream{}
+			}
 			c.streamsRecv[fr.StreamID] = r
 		}
 		r.push(&c.mem, fr.Offset, fr.Data, fr.Fin)
@@ -638,8 +733,9 @@ func (c *Conn) confirmHandshake() {
 
 func (c *Conn) dropSpace(sp spaceID) {
 	c.spaceActive[sp] = false
-	c.retransmit[sp] = nil
-	c.send[sp].inFlight = nil
+	clear(c.retransmit[sp])
+	c.retransmit[sp] = c.retransmit[sp][:0]
+	c.send[sp].discard()
 	c.recv[sp].ackQueued = false
 	c.lossTime[sp] = time.Time{}
 }
@@ -657,18 +753,21 @@ func hasMsg(r *recvStream, msg []byte) bool {
 // next Poll call on this connection: consume (send or copy) them before
 // polling again.
 func (c *Conn) Poll(now time.Time) [][]byte {
-	if c.state == stateClosed || c.state == stateDraining {
+	if c.state == stateClosed || c.state == stateDraining || (c.state == stateClosing && c.closeSent) {
 		return nil
 	}
-	if c.state == stateClosing {
-		if c.closeSent {
-			return nil
-		}
-		c.closeSent = true
-		return [][]byte{c.buildCloseDatagram(now)}
-	}
+	// A driver may still poll a connection it has released (a closed netem
+	// host's last scheduled flush does); only one with something to send is
+	// misused.
+	c.checkLive()
 	out := c.pollOut[:0]
 	c.dgramUsed = 0
+	if c.state == stateClosing {
+		c.closeSent = true
+		out = append(out, c.buildCloseDatagram())
+		c.pollOut = out
+		return out
+	}
 	for len(out) < 64 {
 		d := c.buildDatagram(now)
 		if d == nil {
@@ -683,34 +782,41 @@ func (c *Conn) Poll(now time.Time) [][]byte {
 	return out
 }
 
-func (c *Conn) buildCloseDatagram(now time.Time) []byte {
-	sp := spaceAppData
-	var payload []byte
-	payload = c.closeFrame.Append(payload)
-	ss := &c.send[sp]
-	hdr := &wire.Header{DstConnID: c.dstCID, PacketNumber: ss.nextPN}
+// dgramSlot returns datagram buffer idx of the per-connection pool, empty: a
+// new slot takes its buffer from the arena.
+func (c *Conn) dgramSlot(idx int) []byte {
+	if idx == len(c.dgramBufs) {
+		c.dgramBufs = append(c.dgramBufs, c.mem.arena.get(MaxDatagramSize))
+	}
+	return c.dgramBufs[idx][:0]
+}
+
+func (c *Conn) buildCloseDatagram() []byte {
+	ss := &c.send[spaceAppData]
+	hdr := &c.sendHdr
+	*hdr = wire.Header{DstConnID: c.dstCID, PacketNumber: ss.nextPN}
 	if c.handshakeComplete {
 		hdr.SpinBit = c.spin.Next()
 	}
-	buf, err := wire.AppendShortHeader(nil, hdr, payload, ss.largestAckedOrSentinel())
+	payload := c.closeFrame.Append(c.payloadBuf())
+	buf, err := wire.AppendShortHeader(c.dgramSlot(0), hdr, payload, ss.largestAckedOrSentinel())
 	if err != nil {
 		panic(err)
 	}
+	c.payloadScratch = payload
+	c.dgramBufs[0] = buf
+	c.dgramUsed = 1
 	ss.nextPN++
 	c.stats.PacketsSent++
 	return buf
 }
 
 func (c *Conn) buildDatagram(now time.Time) []byte {
-	// Datagram buffers rotate through a per-connection pool: a new slot
-	// takes its buffer from the arena, is claimed only if the datagram turns
-	// out non-empty, and keeps the (possibly grown) buffer for the next Poll
-	// cycle.
+	// Datagram buffers rotate through a per-connection pool: a slot is
+	// claimed only if the datagram turns out non-empty, and keeps the
+	// (possibly grown) buffer for the next Poll cycle.
 	idx := c.dgramUsed
-	if idx == len(c.dgramBufs) {
-		c.dgramBufs = append(c.dgramBufs, c.mem.arena.get(MaxDatagramSize))
-	}
-	buf := c.dgramBufs[idx][:0]
+	buf := c.dgramSlot(idx)
 	budget := MaxDatagramSize
 
 	for _, sp := range [...]spaceID{spaceInitial, spaceHandshake} {
@@ -757,7 +863,7 @@ func (c *Conn) canSendAppData() bool {
 
 // framesFor assembles the next packet's frames for a space. It consumes
 // send state, so callers must transmit what it returns.
-func (c *Conn) framesFor(sp spaceID, now time.Time, budget int) ([]wire.Frame, bool) {
+func (c *Conn) framesFor(sp spaceID, now time.Time, budget int) ([]sendFrame, bool) {
 	if budget < 48 {
 		return nil, false
 	}
@@ -771,13 +877,18 @@ func (c *Conn) framesFor(sp spaceID, now time.Time, budget int) ([]wire.Frame, b
 	rs := &c.recv[sp]
 	wantAck := rs.ackQueued && len(rs.ranges) > 0
 
-	// Retransmissions first.
-	for len(c.retransmit[sp]) > 0 && used < budget-48 {
-		f := c.retransmit[sp][0]
-		c.retransmit[sp] = c.retransmit[sp][1:]
-		frames = append(frames, f)
-		used += frameSize(f)
-		elicits = elicits || f.AckEliciting()
+	// Retransmissions first; what does not fit moves to the queue's front.
+	rt := c.retransmit[sp]
+	n := 0
+	for ; n < len(rt) && used < budget-48; n++ {
+		frames = append(frames, rt[n])
+		used += rt[n].size()
+		elicits = true
+	}
+	if n > 0 {
+		rest := copy(rt, rt[n:])
+		clear(rt[rest:])
+		c.retransmit[sp] = rt[:rest]
 	}
 
 	// Crypto data.
@@ -786,16 +897,15 @@ func (c *Conn) framesFor(sp spaceID, now time.Time, budget int) ([]wire.Frame, b
 		if !ok || len(chunk) == 0 {
 			break
 		}
-		f := &wire.CryptoFrame{Offset: off, Data: chunk}
-		frames = append(frames, f)
-		used += frameSize(f)
+		frames = append(frames, sendFrame{kind: frameCrypto, offset: off, data: chunk})
+		used += frames[len(frames)-1].size()
 		elicits = true
 	}
 
 	if sp == spaceAppData && c.inFlightElicits() < c.cfg.maxInFlight() {
 		if c.handshakeDoneQueued {
 			c.handshakeDoneQueued = false
-			frames = append(frames, wire.HandshakeDoneFrame{})
+			frames = append(frames, sendFrame{kind: frameHandshakeDone})
 			used++
 			elicits = true
 		}
@@ -812,9 +922,8 @@ func (c *Conn) framesFor(sp spaceID, now time.Time, budget int) ([]wire.Frame, b
 				if !ok {
 					break
 				}
-				f := &wire.StreamFrame{StreamID: id, Offset: off, Data: chunk, Fin: fin}
-				frames = append(frames, f)
-				used += frameSize(f)
+				frames = append(frames, sendFrame{kind: frameStream, streamID: id, offset: off, data: chunk, fin: fin})
+				used += frames[len(frames)-1].size()
 				elicits = true
 			}
 		}
@@ -822,7 +931,7 @@ func (c *Conn) framesFor(sp spaceID, now time.Time, budget int) ([]wire.Frame, b
 
 	if c.probePing[sp] {
 		c.probePing[sp] = false
-		frames = append(frames, wire.PingFrame{})
+		frames = append(frames, sendFrame{kind: framePing})
 		used++
 		elicits = true
 	}
@@ -835,9 +944,9 @@ func (c *Conn) framesFor(sp spaceID, now time.Time, budget int) ([]wire.Frame, b
 		// The outgoing ACK is never retransmitted (recordSent skips it), so
 		// one scratch frame per connection suffices; shift-prepend it.
 		rs.ackFrameInto(&c.ackScratch, now)
-		frames = append(frames, nil)
+		frames = append(frames, sendFrame{})
 		copy(frames[1:], frames)
-		frames[0] = &c.ackScratch
+		frames[0] = sendFrame{kind: frameAck}
 		rs.ackQueued = false
 		rs.ackDeadline = time.Time{}
 		rs.unackedElicits = 0
@@ -857,19 +966,38 @@ func (c *Conn) inFlightElicits() int {
 	return n
 }
 
-func frameSize(f wire.Frame) int {
-	switch fr := f.(type) {
-	case *wire.CryptoFrame:
-		return len(fr.Data) + 1 + 2*8
-	case *wire.StreamFrame:
-		return len(fr.Data) + 1 + 3*8
-	case *wire.AckFrame:
-		return 1 + 4*8 + len(fr.Ranges)*16
-	case wire.PaddingFrame:
-		return fr.N
+// size is the budget framesFor charges a retransmittable frame: an upper
+// bound of its encoded size.
+func (f *sendFrame) size() int {
+	switch f.kind {
+	case frameCrypto:
+		return len(f.data) + 1 + 2*8
+	case frameStream:
+		return len(f.data) + 1 + 3*8
 	default:
 		return 8
 	}
+}
+
+// appendFrames encodes a framesFor list onto a packet payload.
+func (c *Conn) appendFrames(payload []byte, frames []sendFrame) []byte {
+	for i := range frames {
+		switch f := &frames[i]; f.kind {
+		case frameAck:
+			payload = c.ackScratch.Append(payload)
+		case frameCrypto:
+			fr := wire.CryptoFrame{Offset: f.offset, Data: f.data}
+			payload = fr.Append(payload)
+		case frameStream:
+			fr := wire.StreamFrame{StreamID: f.streamID, Offset: f.offset, Data: f.data, Fin: f.fin}
+			payload = fr.Append(payload)
+		case frameHandshakeDone:
+			payload = wire.HandshakeDoneFrame{}.Append(payload)
+		case framePing:
+			payload = wire.PingFrame{}.Append(payload)
+		}
+	}
+	return payload
 }
 
 // payloadBuf returns the empty packet-payload scratch, taking it from the
@@ -883,7 +1011,7 @@ func (c *Conn) payloadBuf() []byte {
 
 // encodeLong appends one long-header packet to buf and returns the extended
 // buffer.
-func (c *Conn) encodeLong(buf []byte, sp spaceID, frames []wire.Frame, elicits bool, now time.Time, padTo int) []byte {
+func (c *Conn) encodeLong(buf []byte, sp spaceID, frames []sendFrame, elicits bool, now time.Time, padTo int) []byte {
 	ss := &c.send[sp]
 	typ := byte(wire.TypeInitial)
 	if sp == spaceHandshake {
@@ -898,10 +1026,7 @@ func (c *Conn) encodeLong(buf []byte, sp spaceID, frames []wire.Frame, elicits b
 		SrcConnID:    c.scid,
 		PacketNumber: ss.nextPN,
 	}
-	payload := c.payloadBuf()
-	for _, f := range frames {
-		payload = f.Append(payload)
-	}
+	payload := c.appendFrames(c.payloadBuf(), frames)
 	if padTo > 0 {
 		// Exact header size: first byte, version, both length-prefixed
 		// connection IDs, the (empty) token length for Initials, the
@@ -932,7 +1057,7 @@ func (c *Conn) encodeLong(buf []byte, sp spaceID, frames []wire.Frame, elicits b
 
 // encodeShort appends one short-header packet to buf and returns the
 // extended buffer.
-func (c *Conn) encodeShort(buf []byte, frames []wire.Frame, elicits bool, now time.Time) []byte {
+func (c *Conn) encodeShort(buf []byte, frames []sendFrame, elicits bool, now time.Time) []byte {
 	ss := &c.send[spaceAppData]
 	hdr := &c.sendHdr
 	*hdr = wire.Header{
@@ -943,10 +1068,7 @@ func (c *Conn) encodeShort(buf []byte, frames []wire.Frame, elicits bool, now ti
 	if c.cfg.EnableVEC && c.spin.Spinning() {
 		hdr.Reserved = c.vec.Next(hdr.SpinBit)
 	}
-	payload := c.payloadBuf()
-	for _, f := range frames {
-		payload = f.Append(payload)
-	}
+	payload := c.appendFrames(c.payloadBuf(), frames)
 	start := len(buf)
 	buf, err := wire.AppendShortHeader(buf, hdr, payload, ss.largestAckedOrSentinel())
 	if err != nil {
@@ -958,12 +1080,11 @@ func (c *Conn) encodeShort(buf []byte, frames []wire.Frame, elicits bool, now ti
 	return buf
 }
 
-func (c *Conn) recordSent(sp spaceID, ss *sendState, hdr *wire.Header, frames []wire.Frame, elicits bool, now time.Time, size int) {
+func (c *Conn) recordSent(sp spaceID, ss *sendState, hdr *wire.Header, frames []sendFrame, elicits bool, now time.Time, size int) {
 	p := ss.take()
 	retrans := p.frames[:0]
 	for _, f := range frames {
-		switch f.(type) {
-		case *wire.CryptoFrame, *wire.StreamFrame, wire.HandshakeDoneFrame, wire.PingFrame, *wire.NewTokenFrame:
+		if f.kind != frameAck {
 			retrans = append(retrans, f)
 		}
 	}

@@ -24,9 +24,11 @@ type Endpoint struct {
 	// cidLen is the length of the connection IDs this endpoint issues,
 	// resolved on the first short-header datagram (0 = not yet).
 	cidLen int
-	// Result lists of Poll and Conns, reused across calls.
+	// Result lists of Poll and Conns and Receive's routing-header decode,
+	// reused across calls.
 	pollOut  []Outgoing
 	connsOut []*Conn
+	hdr      wire.Header
 }
 
 type entry struct {
@@ -47,8 +49,8 @@ func (e *Endpoint) Receive(now time.Time, peer string, datagram []byte) error {
 	}
 	var ent *entry
 	if wire.IsLongHeader(datagram[0]) {
-		hdr, _, _, err := wire.ParseHeader(datagram, 0, wire.NoAckedPacket)
-		if err != nil {
+		hdr := &e.hdr
+		if _, _, err := wire.ParseHeaderInto(hdr, datagram, 0, wire.NoAckedPacket); err != nil {
 			return fmt.Errorf("endpoint: %w", err)
 		}
 		ent = e.conns[cidKey(hdr.DstConnID)]

@@ -3,6 +3,7 @@ package transport
 import (
 	"bytes"
 	"math/rand"
+	"slices"
 	"testing"
 	"time"
 )
@@ -11,8 +12,10 @@ import (
 // poisoned arena, over a path that drops and reorders: every response
 // arrives intact (retransmissions read send buffers the stream has since
 // outgrown), each request stream is accepted exactly once with its peer's
-// address, every closed connection is dropped and released, and the pool stops
-// growing once it is warm.
+// address, every closed connection is dropped and released, and the pools —
+// of buffers and of connections — stop growing once they are warm. A released
+// connection waits in quarantine: it is not handed out before the owner's
+// Drained call, and is after it.
 func TestEndpointDropsReleasesAndRecycles(t *testing.T) {
 	arena := &Arena{poison: true}
 	rng := rand.New(rand.NewSource(11))
@@ -29,10 +32,14 @@ func TestEndpointDropsReleasesAndRecycles(t *testing.T) {
 	request := bytes.Repeat([]byte("q"), 300)
 	response := make([]byte, 40_000)
 	rand.New(rand.NewSource(3)).Read(response)
-	var pooledWarm int
+	var pooledWarm, connsWarm int
 	const conns = 40
+	var quarantined []*Conn // released in the iteration before
 	for i := 0; i < conns; i++ {
 		client := NewClientConn(Config{Rng: rng, Arena: arena}, now)
+		if i > 0 && !slices.Contains(quarantined, client) {
+			t.Fatalf("conn %d: a new Conn was made with %d released ones drained", i, len(quarantined))
+		}
 		if err := client.SendStream(0, request, true); err != nil {
 			t.Fatal(err)
 		}
@@ -94,12 +101,22 @@ func TestEndpointDropsReleasesAndRecycles(t *testing.T) {
 		if live := len(ep.Conns()); live != 0 {
 			t.Fatalf("conn %d: %d connections still live after the close", i, live)
 		}
+		// Both sides are released and quarantined: before the drain a new
+		// connection gets neither of them, nor anything else from the pool.
+		quarantined = []*Conn{client, serverConn}
+		if got := NewClientConn(Config{Rng: rand.New(rand.NewSource(1)), Arena: arena}, now); slices.Contains(quarantined, got) || arena.PooledConns() != 2 {
+			t.Fatalf("conn %d: a quarantined connection was handed out before Drained (%d held)", i, arena.PooledConns())
+		}
+		arena.Drained()
 		switch i {
 		case conns / 2:
-			pooledWarm = arena.Pooled()
+			pooledWarm, connsWarm = arena.Pooled(), arena.PooledConns()
 		case conns - 1:
 			if got := arena.Pooled(); got != pooledWarm {
 				t.Errorf("pool grew from %d to %d buffers between connection %d and %d", pooledWarm, got, conns/2, i)
+			}
+			if got := arena.PooledConns(); got != connsWarm || got != 2 {
+				t.Errorf("%d connections pooled at connection %d, %d at %d; want the 2 of one exchange", connsWarm, conns/2, got, i)
 			}
 		}
 	}

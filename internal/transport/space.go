@@ -29,6 +29,32 @@ func (s spaceID) String() string {
 	}
 }
 
+// frameKind is the type of a frame on the send path.
+type frameKind uint8
+
+const (
+	// frameAck stands for the connection's one outgoing ACK (Conn.ackScratch,
+	// filled by framesFor just before it is encoded); never retransmitted.
+	frameAck frameKind = iota
+	frameCrypto
+	frameStream
+	frameHandshakeDone
+	framePing
+)
+
+// sendFrame is one frame of an outgoing packet, held by value: framesFor's
+// list, a sentPacket's retransmittable frames and the retransmit queue are
+// arrays of these, so a frame lives exactly as long as the record holding it
+// and the send path allocates no frame structs. data aliases the send
+// stream's buffer (or the shared handshake transcript).
+type sendFrame struct {
+	kind     frameKind
+	fin      bool   // STREAM
+	streamID uint64 // STREAM
+	offset   uint64 // CRYPTO, STREAM
+	data     []byte // CRYPTO, STREAM
+}
+
 // sentPacket records an in-flight packet for loss recovery.
 type sentPacket struct {
 	pn           uint64
@@ -36,8 +62,8 @@ type sentPacket struct {
 	ackEliciting bool
 	size         int
 	// frames are the retransmittable frames carried (CRYPTO/STREAM/
-	// HANDSHAKE_DONE); ACK and PADDING are never retransmitted.
-	frames []wire.Frame
+	// HANDSHAKE_DONE/PING); ACK and PADDING are never retransmitted.
+	frames []sendFrame
 	// declared marks packets already handled (acked or lost).
 	declared bool
 }
@@ -172,8 +198,8 @@ func (s *sendState) oldestUnacked() *sentPacket {
 }
 
 // compact drops declared packets from the in-flight list, recycling their
-// records. Callers must not hold on to a declared *sentPacket across a
-// compact call.
+// records (emptied but for the frames array). Callers must not hold on to a
+// declared *sentPacket across a compact call.
 func (s *sendState) compact() {
 	out := s.inFlight[:0]
 	for _, p := range s.inFlight {
@@ -181,12 +207,19 @@ func (s *sendState) compact() {
 			out = append(out, p)
 			continue
 		}
-		fr := p.frames[:0]
-		*p = sentPacket{frames: fr}
+		clear(p.frames) // do not pin stream buffers
+		*p = sentPacket{frames: p.frames[:0]}
 		s.free = append(s.free, p)
 	}
-	for i := len(out); i < len(s.inFlight); i++ {
-		s.inFlight[i] = nil
-	}
+	clear(s.inFlight[len(out):])
 	s.inFlight = out
+}
+
+// discard forgets every in-flight packet (the space's keys are gone, or the
+// connection is being reset), keeping the records for reuse.
+func (s *sendState) discard() {
+	for _, p := range s.inFlight {
+		p.declared = true
+	}
+	s.compact()
 }

@@ -105,5 +105,6 @@ func (r *recvStream) release(m *bufs) {
 	for _, seg := range r.segments {
 		m.arena.put(seg.data)
 	}
-	r.delivered, r.segments = nil, nil
+	clear(r.segments)
+	r.delivered, r.segments = nil, r.segments[:0]
 }

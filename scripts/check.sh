@@ -289,16 +289,22 @@ echo "== zero-alloc flowtable gate"
 go test -count=1 -run 'TestIngestZeroAlloc|TestIngestBatchZeroAlloc' ./internal/flowtable
 
 # Emulated memory gate: the packet-level engine's memory is constant in the
-# number of domains scanned and its buffers are recycled through a
-# per-worker arena. A race build poisons that arena (a returned buffer is
-# overwritten, a double return panics), so a use after release shows up as a
-# golden diff here rather than as plausible stale bytes; the named runs pin
-# the bounded-memory test, the per-connection allocation ceiling, the
-# reassembler and endpoint properties, and the poisoned goldens,
-# determinism, differential and hostile-chaos suites.
+# number of domains scanned, and everything a connection owns — its buffers
+# and the Conn itself — is recycled through a per-worker arena. A race build
+# poisons that arena (a returned buffer is overwritten, a double return
+# panics, a released connection refuses to send or receive), so a use after
+# release shows up as a panic or a golden diff here rather than as plausible
+# stale bytes; the named runs pin the bounded-memory test (pools and netem
+# tables), the two per-domain allocation ceilings, the recycled-is-fresh,
+# reassembler and endpoint properties, and the poisoned goldens, determinism,
+# differential and hostile-chaos suites. The race runtime changes allocation
+# counts, so the ceilings run once more without it: that plain run is the
+# binding one, as for the tracing gate.
 echo "== emulated memory gate"
-go test -race -count=1 -run 'TestEmulatedEngineBoundedMemory|TestEmulatedConnAllocCeiling' ./internal/scanner
-go test -race -count=1 -run 'TestArena|TestRecvStreamMatchesReference|TestAcceptStream|TestEndpointDropsReleasesAndRecycles' ./internal/transport
+go test -race -count=1 -run 'TestEmulatedEngineBoundedMemory|TestEmulatedConnAllocCeiling|TestEmulatedBlackholeAllocCeiling' ./internal/scanner
+go test -count=1 -run 'TestEmulatedConnAllocCeiling|TestEmulatedBlackholeAllocCeiling' ./internal/scanner
+go test -race -count=1 -run 'TestArena|TestRecvStreamMatchesReference|TestAcceptStream|TestEndpointDropsReleasesAndRecycles|TestConnRecycledIsFresh|TestReleasedConnIsPoisoned' ./internal/transport
+go test -race -count=1 -run 'TestNetworkTablesBoundedAcrossProbes' ./internal/netem
 go test -race -count=1 -run 'TestServerForgetsDroppedConnections' ./internal/h3
 go test -race -count=1 -run 'TestGoldenEmulatedWeek|TestGoldenCampaign|TestTableDeterminism$' ./internal/analysis
 go test -race -count=1 -run 'TestDifferentialEngines$|TestHostileChaosCampaign' ./internal/conformance
