@@ -49,8 +49,8 @@ type emulatedEngine struct {
 	// processDelay is the endpoint turnaround draw every host shares, bound
 	// once like clock.
 	processDelay func() time.Duration
-	// drng is the reusable per-domain Rand (see lazySource): reseeding is
-	// O(1) for domains that never roll dice.
+	// drng is the reusable per-domain Rand (see seekSource): reseeding is
+	// O(1), and a domain pays only for the state words its draws touch.
 	drng *rand.Rand
 	// stalled marks the engine unhealthy after a watchdog kill: the loop
 	// still holds undrained events, so the worker must rebuild the engine
@@ -72,7 +72,7 @@ func newEmulatedEngine(w *websim.World, cfg Config, rng *rand.Rand, tm *scanTele
 		arena:    transport.NewArena(),
 		resolver: dns.NewResolver(w.DNSBackend(), rng),
 		servers:  map[netip.Addr]*netem.ServerHost{},
-		drng:     newLazyRand(),
+		drng:     newSeekRand(),
 	}
 	e.processDelay = func() time.Duration { return e.world.Turnaround(e.rng) }
 	e.net.SetTelemetry(cfg.Telemetry)
@@ -92,7 +92,7 @@ func (e *emulatedEngine) scanDomain(d *websim.Domain) DomainResult {
 	// Reseed every random stream the scan can touch from (Seed, Week,
 	// domain) so the outcome is independent of scan order and sharding.
 	// The reusable Rand is reseeded in place (byte-identical stream, O(1)
-	// until the first draw — see lazySource).
+	// seed, O(words touched) draws — see seekSource).
 	e.drng.Seed(domainSeed(e.cfg, d.Name))
 	rng := e.drng
 	e.rng = rng

@@ -32,8 +32,8 @@ type fastEngine struct {
 	resolver *dns.Resolver
 	now      time.Time
 	// drng is the reusable per-domain Rand: reseeding it with domainSeed is
-	// O(1) until the first draw (see lazySource), which skips the expensive
-	// math/rand state rebuild for every domain whose scan rolls no dice.
+	// O(1), and a scan pays only for the state words its draws touch (see
+	// seekSource) instead of math/rand's 607-word rebuild.
 	drng *rand.Rand
 
 	// times and obs are per-connection synthesis scratch, reused across
@@ -52,7 +52,7 @@ func newFastEngine(w *websim.World, cfg Config, rng *rand.Rand, tm *scanTelemetr
 		rec:      rec,
 		resolver: dns.NewResolver(w.DNSBackend(), rng),
 		now:      campaignStart(cfg.Week),
-		drng:     newLazyRand(),
+		drng:     newSeekRand(),
 	}
 	e.clock = func() time.Time { return e.now }
 	e.resolver.EnableCache()
@@ -63,9 +63,8 @@ func newFastEngine(w *websim.World, cfg Config, rng *rand.Rand, tm *scanTelemetr
 
 func (e *fastEngine) scanDomain(d *websim.Domain) DomainResult {
 	// Reseed the reusable Rand in place: (*rand.Rand).Seed resets its Read
-	// cache and re-arms the lazy source, so the stream is byte-identical to
-	// a fresh source seeded with it — without the state rebuild for
-	// draw-free scans.
+	// cache and the seek source, so the stream is byte-identical to a fresh
+	// source seeded with it — without the state rebuild.
 	e.drng.Seed(domainSeed(e.cfg, d.Name))
 	e.rng = e.drng
 	// No virtual clock to advance here: retry backoff only draws jitter

@@ -5,51 +5,33 @@
 // current time explicitly) instead of calling time.Now.
 package sim
 
-import (
-	"container/heap"
-	"time"
-)
+import "time"
 
 // event is a scheduled callback in a virtual-time Loop. Events are recycled
 // through the Loop's freelist once fired or reaped; gen distinguishes the
 // incarnations so a stale Timer cannot cancel a recycled event.
 type event struct {
 	at  time.Time
-	seq uint64 // tie-breaker for deterministic FIFO ordering at equal times
 	gen uint64 // incarnation counter, bumped on every recycle
 	fn  func(now time.Time)
 	// canceled marks an event removed before firing.
 	canceled bool
-	index    int
 }
 
-// eventQueue is a min-heap of events ordered by (at, seq).
-type eventQueue []*event
+// entry is one slot of the Loop's event heap. It carries the ordering key
+// by value, so sifting compares two integers and never dereferences an
+// event. Keys saturate about 292 years from the start instant; deadlines
+// beyond that tie and fire in scheduling order.
+type entry struct {
+	at  int64  // deadline in nanoseconds since the loop's start instant
+	seq uint64 // tie-breaker for deterministic FIFO ordering at equal times
+	e   *event
+}
 
-func (q eventQueue) Len() int { return len(q) }
-func (q eventQueue) Less(i, j int) bool {
-	if !q[i].at.Equal(q[j].at) {
-		return q[i].at.Before(q[j].at)
-	}
-	return q[i].seq < q[j].seq
-}
-func (q eventQueue) Swap(i, j int) {
-	q[i], q[j] = q[j], q[i]
-	q[i].index = i
-	q[j].index = j
-}
-func (q *eventQueue) Push(x any) {
-	e := x.(*event)
-	e.index = len(*q)
-	*q = append(*q, e)
-}
-func (q *eventQueue) Pop() any {
-	old := *q
-	n := len(old)
-	e := old[n-1]
-	old[n-1] = nil
-	*q = old[:n-1]
-	return e
+// before is the heap order: (at, seq), a total order, so events fire in one
+// deterministic sequence whatever the heap's shape.
+func (a entry) before(b entry) bool {
+	return a.at < b.at || a.at == b.at && a.seq < b.seq
 }
 
 // Loop is a deterministic discrete-event simulator and virtual clock.
@@ -57,9 +39,11 @@ func (q *eventQueue) Pop() any {
 // Loop is not safe for concurrent use; the whole point is that a simulation
 // is single-threaded and reproducible.
 type Loop struct {
+	start time.Time
 	now   time.Time
 	seq   uint64
-	queue eventQueue
+	// queue is a binary min-heap under entry.before.
+	queue []entry
 	// free recycles fired/reaped events: a campaign schedules millions of
 	// short-lived timers, and reusing their event structs keeps the loop's
 	// steady-state allocation at zero.
@@ -68,7 +52,7 @@ type Loop struct {
 
 // NewLoop returns a Loop whose clock starts at start.
 func NewLoop(start time.Time) *Loop {
-	return &Loop{now: start}
+	return &Loop{start: start, now: start}
 }
 
 // Now returns the loop's current virtual time.
@@ -107,10 +91,55 @@ func (l *Loop) At(at time.Time, fn func(now time.Time)) Timer {
 	} else {
 		e = &event{at: at, fn: fn}
 	}
-	e.seq = l.seq
+	l.push(entry{at: int64(at.Sub(l.start)), seq: l.seq, e: e})
 	l.seq++
-	heap.Push(&l.queue, e)
 	return Timer{e: e, gen: e.gen}
+}
+
+// push adds x to the heap.
+func (l *Loop) push(x entry) {
+	q := append(l.queue, x)
+	i := len(q) - 1
+	for i > 0 {
+		p := (i - 1) / 2
+		if !x.before(q[p]) {
+			break
+		}
+		q[i] = q[p]
+		i = p
+	}
+	q[i] = x
+	l.queue = q
+}
+
+// pop removes and returns the heap's earliest event.
+func (l *Loop) pop() *event {
+	q := l.queue
+	top := q[0].e
+	n := len(q) - 1
+	x := q[n]
+	q[n] = entry{} // drop the event pointer from the spare capacity
+	q = q[:n]
+	if n > 0 {
+		i := 0
+		for {
+			c := 2*i + 1
+			if c >= n {
+				break
+			}
+			if r := c + 1; r < n && q[r].before(q[c]) {
+				c = r
+			}
+			if !q[c].before(x) {
+				break
+			}
+			q[i] = q[c]
+			i = c
+		}
+		q[i] = x
+	}
+	l.queue = q
+	return top
 }
 
 // After schedules fn to run after d of virtual time.
@@ -129,8 +158,8 @@ func (l *Loop) recycle(e *event) {
 // Step fires the earliest pending event, advancing the clock to its
 // deadline. It reports whether an event was fired.
 func (l *Loop) Step() bool {
-	for l.queue.Len() > 0 {
-		e := heap.Pop(&l.queue).(*event)
+	for len(l.queue) > 0 {
+		e := l.pop()
 		if e.canceled {
 			l.recycle(e)
 			continue
@@ -159,10 +188,10 @@ func (l *Loop) Run() int {
 // clock to t. Events scheduled while running are processed if they fall
 // within the horizon.
 func (l *Loop) RunUntil(t time.Time) {
-	for l.queue.Len() > 0 {
-		e := l.queue[0]
+	for len(l.queue) > 0 {
+		e := l.queue[0].e
 		if e.canceled {
-			l.recycle(heap.Pop(&l.queue).(*event))
+			l.recycle(l.pop())
 			continue
 		}
 		if e.at.After(t) {
@@ -178,8 +207,8 @@ func (l *Loop) RunUntil(t time.Time) {
 // Pending returns the number of live (non-canceled) events in the queue.
 func (l *Loop) Pending() int {
 	n := 0
-	for _, e := range l.queue {
-		if !e.canceled {
+	for _, x := range l.queue {
+		if !x.e.canceled {
 			n++
 		}
 	}

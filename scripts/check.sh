@@ -79,6 +79,7 @@ fuzz_smoke ./internal/analysis FuzzAccumulatorUnmarshal
 fuzz_smoke ./internal/shard FuzzSubmissionFrame
 fuzz_smoke ./internal/flowtable FuzzFlowIngest
 fuzz_smoke ./internal/scanner FuzzDomainResultJSON
+fuzz_smoke ./internal/scanner FuzzSeekSource
 
 # Interrupt-and-resume smoke: SIGKILL a real spinscan campaign mid-run,
 # resume it from the checkpoint journal, and require the rendered tables to
@@ -287,6 +288,14 @@ go test -count=1 -run 'TestDisabledTracingZeroAlloc' ./internal/trace
 # plain run so a regression is attributable at a glance.
 echo "== zero-alloc flowtable gate"
 go test -count=1 -run 'TestIngestZeroAlloc|TestIngestBatchZeroAlloc' ./internal/flowtable
+
+# Dice and clock gate: the per-domain random stream must be math/rand's,
+# draw for draw, and the event heap must fire in (deadline, scheduling
+# order) with zero steady-state allocation; a named plain run, because the
+# goldens depend on both and the race runtime changes allocation counts.
+echo "== dice and clock gate"
+go test -count=1 -run 'TestSeekSourceMatchesMathRand|TestSeekSourceZeroAlloc' ./internal/scanner
+go test -count=1 -run 'TestLoopMatchesReference|TestLoopSteadyStateZeroAlloc' ./internal/sim
 
 # Emulated memory gate: the packet-level engine's memory is constant in the
 # number of domains scanned, and everything a connection owns — its buffers
