@@ -223,9 +223,9 @@ func TestRenderersProduceTables(t *testing.T) {
 // be byte-identical for Workers ∈ {1, 4, 16}, for each engine kind.
 // Per-domain randomness is derived from (Seed, Week, domain), so sharding
 // must not leak into any reported number. The two engines are each
-// self-consistent but not byte-equal to each other: they consume their
-// per-domain random streams differently (dice order), which is exactly the
-// gap the conformance differential bounds instead.
+// self-consistent but not byte-equal to each other: they roll the same
+// keyed dice but time packets differently (closed form against emulation),
+// which is exactly the gap the conformance differential bounds instead.
 func TestTableDeterminism(t *testing.T) {
 	p := websim.DefaultProfile()
 	p.Scale = 50_000

@@ -5,17 +5,19 @@
 // through deterministic netem chaos schedules while asserting observer
 // invariants that must hold regardless of loss, reordering or duplication.
 //
-// The differential contract is deliberately asymmetric to the dice: both
-// engines derive per-domain randomness from (Seed, Week, domain), but they
-// consume their streams differently, so per-connection coin flips (the RFC
-// 1-in-N disable rule, grease values) legitimately differ. What must agree
-// exactly is everything the ground truth determines — resolution, the
-// redirect chain (targets, IPs, hops), QUIC capability, response status —
-// and every engine's spin classification must lie in the set of classes the
-// scanned server's deployed policy can produce. Spin-RTT estimates must
-// stay within bounded divergence: both engines time the same response plans
-// over the same base RTTs, so their per-domain means may wobble (jitter,
-// chunk-gap sampling) but not drift.
+// Both engines key every random stream by (Seed, Week, domain, purpose,
+// hop, attempt, side) (internal/dice), so a connection's server rolls the
+// same spin dice — the RFC 1-in-N disable rule, the per-connection grease
+// value — in both. What must agree exactly is everything the ground truth
+// and the dice determine: resolution, the redirect chain (targets, IPs,
+// hops), QUIC capability, response status, and the spin classification
+// wherever the dice alone set it. Only packet timing may separate the two:
+// a spinning connection can look like Spin, AllZero or Grease, and
+// per-packet grease like anything, so there each engine's class must lie in
+// the set the rolled mode can produce. Spin-RTT estimates must stay within
+// bounded divergence: both engines time the same response plans over the
+// same base RTTs, so their per-domain means may wobble (jitter, packet
+// pacing) but not drift.
 package conformance
 
 import (
@@ -49,8 +51,8 @@ type DiffConfig struct {
 	// MaxDomainLogRatio bounds |ln(fast/emulated)| of a domain's mean
 	// spin-RTT across engines; zero means ln(256). The bound is loose by
 	// design: spin samples include application chunk gaps (up to ~1.2 s in
-	// the calibrated profile), which the two engines draw from different
-	// points of the domain's random stream, so a single-sample mean
+	// the calibrated profile); both engines draw the same gaps, but packet
+	// timing decides which samples span them, so a single-sample mean
 	// spanning one maximal gap can stand against a pure-RTT mean of a few
 	// milliseconds. The per-domain bound only catches catastrophic
 	// divergence; the statistically meaningful check is MaxMedianRatio.
@@ -104,7 +106,7 @@ type DiffReport struct {
 	// empty).
 	QUICDomains int
 	// ClassChecked counts per-connection classifications validated against
-	// the ground-truth permissible sets (both engines).
+	// the class sets of the connections' dice (both engines).
 	ClassChecked int
 	// RTTCompared counts domains whose spin-RTT means were compared.
 	RTTCompared int
@@ -245,7 +247,9 @@ func compareDomain(cfg DiffConfig, fd, ed *scanner.DomainResult, rep *DiffReport
 			add("chain", "hop %d (%s): response differs: fast (%d %q %q), emulated (%d %q %q)",
 				j, fc.Target, fc.Status, fc.Server, fc.Redirect, ec.Status, ec.Server, ec.Redirect)
 		}
-		set := permissibleConnClasses(cfg.World, cfg.Week, fc)
+		// Each connection's class lies in its set, so the domain's class —
+		// the highest-ranked of them — is one the sets allow too.
+		set := connClasses(cfg, fd.Domain, fc)
 		for _, eng := range []struct {
 			name string
 			conn *scanner.ConnResult
@@ -253,27 +257,8 @@ func compareDomain(cfg DiffConfig, fd, ed *scanner.DomainResult, rep *DiffReport
 			class := analysis.AnalyzeConn(eng.conn).Class
 			rep.ClassChecked++
 			if !set.has(class) {
-				add("class", "hop %d (%s): %s engine classified %v, ground truth permits %v", j, fc.Target, eng.name, class, set)
+				add("class", "hop %d (%s): %s engine classified %v, its dice permit %v", j, fc.Target, eng.name, class, set)
 			}
-		}
-	}
-	// Domain-level classification: each engine's fold must be achievable
-	// from the per-connection permissible sets.
-	sets := make([]classSet, len(fd.Conns))
-	for j := range fd.Conns {
-		sets[j] = permissibleConnClasses(cfg.World, cfg.Week, &fd.Conns[j])
-	}
-	for _, eng := range []struct {
-		name string
-		dom  *scanner.DomainResult
-	}{{"fast", fd}, {"emulated", ed}} {
-		conns := make([]analysis.Conn, len(eng.dom.Conns))
-		for j := range eng.dom.Conns {
-			conns[j] = analysis.AnalyzeConn(&eng.dom.Conns[j])
-		}
-		class := analysis.DomainClass(conns)
-		if !achievableDomainClass(class, sets) {
-			add("class", "%s engine domain class %v is not achievable from per-connection sets", eng.name, class)
 		}
 	}
 	return out
@@ -302,7 +287,7 @@ func domainSpinMean(w *websim.World, d *scanner.DomainResult) time.Duration {
 	return sum / time.Duration(n)
 }
 
-// --- permissible classification sets ------------------------------------
+// --- classification sets ------------------------------------------------
 
 // classSet is a bitset over analysis.Class.
 type classSet uint8
@@ -327,8 +312,11 @@ func setOf(classes ...analysis.Class) classSet {
 	return s
 }
 
-// classesForMode returns the connection classifications a deployment mode
-// can produce on a completed QUIC connection.
+// diceClasses returns the classes a completed QUIC connection can take once
+// its server has rolled ctrl's dice. The dice alone decide a fixed value —
+// a fixed mode, the per-connection grease value, a disable roll into a
+// fixed mode — and then the class is that value's. Packet timing decides
+// the rest:
 //
 //   - ModeSpin can look like Spin, like AllZero (responses too small for the
 //     wave to flip before the last packet), or like Grease (reordering can
@@ -336,32 +324,29 @@ func setOf(classes ...analysis.Class) classSet {
 //     band — the false positives of §5.2).
 //   - Greasing per packet usually trips the grease filter, but short series
 //     can come out constant or accidentally spin-like.
-//   - Greasing per connection is indistinguishable from a fixed value.
-func classesForMode(m core.Mode) classSet {
-	switch m {
+func diceClasses(ctrl *core.Controller) classSet {
+	switch ctrl.EffectiveMode() {
 	case core.ModeSpin:
 		return setOf(analysis.ClassSpin, analysis.ClassGrease, analysis.ClassAllZero)
-	case core.ModeZero:
-		return setOf(analysis.ClassAllZero)
-	case core.ModeOne:
-		return setOf(analysis.ClassAllOne)
 	case core.ModeGreasePerPacket:
 		return setOf(analysis.ClassGrease, analysis.ClassSpin, analysis.ClassAllZero, analysis.ClassAllOne)
-	case core.ModeGreasePerConn:
-		return setOf(analysis.ClassAllZero, analysis.ClassAllOne)
-	default:
-		return 0
 	}
+	if ctrl.Next() {
+		return setOf(analysis.ClassAllOne)
+	}
+	return setOf(analysis.ClassAllZero)
 }
 
-// permissibleConnClasses computes the ground-truth classification set for
-// one connection record: what the deployed policy of the server at the
-// connection's IP can legitimately produce in the scanned week.
-func permissibleConnClasses(w *websim.World, week int, c *scanner.ConnResult) classSet {
+// connClasses computes the classification set of one connection record of
+// domain: what the server at the connection's IP produces in the scanned
+// week with the dice both engines roll for it. A record does not say which
+// retry attempt it came from, so with retries the sets of every attempt the
+// policy allows are joined; without, the set is exact.
+func connClasses(cfg DiffConfig, domain string, c *scanner.ConnResult) classSet {
 	if !c.QUIC {
 		return setOf(analysis.ClassNone)
 	}
-	srv := w.ServerAt(c.IP)
+	srv := cfg.World.ServerAt(c.IP)
 	if srv == nil || !srv.QUIC {
 		// A completed handshake against a non-QUIC address would itself be
 		// a bug; no class is permissible.
@@ -375,55 +360,11 @@ func permissibleConnClasses(w *websim.World, week int, c *scanner.ConnResult) cl
 		return setOf(analysis.ClassNone, analysis.ClassAllZero, analysis.ClassAllOne,
 			analysis.ClassSpin, analysis.ClassGrease)
 	}
-	p := srv.PolicyForWeek(week)
-	s := classesForMode(p.Mode)
-	if p.Mode == core.ModeSpin && p.DisableEveryN > 0 {
-		// The RFC 1-in-N rule swaps in the disabled-mode behaviour on a
-		// per-connection dice roll, so its classes are reachable too.
-		s |= classesForMode(p.DisabledMode)
+	p := srv.PolicyForWeek(cfg.Week)
+	sc := scanner.Config{Seed: cfg.Seed, Week: cfg.Week}
+	var s classSet
+	for attempt := 0; attempt <= cfg.Retry.MaxRetries; attempt++ {
+		s |= diceClasses(scanner.ConnDice(sc, domain, c.Hop, attempt, p))
 	}
 	return s
-}
-
-// domainRank orders classes by the DomainClass fold priority
-// (Spin > Grease > AllOne > AllZero > None).
-func domainRank(c analysis.Class) int {
-	switch c {
-	case analysis.ClassSpin:
-		return 4
-	case analysis.ClassGrease:
-		return 3
-	case analysis.ClassAllOne:
-		return 2
-	case analysis.ClassAllZero:
-		return 1
-	default:
-		return 0
-	}
-}
-
-// achievableDomainClass reports whether the DomainClass fold can evaluate
-// to v given per-connection permissible sets: v must be producible by some
-// connection, and no connection may be forced to produce a higher-priority
-// class.
-func achievableDomainClass(v analysis.Class, sets []classSet) bool {
-	if len(sets) == 0 {
-		return v == analysis.ClassNone
-	}
-	found := false
-	for _, s := range sets {
-		if s.has(v) {
-			found = true
-		}
-		minRank := math.MaxInt
-		for c := analysis.ClassNone; c <= analysis.ClassGrease; c++ {
-			if s.has(c) && domainRank(c) < minRank {
-				minRank = domainRank(c)
-			}
-		}
-		if minRank > domainRank(v) {
-			return false // this connection always outranks v
-		}
-	}
-	return found
 }

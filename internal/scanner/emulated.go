@@ -8,6 +8,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"quicspin/internal/dice"
 	"quicspin/internal/dns"
 	"quicspin/internal/fault"
 	"quicspin/internal/h3"
@@ -26,7 +27,6 @@ import (
 type emulatedEngine struct {
 	world *websim.World
 	cfg   Config
-	rng   *rand.Rand
 	tm    *scanTelemetry
 	rec   *trace.Recorder
 	// clock is the loop's Now bound once at construction (a per-scan
@@ -46,35 +46,41 @@ type emulatedEngine struct {
 	// scanned: kits[:kitsUsed] are taken, and scanDomain's drain frees them all.
 	kits     []*exchange
 	kitsUsed int
-	// processDelay is the endpoint turnaround draw every host shares, bound
-	// once like clock.
-	processDelay func() time.Duration
-	// drng is the reusable per-domain Rand (see seekSource): reseeding is
-	// O(1), and a domain pays only for the state words its draws touch.
-	drng *rand.Rand
+	dice     domainDice
+	// netem and serverTurnaround are the current connection's streams for
+	// the consumers every connection shares — the network and the server
+	// hosts — rekeyed by connect. A path that connect has cleared falls back
+	// to the network default, which draws nothing, so an earlier
+	// connection's late traffic never rolls this connection's path dice; a
+	// server host's turnaround for it still draws here, which moves timing
+	// only.
+	netem, serverTurnaround *dice.Rand
+	// serverDelay draws a server host's turnaround, bound once like clock.
+	serverDelay func() time.Duration
 	// stalled marks the engine unhealthy after a watchdog kill: the loop
 	// still holds undrained events, so the worker must rebuild the engine
 	// before scanning another domain.
 	stalled bool
 }
 
-func newEmulatedEngine(w *websim.World, cfg Config, rng *rand.Rand, tm *scanTelemetry, rec *trace.Recorder) *emulatedEngine {
+func newEmulatedEngine(w *websim.World, cfg Config, tm *scanTelemetry, rec *trace.Recorder) *emulatedEngine {
 	loop := sim.NewLoop(campaignStart(cfg.Week))
 	e := &emulatedEngine{
-		world:    w,
-		cfg:      cfg,
-		rng:      rng,
-		tm:       tm,
-		rec:      rec,
-		clock:    loop.Now,
-		loop:     loop,
-		net:      netem.New(loop, netem.PathConfig{Delay: 10 * time.Millisecond}, rng),
-		arena:    transport.NewArena(),
-		resolver: dns.NewResolver(w.DNSBackend(), rng),
-		servers:  map[netip.Addr]*netem.ServerHost{},
-		drng:     newSeekRand(),
+		world:            w,
+		cfg:              cfg,
+		tm:               tm,
+		rec:              rec,
+		clock:            loop.Now,
+		loop:             loop,
+		arena:            transport.NewArena(),
+		servers:          map[netip.Addr]*netem.ServerHost{},
+		dice:             newDomainDice(),
+		netem:            dice.New(),
+		serverTurnaround: dice.New(),
 	}
-	e.processDelay = func() time.Duration { return e.world.Turnaround(e.rng) }
+	e.net = netem.New(loop, netem.PathConfig{Delay: 10 * time.Millisecond}, e.netem.Rand)
+	e.resolver = dns.NewResolver(w.DNSBackend(), e.dice.dns.Rand)
+	e.serverDelay = func() time.Duration { return e.world.Turnaround(e.serverTurnaround.Rand) }
 	e.net.SetTelemetry(cfg.Telemetry)
 	e.resolver.EnableCache()
 	e.resolver.SetTelemetry(cfg.Telemetry)
@@ -89,23 +95,17 @@ func campaignStart(week int) time.Time {
 }
 
 func (e *emulatedEngine) scanDomain(d *websim.Domain) DomainResult {
-	// Reseed every random stream the scan can touch from (Seed, Week,
-	// domain) so the outcome is independent of scan order and sharding.
-	// The reusable Rand is reseeded in place (byte-identical stream, O(1)
-	// seed, O(words touched) draws — see seekSource).
-	e.drng.Seed(domainSeed(e.cfg, d.Name))
-	rng := e.drng
-	e.rng = rng
-	e.net.SetRng(rng)
+	// Key the per-domain streams to (Seed, Week, domain) so the outcome is
+	// independent of scan order and sharding; connect keys the rest.
+	e.dice.reseed(e.cfg, d.Name)
 	// Retry backoff advances this worker's virtual clock; the loop also
 	// fires any pending events inside the backoff window.
 	sleep := func(d time.Duration) { e.loop.RunUntil(e.loop.Now().Add(d)) }
-	res := runChain(e.cfg, rng, e.resolver, sleep, e.tm, e.rec, e.clock, d, e.connect)
+	res := runChain(e.cfg, e.dice.retry.Rand, e.resolver, sleep, e.tm, e.rec, e.clock, d, e.connect)
 	// Drain the loop completely: leftover events (server retransmissions,
-	// response-chunk timers, idle timeouts) must consume this domain's
-	// random stream, not leak draws into the next domain's scan. A stalled
-	// loop is not drained — it may never empty; the worker rebuilds the
-	// engine instead.
+	// response-chunk timers, idle timeouts) belong to this domain and must
+	// not fire inside the next domain's scan. A stalled loop is not drained
+	// — it may never empty; the worker rebuilds the engine instead.
 	if !e.stalled {
 		for e.loop.Step() {
 		}
@@ -147,6 +147,8 @@ func (e *emulatedEngine) connect(target string, ip netip.Addr, hop, attempt int,
 	e.clientSeq++
 	clientAddr := fmt.Sprintf("probe-%d", e.clientSeq)
 	serverAddr := ip.String()
+	e.netem.Reseed(e.dice.conn(dice.Netem, hop, attempt, dice.Client))
+	e.serverTurnaround.Reseed(e.dice.conn(dice.Turnaround, hop, attempt, dice.Server))
 	if e.cfg.Faults.Hit(fault.Net, fault.Blackout, serverAddr, attempt) {
 		// An injected outage: the server hears nothing for this attempt.
 		e.net.Blackhole(serverAddr, true)
@@ -186,8 +188,9 @@ func (e *emulatedEngine) connect(target string, ip netip.Addr, hop, attempt int,
 		}
 		netBefore = e.net.Stats()
 	}
-	conn := transport.NewClientConn(transport.Config{Rng: e.rng, Budget: transport.DefaultBudget(), Arena: e.arena}, start)
-	x := e.kit(clientAddr, serverAddr, conn)
+	x := e.kit(clientAddr, hop, attempt)
+	conn := transport.NewClientConn(transport.Config{Rng: x.dice.transport.Rand, Budget: transport.DefaultBudget(), Arena: e.arena}, start)
+	x.attach(e, serverAddr, conn)
 	// The one teardown, on every exit: the host detaches and stops its timer,
 	// the path and ordering entries of the never-reused client address go, and
 	// the connection returns to the arena — quarantined until scanDomain has
@@ -309,17 +312,19 @@ func (e *emulatedEngine) connect(target string, ip netip.Addr, hop, attempt int,
 	return out
 }
 
-// exchange is the client side of one connection: the netem host, the h3
-// client and what the activity hook learns while connect steps the loop —
-// a struct's fields, with the hook bound once, rather than locals captured by
-// a closure per connection. Like a released transport.Conn it cannot serve
-// the next connection at once: a flush the host scheduled before it was closed
-// still fires later (and its turnaround draw is part of the recorded random
-// stream), so a kit is taken per connection and all are free again when
-// scanDomain has drained the loop.
+// exchange is one connection's kit: the client's netem host and h3 client,
+// the connection's own random streams, and what the activity hook learns
+// while connect steps the loop — a struct's fields, with the hooks bound
+// once, rather than locals captured by a closure per connection. Like a
+// released transport.Conn it cannot serve the next connection at once: a
+// flush the host scheduled before it was closed still fires later, so a kit
+// is taken per connection and all are free again when scanDomain has
+// drained the loop.
 type exchange struct {
 	host *netem.ClientHost
 	hc   h3.ClientConn
+	addr string // the client's address, unique to this connection
+	dice connDice
 
 	reqID     uint64
 	done      bool
@@ -330,24 +335,65 @@ type exchange struct {
 	inspected bool // response head vetted: no further inspection needed
 }
 
-// kit returns a free client kit pointed at a new connection from clientAddr
-// (unique per connection: a reused address would receive the previous hop's
-// stale datagrams), with nothing learned yet.
-func (e *emulatedEngine) kit(clientAddr, serverAddr string, conn *transport.Conn) *exchange {
+// kit takes a free client kit for the connection of redirect hop hop and
+// retry attempt attempt from clientAddr (unique per connection: a reused
+// address would receive the previous hop's stale datagrams), with its
+// streams keyed and nothing learned yet.
+func (e *emulatedEngine) kit(clientAddr string, hop, attempt int) *exchange {
 	var x *exchange
 	if e.kitsUsed < len(e.kits) {
 		x = e.kits[e.kitsUsed]
-		*x = exchange{host: x.host, hc: x.hc}
-		x.host.Reset(clientAddr, serverAddr, conn)
+		*x = exchange{host: x.host, hc: x.hc, dice: x.dice}
 	} else {
-		x = &exchange{host: netem.NewClientHost(e.net, clientAddr, serverAddr, conn)}
-		x.host.ProcessDelay = e.processDelay
-		x.host.OnActivity = x.onActivity
+		x = &exchange{dice: connDice{dice.New(), dice.New(), dice.New(), dice.New()}}
 		e.kits = append(e.kits, x)
 	}
 	e.kitsUsed++
-	x.hc.Reset(conn)
+	x.addr = clientAddr
+	x.dice.reseed(&e.dice, hop, attempt)
 	return x
+}
+
+// connDice are one connection's own streams: the client's transport and
+// turnaround, and the server side's transport (its spin dice come first)
+// and application (response plan). A late event of the connection draws
+// from them and from no other connection's.
+type connDice struct {
+	transport, turnaround, serverTransport, app *dice.Rand
+}
+
+// reseed keys the streams to the connection of redirect hop hop and retry
+// attempt attempt of d's domain.
+func (c connDice) reseed(d *domainDice, hop, attempt int) {
+	c.transport.Reseed(d.conn(dice.Transport, hop, attempt, dice.Client))
+	c.turnaround.Reseed(d.conn(dice.Turnaround, hop, attempt, dice.Client))
+	c.serverTransport.Reseed(d.conn(dice.Transport, hop, attempt, dice.Server))
+	c.app.Reseed(d.conn(dice.App, hop, attempt, dice.Server))
+}
+
+// attach points the kit's host and h3 client at conn, the new connection to
+// serverAddr.
+func (x *exchange) attach(e *emulatedEngine, serverAddr string, conn *transport.Conn) {
+	if x.host == nil {
+		x.host = netem.NewClientHost(e.net, x.addr, serverAddr, conn)
+		world, turnaround := e.world, x.dice.turnaround.Rand
+		x.host.ProcessDelay = func() time.Duration { return world.Turnaround(turnaround) }
+		x.host.OnActivity = x.onActivity
+	} else {
+		x.host.Reset(x.addr, serverAddr, conn)
+	}
+	x.hc.Reset(conn)
+}
+
+// kitOf returns the kit of the client at peer, one of this domain's
+// connections (the loop is drained between domains).
+func (e *emulatedEngine) kitOf(peer string) *exchange {
+	for i := e.kitsUsed - 1; i > 0; i-- {
+		if e.kits[i].addr == peer {
+			return e.kits[i]
+		}
+	}
+	return e.kits[0]
 }
 
 // onActivity is the client host's hook: it runs after every connection event
@@ -401,26 +447,28 @@ func (e *emulatedEngine) site(ip netip.Addr, srv *websim.Server) {
 	}
 	week := e.cfg.Week
 	world := e.world
+	// Each server connection rolls its spin dice as the first draws of its
+	// own server transport stream, held by the client's kit.
 	ep := transport.NewEndpoint(func(peer string) transport.Config {
 		return transport.Config{
-			Rng:        e.rng,
+			Rng:        e.kitOf(peer).dice.serverTransport.Rand,
 			SpinPolicy: srv.PolicyForWeek(week),
 			Arena:      e.arena,
 		}
 	})
 	host := netem.NewServerHost(e.net, ip.String(), ep)
-	host.ProcessDelay = e.processDelay
+	host.ProcessDelay = e.serverDelay
 	// Serve with application timing: when a request completes, build the
 	// response and stream it according to the server's response plan
 	// (TTFB + dynamic-page chunk gaps).
 	host.OnActivity = func(ep *transport.Endpoint, now time.Time) {
 		for st, ok := ep.AcceptStream(); ok; st, ok = ep.AcceptStream() {
-			conn, id := st.Conn, st.ID
+			conn, id, app := st.Conn, st.ID, e.kitOf(st.Peer).dice.app.Rand
 			// Site-level hostile behavior: replace the application
 			// response with the profile's pathological payload.
 			switch srv.Hostile {
 			case hostile.OversizedBody, hostile.HeaderFlood, hostile.QlogGarbage:
-				e.hostileResponse(host, srv, conn, id)
+				e.hostileResponse(host, srv, conn, id, app)
 				continue
 			}
 			var resp *h3.Response
@@ -431,11 +479,11 @@ func (e *emulatedEngine) site(ip netip.Addr, srv *websim.Server) {
 			}
 			if srv.Hostile == hostile.MidstreamReset {
 				// Send half the response, then slam the door.
-				e.midstreamReset(host, srv, conn, id, h3.EncodeResponse(resp))
+				e.midstreamReset(host, srv, conn, id, app, h3.EncodeResponse(resp))
 				continue
 			}
 			head := h3.AppendResponseHead(make([]byte, 0, 128), resp.Status, len(resp.Body), resp.Headers)
-			e.streamResponse(host, srv, conn, id, head, resp.Body)
+			e.streamResponse(host, srv, conn, id, app, head, resp.Body)
 		}
 	}
 	e.servers[ip] = host
@@ -446,8 +494,8 @@ func (e *emulatedEngine) site(ip netip.Addr, srv *websim.Server) {
 // response plan. The chunk that spans the boundary is two stream writes
 // before the one flush, so the stream and its packets are those of writing
 // the joined bytes.
-func (e *emulatedEngine) streamResponse(host *netem.ServerHost, srv *websim.Server, conn *transport.Conn, id uint64, head, body []byte) {
-	plan := srv.ResponsePlan(e.rng, len(head)+len(body))
+func (e *emulatedEngine) streamResponse(host *netem.ServerHost, srv *websim.Server, conn *transport.Conn, id uint64, app *rand.Rand, head, body []byte) {
+	plan := srv.ResponsePlan(app, len(head)+len(body))
 	off := 0
 	for i, ch := range plan {
 		start, end := off, off+ch.Bytes
@@ -472,9 +520,9 @@ func (e *emulatedEngine) streamResponse(host *netem.ServerHost, srv *websim.Serv
 // hostileResponse streams the profile's pathological payload after the
 // site's usual time-to-first-byte, never finishing the stream (the scanner
 // must classify from the partial head, not wait it out).
-func (e *emulatedEngine) hostileResponse(host *netem.ServerHost, srv *websim.Server, conn *transport.Conn, id uint64) {
+func (e *emulatedEngine) hostileResponse(host *netem.ServerHost, srv *websim.Server, conn *transport.Conn, id uint64, app *rand.Rand) {
 	data := hostile.ResponseBytes(srv.Hostile, srv.Software)
-	ttfb := srv.ProcessingDelay(e.rng)
+	ttfb := srv.ProcessingDelay(app)
 	e.loop.After(ttfb, func(time.Time) {
 		if conn.Terminating() {
 			return
@@ -486,8 +534,8 @@ func (e *emulatedEngine) hostileResponse(host *netem.ServerHost, srv *websim.Ser
 
 // midstreamReset streams the first half of an honest response, then closes
 // the connection with an application error before the body completes.
-func (e *emulatedEngine) midstreamReset(host *netem.ServerHost, srv *websim.Server, conn *transport.Conn, id uint64, enc []byte) {
-	ttfb := srv.ProcessingDelay(e.rng)
+func (e *emulatedEngine) midstreamReset(host *netem.ServerHost, srv *websim.Server, conn *transport.Conn, id uint64, app *rand.Rand, enc []byte) {
+	ttfb := srv.ProcessingDelay(app)
 	half := enc[:len(enc)/2]
 	e.loop.After(ttfb, func(time.Time) {
 		if conn.Terminating() {

@@ -30,7 +30,7 @@ func uniformWorld(domains int, quicRate float64) *websim.World {
 
 func quicEngine(w *websim.World) *emulatedEngine {
 	cfg := Config{Week: 12, Engine: EngineEmulated, Seed: 1, Workers: 1}
-	return newEmulatedEngine(w, cfg, newEngineRng(cfg, 0), newScanTelemetry(cfg.Telemetry), nil)
+	return newEmulatedEngine(w, cfg, newScanTelemetry(cfg.Telemetry), nil)
 }
 
 // The emulated engine's memory is constant in the number of domains it has

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"quicspin/internal/core"
+	"quicspin/internal/dice"
 	"quicspin/internal/dns"
 	"quicspin/internal/fault"
 	"quicspin/internal/hostile"
@@ -23,7 +24,6 @@ import (
 type fastEngine struct {
 	world *websim.World
 	cfg   Config
-	rng   *rand.Rand
 	tm    *scanTelemetry
 	rec   *trace.Recorder
 	// clock feeds runChain's trace timestamps; bound once so the per-scan
@@ -31,10 +31,12 @@ type fastEngine struct {
 	clock    func() time.Time
 	resolver *dns.Resolver
 	now      time.Time
-	// drng is the reusable per-domain Rand: reseeding it with domainSeed is
-	// O(1), and a scan pays only for the state words its draws touch (see
-	// seekSource) instead of math/rand's 607-word rebuild.
-	drng *rand.Rand
+	dice     domainDice
+	// transport, app and netem are the streams of the connection being
+	// synthesised, rekeyed by connect: the server's spin dice and per-packet
+	// grease (the emulated server's transport stream), its response plan,
+	// and the path jitter the closed-form timing stands in for.
+	transport, app, netem *dice.Rand
 
 	// times and obs are per-connection synthesis scratch, reused across
 	// connections to keep the campaign hot loop allocation-free; retained
@@ -43,17 +45,19 @@ type fastEngine struct {
 	obs   []core.Observation
 }
 
-func newFastEngine(w *websim.World, cfg Config, rng *rand.Rand, tm *scanTelemetry, rec *trace.Recorder) *fastEngine {
+func newFastEngine(w *websim.World, cfg Config, tm *scanTelemetry, rec *trace.Recorder) *fastEngine {
 	e := &fastEngine{
-		world:    w,
-		cfg:      cfg,
-		rng:      rng,
-		tm:       tm,
-		rec:      rec,
-		resolver: dns.NewResolver(w.DNSBackend(), rng),
-		now:      campaignStart(cfg.Week),
-		drng:     newSeekRand(),
+		world:     w,
+		cfg:       cfg,
+		tm:        tm,
+		rec:       rec,
+		now:       campaignStart(cfg.Week),
+		dice:      newDomainDice(),
+		transport: dice.New(),
+		app:       dice.New(),
+		netem:     dice.New(),
 	}
+	e.resolver = dns.NewResolver(w.DNSBackend(), e.dice.dns.Rand)
 	e.clock = func() time.Time { return e.now }
 	e.resolver.EnableCache()
 	e.resolver.SetTelemetry(cfg.Telemetry)
@@ -62,14 +66,10 @@ func newFastEngine(w *websim.World, cfg Config, rng *rand.Rand, tm *scanTelemetr
 }
 
 func (e *fastEngine) scanDomain(d *websim.Domain) DomainResult {
-	// Reseed the reusable Rand in place: (*rand.Rand).Seed resets its Read
-	// cache and the seek source, so the stream is byte-identical to a fresh
-	// source seeded with it — without the state rebuild.
-	e.drng.Seed(domainSeed(e.cfg, d.Name))
-	e.rng = e.drng
+	e.dice.reseed(e.cfg, d.Name)
 	// No virtual clock to advance here: retry backoff only draws jitter
-	// from the domain rng (sleep is a no-op).
-	return runChain(e.cfg, e.rng, e.resolver, nil, e.tm, e.rec, e.clock, d, e.connect)
+	// from the retry stream (sleep is a no-op).
+	return runChain(e.cfg, e.dice.retry.Rand, e.resolver, nil, e.tm, e.rec, e.clock, d, e.connect)
 }
 
 // healthy implements engine; the fast engine holds no loop state that can
@@ -84,7 +84,6 @@ func (e *fastEngine) clockNow() time.Time { return e.now }
 const (
 	fastMTUPayload   = 1100 // stream bytes per short packet (after headers)
 	fastBurstSize    = 10   // transport.DefaultMaxInFlight
-	fastAckDelay     = 25 * time.Millisecond
 	fastStackSamples = 4
 )
 
@@ -116,6 +115,11 @@ func (e *fastEngine) connect(target string, ip netip.Addr, hop, attempt int, pat
 		return e.timedOut(out, hostile.ErrText(hostile.Slowloris))
 	}
 	out.QUIC = true
+	// Nothing above draws, so most attempts — unanswered ones — key no
+	// stream.
+	e.transport.Reseed(e.dice.conn(dice.Transport, hop, attempt, dice.Server))
+	e.app.Reseed(e.dice.conn(dice.App, hop, attempt, dice.Server))
+	e.netem.Reseed(e.dice.conn(dice.Netem, hop, attempt, dice.Client))
 	switch srv.Hostile {
 	case hostile.MalformedHeader, hostile.MalformedFrames, hostile.PacketStorm,
 		hostile.OversizedBody, hostile.HeaderFlood, hostile.QlogGarbage,
@@ -131,7 +135,7 @@ func (e *fastEngine) connect(target string, ip netip.Addr, hop, attempt int, pat
 	// each jittered around the network RTT.
 	out.StackRTTs = make([]time.Duration, 0, fastStackSamples)
 	for i := 0; i < fastStackSamples; i++ {
-		out.StackRTTs = append(out.StackRTTs, jittered(e.rng, rtt, 0.04))
+		out.StackRTTs = append(out.StackRTTs, jittered(e.netem.Rand, rtt, 0.04))
 	}
 
 	// Response content.
@@ -149,15 +153,24 @@ func (e *fastEngine) connect(target string, ip netip.Addr, hop, attempt int, pat
 		respBytes = d.BodyBytes
 	}
 
-	// Spin series synthesis: the connection-level spin policy dice are
-	// rolled exactly like the transport does (1-in-N disable included).
-	ctrl := core.NewController(false, srv.PolicyForWeek(e.cfg.Week), e.rng)
-	lastAt := e.synthesizeObservations(&out, ctrl.EffectiveMode(), srv, rtt, respBytes)
+	// Spin series synthesis: the server's spin controller rolls its dice
+	// (1-in-N disable, per-connection grease) as the first draws of the
+	// connection's server transport stream, exactly as the emulated server's
+	// transport does, so both engines see the same dice.
+	ctrl := core.NewController(false, srv.PolicyForWeek(e.cfg.Week), e.transport.Rand)
+	lastAt, complete := e.synthesizeObservations(&out, ctrl, srv, rtt, respBytes, e.cfg.timeout()-3*rtt/2)
 
 	// The emulated engine's virtual timeline: the handshake completes at
-	// ~1.5 RTT, the request phase runs until the last received packet.
+	// ~1.5 RTT, the request phase runs until the last received packet — or
+	// until the deadline, where the emulated engine gives up on a response
+	// still in flight.
 	hsAt := e.now.Add(3 * rtt / 2)
-	e.tm.connTimeline(rec, e.now, hsAt, hsAt.Add(lastAt), &out, e.obs)
+	end := hsAt.Add(lastAt)
+	if !complete {
+		out.Status, out.Server, out.Redirect, out.Err = 0, "", "", "timeout: no response"
+		end = e.now.Add(e.cfg.timeout())
+	}
+	e.tm.connTimeline(rec, e.now, hsAt, end, &out, e.obs)
 	return out
 }
 
@@ -209,35 +222,46 @@ func (e *fastEngine) pathRTT(srv *websim.Server) time.Duration {
 	if j <= 0 {
 		return base
 	}
-	return base + time.Duration(e.rng.Int63n(int64(2*j)))
+	return base + time.Duration(e.netem.Int63n(int64(2*j)))
 }
 
 // synthesizeObservations emulates the received 1-RTT packet series of the
 // client: HANDSHAKE_DONE + response bursts, with the spin value evolving
-// as the server reflects the client's wave. It returns the arrival time of
-// the last packet relative to handshake completion (the request stage
-// duration).
-func (e *fastEngine) synthesizeObservations(out *ConnResult, mode core.Mode, srv *websim.Server, rtt time.Duration, respBytes int) time.Duration {
-	plan := srv.ResponsePlan(e.rng, respBytes)
-	// Receive times of server packets, relative to handshake completion.
+// as the server reflects the client's wave. Packets arriving after cutoff
+// (relative to handshake completion) are never seen. It returns the arrival
+// time of the last packet seen, relative to handshake completion (the
+// request stage duration), and whether the whole response arrived.
+func (e *fastEngine) synthesizeObservations(out *ConnResult, ctrl *core.Controller, srv *websim.Server, rtt time.Duration, respBytes int, cutoff time.Duration) (time.Duration, bool) {
+	plan := srv.ResponsePlan(e.app.Rand, respBytes)
+	// Receive times of server packets, relative to handshake completion. The
+	// in-flight window is the connection's, not the chunk's: a chunk written
+	// while an earlier one is still in flight queues behind it.
 	times := e.times[:0]
 	times = append(times, 0) // HANDSHAKE_DONE (+ request ACK)
+	var next time.Duration
+	complete := true
 	for _, ch := range plan {
 		pkts := (ch.Bytes + fastMTUPayload - 1) / fastMTUPayload
 		if pkts < 1 {
 			pkts = 1
 		}
 		bursts := (pkts + fastBurstSize - 1) / fastBurstSize
+		at := max(ch.At, next)
 		for b := 0; b < bursts; b++ {
-			at := ch.At + time.Duration(b)*rtt
 			n := fastBurstSize
 			if b == bursts-1 {
 				n = pkts - b*fastBurstSize
 			}
 			for k := 0; k < n; k++ {
-				times = append(times, at+time.Duration(k)*50*time.Microsecond)
+				if t := at + time.Duration(k)*50*time.Microsecond; t <= cutoff {
+					times = append(times, t)
+				} else {
+					complete = false
+				}
 			}
+			at += rtt
 		}
+		next = at
 	}
 	e.times = times // keep the grown scratch for the next connection
 
@@ -247,7 +271,7 @@ func (e *fastEngine) synthesizeObservations(out *ConnResult, mode core.Mode, srv
 	// value as flipping at every burst boundary ≥ one RTT after the
 	// previous flip (the ack round trip).
 	spin := false // server starts reflecting the client's 0
-	greaseVal := e.rng.Intn(2) == 1
+	mode := ctrl.EffectiveMode()
 	lastFlip := -rtt
 	base := campaignStart(e.cfg.Week).Add(3 * rtt / 2) // handshake done at ~1.5 RTT
 	var pn uint64
@@ -262,18 +286,13 @@ func (e *fastEngine) synthesizeObservations(out *ConnResult, mode core.Mode, srv
 			lastFlip = at
 		}
 		v := spin
-		switch mode {
-		case core.ModeZero:
-			v = false
-		case core.ModeOne:
-			v = true
-		case core.ModeGreasePerPacket:
-			v = e.rng.Intn(2) == 1
-		case core.ModeGreasePerConn:
-			v = greaseVal
+		if mode != core.ModeSpin {
+			// Fixed values, the per-connection grease value and per-packet
+			// grease draws, all from the controller's transport stream.
+			v = ctrl.Next()
 		}
 		// Spin liars override the policy's value with their synthetic wire
-		// pattern (after the switch, so rng draws stay identical).
+		// pattern (after the controller, so its draws stay identical).
 		switch srv.Hostile {
 		case hostile.SpinFlap:
 			v = pn%2 == 1
@@ -301,7 +320,7 @@ func (e *fastEngine) synthesizeObservations(out *ConnResult, mode core.Mode, srv
 	if out.HasFlips() {
 		out.Observations = append(make([]core.Observation, 0, len(obs)), obs...)
 	}
-	return lastAt
+	return lastAt, complete
 }
 
 func jittered(rng *rand.Rand, d time.Duration, frac float64) time.Duration {

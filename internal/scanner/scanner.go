@@ -87,7 +87,8 @@ type Config struct {
 
 	// Retry bounds deterministic transient-failure retries (DNS timeouts,
 	// handshake timeouts). Backoff runs in virtual time and draws jitter
-	// from the per-domain rng, so retried results stay worker-invariant.
+	// from the domain's retry stream, so retried results stay
+	// worker-invariant.
 	// The zero value disables retries (legacy behaviour).
 	Retry resilience.RetryPolicy
 	// Breaker enables the per-prefix/AS circuit breaker (§A backoff
@@ -351,12 +352,14 @@ func Run(w *websim.World, cfg Config) (*Result, error) {
 // buildEngine constructs a worker's engine; also used to rebuild one whose
 // state cannot be trusted after a panic or watchdog stall. rec is the
 // shard's trace recorder (nil when tracing is disabled); it outlives
-// engine rebuilds so flight rings survive panics and stalls.
-func buildEngine(w *websim.World, cfg Config, rng *rand.Rand, tm *scanTelemetry, rec *trace.Recorder) engine {
+// engine rebuilds so flight rings survive panics and stalls. Construction
+// draws nothing: every stream is keyed per domain or per connection, so
+// an engine's output cannot depend on which worker it serves.
+func buildEngine(w *websim.World, cfg Config, tm *scanTelemetry, rec *trace.Recorder) engine {
 	if cfg.Engine == EngineFast {
-		return newFastEngine(w, cfg, rng, tm, rec)
+		return newFastEngine(w, cfg, tm, rec)
 	}
-	return newEmulatedEngine(w, cfg, rng, tm, rec)
+	return newEmulatedEngine(w, cfg, tm, rec)
 }
 
 // scanSafely isolates one domain scan: a panic anywhere in the engine is
@@ -384,14 +387,6 @@ func maybePanic(cfg Config, d *websim.Domain) {
 	}
 }
 
-// newEngineRng derives a worker shard's random stream from the run seed.
-// It only seeds engine-construction randomness; every per-domain draw
-// comes from the domainSeed stream so that sharding cannot influence
-// results.
-func newEngineRng(cfg Config, shard int) *rand.Rand {
-	return rand.New(rand.NewSource(cfg.Seed ^ int64(cfg.Week)<<32 ^ int64(shard)*0x9e3779b9))
-}
-
 // engine executes one domain scan. healthy reports whether the engine can
 // scan further domains; a stalled emulated loop returns false and the
 // worker rebuilds the engine. clockNow exposes the engine's virtual clock
@@ -411,8 +406,8 @@ const (
 
 // retrier tracks one domain's retry budget, shared across DNS lookups and
 // connection attempts of the whole redirect chain. Backoff advances the
-// engine's virtual clock via sleep and draws jitter from the per-domain
-// rng, so a retried scan remains a pure function of (Seed, Week, domain).
+// engine's virtual clock via sleep and draws jitter from the domain's retry
+// stream, so a retried scan remains a pure function of (Seed, Week, domain).
 type retrier struct {
 	policy resilience.RetryPolicy
 	rng    *rand.Rand
@@ -479,7 +474,8 @@ func connectRetry(rt *retrier, addrs []netip.Addr, dial func(ip netip.Addr, atte
 // runChain executes one domain's full scan — landing request plus redirect
 // chain — with retry and multi-address fallback. Both engines share it;
 // dial performs one engine-specific connection attempt (attempt is its
-// 0-based index within the hop's retries). rec and now carry
+// 0-based index within the hop's retries), and rng is the domain's retry
+// stream. rec and now carry
 // the shard's trace recorder and the engine's virtual clock; with tracing
 // disabled (nil rec) every trace block is skipped and the scan allocates
 // nothing extra. Tracing reads the clock but draws no randomness, so the

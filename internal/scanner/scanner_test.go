@@ -317,8 +317,7 @@ func TestConnResultHelpers(t *testing.T) {
 func BenchmarkEmulatedScanPerDomain(b *testing.B) {
 	w := testWorld(100_000)
 	cfg := Config{Week: 1, Engine: EngineEmulated, Seed: 1, Workers: 1}
-	rng := newEngineRng(cfg, 0)
-	eng := newEmulatedEngine(w, cfg, rng, newScanTelemetry(cfg.Telemetry), nil)
+	eng := newEmulatedEngine(w, cfg, newScanTelemetry(cfg.Telemetry), nil)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		eng.scanDomain(w.Domains[i%len(w.Domains)])
@@ -328,8 +327,7 @@ func BenchmarkEmulatedScanPerDomain(b *testing.B) {
 func BenchmarkFastScanPerDomain(b *testing.B) {
 	w := testWorld(100_000)
 	cfg := Config{Week: 1, Engine: EngineFast, Seed: 1, Workers: 1}
-	rng := newEngineRng(cfg, 0)
-	eng := newFastEngine(w, cfg, rng, newScanTelemetry(cfg.Telemetry), nil)
+	eng := newFastEngine(w, cfg, newScanTelemetry(cfg.Telemetry), nil)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		eng.scanDomain(w.Domains[i%len(w.Domains)])

@@ -261,9 +261,9 @@ func (c *campaign) scanStep(eng *engine, shard int, rec *trace.Recorder, d *webs
 		}
 		if panicked || !(*eng).healthy() {
 			// The engine's loop or internal state cannot be trusted after
-			// a panic or stall: rebuild it. Per-domain rng derivation
-			// keeps every other domain's result unchanged.
-			*eng = buildEngine(c.w, c.cfg, newEngineRng(c.cfg, shard), c.tm, rec)
+			// a panic or stall: rebuild it. Keyed streams keep every
+			// other domain's result unchanged.
+			*eng = buildEngine(c.w, c.cfg, c.tm, rec)
 		}
 	}
 	if key != "" {
@@ -309,7 +309,7 @@ func (c *campaign) worker(shard int, work <-chan domainBatch, results chan<- res
 	// disjoint ranges disjoint (and an unsharded run's ids what they were).
 	lo, _ := c.bounds()
 	rec := c.cfg.Trace.Recorder(lo + shard)
-	eng := buildEngine(c.w, c.cfg, newEngineRng(c.cfg, shard), c.tm, rec)
+	eng := buildEngine(c.w, c.cfg, c.tm, rec)
 	for b := range work {
 		rb := resultBatch{start: b.start, dispatched: len(b.domains)}
 		rb.results = make([]DomainResult, 0, len(b.domains))

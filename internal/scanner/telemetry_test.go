@@ -174,9 +174,8 @@ func TestTelemetryDoesNotChangeResults(t *testing.T) {
 func BenchmarkFastScanPerDomainTelemetry(b *testing.B) {
 	w := testWorld(100_000)
 	cfg := Config{Week: 1, Engine: EngineFast, Seed: 1, Workers: 1, Telemetry: telemetry.New()}
-	rng := newEngineRng(cfg, 0)
 	tm := newScanTelemetry(cfg.Telemetry)
-	eng := newFastEngine(w, cfg, rng, tm, nil)
+	eng := newFastEngine(w, cfg, tm, nil)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		d := eng.scanDomain(w.Domains[i%len(w.Domains)])

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"quicspin/internal/core"
+	"quicspin/internal/dice"
 	"quicspin/internal/dns"
 	"quicspin/internal/hostile"
 )
@@ -49,22 +50,11 @@ const (
 // Generate's for the same profile; domains and servers draw from keyed
 // rngs instead of the shared generation stream.
 func GenerateLazy(p Profile) *World {
-	if p.Scale < 1 {
-		p.Scale = 1
-	}
-	rng := rand.New(rand.NewSource(p.Seed))
-	w := &World{
-		Profile:  p,
-		servers:  map[netip.Addr]*Server{},
-		byHost:   map[string]*Domain{},
-		zone:     dns.MapBackend{},
-		prefixes: map[netip.Prefix]uint32{},
-	}
-	w.buildOrgs(rng)
+	w, _ := newWorld(p)
 	w.buildASDB()
 	w.lazy = &lazyState{
-		topN:  scaled(p.TopDomains, p.Scale),
-		zoneN: scaled(p.ZoneDomains, p.Scale),
+		topN:  scaled(w.Profile.TopDomains, w.Profile.Scale),
+		zoneN: scaled(w.Profile.ZoneDomains, w.Profile.Scale),
 	}
 	return w
 }
@@ -97,7 +87,12 @@ func (w *World) lazyLabel(i int) (label string, top bool) {
 // lazyDomainRng derives the per-domain synthesis stream. Labels are unique
 // across the population, so streams never collide.
 func (w *World) lazyDomainRng(label string) *rand.Rand {
-	return rand.New(rand.NewSource(w.Profile.Seed ^ int64(fnv64(label)) ^ lazyDomainSalt))
+	return lazyRng(w.Profile.Seed ^ int64(fnv64(label)) ^ lazyDomainSalt)
+}
+
+// lazyRng returns the world-synthesis stream of a salted key.
+func lazyRng(seed int64) *rand.Rand {
+	return dice.Seeded(dice.Key{Seed: seed, Purpose: dice.World})
 }
 
 // lazyDomainAt synthesises population index i, including its redirect
@@ -151,7 +146,7 @@ func (w *World) lazyDomainBase(i int) (*Domain, *rand.Rand) {
 	d.Org = w.pickOrg(rng, top, quic)
 	d.BodyBytes = int(logUniform(rng, float64(p.BodyMinBytes), float64(p.BodyMaxBytes)))
 
-	d.V4 = d.Org.pick(rng, d.Org.v4Spin, d.Org.v4Rest)
+	d.V4 = d.Org.pick(rng, d.Org.v4Spin, d.Org.v4Rest, top)
 
 	v6Share := d.Org.V6Share
 	if top && d.Org.TopV6Share >= 0 {
@@ -171,7 +166,7 @@ func (w *World) lazyDomainBase(i int) (*Domain, *rand.Rand) {
 			// reversible (lazyServerAt decodes the index back out).
 			d.V6 = v6At(d.Org.V6Prefix, uint64(i)+1)
 		} else if len(d.Org.v6Pool) > 0 {
-			d.V6 = d.Org.pick(rng, d.Org.v6Spin, d.Org.v6Rest)
+			d.V6 = d.Org.pick(rng, d.Org.v6Spin, d.Org.v6Rest, top)
 		}
 	}
 	return d, rng
@@ -283,7 +278,7 @@ func (w *World) lazyServerAt(addr netip.Addr) *Server {
 // serverFor (base RTT, then deployment churn), from an rng keyed by the
 // address.
 func (w *World) lazyServer(o *Org, addr netip.Addr) *Server {
-	rng := rand.New(rand.NewSource(w.Profile.Seed ^ int64(fnv64(addr.String())) ^ lazyServerSalt))
+	rng := lazyRng(w.Profile.Seed ^ int64(fnv64(addr.String())) ^ lazyServerSalt)
 	s := &Server{
 		Addr:          addr,
 		Org:           o,

@@ -144,7 +144,12 @@ func TestLazyServerConsistency(t *testing.T) {
 // Cross-host redirect targets must themselves exist, resolve, and host
 // QUIC — the invariant eager generation enforces when drawing targets.
 func TestLazyRedirectTargetsValid(t *testing.T) {
-	w := lazyTestWorld()
+	// A QUIC domain redirects cross-host with probability redirect × cross
+	// × QUIC target ≈ 0.1 × 0.15 × 0.1, so the scale-20000 world expects
+	// fewer than two; scale 2000 expects about 17.
+	p := DefaultProfile()
+	p.Scale = 2000
+	w := GenerateLazy(p)
 	n := w.NumDomains()
 	cross := 0
 	for i := 0; i < n && cross < 50; i++ {
@@ -191,3 +196,19 @@ func TestLazyPopulationShape(t *testing.T) {
 		t.Errorf("QUIC rate %.3f outside plausible band", quicRate)
 	}
 }
+
+// BenchmarkLazyDomainAt is the on-demand world's per-domain cost: every
+// DomainAt synthesises the domain (and a cross-host redirect target's base)
+// from keyed streams.
+func BenchmarkLazyDomainAt(b *testing.B) {
+	w := lazyTestWorld()
+	n := w.NumDomains()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		domainSink = w.DomainAt(i % n)
+	}
+}
+
+// domainSink keeps BenchmarkLazyDomainAt's result live.
+var domainSink *Domain

@@ -79,7 +79,6 @@ fuzz_smoke ./internal/analysis FuzzAccumulatorUnmarshal
 fuzz_smoke ./internal/shard FuzzSubmissionFrame
 fuzz_smoke ./internal/flowtable FuzzFlowIngest
 fuzz_smoke ./internal/scanner FuzzDomainResultJSON
-fuzz_smoke ./internal/scanner FuzzSeekSource
 
 # Interrupt-and-resume smoke: SIGKILL a real spinscan campaign mid-run,
 # resume it from the checkpoint journal, and require the rendered tables to
@@ -289,12 +288,15 @@ go test -count=1 -run 'TestDisabledTracingZeroAlloc' ./internal/trace
 echo "== zero-alloc flowtable gate"
 go test -count=1 -run 'TestIngestZeroAlloc|TestIngestBatchZeroAlloc' ./internal/flowtable
 
-# Dice and clock gate: the per-domain random stream must be math/rand's,
-# draw for draw, and the event heap must fire in (deadline, scheduling
-# order) with zero steady-state allocation; a named plain run, because the
-# goldens depend on both and the race runtime changes allocation counts.
+# Dice and clock gate: every random stream is a pure function of its key
+# (injective key derivation, disjoint sibling streams, allocation-free
+# reseeding), both engines roll each connection's spin dice alike, and the
+# event heap must fire in (deadline, scheduling order) with zero
+# steady-state allocation; a named plain run, because the goldens depend on
+# both and the race runtime changes allocation counts.
 echo "== dice and clock gate"
-go test -count=1 -run 'TestSeekSourceMatchesMathRand|TestSeekSourceZeroAlloc' ./internal/scanner
+go test -count=1 -run 'TestKeyDerivationInjective|TestSiblingStreamsShareNoValue|TestReseedRestartsStream|TestReseedZeroAlloc' ./internal/dice
+go test -count=1 -run 'TestComplianceDiceBinomial' ./internal/scanner
 go test -count=1 -run 'TestLoopMatchesReference|TestLoopSteadyStateZeroAlloc' ./internal/sim
 
 # Emulated memory gate: the packet-level engine's memory is constant in the
