@@ -1,8 +1,10 @@
 package analysis
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
+	"net/netip"
 	"sort"
 
 	"quicspin/internal/asdb"
@@ -20,8 +22,10 @@ import (
 //   - compact: uvarint counters, no field names, histogram bin edges are
 //     implied by the analysis constants (Fig3Edges/Fig4Edges);
 //   - canonical: every map serializes in sorted key order and the decoder
-//     rejects out-of-order or duplicate keys, so Marshal is a pure function
-//     of the fold state and Marshal→Unmarshal→Marshal is byte-stable;
+//     rejects out-of-order or duplicate keys, an IP key that is not its
+//     address's own text, and a longitudinal entry without a QUIC week, so
+//     Marshal is a pure function of the fold state and
+//     Marshal→Unmarshal→Marshal is byte-stable;
 //   - hostile-proof: the decoder bounds every allocation by the remaining
 //     input size and rejects truncated, trailing or inconsistent bytes with
 //     an error — never a panic (FuzzAccumulatorUnmarshal pins this);
@@ -276,37 +280,61 @@ func decodeCounts(d *codecDec, dst ...*int) error {
 	return nil
 }
 
-func encodeIPStates(e *codecEnc, ips map[string]*ipState) {
-	keys := sortedKeys(ips)
-	e.count(len(keys))
-	for _, ip := range keys {
-		e.str(ip)
+// encodeIPStates writes the per-IP set keyed by each address's text, in
+// string order. Every text is appended to one buffer and the entries are
+// sorted by their spans of it, so encoding costs no allocation per address.
+func encodeIPStates(e *codecEnc, ips map[netip.Addr]ipState) {
+	type entry struct {
+		lo, hi int
+		st     ipState
+	}
+	var text []byte
+	ents := make([]entry, 0, len(ips))
+	for ip, st := range ips {
+		lo := len(text)
+		text = ip.AppendTo(text)
+		ents = append(ents, entry{lo, len(text), st})
+	}
+	sort.Slice(ents, func(i, j int) bool {
+		return bytes.Compare(text[ents[i].lo:ents[i].hi], text[ents[j].lo:ents[j].hi]) < 0
+	})
+	e.count(len(ents))
+	for _, en := range ents {
+		e.uint(uint64(en.hi - en.lo))
+		e.b = append(e.b, text[en.lo:en.hi]...)
 		var f byte
-		if ips[ip].quic {
+		if en.st.quic {
 			f |= ipFlagQUIC
 		}
-		if ips[ip].spin {
+		if en.st.spin {
 			f |= ipFlagSpin
 		}
 		e.b = append(e.b, f)
 	}
 }
 
-func decodeIPStates(d *codecDec, ips map[string]*ipState) error {
+func decodeIPStates(d *codecDec, ips map[netip.Addr]ipState) error {
 	n, err := d.length(3) // key length + ≥1 key byte + flags
 	if err != nil {
 		return err
 	}
 	prev := ""
 	for i := 0; i < n; i++ {
-		ip, err := d.str()
+		text, err := d.str()
 		if err != nil {
 			return err
 		}
-		if ip == "" || (i > 0 && ip <= prev) {
-			return decErr("IP keys not strictly ascending (%q after %q)", ip, prev)
+		if text == "" || (i > 0 && text <= prev) {
+			return decErr("IP keys not strictly ascending (%q after %q)", text, prev)
 		}
-		prev = ip
+		prev = text
+		// The fold keys unmapped addresses and writes the text AppendTo
+		// gives, so any other spelling of an address is not canonical.
+		ip, err := netip.ParseAddr(text)
+		var canon [64]byte
+		if err != nil || ip.Is4In6() || string(ip.AppendTo(canon[:0])) != text {
+			return decErr("IP key %q is not a canonical address", text)
+		}
 		if len(d.b) == 0 {
 			return decErr("truncated IP flags")
 		}
@@ -317,7 +345,7 @@ func decodeIPStates(d *codecDec, ips map[string]*ipState) error {
 		if f > ipFlagQUIC|ipFlagSpin {
 			return decErr("bad IP flags %d", f)
 		}
-		ips[ip] = &ipState{quic: f&ipFlagQUIC != 0, spin: f&ipFlagSpin != 0}
+		ips[ip] = ipState{quic: f&ipFlagQUIC != 0, spin: f&ipFlagSpin != 0}
 	}
 	return nil
 }
@@ -580,6 +608,10 @@ func UnmarshalCampaign(data []byte, res *asdb.Resolver) (*CampaignAccumulator, e
 		t := c.long.track(name)
 		if err := decodeCounts(d, &t.quicWeeks, &t.spinWeeks); err != nil {
 			return nil, err
+		}
+		if t.quicWeeks == 0 {
+			// The fold keeps no record of a domain that never spoke QUIC.
+			return nil, decErr("domain %q has no QUIC week", name)
 		}
 		if t.spinWeeks > t.quicWeeks {
 			return nil, decErr("domain %q spun in %d of %d QUIC weeks", name, t.spinWeeks, t.quicWeeks)

@@ -1,6 +1,7 @@
 package analysis
 
 import (
+	"net/netip"
 	"sort"
 	"time"
 
@@ -22,11 +23,11 @@ type ipState struct{ quic, spin bool }
 type overviewFold struct {
 	v   View
 	row OverviewRow
-	ips map[string]*ipState
+	ips map[netip.Addr]ipState
 }
 
 func newOverviewFold(v View) *overviewFold {
-	return &overviewFold{v: v, row: OverviewRow{Label: v.Label}, ips: map[string]*ipState{}}
+	return &overviewFold{v: v, row: OverviewRow{Label: v.Label}, ips: map[netip.Addr]ipState{}}
 }
 
 func (f *overviewFold) add(da *DomainAnalysis) {
@@ -50,18 +51,13 @@ func (f *overviewFold) add(da *DomainAnalysis) {
 		if !c.IP.IsValid() {
 			continue
 		}
-		key := c.IP.String()
-		st := f.ips[key]
-		if st == nil {
-			st = &ipState{}
-			f.ips[key] = st
-		}
-		if c.QUIC {
-			st.quic = true
-		}
-		if da.Conns[j].Class == ClassSpin {
-			st.spin = true
-		}
+		// An IPv4-mapped address is its IPv4 address: one host, one key,
+		// one canonical text in the codec.
+		ip := c.IP.Unmap()
+		st := f.ips[ip]
+		st.quic = st.quic || c.QUIC
+		st.spin = st.spin || da.Conns[j].Class == ClassSpin
+		f.ips[ip] = st
 	}
 }
 
@@ -270,8 +266,10 @@ type longTrack struct {
 }
 
 // longFold accumulates the Fig. 2 compliance histogram across weeks. It
-// retains one small record per distinct domain name — the irreducible
-// state of a cross-week join — but no per-domain scan rows.
+// retains one small record per domain that spoke QUIC in some week — the
+// irreducible state of a cross-week join — but no per-domain scan rows. A
+// domain without a QUIC week can never spin, so finish would never read its
+// record; such a domain gets none.
 type longFold struct {
 	domains map[string]*longTrack
 	// free is the unused tail of the current track slab: tracks are handed
@@ -297,8 +295,12 @@ func (f *longFold) track(name string) *longTrack {
 
 // add folds one domain of one week; call it once per (domain, week).
 func (f *longFold) add(da *DomainAnalysis) {
+	quic := da.Src.QUIC()
+	if !quic && da.Class != ClassSpin {
+		return
+	}
 	t := f.track(da.Src.Domain)
-	if da.Src.QUIC() {
+	if quic {
 		t.quicWeeks++
 	}
 	if da.Class == ClassSpin {

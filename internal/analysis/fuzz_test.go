@@ -49,6 +49,11 @@ func FuzzAccumulatorUnmarshal(f *testing.F) {
 	corrupt := append([]byte(nil), blob...)
 	corrupt[len(corrupt)/3] ^= 0xFF
 	f.Add(corrupt)
+	// Non-canonical IP texts and a 0/0 longitudinal entry, one edit away
+	// from blobs the decoders accept.
+	for _, b := range nonCanonicalBlobs(res) {
+		f.Add(b)
+	}
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if a, err := UnmarshalAccumulator(data, res); err == nil {

@@ -71,12 +71,9 @@ func (f *overviewFold) merge(o *overviewFold) {
 	f.row.SpinDomains += o.row.SpinDomains
 	for ip, st := range o.ips {
 		dst := f.ips[ip]
-		if dst == nil {
-			dst = &ipState{}
-			f.ips[ip] = dst
-		}
 		dst.quic = dst.quic || st.quic
 		dst.spin = dst.spin || st.spin
+		f.ips[ip] = dst
 	}
 }
 

@@ -132,7 +132,8 @@ func Normalize(name string) string {
 // EnableCache turns on lookup memoisation: repeated queries for the same
 // (name, type) — redirect chains revisiting the same hosts — are answered
 // from memory. Injected timeouts are never cached. Campaign engines enable
-// this; telemetry exposes the hit/miss split.
+// this and scope it to one domain with ResetCache; telemetry exposes the
+// hit/miss split.
 func (r *Resolver) EnableCache() {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -168,6 +169,16 @@ func (r *Resolver) SetFaults(plan *fault.Plan) {
 	r.faults = plan
 }
 
+// ResetCache forgets every memoised lookup, keeping the memo's storage.
+// Campaign engines call it once per domain: nearly every hit falls inside
+// one domain's redirect chain, so a per-domain memo answers almost all of
+// them while its size stays bounded by one chain.
+func (r *Resolver) ResetCache() {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	clear(r.cache)
+}
+
 // Lookup resolves name to addresses of the given type (attempt 0).
 func (r *Resolver) Lookup(name string, t RType) ([]netip.Addr, error) {
 	return r.LookupAttempt(name, t, 0)
@@ -175,8 +186,17 @@ func (r *Resolver) Lookup(name string, t RType) ([]netip.Addr, error) {
 
 // LookupAttempt resolves name to addresses of the given type, identifying
 // the caller's per-domain retry attempt (0-based) so a fault plan can fail
-// the first k attempts deterministically.
+// the first k attempts deterministically. The result is the caller's own
+// copy.
 func (r *Resolver) LookupAttempt(name string, t RType, attempt int) ([]netip.Addr, error) {
+	return r.AppendLookup(nil, name, t, attempt)
+}
+
+// AppendLookup is LookupAttempt appending the addresses to dst, so a caller
+// with storage of its own resolves without allocating. The appended
+// addresses are a copy: nothing the caller does to dst reaches the backend
+// or the memo. On error dst is returned unchanged.
+func (r *Resolver) AppendLookup(dst []netip.Addr, name string, t RType, attempt int) ([]netip.Addr, error) {
 	name = Normalize(name)
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -188,7 +208,7 @@ func (r *Resolver) LookupAttempt(name string, t RType, attempt int) ([]netip.Add
 	// out.
 	if r.faults != nil {
 		if _, ok := r.backend.Zone(name); ok && r.faults.Hit(fault.DNS, fault.Timeout, name, attempt) {
-			return r.finishLocked(nil, fmt.Errorf("%w: %s %s", ErrTimeout, name, t))
+			return dst, r.finishLocked(fmt.Errorf("%w: %s %s", ErrTimeout, name, t))
 		}
 	}
 	key := cacheKey{name, t}
@@ -196,7 +216,10 @@ func (r *Resolver) LookupAttempt(name string, t RType, attempt int) ([]netip.Add
 		if e, ok := r.cache[key]; ok {
 			r.stats.CacheHits++
 			r.tmHits.Inc()
-			return r.finishLocked(e.addrs, e.err)
+			if e.err != nil {
+				return dst, r.finishLocked(e.err)
+			}
+			return append(dst, e.addrs...), r.finishLocked(nil)
 		}
 		r.tmMisses.Inc()
 	}
@@ -204,7 +227,10 @@ func (r *Resolver) LookupAttempt(name string, t RType, attempt int) ([]netip.Add
 	if r.cache != nil && !errors.Is(err, ErrTimeout) {
 		r.cache[key] = cacheEntry{addrs: addrs, err: err}
 	}
-	return r.finishLocked(addrs, err)
+	if err != nil {
+		return dst, r.finishLocked(err)
+	}
+	return append(dst, addrs...), r.finishLocked(nil)
 }
 
 // lookupLocked performs the uncached resolution against the backend.
@@ -229,15 +255,11 @@ func (r *Resolver) lookupLocked(name string, t RType) ([]netip.Addr, error) {
 	return addrs, nil
 }
 
-// finishLocked tallies a lookup outcome and returns a defensive copy of
-// the address list (cached entries must stay immutable).
-func (r *Resolver) finishLocked(addrs []netip.Addr, err error) ([]netip.Addr, error) {
+// finishLocked tallies a lookup outcome and returns its error.
+func (r *Resolver) finishLocked(err error) error {
 	switch {
 	case err == nil:
 		r.stats.Resolved++
-		out := make([]netip.Addr, len(addrs))
-		copy(out, addrs)
-		return out, nil
 	case errors.Is(err, ErrNXDomain):
 		r.stats.NXDomain++
 		r.tmErrs["nxdomain"].Inc()
@@ -248,7 +270,7 @@ func (r *Resolver) finishLocked(addrs []netip.Addr, err error) ([]netip.Addr, er
 		r.stats.NoRecord++
 		r.tmErrs["norecord"].Inc()
 	}
-	return nil, err
+	return err
 }
 
 // Stats returns a snapshot of resolver counters.

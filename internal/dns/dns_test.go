@@ -76,14 +76,62 @@ func TestTimeoutInjection(t *testing.T) {
 	}
 }
 
+// lookups are the two ways to resolve: a fresh slice from Lookup, and
+// AppendLookup into storage the caller owns (here a reused array).
+func lookups(r *Resolver) map[string]func(name string, t RType) ([]netip.Addr, error) {
+	var own [2]netip.Addr
+	return map[string]func(string, RType) ([]netip.Addr, error){
+		"Lookup": r.Lookup,
+		"AppendLookup": func(name string, t RType) ([]netip.Addr, error) {
+			return r.AppendLookup(own[:0], name, t, 0)
+		},
+	}
+}
+
 func TestResultIsACopy(t *testing.T) {
-	b := backend()
-	r := NewResolver(b, rand.New(rand.NewSource(1)))
-	addrs, _ := r.Lookup("www.example.com", TypeA)
-	addrs[0] = netip.MustParseAddr("203.0.113.99")
-	again, _ := r.Lookup("www.example.com", TypeA)
-	if again[0] != netip.MustParseAddr("192.0.2.1") {
-		t.Error("Lookup result aliases backend data")
+	for name, lookup := range lookups(NewResolver(backend(), rand.New(rand.NewSource(1)))) {
+		t.Run(name, func(t *testing.T) {
+			addrs, _ := lookup("www.example.com", TypeA)
+			addrs[0] = netip.MustParseAddr("203.0.113.99")
+			again, _ := lookup("www.example.com", TypeA)
+			if again[0] != netip.MustParseAddr("192.0.2.1") {
+				t.Error("Lookup result aliases backend data")
+			}
+		})
+	}
+}
+
+// AppendLookup appends after what dst holds, leaves dst alone on an error
+// and, with room in dst, allocates nothing once the memo is warm.
+func TestAppendLookup(t *testing.T) {
+	r := NewResolver(backend(), rand.New(rand.NewSource(1)))
+	r.EnableCache()
+	v6 := netip.MustParseAddr("2001:db8::1")
+	dst := make([]netip.Addr, 1, 4)
+	dst[0] = v6
+	got, err := r.AppendLookup(dst, "www.example.com", TypeA, 0)
+	if err != nil || len(got) != 2 || got[0] != v6 || got[1] != netip.MustParseAddr("192.0.2.1") {
+		t.Fatalf("AppendLookup = (%v, %v), want [%v 192.0.2.1]", got, err, v6)
+	}
+	got, err = r.AppendLookup(dst, "missing.example.com", TypeA, 0)
+	if !errors.Is(err, ErrNXDomain) || len(got) != 1 || got[0] != v6 {
+		t.Fatalf("failed AppendLookup = (%v, %v), want dst unchanged and NXDOMAIN", got, err)
+	}
+	if n := testing.AllocsPerRun(100, func() { r.AppendLookup(dst[:0], "www.example.com", TypeA, 0) }); n != 0 {
+		t.Errorf("a memoised AppendLookup allocates %.1f times, want 0", n)
+	}
+}
+
+// ResetCache empties the memo: the next lookup of a memoised name misses.
+func TestResetCache(t *testing.T) {
+	r := NewResolver(backend(), rand.New(rand.NewSource(1)))
+	r.EnableCache()
+	r.Lookup("www.example.com", TypeA)
+	r.Lookup("www.example.com", TypeA)
+	r.ResetCache()
+	r.Lookup("www.example.com", TypeA)
+	if st := r.Stats(); st.Queries != 3 || st.CacheHits != 1 || st.Resolved != 3 {
+		t.Errorf("stats = %+v, want 3 resolved queries with 1 cache hit", st)
 	}
 }
 
@@ -201,10 +249,14 @@ func TestScheduleOutranksCache(t *testing.T) {
 func TestCachedResultIsACopy(t *testing.T) {
 	r := NewResolver(backend(), rand.New(rand.NewSource(1)))
 	r.EnableCache()
-	a1, _ := r.Lookup("www.example.com", TypeA)
-	a1[0] = netip.MustParseAddr("198.51.100.99") // clobber the returned slice
-	a2, err := r.Lookup("www.example.com", TypeA)
-	if err != nil || a2[0] != netip.MustParseAddr("192.0.2.1") {
-		t.Fatalf("cache entry was mutated through a returned slice: (%v, %v)", a2, err)
+	for name, lookup := range lookups(r) {
+		t.Run(name, func(t *testing.T) {
+			a1, _ := lookup("www.example.com", TypeA)
+			a1[0] = netip.MustParseAddr("198.51.100.99") // clobber the returned slice
+			a2, err := lookup("www.example.com", TypeA)
+			if err != nil || a2[0] != netip.MustParseAddr("192.0.2.1") {
+				t.Fatalf("cache entry was mutated through a returned slice: (%v, %v)", a2, err)
+			}
+		})
 	}
 }

@@ -356,6 +356,12 @@ func DetectSpinPattern(obs []core.Observation) Profile {
 	if len(obs) < 4 {
 		return None
 	}
+	// A series already in strictly increasing packet-number order — every
+	// series the fast engine synthesises, and most received ones — is its own
+	// sorted, duplicate-free form and is read in place.
+	if pnStrictlyIncreasing(obs) {
+		return spinPattern(obs)
+	}
 	sorted := make([]core.Observation, len(obs))
 	copy(sorted, obs)
 	sort.Slice(sorted, func(i, j int) bool { return sorted[i].PN < sorted[j].PN })
@@ -366,6 +372,12 @@ func DetectSpinPattern(obs []core.Observation) Profile {
 			uniq = append(uniq, o)
 		}
 	}
+	return spinPattern(uniq)
+}
+
+// spinPattern matches the signatures against a series in strictly
+// increasing packet-number order.
+func spinPattern(uniq []core.Observation) Profile {
 	flap, liar := true, true
 	transitions, fastFlip := 0, false
 	for i, o := range uniq {
@@ -400,6 +412,15 @@ func DetectSpinPattern(obs []core.Observation) Profile {
 	default:
 		return None
 	}
+}
+
+func pnStrictlyIncreasing(obs []core.Observation) bool {
+	for i := 1; i < len(obs); i++ {
+		if obs[i].PN <= obs[i-1].PN {
+			return false
+		}
+	}
+	return true
 }
 
 // Stream-inspection budgets: an honest HTTP/3-lite response terminates its

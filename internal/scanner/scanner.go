@@ -441,15 +441,15 @@ func (r *retrier) retry(stage, errStr string) bool {
 
 // resolveRetry resolves the host in the configured address family,
 // retrying transient DNS failures within the domain's budget. It returns
-// every resolved address so connection-level retries can rotate through
-// them (multi-address fallback).
-func resolveRetry(rt *retrier, res *dns.Resolver, host string, ipv6 bool) ([]netip.Addr, error) {
+// every resolved address, appended to dst[:0], so connection-level retries
+// can rotate through them (multi-address fallback).
+func resolveRetry(dst []netip.Addr, rt *retrier, res *dns.Resolver, host string, ipv6 bool) ([]netip.Addr, error) {
 	t := dns.TypeA
 	if ipv6 {
 		t = dns.TypeAAAA
 	}
 	for attempt := 0; ; attempt++ {
-		addrs, err := res.LookupAttempt(host, t, attempt)
+		addrs, err := res.AppendLookup(dst[:0], host, t, attempt)
 		if err == nil {
 			return addrs, nil
 		}
@@ -482,6 +482,10 @@ func connectRetry(rt *retrier, addrs []netip.Addr, dial func(ip netip.Addr, atte
 // DomainResult is identical with tracing on or off.
 func runChain(cfg Config, rng *rand.Rand, resolver *dns.Resolver, sleep func(time.Duration), tm *scanTelemetry, rec *trace.Recorder, now func() time.Time, d *websim.Domain, dial func(target string, ip netip.Addr, hop, attempt int, path string) ConnResult) DomainResult {
 	rt := &retrier{policy: cfg.Retry, rng: rng, sleep: sleep, tm: tm}
+	// The engine's DNS memo serves one domain's chain: a redirect revisiting
+	// a host is a hit, but nothing carries over to the next domain, so the
+	// memo stays the size of one chain however long the campaign runs.
+	resolver.ResetCache()
 	res := DomainResult{Domain: d.Name, TLD: d.TLD, Toplist: d.Toplist}
 	target, path := d.Host(), "/"
 	if rec != nil {
@@ -489,7 +493,10 @@ func runChain(cfg Config, rng *rand.Rand, resolver *dns.Resolver, sleep func(tim
 		rec.Begin(d.Name, at)
 		rec.StageStart("dns", at)
 	}
-	addrs, err := resolveRetry(rt, resolver, target, cfg.IPv6)
+	// Every hop resolves into this array: a record holds one or two
+	// addresses, so the chain's lookups stay off the heap.
+	var buf [4]netip.Addr
+	addrs, err := resolveRetry(buf[:0], rt, resolver, target, cfg.IPv6)
 	if err != nil {
 		res.DNSErr = errString(err)
 		if rec != nil {
@@ -518,7 +525,7 @@ func runChain(cfg Config, rng *rand.Rand, resolver *dns.Resolver, sleep func(tim
 			break
 		}
 		target, path = next, redirectPath(conn.Redirect)
-		naddrs, err := resolveRetry(rt, resolver, target, cfg.IPv6)
+		naddrs, err := resolveRetry(addrs, rt, resolver, target, cfg.IPv6)
 		if err != nil {
 			break
 		}

@@ -279,7 +279,7 @@ func (c *campaign) scanStep(eng *engine, shard int, rec *trace.Recorder, d *webs
 	}
 	c.tm.recordDomain(&res)
 	if c.journal != nil && !fromCheckpoint {
-		if err := c.journal.Append(shard, ckey, &res); err != nil {
+		if err := c.journalAppend(shard, ckey, res); err != nil {
 			// Checkpointing is an optimisation: count the failure, surface
 			// the degraded state, keep scanning. Degraded fast-fails are
 			// tallied separately (journal_appends_skipped) so the error
@@ -295,6 +295,13 @@ func (c *campaign) scanStep(eng *engine, shard int, rec *trace.Recorder, d *webs
 		c.requestStop()
 	}
 	return res, true
+}
+
+// journalAppend checkpoints one result. It takes the result by value: the
+// journal's interface argument moves what it points at to the heap, and
+// this way only a journaled scan pays for that copy, not every scanStep.
+func (c *campaign) journalAppend(shard int, key string, res DomainResult) error {
+	return c.journal.Append(shard, key, &res)
 }
 
 // worker scans batches until the work channel closes. After an interrupt it

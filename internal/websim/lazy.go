@@ -130,7 +130,7 @@ func (w *World) lazyDomainBase(i int) (*Domain, *rand.Rand) {
 	label, top := w.lazyLabel(i)
 	rng := w.lazyDomainRng(label)
 	tld := pickTLD(rng, top)
-	d := &Domain{Name: label + "." + tld, TLD: tld, Toplist: top}
+	d := newDomain(label, tld, top)
 
 	resolveRate := p.ZoneResolveRate
 	quicRate := p.ZoneQUICRate

@@ -12,7 +12,6 @@ import (
 	"quicspin/internal/dns"
 	"quicspin/internal/hostile"
 	"quicspin/internal/netem"
-	"quicspin/internal/targets"
 )
 
 // Org is one instantiated hosting organisation.
@@ -209,10 +208,20 @@ type Domain struct {
 	RedirectTo string
 	// BodyBytes is the landing-page size.
 	BodyBytes int
+	// host is the www-form name; Name is its suffix, so one concatenation
+	// per domain serves both.
+	host string
+}
+
+// newDomain builds the named domain with its www-form host; every Domain is
+// built here.
+func newDomain(label, tld string, top bool) *Domain {
+	host := "www." + label + "." + tld
+	return &Domain{Name: host[len("www."):], TLD: tld, Toplist: top, host: host}
 }
 
 // Host returns the www-form name the scanner queries.
-func (d *Domain) Host() string { return targets.PrependWWW(d.Name) }
+func (d *Domain) Host() string { return d.host }
 
 // World is a fully generated synthetic web. Worlds built by Generate
 // materialise every domain and server up front; worlds built by
@@ -373,7 +382,7 @@ func pickTLD(rng *rand.Rand, top bool) string {
 func (w *World) addDomain(rng *rand.Rand, label string, top bool) {
 	p := w.Profile
 	tld := pickTLD(rng, top)
-	d := &Domain{Name: label + "." + tld, TLD: tld, Toplist: top}
+	d := newDomain(label, tld, top)
 	w.Domains = append(w.Domains, d)
 	w.byHost[d.Host()] = d
 

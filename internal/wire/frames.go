@@ -3,6 +3,7 @@ package wire
 import (
 	"errors"
 	"fmt"
+	"slices"
 )
 
 // Frame type identifiers (RFC 9000 §19). STREAM frames occupy the range
@@ -37,11 +38,16 @@ type Frame interface {
 // PaddingFrame is a run of n PADDING bytes.
 type PaddingFrame struct{ N int }
 
-// Append implements Frame.
+// Append implements Frame. PADDING's type byte is zero, so the run is
+// appended in one step, a clear of the extended tail, allocating only when
+// b has no room.
 func (f PaddingFrame) Append(b []byte) []byte {
-	for i := 0; i < f.N; i++ {
-		b = append(b, FrameTypePadding)
+	if f.N <= 0 {
+		return b
 	}
+	n := len(b)
+	b = slices.Grow(b, f.N)[:n+f.N]
+	clear(b[n:])
 	return b
 }
 

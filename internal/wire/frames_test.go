@@ -53,6 +53,47 @@ func TestPaddingCollapses(t *testing.T) {
 	}
 }
 
+// A run of n PADDING bytes is n zero bytes after whatever was there, parses
+// back as one PaddingFrame{n}, and costs no allocation when the buffer has
+// room.
+func TestPaddingAppendRun(t *testing.T) {
+	prefix := []byte{FrameTypePing}
+	buf := make([]byte, 0, 2048)
+	for n := 0; n <= 1500; n++ {
+		b := PaddingFrame{N: n}.Append(append(buf[:0], prefix...))
+		if len(b) != 1+n || b[0] != FrameTypePing {
+			t.Fatalf("N=%d: appended %d bytes after the prefix, want %d", n, len(b)-1, n)
+		}
+		for i, c := range b[1:] {
+			if c != 0 {
+				t.Fatalf("N=%d: byte %d is %#x, want 0", n, i, c)
+			}
+		}
+		got, err := ParseFrames(b[1:])
+		if err != nil {
+			t.Fatalf("N=%d: %v", n, err)
+		}
+		var want []Frame
+		if n > 0 {
+			want = []Frame{PaddingFrame{N: n}}
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("N=%d: parsed %#v, want %#v", n, got, want)
+		}
+	}
+	// Stale bytes in the buffer's spare capacity must not leak into the run.
+	dirty := buf[:cap(buf)]
+	for i := range dirty {
+		dirty[i] = 0xFF
+	}
+	if b := (PaddingFrame{N: 1000}).Append(buf[:0]); !bytes.Equal(b, make([]byte, 1000)) {
+		t.Fatal("padding over a dirty buffer is not all zero")
+	}
+	if n := testing.AllocsPerRun(100, func() { PaddingFrame{N: 1500}.Append(buf[:0]) }); n != 0 {
+		t.Errorf("PaddingFrame.Append allocates %.1f per run with room in the buffer, want 0", n)
+	}
+}
+
 func TestAckFrameDelayEncoding(t *testing.T) {
 	// Delay is carried in units of 2^AckDelayExponent microseconds, so the
 	// decoded value is the encoded one rounded down to a multiple of 8 µs.

@@ -320,6 +320,15 @@ go test -race -count=1 -run 'TestServerForgetsDroppedConnections' ./internal/h3
 go test -race -count=1 -run 'TestGoldenEmulatedWeek|TestGoldenCampaign|TestTableDeterminism$' ./internal/analysis
 go test -race -count=1 -run 'TestDifferentialEngines$|TestHostileChaosCampaign' ./internal/conformance
 
+# Fast campaign memory gate: a fast-engine domain scanned through the
+# streaming pipeline and folded into the campaign costs at most 2.5
+# allocations, the longitudinal fold keeps a record only for domains that
+# spoke QUIC, and an engine's DNS memo holds one domain's chain. A plain
+# run, because the race runtime changes allocation counts.
+echo "== fast campaign memory gate"
+go test -count=1 -run 'TestFastDomainAllocCeiling|TestLongFoldTracksOnlyQUIC' ./internal/analysis
+go test -count=1 -run 'TestEngineResolverMemoBounded' ./internal/scanner
+
 # Benchmark ruler untouched: bench/ is the fixed ruler a perf PR is measured
 # with, so it must vet and pass as it is against the changed internal/*
 # (its tests run every workload's smoke pass, traced and untraced).
