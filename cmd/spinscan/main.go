@@ -31,7 +31,6 @@ import (
 
 	"quicspin/internal/analysis"
 	"quicspin/internal/asdb"
-	"quicspin/internal/conformance"
 	"quicspin/internal/fault"
 	"quicspin/internal/report"
 	"quicspin/internal/resilience"
@@ -57,7 +56,6 @@ var (
 	qlogDir          = flag.String("qlog-dir", "", "write per-connection qlog traces to this directory")
 	asdbOut          = flag.String("asdb-out", "", "write the world's prefix→ASN→org snapshot here (for spinalyze -asdb)")
 	summary          = flag.Bool("summary", true, "print adoption tables after scanning")
-	conform          = flag.Bool("conformance", false, "run the engine differential + invariant conformance suite instead of scanning")
 	debugAddr        = flag.String("debug-addr", "", "serve /metrics, /snapshot and /debug/pprof on this address (e.g. :9090)")
 	progressEvery    = flag.Duration("progress", 5*time.Second, "progress report interval (0 disables)")
 	retries          = flag.Int("retries", 0, "per-domain retry budget for transient failures (0 disables)")
@@ -65,7 +63,7 @@ var (
 	breakerCooldown  = flag.Duration("breaker-cooldown", 0, "virtual cooldown before an open breaker probes again (0 = 30s default)")
 	checkpoint       = flag.String("checkpoint", "", "journal completed domains to this directory (enables -resume)")
 	resume           = flag.Bool("resume", false, "replay the -checkpoint journal and scan only the remainder")
-	lazyWorld        = flag.Bool("lazy-world", false, "synthesise domains and servers on demand instead of materialising the population")
+	lazyWorld        = flag.Bool("lazy-world", false, "synthesise domains and servers on demand instead of materialising the population: same tables, less memory, slower")
 	traceOn          = flag.Bool("trace", false, "record per-domain stage traces into the flight recorder (serves /debug/traces with -debug-addr)")
 	traceDir         = flag.String("trace-dir", "", "write flight-recorder dumps (panic/stall/budget postmortems) to this directory; implies -trace")
 	flightDepth      = flag.Int("flight-recorder", 0, "per-worker flight-recorder ring depth (0 = 64 default)")
@@ -325,11 +323,6 @@ func main() {
 		log.Printf("wrote asdb snapshot to %s", *asdbOut)
 	}
 
-	if *conform {
-		runConformance(world, prof.Seed, *week, *ipv6, *workers, *timeout, *maxRedirects)
-		return
-	}
-
 	nw := *workers
 	if nw == 0 {
 		nw = runtime.GOMAXPROCS(0)
@@ -509,34 +502,4 @@ func parseVantages(spec string) ([]scanner.Vantage, error) {
 		out = append(out, v)
 	}
 	return out, nil
-}
-
-// runConformance cross-validates the two engines over the generated world
-// and runs the chaos-schedule invariant sweep, then exits non-zero if
-// either found a violation. The differential reuses the campaign loop's
-// seed derivation (world seed + week) so its findings correspond to a real
-// scan configuration.
-func runConformance(world *websim.World, worldSeed int64, week int, ipv6 bool, workers int, timeout time.Duration, maxRedirects int) {
-	log.Printf("running engine differential (week %d, ipv6=%v)...", week, ipv6)
-	rep, err := conformance.RunDiff(conformance.DiffConfig{
-		World:        world,
-		Week:         week,
-		IPv6:         ipv6,
-		Seed:         worldSeed + int64(week),
-		Workers:      workers,
-		Timeout:      timeout,
-		MaxRedirects: maxRedirects,
-	})
-	if err != nil {
-		log.Fatal(err)
-	}
-	fmt.Println(rep.Summary())
-
-	log.Printf("running invariant chaos sweep...")
-	inv := conformance.CheckInvariants(conformance.DefaultChaosCases())
-	fmt.Println(inv.Summary())
-
-	if !rep.OK() || !inv.OK() {
-		os.Exit(1)
-	}
 }

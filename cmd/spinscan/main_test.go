@@ -94,8 +94,8 @@ func TestOptionBudget(t *testing.T) {
 			flags++
 		}
 	})
-	if flags > 42 {
-		t.Errorf("spinscan defines %d flags, budget 42", flags)
+	if flags > 41 {
+		t.Errorf("spinscan defines %d flags, budget 41", flags)
 	}
 	for _, c := range []struct {
 		cfg    any

@@ -141,15 +141,16 @@ func TestGoldenCampaign(t *testing.T) {
 	checkGolden(t, "campaign_4weeks.golden", out)
 }
 
-// TestStreamingLazyWorldDeterminism pins the lazily synthesised world: its
-// output differs from the eager world's by design, but must not vary with
-// the worker count (or across runs).
+// TestStreamingLazyWorldDeterminism pins the world's two storages to one
+// rendering: the on-demand world and the materialised one hold the same
+// population, and neither may vary with the worker count (or across runs).
 func TestStreamingLazyWorldDeterminism(t *testing.T) {
 	p := websim.DefaultProfile()
 	p.Scale = 20000
-	world := websim.GenerateLazy(p)
-	for _, workers := range []int{1, 4, 16} {
-		cfg := scanner.Config{Week: 3, Engine: scanner.EngineFast, Seed: 11, Workers: workers}
-		checkGolden(t, "lazy_week3.golden", renderStreamWeek(streamWeek(t, world, cfg)))
+	for _, world := range []*websim.World{websim.GenerateLazy(p), websim.Generate(p)} {
+		for _, workers := range []int{1, 4, 16} {
+			cfg := scanner.Config{Week: 3, Engine: scanner.EngineFast, Seed: 11, Workers: workers}
+			checkGolden(t, "lazy_week3.golden", renderStreamWeek(streamWeek(t, world, cfg)))
+		}
 	}
 }

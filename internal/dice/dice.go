@@ -16,13 +16,14 @@ import (
 )
 
 // Purpose names what a stream's draws decide. This list is every random
-// draw the scanner and the on-demand world take; a new draw joins the
+// draw the scanner and the world's population take; a new draw joins the
 // purpose it serves, or becomes a new purpose here.
 type Purpose uint8
 
 const (
-	// World synthesises the on-demand world: one stream per domain label
-	// and one per server address, keyed by a salted seed.
+	// World synthesises the world's population, materialised or on
+	// demand: one stream per domain label and one per server address,
+	// keyed by a salted seed.
 	World Purpose = iota
 	// Retry draws the retry backoff jitter: one stream per domain.
 	Retry
@@ -119,7 +120,7 @@ func (r *Rand) Reseed(k Key) *rand.Rand {
 }
 
 // Seeded returns a new stream of k, for callers that cannot keep a reusable
-// one (the on-demand world is read by every worker at once).
+// one.
 func Seeded(k Key) *rand.Rand {
 	return New().Reseed(k)
 }

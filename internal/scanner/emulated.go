@@ -15,7 +15,6 @@ import (
 	"quicspin/internal/hostile"
 	"quicspin/internal/netem"
 	"quicspin/internal/sim"
-	"quicspin/internal/targets"
 	"quicspin/internal/trace"
 	"quicspin/internal/transport"
 	"quicspin/internal/websim"
@@ -562,7 +561,7 @@ func buildResponse(w *websim.World, srv *websim.Server, req *h3.Request) *h3.Res
 		return &h3.Response{Status: 404, Headers: hdr, Body: []byte("unknown authority")}
 	}
 	if d.RedirectTo != "" && req.Path == "/" {
-		hdr["location"] = "https://" + targets.PrependWWW(d.RedirectTo) + "/landing"
+		hdr["location"] = "https://www." + d.RedirectTo + "/landing"
 		return &h3.Response{Status: 301, Headers: hdr}
 	}
 	return &h3.Response{Status: 200, Headers: hdr, Body: patternBody(d.BodyBytes)}

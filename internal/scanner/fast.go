@@ -10,7 +10,6 @@ import (
 	"quicspin/internal/dns"
 	"quicspin/internal/fault"
 	"quicspin/internal/hostile"
-	"quicspin/internal/targets"
 	"quicspin/internal/trace"
 	"quicspin/internal/transport"
 	"quicspin/internal/websim"
@@ -147,7 +146,7 @@ func (e *fastEngine) connect(target string, ip netip.Addr, hop, attempt int, pat
 		out.Status = 404
 	case d.RedirectTo != "" && path == "/":
 		out.Status = 301
-		out.Redirect = "https://" + targets.PrependWWW(d.RedirectTo) + "/landing"
+		out.Redirect = "https://www." + d.RedirectTo + "/landing"
 	default:
 		out.Status = 200
 		respBytes = d.BodyBytes

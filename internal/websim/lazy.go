@@ -1,7 +1,6 @@
 package websim
 
 import (
-	"fmt"
 	"math/rand"
 	"net/netip"
 	"strconv"
@@ -14,50 +13,32 @@ import (
 	"quicspin/internal/hostile"
 )
 
-// Lazy world generation. GenerateLazy builds only the organisation layer
-// (orgs, address pools, spin-mode quotas, the ASDB) eagerly; every domain
-// and server is synthesised on demand from an rng keyed by (Seed, name)
-// or (Seed, address). The synthesis is a pure function, so repeated
-// lookups agree with each other — DNS answers, redirect targets and server
-// deployments are self-consistent — and results are independent of lookup
-// order and worker count.
+// Keyed synthesis: the one population model. Only the organisation layer
+// (orgs, address pools, spin-mode quotas, the ASDB) is drawn from the
+// profile's seed in sequence. Every domain is then a pure function of its
+// population index, drawn from a stream keyed by (Seed, label), and every
+// server a pure function of its address, drawn from a stream keyed by
+// (Seed, address). DNS answers, redirect targets and server deployments
+// are therefore self-consistent, and independent of lookup order and
+// worker count.
 //
-// A lazy world is its own deterministic population: it is NOT
-// byte-identical to the eager world of the same profile, because eager
-// generation threads one rng stream through all domains in sequence while
-// lazy generation gives every domain an independent stream. Within a mode,
-// everything downstream (scan results, rendered tables) is reproducible;
-// tests pin both modes' determinism separately. The streaming scanner
-// (scanner.Run/RunStream) works with either; batch-materialising helpers
-// (Lists, qlog replay) synthesise domains transiently and remain usable.
+// The keyed model has two storages, which hold the same population.
+// Generate runs the synthesis once per domain and per resolved address and
+// keeps the results; GenerateLazy keeps nothing and synthesises on every
+// lookup, trading speed for a memory floor that does not grow with the
+// population. The streaming scanner (scanner.Run/RunStream) works with
+// either, and renders the same tables on both.
 
-// lazyState marks a world as lazily generated and caches the population
-// split.
-type lazyState struct {
-	topN  int
-	zoneN int
-}
-
-// Salts separating the lazy per-domain and per-server rng streams from
+// Salts separating the per-domain and per-server synthesis streams from
 // each other and from scan-time randomness.
 const (
-	lazyDomainSalt int64 = 0x1afd0e551a7e5eed
-	lazyServerSalt int64 = 0x5eed5ca1ab1e0bad
+	domainSalt int64 = 0x1afd0e551a7e5eed
+	serverSalt int64 = 0x5eed5ca1ab1e0bad
 )
 
-// GenerateLazy builds a world whose population is synthesised on demand.
-// The organisation layer (orgs, pools, spin quotas, ASDB) is identical to
-// Generate's for the same profile; domains and servers draw from keyed
-// rngs instead of the shared generation stream.
-func GenerateLazy(p Profile) *World {
-	w, _ := newWorld(p)
-	w.buildASDB()
-	w.lazy = &lazyState{
-		topN:  scaled(w.Profile.TopDomains, w.Profile.Scale),
-		zoneN: scaled(w.Profile.ZoneDomains, w.Profile.Scale),
-	}
-	return w
-}
+// GenerateLazy builds the world of Generate(p) without materialising its
+// population: domains and servers are synthesised on demand.
+func GenerateLazy(p Profile) *World { return newWorld(p) }
 
 // fnvOffset64/fnvPrime64 are the FNV-1a constants (hash/fnv, inlined to
 // keep domain keying allocation-free).
@@ -66,7 +47,7 @@ const (
 	fnvPrime64  = 1099511628211
 )
 
-func fnv64(s string) uint64 {
+func fnv64[T string | []byte](s T) uint64 {
 	h := uint64(fnvOffset64)
 	for i := 0; i < len(s); i++ {
 		h ^= uint64(s[i])
@@ -75,62 +56,27 @@ func fnv64(s string) uint64 {
 	return h
 }
 
-// lazyLabel returns the canonical label and toplist membership of
-// population index i.
-func (w *World) lazyLabel(i int) (label string, top bool) {
-	if i < w.lazy.topN {
-		return fmt.Sprintf("top%d", i), true
-	}
-	return fmt.Sprintf("site%d", i-w.lazy.topN), false
-}
-
-// lazyDomainRng derives the per-domain synthesis stream. Labels are unique
-// across the population, so streams never collide.
-func (w *World) lazyDomainRng(label string) *rand.Rand {
-	return lazyRng(w.Profile.Seed ^ int64(fnv64(label)) ^ lazyDomainSalt)
-}
-
-// lazyRng returns the world-synthesis stream of a salted key.
-func lazyRng(seed int64) *rand.Rand {
-	return dice.Seeded(dice.Key{Seed: seed, Purpose: dice.World})
-}
-
-// lazyDomainAt synthesises population index i, including its redirect
-// assignment. The draw order mirrors eager addDomain: TLD, resolvability,
-// QUIC hosting, org, body size, v4 placement, v6 dice — then the redirect
-// dice that eager generation performs in its second pass, continuing the
-// same per-domain stream.
-func (w *World) lazyDomainAt(i int) *Domain {
-	d, rng := w.lazyDomainBase(i)
-	if !d.Resolves || d.Org == nil || !d.Org.QUICHosting {
-		return d
-	}
+// synthDomain fills d with population index i, all but its redirect, from
+// r reseeded to the key of the index's label, and returns the stream
+// positioned after the domain's draws for drawRedirect. The draws, in
+// order: TLD, resolvability, QUIC hosting, org, body size, v4 placement,
+// v6 presence and placement.
+func (w *World) synthDomain(d *Domain, i int, r *dice.Rand) *rand.Rand {
 	p := w.Profile
-	if rng.Float64() >= p.RedirectRate {
-		return d
+	top := i < w.topN
+	var buf [64]byte
+	host := append(buf[:0], "www."...)
+	if top {
+		host = strconv.AppendInt(append(host, "top"...), int64(i), 10)
+	} else {
+		host = strconv.AppendInt(append(host, "site"...), int64(i-w.topN), 10)
 	}
-	if rng.Float64() < p.CrossHostRedirectRate && w.NumDomains() > 1 {
-		j := rng.Intn(w.NumDomains())
-		if j != i {
-			if t, _ := w.lazyDomainBase(j); t.Resolves && t.Org != nil && t.Org.QUICHosting {
-				d.RedirectTo = t.Name
-				return d
-			}
-		}
-	}
-	d.RedirectTo = d.Name // canonical-self redirect
-	return d
-}
-
-// lazyDomainBase synthesises a domain without its redirect assignment
-// (redirect targets use it to break the recursion) and returns the
-// per-domain rng positioned after the base draws.
-func (w *World) lazyDomainBase(i int) (*Domain, *rand.Rand) {
-	p := w.Profile
-	label, top := w.lazyLabel(i)
-	rng := w.lazyDomainRng(label)
+	// Labels are unique across the population, so streams never collide.
+	rng := r.Reseed(dice.Key{Seed: p.Seed ^ int64(fnv64(host[len("www."):])) ^ domainSalt, Purpose: dice.World})
 	tld := pickTLD(rng, top)
-	d := newDomain(label, tld, top)
+	host = append(append(host, '.'), tld...)
+	*d = Domain{TLD: tld, Toplist: top, host: string(host)}
+	d.Name = d.host[len("www."):]
 
 	resolveRate := p.ZoneResolveRate
 	quicRate := p.ZoneQUICRate
@@ -139,21 +85,25 @@ func (w *World) lazyDomainBase(i int) (*Domain, *rand.Rand) {
 		quicRate = p.TopQUICRate
 	}
 	if rng.Float64() >= resolveRate {
-		return d, rng // NXDOMAIN
+		return rng // NXDOMAIN
 	}
 	d.Resolves = true
 	quic := rng.Float64() < quicRate
 	d.Org = w.pickOrg(rng, top, quic)
 	d.BodyBytes = int(logUniform(rng, float64(p.BodyMinBytes), float64(p.BodyMaxBytes)))
 
+	// IPv4 address (spin-enabled IPs attract more zone domains).
 	d.V4 = d.Org.pick(rng, d.Org.v4Spin, d.Org.v4Rest, top)
 
+	// IPv6: AAAA presence per org (toplist hosting may differ). Modern
+	// spin-enabled stacks correlate with IPv6 rollout, which is what
+	// makes Table 4's host-level spin share exceed IPv4's.
 	v6Share := d.Org.V6Share
 	if top && d.Org.TopV6Share >= 0 {
 		v6Share = d.Org.TopV6Share
 	}
 	if d.Org.V6PerDomain {
-		if w.lazyServerMode(d.Org, d.V4) == core.ModeSpin {
+		if d.Org.mode(d.V4) == core.ModeSpin {
 			v6Share = min(1, v6Share*1.25)
 		} else {
 			v6Share *= 0.70
@@ -161,124 +111,60 @@ func (w *World) lazyDomainBase(i int) (*Domain, *rand.Rand) {
 	}
 	if rng.Float64() < v6Share {
 		if d.Org.V6PerDomain {
-			// Index-keyed allocation replaces the eager sequential counter;
-			// host 0 is never used, so i+1 keeps addresses unique and
+			// Host 0 is never used, so i+1 keeps addresses unique and
 			// reversible (lazyServerAt decodes the index back out).
 			d.V6 = v6At(d.Org.V6Prefix, uint64(i)+1)
 		} else if len(d.Org.v6Pool) > 0 {
 			d.V6 = d.Org.pick(rng, d.Org.v6Spin, d.Org.v6Rest, top)
 		}
 	}
-	return d, rng
+	return rng
 }
 
-// lazyServerMode looks up the spin-mode quota assignment of a pooled
-// address (eager serverFor reads the same org table).
-func (w *World) lazyServerMode(o *Org, addr netip.Addr) core.Mode {
+// drawRedirect rolls the redirect dice of the resolving QUIC domain at
+// population index i, continuing its synthesis stream. It reports whether
+// the landing page redirects and, when the redirect draws another
+// population index, that index (-1 otherwise). The caller resolves it with
+// (*Domain).redirect.
+func (w *World) drawRedirect(rng *rand.Rand, i int) (redirects bool, target int) {
+	p := w.Profile
+	if rng.Float64() >= p.RedirectRate {
+		return false, -1
+	}
+	n := w.NumDomains()
+	if rng.Float64() < p.CrossHostRedirectRate && n > 1 {
+		if j := rng.Intn(n); j != i {
+			return true, j
+		}
+	}
+	return true, -1
+}
+
+// redirect points d's landing page at t when t is a resolving QUIC domain
+// (a cross-host redirect), and at d itself otherwise (canonical-self).
+func (d *Domain) redirect(t *Domain) {
+	if t != nil && t.quic() {
+		d.RedirectTo = t.Name
+		return
+	}
+	d.RedirectTo = d.Name
+}
+
+// mode returns the spin deployment the org's quota assigned to a pooled
+// address (ModeZero when none).
+func (o *Org) mode(addr netip.Addr) core.Mode {
 	if m, ok := o.modes[addr]; ok {
 		return m
 	}
 	return core.ModeZero
 }
 
-// lazyDomainByHost decodes a www-form host name back to its population
-// index and re-synthesises the domain, returning nil for names outside
-// the population (or whose TLD dice disagree with the queried name).
-func (w *World) lazyDomainByHost(host string) *Domain {
-	name, ok := strings.CutPrefix(host, "www.")
-	if !ok {
-		return nil
-	}
-	dot := strings.IndexByte(name, '.')
-	if dot <= 0 {
-		return nil
-	}
-	label := name[:dot]
-	var idx int
-	switch {
-	case strings.HasPrefix(label, "top"):
-		n, err := strconv.Atoi(label[3:])
-		if err != nil || n < 0 || n >= w.lazy.topN {
-			return nil
-		}
-		idx = n
-	case strings.HasPrefix(label, "site"):
-		n, err := strconv.Atoi(label[4:])
-		if err != nil || n < 0 || n >= w.lazy.zoneN {
-			return nil
-		}
-		idx = w.lazy.topN + n
-	default:
-		return nil
-	}
-	d := w.lazyDomainAt(idx)
-	if d.Name != name {
-		return nil // TLD mismatch: the queried name does not exist
-	}
-	return d
-}
-
-// lazyZone adapts lazy domain synthesis to the dns.Backend interface.
-type lazyZone struct{ w *World }
-
-// Zone implements dns.Backend: only resolving domains have records, with
-// A/AAAA presence matching the domain's address dice.
-func (z lazyZone) Zone(name string) (dns.Record, bool) {
-	d := z.w.DomainByHost(name)
-	if d == nil || !d.Resolves {
-		return dns.Record{}, false
-	}
-	rec := dns.Record{}
-	if d.V4.IsValid() {
-		rec.A = []netip.Addr{d.V4}
-	}
-	if d.V6.IsValid() {
-		rec.AAAA = []netip.Addr{d.V6}
-	}
-	return rec, true
-}
-
-// lazyServerAt synthesises the server deployed at addr, or nil for
-// blackhole/unallocated space. Pooled addresses draw their deployment from
-// an address-keyed rng; per-domain v6 addresses front the same stack as
-// the owning domain's v4 server, like eager cloneServer.
-func (w *World) lazyServerAt(addr netip.Addr) *Server {
-	for _, o := range w.Orgs {
-		switch {
-		case o.V4Prefix.Contains(addr):
-			if host, ok := v4HostIndex(o.V4Prefix, addr); ok && host >= 1 && int(host) <= len(o.v4Pool) {
-				return w.lazyServer(o, addr)
-			}
-			return nil
-		case o.V6Prefix.Contains(addr):
-			host := v6HostIndex(addr)
-			if o.V6PerDomain {
-				if host < 1 || host > uint64(w.NumDomains()) {
-					return nil
-				}
-				d, _ := w.lazyDomainBase(int(host - 1))
-				if d.V6 != addr || !d.V4.IsValid() {
-					return nil
-				}
-				src := w.lazyServer(o, d.V4)
-				cp := *src
-				cp.Addr = addr
-				return &cp
-			}
-			if host >= 1 && int(host) <= len(o.v6Pool) {
-				return w.lazyServer(o, addr)
-			}
-			return nil
-		}
-	}
-	return nil
-}
-
-// lazyServer synthesises a pooled server with the draw order of eager
-// serverFor (base RTT, then deployment churn), from an rng keyed by the
-// address.
-func (w *World) lazyServer(o *Org, addr netip.Addr) *Server {
-	rng := lazyRng(w.Profile.Seed ^ int64(fnv64(addr.String())) ^ lazyServerSalt)
+// synthServer synthesises the pooled server of org o at addr from r
+// reseeded to the address's key: base RTT, then deployment churn.
+func (w *World) synthServer(r *dice.Rand, o *Org, addr netip.Addr) *Server {
+	var buf [64]byte
+	key := fnv64(addr.AppendTo(buf[:0])) // the bytes of addr.String()
+	rng := r.Reseed(dice.Key{Seed: w.Profile.Seed ^ int64(key) ^ serverSalt, Purpose: dice.World})
 	s := &Server{
 		Addr:          addr,
 		Org:           o,
@@ -289,7 +175,7 @@ func (w *World) lazyServer(o *Org, addr netip.Addr) *Server {
 		Mode:          core.ModeZero,
 	}
 	if s.QUIC {
-		s.Mode = w.lazyServerMode(o, addr)
+		s.Mode = o.mode(addr)
 	}
 	weeks := w.Profile.Weeks
 	if weeks < 1 {
@@ -297,16 +183,135 @@ func (w *World) lazyServer(o *Org, addr netip.Addr) *Server {
 	}
 	s.SpinFromWeek, s.SpinToWeek = 1, weeks
 	if s.Mode == core.ModeSpin && weeks > 3 && rng.Float64() >= o.StableSpinShare {
+		// Deployment churn. Spin support mostly arrives with stack
+		// updates and then stays (adopters); a minority of deployments
+		// lose it mid-campaign (migrations to other stacks, droppers).
 		if rng.Float64() < 0.7 {
-			s.SpinFromWeek = 2 + rng.Intn(weeks-1)
+			s.SpinFromWeek = 2 + rng.Intn(weeks-1) // adopted in week 2..weeks
 		} else {
-			s.SpinToWeek = 1 + rng.Intn(weeks-1)
+			s.SpinToWeek = 1 + rng.Intn(weeks-1) // dropped after week 1..weeks-1
 		}
 	}
+	// Hash-based, draw-free assignment: a HostileFrac of 0 consumes no
+	// randomness and leaves the world byte-identical to pre-hostile builds.
 	if w.Profile.HostileFrac > 0 && s.QUIC {
 		s.Hostile = hostile.Assign(w.Profile.Seed, addr.String(), w.Profile.HostileFrac)
 	}
 	return s
+}
+
+// at returns a copy of s answering at addr: a per-domain v6 address fronts
+// the same stack as its domain's v4 server.
+func (s *Server) at(addr netip.Addr) *Server {
+	cp := *s
+	cp.Addr = addr
+	return &cp
+}
+
+// hostIndex decodes a www-form host name to the population index its label
+// names. The caller compares the host with that domain's, which rejects a
+// wrong TLD or a non-canonical spelling of the number.
+func (w *World) hostIndex(host string) (int, bool) {
+	name, ok := strings.CutPrefix(host, "www.")
+	if !ok {
+		return 0, false
+	}
+	dot := strings.IndexByte(name, '.')
+	if dot <= 0 {
+		return 0, false
+	}
+	label := name[:dot]
+	switch {
+	case strings.HasPrefix(label, "top"):
+		n, err := strconv.Atoi(label[len("top"):])
+		if err != nil || n < 0 || n >= w.topN {
+			return 0, false
+		}
+		return n, true
+	case strings.HasPrefix(label, "site"):
+		n, err := strconv.Atoi(label[len("site"):])
+		if err != nil || n < 0 || n >= w.zoneN {
+			return 0, false
+		}
+		return w.topN + n, true
+	}
+	return 0, false
+}
+
+// lazyDomainAt synthesises population index i with its redirect. A
+// cross-host target is synthesised from the same stream once the
+// domain's own draws are done.
+func (w *World) lazyDomainAt(i int) *Domain {
+	r := dice.New()
+	d := new(Domain)
+	rng := w.synthDomain(d, i, r)
+	if !d.quic() {
+		return d
+	}
+	ok, j := w.drawRedirect(rng, i)
+	if !ok {
+		return d
+	}
+	var t *Domain
+	if j >= 0 {
+		t = new(Domain)
+		w.synthDomain(t, j, r)
+	}
+	d.redirect(t)
+	return d
+}
+
+// lazyZone serves the on-demand world's zone.
+type lazyZone struct{ w *World }
+
+// Zone implements dns.Backend: only resolving domains have records. The
+// redirect does not reach the zone, so its draws are skipped.
+func (z lazyZone) Zone(name string) (dns.Record, bool) {
+	i, ok := z.w.hostIndex(name)
+	if !ok {
+		return dns.Record{}, false
+	}
+	var d Domain
+	z.w.synthDomain(&d, i, dice.New())
+	if d.host != name || !d.Resolves {
+		return dns.Record{}, false
+	}
+	return d.record(), true
+}
+
+// lazyServerAt synthesises the server deployed at addr, or nil for
+// blackhole/unallocated space. Pooled addresses draw their deployment from
+// an address-keyed stream; a per-domain v6 address fronts the same stack
+// as the owning domain's v4 server.
+func (w *World) lazyServerAt(addr netip.Addr) *Server {
+	for _, o := range w.Orgs {
+		switch {
+		case o.V4Prefix.Contains(addr):
+			if host, ok := v4HostIndex(o.V4Prefix, addr); ok && host >= 1 && int(host) <= len(o.v4Pool) {
+				return w.synthServer(dice.New(), o, addr)
+			}
+			return nil
+		case o.V6Prefix.Contains(addr):
+			host := v6HostIndex(addr)
+			if o.V6PerDomain {
+				if host < 1 || host > uint64(w.NumDomains()) {
+					return nil
+				}
+				r := dice.New()
+				var d Domain
+				w.synthDomain(&d, int(host-1), r)
+				if d.V6 != addr {
+					return nil
+				}
+				return w.synthServer(r, o, d.V4).at(addr)
+			}
+			if host >= 1 && int(host) <= len(o.v6Pool) {
+				return w.synthServer(dice.New(), o, addr)
+			}
+			return nil
+		}
+	}
+	return nil
 }
 
 // v4HostIndex recovers the pool index encoded by v4At.

@@ -1,6 +1,7 @@
 package websim
 
 import (
+	"net/netip"
 	"reflect"
 	"testing"
 )
@@ -28,24 +29,69 @@ func TestLazyDomainAtRepeatable(t *testing.T) {
 	}
 }
 
-// The org layer of a lazy world is byte-identical to the eager world of
-// the same profile: org draws precede domain draws in Generate's stream.
+// Generate materialises the on-demand world: for the same profile both
+// storages share the org layer (org draws precede all keyed synthesis) and
+// hold the same domains, zone records and servers, with or without hostile
+// deployments.
 func TestLazyOrgLayerMatchesEager(t *testing.T) {
-	p := DefaultProfile()
-	p.Scale = 20000
-	eager, lazy := Generate(p), GenerateLazy(p)
-	if len(eager.Orgs) != len(lazy.Orgs) {
-		t.Fatalf("org count: eager %d lazy %d", len(eager.Orgs), len(lazy.Orgs))
-	}
-	for i := range eager.Orgs {
-		e, l := eager.Orgs[i], lazy.Orgs[i]
-		if e.Name != l.Name || e.V4Prefix != l.V4Prefix || e.V6Prefix != l.V6Prefix ||
-			len(e.v4Pool) != len(l.v4Pool) || len(e.v6Pool) != len(l.v6Pool) {
-			t.Errorf("org %d differs: eager %s lazy %s", i, e.Name, l.Name)
+	for _, frac := range []float64{0, 0.3} {
+		p := DefaultProfile()
+		p.Scale = 4000
+		p.HostileFrac = frac
+		eager, lazy := Generate(p), GenerateLazy(p)
+		if len(eager.Orgs) != len(lazy.Orgs) {
+			t.Fatalf("org count: eager %d lazy %d", len(eager.Orgs), len(lazy.Orgs))
 		}
-	}
-	if eager.NumDomains() != lazy.NumDomains() {
-		t.Errorf("population: eager %d lazy %d", eager.NumDomains(), lazy.NumDomains())
+		orgIndex := map[*Org]int{}
+		for i := range eager.Orgs {
+			e, l := eager.Orgs[i], lazy.Orgs[i]
+			if e.Name != l.Name || e.V4Prefix != l.V4Prefix || e.V6Prefix != l.V6Prefix ||
+				len(e.v4Pool) != len(l.v4Pool) || len(e.v6Pool) != len(l.v6Pool) || !reflect.DeepEqual(e, l) {
+				t.Errorf("org %d differs: eager %s lazy %s", i, e.Name, l.Name)
+			}
+			orgIndex[e], orgIndex[l] = i, i
+		}
+		if eager.NumDomains() != lazy.NumDomains() || len(eager.Domains) != eager.NumDomains() {
+			t.Fatalf("population: eager %d (%d materialised) lazy %d",
+				eager.NumDomains(), len(eager.Domains), lazy.NumDomains())
+		}
+		// The orgs are equal; compare everything else with them detached,
+		// so each comparison does not walk an org again.
+		same := func(a, b any, aOrg, bOrg **Org) bool {
+			ao, bo := *aOrg, *bOrg
+			*aOrg, *bOrg = nil, nil
+			eq := (ao == nil) == (bo == nil) && (ao == nil || orgIndex[ao] == orgIndex[bo]) && reflect.DeepEqual(a, b)
+			*aOrg, *bOrg = ao, bo
+			return eq
+		}
+		ez, lz := eager.DNSBackend(), lazy.DNSBackend()
+		resolved := map[netip.Addr]bool{}
+		for i := 0; i < eager.NumDomains(); i++ {
+			e, l := *eager.DomainAt(i), *lazy.DomainAt(i)
+			if !same(&e, &l, &e.Org, &l.Org) {
+				t.Fatalf("frac %v: domain %d differs:\n eager %+v\n lazy  %+v", frac, i, e, l)
+			}
+			erec, eok := ez.Zone(e.Host())
+			lrec, lok := lz.Zone(e.Host())
+			if eok != lok || !reflect.DeepEqual(erec, lrec) {
+				t.Fatalf("frac %v: zone of %s differs: eager %v %v lazy %v %v", frac, e.Host(), erec, eok, lrec, lok)
+			}
+			if e.Resolves {
+				resolved[e.V4] = true
+				if e.V6.IsValid() {
+					resolved[e.V6] = true
+				}
+			}
+		}
+		if len(eager.Servers()) != len(resolved) {
+			t.Errorf("frac %v: %d servers materialised, domains resolve to %d addresses", frac, len(eager.Servers()), len(resolved))
+		}
+		for addr, s := range eager.Servers() {
+			l := lazy.ServerAt(addr)
+			if !resolved[addr] || l == nil || !same(s, l, &s.Org, &l.Org) {
+				t.Fatalf("frac %v: server %s differs:\n eager %+v\n lazy  %+v", frac, addr, s, l)
+			}
+		}
 	}
 }
 
@@ -142,7 +188,7 @@ func TestLazyServerConsistency(t *testing.T) {
 }
 
 // Cross-host redirect targets must themselves exist, resolve, and host
-// QUIC — the invariant eager generation enforces when drawing targets.
+// QUIC: a drawn target that does not becomes a canonical-self redirect.
 func TestLazyRedirectTargetsValid(t *testing.T) {
 	// A QUIC domain redirects cross-host with probability redirect × cross
 	// × QUIC target ≈ 0.1 × 0.15 × 0.1, so the scale-20000 world expects
@@ -171,9 +217,8 @@ func TestLazyRedirectTargetsValid(t *testing.T) {
 	}
 }
 
-// The lazy population's aggregate shape (resolve/QUIC rates) must stay in
-// the profile's statistical neighbourhood even though the draws are keyed
-// per domain instead of sequential.
+// The on-demand population's aggregate shape (resolve/QUIC rates) must
+// stay in the profile's statistical neighbourhood.
 func TestLazyPopulationShape(t *testing.T) {
 	w := lazyTestWorld()
 	n := w.NumDomains()

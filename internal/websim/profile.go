@@ -114,11 +114,14 @@ type Profile struct {
 	TopQUICRate  float64
 	ZoneQUICRate float64
 
-	// RedirectRate is the probability a landing page answers with a
-	// redirect (driving >1 connection per domain, §3.2.1).
+	// RedirectRate is the probability a QUIC domain's landing page answers
+	// with a redirect (driving >1 connection per domain, §3.2.1).
 	RedirectRate float64
-	// CrossHostRedirectRate is the probability a redirect points at a
-	// different domain instead of the canonical-self.
+	// CrossHostRedirectRate is the probability a redirect draws another
+	// population index as its target. The redirect lands cross-host only
+	// when that domain resolves to QUIC hosting, and is canonical-self
+	// otherwise, so the realised cross-host share of redirects is about
+	// this rate × the population's QUIC share.
 	CrossHostRedirectRate float64
 
 	// BodyMinBytes/BodyMaxBytes bound landing-page sizes (log-uniform).

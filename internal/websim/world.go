@@ -1,7 +1,6 @@
 package websim
 
 import (
-	"fmt"
 	"math"
 	"math/rand"
 	"net/netip"
@@ -9,6 +8,7 @@ import (
 
 	"quicspin/internal/asdb"
 	"quicspin/internal/core"
+	"quicspin/internal/dice"
 	"quicspin/internal/dns"
 	"quicspin/internal/hostile"
 	"quicspin/internal/netem"
@@ -23,7 +23,6 @@ type Org struct {
 	V6Prefix    netip.Prefix
 	v4Pool      []netip.Addr
 	v6Pool      []netip.Addr
-	v6Next      uint64 // allocator for per-domain v6 addresses
 	// modes pre-assigns the spin deployment of each pool address by
 	// quota, so small scaled-down pools still hit the org's configured
 	// SpinIPShare exactly instead of suffering Bernoulli noise.
@@ -208,62 +207,117 @@ type Domain struct {
 	RedirectTo string
 	// BodyBytes is the landing-page size.
 	BodyBytes int
-	// host is the www-form name; Name is its suffix, so one concatenation
-	// per domain serves both.
+	// host is the www-form name; Name is its suffix, so one string per
+	// domain serves both.
 	host string
-}
-
-// newDomain builds the named domain with its www-form host; every Domain is
-// built here.
-func newDomain(label, tld string, top bool) *Domain {
-	host := "www." + label + "." + tld
-	return &Domain{Name: host[len("www."):], TLD: tld, Toplist: top, host: host}
 }
 
 // Host returns the www-form name the scanner queries.
 func (d *Domain) Host() string { return d.host }
 
-// World is a fully generated synthetic web. Worlds built by Generate
-// materialise every domain and server up front; worlds built by
-// GenerateLazy synthesise them on demand (Domains stays nil — use
-// NumDomains and DomainAt).
+// quic reports whether d resolves to a QUIC-hosting org.
+func (d *Domain) quic() bool { return d.Resolves && d.Org.QUICHosting }
+
+// record is d's zone record: an A and, when present, an AAAA address.
+func (d *Domain) record() dns.Record {
+	rec := dns.Record{A: []netip.Addr{d.V4}}
+	if d.V6.IsValid() {
+		rec.AAAA = []netip.Addr{d.V6}
+	}
+	return rec
+}
+
+// World is one synthetic web: an organisation layer built up front and a
+// population in which every domain is a pure function of the profile and
+// its index, and every server one of the profile and its address (keyed
+// synthesis, lazy.go). The population has two storages. Generate
+// materialises it; GenerateLazy synthesises each domain and server on
+// demand, so Domains stays nil (use NumDomains and DomainAt). Both storages
+// of one profile hold the same population and render the same tables;
+// they differ in memory and speed only.
 type World struct {
 	Profile    Profile
 	Orgs       []*Org
 	Domains    []*Domain
-	servers    map[netip.Addr]*Server
-	byHost     map[string]*Domain
 	zone       dns.MapBackend
+	servers    map[netip.Addr]*Server
 	asResolver *asdb.Resolver
 	prefixes   map[netip.Prefix]uint32
-	lazy       *lazyState
+	// Population indices below topN are toplist domains, the zoneN after
+	// them zone-file domains.
+	topN, zoneN int
 }
 
-// Generate builds a world from the profile. Equal profiles yield identical
-// worlds.
+// Generate builds a world from the profile and materialises its
+// population: every domain, its zone record and the server at every
+// address a domain resolves to, each equal to what GenerateLazy(p)
+// synthesises on demand. Equal profiles yield identical worlds.
 func Generate(p Profile) *World {
-	w, rng := newWorld(p)
-	w.buildDomains(rng)
-	w.buildASDB()
+	w := newWorld(p)
+	n := w.NumDomains()
+	slab := make([]Domain, n)
+	w.Domains = make([]*Domain, n)
+	w.zone = make(dns.MapBackend, n)
+	w.servers = map[netip.Addr]*Server{}
+	// A cross-host target may lie ahead in the population; resolve the
+	// drawn redirects once every domain exists.
+	type redirect struct {
+		d      *Domain
+		target int
+	}
+	var redirects []redirect
+	r := dice.New()
+	for i := range slab {
+		d := &slab[i]
+		w.Domains[i] = d
+		rng := w.synthDomain(d, i, r)
+		if !d.Resolves {
+			continue
+		}
+		if d.Org.QUICHosting {
+			if ok, j := w.drawRedirect(rng, i); ok {
+				redirects = append(redirects, redirect{d, j})
+			}
+		}
+		w.zone[d.host] = d.record()
+		v4 := w.servers[d.V4]
+		if v4 == nil {
+			v4 = w.synthServer(r, d.Org, d.V4)
+			w.servers[d.V4] = v4
+		}
+		switch {
+		case !d.V6.IsValid() || w.servers[d.V6] != nil:
+		case d.Org.V6PerDomain:
+			w.servers[d.V6] = v4.at(d.V6)
+		default:
+			w.servers[d.V6] = w.synthServer(r, d.Org, d.V6)
+		}
+	}
+	for _, rd := range redirects {
+		var t *Domain
+		if rd.target >= 0 {
+			t = w.Domains[rd.target]
+		}
+		rd.d.redirect(t)
+	}
 	return w
 }
 
 // newWorld builds the organisation layer every world shares (orgs, address
-// pools, spin-mode quotas) and returns the generation stream after it.
-func newWorld(p Profile) (*World, *rand.Rand) {
+// pools, spin-mode quotas, the ASDB) from the profile's seed.
+func newWorld(p Profile) *World {
 	if p.Scale < 1 {
 		p.Scale = 1
 	}
-	rng := rand.New(rand.NewSource(p.Seed))
 	w := &World{
 		Profile:  p,
-		servers:  map[netip.Addr]*Server{},
-		byHost:   map[string]*Domain{},
-		zone:     dns.MapBackend{},
 		prefixes: map[netip.Prefix]uint32{},
+		topN:     scaled(p.TopDomains, p.Scale),
+		zoneN:    scaled(p.ZoneDomains, p.Scale),
 	}
-	w.buildOrgs(rng)
-	return w, rng
+	w.buildOrgs(rand.New(rand.NewSource(p.Seed)))
+	w.buildASDB()
+	return w
 }
 
 func (w *World) buildOrgs(rng *rand.Rand) {
@@ -299,39 +353,6 @@ func (w *World) buildOrgs(rng *rand.Rand) {
 	}
 	for _, prof := range w.Profile.LegacyOrgs {
 		add(prof, false)
-	}
-}
-
-func (w *World) buildDomains(rng *rand.Rand) {
-	p := w.Profile
-	topN := scaled(p.TopDomains, p.Scale)
-	zoneN := scaled(p.ZoneDomains, p.Scale)
-	w.Domains = make([]*Domain, 0, topN+zoneN)
-	for i := 0; i < topN; i++ {
-		w.addDomain(rng, fmt.Sprintf("top%d", i), true)
-	}
-	for i := 0; i < zoneN; i++ {
-		w.addDomain(rng, fmt.Sprintf("site%d", i), false)
-	}
-	// Cross-host redirects need the full population; assign them last.
-	quicDomains := make([]*Domain, 0, 1024)
-	for _, d := range w.Domains {
-		if d.Resolves && d.Org.QUICHosting {
-			quicDomains = append(quicDomains, d)
-		}
-	}
-	for _, d := range quicDomains {
-		if rng.Float64() >= p.RedirectRate {
-			continue
-		}
-		if rng.Float64() < p.CrossHostRedirectRate && len(quicDomains) > 1 {
-			t := quicDomains[rng.Intn(len(quicDomains))]
-			if t != d {
-				d.RedirectTo = t.Name
-				continue
-			}
-		}
-		d.RedirectTo = d.Name // canonical-self redirect
 	}
 }
 
@@ -379,68 +400,6 @@ func pickTLD(rng *rand.Rand, top bool) string {
 	return "com"
 }
 
-func (w *World) addDomain(rng *rand.Rand, label string, top bool) {
-	p := w.Profile
-	tld := pickTLD(rng, top)
-	d := newDomain(label, tld, top)
-	w.Domains = append(w.Domains, d)
-	w.byHost[d.Host()] = d
-
-	resolveRate := p.ZoneResolveRate
-	quicRate := p.ZoneQUICRate
-	if top {
-		resolveRate = p.TopResolveRate
-		quicRate = p.TopQUICRate
-	}
-	if rng.Float64() >= resolveRate {
-		return // NXDOMAIN
-	}
-	d.Resolves = true
-	quic := rng.Float64() < quicRate
-	d.Org = w.pickOrg(rng, top, quic)
-	d.BodyBytes = int(logUniform(rng, float64(p.BodyMinBytes), float64(p.BodyMaxBytes)))
-
-	// IPv4 address and server (spin-enabled IPs attract more domains).
-	d.V4 = d.Org.pick(rng, d.Org.v4Spin, d.Org.v4Rest, top)
-	v4srv := w.serverFor(rng, d.Org, d.V4, quic)
-
-	// IPv6: AAAA presence per org (toplist hosting may differ). Modern
-	// spin-enabled stacks correlate with IPv6 rollout, which is what
-	// makes Table 4's host-level spin share exceed IPv4's.
-	v6Share := d.Org.V6Share
-	if top && d.Org.TopV6Share >= 0 {
-		v6Share = d.Org.TopV6Share
-	}
-	if d.Org.V6PerDomain {
-		if v4srv.Mode == core.ModeSpin {
-			v6Share = min(1, v6Share*1.25)
-		} else {
-			v6Share *= 0.70
-		}
-	}
-	if rng.Float64() < v6Share {
-		if d.Org.V6PerDomain {
-			d.Org.v6Next++
-			d.V6 = v6At(d.Org.V6Prefix, d.Org.v6Next)
-			// Per-domain v6 addresses front the same physical stack as the
-			// domain's v4 server: inherit its deployment.
-			w.cloneServer(v4srv, d.V6)
-		} else if len(d.Org.v6Pool) > 0 {
-			d.V6 = d.Org.pick(rng, d.Org.v6Spin, d.Org.v6Rest, top)
-			w.serverFor(rng, d.Org, d.V6, quic)
-		}
-	}
-
-	rec := dns.Record{}
-	if d.V4.IsValid() {
-		rec.A = []netip.Addr{d.V4}
-	}
-	if d.V6.IsValid() {
-		rec.AAAA = []netip.Addr{d.V6}
-	}
-	w.zone[d.Host()] = rec
-}
-
 // pickOrg selects the hosting organisation for a domain.
 func (w *World) pickOrg(rng *rand.Rand, top, quic bool) *Org {
 	var total float64
@@ -476,61 +435,6 @@ func (o *Org) share(top bool) float64 {
 	return o.ZoneQUICShare
 }
 
-// serverFor returns the server at addr, creating it with org dice on first
-// use.
-func (w *World) serverFor(rng *rand.Rand, org *Org, addr netip.Addr, quic bool) *Server {
-	if s, ok := w.servers[addr]; ok {
-		return s
-	}
-	s := &Server{
-		Addr:          addr,
-		Org:           org,
-		QUIC:          quic && org.QUICHosting,
-		Software:      org.Software,
-		DisableEveryN: org.DisableEveryN,
-		BaseRTT:       time.Duration(logUniform(rng, org.BaseRTTMinMs, org.BaseRTTMaxMs) * msf),
-		Mode:          core.ModeZero,
-	}
-	if s.QUIC {
-		if m, ok := org.modes[addr]; ok {
-			s.Mode = m
-		}
-	}
-	weeks := w.Profile.Weeks
-	if weeks < 1 {
-		weeks = 1
-	}
-	s.SpinFromWeek, s.SpinToWeek = 1, weeks
-	if s.Mode == core.ModeSpin && weeks > 3 && rng.Float64() >= org.StableSpinShare {
-		// Deployment churn. Spin support mostly arrives with stack
-		// updates and then stays (adopters); a minority of deployments
-		// lose it mid-campaign (migrations to other stacks, droppers).
-		if rng.Float64() < 0.7 {
-			s.SpinFromWeek = 2 + rng.Intn(weeks-1) // adopted in week 2..weeks
-		} else {
-			s.SpinToWeek = 1 + rng.Intn(weeks-1) // dropped after week 1..weeks-1
-		}
-	}
-	// Hash-based, draw-free assignment: a HostileFrac of 0 consumes no
-	// randomness and leaves the world byte-identical to pre-hostile builds.
-	if w.Profile.HostileFrac > 0 && s.QUIC {
-		s.Hostile = hostile.Assign(w.Profile.Seed, addr.String(), w.Profile.HostileFrac)
-	}
-	w.servers[addr] = s
-	return s
-}
-
-// cloneServer registers a second address fronting the same deployment.
-func (w *World) cloneServer(src *Server, addr netip.Addr) *Server {
-	if s, ok := w.servers[addr]; ok {
-		return s
-	}
-	cp := *src
-	cp.Addr = addr
-	w.servers[addr] = &cp
-	return &cp
-}
-
 func (w *World) buildASDB() {
 	table := asdb.NewTable()
 	orgs := asdb.NewOrgDB()
@@ -551,18 +455,16 @@ func (w *World) buildASDB() {
 // --- accessors ----------------------------------------------------------
 
 // NumDomains returns the population size without materialising it.
-func (w *World) NumDomains() int {
-	if w.lazy != nil {
-		return w.lazy.topN + w.lazy.zoneN
-	}
-	return len(w.Domains)
-}
+func (w *World) NumDomains() int { return w.topN + w.zoneN }
 
-// DomainAt returns the i-th domain of the canonical population order. On
-// eagerly generated worlds it indexes Domains; on lazy worlds it
-// synthesises the domain on demand (repeated calls return equal values).
+// lazy reports whether the world synthesises its population on demand.
+func (w *World) lazy() bool { return w.Domains == nil }
+
+// DomainAt returns the i-th domain of the canonical population order:
+// Domains[i] on a materialised world, synthesised on demand otherwise
+// (repeated calls return equal values).
 func (w *World) DomainAt(i int) *Domain {
-	if w.lazy != nil {
+	if w.lazy() {
 		return w.lazyDomainAt(i)
 	}
 	return w.Domains[i]
@@ -570,7 +472,7 @@ func (w *World) DomainAt(i int) *Domain {
 
 // DNSBackend exposes the world's zone data to a dns.Resolver.
 func (w *World) DNSBackend() dns.Backend {
-	if w.lazy != nil {
+	if w.lazy() {
 		return lazyZone{w}
 	}
 	return w.zone
@@ -584,23 +486,30 @@ func (w *World) ASDB() *asdb.Resolver { return w.asResolver }
 func (w *World) Prefixes() map[netip.Prefix]uint32 { return w.prefixes }
 
 // ServerAt returns the server at addr, or nil (blackhole / unallocated).
+// A materialised world holds only the servers its domains resolve to.
 func (w *World) ServerAt(addr netip.Addr) *Server {
-	if w.lazy != nil {
+	if w.lazy() {
 		return w.lazyServerAt(addr)
 	}
 	return w.servers[addr]
 }
 
-// Servers returns the full server map keyed by address. Lazy worlds never
-// materialise their server set and return nil.
+// Servers returns the materialised server map keyed by address: one entry
+// per distinct address the domains resolve to. A world built by
+// GenerateLazy returns nil.
 func (w *World) Servers() map[netip.Addr]*Server { return w.servers }
 
-// DomainByHost maps a www-form host name to its domain.
+// DomainByHost maps a www-form host name to its domain, or nil for a name
+// outside the population.
 func (w *World) DomainByHost(host string) *Domain {
-	if w.lazy != nil {
-		return w.lazyDomainByHost(host)
+	i, ok := w.hostIndex(host)
+	if !ok {
+		return nil
 	}
-	return w.byHost[host]
+	if d := w.DomainAt(i); d.host == host {
+		return d
+	}
+	return nil // TLD mismatch: the queried name does not exist
 }
 
 // Turnaround draws one endpoint processing latency.

@@ -9,7 +9,6 @@ import (
 
 	"quicspin/internal/core"
 	"quicspin/internal/dns"
-	"quicspin/internal/targets"
 )
 
 func smallProfile() Profile {
@@ -230,7 +229,7 @@ func TestRedirectAssignment(t *testing.T) {
 			self++
 		default:
 			cross++
-			tgt := w.DomainByHost(targets.PrependWWW(d.RedirectTo))
+			tgt := w.DomainByHost("www." + d.RedirectTo)
 			if tgt == nil || !tgt.Resolves {
 				t.Fatalf("cross redirect %s → %s targets unknown domain", d.Name, d.RedirectTo)
 			}

@@ -276,6 +276,21 @@ for eng in emulated fast; do
     fi
 done
 
+# World storage smoke: -lazy-world synthesises the population on demand
+# instead of materialising it; it is one population either way, so both
+# engines must print byte-identical tables with and without the flag.
+echo "== world storage smoke"
+for eng in fast emulated; do
+    "$tmp/spinscan" -scale 20000 -week 3 -progress 0 -engine "$eng" \
+        2>/dev/null >"$tmp/world-eager-$eng.txt"
+    "$tmp/spinscan" -scale 20000 -week 3 -progress 0 -engine "$eng" -lazy-world \
+        2>/dev/null >"$tmp/world-lazy-$eng.txt"
+    if ! diff -u "$tmp/world-eager-$eng.txt" "$tmp/world-lazy-$eng.txt"; then
+        echo "-lazy-world changed the $eng engine's tables" >&2
+        exit 1
+    fi
+done
+
 # Zero-alloc tracing gate: the race detector above instruments allocations,
 # so the AllocsPerRun assertions skip themselves there; this plain run is
 # the binding check that disabled tracing stays off the scan hot path.
