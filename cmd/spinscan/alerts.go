@@ -8,8 +8,8 @@ import (
 	"quicspin/internal/telemetry"
 )
 
-// parseAlerts turns the -alerts spec into an AlertEngine over reg. The
-// spec is a comma-separated list of `<quantity><op><threshold>` terms,
+// parseAlertRules parses an -alerts spec into rules for an AlertEngine.
+// The spec is a comma-separated list of `<quantity><op><threshold>` terms,
 // where op is `<=` (ceiling) or `>=` (floor) and the quantities are
 // derived from the campaign's telemetry snapshot:
 //
@@ -19,27 +19,7 @@ import (
 //	checkpoint-degraded  the scan_checkpoint_degraded gauge (ceiling of 0:
 //	                     fires while the journal has disabled itself)
 //
-// An empty spec returns a nil engine (every AlertEngine method is a
-// nil-safe no-op, so callers wire it unconditionally).
-func parseAlerts(spec string, reg *telemetry.Registry, logf func(string, ...any)) (*telemetry.AlertEngine, error) {
-	if spec == "" {
-		return nil, nil
-	}
-	rules, err := parseAlertRules(spec)
-	if err != nil {
-		return nil, err
-	}
-	eng := telemetry.NewAlertEngine(reg, logf)
-	for _, r := range rules {
-		eng.AddRule(r)
-	}
-	return eng, nil
-}
-
-// parseAlertRules parses an -alerts spec into rules without touching a
-// registry — shared by the initial flag parse and the SIGHUP tunables
-// reload (which swaps them in with ReplaceRules). An empty spec is an
-// empty rule set.
+// An empty spec is an empty rule set.
 func parseAlertRules(spec string) ([]telemetry.Rule, error) {
 	var rules []telemetry.Rule
 	for _, term := range strings.Split(spec, ",") {

@@ -24,7 +24,6 @@ import (
 	"runtime"
 	"strconv"
 	"strings"
-	"sync"
 	"sync/atomic"
 	"syscall"
 	"time"
@@ -46,13 +45,11 @@ var (
 	scale            = flag.Int("scale", 2000, "population scale divisor (1000 = 216k CZDS domains)")
 	seed             = flag.Int64("seed", 20230515, "world generation seed")
 	hostileFrac      = flag.Float64("hostile-frac", 0, "fraction of QUIC servers assigned a hostile-endpoint misbehavior profile (0-1)")
-	week             = flag.Int("week", 12, "campaign week to scan (1-12)")
+	week             = flag.Int("week", 12, "campaign week to scan (>= 1; the paper's campaign spans weeks 1-12)")
 	weeks            = flag.Int("weeks", 0, "scan this many consecutive weeks instead of one")
 	ipv6             = flag.Bool("ipv6", false, "scan AAAA targets (Table 4 view)")
 	engine           = flag.String("engine", "emulated", "scan engine: emulated or fast")
 	workers          = flag.Int("workers", 0, "parallel workers (0 = GOMAXPROCS)")
-	timeout          = flag.Duration("timeout", 0, "per-connection virtual timeout (0 = 6s default)")
-	maxRedirects     = flag.Int("max-redirects", 0, "redirect-follow bound (0 = default of 3)")
 	qlogDir          = flag.String("qlog-dir", "", "write per-connection qlog traces to this directory")
 	asdbOut          = flag.String("asdb-out", "", "write the world's prefix→ASN→org snapshot here (for spinalyze -asdb)")
 	summary          = flag.Bool("summary", true, "print adoption tables after scanning")
@@ -66,7 +63,6 @@ var (
 	lazyWorld        = flag.Bool("lazy-world", false, "synthesise domains and servers on demand instead of materialising the population: same tables, less memory, slower")
 	traceOn          = flag.Bool("trace", false, "record per-domain stage traces into the flight recorder (serves /debug/traces with -debug-addr)")
 	traceDir         = flag.String("trace-dir", "", "write flight-recorder dumps (panic/stall/budget postmortems) to this directory; implies -trace")
-	flightDepth      = flag.Int("flight-recorder", 0, "per-worker flight-recorder ring depth (0 = 64 default)")
 	alertSpec        = flag.String("alerts", "", `threshold alerts evaluated each progress tick, e.g. "error-rate<=0.05,domains-per-sec>=100,spin-share>=0.01"`)
 	shards           = flag.Int("shards", 0, "split the population into this many concurrently scanned shards (0 = unsharded)")
 	vantagesSpec     = flag.String("vantages", "", `scan from multiple vantage points, e.g. "local,far:30+5" (name[:extra_delay_ms[+jitter_ms]], comma-separated)`)
@@ -81,28 +77,38 @@ var (
 	journalCompact   = flag.Bool("journal-compact", false, "compact the -checkpoint journal after every completed week (implied by -journal-retain-weeks)")
 	journalSync      = flag.Int("journal-sync", 0, "fsync the checkpoint journal every N records (0 = only on rotation and close; 1 = every record)")
 	journalSegBytes  = flag.Int64("journal-segment-bytes", 0, "rotate checkpoint journal segments past this size (0 disables size-based rotation)")
-	tunablesPath     = flag.String("tunables", "", "runtime tunables file (alerts, progress, breaker-threshold, breaker-cooldown); SIGHUP reloads it without restart")
-	liveWindows      = flag.Int("live-max-windows", 0, "cap the live dashboard's closed rolling windows (0 = keep all)")
-	liveBytes        = flag.Int64("live-max-bytes", 0, "cap the live dashboard's rolling-window memory in bytes (0 = unbounded)")
+	tunablesPath     = flag.String("tunables", "", "runtime tunables file overlaying -alerts, -progress, -breaker-threshold and -breaker-cooldown (same keys, same checks); SIGHUP reloads it without restart")
 )
 
-// validateFlags rejects flag values the zero-default helpers further down
-// would silently misread, naming the flag.
+// validateFlags rejects the command lines the campaign would silently
+// misread, naming the flag. The four reloadable settings are checked by
+// settings.validate instead, the same way for a flag and a tunables file.
 func validateFlags() error {
-	// The scale is a population divisor; zero or negative values would
-	// send world generation into nonsense (or enormous) populations.
-	if *scale <= 0 {
-		return fmt.Errorf("-scale must be positive (got %d)", *scale)
-	}
-	if *hostileFrac < 0 || *hostileFrac > 1 {
-		return fmt.Errorf("-hostile-frac must be in [0, 1] (got %g)", *hostileFrac)
+	if flag.NArg() > 0 {
+		// flag.Parse stops at the first positional argument, so every flag
+		// after it would be dropped without a word.
+		return fmt.Errorf("unexpected argument %q: spinscan takes flags only", flag.Arg(0))
 	}
 	for _, f := range []struct {
-		name string
-		v    int
-	}{{"shards", *shards}, {"weeks", *weeks}, {"retries", *retries}, {"restarts", *restarts}} {
-		if f.v < 0 {
-			return fmt.Errorf("-%s must be >= 0 (got %d)", f.name, f.v)
+		name, want string
+		ok         bool
+	}{
+		// The scale is a population divisor: zero or negative values would
+		// send world generation into nonsense (or enormous) populations.
+		{"scale", "> 0", *scale > 0},
+		// Week 0 precedes every deployment window, so nothing would spin.
+		{"week", ">= 1", *week >= 1},
+		{"hostile-frac", "in [0, 1]", *hostileFrac >= 0 && *hostileFrac <= 1},
+		{"shards", ">= 0", *shards >= 0},
+		{"weeks", ">= 0", *weeks >= 0},
+		{"retries", ">= 0", *retries >= 0},
+		{"restarts", ">= 0", *restarts >= 0},
+		{"journal-sync", ">= 0", *journalSync >= 0},
+		{"journal-segment-bytes", ">= 0", *journalSegBytes >= 0},
+		{"follow-interval", ">= 0", *followInterval >= 0},
+	} {
+		if !f.ok {
+			return fmt.Errorf("-%s must be %s (got %s)", f.name, f.want, flag.Lookup(f.name).Value)
 		}
 	}
 	return nil
@@ -134,18 +140,13 @@ func main() {
 	// nil tracer hands the scan path nil no-op recorders.
 	var tracer *trace.Tracer
 	if *traceOn || *traceDir != "" {
-		tracer = trace.New(trace.Config{RingSize: *flightDepth, Dir: *traceDir, Logf: log.Printf})
+		tracer = trace.New(trace.Config{Dir: *traceDir, Logf: log.Printf})
 	}
 
-	alerts, err := parseAlerts(*alertSpec, reg, log.Printf)
+	// The reloadable settings: the flags, overlaid by the -tunables file.
+	tun, err := newTunables(reg, *tunablesPath, log.Printf)
 	if err != nil {
-		log.Fatalf("-alerts: %v", err)
-	}
-	if alerts == nil && *tunablesPath != "" {
-		// A tunables reload may introduce alert rules later, and a nil
-		// engine cannot grow them — service mode wires an empty one up
-		// front.
-		alerts = telemetry.NewAlertEngine(reg, log.Printf)
+		log.Fatal(err)
 	}
 
 	// The week schedule: -week is that one week, -weeks N is weeks 1..N, and
@@ -169,9 +170,8 @@ func main() {
 	// layout, so -checkpoint and -resume go to it, not here.
 	baseCfg := scanner.Config{
 		IPv6: *ipv6, Engine: eng, Workers: *workers,
-		Timeout: *timeout, MaxRedirects: *maxRedirects, Telemetry: reg, Trace: tracer,
-		Retry:   resilience.RetryPolicy{MaxRetries: *retries},
-		Breaker: resilience.BreakerConfig{Threshold: *breakerThreshold, Cooldown: *breakerCooldown},
+		Telemetry: reg, Trace: tracer,
+		Retry: resilience.RetryPolicy{MaxRetries: *retries},
 		Journal: resilience.JournalConfig{
 			SyncEvery:    *journalSync,
 			SegmentBytes: *journalSegBytes,
@@ -188,12 +188,7 @@ func main() {
 	var live *analysis.Live
 	if *debugAddr != "" {
 		live = analysis.NewLive(0, 0)
-		live.SetBudget(*liveWindows, *liveBytes)
 	}
-	// SIGHUP-reloaded breaker settings are staged here and picked up by
-	// ForWeek at the next week boundary.
-	var tunMu sync.Mutex
-	var breakerOverride tunables
 	interrupt := make(chan struct{})
 	campCfg := shard.Config{
 		Shards:           *shards,
@@ -204,15 +199,8 @@ func main() {
 		ForWeek: func(week int) scanner.Config {
 			cfg := baseCfg
 			cfg.Seed = *seed + int64(week)
+			cfg.Breaker = tun.breaker()
 			log.Printf("scanning week %d (%s, ipv6=%v)...", week, *engine, cfg.IPv6)
-			tunMu.Lock()
-			defer tunMu.Unlock()
-			if breakerOverride.HasBreakerThreshold {
-				cfg.Breaker.Threshold = breakerOverride.BreakerThreshold
-			}
-			if breakerOverride.HasBreakerCooldown {
-				cfg.Breaker.Cooldown = breakerOverride.BreakerCooldown
-			}
 			return cfg
 		},
 		Interrupt:    interrupt,
@@ -223,7 +211,6 @@ func main() {
 		Transport:    tr,
 		Telemetry:    reg,
 		Live:         live,
-		Trace:        tracer,
 		MaxRestarts:  *restarts,
 		StallTimeout: *shardStall,
 		StrictShards: *strictShards,
@@ -285,7 +272,7 @@ func main() {
 		dbg, err := telemetry.StartDebugServer(*debugAddr, reg,
 			telemetry.Endpoint{Path: "/debug/campaign", Handler: live.Handler()},
 			telemetry.Endpoint{Path: "/debug/traces", Handler: trace.Handler(tracer)},
-			telemetry.Endpoint{Path: "/debug/alerts", Handler: alerts.Handler()},
+			telemetry.Endpoint{Path: "/debug/alerts", Handler: tun.alerts.Handler()},
 			telemetry.Endpoint{Path: "/livez", Handler: health.LiveHandler()},
 			telemetry.Endpoint{Path: "/readyz", Handler: health.ReadyHandler()},
 		)
@@ -329,7 +316,7 @@ func main() {
 	}
 	reg.Gauge("spinscan_workers_total").Set(int64(nw))
 
-	stopProgress, setProgress := startProgress(reg, *progressEvery, log.Printf, alerts)
+	stopProgress := tun.startProgress(reg, log.Printf)
 	// exitInterrupted ends a gracefully stopped campaign: say how to pick it
 	// up again, then exit with the stopping signal's code.
 	exitInterrupted := func() {
@@ -345,56 +332,17 @@ func main() {
 		os.Exit(130)
 	}
 
-	// Runtime tunables: loaded at startup when -tunables is given, reloaded
-	// on SIGHUP. Alerts and the progress cadence apply immediately; breaker
-	// settings are staged here and applied by ForWeek at the next week
-	// boundary (a scan in flight is never reconfigured).
-	applyTunables := func(t *tunables, origin string) error {
-		if t.HasAlerts {
-			rules, err := parseAlertRules(t.Alerts)
-			if err != nil {
-				return fmt.Errorf("alerts: %v", err)
-			}
-			alerts.ReplaceRules(rules)
-			log.Printf("tunables(%s): %d alert rule(s) active", origin, len(rules))
-		}
-		if t.HasProgress {
-			setProgress(t.Progress)
-			log.Printf("tunables(%s): progress interval -> %v", origin, t.Progress)
-		}
-		if t.HasBreakerThreshold || t.HasBreakerCooldown {
-			tunMu.Lock()
-			if t.HasBreakerThreshold {
-				breakerOverride.BreakerThreshold, breakerOverride.HasBreakerThreshold = t.BreakerThreshold, true
-			}
-			if t.HasBreakerCooldown {
-				breakerOverride.BreakerCooldown, breakerOverride.HasBreakerCooldown = t.BreakerCooldown, true
-			}
-			tunMu.Unlock()
-			log.Printf("tunables(%s): breaker settings staged (applied at the next week boundary)", origin)
-		}
-		return nil
-	}
 	if *tunablesPath != "" {
-		t, err := loadTunables(*tunablesPath)
-		if err != nil {
-			log.Fatalf("-tunables: %v", err)
-		}
-		if err := applyTunables(t, "startup"); err != nil {
-			log.Fatalf("-tunables: %v", err)
-		}
+		// SIGHUP overlays the file again on the installed settings.
 		hupCh := make(chan os.Signal, 1)
 		signal.Notify(hupCh, syscall.SIGHUP)
 		go func() {
 			for range hupCh {
-				t, err := loadTunables(*tunablesPath)
-				if err != nil {
+				if err := tun.reload(*tunablesPath); err != nil {
 					log.Printf("tunables reload: %v (keeping previous settings)", err)
 					continue
 				}
-				if err := applyTunables(t, "SIGHUP"); err != nil {
-					log.Printf("tunables reload: %v (keeping previous settings)", err)
-				}
+				log.Printf("tunables reloaded: %v", tun.get())
 			}
 		}()
 	}

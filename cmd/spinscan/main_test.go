@@ -94,13 +94,13 @@ func TestOptionBudget(t *testing.T) {
 			flags++
 		}
 	})
-	if flags > 41 {
-		t.Errorf("spinscan defines %d flags, budget 41", flags)
+	if flags > 36 {
+		t.Errorf("spinscan defines %d flags, budget 36", flags)
 	}
 	for _, c := range []struct {
 		cfg    any
 		budget int
-	}{{scanner.Config{}, 18}, {shard.Config{}, 22}} {
+	}{{scanner.Config{}, 16}, {shard.Config{}, 21}} {
 		exported := 0
 		typ := reflect.TypeOf(c.cfg)
 		for i := 0; i < typ.NumField(); i++ {
@@ -114,23 +114,40 @@ func TestOptionBudget(t *testing.T) {
 	}
 }
 
-// TestValidateFlagsRejectsNegatives: a negative count must exit naming its
-// flag instead of being read as "use the default".
+// TestValidateFlagsRejectsNegatives: a negative count (or week 0, or a
+// stray positional argument) must exit naming its flag instead of being
+// read as "use the default".
 func TestValidateFlagsRejectsNegatives(t *testing.T) {
 	if err := validateFlags(); err != nil {
 		t.Fatalf("defaults rejected: %v", err)
 	}
-	for _, name := range []string{"weeks", "retries", "restarts"} {
-		f := flag.Lookup(name)
-		if err := flag.Set(name, "-1"); err != nil {
+	for _, c := range []struct{ name, bad string }{
+		{"weeks", "-1"}, {"retries", "-1"}, {"restarts", "-1"}, {"week", "0"},
+		{"journal-sync", "-1"}, {"journal-segment-bytes", "-1"}, {"follow-interval", "-1s"},
+	} {
+		f := flag.Lookup(c.name)
+		if err := flag.Set(c.name, c.bad); err != nil {
 			t.Fatal(err)
 		}
-		if err := validateFlags(); err == nil || !strings.Contains(err.Error(), "-"+name+" ") {
-			t.Errorf("-%s -1: validateFlags = %v, want an error naming the flag", name, err)
+		if err := validateFlags(); err == nil || !strings.Contains(err.Error(), "-"+c.name+" ") {
+			t.Errorf("-%s %s: validateFlags = %v, want an error naming the flag", c.name, c.bad, err)
 		}
-		if err := flag.Set(name, f.DefValue); err != nil {
+		if err := flag.Set(c.name, f.DefValue); err != nil {
 			t.Fatal(err)
 		}
+	}
+
+	// flag.Parse stops at the first positional argument; the flags after it
+	// must not be dropped silently.
+	if err := flag.CommandLine.Parse([]string{"-week", "3", "extra", "-weeks", "2"}); err != nil {
+		t.Fatal(err)
+	}
+	err := validateFlags()
+	if err := flag.CommandLine.Parse([]string{"-week", flag.Lookup("week").DefValue}); err != nil {
+		t.Fatal(err)
+	}
+	if err == nil || !strings.Contains(err.Error(), `"extra"`) {
+		t.Errorf("positional argument: validateFlags = %v, want an error naming it", err)
 	}
 }
 
@@ -219,13 +236,15 @@ drain:
 // TestParseAlerts covers the -alerts spec grammar.
 func TestParseAlerts(t *testing.T) {
 	reg := telemetry.New()
-	if eng, err := parseAlerts("", reg, nil); eng != nil || err != nil {
-		t.Fatalf("empty spec: eng=%v err=%v", eng, err)
+	if rules, err := parseAlertRules(""); len(rules) != 0 || err != nil {
+		t.Fatalf("empty spec: rules=%v err=%v", rules, err)
 	}
-	eng, err := parseAlerts(" error-rate<=0.05, domains-per-sec>=100 ,spin-share>=0.01", reg, nil)
+	rules, err := parseAlertRules(" error-rate<=0.05, domains-per-sec>=100 ,spin-share>=0.01")
 	if err != nil {
 		t.Fatalf("valid spec rejected: %v", err)
 	}
+	eng := telemetry.NewAlertEngine(reg, nil)
+	eng.ReplaceRules(rules)
 	if firing := eng.Evaluate(); len(firing) != 1 || firing[0] != "domains-per-sec" {
 		// Warm-up: no conns yet (error-rate 0, spin-share reported healthy),
 		// but the throughput gauge is still zero, under the floor.
@@ -240,7 +259,7 @@ func TestParseAlerts(t *testing.T) {
 		t.Errorf("firing = %v, want [error-rate]", firing)
 	}
 	for _, bad := range []string{"error-rate", "error-rate<=x", "nope<=1", "<=5"} {
-		if _, err := parseAlerts(bad, reg, nil); err == nil {
+		if _, err := parseAlertRules(bad); err == nil {
 			t.Errorf("spec %q accepted", bad)
 		}
 	}
@@ -253,10 +272,12 @@ func TestParseAlerts(t *testing.T) {
 func TestDashboardEndpointsServe(t *testing.T) {
 	reg := telemetry.New()
 	tracer := trace.New(trace.Config{})
-	alerts, err := parseAlerts("domains-per-sec>=1", reg, nil)
+	rules, err := parseAlertRules("domains-per-sec>=1")
 	if err != nil {
 		t.Fatal(err)
 	}
+	alerts := telemetry.NewAlertEngine(reg, nil)
+	alerts.ReplaceRules(rules)
 	live := analysis.NewLive(50, 4)
 	dbg, err := telemetry.StartDebugServer("127.0.0.1:0", reg,
 		telemetry.Endpoint{Path: "/debug/campaign", Handler: live.Handler()},

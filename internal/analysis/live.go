@@ -87,45 +87,6 @@ func NewLive(windowSize, keep int) *Live {
 	return &Live{size: windowSize, keep: keep}
 }
 
-// windowBytes is the retained cost of one closed WindowStats, for the
-// byte-denominated budget (8 int fields plus slice bookkeeping).
-const windowBytes = 8 * 9
-
-// SetBudget bounds the rolling-window memory: at most maxWindows closed
-// windows and at most maxBytes of retained window state (whichever is
-// tighter; non-positive values leave that dimension unchanged). Eviction
-// is oldest-first and applies immediately as well as on every future roll,
-// so a follow-mode campaign running for months cannot grow the dashboard
-// without bound. At least one closed window is always retained. Nil-safe.
-func (l *Live) SetBudget(maxWindows int, maxBytes int64) {
-	if l == nil {
-		return
-	}
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if maxWindows > 0 {
-		l.keep = maxWindows
-	}
-	if maxBytes > 0 {
-		if byBytes := int(maxBytes / windowBytes); byBytes < l.keep {
-			l.keep = byBytes
-		}
-	}
-	if l.keep < 1 {
-		l.keep = 1
-	}
-	l.trimLocked()
-}
-
-// trimLocked evicts the oldest closed windows down to the retention
-// budget. Caller holds l.mu.
-func (l *Live) trimLocked() {
-	if len(l.windows) > l.keep {
-		copy(l.windows, l.windows[len(l.windows)-l.keep:])
-		l.windows = l.windows[:l.keep]
-	}
-}
-
 // ShardSink wraps the delivery callback of one shard's week accumulator:
 // each domain folds into acc (that shard's cumulative tables) and into the
 // shared rolling window. Call once per shard per week with that week's
@@ -205,7 +166,12 @@ func (l *Live) NoteLost(shard int) {
 // roll closes the current window. Caller holds l.mu.
 func (l *Live) roll() {
 	l.windows = append(l.windows, l.cur)
-	l.trimLocked()
+	if len(l.windows) > l.keep {
+		// Oldest-first eviction keeps the ring at keep closed windows, so a
+		// follow-mode campaign running for months holds a fixed dashboard.
+		copy(l.windows, l.windows[1:])
+		l.windows = l.windows[:l.keep]
+	}
 	l.cur = WindowStats{Index: l.cur.Index + 1, Week: l.cur.Week}
 }
 

@@ -190,57 +190,3 @@ func TestLiveConcurrentSinkAndDashboard(t *testing.T) {
 	}
 	<-done
 }
-
-// TestLiveBudget pins the dashboard memory budget: count- and
-// byte-denominated bounds evict closed windows oldest-first, immediately
-// and on every future roll.
-func TestLiveBudget(t *testing.T) {
-	l := NewLive(10, 100)
-	acc := NewAccumulator(1, false, nil)
-	sink := l.ShardSink(0, acc)
-	ok := scanner.DomainResult{Resolved: true}
-	for i := 0; i < 85; i++ {
-		if err := sink(i, &ok); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if n := len(l.Snapshot().Windows); n != 9 { // 8 closed + open
-		t.Fatalf("got %d windows before budget, want 9", n)
-	}
-
-	// Count bound: immediate eviction down to 4 closed windows.
-	l.SetBudget(4, 0)
-	snap := l.Snapshot()
-	if n := len(snap.Windows); n != 5 {
-		t.Fatalf("after count budget got %d windows, want 5", n)
-	}
-	if first := snap.Windows[0].Index; first != 4 {
-		t.Errorf("oldest retained window index %d, want 4 (oldest-first eviction)", first)
-	}
-
-	// Byte bound tighter than the count bound wins: room for 2 windows.
-	l.SetBudget(0, 2*windowBytes)
-	if n := len(l.Snapshot().Windows); n != 3 {
-		t.Fatalf("after byte budget got %d windows, want 3", n)
-	}
-
-	// The budget keeps applying as new windows roll.
-	for i := 0; i < 50; i++ {
-		if err := sink(i, &ok); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if n := len(l.Snapshot().Windows); n != 3 {
-		t.Fatalf("after more rolls got %d windows, want 3", n)
-	}
-
-	// A budget below one window clamps: the trend view never vanishes.
-	l.SetBudget(0, 1)
-	if n := len(l.Snapshot().Windows); n != 2 {
-		t.Fatalf("after tiny byte budget got %d windows, want 2 (1 closed + open)", n)
-	}
-
-	// Nil-safety.
-	var nilLive *Live
-	nilLive.SetBudget(1, 1)
-}

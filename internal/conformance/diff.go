@@ -40,14 +40,12 @@ import (
 type DiffConfig struct {
 	// World is the shared ground truth both engines scan.
 	World *websim.World
-	// Week, IPv6, Seed, Workers, Timeout and MaxRedirects are passed to
-	// both engines verbatim (see scanner.Config).
-	Week         int
-	IPv6         bool
-	Seed         int64
-	Workers      int
-	Timeout      time.Duration
-	MaxRedirects int
+	// Week, IPv6, Seed and Workers are passed to both engines verbatim
+	// (see scanner.Config).
+	Week    int
+	IPv6    bool
+	Seed    int64
+	Workers int
 	// MaxDomainLogRatio bounds |ln(fast/emulated)| of a domain's mean
 	// spin-RTT across engines; zero means ln(256). The bound is loose by
 	// design: spin samples include application chunk gaps (up to ~1.2 s in
@@ -148,14 +146,12 @@ func (r *DiffReport) Summary() string {
 // results. It returns an error only for invalid configurations.
 func RunDiff(cfg DiffConfig) (*DiffReport, error) {
 	base := scanner.Config{
-		Week:         cfg.Week,
-		IPv6:         cfg.IPv6,
-		Seed:         cfg.Seed,
-		Workers:      cfg.Workers,
-		Timeout:      cfg.Timeout,
-		MaxRedirects: cfg.MaxRedirects,
-		Retry:        cfg.Retry,
-		Faults:       cfg.Faults,
+		Week:    cfg.Week,
+		IPv6:    cfg.IPv6,
+		Seed:    cfg.Seed,
+		Workers: cfg.Workers,
+		Retry:   cfg.Retry,
+		Faults:  cfg.Faults,
 	}
 	fastCfg, emuCfg := base, base
 	fastCfg.Engine = scanner.EngineFast

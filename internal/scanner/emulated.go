@@ -213,7 +213,7 @@ func (e *emulatedEngine) connect(target string, ip netip.Addr, hop, attempt int,
 	x.reqID = reqID
 	x.host.Kick()
 
-	deadline := e.loop.Now().Add(e.cfg.timeout())
+	deadline := e.loop.Now().Add(connTimeout)
 	budget := e.cfg.watchdogSteps
 	if budget <= 0 {
 		budget = defaultWatchdogSteps

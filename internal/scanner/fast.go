@@ -157,7 +157,7 @@ func (e *fastEngine) connect(target string, ip netip.Addr, hop, attempt int, pat
 	// connection's server transport stream, exactly as the emulated server's
 	// transport does, so both engines see the same dice.
 	ctrl := core.NewController(false, srv.PolicyForWeek(e.cfg.Week), e.transport.Rand)
-	lastAt, complete := e.synthesizeObservations(&out, ctrl, srv, rtt, respBytes, e.cfg.timeout()-3*rtt/2)
+	lastAt, complete := e.synthesizeObservations(&out, ctrl, srv, rtt, respBytes, connTimeout-3*rtt/2)
 
 	// The emulated engine's virtual timeline: the handshake completes at
 	// ~1.5 RTT, the request phase runs until the last received packet — or
@@ -167,7 +167,7 @@ func (e *fastEngine) connect(target string, ip netip.Addr, hop, attempt int, pat
 	end := hsAt.Add(lastAt)
 	if !complete {
 		out.Status, out.Server, out.Redirect, out.Err = 0, "", "", "timeout: no response"
-		end = e.now.Add(e.cfg.timeout())
+		end = e.now.Add(connTimeout)
 	}
 	e.tm.connTimeline(rec, e.now, hsAt, end, &out, e.obs)
 	return out
@@ -178,7 +178,7 @@ func (e *fastEngine) connect(target string, ip netip.Addr, hop, attempt int, pat
 // full virtual timeout.
 func (e *fastEngine) timedOut(out ConnResult, err string) ConnResult {
 	out.Err = err
-	e.tm.connTimeline(e.rec, e.now, time.Time{}, e.now.Add(e.cfg.timeout()), nil, nil)
+	e.tm.connTimeline(e.rec, e.now, time.Time{}, e.now.Add(connTimeout), nil, nil)
 	return out
 }
 

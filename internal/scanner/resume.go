@@ -97,13 +97,13 @@ const nominalScanCost = 500 * time.Millisecond
 // the breaker's accounting terms. It depends only on the result itself, so
 // journal replay drives the breaker through exactly the transitions of the
 // original run.
-func domainOutcome(res *DomainResult, cfg Config) resilience.Outcome {
+func domainOutcome(res *DomainResult) resilience.Outcome {
 	cls := classifyDomain(res)
 	switch {
 	case cls == resilience.ClassBreakerOpen:
 		return resilience.Outcome{Skipped: true}
 	case cls.Transient():
-		return resilience.Outcome{Transient: true, Cost: cfg.timeout()}
+		return resilience.Outcome{Transient: true, Cost: connTimeout}
 	default:
 		return resilience.Outcome{Cost: nominalScanCost}
 	}

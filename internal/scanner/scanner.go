@@ -62,11 +62,6 @@ type Config struct {
 	Engine Engine
 	// Seed drives all scan randomness (per-connection spin dice, delays).
 	Seed int64
-	// Timeout is the virtual per-connection give-up deadline; zero means
-	// 6 s, mirroring a scanning timeout.
-	Timeout time.Duration
-	// MaxRedirects bounds redirect following; zero means 3 (§3.2.1).
-	MaxRedirects int
 	// Workers shards domains across parallel event loops; zero means
 	// GOMAXPROCS. Per-domain randomness is derived from (Seed, Week,
 	// domain), so results are deterministic for a fixed Seed regardless
@@ -142,8 +137,7 @@ type Config struct {
 }
 
 // Validate reports descriptive errors for config values that zero-default
-// helpers would otherwise silently misread (negative Workers, MaxRedirects,
-// Timeout, …). Run rejects invalid configs; cmd entry points call it to
+// helpers would otherwise silently misread (negative Workers, Week, …). Run rejects invalid configs; cmd entry points call it to
 // fail fast on bad flags.
 func (c Config) Validate() error {
 	if c.Week < 0 {
@@ -151,12 +145,6 @@ func (c Config) Validate() error {
 	}
 	if c.Workers < 0 {
 		return fmt.Errorf("scanner: Workers must be >= 0 (0 means GOMAXPROCS), got %d", c.Workers)
-	}
-	if c.MaxRedirects < 0 {
-		return fmt.Errorf("scanner: MaxRedirects must be >= 0 (0 means the default of 3), got %d", c.MaxRedirects)
-	}
-	if c.Timeout < 0 {
-		return fmt.Errorf("scanner: Timeout must be >= 0 (0 means the default of 6s), got %v", c.Timeout)
 	}
 	if c.Engine != EngineEmulated && c.Engine != EngineFast {
 		return fmt.Errorf("scanner: unknown Engine %d (want EngineEmulated or EngineFast)", c.Engine)
@@ -204,19 +192,13 @@ type Vantage struct {
 	ExtraJitter time.Duration
 }
 
-func (c Config) timeout() time.Duration {
-	if c.Timeout == 0 {
-		return 6 * time.Second
-	}
-	return c.Timeout
-}
-
-func (c Config) maxRedirects() int {
-	if c.MaxRedirects == 0 {
-		return 3
-	}
-	return c.MaxRedirects
-}
+// The scan methodology's fixed parameters: a connection is given up after
+// connTimeout of virtual time, mirroring a scanning timeout, and at most
+// maxRedirects redirects are followed (§3.2.1).
+const (
+	connTimeout  = 6 * time.Second
+	maxRedirects = 3
+)
 
 func (c Config) workers() int {
 	if c.Workers == 0 {
@@ -511,7 +493,7 @@ func runChain(cfg Config, rng *rand.Rand, resolver *dns.Resolver, sleep func(tim
 		rec.StageEnd(now())
 		rec.SpanAttrInt("addrs", int64(len(addrs)))
 	}
-	for hop := 0; hop <= cfg.maxRedirects(); hop++ {
+	for hop := 0; hop <= maxRedirects; hop++ {
 		hop := hop
 		conn := connectRetry(rt, addrs, func(ip netip.Addr, attempt int) ConnResult {
 			return dial(target, ip, hop, attempt, path)

@@ -269,7 +269,7 @@ func (c *campaign) scanStep(eng *engine, shard int, rec *trace.Recorder, d *webs
 	if key != "" {
 		// Replayed results report the same outcome their live scan did,
 		// so the breaker replays to the same state.
-		switch ev := c.br.Record(key, pos, domainOutcome(&res, c.cfg)); {
+		switch ev := c.br.Record(key, pos, domainOutcome(&res)); {
 		case ev.Opened:
 			c.tm.breakerOpen.Inc()
 			c.tm.breakerGroups.Add(1)

@@ -4,7 +4,6 @@ import (
 	"math"
 	"strings"
 	"testing"
-	"time"
 
 	"quicspin/internal/telemetry"
 )
@@ -20,8 +19,6 @@ func TestConfigValidate(t *testing.T) {
 		want string
 	}{
 		{"negative workers", func(c *Config) { c.Workers = -1 }, "Workers"},
-		{"negative redirects", func(c *Config) { c.MaxRedirects = -2 }, "MaxRedirects"},
-		{"negative timeout", func(c *Config) { c.Timeout = -time.Second }, "Timeout"},
 		{"negative week", func(c *Config) { c.Week = -1 }, "Week"},
 		{"unknown engine", func(c *Config) { c.Engine = Engine(7) }, "Engine"},
 	}

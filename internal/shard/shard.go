@@ -38,7 +38,6 @@ import (
 	"quicspin/internal/resilience"
 	"quicspin/internal/scanner"
 	"quicspin/internal/telemetry"
-	"quicspin/internal/trace"
 	"quicspin/internal/websim"
 )
 
@@ -176,9 +175,6 @@ type Config struct {
 	// Live, when non-nil, receives every range's deliveries for the
 	// /debug/campaign dashboard (shard-merged tables, rolling windows).
 	Live *analysis.Live
-	// Trace, when non-nil, receives supervisor events (restarts and losses)
-	// as synthetic traces alongside the scanner's per-domain ones.
-	Trace *trace.Tracer
 	// MaxRestarts is the restart budget of one range in one week: how many
 	// times the supervisor relaunches a crashed, panicked or stalled scan
 	// (resuming from its checkpoint journal) before declaring the range

@@ -30,10 +30,11 @@ type supervisor struct {
 	col *Collector
 }
 
-// recorder is the supervisor's trace recorder for one shard, in the
-// synthetic id range so it never collides with scan workers.
+// recorder is the supervisor's trace recorder for one shard: supervisor
+// events (restarts and losses) go to the week's tracer as synthetic traces,
+// in the synthetic id range so they never collide with scan workers.
 func (s *supervisor) recorder(si int) *trace.Recorder {
-	return s.cfg.Trace.Recorder(trace.SyntheticWorkerBase - si)
+	return s.sc.Trace.Recorder(trace.SyntheticWorkerBase - si)
 }
 
 // superviseShard runs one range's scan of the week to completion,

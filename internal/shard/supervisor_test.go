@@ -29,7 +29,7 @@ func TestSupervisorRecoversCrash(t *testing.T) {
 	tm := telemetry.New()
 	tracer := trace.New(trace.Config{})
 	live := analysis.NewLive(100, 4)
-	// The scans trace into the same tracer as the supervisor: concurrently
+	// The supervisor traces into the week's scan tracer: concurrently
 	// scanned ranges must not share a per-worker recorder.
 	traced := func(week int) scanner.Config {
 		sc := baseConfig(scanner.EngineFast, 2)(week)
@@ -38,7 +38,7 @@ func TestSupervisorRecoversCrash(t *testing.T) {
 	}
 	res, err := Run(w, Config{
 		Shards: 2, Weeks: weeks, ForWeek: traced,
-		Checkpoint: t.TempDir(), Telemetry: tm, Trace: tracer, Live: live,
+		Checkpoint: t.TempDir(), Telemetry: tm, Live: live,
 		MaxRestarts: 2, RestartBackoff: fastBackoff,
 		Faults: mustFaults(t, "shard.crash:1@40"),
 	})

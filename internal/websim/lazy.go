@@ -178,10 +178,7 @@ func (w *World) synthServer(r *dice.Rand, o *Org, addr netip.Addr) *Server {
 		s.Mode = o.mode(addr)
 	}
 	weeks := w.Profile.Weeks
-	if weeks < 1 {
-		weeks = 1
-	}
-	s.SpinFromWeek, s.SpinToWeek = 1, weeks
+	s.SpinFromWeek = 1 // SpinToWeek 0: a deployment that never drops spin has no end week
 	if s.Mode == core.ModeSpin && weeks > 3 && rng.Float64() >= o.StableSpinShare {
 		// Deployment churn. Spin support mostly arrives with stack
 		// updates and then stays (adopters); a minority of deployments

@@ -125,7 +125,9 @@ type Server struct {
 	BaseRTT time.Duration
 	// SpinFromWeek and SpinToWeek bound (inclusive, 1-based) the weeks in
 	// which a ModeSpin deployment is actually present; outside the window
-	// the server behaves like ModeZero (deployment churn, Fig. 2).
+	// the server behaves like ModeZero (deployment churn, Fig. 2). A
+	// SpinToWeek of 0 means the deployment never drops spin, so it keeps
+	// spinning past the profile's last week (a -follow campaign).
 	SpinFromWeek, SpinToWeek int
 	// Hostile is the endpoint-misbehavior profile of this deployment
 	// (hostile.None for the well-behaved majority).
@@ -136,7 +138,7 @@ type Server struct {
 // given 1-based campaign week.
 func (s *Server) PolicyForWeek(week int) core.Policy {
 	mode := s.Mode
-	if mode == core.ModeSpin && (week < s.SpinFromWeek || week > s.SpinToWeek) {
+	if mode == core.ModeSpin && (week < s.SpinFromWeek || s.SpinToWeek > 0 && week > s.SpinToWeek) {
 		mode = core.ModeZero
 	}
 	return spinPolicyFor(mode, s.DisableEveryN)

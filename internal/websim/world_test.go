@@ -176,9 +176,37 @@ func TestPolicyForWeekWindows(t *testing.T) {
 	if got := s.PolicyForWeek(8).Mode; got != core.ModeZero {
 		t.Errorf("week 8 mode = %v, want zero", got)
 	}
+	open := &Server{Mode: core.ModeSpin, DisableEveryN: 16, SpinFromWeek: 3}
+	if got := open.PolicyForWeek(100).Mode; got != core.ModeSpin {
+		t.Errorf("no end week: week 100 mode = %v, want spin", got)
+	}
 	z := &Server{Mode: core.ModeOne, SpinFromWeek: 1, SpinToWeek: 12}
 	if got := z.PolicyForWeek(5).Mode; got != core.ModeOne {
 		t.Errorf("non-spin mode must be week-independent, got %v", got)
+	}
+}
+
+// TestSpinOutlivesCampaign: a deployment that never drops spin keeps
+// spinning after the profile's last week, so a -follow campaign does not go
+// silent once it passes Profile.Weeks.
+func TestSpinOutlivesCampaign(t *testing.T) {
+	p := DefaultProfile()
+	p.Scale = 4000
+	w := Generate(p)
+	spinning := 0
+	for addr, s := range w.Servers() {
+		last := s.PolicyForWeek(p.Weeks).Mode
+		if last == core.ModeSpin {
+			spinning++
+		}
+		for _, wk := range []int{p.Weeks + 1, p.Weeks + 40} {
+			if got := s.PolicyForWeek(wk).Mode; got != last {
+				t.Errorf("%v: week %d mode = %v, week %d mode = %v", addr, wk, got, p.Weeks, last)
+			}
+		}
+	}
+	if spinning == 0 {
+		t.Fatal("no server spins in the last week; test vacuous")
 	}
 }
 
