@@ -72,21 +72,32 @@ type Conn struct {
 
 // AnalyzeConn runs the §3.3 methodology on one connection record.
 func AnalyzeConn(c *scanner.ConnResult) Conn {
+	out, _ := analyzeConn(c, nil)
+	return out
+}
+
+// analyzeConn is AnalyzeConn with the spin-RTT series appended to rtts,
+// which it returns grown: the result's SpinRTTsR and SpinRTTsS alias rtts,
+// so a caller that reuses rtts keeps the result only as long as that.
+func analyzeConn(c *scanner.ConnResult, rtts []time.Duration) (Conn, []time.Duration) {
 	out := Conn{}
 	switch c.Kind() {
 	case core.KindEmpty:
 		out.Class = ClassNone
-		return out
+		return out, rtts
 	case core.KindAllZero:
 		out.Class = ClassAllZero
-		return out
+		return out, rtts
 	case core.KindAllOne:
 		out.Class = ClassAllOne
-		return out
+		return out, rtts
 	}
 	// Flipping: compute spin RTTs both ways.
-	out.SpinRTTsR = core.SpinRTTs(c.Observations, false)
-	out.SpinRTTsS = core.SpinRTTs(c.Observations, true)
+	first := len(rtts)
+	rtts = core.AppendSpinRTTs(rtts, c.Observations, false)
+	mid := len(rtts)
+	rtts = core.AppendSpinRTTs(rtts, c.Observations, true)
+	out.SpinRTTsR, out.SpinRTTsS = span(rtts, first, mid), span(rtts, mid, len(rtts))
 	out.SpinMeanR = meanDur(out.SpinRTTsR)
 	out.SpinMeanS = meanDur(out.SpinRTTsS)
 	out.StackMean = meanDur(c.StackRTTs)
@@ -115,7 +126,16 @@ func AnalyzeConn(c *scanner.ConnResult) Conn {
 		out.RatioR = mappedRatio(out.SpinMeanR, out.StackMean)
 		out.RatioS = mappedRatio(out.SpinMeanS, out.StackMean)
 	}
-	return out
+	return out, rtts
+}
+
+// span is s[i:j] capped at j, so an append to it cannot reach past j, and
+// nil when empty, as core.SpinRTTs returns no samples.
+func span(s []time.Duration, i, j int) []time.Duration {
+	if i == j {
+		return nil
+	}
+	return s[i:j:j]
 }
 
 // greaseGuard is the tolerance below min_rtt before the grease filter

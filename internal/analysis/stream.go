@@ -1,6 +1,8 @@
 package analysis
 
 import (
+	"time"
+
 	"quicspin/internal/asdb"
 	"quicspin/internal/report"
 	"quicspin/internal/scanner"
@@ -27,7 +29,10 @@ type Accumulator struct {
 	acc      *accuracyFold
 	long     *longFold // shared campaign fold; nil outside a campaign
 
-	scratch []Conn // reused per Add; aggregate state never aliases it
+	// scratch and rtts are reused per Add: the per-connection analyses and
+	// the spin-RTT series they alias. Aggregate state never aliases either.
+	scratch []Conn
+	rtts    []time.Duration
 }
 
 // NewAccumulator prepares aggregation for one measurement week. res
@@ -57,11 +62,13 @@ func NewAccumulator(week int, ipv6 bool, res *asdb.Resolver) *Accumulator {
 // during the call; the per-connection analyses live in a scratch slice
 // reused across calls.
 func (a *Accumulator) Add(d *scanner.DomainResult) Class {
-	conns := a.scratch[:0]
+	conns, rtts := a.scratch[:0], a.rtts[:0]
 	for j := range d.Conns {
-		conns = append(conns, AnalyzeConn(&d.Conns[j]))
+		var c Conn
+		c, rtts = analyzeConn(&d.Conns[j], rtts)
+		conns = append(conns, c)
 	}
-	a.scratch = conns
+	a.scratch, a.rtts = conns, rtts
 	da := DomainAnalysis{Src: d, Conns: conns, Class: DomainClass(conns)}
 	for i := range a.overview {
 		a.overview[i].add(&da)

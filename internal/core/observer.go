@@ -1,7 +1,8 @@
 package core
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 	"time"
 )
 
@@ -13,18 +14,26 @@ import (
 // With sortByPN false the series is processed in received order, which is
 // what an on-path observer sees (paper terminology "R"). With sortByPN true
 // the series is first stably sorted by packet number, undoing network
-// reordering ("S"). The input slice is never modified.
+// reordering ("S"). The input slice is never modified. It returns nil when
+// the series yields no sample.
 func SpinRTTs(obs []Observation, sortByPN bool) []time.Duration {
+	return AppendSpinRTTs(nil, obs, sortByPN)
+}
+
+// AppendSpinRTTs is SpinRTTs appending the samples to dst, so a caller with
+// storage of its own computes them without allocating. A series whose
+// packet numbers never decrease is already in packet-number order, and the
+// stable sort would leave it as it is: it is read in place. Only a
+// reordered series is sorted, in a copy.
+func AppendSpinRTTs(dst []time.Duration, obs []Observation, sortByPN bool) []time.Duration {
 	if len(obs) < 2 {
-		return nil
+		return dst
 	}
 	series := obs
-	if sortByPN {
-		series = make([]Observation, len(obs))
-		copy(series, obs)
-		sort.SliceStable(series, func(i, j int) bool { return series[i].PN < series[j].PN })
+	if sortByPN && !pnNonDecreasing(obs) {
+		series = slices.Clone(obs)
+		slices.SortStableFunc(series, func(a, b Observation) int { return cmp.Compare(a.PN, b.PN) })
 	}
-	var rtts []time.Duration
 	last := series[0].Spin
 	var lastEdge time.Time
 	haveEdge := false
@@ -34,12 +43,22 @@ func SpinRTTs(obs []Observation, sortByPN bool) []time.Duration {
 		}
 		last = o.Spin
 		if haveEdge {
-			rtts = append(rtts, o.T.Sub(lastEdge))
+			dst = append(dst, o.T.Sub(lastEdge))
 		}
 		lastEdge = o.T
 		haveEdge = true
 	}
-	return rtts
+	return dst
+}
+
+// pnNonDecreasing reports whether obs is already in packet-number order.
+func pnNonDecreasing(obs []Observation) bool {
+	for i := 1; i < len(obs); i++ {
+		if obs[i].PN < obs[i-1].PN {
+			return false
+		}
+	}
+	return true
 }
 
 // HasFlips reports whether the series contains both spin values, i.e. the

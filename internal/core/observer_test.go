@@ -1,6 +1,10 @@
 package core
 
 import (
+	"math/rand"
+	"reflect"
+	"slices"
+	"sort"
 	"testing"
 	"testing/quick"
 	"time"
@@ -88,6 +92,110 @@ func TestSpinRTTsSortIsStableAndNonMutating(t *testing.T) {
 		if obs[i] != cp[i] {
 			t.Fatal("SpinRTTs mutated its input")
 		}
+	}
+}
+
+// spinRTTsReference is SpinRTTs as it was before AppendSpinRTTs: always a
+// fresh copy, always sort.SliceStable, a nil result without samples.
+func spinRTTsReference(obs []Observation, sortByPN bool) []time.Duration {
+	if len(obs) < 2 {
+		return nil
+	}
+	series := obs
+	if sortByPN {
+		series = make([]Observation, len(obs))
+		copy(series, obs)
+		sort.SliceStable(series, func(i, j int) bool { return series[i].PN < series[j].PN })
+	}
+	var rtts []time.Duration
+	last := series[0].Spin
+	var lastEdge time.Time
+	haveEdge := false
+	for _, o := range series[1:] {
+		if o.Spin == last {
+			continue
+		}
+		last = o.Spin
+		if haveEdge {
+			rtts = append(rtts, o.T.Sub(lastEdge))
+		}
+		lastEdge = o.T
+		haveEdge = true
+	}
+	return rtts
+}
+
+// TestAppendSpinRTTsMatchesReference: on 10⁴ random series — packets lost,
+// duplicated and reordered, spin values flapping — AppendSpinRTTs after a
+// prefix appends exactly what the copy-and-sort reference returns, in both
+// orders, and leaves the series and the prefix alone; SpinRTTs returns the
+// reference's value, nil included.
+func TestAppendSpinRTTsMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(34))
+	prefix := []time.Duration{-1, -2}
+	inPlace := 0
+	for n := 0; n < 10_000; n++ {
+		obs := make([]Observation, rng.Intn(40))
+		pn, at := uint64(0), time.Duration(0)
+		for i := range obs {
+			switch r := rng.Intn(10); {
+			case r == 0 && pn > 3: // a late packet from before the last few
+				obs[i].PN = pn - 1 - uint64(rng.Intn(3))
+			case r == 1 && i > 0: // a duplicate
+				obs[i].PN = obs[i-1].PN
+			default: // the next packet, or a later one after losses
+				pn += 1 + uint64(rng.Intn(2))
+				obs[i].PN = pn
+			}
+			at += time.Duration(rng.Intn(30)) * time.Millisecond
+			obs[i].T = t0.Add(at)
+			obs[i].Spin = (obs[i].PN/uint64(1+n%5))%2 == 1 != (rng.Intn(8) == 0)
+		}
+		if pnNonDecreasing(obs) {
+			inPlace++
+		}
+		before := append([]Observation(nil), obs...)
+		for _, sorted := range []bool{false, true} {
+			want := spinRTTsReference(obs, sorted)
+			if got := SpinRTTs(obs, sorted); !reflect.DeepEqual(got, want) {
+				t.Fatalf("series %d (sorted=%v): SpinRTTs = %v, reference %v\n%v", n, sorted, got, want, obs)
+			}
+			dst := append(make([]time.Duration, 0, 8), prefix...)
+			got := AppendSpinRTTs(dst, obs, sorted)
+			if !slices.Equal(got[:len(prefix)], prefix) || len(got)-len(prefix) != len(want) {
+				t.Fatalf("series %d (sorted=%v): AppendSpinRTTs = %v, want %v after %v", n, sorted, got, want, prefix)
+			}
+			for i, w := range want {
+				if got[len(prefix)+i] != w {
+					t.Fatalf("series %d (sorted=%v): AppendSpinRTTs = %v, want %v after %v", n, sorted, got, want, prefix)
+				}
+			}
+		}
+		if !slices.Equal(obs, before) {
+			t.Fatalf("series %d: AppendSpinRTTs mutated its input", n)
+		}
+	}
+	if inPlace < 1000 || inPlace > 9000 {
+		t.Fatalf("vacuous: %d of 10000 series already in packet-number order", inPlace)
+	}
+}
+
+// TestAppendSpinRTTsInOrderZeroAlloc: a series already in packet-number
+// order is read in place, so with room in dst neither order allocates.
+func TestAppendSpinRTTsInOrderZeroAlloc(t *testing.T) {
+	obs := make([]Observation, 200)
+	for i := range obs {
+		obs[i] = Observation{T: t0.Add(time.Duration(i) * time.Millisecond), PN: uint64(i / 2 * 2), Spin: (i/25)%2 == 1}
+	}
+	dst := make([]time.Duration, 0, 64)
+	if n := testing.AllocsPerRun(100, func() {
+		dst = AppendSpinRTTs(dst[:0], obs, false)
+		dst = AppendSpinRTTs(dst, obs, true)
+	}); n != 0 {
+		t.Errorf("AppendSpinRTTs on an in-order series allocates %.1f times, want 0", n)
+	}
+	if len(dst) != 2*6 {
+		t.Fatalf("%d samples, want 6 in each order", len(dst))
 	}
 }
 

@@ -7,7 +7,6 @@ package dns
 
 import (
 	"errors"
-	"fmt"
 	"math/rand"
 	"net/netip"
 	"strings"
@@ -111,8 +110,8 @@ type cacheKey struct {
 	t    RType
 }
 
-// cacheEntry memoises a lookup outcome. Injected timeouts are never
-// cached — they model transient auth failures.
+// cacheEntry memoises a lookup outcome, a failure as its bare kind.
+// Injected timeouts are never cached — they model transient auth failures.
 type cacheEntry struct {
 	addrs []netip.Addr
 	err   error
@@ -187,15 +186,22 @@ func (r *Resolver) Lookup(name string, t RType) ([]netip.Addr, error) {
 // LookupAttempt resolves name to addresses of the given type, identifying
 // the caller's per-domain retry attempt (0-based) so a fault plan can fail
 // the first k attempts deterministically. The result is the caller's own
-// copy.
+// copy. A failure wraps its kind (ErrNXDomain, ErrTimeout or ErrNoRecord)
+// and reads as ErrText spells it.
 func (r *Resolver) LookupAttempt(name string, t RType, attempt int) ([]netip.Addr, error) {
-	return r.AppendLookup(nil, name, t, attempt)
+	addrs, err := r.AppendLookup(nil, name, t, attempt)
+	if err != nil {
+		return nil, &lookupError{kind: err, text: ErrText(err, name, t)}
+	}
+	return addrs, nil
 }
 
 // AppendLookup is LookupAttempt appending the addresses to dst, so a caller
 // with storage of its own resolves without allocating. The appended
 // addresses are a copy: nothing the caller does to dst reaches the backend
-// or the memo. On error dst is returned unchanged.
+// or the memo. On error dst is returned unchanged, and the error is the bare
+// failure kind — ErrNXDomain, ErrTimeout or ErrNoRecord — with no name in
+// it: a caller that reports the failure spells it once with ErrText.
 func (r *Resolver) AppendLookup(dst []netip.Addr, name string, t RType, attempt int) ([]netip.Addr, error) {
 	name = Normalize(name)
 	r.mu.Lock()
@@ -208,7 +214,7 @@ func (r *Resolver) AppendLookup(dst []netip.Addr, name string, t RType, attempt 
 	// out.
 	if r.faults != nil {
 		if _, ok := r.backend.Zone(name); ok && r.faults.Hit(fault.DNS, fault.Timeout, name, attempt) {
-			return dst, r.finishLocked(fmt.Errorf("%w: %s %s", ErrTimeout, name, t))
+			return dst, r.finishLocked(ErrTimeout)
 		}
 	}
 	key := cacheKey{name, t}
@@ -224,7 +230,7 @@ func (r *Resolver) AppendLookup(dst []netip.Addr, name string, t RType, attempt 
 		r.tmMisses.Inc()
 	}
 	addrs, err := r.lookupLocked(name, t)
-	if r.cache != nil && !errors.Is(err, ErrTimeout) {
+	if r.cache != nil && err != ErrTimeout {
 		r.cache[key] = cacheEntry{addrs: addrs, err: err}
 	}
 	if err != nil {
@@ -233,14 +239,15 @@ func (r *Resolver) AppendLookup(dst []netip.Addr, name string, t RType, attempt 
 	return append(dst, addrs...), r.finishLocked(nil)
 }
 
-// lookupLocked performs the uncached resolution against the backend.
+// lookupLocked performs the uncached resolution against the backend. A
+// failure is its bare kind.
 func (r *Resolver) lookupLocked(name string, t RType) ([]netip.Addr, error) {
 	rec, ok := r.backend.Zone(name)
 	if !ok {
-		return nil, fmt.Errorf("%w: %s", ErrNXDomain, name)
+		return nil, ErrNXDomain
 	}
 	if r.TimeoutRate > 0 && r.rng.Float64() < r.TimeoutRate {
-		return nil, fmt.Errorf("%w: %s %s", ErrTimeout, name, t)
+		return nil, ErrTimeout
 	}
 	var addrs []netip.Addr
 	switch t {
@@ -250,28 +257,50 @@ func (r *Resolver) lookupLocked(name string, t RType) ([]netip.Addr, error) {
 		addrs = rec.AAAA
 	}
 	if len(addrs) == 0 {
-		return nil, fmt.Errorf("%w: %s %s", ErrNoRecord, name, t)
+		return nil, ErrNoRecord
 	}
 	return addrs, nil
 }
 
 // finishLocked tallies a lookup outcome and returns its error.
 func (r *Resolver) finishLocked(err error) error {
-	switch {
-	case err == nil:
+	switch err {
+	case nil:
 		r.stats.Resolved++
-	case errors.Is(err, ErrNXDomain):
+	case ErrNXDomain:
 		r.stats.NXDomain++
 		r.tmErrs["nxdomain"].Inc()
-	case errors.Is(err, ErrTimeout):
+	case ErrTimeout:
 		r.stats.Timeouts++
 		r.tmErrs["timeout"].Inc()
-	case errors.Is(err, ErrNoRecord):
+	case ErrNoRecord:
 		r.stats.NoRecord++
 		r.tmErrs["norecord"].Inc()
 	}
 	return err
 }
+
+// ErrText spells a failed lookup of name for type t, whose kind AppendLookup
+// returned: "dns: NXDOMAIN: <name>" for a name that does not exist, and the
+// kind's text followed by ": <name> <type>" otherwise. It is the text of
+// LookupAttempt's error and of a scanned domain's DNS error, built with one
+// allocation.
+func ErrText(kind error, name string, t RType) string {
+	name = Normalize(name)
+	if kind == ErrNXDomain {
+		return kind.Error() + ": " + name
+	}
+	return kind.Error() + ": " + name + " " + t.String()
+}
+
+// lookupError is LookupAttempt's failure: its kind, spelled by ErrText.
+type lookupError struct {
+	kind error
+	text string
+}
+
+func (e *lookupError) Error() string { return e.text }
+func (e *lookupError) Unwrap() error { return e.kind }
 
 // Stats returns a snapshot of resolver counters.
 func (r *Resolver) Stats() Stats {

@@ -260,3 +260,60 @@ func TestCachedResultIsACopy(t *testing.T) {
 		})
 	}
 }
+
+// TestFailureTexts: every failure kind, from the backend, the memo, the
+// random timeout and the fault plan alike, reaches AppendLookup as the bare
+// kind and LookupAttempt as ErrText's spelling of it — the text fmt.Errorf
+// wrote before the kinds went bare, pinned literally.
+func TestFailureTexts(t *testing.T) {
+	cases := []struct {
+		name   string
+		typ    RType
+		rate   float64
+		faults bool
+		kind   error
+		text   string
+	}{
+		{"Missing.Example.COM.", TypeA, 0, false, ErrNXDomain, "dns: NXDOMAIN: missing.example.com"},
+		{"v4only.example.com", TypeAAAA, 0, false, ErrNoRecord, "dns: no record of requested type: v4only.example.com AAAA"},
+		{"www.example.com", TypeA, 1, false, ErrTimeout, "dns: query timed out: www.example.com A"},
+		{"www.example.com", TypeAAAA, 0, true, ErrTimeout, "dns: query timed out: www.example.com AAAA"},
+	}
+	for _, c := range cases {
+		for _, memo := range []bool{false, true} {
+			r := NewResolver(backend(), rand.New(rand.NewSource(1)))
+			r.TimeoutRate = c.rate
+			if c.faults {
+				r.SetFaults(fault.New(1, fault.Rule{Site: fault.DNS, Kind: fault.Timeout, Target: "www.example.com", P: 1, Times: 9}))
+			}
+			if memo {
+				r.EnableCache()
+			}
+			for i := 0; i < 2; i++ { // the second lookup hits the memo, if any
+				if _, err := r.AppendLookup(nil, c.name, c.typ, 0); err != c.kind {
+					t.Errorf("AppendLookup(%s, %s) = %v, want the bare %v", c.name, c.typ, err, c.kind)
+				}
+				_, err := r.LookupAttempt(c.name, c.typ, 0)
+				if !errors.Is(err, c.kind) || err.Error() != c.text {
+					t.Errorf("LookupAttempt(%s, %s) = %q, want %q wrapping %v", c.name, c.typ, err, c.text, c.kind)
+				}
+				if got := ErrText(c.kind, c.name, c.typ); got != c.text {
+					t.Errorf("ErrText(%v, %s, %s) = %q, want %q", c.kind, c.name, c.typ, got, c.text)
+				}
+			}
+		}
+	}
+}
+
+// A memoised failure costs AppendLookup nothing, and ErrText one string.
+func TestFailureAllocs(t *testing.T) {
+	r := NewResolver(backend(), rand.New(rand.NewSource(1)))
+	r.EnableCache()
+	var err error
+	if n := testing.AllocsPerRun(100, func() { _, err = r.AppendLookup(nil, "missing.example.com", TypeA, 0) }); n != 0 {
+		t.Errorf("a memoised failed AppendLookup allocates %.1f times, want 0", n)
+	}
+	if n := testing.AllocsPerRun(100, func() { _ = ErrText(err, "v4only.example.com", TypeAAAA) }); n != 1 {
+		t.Errorf("ErrText allocates %.1f times, want 1", n)
+	}
+}

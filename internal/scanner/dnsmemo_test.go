@@ -24,9 +24,11 @@ func TestEngineResolverMemoBounded(t *testing.T) {
 		}
 		scanned := map[string]bool{}
 		var chain map[string]bool
+		var s slabs
 		for i := 0; i < w.NumDomains(); i++ {
 			d := w.DomainAt(i)
-			res := eng.scanDomain(d)
+			s.reset()
+			res := eng.scanDomain(d, &s)
 			chain = map[string]bool{d.Host(): true}
 			for _, c := range res.Conns {
 				chain[c.Target] = true

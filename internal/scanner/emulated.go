@@ -56,6 +56,11 @@ type emulatedEngine struct {
 	netem, serverTurnaround *dice.Rand
 	// serverDelay draws a server host's turnaround, bound once like clock.
 	serverDelay func() time.Duration
+	// plan is response-plan scratch, reused by every response a server host
+	// streams.
+	plan []websim.Chunk
+	// slabs keeps the results of the domain being scanned (scanDomain).
+	slabs *slabs
 	// stalled marks the engine unhealthy after a watchdog kill: the loop
 	// still holds undrained events, so the worker must rebuild the engine
 	// before scanning another domain.
@@ -93,14 +98,15 @@ func campaignStart(week int) time.Time {
 	return base.AddDate(0, 0, 7*(week-1))
 }
 
-func (e *emulatedEngine) scanDomain(d *websim.Domain) DomainResult {
+func (e *emulatedEngine) scanDomain(d *websim.Domain, s *slabs) DomainResult {
 	// Key the per-domain streams to (Seed, Week, domain) so the outcome is
 	// independent of scan order and sharding; connect keys the rest.
 	e.dice.reseed(e.cfg, d.Name)
+	e.slabs = s
 	// Retry backoff advances this worker's virtual clock; the loop also
 	// fires any pending events inside the backoff window.
 	sleep := func(d time.Duration) { e.loop.RunUntil(e.loop.Now().Add(d)) }
-	res := runChain(e.cfg, e.dice.retry.Rand, e.resolver, sleep, e.tm, e.rec, e.clock, d, e.connect)
+	res := runChain(e.cfg, e.dice.retry.Rand, e.resolver, sleep, e.tm, e.rec, e.clock, d, s, e.connect)
 	// Drain the loop completely: leftover events (server retransmissions,
 	// response-chunk timers, idle timeouts) belong to this domain and must
 	// not fire inside the next domain's scan. A stalled loop is not drained
@@ -260,9 +266,9 @@ func (e *emulatedEngine) connect(target string, ip netip.Addr, hop, attempt int,
 		}
 	}
 	if out.HasFlips() {
-		out.Observations = append(out.Observations, obs...)
+		out.Observations = keep(e.slabs, &e.slabs.obs, obs...)
 	}
-	out.StackRTTs = append(out.StackRTTs, conn.RTT().Samples()...)
+	out.StackRTTs = keep(e.slabs, &e.slabs.rtts, conn.RTT().Samples()...)
 	resp := x.resp
 	// TermError is never wrapped (see its doc), so the concrete type decides.
 	be, _ := conn.TermError().(*transport.BudgetError)
@@ -494,7 +500,8 @@ func (e *emulatedEngine) site(ip netip.Addr, srv *websim.Server) {
 // before the one flush, so the stream and its packets are those of writing
 // the joined bytes.
 func (e *emulatedEngine) streamResponse(host *netem.ServerHost, srv *websim.Server, conn *transport.Conn, id uint64, app *rand.Rand, head, body []byte) {
-	plan := srv.ResponsePlan(app, len(head)+len(body))
+	e.plan = srv.AppendResponsePlan(e.plan[:0], app, len(head)+len(body))
+	plan := e.plan
 	off := 0
 	for i, ch := range plan {
 		start, end := off, off+ch.Bytes

@@ -46,10 +46,12 @@ func TestEmulatedEngineBoundedMemory(t *testing.T) {
 		net           netem.TableSizes
 		heap          uint64
 	}
+	var s slabs
 	pass := func() snapshot {
 		for i := 0; i < w.NumDomains(); i++ {
 			d := w.DomainAt(i)
-			if res := e.scanDomain(d); len(res.Conns) == 0 || res.Conns[0].Status != 200 {
+			s.reset()
+			if res := e.scanDomain(d, &s); len(res.Conns) == 0 || res.Conns[0].Status != 200 {
 				t.Fatalf("%s: no 200 response: %+v", d.Name, res.Conns)
 			}
 			// After the per-domain drain nothing is live on any site.
@@ -98,8 +100,8 @@ func TestEmulatedEngineBoundedMemory(t *testing.T) {
 // that plus 10 %: a regrowth of the per-connection allocation fails tier-1, not
 // only the benchmark.
 const (
-	emulatedConnAllocs      = 50
-	emulatedBlackholeAllocs = 5
+	emulatedConnAllocs      = 40
+	emulatedBlackholeAllocs = 2
 )
 
 func TestEmulatedConnAllocCeiling(t *testing.T) {
@@ -113,12 +115,17 @@ func TestEmulatedBlackholeAllocCeiling(t *testing.T) {
 func allocCeiling(t *testing.T, w *websim.World, wantStatus, recorded int) {
 	e := quicEngine(w)
 	d := w.DomainAt(7)
-	for i := 0; i < 5; i++ { // warm the site, the pools and the DNS cache
-		if res := e.scanDomain(d); len(res.Conns) != 1 || res.Conns[0].Status != wantStatus {
+	var s slabs
+	for i := 0; i < 5; i++ { // warm the site, the pools, the DNS cache and the slabs
+		s.reset()
+		if res := e.scanDomain(d, &s); len(res.Conns) != 1 || res.Conns[0].Status != wantStatus {
 			t.Fatalf("%s: want one connection with status %d: %+v", d.Name, wantStatus, res.Conns)
 		}
 	}
-	got := testing.AllocsPerRun(50, func() { e.scanDomain(d) })
+	got := testing.AllocsPerRun(50, func() {
+		s.reset()
+		e.scanDomain(d, &s)
+	})
 	t.Logf("%.0f allocations per emulated domain (recorded: %d)", got, recorded)
 	if ceiling := float64(recorded) * 1.1; got > ceiling {
 		t.Errorf("one emulated domain allocates %.0f times, ceiling %.0f (recorded %d + 10%%)", got, ceiling, recorded)

@@ -37,11 +37,16 @@ type fastEngine struct {
 	// and the path jitter the closed-form timing stands in for.
 	transport, app, netem *dice.Rand
 
-	// times and obs are per-connection synthesis scratch, reused across
-	// connections to keep the campaign hot loop allocation-free; retained
-	// observation series are copied out (see synthesizeObservations).
+	// times, obs, plan and ctrl are per-connection synthesis scratch, reused
+	// across connections to keep the campaign hot loop allocation-free;
+	// retained observation series are copied out (see
+	// synthesizeObservations).
 	times []time.Duration
 	obs   []core.Observation
+	plan  []websim.Chunk
+	ctrl  *core.Controller
+	// slabs keeps the results of the domain being scanned (scanDomain).
+	slabs *slabs
 }
 
 func newFastEngine(w *websim.World, cfg Config, tm *scanTelemetry, rec *trace.Recorder) *fastEngine {
@@ -55,6 +60,7 @@ func newFastEngine(w *websim.World, cfg Config, tm *scanTelemetry, rec *trace.Re
 		transport: dice.New(),
 		app:       dice.New(),
 		netem:     dice.New(),
+		ctrl:      core.NewController(false, core.Policy{}, nil),
 	}
 	e.resolver = dns.NewResolver(w.DNSBackend(), e.dice.dns.Rand)
 	e.clock = func() time.Time { return e.now }
@@ -64,11 +70,12 @@ func newFastEngine(w *websim.World, cfg Config, tm *scanTelemetry, rec *trace.Re
 	return e
 }
 
-func (e *fastEngine) scanDomain(d *websim.Domain) DomainResult {
+func (e *fastEngine) scanDomain(d *websim.Domain, s *slabs) DomainResult {
 	e.dice.reseed(e.cfg, d.Name)
+	e.slabs = s
 	// No virtual clock to advance here: retry backoff only draws jitter
 	// from the retry stream (sleep is a no-op).
-	return runChain(e.cfg, e.dice.retry.Rand, e.resolver, nil, e.tm, e.rec, e.clock, d, e.connect)
+	return runChain(e.cfg, e.dice.retry.Rand, e.resolver, nil, e.tm, e.rec, e.clock, d, s, e.connect)
 }
 
 // healthy implements engine; the fast engine holds no loop state that can
@@ -132,10 +139,11 @@ func (e *fastEngine) connect(target string, ip netip.Addr, hop, attempt int, pat
 	rtt := e.pathRTT(srv)
 	// Stack samples: one per handshake flight plus data-phase samples,
 	// each jittered around the network RTT.
-	out.StackRTTs = make([]time.Duration, 0, fastStackSamples)
-	for i := 0; i < fastStackSamples; i++ {
-		out.StackRTTs = append(out.StackRTTs, jittered(e.netem.Rand, rtt, 0.04))
+	var stack [fastStackSamples]time.Duration
+	for i := range stack {
+		stack[i] = jittered(e.netem.Rand, rtt, 0.04)
 	}
+	out.StackRTTs = keep(e.slabs, &e.slabs.rtts, stack[:]...)
 
 	// Response content.
 	d := e.world.DomainByHost(target)
@@ -155,9 +163,10 @@ func (e *fastEngine) connect(target string, ip netip.Addr, hop, attempt int, pat
 	// Spin series synthesis: the server's spin controller rolls its dice
 	// (1-in-N disable, per-connection grease) as the first draws of the
 	// connection's server transport stream, exactly as the emulated server's
-	// transport does, so both engines see the same dice.
-	ctrl := core.NewController(false, srv.PolicyForWeek(e.cfg.Week), e.transport.Rand)
-	lastAt, complete := e.synthesizeObservations(&out, ctrl, srv, rtt, respBytes, connTimeout-3*rtt/2)
+	// transport does, so both engines see the same dice. Reset is
+	// NewController's body: the same dice in the same order.
+	e.ctrl.Reset(false, srv.PolicyForWeek(e.cfg.Week), e.transport.Rand)
+	lastAt, complete := e.synthesizeObservations(&out, e.ctrl, srv, rtt, respBytes, connTimeout-3*rtt/2)
 
 	// The emulated engine's virtual timeline: the handshake completes at
 	// ~1.5 RTT, the request phase runs until the last received packet — or
@@ -231,7 +240,8 @@ func (e *fastEngine) pathRTT(srv *websim.Server) time.Duration {
 // time of the last packet seen, relative to handshake completion (the
 // request stage duration), and whether the whole response arrived.
 func (e *fastEngine) synthesizeObservations(out *ConnResult, ctrl *core.Controller, srv *websim.Server, rtt time.Duration, respBytes int, cutoff time.Duration) (time.Duration, bool) {
-	plan := srv.ResponsePlan(e.app.Rand, respBytes)
+	e.plan = srv.AppendResponsePlan(e.plan[:0], e.app.Rand, respBytes)
+	plan := e.plan
 	// Receive times of server packets, relative to handshake completion. The
 	// in-flight window is the connection's, not the chunk's: a chunk written
 	// while an earlier one is still in flight queues behind it.
@@ -313,11 +323,10 @@ func (e *fastEngine) synthesizeObservations(out *ConnResult, ctrl *core.Controll
 	if p := hostile.DetectSpinPattern(obs); p != hostile.None {
 		out.Err = hostile.ErrText(p)
 	}
-	// Only series with flips are retained (unless the caller keeps all), so
-	// the synthesis above runs entirely in scratch and the retained minority
-	// is copied out exactly-sized here.
+	// Only series with flips are retained, so the synthesis above runs
+	// entirely in scratch and the retained minority is copied to the slab.
 	if out.HasFlips() {
-		out.Observations = append(make([]core.Observation, 0, len(obs)), obs...)
+		out.Observations = keep(e.slabs, &e.slabs.obs, obs...)
 	}
 	return lastAt, complete
 }

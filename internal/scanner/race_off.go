@@ -1,0 +1,6 @@
+//go:build !race
+
+package scanner
+
+// raceEnabled reports a race-detector build; recycled batches poison there.
+const raceEnabled = false

@@ -1,0 +1,220 @@
+package scanner
+
+import (
+	"bytes"
+	"encoding/json"
+	"reflect"
+	"testing"
+	"time"
+
+	"quicspin/internal/core"
+	"quicspin/internal/fault"
+	"quicspin/internal/resilience"
+	"quicspin/internal/websim"
+)
+
+// A sink borrows each result: the batch storage behind it is recycled once
+// the call returns. These tests pin that contract from both sides — a sink
+// that keeps what it borrowed reads poison, and one that copies (Run)
+// keeps exactly what it was shown.
+
+// withPoison runs the test with recycled batches poisoned, as race builds
+// always run.
+func withPoison(t *testing.T) {
+	old := poisonBatches
+	poisonBatches = true
+	t.Cleanup(func() { poisonBatches = old })
+}
+
+// deepCopy is an independent deep copy of a result (not DomainResult.clone,
+// which Run uses and these tests check): nil slices stay nil, empty ones
+// empty.
+func deepCopy(d *DomainResult) DomainResult {
+	c := *d
+	if d.Conns != nil {
+		c.Conns = make([]ConnResult, len(d.Conns))
+		copy(c.Conns, d.Conns)
+	}
+	for i := range c.Conns {
+		if o := d.Conns[i].Observations; o != nil {
+			c.Conns[i].Observations = append(make([]core.Observation, 0, len(o)), o...)
+		}
+		if r := d.Conns[i].StackRTTs; r != nil {
+			c.Conns[i].StackRTTs = append(make([]time.Duration, 0, len(r)), r...)
+		}
+	}
+	return c
+}
+
+// TestRetainingSinkSeesPoison: a sink that keeps the result pointer, the
+// connection slice, the stack RTT samples and the observation series it was
+// handed finds every one of them overwritten with poison once the campaign
+// is over — on both engines and with several workers, so batches travel
+// the free list.
+func TestRetainingSinkSeesPoison(t *testing.T) {
+	withPoison(t)
+	w := testWorld(50_000)
+	for _, eng := range []Engine{EngineFast, EngineEmulated} {
+		var (
+			kept  []*DomainResult
+			conns [][]ConnResult
+			rtts  [][]time.Duration
+			obs   [][]core.Observation
+		)
+		cfg := Config{Week: 12, Engine: eng, Seed: 3, Workers: 3}
+		err := RunStream(w, cfg, func(_ int, d *DomainResult) error {
+			kept = append(kept, d) // breaks the contract on purpose
+			if d.Conns != nil {
+				conns = append(conns, d.Conns)
+			}
+			for _, c := range d.Conns {
+				if c.StackRTTs != nil {
+					rtts = append(rtts, c.StackRTTs)
+				}
+				if c.Observations != nil {
+					obs = append(obs, c.Observations)
+				}
+			}
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(kept) != w.NumDomains() || len(conns) == 0 || len(rtts) == 0 || len(obs) == 0 {
+			t.Fatalf("engine %v: vacuous: kept %d results (of %d), %d connection lists, %d sample series, %d observation series",
+				eng, len(kept), w.NumDomains(), len(conns), len(rtts), len(obs))
+		}
+		for _, d := range kept {
+			if d.Domain != poisoned {
+				t.Fatalf("engine %v: a kept result reads %q after the campaign, want poison", eng, d.Domain)
+			}
+		}
+		for _, cs := range conns {
+			for _, c := range cs {
+				if c.Target != poisoned || c.Err != poisoned {
+					t.Fatalf("engine %v: a kept connection reads %q/%q, want poison", eng, c.Target, c.Err)
+				}
+			}
+		}
+		for _, rs := range rtts {
+			for _, r := range rs {
+				if r != -1 {
+					t.Fatalf("engine %v: a kept stack RTT reads %v, want poison", eng, r)
+				}
+			}
+		}
+		for _, os := range obs {
+			for _, o := range os {
+				if o.PN != ^uint64(0) {
+					t.Fatalf("engine %v: a kept observation reads PN %d, want poison", eng, o.PN)
+				}
+			}
+		}
+	}
+}
+
+// TestRunResultsAreSinkClones: with recycled batches poisoned, Run's
+// materialised results equal deep copies taken inside a RunStream sink of
+// the same campaign, nil and empty slices alike, on both engines. The
+// emulated engine's observation times follow each worker's virtual clock,
+// so its two runs agree only on one worker.
+func TestRunResultsAreSinkClones(t *testing.T) {
+	withPoison(t)
+	w := testWorld(50_000)
+	for eng, workers := range map[Engine]int{EngineFast: 3, EngineEmulated: 1} {
+		cfg := Config{Week: 12, Engine: eng, Seed: 4, Workers: workers}
+		var want []DomainResult
+		if err := RunStream(w, cfg, func(_ int, d *DomainResult) error {
+			want = append(want, deepCopy(d))
+			return nil
+		}); err != nil {
+			t.Fatal(err)
+		}
+		got := mustRun(t, w, cfg)
+		if len(got.Domains) != len(want) {
+			t.Fatalf("engine %v: Run returned %d results, the sink saw %d", eng, len(got.Domains), len(want))
+		}
+		flips := 0
+		for i := range want {
+			if !reflect.DeepEqual(got.Domains[i], want[i]) {
+				t.Fatalf("engine %v: Run's result %d differs from the sink's copy:\n got %+v\nwant %+v", eng, i, got.Domains[i], want[i])
+			}
+			for _, c := range want[i].Conns {
+				if c.Observations != nil {
+					flips++
+				}
+			}
+		}
+		if flips == 0 {
+			t.Fatalf("engine %v: vacuous: no connection kept an observation series", eng)
+		}
+	}
+}
+
+// TestRecycledResultsJournalAsCopies: in a journaled fast week and a
+// journaled emulated week — hostile servers, injected DNS timeouts, retries —
+// every result the sink borrows encodes, through the journal's AppendJSON,
+// to exactly json.Marshal of its deep copy; no slice in it is empty but
+// non-nil (which would turn a journal's null into []); and the journal on
+// disk holds those very bytes for every domain.
+func TestRecycledResultsJournalAsCopies(t *testing.T) {
+	withPoison(t)
+	p := websim.DefaultProfile()
+	p.Scale, p.HostileFrac = 40_000, 0.3
+	w := websim.Generate(p)
+	for _, eng := range []Engine{EngineFast, EngineEmulated} {
+		dir := t.TempDir()
+		cfg := Config{Week: 5, Engine: eng, Seed: 8, Workers: 3, Checkpoint: dir,
+			Retry: resilience.RetryPolicy{MaxRetries: 1},
+			Faults: fault.New(2,
+				fault.Rule{Site: fault.DNS, Kind: fault.Timeout, P: 0.3, Times: 1},
+				fault.Rule{Site: fault.DNS, Kind: fault.Timeout, P: 0.1, Times: 2})}
+		want := map[string][]byte{}
+		dnsErrs := 0
+		err := RunStream(w, cfg, func(_ int, d *DomainResult) error {
+			enc, err := d.AppendJSON(nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			cp := deepCopy(d)
+			ref, err := json.Marshal(&cp)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(enc, ref) {
+				t.Fatalf("engine %v: %s encodes as\n%s\nits copy as\n%s", eng, d.Domain, enc, ref)
+			}
+			if d.Conns != nil && len(d.Conns) == 0 {
+				t.Fatalf("engine %v: %s holds an empty, non-nil connection list", eng, d.Domain)
+			}
+			for _, c := range d.Conns {
+				if c.StackRTTs != nil && len(c.StackRTTs) == 0 || c.Observations != nil && len(c.Observations) == 0 {
+					t.Fatalf("engine %v: %s holds an empty, non-nil series", eng, d.Domain)
+				}
+			}
+			if d.DNSErr != "" {
+				dnsErrs++
+			}
+			want[checkpointPrefix(cfg)+d.Domain] = enc
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if dnsErrs == 0 {
+			t.Fatalf("engine %v: vacuous: no DNS failure in the week", eng)
+		}
+		got, _, err := resilience.ReplayFS(nil, dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(got) != len(want) {
+			t.Fatalf("engine %v: the journal holds %d records, the sink saw %d domains", eng, len(got), len(want))
+		}
+		for key, enc := range want {
+			if !bytes.Equal(got[key], enc) {
+				t.Fatalf("engine %v: journal record %s is\n%s\nthe sink saw\n%s", eng, key, got[key], enc)
+			}
+		}
+	}
+}

@@ -23,6 +23,7 @@ import (
 	"math/rand"
 	"net/netip"
 	"runtime"
+	"slices"
 	"strings"
 	"time"
 
@@ -276,6 +277,19 @@ type DomainResult struct {
 	Conns    []ConnResult
 }
 
+// clone returns a copy of d that shares no slice with it (strings are
+// immutable and shared). A nil slice stays nil and an empty one empty, so the
+// copy encodes as d does.
+func (d *DomainResult) clone() DomainResult {
+	c := *d
+	c.Conns = slices.Clone(d.Conns)
+	for i := range c.Conns {
+		c.Conns[i].Observations = slices.Clone(c.Conns[i].Observations)
+		c.Conns[i].StackRTTs = slices.Clone(c.Conns[i].StackRTTs)
+	}
+	return c
+}
+
 // QUIC reports whether any connection completed a QUIC handshake.
 func (d *DomainResult) QUIC() bool {
 	for i := range d.Conns {
@@ -322,7 +336,7 @@ func Run(w *websim.World, cfg Config) (*Result, error) {
 	}
 	out := &Result{Week: cfg.Week, IPv6: cfg.IPv6, Domains: make([]DomainResult, 0, w.NumDomains())}
 	err := RunStream(w, cfg, func(_ int, d *DomainResult) error {
-		out.Domains = append(out.Domains, *d)
+		out.Domains = append(out.Domains, d.clone())
 		return nil
 	})
 	if err != nil && !errors.Is(err, ErrInterrupted) {
@@ -347,7 +361,7 @@ func buildEngine(w *websim.World, cfg Config, tm *scanTelemetry, rec *trace.Reco
 // scanSafely isolates one domain scan: a panic anywhere in the engine is
 // converted into an error-classed DomainResult instead of killing the
 // campaign.
-func scanSafely(eng engine, cfg Config, d *websim.Domain) (res DomainResult, panicked bool) {
+func scanSafely(eng engine, cfg Config, d *websim.Domain, s *slabs) (res DomainResult, panicked bool) {
 	defer func() {
 		if r := recover(); r != nil {
 			panicked = true
@@ -357,7 +371,7 @@ func scanSafely(eng engine, cfg Config, d *websim.Domain) (res DomainResult, pan
 			}
 		}
 	}()
-	return eng.scanDomain(d), false
+	return eng.scanDomain(d, s), false
 }
 
 // maybePanic fires the plan's scan.panic fault. runChain calls it once
@@ -369,13 +383,14 @@ func maybePanic(cfg Config, d *websim.Domain) {
 	}
 }
 
-// engine executes one domain scan. healthy reports whether the engine can
+// engine executes one domain scan, keeping the result's connections, stack
+// RTT samples and observations in s. healthy reports whether the engine can
 // scan further domains; a stalled emulated loop returns false and the
 // worker rebuilds the engine. clockNow exposes the engine's virtual clock
 // so campaign-layer trace events (breaker skips, checkpoint replays)
 // timestamp consistently with in-scan spans.
 type engine interface {
-	scanDomain(d *websim.Domain) DomainResult
+	scanDomain(d *websim.Domain, s *slabs) DomainResult
 	healthy() bool
 	clockNow() time.Time
 }
@@ -421,15 +436,13 @@ func (r *retrier) retry(stage, errStr string) bool {
 	return true
 }
 
-// resolveRetry resolves the host in the configured address family,
-// retrying transient DNS failures within the domain's budget. It returns
-// every resolved address, appended to dst[:0], so connection-level retries
-// can rotate through them (multi-address fallback).
-func resolveRetry(dst []netip.Addr, rt *retrier, res *dns.Resolver, host string, ipv6 bool) ([]netip.Addr, error) {
-	t := dns.TypeA
-	if ipv6 {
-		t = dns.TypeAAAA
-	}
+// resolveRetry resolves the host in the given address family, retrying
+// transient DNS failures within the domain's budget. It returns every
+// resolved address, appended to dst[:0], so connection-level retries can
+// rotate through them (multi-address fallback); a failure is the lookup's
+// bare kind (see dns.Resolver.AppendLookup). The kind's own text classifies
+// as the spelled-out one would: the host name adds nothing Classify reads.
+func resolveRetry(dst []netip.Addr, rt *retrier, res *dns.Resolver, host string, t dns.RType) ([]netip.Addr, error) {
 	for attempt := 0; ; attempt++ {
 		addrs, err := res.AppendLookup(dst[:0], host, t, attempt)
 		if err == nil {
@@ -457,12 +470,13 @@ func connectRetry(rt *retrier, addrs []netip.Addr, dial func(ip netip.Addr, atte
 // chain — with retry and multi-address fallback. Both engines share it;
 // dial performs one engine-specific connection attempt (attempt is its
 // 0-based index within the hop's retries), and rng is the domain's retry
-// stream. rec and now carry
+// stream. The connections are kept in s, where dial keeps their samples and
+// observations. rec and now carry
 // the shard's trace recorder and the engine's virtual clock; with tracing
 // disabled (nil rec) every trace block is skipped and the scan allocates
 // nothing extra. Tracing reads the clock but draws no randomness, so the
 // DomainResult is identical with tracing on or off.
-func runChain(cfg Config, rng *rand.Rand, resolver *dns.Resolver, sleep func(time.Duration), tm *scanTelemetry, rec *trace.Recorder, now func() time.Time, d *websim.Domain, dial func(target string, ip netip.Addr, hop, attempt int, path string) ConnResult) DomainResult {
+func runChain(cfg Config, rng *rand.Rand, resolver *dns.Resolver, sleep func(time.Duration), tm *scanTelemetry, rec *trace.Recorder, now func() time.Time, d *websim.Domain, s *slabs, dial func(target string, ip netip.Addr, hop, attempt int, path string) ConnResult) DomainResult {
 	rt := &retrier{policy: cfg.Retry, rng: rng, sleep: sleep, tm: tm}
 	// The engine's DNS memo serves one domain's chain: a redirect revisiting
 	// a host is a hit, but nothing carries over to the next domain, so the
@@ -475,12 +489,16 @@ func runChain(cfg Config, rng *rand.Rand, resolver *dns.Resolver, sleep func(tim
 		rec.Begin(d.Name, at)
 		rec.StageStart("dns", at)
 	}
+	t := dns.TypeA
+	if cfg.IPv6 {
+		t = dns.TypeAAAA
+	}
 	// Every hop resolves into this array: a record holds one or two
 	// addresses, so the chain's lookups stay off the heap.
 	var buf [4]netip.Addr
-	addrs, err := resolveRetry(buf[:0], rt, resolver, target, cfg.IPv6)
+	addrs, err := resolveRetry(buf[:0], rt, resolver, target, t)
 	if err != nil {
-		res.DNSErr = errString(err)
+		res.DNSErr = dns.ErrText(err, target, t)
 		if rec != nil {
 			rec.StageEnd(now())
 		}
@@ -493,12 +511,13 @@ func runChain(cfg Config, rng *rand.Rand, resolver *dns.Resolver, sleep func(tim
 		rec.StageEnd(now())
 		rec.SpanAttrInt("addrs", int64(len(addrs)))
 	}
+	first := len(s.conns)
 	for hop := 0; hop <= maxRedirects; hop++ {
 		hop := hop
 		conn := connectRetry(rt, addrs, func(ip netip.Addr, attempt int) ConnResult {
 			return dial(target, ip, hop, attempt, path)
 		})
-		res.Conns = append(res.Conns, conn)
+		keep(s, &s.conns, conn)
 		if conn.Redirect == "" {
 			break
 		}
@@ -507,12 +526,13 @@ func runChain(cfg Config, rng *rand.Rand, resolver *dns.Resolver, sleep func(tim
 			break
 		}
 		target, path = next, redirectPath(conn.Redirect)
-		naddrs, err := resolveRetry(addrs, rt, resolver, target, cfg.IPv6)
+		naddrs, err := resolveRetry(addrs, rt, resolver, target, t)
 		if err != nil {
 			break
 		}
 		addrs = naddrs
 	}
+	res.Conns = tail(s.conns, first)
 	maybePanic(cfg, d)
 	traceFinish(rec, now, rt, &res)
 	return res

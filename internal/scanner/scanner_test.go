@@ -318,9 +318,11 @@ func BenchmarkEmulatedScanPerDomain(b *testing.B) {
 	w := testWorld(100_000)
 	cfg := Config{Week: 1, Engine: EngineEmulated, Seed: 1, Workers: 1}
 	eng := newEmulatedEngine(w, cfg, newScanTelemetry(cfg.Telemetry), nil)
+	var s slabs
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		eng.scanDomain(w.Domains[i%len(w.Domains)])
+		s.reset()
+		eng.scanDomain(w.Domains[i%len(w.Domains)], &s)
 	}
 }
 
@@ -328,9 +330,11 @@ func BenchmarkFastScanPerDomain(b *testing.B) {
 	w := testWorld(100_000)
 	cfg := Config{Week: 1, Engine: EngineFast, Seed: 1, Workers: 1}
 	eng := newFastEngine(w, cfg, newScanTelemetry(cfg.Telemetry), nil)
+	var s slabs
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		eng.scanDomain(w.Domains[i%len(w.Domains)])
+		s.reset()
+		eng.scanDomain(w.Domains[i%len(w.Domains)], &s)
 	}
 }
 

@@ -5,10 +5,12 @@ import (
 	"errors"
 	"fmt"
 	"runtime/metrics"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
 
+	"quicspin/internal/core"
 	"quicspin/internal/fault"
 	"quicspin/internal/resilience"
 	"quicspin/internal/trace"
@@ -20,25 +22,126 @@ import (
 // enough to amortise channel operations over fast-engine scans.
 const streamBatchSize = 64
 
-// domainBatch is one contiguous run of population indices, synthesised by
-// the generator in canonical order (with the breaker slots pre-assigned in
-// that order, which is what makes breaker decisions worker-invariant).
-type domainBatch struct {
+// batch is one contiguous run of population indices and, once scanned, its
+// results. It makes a round trip: the generator synthesises its domains in
+// canonical order (with the breaker slots pre-assigned in that order, which
+// is what makes breaker decisions worker-invariant), a worker scans them
+// into results, the reorder buffer hands the results to the sink, and the
+// batch goes back to the generator over a bounded free list. Every slice it
+// holds is reused on the next trip, so a steady campaign allocates no batch
+// storage at all.
+type batch struct {
 	start   int
 	domains []*websim.Domain
 	// keys/pos are the breaker group and in-group position per domain;
 	// nil when the breaker is disabled.
 	keys []string
 	pos  []int
+	// results may be shorter than domains when the campaign was
+	// interrupted mid-batch; the missing tail was never scanned.
+	results []DomainResult
+	// slabs is where the results' connections, stack RTT samples and
+	// observation series live.
+	slabs slabs
 }
 
-// resultBatch carries one batch's finished results. results may be shorter
-// than dispatched when the campaign was interrupted mid-batch; the missing
-// tail was never scanned.
-type resultBatch struct {
-	start      int
-	dispatched int
-	results    []DomainResult
+// slabs is a batch's result storage. Each scanned domain appends its
+// connections, and they their stack RTT samples and retained observations,
+// to the three slices (keep), and the DomainResult and ConnResults hold
+// capped subslices of them. A domain with nothing to keep appends nothing
+// and holds nil, so a result reads as it did when each was allocated on its
+// own. The storage is recycled with its batch: a sink must not keep a
+// result's slices past its call (see RunStream).
+type slabs struct {
+	conns []ConnResult
+	rtts  []time.Duration
+	obs   []core.Observation
+	// outgrown holds, under poisonBatches, the arrays the slices grew out of
+	// during this trip: results kept before the growth still point into
+	// them, so the poison must reach them too.
+	outgrown []any
+}
+
+// keep appends v to slab, one of s's slices, and returns the appended run
+// (see tail).
+func keep[T any](s *slabs, slab *[]T, v ...T) []T {
+	first := len(*slab)
+	if poisonBatches && first+len(v) > cap(*slab) && cap(*slab) > 0 {
+		s.outgrown = append(s.outgrown, *slab)
+	}
+	*slab = append(*slab, v...)
+	return tail(*slab, first)
+}
+
+// tail returns slab[first:], capped so an append to it cannot reach past
+// its end, or nil when that is empty.
+func tail[T any](slab []T, first int) []T {
+	if first == len(slab) {
+		return nil
+	}
+	return slab[first:len(slab):len(slab)]
+}
+
+// reuse empties b for a trip starting at population index start with n
+// domains, keeping every slice's storage. The results slice is grown to n
+// up front, so the results of one trip never move.
+func (b *batch) reuse(start, n int) {
+	b.start = start
+	b.domains, b.keys, b.pos = b.domains[:0], b.keys[:0], b.pos[:0]
+	b.results = slices.Grow(b.results[:0], n)
+	b.slabs.reset()
+}
+
+// reset empties s, keeping its storage.
+func (s *slabs) reset() {
+	s.conns, s.rtts, s.obs = s.conns[:0], s.rtts[:0], s.obs[:0]
+}
+
+// poisonBatches makes a recycled batch overwrite everything its results
+// reached (see poison). It is on in race builds, like the transport arena's
+// poison; in-package tests turn it on explicitly.
+var poisonBatches = raceEnabled
+
+// poisoned is what a recycled result reads as under poisonBatches.
+const poisoned = "poisoned: result storage recycled after its sink call returned"
+
+// The values poison writes: no scan produces any of them.
+var (
+	poisonResult = DomainResult{Domain: poisoned, DNSErr: poisoned}
+	poisonConn   = ConnResult{Target: poisoned, Err: poisoned, Status: -1, ZeroPkts: -1, OnePkts: -1}
+	poisonObs    = core.Observation{PN: ^uint64(0), VEC: 0xff}
+)
+
+// poison overwrites all the storage b's results reached — the results, the
+// whole capacity of each slab and every array a slab outgrew — so a sink
+// that kept a result, or a slice of one, past its call reads values no scan
+// produces (a golden diff or a test failure) rather than plausible stale
+// data from a later batch.
+func (b *batch) poison() {
+	fill(b.results, poisonResult)
+	fill(b.slabs.conns, poisonConn)
+	fill(b.slabs.rtts, -1)
+	fill(b.slabs.obs, poisonObs)
+	for _, old := range b.slabs.outgrown {
+		switch old := old.(type) {
+		case []ConnResult:
+			fill(old, poisonConn)
+		case []time.Duration:
+			fill(old, -1)
+		case []core.Observation:
+			fill(old, poisonObs)
+		}
+	}
+	clear(b.slabs.outgrown)
+	b.slabs.outgrown = b.slabs.outgrown[:0]
+}
+
+// fill overwrites the whole capacity of s with v.
+func fill[T any](s []T, v T) {
+	s = s[:cap(s)]
+	for i := range s {
+		s[i] = v
+	}
 }
 
 // campaign is the shared state of one measurement run: configuration,
@@ -209,10 +312,10 @@ func boolGauge(b bool) int64 {
 
 // scanStep executes one domain end to end: breaker acquisition, checkpoint
 // replay, the scan itself (with engine rebuild after panics or stalls),
-// breaker recording, journaling and telemetry. ok is false when the
-// campaign was aborted while waiting on the breaker; the caller's worker
-// should stop scanning.
-func (c *campaign) scanStep(eng *engine, shard int, rec *trace.Recorder, d *websim.Domain, key string, pos int) (res DomainResult, ok bool) {
+// breaker recording, journaling and telemetry. A scanned result lives in s
+// (see slabs). ok is false when the campaign was aborted while waiting on
+// the breaker; the caller's worker should stop scanning.
+func (c *campaign) scanStep(eng *engine, shard int, rec *trace.Recorder, d *websim.Domain, key string, pos int, s *slabs) (res DomainResult, ok bool) {
 	// The breaker serialises decisions in canonical domain order per
 	// group; batches are dispatched and processed in ascending index
 	// order, so waits are only ever on strictly-earlier indices and
@@ -250,7 +353,7 @@ func (c *campaign) scanStep(eng *engine, shard int, rec *trace.Recorder, d *webs
 		}
 	} else {
 		var panicked bool
-		res, panicked = scanSafely(*eng, c.cfg, d)
+		res, panicked = scanSafely(*eng, c.cfg, d, s)
 		if panicked {
 			c.tm.panics.Inc()
 			// Commit the partial trace the panic unwound through and dump
@@ -307,7 +410,7 @@ func (c *campaign) journalAppend(shard int, key string, res DomainResult) error 
 // worker scans batches until the work channel closes. After an interrupt it
 // keeps draining the channel (emitting truncated batches without scanning)
 // so the generator can never block on a send forever.
-func (c *campaign) worker(shard int, work <-chan domainBatch, results chan<- resultBatch) {
+func (c *campaign) worker(shard int, work <-chan *batch, results chan<- *batch) {
 	c.tm.workersActive.Add(1)
 	defer c.tm.workersActive.Add(-1)
 	// A recorder has one owner. Ranges of one campaign scanned concurrently
@@ -318,8 +421,6 @@ func (c *campaign) worker(shard int, work <-chan domainBatch, results chan<- res
 	rec := c.cfg.Trace.Recorder(lo + shard)
 	eng := buildEngine(c.w, c.cfg, c.tm, rec)
 	for b := range work {
-		rb := resultBatch{start: b.start, dispatched: len(b.domains)}
-		rb.results = make([]DomainResult, 0, len(b.domains))
 		for j, d := range b.domains {
 			if c.interrupted.Load() {
 				break
@@ -328,13 +429,13 @@ func (c *campaign) worker(shard int, work <-chan domainBatch, results chan<- res
 			if b.keys != nil {
 				key, pos = b.keys[j], b.pos[j]
 			}
-			res, ok := c.scanStep(&eng, shard, rec, d, key, pos)
+			res, ok := c.scanStep(&eng, shard, rec, d, key, pos, &b.slabs)
 			if !ok {
 				break
 			}
-			rb.results = append(rb.results, res)
+			b.results = append(b.results, res)
 		}
-		results <- rb
+		results <- b
 	}
 }
 
@@ -351,8 +452,13 @@ func (c *campaign) runPipeline(sink func(i int, res *DomainResult) error) (sinkE
 	if nw > n-lo {
 		nw = 1
 	}
-	work := make(chan domainBatch, nw)
-	results := make(chan resultBatch, nw)
+	work := make(chan *batch, nw)
+	results := make(chan *batch, nw)
+	// Delivered batches come back to the generator here. Beyond its capacity
+	// — every batch the channels, workers and generator can hold at once — a
+	// batch is left to the collector, so the pipeline's storage stays bounded
+	// by the worker count.
+	free := make(chan *batch, 3*nw+1)
 	var gateNext map[string]int
 	if c.br != nil {
 		gateNext = map[string]int{}
@@ -361,11 +467,13 @@ func (c *campaign) runPipeline(sink func(i int, res *DomainResult) error) (sinkE
 		defer close(work)
 		for start := lo; start < n && !c.interrupted.Load(); start += streamBatchSize {
 			end := min(start+streamBatchSize, n)
-			b := domainBatch{start: start, domains: make([]*websim.Domain, 0, end-start)}
-			if gateNext != nil {
-				b.keys = make([]string, 0, end-start)
-				b.pos = make([]int, 0, end-start)
+			var b *batch
+			select {
+			case b = <-free:
+			default:
+				b = &batch{}
 			}
+			b.reuse(start, end-start)
 			for i := start; i < end; i++ {
 				d := c.w.DomainAt(i)
 				b.domains = append(b.domains, d)
@@ -395,12 +503,13 @@ func (c *campaign) runPipeline(sink func(i int, res *DomainResult) error) (sinkE
 		wg.Wait()
 		close(results)
 	}()
-	pending := map[int]resultBatch{}
+	pending := map[int]*batch{}
 	next := lo // start index of the next batch to deliver
 	stopped := false
 	completed := 0
 	var lastMem time.Time
 	for rb := range results {
+		completed += len(rb.results)
 		pending[rb.start] = rb
 		for b, ok := pending[next]; ok; b, ok = pending[next] {
 			delete(pending, next)
@@ -411,12 +520,19 @@ func (c *campaign) runPipeline(sink func(i int, res *DomainResult) error) (sinkE
 					c.interrupt()
 				}
 			}
-			if len(b.results) < b.dispatched {
+			if len(b.results) < len(b.domains) {
 				stopped = true // interrupted mid-batch: a gap follows
 			}
-			next = b.start + b.dispatched
+			next = b.start + len(b.domains)
+			// The sink has seen every result of b: its storage is free.
+			if poisonBatches {
+				b.poison()
+			}
+			select {
+			case free <- b:
+			default:
+			}
 		}
-		completed += len(rb.results)
 		el := time.Since(c.started)
 		if el > 0 {
 			c.tm.domainsPerSec.Set(int64(float64(completed) / el.Seconds()))
@@ -439,8 +555,16 @@ func (c *campaign) runPipeline(sink func(i int, res *DomainResult) error) (sinkE
 // (websim.GenerateLazy) and the analysis accumulators for end-to-end
 // bounded-memory campaigns.
 //
-// sink runs on the caller's goroutine. A non-nil sink error stops the
-// campaign and is returned. When the campaign is interrupted, sink
+// sink runs on the caller's goroutine. It borrows res for the length of the
+// call: res, res.Conns and every connection's StackRTTs and Observations
+// live in storage the pipeline recycles for later domains once the call
+// returns, so a sink must not keep any of them — it folds what it needs, or
+// copies (as Run does). The strings in a result are immutable and may be
+// kept. Race builds overwrite recycled storage with poison, so a sink that
+// breaks this contract fails its tests there.
+//
+// A non-nil sink error stops the campaign and is returned. When the
+// campaign is interrupted, sink
 // receives the longest completed prefix of the population and RunStream
 // returns ErrInterrupted; completed domains beyond the first gap are in
 // the checkpoint journal (when configured) but are not delivered. An

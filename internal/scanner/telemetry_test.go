@@ -173,9 +173,11 @@ func BenchmarkFastScanPerDomainTelemetry(b *testing.B) {
 	cfg := Config{Week: 1, Engine: EngineFast, Seed: 1, Workers: 1, Telemetry: telemetry.New()}
 	tm := newScanTelemetry(cfg.Telemetry)
 	eng := newFastEngine(w, cfg, tm, nil)
+	var s slabs
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		d := eng.scanDomain(w.Domains[i%len(w.Domains)])
+		s.reset()
+		d := eng.scanDomain(w.Domains[i%len(w.Domains)], &s)
 		tm.recordDomain(&d)
 	}
 }

@@ -168,16 +168,22 @@ type Chunk struct {
 // gaps. These gaps are the end-host delays that inflate spin-bit RTT
 // measurements.
 func (s *Server) ResponsePlan(rng *rand.Rand, total int) []Chunk {
+	return s.AppendResponsePlan(nil, rng, total)
+}
+
+// AppendResponsePlan is ResponsePlan appending the chunks to dst, so an
+// engine plans every response into one scratch slice. It draws exactly what
+// ResponsePlan draws.
+func (s *Server) AppendResponsePlan(dst []Chunk, rng *rand.Rand, total int) []Chunk {
 	p := s.Org.OrgProfile
 	ttfb := s.ProcessingDelay(rng)
 	if total < 2048 || rng.Float64() >= p.DynamicShare {
-		return []Chunk{{At: ttfb, Bytes: total}}
+		return append(dst, Chunk{At: ttfb, Bytes: total})
 	}
 	n := 2 + rng.Intn(3)
 	if n > total {
 		n = total
 	}
-	chunks := make([]Chunk, n)
 	at := ttfb
 	remaining := total
 	for i := 0; i < n; i++ {
@@ -185,11 +191,11 @@ func (s *Server) ResponsePlan(rng *rand.Rand, total int) []Chunk {
 		if i == n-1 {
 			size = remaining
 		}
-		chunks[i] = Chunk{At: at, Bytes: size}
+		dst = append(dst, Chunk{At: at, Bytes: size})
 		remaining -= size
 		at += time.Duration(logUniform(rng, p.GapMinMs, p.GapMaxMs) * msf)
 	}
-	return chunks
+	return dst
 }
 
 // Domain is one target domain with its ground truth.

@@ -245,6 +245,49 @@ func TestProcessingDelayDistribution(t *testing.T) {
 	}
 }
 
+// TestAppendResponsePlan: planning into a reused slice appends exactly the
+// chunks ResponsePlan returns, after what dst holds, and draws the same dice
+// (the rng is in the same state afterwards); with room it allocates nothing.
+func TestAppendResponsePlan(t *testing.T) {
+	p := smallProfile()
+	w := Generate(p)
+	a, b := rand.New(rand.NewSource(3)), rand.New(rand.NewSource(3))
+	dst := make([]Chunk, 0, 8)
+	chunked := 0
+	for _, srv := range w.Servers() {
+		for _, total := range []int{0, 1, 3, 2047, 2048, 4096, 1 << 20} {
+			want := srv.ResponsePlan(a, total)
+			dst = append(dst[:0], Chunk{At: -1, Bytes: -1})
+			dst = srv.AppendResponsePlan(dst, b, total)
+			if dst[0] != (Chunk{At: -1, Bytes: -1}) || len(dst)-1 != len(want) {
+				t.Fatalf("AppendResponsePlan(%d) = %v, want %v after the prefix", total, dst, want)
+			}
+			for i := range want {
+				if dst[1+i] != want[i] {
+					t.Fatalf("AppendResponsePlan(%d) = %v, want %v after the prefix", total, dst, want)
+				}
+			}
+			if len(want) > 1 {
+				chunked++
+			}
+			if a.Int63() != b.Int63() {
+				t.Fatalf("AppendResponsePlan(%d) left the rng elsewhere than ResponsePlan", total)
+			}
+		}
+	}
+	if chunked == 0 {
+		t.Fatal("vacuous: no dynamic (chunked) plan drawn")
+	}
+	var srv *Server
+	for _, s := range w.Servers() {
+		srv = s
+		break
+	}
+	if n := testing.AllocsPerRun(100, func() { dst = srv.AppendResponsePlan(dst[:0], a, 1<<20) }); n != 0 {
+		t.Errorf("AppendResponsePlan with room allocates %.1f times, want 0", n)
+	}
+}
+
 func TestRedirectAssignment(t *testing.T) {
 	p := DefaultProfile()
 	p.Scale = 2000
