@@ -11,13 +11,19 @@
 // value — in both. What must agree exactly is everything the ground truth
 // and the dice determine: resolution, the redirect chain (targets, IPs,
 // hops), QUIC capability, response status, and the spin classification
-// wherever the dice alone set it. Only packet timing may separate the two:
-// a spinning connection can look like Spin, AllZero or Grease, and
-// per-packet grease like anything, so there each engine's class must lie in
-// the set the rolled mode can produce. Spin-RTT estimates must stay within
-// bounded divergence: both engines time the same response plans over the
-// same base RTTs, so their per-domain means may wobble (jitter, packet
-// pacing) but not drift.
+// wherever the dice alone set it. There the two now share one code path:
+// the emulated engine reports a connection that nothing answers, or whose
+// server rolled a fixed spin value, through the fast engine's closed form
+// whenever it ends its domain's chain, so for those connections this
+// differential compares the closed form with itself. Their witness is
+// scanner's TestClosedFormEquivalence instead, which scans with and without
+// the shortcut and requires the same tables, outcomes and spin series. Only
+// packet timing may separate the two engines: a spinning connection can look
+// like Spin, AllZero or Grease, and per-packet grease like anything, so
+// there each engine's class must lie in the set the rolled mode can produce.
+// Spin-RTT estimates must stay within bounded divergence: both engines time
+// the same response plans over the same base RTTs, so their per-domain means
+// may wobble (jitter, packet pacing) but not drift.
 package conformance
 
 import (

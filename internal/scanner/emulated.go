@@ -46,13 +46,21 @@ type emulatedEngine struct {
 	kits     []*exchange
 	kitsUsed int
 	dice     domainDice
+	// cf settles, without packets, the connections whose reported numbers
+	// packets cannot change (see connect).
+	cf closedForm
 	// netem and serverTurnaround are the current connection's streams for
 	// the consumers every connection shares — the network and the server
-	// hosts — rekeyed by connect. A path that connect has cleared falls back
+	// hosts — rekeyed by emulate. A path that emulate has cleared falls back
 	// to the network default, which draws nothing, so an earlier
-	// connection's late traffic never rolls this connection's path dice; a
-	// server host's turnaround for it still draws here, which moves timing
-	// only.
+	// connection's late traffic never rolls this connection's path dice. A
+	// server host's turnaround has no such guard: an earlier connection's
+	// late server events draw from the stream keyed to the live one, which
+	// shifts the live connection's server timing — for a flipping
+	// connection, its spin-RTT samples. A connection's emulated outcome
+	// therefore depends on whether the connections before it in its domain
+	// were emulated, so connect settles in closed form only a connection
+	// that ends its domain's chain: none comes after it.
 	netem, serverTurnaround *dice.Rand
 	// serverDelay draws a server host's turnaround, bound once like clock.
 	serverDelay func() time.Duration
@@ -82,6 +90,7 @@ func newEmulatedEngine(w *websim.World, cfg Config, tm *scanTelemetry, rec *trac
 		netem:            dice.New(),
 		serverTurnaround: dice.New(),
 	}
+	e.cf = newClosedForm(w, cfg, tm, rec, &e.dice, loop.Now)
 	e.net = netem.New(loop, netem.PathConfig{Delay: 10 * time.Millisecond}, e.netem.Rand)
 	e.resolver = dns.NewResolver(w.DNSBackend(), e.dice.dns.Rand)
 	e.serverDelay = func() time.Duration { return e.world.Turnaround(e.serverTurnaround.Rand) }
@@ -102,7 +111,7 @@ func (e *emulatedEngine) scanDomain(d *websim.Domain, s *slabs) DomainResult {
 	// Key the per-domain streams to (Seed, Week, domain) so the outcome is
 	// independent of scan order and sharding; connect keys the rest.
 	e.dice.reseed(e.cfg, d.Name)
-	e.slabs = s
+	e.slabs, e.cf.slabs = s, s
 	// Retry backoff advances this worker's virtual clock; the loop also
 	// fires any pending events inside the backoff window.
 	sleep := func(d time.Duration) { e.loop.RunUntil(e.loop.Now().Add(d)) }
@@ -139,13 +148,36 @@ const defaultWatchdogSteps = 4 << 20
 // whose loop has spun this long is declared stalled.
 const watchdogWall = 30 * time.Second
 
-// connect performs one request/response exchange against ip.
-func (e *emulatedEngine) connect(target string, ip netip.Addr, hop, attempt int, path string) ConnResult {
-	out := ConnResult{Target: target, IP: ip, Hop: hop}
+// connect performs one connection attempt against ip. Packets decide a
+// connection's reported numbers only where the server answers and its spin
+// value can change from packet to packet; everywhere else the outcome is the
+// closed form's. So an attempt that nothing answers (no server, no QUIC, an
+// injected blackout), or whose well-behaved server rolled a fixed value for
+// it (Zero, One, per-connection grease, Spin disabled by the 1-in-N roll),
+// takes the closed form — provided it ends the domain's chain (endsChain):
+// a later connection of the domain would miss the server-turnaround draws of
+// this one's late events (see serverTurnaround). Everything else is
+// emulated.
+func (e *emulatedEngine) connect(target string, ip netip.Addr, hop, attempt int, path string, retriesLeft int) ConnResult {
 	if e.stalled {
-		out.Err = "stall: engine marked unhealthy"
-		return out
+		return ConnResult{Target: target, IP: ip, Hop: hop, Err: "stall: engine marked unhealthy"}
 	}
+	if !e.cfg.emulateAll {
+		var s synthesis
+		if e.cf.synthesize(&s, target, ip, hop, attempt, path, true) && endsChain(&s.out, retriesLeft) {
+			// The attempt's virtual time passes as if packets had carried
+			// it, so the engine's clock keeps its pace.
+			e.loop.RunUntil(s.end)
+			return e.cf.report(&s)
+		}
+	}
+	return e.emulate(target, ip, hop, attempt, path)
+}
+
+// emulate performs one request/response exchange against ip over the
+// emulated network.
+func (e *emulatedEngine) emulate(target string, ip netip.Addr, hop, attempt int, path string) ConnResult {
+	out := ConnResult{Target: target, IP: ip, Hop: hop}
 	srv := e.world.ServerAt(ip)
 	e.site(ip, srv) // instantiate the server stack (nil for blackholes)
 

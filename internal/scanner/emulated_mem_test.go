@@ -5,17 +5,32 @@ import (
 	"testing"
 
 	"quicspin/internal/netem"
+	"quicspin/internal/telemetry"
 	"quicspin/internal/websim"
 )
 
 // quicWorld is a world whose every domain resolves to a QUIC server and
 // answers with its landing page: each scanned domain is one full exchange.
-func quicWorld(domains int) *websim.World { return uniformWorld(domains, 1) }
+func quicWorld(domains int) *websim.World { return websim.Generate(uniformProfile(domains, 1)) }
 
-// uniformWorld is a world of domains that all resolve, without redirects, and
-// speak QUIC at quicRate: at 0 every scanned domain is one connection to an
-// address where nobody listens.
-func uniformWorld(domains int, quicRate float64) *websim.World {
+// spinWorld is quicWorld with a spinning server behind every domain and no
+// 1-in-N disable roll: every connection needs packets, none is settled in
+// closed form.
+func spinWorld(domains int) *websim.World {
+	p := uniformProfile(domains, 1)
+	for i := range p.QUICOrgs {
+		o := &p.QUICOrgs[i]
+		o.SpinIPShare, o.AllOneIPShare, o.GreaseIPShare = 1, 0, 0
+		o.DisableEveryN = 0
+		o.StableSpinShare = 1
+	}
+	return websim.Generate(p)
+}
+
+// uniformProfile is a world of domains that all resolve, without redirects,
+// and speak QUIC at quicRate: at 0 every scanned domain is one connection to
+// an address where nobody listens.
+func uniformProfile(domains int, quicRate float64) websim.Profile {
 	p := websim.DefaultProfile()
 	p.Scale = p.ZoneDomains / domains
 	p.TopDomains = 1
@@ -25,13 +40,16 @@ func uniformWorld(domains int, quicRate float64) *websim.World {
 	if quicRate == 1 {
 		p.LegacyOrgs = nil // nobody to host
 	}
-	return websim.Generate(p)
+	return p
 }
 
 func quicEngine(w *websim.World) *emulatedEngine {
-	cfg := Config{Week: 12, Engine: EngineEmulated, Seed: 1, Workers: 1}
+	cfg := Config{Week: 12, Engine: EngineEmulated, Seed: 1, Workers: 1, Telemetry: telemetry.New()}
 	return newEmulatedEngine(w, cfg, newScanTelemetry(cfg.Telemetry), nil)
 }
+
+// closedForms is the number of connections e has settled in closed form.
+func closedForms(e *emulatedEngine) int64 { return e.tm.connsClosedForm.Value() }
 
 // The emulated engine's memory is constant in the number of domains it has
 // scanned: after one pass over a world (every server site instantiated) two
@@ -39,7 +57,7 @@ func quicEngine(w *websim.World) *emulatedEngine {
 // list, every table of the emulated network and the live heap where they were.
 func TestEmulatedEngineBoundedMemory(t *testing.T) {
 	const n = 400
-	w := quicWorld(n)
+	w := spinWorld(n)
 	e := quicEngine(w)
 	type snapshot struct {
 		pooled, conns int
@@ -71,6 +89,9 @@ func TestEmulatedEngineBoundedMemory(t *testing.T) {
 	pass()
 	after3 := pass() // 2n more
 	runtime.KeepAlive(e)
+	if n := closedForms(e); n != 0 {
+		t.Fatalf("%d connections took the closed form, want every one on the packet path", n)
+	}
 	t.Logf("pool %d -> %d buffers, %d -> %d connections, live heap %d -> %d bytes", after1.pooled, after3.pooled, after1.conns, after3.conns, after1.heap, after3.heap)
 	if after1.pooled == 0 || after1.conns == 0 {
 		t.Fatal("the engine's arena pooled nothing")
@@ -93,26 +114,39 @@ func TestEmulatedEngineBoundedMemory(t *testing.T) {
 	}
 }
 
-// emulatedConnAllocs and emulatedBlackholeAllocs are the recorded
-// steady-state allocation counts of one emulated domain — of quicWorld (one
-// answered connection, one landing page) and of a world where nobody listens
-// (one connection that times out, 87 % of a campaign's) — and each ceiling is
-// that plus 10 %: a regrowth of the per-connection allocation fails tier-1, not
-// only the benchmark.
-const (
-	emulatedConnAllocs      = 40
-	emulatedBlackholeAllocs = 2
-)
+// emulatedConnAllocs is the recorded steady-state allocation count of one
+// emulated domain of spinWorld — one connection on the packet path, one
+// landing page — and its ceiling is that plus 10 %: a regrowth of the
+// per-connection allocation fails tier-1, not only the benchmark.
+const emulatedConnAllocs = 40
 
 func TestEmulatedConnAllocCeiling(t *testing.T) {
-	allocCeiling(t, quicWorld(50), 200, emulatedConnAllocs)
+	e, got := domainAllocs(t, spinWorld(50), 200)
+	if n := closedForms(e); n != 0 {
+		t.Fatalf("%d connections took the closed form, want every one on the packet path", n)
+	}
+	t.Logf("%.0f allocations per emulated domain (recorded: %d)", got, emulatedConnAllocs)
+	if ceiling := float64(emulatedConnAllocs) * 1.1; got > ceiling {
+		t.Errorf("one emulated domain allocates %.0f times, ceiling %.0f (recorded %d + 10%%)", got, ceiling, emulatedConnAllocs)
+	}
 }
 
+// A connection to an address where nobody listens — 87 % of a campaign's —
+// is settled in closed form, which allocates nothing.
 func TestEmulatedBlackholeAllocCeiling(t *testing.T) {
-	allocCeiling(t, uniformWorld(50, 0), 0, emulatedBlackholeAllocs)
+	e, got := domainAllocs(t, websim.Generate(uniformProfile(50, 0)), 0)
+	if n := closedForms(e); n == 0 {
+		t.Fatal("no connection took the closed form")
+	}
+	if got > 0 {
+		t.Errorf("one closed-form emulated domain allocates %.1f times, want 0", got)
+	}
 }
 
-func allocCeiling(t *testing.T, w *websim.World, wantStatus, recorded int) {
+// domainAllocs scans one domain of w, which must answer with one connection
+// of status wantStatus, on a warmed emulated engine and returns the engine
+// and the steady-state allocations per scan.
+func domainAllocs(t *testing.T, w *websim.World, wantStatus int) (*emulatedEngine, float64) {
 	e := quicEngine(w)
 	d := w.DomainAt(7)
 	var s slabs
@@ -122,12 +156,8 @@ func allocCeiling(t *testing.T, w *websim.World, wantStatus, recorded int) {
 			t.Fatalf("%s: want one connection with status %d: %+v", d.Name, wantStatus, res.Conns)
 		}
 	}
-	got := testing.AllocsPerRun(50, func() {
+	return e, testing.AllocsPerRun(50, func() {
 		s.reset()
 		e.scanDomain(d, &s)
 	})
-	t.Logf("%.0f allocations per emulated domain (recorded: %d)", got, recorded)
-	if ceiling := float64(recorded) * 1.1; got > ceiling {
-		t.Errorf("one emulated domain allocates %.0f times, ceiling %.0f (recorded %d + 10%%)", got, ceiling, recorded)
-	}
 }

@@ -8,10 +8,14 @@
 // Two engines share the same result schema:
 //
 //   - EngineEmulated drives full packet-level QUIC-lite connections over
-//     the virtual-time network emulator — every quantity is measured, not
-//     modelled. Use it for accuracy experiments (Figs. 3 and 4) and
-//     moderate populations.
-//   - EngineFast synthesises connection outcomes from the same ground
+//     the virtual-time network emulator wherever packets decide a reported
+//     number — every spin series and RTT sample of a flipping connection
+//     is measured, not modelled. A connection that nothing answers, or
+//     whose server rolled a fixed spin value, and that ends its domain's
+//     chain, is reported through the fast engine's closed form instead.
+//     Use it for accuracy experiments (Figs. 3 and 4) and moderate
+//     populations.
+//   - EngineFast synthesises every connection outcome from the same ground
 //     truth and calibrated closed-form timing. It exists for
 //     campaign-scale runs (weekly longitudinal scans, Fig. 2) and is
 //     validated against the emulated engine by tests.
@@ -135,6 +139,10 @@ type Config struct {
 	// watchdogSteps overrides the deterministic per-connection step budget
 	// of the emulated watchdog; in-package tests only. Zero means 4M.
 	watchdogSteps int
+	// emulateAll sends every connection of the emulated engine through the
+	// packet path, the ones the closed form settles too; in-package tests
+	// only (the reference of the closed form's equivalence test).
+	emulateAll bool
 }
 
 // Validate reports descriptive errors for config values that zero-default
@@ -416,11 +424,7 @@ type retrier struct {
 // retry reports whether the failure described by errStr should be retried,
 // burning one unit of budget and sleeping the backoff when it is.
 func (r *retrier) retry(stage, errStr string) bool {
-	cls := resilience.Classify(errStr)
-	// Stalls are transient for campaign-level accounting (the breaker),
-	// but never retried in-domain: the engine that produced one must be
-	// rebuilt before it can scan again.
-	if !r.policy.Enabled() || cls == resilience.ClassStall || !cls.Transient() {
+	if !r.policy.Enabled() || !retriable(errStr) {
 		return false
 	}
 	if r.used >= r.policy.MaxRetries {
@@ -434,6 +438,34 @@ func (r *retrier) retry(stage, errStr string) bool {
 		r.sleep(d)
 	}
 	return true
+}
+
+// left is the retry budget the domain has not spent: 0 when retries are
+// disabled.
+func (r *retrier) left() int {
+	if !r.policy.Enabled() {
+		return 0
+	}
+	return r.policy.MaxRetries - r.used
+}
+
+// retriable reports whether the failure described by errStr is one that
+// retries follow at all, budget aside.
+func retriable(errStr string) bool {
+	cls := resilience.Classify(errStr)
+	// Stalls are transient for campaign-level accounting (the breaker),
+	// but never retried in-domain: the engine that produced one must be
+	// rebuilt before it can scan again.
+	return cls != resilience.ClassStall && cls.Transient()
+}
+
+// endsChain reports whether c is the last connection of its domain's scan,
+// with retriesLeft of the domain's retry budget unspent: it neither
+// redirects nor fails in a way that connectRetry would follow with another
+// attempt (a retry, possibly at the next address). It decides as
+// connectRetry and runChain will.
+func endsChain(c *ConnResult, retriesLeft int) bool {
+	return c.Redirect == "" && (c.Err == "" || retriesLeft <= 0 || !retriable(c.Err))
 }
 
 // resolveRetry resolves the host in the given address family, retrying
@@ -469,14 +501,15 @@ func connectRetry(rt *retrier, addrs []netip.Addr, dial func(ip netip.Addr, atte
 // runChain executes one domain's full scan — landing request plus redirect
 // chain — with retry and multi-address fallback. Both engines share it;
 // dial performs one engine-specific connection attempt (attempt is its
-// 0-based index within the hop's retries), and rng is the domain's retry
+// 0-based index within the hop's retries, and retriesLeft the domain's
+// unspent retry budget, see endsChain), and rng is the domain's retry
 // stream. The connections are kept in s, where dial keeps their samples and
 // observations. rec and now carry
 // the shard's trace recorder and the engine's virtual clock; with tracing
 // disabled (nil rec) every trace block is skipped and the scan allocates
 // nothing extra. Tracing reads the clock but draws no randomness, so the
 // DomainResult is identical with tracing on or off.
-func runChain(cfg Config, rng *rand.Rand, resolver *dns.Resolver, sleep func(time.Duration), tm *scanTelemetry, rec *trace.Recorder, now func() time.Time, d *websim.Domain, s *slabs, dial func(target string, ip netip.Addr, hop, attempt int, path string) ConnResult) DomainResult {
+func runChain(cfg Config, rng *rand.Rand, resolver *dns.Resolver, sleep func(time.Duration), tm *scanTelemetry, rec *trace.Recorder, now func() time.Time, d *websim.Domain, s *slabs, dial func(target string, ip netip.Addr, hop, attempt int, path string, retriesLeft int) ConnResult) DomainResult {
 	rt := &retrier{policy: cfg.Retry, rng: rng, sleep: sleep, tm: tm}
 	// The engine's DNS memo serves one domain's chain: a redirect revisiting
 	// a host is a hit, but nothing carries over to the next domain, so the
@@ -515,7 +548,7 @@ func runChain(cfg Config, rng *rand.Rand, resolver *dns.Resolver, sleep func(tim
 	for hop := 0; hop <= maxRedirects; hop++ {
 		hop := hop
 		conn := connectRetry(rt, addrs, func(ip netip.Addr, attempt int) ConnResult {
-			return dial(target, ip, hop, attempt, path)
+			return dial(target, ip, hop, attempt, path, rt.left())
 		})
 		keep(s, &s.conns, conn)
 		if conn.Redirect == "" {

@@ -17,6 +17,9 @@ import (
 //	spinscan_domains_resolved_total     domains with DNS success
 //	spinscan_conns_attempted_total      connection attempts (incl. redirects)
 //	spinscan_conns_succeeded_total      completed QUIC handshakes
+//	spinscan_conns_closed_form_total    attempts synthesised in closed form
+//	                                    (every fast-engine attempt; the
+//	                                    emulated engine's settled ones)
 //	spinscan_conn_errors_total{class}   failed connections by error class
 //	spinscan_redirects_followed_total   redirect hops followed
 //	spinscan_spin_flip_conns_total      connections with spin flips
@@ -112,6 +115,7 @@ func errClass(s string) string {
 type scanTelemetry struct {
 	domains, resolved               *telemetry.Counter
 	connsAttempted, connsSucceeded  *telemetry.Counter
+	connsClosedForm                 *telemetry.Counter
 	redirectsFollowed, flipConns    *telemetry.Counter
 	errs                            map[string]*telemetry.Counter
 	redirectDepth                   *telemetry.Histogram
@@ -147,6 +151,7 @@ func newScanTelemetry(reg *telemetry.Registry) *scanTelemetry {
 		resolved:          reg.Counter("spinscan_domains_resolved_total"),
 		connsAttempted:    reg.Counter("spinscan_conns_attempted_total"),
 		connsSucceeded:    reg.Counter("spinscan_conns_succeeded_total"),
+		connsClosedForm:   reg.Counter("spinscan_conns_closed_form_total"),
 		redirectsFollowed: reg.Counter("spinscan_redirects_followed_total"),
 		flipConns:         reg.Counter("spinscan_spin_flip_conns_total"),
 		redirectDepth:     reg.Histogram("spinscan_redirect_depth", telemetry.DepthBuckets),

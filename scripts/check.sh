@@ -91,9 +91,22 @@ echo "== interrupt-and-resume smoke"
 tmp=$(mktemp -d)
 trap 'rm -rf "$tmp"' EXIT
 go build -o "$tmp/spinscan" ./cmd/spinscan
-# The emulated engine keeps the campaign slow enough (a few seconds) for
-# the SIGKILL to land while the journal is still growing.
-scan_flags="-scale 20000 -engine emulated -week 3 -workers 4 -progress 0"
+# The emulated engine over ~55k domains keeps the campaign slow enough
+# (a few hundred milliseconds on two cores) for the SIGKILL to land while
+# the journal is still growing; interrupted() fails the smoke when it did
+# not.
+scan_flags="-scale 4000 -engine emulated -week 3 -workers 4 -progress 0"
+
+# interrupted NAME KILLED TOTAL: the journal held KILLED records when the
+# kill landed and TOTAL once the resumed run finished; a resume that added
+# nothing means the run had finished first and the smoke tested nothing.
+interrupted() {
+    if [ "$2" -ge "$3" ]; then
+        echo "$1: the kill landed after the run had finished ($2 of $3 journal records); nothing was interrupted" >&2
+        exit 1
+    fi
+    echo "$1: killed with $2 of $3 journal records"
+}
 
 "$tmp/spinscan" $scan_flags 2>/dev/null >"$tmp/reference.txt"
 
@@ -104,16 +117,16 @@ i=0
 while [ "$(cat "$tmp"/ckpt/*.jsonl 2>/dev/null | wc -l)" -lt 20 ]; do
     i=$((i + 1))
     if [ "$i" -gt 200 ]; then
-        # The run finished (or never started) before we could interrupt it;
-        # resume still must reproduce the tables from a complete journal.
         break
     fi
     sleep 0.05
 done
 kill -9 "$scan_pid" 2>/dev/null || true
 wait "$scan_pid" 2>/dev/null || true
+killed=$(cat "$tmp"/ckpt/*.jsonl 2>/dev/null | wc -l)
 
 "$tmp/spinscan" $scan_flags -checkpoint "$tmp/ckpt" -resume 2>/dev/null >"$tmp/resumed.txt"
+interrupted "unsharded" "$killed" "$(cat "$tmp"/ckpt/*.jsonl | wc -l)"
 if ! diff -u "$tmp/reference.txt" "$tmp/resumed.txt"; then
     echo "resumed tables differ from the uninterrupted reference" >&2
     exit 1
@@ -149,7 +162,7 @@ done
 # to the unsharded output). The UDP transport on the resume leg exercises
 # the collector exchange from the CLI.
 echo "== sharded interrupt-and-resume smoke"
-shard_flags="-scale 20000 -engine emulated -week 3 -workers 4 -progress 0 -shards 4"
+shard_flags="-scale 4000 -engine emulated -week 3 -workers 4 -progress 0 -shards 4"
 
 "$tmp/spinscan" $shard_flags 2>/dev/null >"$tmp/shard-reference.txt"
 
@@ -165,9 +178,11 @@ while [ "$(cat "$tmp"/shard-ckpt/*/*/*.jsonl 2>/dev/null | wc -l)" -lt 20 ]; do
 done
 kill -9 "$shard_pid" 2>/dev/null || true
 wait "$shard_pid" 2>/dev/null || true
+killed=$(cat "$tmp"/shard-ckpt/*/*/*.jsonl 2>/dev/null | wc -l)
 
 "$tmp/spinscan" $shard_flags -checkpoint "$tmp/shard-ckpt" -resume -shard-transport udp \
     2>/dev/null >"$tmp/shard-resumed.txt"
+interrupted "sharded" "$killed" "$(cat "$tmp"/shard-ckpt/*/*/*.jsonl | wc -l)"
 if ! diff -u "$tmp/shard-reference.txt" "$tmp/shard-resumed.txt"; then
     echo "resumed sharded tables differ from the uninterrupted reference" >&2
     exit 1
@@ -206,7 +221,7 @@ fi
 # CLI, plus the SIGTERM graceful drain, the exit-code split and journal
 # degradation under injected faults.
 echo "== follow-mode smoke"
-follow_flags="-scale 20000 -engine emulated -weeks 3 -workers 4 -progress 0"
+follow_flags="-scale 4000 -engine emulated -weeks 3 -workers 4 -progress 0"
 storage_plan="seed:7,fs.short-write:0.05,fs.write-err:0.1,fs.sync-err:0.05"
 
 "$tmp/spinscan" $follow_flags 2>/dev/null >"$tmp/follow-reference.txt"
@@ -226,18 +241,14 @@ done
 kill -TERM "$follow_pid" 2>/dev/null || true
 follow_rc=0
 wait "$follow_pid" || follow_rc=$?
-if [ "$follow_rc" = 143 ]; then
-    "$tmp/spinscan" $follow_flags $follow_service -checkpoint "$tmp/follow-ckpt" -resume -faults "$storage_plan" \
-        2>>"$tmp/follow.log" >"$tmp/follow-resumed.txt"
-elif [ "$follow_rc" = 0 ]; then
-    # The campaign outran the signal; its complete output still must match.
-    echo "(follow campaign finished before SIGTERM landed; comparing its tables)"
-    cp "$tmp/follow-first.txt" "$tmp/follow-resumed.txt"
-else
-    echo "follow SIGTERM run exited $follow_rc, want 143 (or 0 if it finished first):" >&2
+# Exit 0 means the campaign outran the signal: nothing was interrupted.
+if [ "$follow_rc" != 143 ]; then
+    echo "follow SIGTERM run exited $follow_rc, want 143:" >&2
     cat "$tmp/follow.log" >&2
     exit 1
 fi
+"$tmp/spinscan" $follow_flags $follow_service -checkpoint "$tmp/follow-ckpt" -resume -faults "$storage_plan" \
+    2>>"$tmp/follow.log" >"$tmp/follow-resumed.txt"
 if ! diff -u "$tmp/follow-reference.txt" "$tmp/follow-resumed.txt"; then
     echo "follow-mode tables differ from the one-shot -weeks 3 reference" >&2
     cat "$tmp/follow.log" >&2
@@ -323,13 +334,15 @@ go test -count=1 -run 'TestLoopMatchesReference|TestLoopSteadyStateZeroAlloc' ./
 # panics, a released connection refuses to send or receive), so a use after
 # release shows up as a panic or a golden diff here rather than as plausible
 # stale bytes; the named runs pin the bounded-memory test (pools and netem
-# tables), the two per-domain allocation ceilings, the recycled-is-fresh,
-# reassembler and endpoint properties, and the poisoned goldens, determinism,
-# differential and hostile-chaos suites. The race runtime changes allocation
-# counts, so the ceilings run once more without it: that plain run is the
-# binding one, as for the tracing gate.
+# tables) and the packet-path allocation ceiling, both on a world where every
+# connection takes packets, the closed-form ceiling (a settled connection
+# allocates nothing), the closed form's equivalence with the packet path, the
+# recycled-is-fresh, reassembler and endpoint properties, and the poisoned
+# goldens, determinism, differential and hostile-chaos suites. The race
+# runtime changes allocation counts, so the ceilings run once more without
+# it: that plain run is the binding one, as for the tracing gate.
 echo "== emulated memory gate"
-go test -race -count=1 -run 'TestEmulatedEngineBoundedMemory|TestEmulatedConnAllocCeiling|TestEmulatedBlackholeAllocCeiling' ./internal/scanner
+go test -race -count=1 -run 'TestEmulatedEngineBoundedMemory|TestEmulatedConnAllocCeiling|TestEmulatedBlackholeAllocCeiling|TestClosedFormEquivalence' ./internal/scanner
 go test -count=1 -run 'TestEmulatedConnAllocCeiling|TestEmulatedBlackholeAllocCeiling' ./internal/scanner
 go test -race -count=1 -run 'TestArena|TestRecvStreamMatchesReference|TestAcceptStream|TestEndpointDropsReleasesAndRecycles|TestConnRecycledIsFresh|TestReleasedConnIsPoisoned' ./internal/transport
 go test -race -count=1 -run 'TestNetworkTablesBoundedAcrossProbes' ./internal/netem
