@@ -3,7 +3,9 @@ package scanner
 import (
 	"bytes"
 	"encoding/json"
+	"math"
 	"reflect"
+	"runtime"
 	"testing"
 	"time"
 
@@ -218,3 +220,51 @@ func TestRecycledResultsJournalAsCopies(t *testing.T) {
 		}
 	}
 }
+
+// TestPipelineAllocatesSteadily: a campaign allocates the same heap bytes
+// however its workers are scheduled. The pipeline makes its batch set up
+// front instead of a batch whenever the free list runs dry, so neither the
+// processor count nor a sink that yields, both of which move how far the
+// generator and the workers run ahead of the reorder buffer, changes what a
+// week allocates.
+func TestPipelineAllocatesSteadily(t *testing.T) {
+	w := testWorld(50_000)
+	cfg := Config{Week: 12, Engine: EngineFast, Seed: 5, Workers: 4}
+	if nb := (w.NumDomains() + streamBatchSize - 1) / streamBatchSize; nb < 2*pipelineBatches(cfg.Workers) {
+		t.Fatalf("vacuous: %d batches of population, want at least two trips of the batch set", nb)
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	scan := func(procs, yieldEvery int) uint64 {
+		runtime.GOMAXPROCS(procs)
+		var m0, m1 runtime.MemStats
+		runtime.ReadMemStats(&m0)
+		err := RunStream(w, cfg, func(i int, _ *DomainResult) error {
+			if yieldEvery > 0 && i%yieldEvery == 0 {
+				runtime.Gosched()
+			}
+			return nil
+		})
+		runtime.ReadMemStats(&m1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return m1.TotalAlloc - m0.TotalAlloc
+	}
+	scan(4, 0) // warm-up: the runtime's own first-use allocations
+	lo, hi := uint64(math.MaxUint64), uint64(0)
+	for _, run := range []struct{ procs, yieldEvery int }{{4, 0}, {1, 0}, {2, 3}, {4, 7}, {1, 5}, {4, 0}} {
+		got := scan(run.procs, run.yieldEvery)
+		t.Logf("GOMAXPROCS %d, sink yielding every %d results: %d bytes", run.procs, run.yieldEvery, got)
+		lo, hi = min(lo, got), max(hi, got)
+	}
+	if hi-lo > steadyAllocSlack {
+		t.Errorf("the same week allocated between %d and %d bytes, a spread of %d beyond the %d forgiven", lo, hi, hi-lo, steadyAllocSlack)
+	}
+}
+
+// steadyAllocSlack is the spread TestPipelineAllocatesSteadily forgives: each
+// worker's engine grows its synthesis scratch to the longest connection that
+// worker happened to scan, which moves a few tens of KiB. A batch's storage
+// is about as much again, and the old grow-on-demand pipeline moved several
+// hundred KiB on this world.
+const steadyAllocSlack = 64 << 10

@@ -22,6 +22,11 @@ import (
 // enough to amortise channel operations over fast-engine scans.
 const streamBatchSize = 64
 
+// pipelineBatches is the size of a pipeline's batch set with nw workers:
+// one at the generator, nw in each channel and nw at the workers, and as
+// many again for the reorder buffer (see runPipeline).
+func pipelineBatches(nw int) int { return 2 * (3*nw + 1) }
+
 // batch is one contiguous run of population indices and, once scanned, its
 // results. It makes a round trip: the generator synthesises its domains in
 // canonical order (with the breaker slots pre-assigned in that order, which
@@ -454,11 +459,17 @@ func (c *campaign) runPipeline(sink func(i int, res *DomainResult) error) (sinkE
 	}
 	work := make(chan *batch, nw)
 	results := make(chan *batch, nw)
-	// Delivered batches come back to the generator here. Beyond its capacity
-	// — every batch the channels, workers and generator can hold at once — a
-	// batch is left to the collector, so the pipeline's storage stays bounded
-	// by the worker count.
-	free := make(chan *batch, 3*nw+1)
+	// The pipeline owns a fixed set of batches, made here and cycled through
+	// the free list in FIFO order: the generator waits for a delivered batch
+	// rather than making one. The set holds what the channels, the workers
+	// and the generator can hold at once, plus as many again for the reorder
+	// buffer, so storage stays bounded by the worker count and a run
+	// allocates the same batches however its workers are scheduled.
+	nb := min(pipelineBatches(nw), (n-lo+streamBatchSize-1)/streamBatchSize)
+	free := make(chan *batch, nb)
+	for range nb {
+		free <- &batch{}
+	}
 	var gateNext map[string]int
 	if c.br != nil {
 		gateNext = map[string]int{}
@@ -467,12 +478,9 @@ func (c *campaign) runPipeline(sink func(i int, res *DomainResult) error) (sinkE
 		defer close(work)
 		for start := lo; start < n && !c.interrupted.Load(); start += streamBatchSize {
 			end := min(start+streamBatchSize, n)
-			var b *batch
-			select {
-			case b = <-free:
-			default:
-				b = &batch{}
-			}
+			// Every batch not in the free list is on its way to the sink, the
+			// one due next among them, so the wait always ends.
+			b := <-free
 			b.reuse(start, end-start)
 			for i := start; i < end; i++ {
 				d := c.w.DomainAt(i)
@@ -503,7 +511,8 @@ func (c *campaign) runPipeline(sink func(i int, res *DomainResult) error) (sinkE
 		wg.Wait()
 		close(results)
 	}()
-	pending := map[int]*batch{}
+	// The reorder buffer never holds more than the batch set.
+	pending := make(map[int]*batch, nb)
 	next := lo // start index of the next batch to deliver
 	stopped := false
 	completed := 0
@@ -528,10 +537,7 @@ func (c *campaign) runPipeline(sink func(i int, res *DomainResult) error) (sinkE
 			if poisonBatches {
 				b.poison()
 			}
-			select {
-			case free <- b:
-			default:
-			}
+			free <- b // never blocks: the list has room for every batch
 		}
 		el := time.Since(c.started)
 		if el > 0 {
