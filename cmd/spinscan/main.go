@@ -73,8 +73,7 @@ var (
 	faultSpec        = flag.String("faults", "", `chaos-test fault plan, one grammar for every layer, e.g. "seed:3,udp.drop:0.05,udp.max-delay:2ms,fs.short-write:0.1,shard.crash:1@40x2,dns.timeout:0.3/2,net.blackout:0.1/1,scan.interrupt:5000" (see internal/fault)`)
 	followMode       = flag.Bool("follow", false, "continuous campaign service: keep scanning week after week from week 1 (bound with -weeks, stop with SIGINT/SIGTERM)")
 	followInterval   = flag.Duration("follow-interval", 0, "pause between consecutive weeks (interruptible; 0 = back to back)")
-	retainWeeks      = flag.Int("journal-retain-weeks", 0, "prune -checkpoint records older than the last N weeks during between-week compaction (0 keeps all)")
-	journalCompact   = flag.Bool("journal-compact", false, "compact the -checkpoint journal after every completed week (implied by -journal-retain-weeks)")
+	retainWeeks      = flag.Int("journal-retain-weeks", 0, "after each completed week, remove the -checkpoint week directories older than the last N weeks (0 keeps all)")
 	journalSync      = flag.Int("journal-sync", 0, "fsync the checkpoint journal every N records (0 = only on rotation and close; 1 = every record)")
 	journalSegBytes  = flag.Int64("journal-segment-bytes", 0, "rotate checkpoint journal segments past this size (0 disables size-based rotation)")
 	tunablesPath     = flag.String("tunables", "", "runtime tunables file overlaying -alerts, -progress, -breaker-threshold and -breaker-cooldown (same keys, same checks); SIGHUP reloads it without restart")
@@ -206,7 +205,6 @@ func main() {
 		Interrupt:    interrupt,
 		Checkpoint:   *checkpoint,
 		Resume:       *resume,
-		Compact:      *journalCompact,
 		RetainWeeks:  *retainWeeks,
 		Transport:    tr,
 		Telemetry:    reg,

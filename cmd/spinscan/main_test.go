@@ -94,13 +94,13 @@ func TestOptionBudget(t *testing.T) {
 			flags++
 		}
 	})
-	if flags > 36 {
-		t.Errorf("spinscan defines %d flags, budget 36", flags)
+	if flags > 35 {
+		t.Errorf("spinscan defines %d flags, budget 35", flags)
 	}
 	for _, c := range []struct {
 		cfg    any
 		budget int
-	}{{scanner.Config{}, 16}, {shard.Config{}, 21}} {
+	}{{scanner.Config{}, 16}, {shard.Config{}, 20}} {
 		exported := 0
 		typ := reflect.TypeOf(c.cfg)
 		for i := 0; i < typ.NumField(); i++ {

@@ -50,7 +50,6 @@ const (
 	ShortWrite Kind = "short-write"
 	WriteErr   Kind = "write-err"
 	SyncErr    Kind = "sync-err"
-	RenameErr  Kind = "rename-err"
 	OpenErr    Kind = "open-err"
 	Crash      Kind = "crash"
 	Stall      Kind = "stall"
@@ -62,7 +61,7 @@ var kinds = map[Site][]Kind{
 	Net:   {Blackout},
 	Scan:  {Interrupt, Panic},
 	UDP:   {Drop, Dup, Corrupt, Delay},
-	FS:    {ShortWrite, WriteErr, SyncErr, RenameErr, OpenErr},
+	FS:    {ShortWrite, WriteErr, SyncErr, OpenErr},
 	Shard: {Crash, Panic, Stall},
 }
 

@@ -27,9 +27,9 @@ func TestParse(t *testing.T) {
 			{Site: Shard, Kind: Crash, Target: "1", P: 1, After: 25, Times: 1}, // the multiplier defaults to 1
 			{Site: Shard, Kind: Panic, Target: "0", P: 1, After: 40, Times: 2},
 			{Site: Shard, Kind: Stall, Target: "3", P: 1, After: 10, Times: 1}}},
-		{"seed:42,fs.short-write:0.1,fs.write-err:0.2,fs.sync-err:0.3,fs.rename-err:0.4,fs.open-err:0.5", 42, 25 * ms, []Rule{
+		{"seed:42,fs.short-write:0.1,fs.write-err:0.2,fs.sync-err:0.3,fs.open-err:0.4", 42, 25 * ms, []Rule{
 			{Site: FS, Kind: ShortWrite, P: 0.1}, {Site: FS, Kind: WriteErr, P: 0.2}, {Site: FS, Kind: SyncErr, P: 0.3},
-			{Site: FS, Kind: RenameErr, P: 0.4}, {Site: FS, Kind: OpenErr, P: 0.5}}},
+			{Site: FS, Kind: OpenErr, P: 0.4}}},
 		{"dns.timeout:0.3/2,net.blackout:0.1/1,net.blackout:2001:db8::1@1,scan.interrupt:5000,scan.interrupt:7x3,scan.panic:www.example.com@1,seed:-4", -4, 25 * ms, []Rule{
 			{Site: DNS, Kind: Timeout, P: 0.3, Times: 2},
 			{Site: Net, Kind: Blackout, P: 0.1, Times: 1},

@@ -26,11 +26,10 @@ var (
 // FaultFS wraps an FS with a fault plan's fs rules: every write-path
 // operation fails with the configured shares (short-write tears a write
 // mid-line with ErrIO after a prefix lands; write-err and open-err are
-// ErrNoSpace; sync-err is ErrSyncFailed; rename-err is ErrIO and leaves
-// the source in place — the torn rename that strands compaction staging
-// files next to live segments). The read path (Open, ReadDir) is never
-// faulted — replay correctness under write faults is the property being
-// tested, and a plan that corrupted reads would test the test instead.
+// ErrNoSpace; sync-err is ErrSyncFailed). The read path (Open, ReadDir)
+// and RemoveAll are never faulted — replay correctness under write faults
+// is the property being tested, and a plan that corrupted reads would test
+// the test instead.
 //
 // Operations are numbered by the plan in the order they arrive —
 // concurrent writers make the interleaving scheduling-dependent, but every
@@ -56,16 +55,10 @@ func (f *FaultFS) hit(kind fault.Kind, path string) bool {
 func (f *FaultFS) MkdirAll(dir string) error { return f.inner.MkdirAll(dir) }
 
 func (f *FaultFS) OpenAppend(path string) (File, error) {
-	return f.open("open", path, f.inner.OpenAppend)
-}
-
-func (f *FaultFS) Create(path string) (File, error) { return f.open("create", path, f.inner.Create) }
-
-func (f *FaultFS) open(op, path string, open func(string) (File, error)) (File, error) {
 	if f.hit(fault.OpenErr, path) {
-		return nil, fmt.Errorf("%s %s: %w", op, path, ErrNoSpace)
+		return nil, fmt.Errorf("open %s: %w", path, ErrNoSpace)
 	}
-	file, err := open(path)
+	file, err := f.inner.OpenAppend(path)
 	if err != nil {
 		return nil, err
 	}
@@ -76,14 +69,7 @@ func (f *FaultFS) Open(path string) (io.ReadCloser, error) { return f.inner.Open
 
 func (f *FaultFS) ReadDir(dir string) ([]string, error) { return f.inner.ReadDir(dir) }
 
-func (f *FaultFS) Rename(oldpath, newpath string) error {
-	if f.hit(fault.RenameErr, oldpath) {
-		return fmt.Errorf("rename %s: %w", oldpath, ErrIO)
-	}
-	return f.inner.Rename(oldpath, newpath)
-}
-
-func (f *FaultFS) Remove(path string) error { return f.inner.Remove(path) }
+func (f *FaultFS) RemoveAll(path string) error { return f.inner.RemoveAll(path) }
 
 // faultFile injects write and sync faults on one handle.
 type faultFile struct {

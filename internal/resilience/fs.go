@@ -4,31 +4,27 @@ import (
 	"io"
 	"os"
 	"path/filepath"
-	"sort"
 )
 
 // FS is the filesystem surface the checkpoint journal writes through. It
-// exists so every journal code path — appends, fsync, rotation, compaction
-// renames — can be chaos-tested against injected storage faults (short
-// writes, ENOSPC, EIO, fsync failure, torn renames) the same way the shard
-// layer chaos-tests the UDP transport. Production code uses OSFS; tests
-// wrap it in a FaultFS.
+// exists so every journal code path — appends, fsync, rotation — can be
+// chaos-tested against injected storage faults (short writes, ENOSPC, EIO,
+// fsync failure) the same way the shard layer chaos-tests the UDP
+// transport. Production code uses OSFS; tests wrap it in a FaultFS.
 type FS interface {
 	// MkdirAll creates dir and any missing parents.
 	MkdirAll(dir string) error
 	// OpenAppend opens path for appending, creating it when missing.
 	OpenAppend(path string) (File, error)
-	// Create truncates or creates path for writing (compaction staging).
-	Create(path string) (File, error)
 	// Open opens path for reading.
 	Open(path string) (io.ReadCloser, error)
-	// ReadDir returns the names (not paths) of dir's regular files, sorted.
-	// A missing directory returns an empty slice, not an error.
+	// ReadDir returns the names (not paths) of dir's entries, files and
+	// subdirectories alike, sorted. A missing directory returns an empty
+	// slice, not an error.
 	ReadDir(dir string) ([]string, error)
-	// Rename atomically replaces newpath with oldpath (POSIX rename).
-	Rename(oldpath, newpath string) error
-	// Remove deletes path.
-	Remove(path string) error
+	// RemoveAll deletes path and everything under it; a missing path is
+	// not an error.
+	RemoveAll(path string) error
 }
 
 // File is one journal file handle: sequential writes, explicit durability.
@@ -50,8 +46,6 @@ func (osFS) OpenAppend(path string) (File, error) {
 	return os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
 }
 
-func (osFS) Create(path string) (File, error) { return os.Create(path) }
-
 func (osFS) Open(path string) (io.ReadCloser, error) { return os.Open(path) }
 
 func (osFS) ReadDir(dir string) ([]string, error) {
@@ -62,19 +56,14 @@ func (osFS) ReadDir(dir string) ([]string, error) {
 		}
 		return nil, err
 	}
-	var names []string
-	for _, e := range entries {
-		if !e.IsDir() {
-			names = append(names, e.Name())
-		}
+	names := make([]string, len(entries))
+	for i, e := range entries {
+		names[i] = e.Name()
 	}
-	sort.Strings(names)
 	return names, nil
 }
 
-func (osFS) Rename(oldpath, newpath string) error { return os.Rename(oldpath, newpath) }
-
-func (osFS) Remove(path string) error { return os.Remove(path) }
+func (osFS) RemoveAll(path string) error { return os.RemoveAll(path) }
 
 // fsOrOS returns fs, defaulting to the real filesystem.
 func fsOrOS(fs FS) FS {

@@ -6,7 +6,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"sort"
 	"strconv"
 	"strings"
 	"sync"
@@ -28,9 +27,8 @@ import (
 //     order. A handle's numbers are its opening generation (one above every
 //     generation named in the directory) shifted left seqGenShift bits, plus
 //     a per-handle counter: they rise within a handle and sit above every
-//     number an earlier handle, a rotation or a Compact output can hold,
-//     without reading a single record. The one bound is 2³² records per
-//     handle.
+//     number an earlier handle or a rotation can hold, without reading a
+//     single record. The one bound is 2³² records per handle.
 //   - A journal instance only ever appends to segments it created itself
 //     (each open starts a fresh generation), so existing journal bytes are
 //     never touched, let alone corrupted, by later runs.
@@ -42,9 +40,10 @@ import (
 //     campaign keeps scanning without checkpoints), while every ProbeEvery
 //     appends one real write probes whether storage recovered.
 //
-// Segments also rotate at SegmentBytes and compact via Compact, which
-// rewrites the last complete record per key into a single fresh segment
-// with replay(compact(J)) == replay(J).
+// Segments also rotate at SegmentBytes. Nothing ever rewrites a segment:
+// the journal only grows, and a directory is retired whole — the campaign
+// runner gives each week's scans directories of their own and removes the
+// ones past its retention horizon.
 type Journal struct {
 	dir string
 	cfg JournalConfig
@@ -430,8 +429,7 @@ func (j *Journal) Close() error {
 // segRecord is one key's winning record during a journal scan.
 type segRecord struct {
 	seq  int64
-	file int    // index into the sorted segment list (legacy tie-break)
-	line []byte // the whole line, kept only for Compact
+	file int // index into the sorted segment list (legacy tie-break)
 	val  json.RawMessage
 }
 
@@ -446,9 +444,8 @@ type scanStats struct {
 // sequence ties — legacy records without one — fall back to (file, line)
 // order over the sorted names, which is deterministic regardless of
 // directory iteration order. Torn or corrupt lines anywhere in a segment
-// (not just the tail) are skipped and counted. keepLines retains each
-// winner's whole line next to its value, which only Compact rewrites.
-func scanJournal(fs FS, dir string, keepLines bool) (map[string]*segRecord, scanStats, error) {
+// (not just the tail) are skipped and counted.
+func scanJournal(fs FS, dir string) (map[string]*segRecord, scanStats, error) {
 	var st scanStats
 	names, err := fs.ReadDir(dir)
 	if err != nil {
@@ -477,11 +474,7 @@ func scanJournal(fs FS, dir string, keepLines bool) (map[string]*segRecord, scan
 					// Last complete record wins: higher seq, or — for
 					// legacy seq-less ties — later (file, line) position.
 					if prev == nil || rec.S > prev.seq || (rec.S == prev.seq && fileIdx >= prev.file) {
-						win := &segRecord{seq: rec.S, file: fileIdx, val: rec.V}
-						if keepLines {
-							win.line = append([]byte(nil), line...)
-						}
-						out[rec.K] = win
+						out[rec.K] = &segRecord{seq: rec.S, file: fileIdx, val: rec.V}
 					}
 				} else {
 					// Torn write (no trailing newline, or glued partial
@@ -514,7 +507,7 @@ func Replay(dir string) (map[string]json.RawMessage, int, error) {
 
 // ReplayFS is Replay through an injected filesystem (nil = the real one).
 func ReplayFS(fs FS, dir string) (map[string]json.RawMessage, int, error) {
-	latest, st, err := scanJournal(fsOrOS(fs), dir, false)
+	latest, st, err := scanJournal(fsOrOS(fs), dir)
 	if err != nil {
 		return nil, 0, fmt.Errorf("resilience: %w", err)
 	}
@@ -523,15 +516,4 @@ func ReplayFS(fs FS, dir string) (map[string]json.RawMessage, int, error) {
 		out[k] = rec.val
 	}
 	return out, st.torn, nil
-}
-
-// sortedKeys returns m's keys in sorted order (deterministic compaction
-// output).
-func sortedKeys(m map[string]*segRecord) []string {
-	keys := make([]string, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	return keys
 }

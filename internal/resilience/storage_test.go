@@ -1,7 +1,6 @@
 package resilience
 
 import (
-	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -16,228 +15,12 @@ import (
 	"quicspin/internal/fault"
 )
 
-// replayEqual asserts two replayed journals hold identical key→value maps.
-func replayEqual(t *testing.T, got, want map[string]json.RawMessage) {
-	t.Helper()
-	if len(got) != len(want) {
-		t.Fatalf("replayed %d keys, want %d", len(got), len(want))
-	}
-	for k, w := range want {
-		g, ok := got[k]
-		if !ok {
-			t.Fatalf("key %q missing after compaction", k)
-		}
-		if !bytes.Equal(g, w) {
-			t.Fatalf("key %q = %s, want %s", k, g, w)
-		}
-	}
-}
-
-// TestCompactionEquivalence is the property test the tentpole pins:
-// replay(compact(J)) == replay(J) over randomly built journals — duplicate
-// keys spread across shards, segment rotation, reopened handles, torn
-// tails — with and without injected write faults during the build.
-func TestCompactionEquivalence(t *testing.T) {
-	for trial := 0; trial < 20; trial++ {
-		trial := trial
-		t.Run(fmt.Sprintf("trial-%d", trial), func(t *testing.T) {
-			dir := t.TempDir()
-			rng := rand.New(rand.NewSource(int64(trial) + 1))
-			cfg := JournalConfig{SegmentBytes: int64(64 + rng.Intn(512))}
-			var fs *FaultFS
-			if trial%2 == 1 {
-				// Odd trials build the journal under storage chaos; acked
-				// records must still compact equivalently.
-				fs = NewFaultFS(nil, fsPlan(int64(trial), 0.1, 0.1, 0.1, 0.02))
-				cfg.FS = fs
-				cfg.DegradeAfter = -1 // keep trying: chaos, not degradation, under test
-			}
-			// A couple of open/append/close rounds so records for the same
-			// key land in different generations.
-			for round := 0; round < 1+rng.Intn(3); round++ {
-				j, err := OpenJournalWith(dir, cfg)
-				if err != nil {
-					t.Fatal(err)
-				}
-				for i := 0; i < 30+rng.Intn(120); i++ {
-					key := fmt.Sprintf("w%d/v4/d%d", rng.Intn(3), rng.Intn(25))
-					_ = j.Append(rng.Intn(4), key, map[string]int{"n": rng.Intn(1000)})
-				}
-				if err := j.Close(); err != nil && fs == nil {
-					t.Fatal(err)
-				}
-			}
-			before, tornBefore, err := Replay(dir)
-			if err != nil {
-				t.Fatal(err)
-			}
-			cs, err := Compact(nil, dir, nil)
-			if err != nil {
-				t.Fatal(err)
-			}
-			after, tornAfter, err := Replay(dir)
-			if err != nil {
-				t.Fatal(err)
-			}
-			replayEqual(t, after, before)
-			if tornAfter != 0 {
-				t.Errorf("compacted journal has %d torn lines, want 0 (had %d)", tornAfter, tornBefore)
-			}
-			if cs.Kept != len(before) {
-				t.Errorf("compact kept %d keys, replay holds %d", cs.Kept, len(before))
-			}
-			if len(before) > 0 {
-				names, _ := OSFS.ReadDir(dir)
-				if len(names) != 1 {
-					t.Errorf("compacted dir holds %d files, want 1: %v", len(names), names)
-				}
-			}
-		})
-	}
-}
-
-// TestCompactionRetention checks the retain filter drops exactly the
-// rejected keys — the campaign runner's week-pruning hook.
-func TestCompactionRetention(t *testing.T) {
-	dir := t.TempDir()
-	j, err := OpenJournal(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for wk := 1; wk <= 3; wk++ {
-		for d := 0; d < 5; d++ {
-			if err := j.Append(0, fmt.Sprintf("w%d/v4/d%d", wk, d), map[string]int{"w": wk}); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
-	if err := j.Close(); err != nil {
-		t.Fatal(err)
-	}
-	cs, err := Compact(nil, dir, func(key string) bool {
-		var wk int
-		fmt.Sscanf(key, "w%d/", &wk)
-		return wk >= 2
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cs.Kept != 10 || cs.Dropped != 5 {
-		t.Fatalf("kept %d dropped %d, want 10/5", cs.Kept, cs.Dropped)
-	}
-	got, _, err := Replay(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != 10 {
-		t.Fatalf("replayed %d keys after retention compact, want 10", len(got))
-	}
-	for k := range got {
-		if k[:2] == "w1" {
-			t.Errorf("pruned key %q survived compaction", k)
-		}
-	}
-}
-
-// TestCompactionAllDropped: retain rejecting everything removes the
-// journal's segments without writing an empty compacted one.
-func TestCompactionAllDropped(t *testing.T) {
-	dir := t.TempDir()
-	j, _ := OpenJournal(dir)
-	_ = j.Append(0, "k", 1)
-	_ = j.Close()
-	cs, err := Compact(nil, dir, func(string) bool { return false })
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cs.Kept != 0 || cs.Dropped != 1 {
-		t.Fatalf("kept %d dropped %d, want 0/1", cs.Kept, cs.Dropped)
-	}
-	names, _ := OSFS.ReadDir(dir)
-	if len(names) != 0 {
-		t.Fatalf("dir still holds %v", names)
-	}
-}
-
-// TestCompactionTornRename: a rename fault mid-compaction must leave the
-// journal replay-identical, and the stranded staging file must be cleaned
-// by the next compaction.
-func TestCompactionTornRename(t *testing.T) {
-	dir := t.TempDir()
-	j, _ := OpenJournal(dir)
-	for i := 0; i < 10; i++ {
-		if err := j.Append(i%2, fmt.Sprintf("d%d", i%4), map[string]int{"n": i}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := j.Close(); err != nil {
-		t.Fatal(err)
-	}
-	before, _, err := Replay(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	// removeErr too: the stranded .tmp stays on disk, as after a crash.
-	fs := &stubFaultFS{FS: OSFS, renameErr: true, removeErr: true}
-	if _, err := Compact(fs, dir, nil); !errors.Is(err, ErrIO) {
-		t.Fatalf("compact under torn rename = %v, want ErrIO", err)
-	}
-	mid, _, err := Replay(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	replayEqual(t, mid, before)
-	names, _ := OSFS.ReadDir(dir)
-	var tmps int
-	for _, n := range names {
-		if filepath.Ext(n) == ".tmp" {
-			tmps++
-		}
-	}
-	if tmps == 0 {
-		t.Fatal("expected a stranded .tmp staging file")
-	}
-
-	// A clean retry compacts and clears the staging debris.
-	if _, err := Compact(nil, dir, nil); err != nil {
-		t.Fatal(err)
-	}
-	after, _, err := Replay(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	replayEqual(t, after, before)
-	names, _ = OSFS.ReadDir(dir)
-	for _, n := range names {
-		if filepath.Ext(n) == ".tmp" {
-			t.Errorf("staging file %s survived the retry", n)
-		}
-	}
-}
-
 // stubFaultFS fails exactly the chosen operations — deterministic fault
 // placement where FaultFS's Bernoulli draws would be overkill.
 type stubFaultFS struct {
 	FS
-	renameErr bool
-	removeErr bool
 	failOpens int // fail the first N OpenAppend calls
 	opens     int
-}
-
-func (s *stubFaultFS) Rename(oldpath, newpath string) error {
-	if s.renameErr {
-		return fmt.Errorf("rename %s: %w", oldpath, ErrIO)
-	}
-	return s.FS.Rename(oldpath, newpath)
-}
-
-func (s *stubFaultFS) Remove(path string) error {
-	if s.removeErr {
-		return fmt.Errorf("remove %s: %w", path, ErrIO)
-	}
-	return s.FS.Remove(path)
 }
 
 func (s *stubFaultFS) OpenAppend(path string) (File, error) {
@@ -288,11 +71,12 @@ func TestReplayTornLineMidSegment(t *testing.T) {
 // whose name sorts *before* the older record's file.
 func TestReplayDuplicateKeysAcrossFiles(t *testing.T) {
 	dir := t.TempDir()
-	// "compact-…" sorts before "shard-…": without sequence numbers,
-	// name-order replay would resurrect the stale value.
+	// "compact-…" (a segment name older builds wrote) sorts before
+	// "shard-…": without sequence numbers, name-order replay would resurrect
+	// the stale value.
 	newer := `{"k":"dup","s":9,"v":{"n":9}}` + "\n"
 	older := `{"k":"dup","s":2,"v":{"n":2}}` + "\n" + `{"k":"only","s":3,"v":{"n":3}}` + "\n"
-	if err := os.WriteFile(filepath.Join(dir, compactName(1)), []byte(newer), 0o644); err != nil {
+	if err := os.WriteFile(filepath.Join(dir, "compact-000001.jsonl"), []byte(newer), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	if err := os.WriteFile(filepath.Join(dir, segmentName(0, 2)), []byte(older), 0o644); err != nil {
@@ -354,7 +138,8 @@ func TestJournalSeqContinuesAcrossReopen(t *testing.T) {
 // lineageDir builds a checkpoint directory the way its history would have:
 // a segment of seq-less lines under the oldest file name, plain counters
 // 1…n as every handle before generation-prefixed numbers wrote them, and a
-// compact-… segment holding counters too. Key k<i> holds {"n":i} where it
+// compact-… segment holding counters too, as builds that compacted their
+// journals left it. Key k<i> holds {"n":i} where it
 // was last written; k0 and k1 are in all three files.
 func lineageDir(t *testing.T, n int) string {
 	t.Helper()
@@ -367,11 +152,11 @@ func lineageDir(t *testing.T, n int) string {
 	fmt.Fprintf(&compacted, `{"k":"k0","s":%d,"v":{"n":0}}`+"\n"+`{"k":"old","s":%d,"v":{"n":-2}}`+"\n", n+1, n+2)
 	fmt.Fprintf(&counters, `{"k":"k0","s":%d,"v":{"n":0}}`+"\n", n+3) // above the compacted copy
 	for name, body := range map[string]string{
-		"shard-000.jsonl":  legacy.String(),
-		segmentName(1, 3):  counters.String(),
-		compactName(2):     compacted.String(),
-		"compact-9.tmp":    "stranded staging file\n",
-		"shard-000-7.part": "not a segment\n",
+		"shard-000.jsonl":      legacy.String(),
+		segmentName(1, 3):      counters.String(),
+		"compact-000002.jsonl": compacted.String(),
+		"compact-9.tmp":        "stranded staging file\n",
+		"shard-000-7.part":     "not a segment\n",
 	} {
 		if err := os.WriteFile(filepath.Join(dir, name), []byte(body), 0o644); err != nil {
 			t.Fatal(err)
@@ -397,11 +182,6 @@ func TestOpenJournalReadsNoSegment(t *testing.T) {
 			}
 			if err := j.Close(); err != nil {
 				t.Fatal(err)
-			}
-			if round%3 == 1 {
-				if _, err := Compact(nil, dir, nil); err != nil {
-					t.Fatal(err)
-				}
 			}
 		}
 		names, _ := OSFS.ReadDir(dir)
@@ -431,8 +211,8 @@ func TestOpenJournalReadsNoSegment(t *testing.T) {
 
 // TestJournalMixedLineage: a directory written by every earlier form of the
 // journal keeps replaying, anything a new handle appends wins over all of
-// it, compaction stays an identity on the replay, and handles opened one
-// after the other issue disjoint, rising numbers across rotations.
+// it, and handles opened one after the other issue disjoint, rising numbers
+// across rotations.
 func TestJournalMixedLineage(t *testing.T) {
 	const n = 20
 	dir := lineageDir(t, n)
@@ -517,11 +297,6 @@ func TestJournalMixedLineage(t *testing.T) {
 	if !(hi[0] < lo[1] && hi[1] < lo[2]) {
 		t.Fatalf("number ranges overlap: old files ≤ %d, handle 1 [%d, %d], handle 2 [%d, %d]", hi[0], lo[1], hi[1], lo[2], hi[2])
 	}
-
-	if _, err := Compact(nil, dir, nil); err != nil {
-		t.Fatal(err)
-	}
-	check("compacted")
 }
 
 // TestJournalRotation: SegmentBytes bounds each segment and replay reads
@@ -876,15 +651,6 @@ func TestJournalAckedSurviveChaos(t *testing.T) {
 					t.Fatalf("key %q = n=%d, want the acked n=%d or a post-ack attempt", key, v.N, want)
 				}
 			}
-			// And compaction equivalence holds on the chaos-built journal.
-			if _, err := Compact(nil, dir, nil); err != nil {
-				t.Fatal(err)
-			}
-			after, _, err := Replay(dir)
-			if err != nil {
-				t.Fatal(err)
-			}
-			replayEqual(t, after, got)
 		})
 	}
 }
@@ -954,7 +720,7 @@ func TestFaultFSDirectives(t *testing.T) {
 	line := []byte(`{"k":"x","v":1}` + "\n")
 	for spec, want := range map[string]error{
 		"fs.open-err:1": ErrNoSpace, "fs.write-err:1": ErrNoSpace, "fs.short-write:1": ErrIO,
-		"fs.sync-err:1": ErrSyncFailed, "fs.rename-err:1": ErrIO,
+		"fs.sync-err:1":              ErrSyncFailed,
 		"fs.write-err:other.jsonl@1": nil, // pinned to another file
 	} {
 		plan, err := fault.Parse(spec)
@@ -963,16 +729,13 @@ func TestFaultFSDirectives(t *testing.T) {
 		}
 		fs := NewFaultFS(nil, plan)
 		path := filepath.Join(t.TempDir(), "seg.jsonl")
-		// The first failure of open, write, sync, rename is the directive's.
+		// The first failure of open, write, sync is the directive's.
 		f, err := fs.OpenAppend(path)
 		if err == nil {
 			if _, err = f.Write(line); err == nil {
 				err = f.Sync()
 			}
 			f.Close()
-		}
-		if err == nil {
-			err = fs.Rename(path, path+".new")
 		}
 		if !errors.Is(err, want) || plan.Injected(fault.FS, fault.AnyKind) > 1 {
 			t.Errorf("%s: first error %v after %d faults, want %v after one", spec, err, plan.Injected(fault.FS, fault.AnyKind), want)

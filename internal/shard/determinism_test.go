@@ -17,8 +17,8 @@ import (
 // merge algebra, so nothing about the split may leak into the output. The
 // transports rotate across the grid so the serialized wire format and the
 // UDP collector exchange are pinned to the same bytes as the in-process
-// merge, and one row journals with compaction and a one-week retention
-// horizon between the weeks.
+// merge, and one row journals with a one-week retention horizon between
+// the weeks.
 func TestShardDeterminism(t *testing.T) {
 	engines := []struct {
 		name   string
@@ -63,7 +63,7 @@ func TestShardDeterminism(t *testing.T) {
 						Transport: tr,
 					}
 					if shards == 2 && workers == 4 {
-						cfg.Checkpoint, cfg.Compact, cfg.RetainWeeks = t.TempDir(), true, 1
+						cfg.Checkpoint, cfg.RetainWeeks = t.TempDir(), 1
 					}
 					res, err := Run(w, cfg)
 					if err != nil {

@@ -3,7 +3,9 @@ package shard
 import (
 	"errors"
 	"fmt"
+	"io"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -17,7 +19,7 @@ import (
 )
 
 // shardCounts are the two shapes every week-loop property is held to: the
-// unsharded run (one range, root journal) and a 4-range scan-out.
+// unsharded run (one range) and a 4-range scan-out.
 var shardCounts = []int{0, 4}
 
 // oneShot is the reference Run is held to: the plainest possible week loop —
@@ -56,15 +58,13 @@ func followConfig(base scanner.Config, seedBase int64, weeks, shards int) Config
 	return cfg
 }
 
-// journalDirs lists the journal directories a campaign of the given shape
-// writes under its checkpoint root.
-func journalDirs(root string, shards int) []string {
-	if shards == 0 {
-		return []string{root}
-	}
+// journalDirs lists the journal directories one IPv4 week of a
+// single-vantage campaign of the given shape writes under its checkpoint
+// root.
+func journalDirs(root string, week, shards int) []string {
 	var dirs []string
-	for si := 0; si < shards; si++ {
-		dirs = append(dirs, filepath.Join(root, "baseline", fmt.Sprintf("shard-%03d", si)))
+	for si := 0; si < max(shards, 1); si++ {
+		dirs = append(dirs, filepath.Join(root, fmt.Sprintf("w%d-v4", week), "baseline", fmt.Sprintf("shard-%03d", si)))
 	}
 	return dirs
 }
@@ -128,8 +128,8 @@ func diffHead(want, got string) string {
 
 // TestFollowChaosCampaign is the acceptance chaos run: a full storage
 // fault plan (ENOSPC + EIO + fsync failure + torn writes) hot enough to
-// trip the degraded state, with telemetry attached and the journals
-// compacted between weeks. The campaign must finish all weeks, raise
+// trip the degraded state, with telemetry attached and expired weeks
+// removed between weeks. The campaign must finish all weeks, raise
 // checkpoint_degraded and checkpoint_errors_total, record zero panics, and
 // still produce byte-identical tables.
 func TestFollowChaosCampaign(t *testing.T) {
@@ -147,7 +147,7 @@ func TestFollowChaosCampaign(t *testing.T) {
 				FS: resilience.NewFaultFS(nil, plan), SegmentBytes: 2048, SyncEvery: 4, DegradeAfter: 3, ProbeEvery: 8,
 			}
 			cfg := followConfig(fb, seedBase, weeks, shards)
-			cfg.Checkpoint, cfg.Compact, cfg.MaxRestarts, cfg.Logf = t.TempDir(), true, 2, t.Logf
+			cfg.Checkpoint, cfg.RetainWeeks, cfg.MaxRestarts, cfg.Logf = t.TempDir(), 1, 2, t.Logf
 			res, err := Run(w, cfg)
 			if err != nil {
 				t.Fatal(err)
@@ -214,8 +214,9 @@ func TestFollowInterruptResume(t *testing.T) {
 	}
 }
 
-// TestFollowRetention: between-weeks compaction prunes journal records
-// outside the retention horizon without touching the results.
+// TestFollowRetention: after each week, the week directories outside the
+// retention horizon are removed whole, without touching the results; what
+// is left is the last week's journal, complete.
 func TestFollowRetention(t *testing.T) {
 	w := fixture(t)
 	const seedBase, weeks = 7, 3
@@ -232,21 +233,92 @@ func TestFollowRetention(t *testing.T) {
 			if got := renderCampaign(res.Vantages[0].Campaign); got != want {
 				t.Errorf("retention-pruned tables diverge:\n%s", diffHead(want, got))
 			}
+			left, err := resilience.OSFS.ReadDir(cfg.Checkpoint)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if wantLeft := []string{fmt.Sprintf("w%d-v4", weeks)}; !reflect.DeepEqual(left, wantLeft) {
+				t.Fatalf("checkpoint root holds %v after RetainWeeks=1, want %v", left, wantLeft)
+			}
 			records := 0
-			for _, dir := range journalDirs(cfg.Checkpoint, shards) {
+			for _, dir := range journalDirs(cfg.Checkpoint, weeks, shards) {
 				replayed, _, err := resilience.Replay(dir)
 				if err != nil {
 					t.Fatal(err)
 				}
 				records += len(replayed)
-				for key := range replayed {
-					if keyWeek(key) != weeks {
-						t.Fatalf("stale key %q survived RetainWeeks=1 in %s", key, dir)
-					}
-				}
 			}
 			if records != w.NumDomains() {
-				t.Errorf("journals hold %d records after retention, want %d (week 3 only)", records, w.NumDomains())
+				t.Errorf("week %d journals hold %d records, want %d", weeks, records, w.NumDomains())
+			}
+		})
+	}
+}
+
+// openLog records every journal segment a scan opens for reading, by week.
+type openLog struct {
+	mu    sync.Mutex
+	opens map[int][]string
+}
+
+// weekFS is the filesystem one week's scans read their journals through.
+type weekFS struct {
+	resilience.FS
+	log  *openLog
+	week int
+}
+
+func (f weekFS) Open(path string) (io.ReadCloser, error) {
+	f.log.mu.Lock()
+	f.log.opens[f.week] = append(f.log.opens[f.week], path)
+	f.log.mu.Unlock()
+	return f.FS.Open(path)
+}
+
+// TestResumeReadsOneWeek: resuming a finished campaign replays, for each
+// week, only that week's segments — a week's scans never read another
+// week's journal — and renders the tables a plain run does.
+func TestResumeReadsOneWeek(t *testing.T) {
+	w := fixture(t)
+	const seedBase, weeks = 7, 3
+	base := scanner.Config{Engine: scanner.EngineFast, Workers: 2}
+	want := renderCampaign(oneShot(t, w, base, seedBase, weeks))
+	for _, shards := range shardCounts {
+		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
+			dir := t.TempDir()
+			cfg := followConfig(base, seedBase, weeks, shards)
+			cfg.Checkpoint = dir
+			if _, err := Run(w, cfg); err != nil {
+				t.Fatal(err)
+			}
+
+			log := &openLog{opens: map[int][]string{}}
+			cfg = followConfig(base, seedBase, weeks, shards)
+			forWeek := cfg.ForWeek
+			cfg.ForWeek = func(week int) scanner.Config {
+				sc := forWeek(week)
+				sc.Journal.FS = weekFS{FS: resilience.OSFS, log: log, week: week}
+				return sc
+			}
+			cfg.Checkpoint, cfg.Resume = dir, true
+			res, err := Run(w, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := renderCampaign(res.Vantages[0].Campaign); got != want {
+				t.Errorf("resumed tables diverge:\n%s", diffHead(want, got))
+			}
+			for wk := 1; wk <= weeks; wk++ {
+				own := filepath.Join(dir, fmt.Sprintf("w%d-v4", wk)) + string(filepath.Separator)
+				if len(log.opens[wk]) < max(shards, 1) {
+					t.Errorf("week %d opened %d segments, want at least one per range", wk, len(log.opens[wk]))
+				}
+				for _, path := range log.opens[wk] {
+					if !strings.HasPrefix(path, own) {
+						t.Errorf("week %d's scans opened %s, outside %s", wk, path, own)
+						break
+					}
+				}
 			}
 		})
 	}
@@ -331,22 +403,29 @@ func TestFollowRestartBudgetExhausted(t *testing.T) {
 	}
 }
 
-// TestKeyWeek covers the retention filter's key parser.
-func TestKeyWeek(t *testing.T) {
+// TestDirWeek covers the retention pass's week directory parser: only the
+// names weekDir writes parse, so nothing else under the checkpoint root is
+// ever removed.
+func TestDirWeek(t *testing.T) {
 	cases := []struct {
-		key  string
-		want int
+		name string
+		week int
+		ok   bool
 	}{
-		{"w12/v4/example.org", 12},
-		{"w1/v6/a.b", 1},
-		{"w/v4/x", -1},
-		{"bogus", -1},
-		{"", -1},
-		{"wx/v4/y", -1},
+		{"w12-v4", 12, true},
+		{"w1-v6", 1, true},
+		{"w-v4", 0, false},
+		{"w3-v5", 0, false},
+		{"w03-v4", 0, false},
+		{"w+3-v4", 0, false},
+		{"w3", 0, false},
+		{"baseline", 0, false},
+		{"shard-000-000001.jsonl", 0, false},
+		{"", 0, false},
 	}
 	for _, c := range cases {
-		if got := keyWeek(c.key); got != c.want {
-			t.Errorf("keyWeek(%q) = %d, want %d", c.key, got, c.want)
+		if wk, ok := dirWeek(c.name); wk != c.week || ok != c.ok {
+			t.Errorf("dirWeek(%q) = %d, %v; want %d, %v", c.name, wk, ok, c.week, c.ok)
 		}
 	}
 }

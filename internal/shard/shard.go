@@ -117,10 +117,8 @@ func ParseTransport(s string) (Transport, error) {
 // Config parameterises one campaign.
 type Config struct {
 	// Shards is the number of population ranges scanned concurrently. Zero
-	// means unsharded: one range covering the whole population whose journal
-	// sits at the Checkpoint root (the layout a bare scanner.RunStream
-	// checkpoint has) — unless Vantages are configured, which need a
-	// directory each and get the layout of Shards: 1.
+	// means unsharded: one range covering the whole population, scanned and
+	// journaled exactly like Shards: 1.
 	Shards int
 	// Weeks are the campaign weeks, scanned in order. Never empty: a
 	// forgotten field must not mean "forever" (see UntilInterrupted).
@@ -152,18 +150,16 @@ type Config struct {
 	// name, the one its journals sit under; sc is the attempt's scan
 	// configuration. An error from the sink fails the attempt like a crash.
 	Tee func(vantage string, sc scanner.Config) func(i int, d *scanner.DomainResult) error
-	// Checkpoint, when non-empty, is the campaign's journal root; every
-	// (vantage, shard) pair journals under its own subdirectory (the
-	// unsharded range at the root itself), so a killed campaign resumes
-	// range by range.
+	// Checkpoint, when non-empty, is the campaign's journal root. Every
+	// scan journals in a directory of its own,
+	// Checkpoint/w<week>-<v4|v6>/<vantage>/shard-<NNN>, so a killed campaign
+	// resumes range by range and a resumed or restarted scan replays only
+	// its own week.
 	Checkpoint string
 	// Resume replays the existing journals before scanning.
 	Resume bool
-	// Compact rewrites every journal down to one record per live key after
-	// each completed week. Implied by RetainWeeks > 0.
-	Compact bool
-	// RetainWeeks prunes journal records older than the last N weeks during
-	// the between-weeks compaction; zero keeps everything. Pruning trades
+	// RetainWeeks removes the week directories older than the last N weeks
+	// after each completed week; zero keeps everything. Pruning trades
 	// rescan time on resume for bounded disk — results are unaffected
 	// either way (scans are deterministic).
 	RetainWeeks int
@@ -200,7 +196,7 @@ type Config struct {
 	// other sites' plan.
 	Faults *fault.Plan
 	// Logf, when non-nil, receives the runner's progress lines (weeks,
-	// restarts, losses, submit retries, compactions).
+	// restarts, losses, submit retries, pruned journals).
 	Logf func(format string, args ...any)
 }
 
@@ -235,6 +231,9 @@ func (c Config) Validate() error {
 	}
 	if c.StallTimeout < 0 {
 		return fmt.Errorf("shard: StallTimeout must be >= 0, got %v", c.StallTimeout)
+	}
+	if err := checkVantageNames(c.Vantages); err != nil {
+		return err
 	}
 	for _, r := range c.Faults.Rules() {
 		if r.Site != fault.Shard {
@@ -295,8 +294,9 @@ func (r *run) logf(format string, args ...any) {
 type vantageRun struct {
 	v  scanner.Vantage
 	vi int
-	// dir is the vantage's subdirectory under Checkpoint (and the name Tee
-	// receives); label names it in telemetry, logs and reports.
+	// dir is the vantage's subdirectory of every week's journal directory
+	// (and the name Tee receives); label names it in telemetry, logs and
+	// reports. Validate keeps both unique across vantages.
 	dir, label string
 	camp       *analysis.CampaignAccumulator
 	// statuses is the campaign-long supervision record per shard.
@@ -315,8 +315,8 @@ type vantageRun struct {
 // accumulator; the ranges merge over the configured transport; and the week
 // folds into the vantage's campaign only on success, so a failed attempt —
 // worker panic storm, poisoned engine, storage chaos — leaves no partial
-// state behind. Between weeks the journals are compacted and pruned to the
-// retention horizon. An unsharded run is the same path with one range, and
+// state behind. Between weeks the week directories past the retention
+// horizon are removed. An unsharded run is the same path with one range, and
 // a one-shot run the same loop as the follow service with a bounded Weeks.
 // The result is byte-identical in every rendered table to folding the same
 // weeks straight into one CampaignAccumulator, for any Shards, Transport,
@@ -420,7 +420,7 @@ func (r *run) weeks(runs []*vantageRun) error {
 			}
 		}
 		r.logf("campaign: week %d complete", week)
-		r.compactJournals(runs, sc)
+		r.pruneJournals(sc)
 	}
 	return nil
 }
@@ -536,69 +536,66 @@ func (r *run) mergeWeek(vs *vantageRun, camps []*analysis.CampaignAccumulator, c
 	return nil
 }
 
-// compactJournals rewrites every journal down to its live records after a
-// completed week, pruning weeks outside the retention horizon. Every scan of
-// the week has closed its journal handle by now, so Compact's
-// no-concurrent-writers requirement holds. A compaction failure is a
-// storage problem, not a campaign problem: the journal is still
-// replay-consistent (Compact is crash-safe), so it is logged and the
-// campaign scans on.
-func (r *run) compactJournals(runs []*vantageRun, sc scanner.Config) {
-	if r.cfg.Checkpoint == "" || (!r.cfg.Compact && r.cfg.RetainWeeks <= 0) {
+// pruneJournals removes every week directory older than the last
+// RetainWeeks weeks once sc's week has completed, through the week's journal
+// filesystem. Every scan of the week has closed its journal handle by now. A
+// failure is a storage problem, not a campaign problem — a directory left
+// behind costs only disk — so it is logged and the campaign scans on.
+func (r *run) pruneJournals(sc scanner.Config) {
+	if r.cfg.Checkpoint == "" || r.cfg.RetainWeeks <= 0 {
 		return
 	}
-	var retain func(string) bool
-	if r.cfg.RetainWeeks > 0 {
-		oldest := sc.Week - r.cfg.RetainWeeks + 1
-		retain = func(key string) bool { return keyWeek(key) >= oldest }
+	week, fs := sc.Week, sc.Journal.FS
+	if fs == nil {
+		fs = resilience.OSFS
 	}
-	var total resilience.CompactStats
-	for _, vs := range runs {
-		for si := range r.ranges {
-			cs, err := resilience.Compact(sc.Journal.FS, r.journalDir(vs, si), retain)
-			if err != nil {
-				r.logf("campaign: week %d journal compaction: %v (journal unchanged; continuing)", sc.Week, err)
-				continue
-			}
-			total.Segments += cs.Segments
-			total.Records += cs.Records
-			total.Kept += cs.Kept
-			total.Dropped += cs.Dropped
-		}
-	}
-	r.logf("campaign: week %d compaction: %d segment(s), %d record(s) -> %d kept, %d pruned",
-		sc.Week, total.Segments, total.Records, total.Kept, total.Dropped)
-}
-
-// journalDir is where one (vantage, shard) pair journals: its own
-// subdirectory of Checkpoint, or — unsharded, single vantage — the root.
-func (r *run) journalDir(vs *vantageRun, si int) string {
-	switch {
-	case r.cfg.Checkpoint == "":
-		return ""
-	case r.cfg.Shards == 0 && len(r.cfg.Vantages) == 0:
-		return r.cfg.Checkpoint
-	}
-	return filepath.Join(r.cfg.Checkpoint, vs.dir, fmt.Sprintf("shard-%03d", si))
-}
-
-// keyWeek parses the week out of a checkpoint key ("w12/v4/domain"); keys
-// that do not carry one report -1 (and are always pruned by a retention
-// filter, since they cannot belong to any live week).
-func keyWeek(key string) int {
-	if len(key) < 2 || key[0] != 'w' {
-		return -1
-	}
-	rest := key[1:]
-	slash := strings.IndexByte(rest, '/')
-	if slash <= 0 {
-		return -1
-	}
-	wk, err := strconv.Atoi(rest[:slash])
+	names, err := fs.ReadDir(r.cfg.Checkpoint)
 	if err != nil {
-		return -1
+		r.logf("campaign: week %d journal retention: %v (continuing)", week, err)
+		return
 	}
-	return wk
+	pruned := 0
+	for _, name := range names {
+		if wk, ok := dirWeek(name); !ok || wk > week-r.cfg.RetainWeeks {
+			continue
+		}
+		if err := fs.RemoveAll(filepath.Join(r.cfg.Checkpoint, name)); err != nil {
+			r.logf("campaign: week %d journal retention: %v (continuing)", week, err)
+			continue
+		}
+		pruned++
+	}
+	r.logf("campaign: week %d journal retention: %d expired week(s) removed", week, pruned)
+}
+
+// weekDir names the directory one week's scans journal under, relative to
+// Checkpoint: "w12-v4".
+func weekDir(week int, ipv6 bool) string {
+	if ipv6 {
+		return fmt.Sprintf("w%d-v6", week)
+	}
+	return fmt.Sprintf("w%d-v4", week)
+}
+
+// dirWeek parses the week out of a weekDir name; anything else under
+// Checkpoint reports false and is never removed.
+func dirWeek(name string) (int, bool) {
+	var wk int
+	var fam string
+	if _, err := fmt.Sscanf(name, "w%d-%s", &wk, &fam); err != nil || weekDir(wk, fam == "v6") != name {
+		return 0, false
+	}
+	return wk, true
+}
+
+// journalDir is where one (vantage, shard) pair journals one week's scan:
+// Checkpoint/w<week>-<fam>/<vantage>/shard-<NNN>. It is the only code that
+// builds a journal path.
+func (r *run) journalDir(vs *vantageRun, si int, sc scanner.Config) string {
+	if r.cfg.Checkpoint == "" {
+		return ""
+	}
+	return filepath.Join(r.cfg.Checkpoint, weekDir(sc.Week, sc.IPv6), vs.dir, fmt.Sprintf("shard-%03d", si))
 }
 
 // sleepInterruptible waits d (no-op when non-positive) and reports false
@@ -626,6 +623,25 @@ func vantageLabel(v scanner.Vantage, vi int) string {
 		return "baseline"
 	}
 	return fmt.Sprintf("vantage-%d", vi)
+}
+
+// checkVantageNames rejects vantages that would share a label or a
+// directory: two vantages with one directory journal the same keys into the
+// same segments and write their qlog traces over each other.
+func checkVantageNames(vantages []scanner.Vantage) error {
+	labels := map[string]int{}
+	dirs := map[string]int{}
+	for vi, v := range vantages {
+		label, dir := vantageLabel(v, vi), vantageDir(v, vi)
+		if prev, ok := labels[label]; ok {
+			return fmt.Errorf("shard: vantages %d and %d are both named %q", prev, vi, label)
+		}
+		if prev, ok := dirs[dir]; ok {
+			return fmt.Errorf("shard: vantages %d (%q) and %d (%q) share the directory %q", prev, vantageLabel(vantages[prev], prev), vi, label, dir)
+		}
+		labels[label], dirs[dir] = vi, vi
+	}
+	return nil
 }
 
 // vantageDir is the vantage's checkpoint subdirectory: the label when it

@@ -305,3 +305,44 @@ func TestVantageNaming(t *testing.T) {
 		}
 	}
 }
+
+// TestVantageNameCollisions: vantages that would share a label or a
+// directory — and so one journal and one qlog subdirectory — are rejected,
+// and the error names both.
+func TestVantageNameCollisions(t *testing.T) {
+	far := time.Millisecond
+	cases := []struct {
+		vantages []scanner.Vantage
+		want     string // "" = valid; else every comma-separated part must appear
+	}{
+		{[]scanner.Vantage{{Name: "local"}, {Name: "far", ExtraDelay: far}}, ""},
+		{[]scanner.Vantage{{}, {ExtraDelay: far}}, ""},
+		// -vantages a,a:40+10
+		{[]scanner.Vantage{{Name: "a"}, {Name: "a", ExtraDelay: far}}, `vantages 0 and 1,"a"`},
+		// an explicit "baseline" next to an unnamed vantage 0
+		{[]scanner.Vantage{{}, {Name: "baseline", ExtraDelay: far}}, `vantages 0 and 1,"baseline"`},
+		// a name equal to another vantage's fallback
+		{[]scanner.Vantage{{Name: "vantage-2"}, {Name: "b"}, {ExtraDelay: far}}, `vantages 0 and 2,"vantage-2"`},
+		// distinct labels, one directory: the unsafe name falls back to its index
+		{[]scanner.Vantage{{Name: "vantage-1"}, {Name: "eu west"}}, `vantages 0 ("vantage-1") and 1 ("eu west"),directory "vantage-1"`},
+	}
+	ok := func(int) scanner.Config { return scanner.Config{} }
+	for _, c := range cases {
+		err := Config{Weeks: []int{1}, ForWeek: ok, Vantages: c.vantages}.Validate()
+		if c.want == "" {
+			if err != nil {
+				t.Errorf("%+v: %v, want valid", c.vantages, err)
+			}
+			continue
+		}
+		if err == nil {
+			t.Errorf("%+v: accepted, want a collision naming %s", c.vantages, c.want)
+			continue
+		}
+		for _, part := range strings.Split(c.want, ",") {
+			if !strings.Contains(err.Error(), part) {
+				t.Errorf("%+v: error %q does not name %s", c.vantages, err, part)
+			}
+		}
+	}
+}

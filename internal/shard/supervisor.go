@@ -131,7 +131,7 @@ func (s *supervisor) scanRange(si int, r Range, restart bool, interrupt <-chan s
 	sc.Shard = scanner.ShardRange{Start: r.Start, End: r.End}
 	sc.Vantage = s.vs.v
 	sc.Interrupt = interrupt
-	sc.Checkpoint = s.journalDir(s.vs, si)
+	sc.Checkpoint = s.journalDir(s.vs, si, sc)
 	sc.Resume = sc.Checkpoint != "" && (s.cfg.Resume || restart)
 	if sc.Telemetry == nil {
 		sc.Telemetry = s.cfg.Telemetry

@@ -86,7 +86,9 @@ fuzz_smoke ./internal/scanner FuzzDomainResultJSON
 # resume it from the checkpoint journal, and require the rendered tables to
 # be byte-identical to an uninterrupted reference run. This exercises the
 # journal's torn-line tolerance with a genuinely unclean death, which the
-# in-process tests cannot.
+# in-process tests cannot. Every scan journals under
+# <checkpoint>/w<week>-<v4|v6>/<vantage>/shard-<NNN>/, so the record counts
+# below glob four levels down.
 echo "== interrupt-and-resume smoke"
 tmp=$(mktemp -d)
 trap 'rm -rf "$tmp"' EXIT
@@ -114,7 +116,7 @@ interrupted() {
 scan_pid=$!
 # Wait until the journal holds some completed domains, then kill -9.
 i=0
-while [ "$(cat "$tmp"/ckpt/*.jsonl 2>/dev/null | wc -l)" -lt 20 ]; do
+while [ "$(cat "$tmp"/ckpt/*/*/*/*.jsonl 2>/dev/null | wc -l)" -lt 20 ]; do
     i=$((i + 1))
     if [ "$i" -gt 200 ]; then
         break
@@ -123,10 +125,10 @@ while [ "$(cat "$tmp"/ckpt/*.jsonl 2>/dev/null | wc -l)" -lt 20 ]; do
 done
 kill -9 "$scan_pid" 2>/dev/null || true
 wait "$scan_pid" 2>/dev/null || true
-killed=$(cat "$tmp"/ckpt/*.jsonl 2>/dev/null | wc -l)
+killed=$(cat "$tmp"/ckpt/*/*/*/*.jsonl 2>/dev/null | wc -l)
 
 "$tmp/spinscan" $scan_flags -checkpoint "$tmp/ckpt" -resume 2>/dev/null >"$tmp/resumed.txt"
-interrupted "unsharded" "$killed" "$(cat "$tmp"/ckpt/*.jsonl | wc -l)"
+interrupted "unsharded" "$killed" "$(cat "$tmp"/ckpt/*/*/*/*.jsonl | wc -l)"
 if ! diff -u "$tmp/reference.txt" "$tmp/resumed.txt"; then
     echo "resumed tables differ from the uninterrupted reference" >&2
     exit 1
@@ -169,7 +171,7 @@ shard_flags="-scale 4000 -engine emulated -week 3 -workers 4 -progress 0 -shards
 "$tmp/spinscan" $shard_flags -checkpoint "$tmp/shard-ckpt" 2>/dev/null >/dev/null &
 shard_pid=$!
 i=0
-while [ "$(cat "$tmp"/shard-ckpt/*/*/*.jsonl 2>/dev/null | wc -l)" -lt 20 ]; do
+while [ "$(cat "$tmp"/shard-ckpt/*/*/*/*.jsonl 2>/dev/null | wc -l)" -lt 20 ]; do
     i=$((i + 1))
     if [ "$i" -gt 200 ]; then
         break
@@ -178,11 +180,11 @@ while [ "$(cat "$tmp"/shard-ckpt/*/*/*.jsonl 2>/dev/null | wc -l)" -lt 20 ]; do
 done
 kill -9 "$shard_pid" 2>/dev/null || true
 wait "$shard_pid" 2>/dev/null || true
-killed=$(cat "$tmp"/shard-ckpt/*/*/*.jsonl 2>/dev/null | wc -l)
+killed=$(cat "$tmp"/shard-ckpt/*/*/*/*.jsonl 2>/dev/null | wc -l)
 
 "$tmp/spinscan" $shard_flags -checkpoint "$tmp/shard-ckpt" -resume -shard-transport udp \
     2>/dev/null >"$tmp/shard-resumed.txt"
-interrupted "sharded" "$killed" "$(cat "$tmp"/shard-ckpt/*/*/*.jsonl | wc -l)"
+interrupted "sharded" "$killed" "$(cat "$tmp"/shard-ckpt/*/*/*/*.jsonl | wc -l)"
 if ! diff -u "$tmp/shard-reference.txt" "$tmp/shard-resumed.txt"; then
     echo "resumed sharded tables differ from the uninterrupted reference" >&2
     exit 1
@@ -217,16 +219,18 @@ fi
 # signal lands mid-week-2), must exit 143 (128+SIGTERM; SIGINT is 130), then
 # resumes from the per-shard rolling journals and must render tables
 # byte-identical to the fault-free, unsharded one-shot `-weeks 3` reference.
+# With a one-week retention horizon the resumed run replays weeks 1 and 2
+# and removes week 1's directory under the storage-fault plan as it goes.
 # One smoke therefore pins follow ≡ one-shot and sharded ≡ unsharded at the
-# CLI, plus the SIGTERM graceful drain, the exit-code split and journal
-# degradation under injected faults.
+# CLI, plus the SIGTERM graceful drain, the exit-code split, journal
+# retention and journal degradation under injected faults.
 echo "== follow-mode smoke"
 follow_flags="-scale 4000 -engine emulated -weeks 3 -workers 4 -progress 0"
 storage_plan="seed:7,fs.short-write:0.05,fs.write-err:0.1,fs.sync-err:0.05"
 
 "$tmp/spinscan" $follow_flags 2>/dev/null >"$tmp/follow-reference.txt"
 
-follow_service="-follow -shards 4 -shard-transport udp -journal-segment-bytes 8192 -journal-sync 16"
+follow_service="-follow -shards 4 -shard-transport udp -journal-segment-bytes 8192 -journal-sync 16 -journal-retain-weeks 1"
 "$tmp/spinscan" $follow_flags $follow_service -checkpoint "$tmp/follow-ckpt" -faults "$storage_plan" \
     2>"$tmp/follow.log" >"$tmp/follow-first.txt" &
 follow_pid=$!
@@ -259,16 +263,21 @@ if ! grep -q "fault injection armed" "$tmp/follow.log"; then
     cat "$tmp/follow.log" >&2
     exit 1
 fi
+if [ "$(ls "$tmp/follow-ckpt")" != "w3-v4" ]; then
+    echo "-journal-retain-weeks 1 left $(ls "$tmp/follow-ckpt" | tr '\n' ' ')in the checkpoint, want only w3-v4" >&2
+    exit 1
+fi
 
-# Journal compaction property: replay(compact(J)) == replay(J) across
-# randomized multi-generation journals, with storage-fault chaos on the odd
-# trials; and the sequence-number lineage: a directory of seq-less, counter
-# and compacted segments replays under generation-prefixed numbers, which
-# never overlap between handles. Already part of the race suite above; this
-# named run pins the property gates explicitly so a failure is attributable
-# at a glance.
-echo "== journal compaction property"
-go test -count=1 -run 'TestCompactionEquivalence|TestJournalMixedLineage|TestFollowMatchesOneShot' \
+# Journal layout properties: a resumed week opens only segments under its
+# own week directory; retention removes expired week directories whole and
+# leaves the tables alone; a directory of seq-less, counter and compacted
+# segments (as older builds wrote them) replays under generation-prefixed
+# numbers, which never overlap between handles; and the week loop matches
+# the plain reference loop. Already part of the race suite above; this named
+# run pins the property gates explicitly so a failure is attributable at a
+# glance.
+echo "== journal layout properties"
+go test -count=1 -run 'TestResumeReadsOneWeek|TestFollowRetention|TestJournalMixedLineage|TestFollowMatchesOneShot' \
     ./internal/resilience ./internal/shard
 
 # Hostile chaos smoke: both engines must survive a 30 %-hostile world at
