@@ -74,7 +74,7 @@ var (
 	followMode       = flag.Bool("follow", false, "continuous campaign service: keep scanning week after week from week 1 (bound with -weeks, stop with SIGINT/SIGTERM)")
 	followInterval   = flag.Duration("follow-interval", 0, "pause between consecutive weeks (interruptible; 0 = back to back)")
 	retainWeeks      = flag.Int("journal-retain-weeks", 0, "after each completed week, remove the -checkpoint week directories older than the last N weeks (0 keeps all)")
-	journalSync      = flag.Int("journal-sync", 0, "fsync the checkpoint journal every N records (0 = only on rotation and close; 1 = every record)")
+	journalSync      = flag.Int("journal-sync", 0, "fsync the checkpoint journal after the batch write that carries its N-th unsynced record (0 = only on rotation and close; 1 = every record is fsynced before its result is delivered)")
 	journalSegBytes  = flag.Int64("journal-segment-bytes", 0, "rotate checkpoint journal segments past this size (0 disables size-based rotation)")
 	tunablesPath     = flag.String("tunables", "", "runtime tunables file overlaying -alerts, -progress, -breaker-threshold and -breaker-cooldown (same keys, same checks); SIGHUP reloads it without restart")
 )

@@ -80,3 +80,38 @@ func TestFastDomainAllocCeiling(t *testing.T) {
 		t.Errorf("a fast domain scanned and folded allocates %.2f times, ceiling %.1f", got, fastDomainAllocCeiling)
 	}
 }
+
+// journaledDomainAllocCeiling bounds the same domain when the week is
+// journaled as well: the journal encodes each result from its batch slot
+// and writes a batch at a time, so journaling adds no allocation per
+// domain, only each week's handle, segment and batch buffer (0.21 recorded).
+// A heap copy of each result for the journal would cost one more.
+const journaledDomainAllocCeiling = 0.6
+
+// TestJournaledDomainAllocCeiling is TestFastDomainAllocCeiling with a
+// checkpoint journal: a seeded fast week, scanned through the streaming
+// pipeline into a journal and folded into a campaign's accumulator, stays
+// within 0.6 allocations per domain.
+func TestJournaledDomainAllocCeiling(t *testing.T) {
+	p := websim.DefaultProfile()
+	p.Scale = 20_000
+	world := websim.Generate(p)
+	camp := NewCampaignAccumulator()
+	week := func(wk int) {
+		acc := camp.StartWeek(wk, false, world.ASDB())
+		cfg := scanner.Config{Week: wk, Engine: scanner.EngineFast, Seed: 1 + int64(wk), Workers: 1, Checkpoint: t.TempDir()}
+		if err := scanner.RunStream(world, cfg, acc.Sink()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	week(1) // warm: the campaign's longitudinal tracks and the code paths
+	var m0, m1 runtime.MemStats
+	runtime.ReadMemStats(&m0)
+	week(2)
+	runtime.ReadMemStats(&m1)
+	got := float64(m1.Mallocs-m0.Mallocs) / float64(world.NumDomains())
+	t.Logf("%.2f allocations per journaled fast domain over %d domains (ceiling %.1f)", got, world.NumDomains(), journaledDomainAllocCeiling)
+	if got > journaledDomainAllocCeiling {
+		t.Errorf("a fast domain scanned, journaled and folded allocates %.2f times, ceiling %.1f", got, journaledDomainAllocCeiling)
+	}
+}

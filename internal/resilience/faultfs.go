@@ -1,6 +1,7 @@
 package resilience
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"io"
@@ -23,13 +24,13 @@ var (
 	ErrSyncFailed = errors.New("fsync failed (injected)")
 )
 
-// FaultFS wraps an FS with a fault plan's fs rules: every write-path
-// operation fails with the configured shares (short-write tears a write
-// mid-line with ErrIO after a prefix lands; write-err and open-err are
-// ErrNoSpace; sync-err is ErrSyncFailed). The read path (Open, ReadDir)
-// and RemoveAll are never faulted — replay correctness under write faults
-// is the property being tested, and a plan that corrupted reads would test
-// the test instead.
+// FaultFS wraps an FS with a fault plan's fs rules: every record written,
+// every open and every fsync is one operation that fails with the
+// configured shares (short-write tears a record mid-line with ErrIO after a
+// prefix lands; write-err and open-err are ErrNoSpace; sync-err is
+// ErrSyncFailed). The read path (Open, ReadDir) and RemoveAll are never
+// faulted — replay correctness under write faults is the property being
+// tested, and a plan that corrupted reads would test the test instead.
 //
 // Operations are numbered by the plan in the order they arrive —
 // concurrent writers make the interleaving scheduling-dependent, but every
@@ -78,28 +79,48 @@ type faultFile struct {
 	path  string
 }
 
+// Write spends one plan operation on each newline-terminated record in p (a
+// final unterminated piece counts as one), in order, so a batch of records
+// draws the faults their one-record writes would. A write-err on record k
+// lands the records before it and fails with ErrNoSpace; a short-write on
+// record k lands them plus a proper prefix of k and fails with ErrIO.
 func (f *faultFile) Write(p []byte) (int, error) {
-	plan, name, op := f.fs.plan, filepath.Base(f.path), f.fs.plan.Next(fault.FS)
-	if plan.Hit(fault.FS, fault.WriteErr, name, op) {
-		return 0, fmt.Errorf("write %s: %w", f.path, ErrNoSpace)
-	}
-	if plan.Hit(fault.FS, fault.ShortWrite, name, op) {
-		// The surviving prefix: at least 1 byte and strictly less than
-		// the write (a write of one byte or none tears to nothing).
-		n := 0
-		if len(p) > 1 {
-			n = 1 + plan.Draw(fault.FS, fault.ShortWrite, name, op, len(p)-1)
+	plan, name := f.fs.plan, filepath.Base(f.path)
+	for start := 0; start < len(p); {
+		end := len(p)
+		if i := bytes.IndexByte(p[start:], '\n'); i >= 0 {
+			end = start + i + 1
 		}
-		if n > 0 {
-			// The prefix genuinely lands on disk: replay must cope with
-			// the torn bytes this leaves mid-file or at the tail.
-			if m, err := f.inner.Write(p[:n]); err != nil {
-				return m, err
+		op := plan.Next(fault.FS)
+		if plan.Hit(fault.FS, fault.WriteErr, name, op) {
+			return f.land(p[:start], fmt.Errorf("write %s: %w", f.path, ErrNoSpace))
+		}
+		if plan.Hit(fault.FS, fault.ShortWrite, name, op) {
+			// The surviving prefix of the record: at least 1 byte and
+			// strictly less than the record (a record of one byte tears to
+			// nothing). It genuinely lands on disk: replay must cope with the
+			// torn bytes this leaves mid-file or at the tail.
+			n := 0
+			if rec := end - start; rec > 1 {
+				n = 1 + plan.Draw(fault.FS, fault.ShortWrite, name, op, rec-1)
 			}
+			return f.land(p[:start+n], fmt.Errorf("write %s: short write: %w", f.path, ErrIO))
 		}
-		return n, fmt.Errorf("write %s: short write: %w", f.path, ErrIO)
+		start = end
 	}
 	return f.inner.Write(p)
+}
+
+// land writes the part of a faulted write that reaches the disk and returns
+// the fault's error, or the disk's own if that write fails first.
+func (f *faultFile) land(p []byte, injected error) (int, error) {
+	if len(p) == 0 {
+		return 0, injected
+	}
+	if n, err := f.inner.Write(p); err != nil {
+		return n, err
+	}
+	return len(p), injected
 }
 
 func (f *faultFile) Sync() error {

@@ -2,6 +2,7 @@ package resilience
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -14,10 +15,11 @@ import (
 
 // Journal is a crash-safe, append-only checkpoint log sharded across one
 // JSONL segment per writer. Each line is a self-contained
-// {"k":key,"s":seq,"v":value} record written with a single Write call, so
-// a SIGKILL can tear at most the final line of a segment; Replay skips
-// torn lines and the scanner simply rescans those domains
-// deterministically.
+// {"k":key,"s":seq,"v":value} record. A writer Adds records to a pending
+// batch and Commits it with one Write per committed batch, so a tear loses
+// a suffix of whole records plus at most one torn line; Replay skips torn
+// lines and the scanner simply rescans those domains deterministically.
+// Append is a batch of one.
 //
 // Storage-fault hardening (the properties the chaos suite pins):
 //
@@ -32,13 +34,15 @@ import (
 //   - A journal instance only ever appends to segments it created itself
 //     (each open starts a fresh generation), so existing journal bytes are
 //     never touched, let alone corrupted, by later runs.
-//   - A failed write seals its segment; the next append rotates to a fresh
-//     one, so records acked after a torn write can never be glued to the
-//     torn bytes and lost.
-//   - After DegradeAfter consecutive write failures the journal flips to a
-//     degraded state: appends fail fast with ErrJournalDegraded (the
-//     campaign keeps scanning without checkpoints), while every ProbeEvery
-//     appends one real write probes whether storage recovered.
+//   - A failed write seals its segment and costs the one record it tore:
+//     the rest of the batch goes on into a fresh segment, so records
+//     landed after a torn write can never be glued to the torn bytes and
+//     lost.
+//   - After DegradeAfter consecutive failed record writes the journal flips
+//     to a degraded state: a record met while degraded fails fast with
+//     ErrJournalDegraded (the campaign keeps scanning without checkpoints),
+//     while every ProbeEvery-th is written for real to probe whether
+//     storage recovered.
 //
 // Segments also rotate at SegmentBytes. Nothing ever rewrites a segment:
 // the journal only grows, and a directory is retired whole — the campaign
@@ -50,7 +54,7 @@ type Journal struct {
 	fs  FS
 
 	mu     sync.Mutex                           // serialises writer creation and Close
-	shards atomic.Pointer[map[int]*shardWriter] // copy-on-write: Append reads it without j.mu
+	shards atomic.Pointer[map[int]*shardWriter] // copy-on-write: Add and Commit read it without j.mu
 
 	seq     atomic.Int64 // last sequence number issued
 	nextGen atomic.Int64 // next segment generation
@@ -75,21 +79,22 @@ type JournalConfig struct {
 	// FS is the filesystem implementation; nil means the real one. Tests
 	// inject a FaultFS here to chaos-test every journal code path.
 	FS FS
-	// SyncEvery is the fsync cadence per shard writer: after every N
-	// appended records the segment is fsynced. Zero syncs only on rotation
-	// and close (fast, loses at most a page cache on power loss); 1 syncs
-	// every record (durable, slow).
+	// SyncEvery is the fsync cadence per shard writer: the segment is
+	// fsynced after the write that carries the N-th unsynced record. Zero
+	// syncs only on rotation and close (fast, loses at most a page cache on
+	// power loss); 1 fsyncs every write, so every record is fsynced before
+	// its Commit returns and the scanner delivers its result.
 	SyncEvery int
 	// SegmentBytes rotates a shard's segment once it exceeds this size.
 	// Zero disables size-based rotation (segments still rotate per open
 	// and after write failures).
 	SegmentBytes int64
-	// DegradeAfter is the number of consecutive Append failures before the
-	// journal disables itself (ErrJournalDegraded fast-fails). Zero means
-	// the default of 3; negative disables degraded mode.
+	// DegradeAfter is the number of consecutive failed record writes
+	// before the journal disables itself (ErrJournalDegraded fast-fails).
+	// Zero means the default of 3; negative disables degraded mode.
 	DegradeAfter int
 	// ProbeEvery is how often a degraded journal risks a real write to
-	// detect recovery: every N-th Append while degraded. Zero means the
+	// detect recovery: every N-th record met while degraded. Zero means the
 	// default of 64; negative disables probing (degraded is terminal).
 	ProbeEvery int
 }
@@ -120,15 +125,42 @@ func (c JournalConfig) probeEvery() int {
 // gauge and /readyz.
 var ErrJournalDegraded = errors.New("resilience: checkpoint journal degraded (storage failures); scanning continues without checkpoints")
 
-// shardWriter is one worker's current segment.
+// shardWriter is one worker's current segment and pending batch.
 type shardWriter struct {
 	mu       sync.Mutex
 	f        File
 	size     int64
 	unsynced int
-	broken   bool   // a write failed: never append to this segment again
-	line     []byte // the record being encoded; reused across appends
+	broken   bool // a write failed: never append to this segment again
+	// pending holds the batch's encoded records back to back, and recs[i]
+	// says where record i ends in it; both are reused across batches.
+	pending []byte
+	recs    []pendingRecord
+	// probing: the pending batch holds a probe, so the records added after
+	// it wait for the probe's outcome instead of failing fast.
+	probing bool
 }
+
+// pendingRecord is one record of a pending batch.
+type pendingRecord struct {
+	end   int  // offset just past the record's newline in pending
+	probe bool // Add admitted it while degraded: it is a recovery probe
+}
+
+// CommitError reports a Commit in which some records did not land. Lost
+// holds their indices in the batch, in Add order; Err is the first storage
+// error, or ErrJournalDegraded when every lost record was dropped because
+// the journal was degraded.
+type CommitError struct {
+	Lost []int
+	Err  error
+}
+
+func (e *CommitError) Error() string {
+	return fmt.Sprintf("%d checkpoint records not landed: %v", len(e.Lost), e.Err)
+}
+
+func (e *CommitError) Unwrap() error { return e.Err }
 
 type journalRecord struct {
 	K string          `json:"k"`
@@ -233,52 +265,77 @@ func (j *Journal) writer(shard int) *shardWriter {
 	return w
 }
 
-// Append journals one key/value record to the given shard. The line is
-// encoded in one pass into the shard's buffer — a value with an AppendJSON
-// method writes itself, any other goes through json.Marshal — and written
-// with one Write so it is either fully present or torn (never interleaved
-// with another record — shards are per-writer segments). A storage failure
-// is returned to the caller and counted; enough consecutive failures flip
-// the journal into the degraded state, after which Append fails fast with
-// ErrJournalDegraded, before encoding anything, until a probe write
-// succeeds.
-func (j *Journal) Append(shard int, key string, v any) error {
-	if j.degraded.Load() {
-		// Fail fast while degraded, except for the periodic probe that
-		// detects storage recovery.
-		if pe := j.cfg.probeEvery(); pe < 0 || j.probeTick.Add(1)%int64(pe) != 0 {
-			j.stats.skipped.Add(1)
-			return ErrJournalDegraded
-		}
-		j.stats.probes.Add(1)
-	}
+// Add encodes one key/value record into shard's pending batch, in one pass
+// — a value with an AppendJSON method writes itself, any other goes through
+// json.Marshal — and gives it the next sequence number. Nothing reaches
+// storage until Commit, so v may change or be recycled as soon as Add
+// returns. While the journal is degraded, Add fails fast with
+// ErrJournalDegraded, encoding nothing, unless the record is the periodic
+// probe; the records added after a probe are kept for Commit, which writes
+// them if the probe lands and treats them as met while degraded if not.
+func (j *Journal) Add(shard int, key string, v any) error {
 	w := j.writer(shard)
 	// Shards are written by a single worker each; the per-writer mutex
-	// only guards against rotation racing a close.
+	// only guards against a commit racing a close.
 	w.mu.Lock()
-	line, err := appendRecord(w.line[:0], key, j.seq.Add(1), v)
-	w.line = line
+	defer w.mu.Unlock()
+	probe := !w.probing && j.degraded.Load()
+	if probe && !j.admit() {
+		return ErrJournalDegraded
+	}
+	from := len(w.pending)
+	line, err := appendRecord(w.pending, key, j.seq.Add(1), v)
 	if err != nil {
-		w.mu.Unlock()
+		w.pending = line[:from]
 		return err
 	}
-	err = j.appendLocked(w, shard, line)
-	w.mu.Unlock()
-	if err != nil {
-		j.stats.writeFailures.Add(1)
-		if da := j.cfg.degradeAfter(); da > 0 && j.consecFails.Add(1) >= int64(da) {
-			j.degraded.Store(true)
-		}
-		return err
-	}
-	j.consecFails.Store(0)
-	if j.degraded.CompareAndSwap(true, false) {
-		// A probe landed: storage recovered, checkpointing resumes.
-		j.probeTick.Store(0)
-	}
-	j.stats.appends.Add(1)
-	j.count.Add(1)
+	w.pending, w.recs = line, append(w.recs, pendingRecord{end: len(line), probe: probe})
+	w.probing = w.probing || probe
 	return nil
+}
+
+// admit decides the fate of one record met while the journal is degraded:
+// every ProbeEvery-th is written to probe whether storage recovered, and
+// the others are dropped.
+func (j *Journal) admit() bool {
+	if pe := j.cfg.probeEvery(); pe < 0 || j.probeTick.Add(1)%int64(pe) != 0 {
+		j.stats.skipped.Add(1)
+		return false
+	}
+	j.stats.probes.Add(1)
+	return true
+}
+
+// Commit hands shard's pending batch to its segment, one Write for the
+// records that fit it, and returns how many records landed. A batch that
+// would push the segment past SegmentBytes is split at a record boundary,
+// and the segment rotates between the pieces. A failed write, open or fsync
+// costs the record it hit (an fsync, every record of the write it followed);
+// the segment is sealed and the rest of the batch goes on into a fresh one,
+// just as the next one-record Append would. Failures count one each towards
+// DegradeAfter; once the journal is degraded, the batch's remaining records
+// are dropped but for the periodic probe, and a landed probe clears the
+// state. Unless every record landed, the error is a *CommitError naming the
+// lost records.
+func (j *Journal) Commit(shard int) (int, error) {
+	w := j.writer(shard)
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	return j.commitLocked(w, shard)
+}
+
+// Append journals one record: Add and Commit, one write per record. Its
+// error is the one the record's write, open or fsync returned, or
+// ErrJournalDegraded.
+func (j *Journal) Append(shard int, key string, v any) error {
+	err := j.Add(shard, key, v)
+	if _, cerr := j.Commit(shard); err == nil {
+		err = cerr
+	}
+	if ce, ok := err.(*CommitError); ok {
+		err = ce.Err
+	}
+	return err
 }
 
 // appendRecord appends the line {"k":key,"s":seq,"v":value}\n to dst.
@@ -303,34 +360,103 @@ func appendRecord(dst []byte, key string, seq int64, v any) ([]byte, error) {
 	return append(dst, '}', '\n'), nil
 }
 
-// appendLocked writes one line to w's segment, rotating first when the
-// segment is missing, sealed by an earlier failure, or full. Caller holds
-// w.mu.
-func (j *Journal) appendLocked(w *shardWriter, shard int, line []byte) error {
-	if w.f == nil || w.broken || (j.cfg.SegmentBytes > 0 && w.size+int64(len(line)) > j.cfg.SegmentBytes && w.size > 0) {
-		if err := j.rotateLocked(w, shard); err != nil {
-			return err
+// commitLocked is Commit: it writes w's pending records in as few pieces
+// as SegmentBytes and failures allow, rotating first when the segment is
+// missing, sealed by an earlier failure, or full. Caller holds w.mu.
+func (j *Journal) commitLocked(w *shardWriter, shard int) (int, error) {
+	var (
+		landed int
+		lost   []int
+		first  error // the first storage error
+	)
+	fail := func(i int, err error) {
+		lost = append(lost, i)
+		if first == nil {
+			first = err
+		}
+		j.stats.writeFailures.Add(1)
+		if da := j.cfg.degradeAfter(); da > 0 && j.consecFails.Add(1) >= int64(da) {
+			j.degraded.Store(true)
 		}
 	}
-	n, err := w.f.Write(line)
-	j.stats.bytes.Add(int64(n))
-	if err != nil {
-		// The tail of this segment may now hold torn bytes; seal it so the
-		// next record lands in a fresh segment and stays replayable.
-		w.broken = true
-		return fmt.Errorf("resilience: append checkpoint record: %w", err)
+	land := func(n int) {
+		landed += n
+		j.consecFails.Store(0)
+		if j.degraded.CompareAndSwap(true, false) {
+			// A probe landed: storage recovered, checkpointing resumes.
+			j.probeTick.Store(0)
+		}
 	}
-	w.size += int64(len(line))
-	w.unsynced++
-	if j.cfg.SyncEvery > 0 && w.unsynced >= j.cfg.SyncEvery {
-		if err := w.f.Sync(); err != nil {
-			j.stats.syncFailures.Add(1)
+	limit := j.cfg.SegmentBytes
+	for i := 0; i < len(w.recs); {
+		from := 0 // where record i starts in w.pending
+		if i > 0 {
+			from = w.recs[i-1].end
+		}
+		// While degraded, records go one at a time: each is a probe or is
+		// dropped.
+		degraded := j.degraded.Load()
+		if degraded && !w.recs[i].probe && !j.admit() {
+			lost = append(lost, i)
+			i++
+			continue
+		}
+		if w.f == nil || w.broken || (limit > 0 && w.size > 0 && w.size+int64(w.recs[i].end-from) > limit) {
+			if err := j.rotateLocked(w, shard); err != nil {
+				fail(i, err)
+				i++
+				continue
+			}
+		}
+		// The piece: records i..k-1, as many as fit the segment, and always
+		// at least one.
+		k := i + 1
+		for ; !degraded && k < len(w.recs) && (limit <= 0 || w.size+int64(w.recs[k].end-from) <= limit); k++ {
+		}
+		piece := w.pending[from:w.recs[k-1].end]
+		n, err := w.f.Write(piece)
+		j.stats.bytes.Add(int64(n))
+		if err != nil {
+			// The tail of this segment may now hold torn bytes; seal it so the
+			// next record lands in a fresh segment and stays replayable. The
+			// records wholly before the failure landed; the one it hit is lost.
 			w.broken = true
-			return fmt.Errorf("resilience: sync checkpoint segment: %w", err)
+			whole := min(bytes.Count(piece[:n], []byte{'\n'}), k-i-1)
+			if whole > 0 {
+				land(whole)
+			}
+			fail(i+whole, fmt.Errorf("resilience: append checkpoint records: %w", err))
+			i += whole + 1
+			continue
 		}
-		w.unsynced = 0
+		w.size += int64(len(piece))
+		w.unsynced += k - i
+		if j.cfg.SyncEvery > 0 && w.unsynced >= j.cfg.SyncEvery {
+			if err := w.f.Sync(); err != nil {
+				j.stats.syncFailures.Add(1)
+				w.broken = true
+				for r := i; r < k-1; r++ {
+					lost = append(lost, r)
+				}
+				fail(k-1, fmt.Errorf("resilience: sync checkpoint segment: %w", err))
+				i = k
+				continue
+			}
+			w.unsynced = 0
+		}
+		land(k - i)
+		i = k
 	}
-	return nil
+	w.pending, w.recs, w.probing = w.pending[:0], w.recs[:0], false
+	j.stats.appends.Add(int64(landed))
+	j.count.Add(int64(landed))
+	if lost == nil {
+		return landed, nil
+	}
+	if first == nil {
+		first = ErrJournalDegraded
+	}
+	return landed, &CommitError{Lost: lost, Err: first}
 }
 
 // rotateLocked seals w's current segment (sync + close, best effort when
@@ -367,7 +493,7 @@ func (j *Journal) Degraded() bool { return j.degraded.Load() }
 // counters, surfaced through the scanner's telemetry gauges.
 type JournalStats struct {
 	// Appends counts records durably handed to the filesystem; Skipped
-	// counts appends fast-failed while degraded.
+	// counts records Add fast-failed while degraded.
 	Appends, Skipped int64
 	// WriteFailures and SyncFailures count storage errors; Rotations
 	// counts segment rollovers; Probes counts degraded-mode recovery
@@ -395,16 +521,20 @@ func (j *Journal) Stats() JournalStats {
 	}
 }
 
-// Close syncs and closes every open shard segment. The first error is
-// returned — callers are expected to propagate it into
-// checkpoint_errors_total and the degraded state rather than log-and-drop:
-// a failed close means the tail of the journal may not be durable.
+// Close commits every pending batch, then syncs and closes every open shard
+// segment. The first error is returned — callers are expected to propagate
+// it into checkpoint_errors_total and the degraded state rather than
+// log-and-drop: a failed close means the tail of the journal may not be
+// durable.
 func (j *Journal) Close() error {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	var firstErr error
-	for _, w := range *j.shards.Load() {
+	for shard, w := range *j.shards.Load() {
 		w.mu.Lock()
+		if _, err := j.commitLocked(w, shard); err != nil && !errors.Is(err, ErrJournalDegraded) && firstErr == nil {
+			firstErr = err
+		}
 		if w.f != nil {
 			if !w.broken && w.unsynced > 0 {
 				if err := w.f.Sync(); err != nil && firstErr == nil {

@@ -364,11 +364,12 @@ func TestJournalRotation(t *testing.T) {
 	}
 }
 
-// countingFS counts Sync calls per handle, to pin the fsync policy, and
-// the files opened for reading, to pin what opening a journal costs.
+// countingFS counts Write and Sync calls per handle, to pin the write and
+// fsync policies, and the files opened for reading, to pin what opening a
+// journal costs.
 type countingFS struct {
 	FS
-	syncs, opens int
+	writes, syncs, opens int
 }
 
 func (c *countingFS) Open(path string) (io.ReadCloser, error) {
@@ -387,6 +388,11 @@ func (c *countingFS) OpenAppend(path string) (File, error) {
 type countingFile struct {
 	File
 	fs *countingFS
+}
+
+func (f *countingFile) Write(p []byte) (int, error) {
+	f.fs.writes++
+	return f.File.Write(p)
 }
 
 func (f *countingFile) Sync() error {
@@ -440,6 +446,7 @@ func TestJournalSyncPolicy(t *testing.T) {
 type flakyFS struct {
 	FS
 	healed bool
+	heal   int // when positive, storage heals after this many failed writes
 }
 
 func (f *flakyFS) OpenAppend(path string) (File, error) {
@@ -457,6 +464,10 @@ type flakyFile struct {
 
 func (f *flakyFile) Write(p []byte) (int, error) {
 	if !f.fs.healed {
+		if f.fs.heal > 0 {
+			f.fs.heal--
+			f.fs.healed = f.fs.heal == 0
+		}
 		return 0, fmt.Errorf("write: %w", ErrNoSpace)
 	}
 	return f.File.Write(p)

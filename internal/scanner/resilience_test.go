@@ -6,6 +6,7 @@ import (
 	"net/netip"
 	"os"
 	"strings"
+	"sync/atomic"
 	"testing"
 
 	"quicspin/internal/dns"
@@ -361,6 +362,54 @@ func TestInterruptAndResume(t *testing.T) {
 		t.Error("resume replayed no domains")
 	} else if got >= int64(len(w.Domains)) {
 		t.Errorf("resume replayed %d of %d domains; interrupt did not interrupt", got, len(w.Domains))
+	}
+}
+
+// writeCountFS counts the writes issued through it, from any goroutine.
+type writeCountFS struct {
+	resilience.FS
+	writes atomic.Int64
+}
+
+func (c *writeCountFS) OpenAppend(path string) (resilience.File, error) {
+	f, err := c.FS.OpenAppend(path)
+	if err != nil {
+		return nil, err
+	}
+	return writeCountFile{File: f, writes: &c.writes}, nil
+}
+
+type writeCountFile struct {
+	resilience.File
+	writes *atomic.Int64
+}
+
+func (f writeCountFile) Write(p []byte) (int, error) {
+	f.writes.Add(1)
+	return f.File.Write(p)
+}
+
+// TestJournalWritesPerBatch: a journaled week issues one write per pipeline
+// batch, not one per domain — at most ⌈N/64⌉ + W writes for N domains and W
+// workers — and every domain's record lands.
+func TestJournalWritesPerBatch(t *testing.T) {
+	w := testWorld(50_000)
+	fs := &writeCountFS{FS: resilience.OSFS}
+	dir := t.TempDir()
+	cfg := Config{Week: 3, Engine: EngineFast, Seed: 2, Workers: 4, Checkpoint: dir,
+		Journal: resilience.JournalConfig{FS: fs}}
+	if err := RunStream(w, cfg, func(int, *DomainResult) error { return nil }); err != nil {
+		t.Fatal(err)
+	}
+	n := w.NumDomains()
+	bound := (n+streamBatchSize-1)/streamBatchSize + cfg.Workers
+	t.Logf("%d domains, %d workers: %d writes (bound %d)", n, cfg.Workers, fs.writes.Load(), bound)
+	if got := fs.writes.Load(); got > int64(bound) {
+		t.Errorf("a journaled week of %d domains issued %d writes, want at most %d", n, got, bound)
+	}
+	got, torn, err := resilience.Replay(dir)
+	if err != nil || torn != 0 || len(got) != n {
+		t.Fatalf("replay: %d records, %d torn, err %v; want %d, 0, nil", len(got), torn, err, n)
 	}
 }
 

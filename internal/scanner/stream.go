@@ -315,12 +315,14 @@ func boolGauge(b bool) int64 {
 	return 0
 }
 
-// scanStep executes one domain end to end: breaker acquisition, checkpoint
-// replay, the scan itself (with engine rebuild after panics or stalls),
-// breaker recording, journaling and telemetry. A scanned result lives in s
-// (see slabs). ok is false when the campaign was aborted while waiting on
-// the breaker; the caller's worker should stop scanning.
-func (c *campaign) scanStep(eng *engine, shard int, rec *trace.Recorder, d *websim.Domain, key string, pos int, s *slabs) (res DomainResult, ok bool) {
+// scanStep executes one domain end to end into res, its batch slot: breaker
+// acquisition, checkpoint replay, the scan itself (with engine rebuild after
+// panics or stalls), breaker recording, journaling and telemetry. A scanned
+// result's slices live in s (see slabs), and the journal encodes the result
+// from its slot into the worker's pending batch. It returns false, leaving
+// res unspecified, when the campaign was aborted while waiting on the
+// breaker; the caller's worker should stop scanning.
+func (c *campaign) scanStep(eng *engine, shard int, rec *trace.Recorder, d *websim.Domain, key string, pos int, s *slabs, res *DomainResult) bool {
 	// The breaker serialises decisions in canonical domain order per
 	// group; batches are dispatched and processed in ascending index
 	// order, so waits are only ever on strictly-earlier indices and
@@ -329,7 +331,7 @@ func (c *campaign) scanStep(eng *engine, shard int, rec *trace.Recorder, d *webs
 	if key != "" {
 		dec = c.br.Acquire(key, pos)
 		if dec.Aborted {
-			return DomainResult{}, false
+			return false
 		}
 		if dec.Probe {
 			c.tm.breakerProbes.Inc()
@@ -344,21 +346,22 @@ func (c *campaign) scanStep(eng *engine, shard int, rec *trace.Recorder, d *webs
 	if c.journal != nil {
 		ckey = c.keyPrefix + d.Name
 	}
-	res, fromCheckpoint := replayResult(c.replayed, ckey, d)
+	var fromCheckpoint bool
+	*res, fromCheckpoint = replayResult(c.replayed, ckey, d)
 	if fromCheckpoint {
 		c.tm.resumed.Inc()
 		if rec != nil {
-			rec.Event(d.Name, (*eng).clockNow(), traceOutcome(&res), "source", "checkpoint")
+			rec.Event(d.Name, (*eng).clockNow(), traceOutcome(res), "source", "checkpoint")
 		}
 	} else if dec.Skip {
-		res = breakerSkipResult(d)
+		*res = breakerSkipResult(d)
 		c.tm.breakerSkipped.Inc()
 		if rec != nil {
-			rec.Event(d.Name, (*eng).clockNow(), traceOutcome(&res), "source", "breaker-skip")
+			rec.Event(d.Name, (*eng).clockNow(), traceOutcome(res), "source", "breaker-skip")
 		}
 	} else {
 		var panicked bool
-		res, panicked = scanSafely(*eng, c.cfg, d, s)
+		*res, panicked = scanSafely(*eng, c.cfg, d, s)
 		if panicked {
 			c.tm.panics.Inc()
 			// Commit the partial trace the panic unwound through and dump
@@ -377,7 +380,7 @@ func (c *campaign) scanStep(eng *engine, shard int, rec *trace.Recorder, d *webs
 	if key != "" {
 		// Replayed results report the same outcome their live scan did,
 		// so the breaker replays to the same state.
-		switch ev := c.br.Record(key, pos, domainOutcome(&res)); {
+		switch ev := c.br.Record(key, pos, domainOutcome(res)); {
 		case ev.Opened:
 			c.tm.breakerOpen.Inc()
 			c.tm.breakerGroups.Add(1)
@@ -385,31 +388,27 @@ func (c *campaign) scanStep(eng *engine, shard int, rec *trace.Recorder, d *webs
 			c.tm.breakerGroups.Add(-1)
 		}
 	}
-	c.tm.recordDomain(&res)
+	c.tm.recordDomain(res)
 	if c.journal != nil && !fromCheckpoint {
-		if err := c.journalAppend(shard, ckey, res); err != nil {
-			// Checkpointing is an optimisation: count the failure, surface
-			// the degraded state, keep scanning. Degraded fast-fails are
-			// tallied separately (journal_appends_skipped) so the error
-			// counter tracks real storage failures.
-			if !errors.Is(err, resilience.ErrJournalDegraded) {
-				c.tm.checkpointErrors.Inc()
-			}
-		}
-		c.tm.checkpointDegraded.Set(boolGauge(c.journal.Degraded()))
+		c.journalResult(c.journal.Add(shard, ckey, res))
 	}
 	c.completed.Add(1)
 	if f := c.cfg.Faults; f != nil && f.Hit(fault.Scan, fault.Interrupt, "", f.Next(fault.Scan)) {
 		c.requestStop()
 	}
-	return res, true
+	return true
 }
 
-// journalAppend checkpoints one result. It takes the result by value: the
-// journal's interface argument moves what it points at to the heap, and
-// this way only a journaled scan pays for that copy, not every scanStep.
-func (c *campaign) journalAppend(shard int, key string, res DomainResult) error {
-	return c.journal.Append(shard, key, &res)
+// journalResult accounts for one journal call's outcome. Checkpointing is an
+// optimisation: count the failure, surface the degraded state, keep
+// scanning. Degraded fast-fails are tallied separately
+// (journal_appends_skipped) so the error counter tracks real storage
+// failures.
+func (c *campaign) journalResult(err error) {
+	if err != nil && !errors.Is(err, resilience.ErrJournalDegraded) {
+		c.tm.checkpointErrors.Inc()
+	}
+	c.tm.checkpointDegraded.Set(boolGauge(c.journal.Degraded()))
 }
 
 // worker scans batches until the work channel closes. After an interrupt it
@@ -434,11 +433,19 @@ func (c *campaign) worker(shard int, work <-chan *batch, results chan<- *batch) 
 			if b.keys != nil {
 				key, pos = b.keys[j], b.pos[j]
 			}
-			res, ok := c.scanStep(&eng, shard, rec, d, key, pos, &b.slabs)
-			if !ok {
+			// reuse grew results to the batch: the slot never moves.
+			b.results = b.results[:j+1]
+			if !c.scanStep(&eng, shard, rec, d, key, pos, &b.slabs, &b.results[j]) {
+				b.results = b.results[:j]
 				break
 			}
-			b.results = append(b.results, res)
+		}
+		if c.journal != nil {
+			// One write for the batch, before it leaves for the reorder
+			// buffer, so a sink never sees a result whose journal write is
+			// still pending; an interrupted batch commits what it scanned.
+			_, err := c.journal.Commit(shard)
+			c.journalResult(err)
 		}
 		results <- b
 	}

@@ -280,6 +280,19 @@ echo "== journal layout properties"
 go test -count=1 -run 'TestResumeReadsOneWeek|TestFollowRetention|TestJournalMixedLineage|TestFollowMatchesOneShot' \
     ./internal/resilience ./internal/shard
 
+# Journal group commit: a worker journals its pipeline batch with one
+# write, so the crash contract is restated per batch and pinned here by
+# name. A journaled week issues one write per batch; a week's segment cut
+# at every batch boundary and through a record of every batch resumes to
+# the uncut tables; every record a commit reports as landed survives a
+# storage-fault plan; batched commits leave the segments, and under faults
+# lose the records, that per-record appends do; and a journal that degrades
+# part-way through a batch drops and probes record by record.
+echo "== journal group commit"
+go test -count=1 -run 'TestJournalCommitSurviveChaos|TestJournalCommitMatchesAppend|TestJournalCommitFaultsMatchAppend|TestJournalDegradedBatch' ./internal/resilience
+go test -count=1 -run 'TestJournalWritesPerBatch' ./internal/scanner
+go test -count=1 -run 'TestJournalCutResume' ./internal/shard
+
 # Hostile chaos smoke: both engines must survive a 30 %-hostile world at
 # the CLI level — exit 0, non-empty adoption tables, and the hostile error
 # classes rendered in Table 5. The in-process chaos test covers the
@@ -362,15 +375,17 @@ go test -race -count=1 -run 'TestDifferentialEngines$|TestHostileChaosCampaign' 
 # Fast campaign memory gate: a fast-engine domain scanned through the
 # streaming pipeline and folded into the campaign costs at most 0.4
 # allocations (0.20 recorded: results live in batch-owned storage recycled
-# through the reorder buffer), the longitudinal fold keeps a record only for
-# domains that spoke QUIC, and an engine's DNS memo holds one domain's
-# chain; a plain run, because the race runtime changes allocation counts.
+# through the reorder buffer), at most 0.6 when the week is journaled too
+# (0.21 recorded: the journal encodes from the batch slot), the
+# longitudinal fold keeps a record only for domains that spoke QUIC, and an
+# engine's DNS memo holds one domain's chain; a plain run, because the race
+# runtime changes allocation counts.
 # A race build poisons a recycled batch, so the race run pins the sink
 # contract: a sink that keeps a borrowed result reads poison, Run's copies
 # equal clones taken inside a sink, and the journal holds exactly the bytes
 # of what the sink was shown.
 echo "== fast campaign memory gate"
-go test -count=1 -run 'TestFastDomainAllocCeiling|TestLongFoldTracksOnlyQUIC' ./internal/analysis
+go test -count=1 -run 'TestFastDomainAllocCeiling|TestJournaledDomainAllocCeiling|TestLongFoldTracksOnlyQUIC' ./internal/analysis
 go test -count=1 -run 'TestEngineResolverMemoBounded' ./internal/scanner
 go test -race -count=1 -run 'TestRetainingSinkSeesPoison|TestRunResultsAreSinkClones|TestRecycledResultsJournalAsCopies' ./internal/scanner
 
