@@ -186,7 +186,7 @@ func main() {
 	// no-op sink wrapper) without a debug endpoint to serve it.
 	var live *analysis.Live
 	if *debugAddr != "" {
-		live = analysis.NewLive(0, 0)
+		live = analysis.NewLive()
 	}
 	interrupt := make(chan struct{})
 	campCfg := shard.Config{

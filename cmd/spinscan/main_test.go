@@ -12,10 +12,13 @@ import (
 	"time"
 
 	"quicspin/internal/analysis"
+	"quicspin/internal/conformance"
+	"quicspin/internal/resilience"
 	"quicspin/internal/scanner"
 	"quicspin/internal/shard"
 	"quicspin/internal/telemetry"
 	"quicspin/internal/trace"
+	"quicspin/internal/transport"
 	"quicspin/internal/websim"
 )
 
@@ -84,9 +87,10 @@ func TestDebugEndpointServesScanMetrics(t *testing.T) {
 	}
 }
 
-// TestOptionBudget pins the three option counts ROADMAP tracks, so none
-// regrows unnoticed: a new flag, scanner.Config field or runner option has
-// to replace one.
+// TestOptionBudget pins the option counts ROADMAP tracks, so none regrows
+// unnoticed: a new flag, config field or runner option has to replace one.
+// Every field of the library configs below is set by a caller outside
+// tests; a value only tests set is a constant.
 func TestOptionBudget(t *testing.T) {
 	flags := 0
 	flag.VisitAll(func(f *flag.Flag) {
@@ -100,7 +104,12 @@ func TestOptionBudget(t *testing.T) {
 	for _, c := range []struct {
 		cfg    any
 		budget int
-	}{{scanner.Config{}, 16}, {shard.Config{}, 20}} {
+	}{
+		{scanner.Config{}, 16}, {shard.Config{}, 20},
+		{transport.Config{}, 6}, {transport.Budget{}, 3}, {trace.Config{}, 2},
+		{resilience.JournalConfig{}, 3}, {resilience.BreakerConfig{}, 2},
+		{conformance.DiffConfig{}, 7},
+	} {
 		exported := 0
 		typ := reflect.TypeOf(c.cfg)
 		for i := 0; i < typ.NumField(); i++ {
@@ -278,7 +287,7 @@ func TestDashboardEndpointsServe(t *testing.T) {
 	}
 	alerts := telemetry.NewAlertEngine(reg, nil)
 	alerts.ReplaceRules(rules)
-	live := analysis.NewLive(50, 4)
+	live := analysis.NewLive()
 	dbg, err := telemetry.StartDebugServer("127.0.0.1:0", reg,
 		telemetry.Endpoint{Path: "/debug/campaign", Handler: live.Handler()},
 		telemetry.Endpoint{Path: "/debug/traces", Handler: trace.Handler(tracer)},

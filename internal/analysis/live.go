@@ -63,28 +63,25 @@ func (w *WindowStats) fold(d *scanner.DomainResult, cls Class) {
 // path needs no dashboard branches.
 type Live struct {
 	mu       sync.Mutex
-	size     int                  // domains per window
-	keep     int                  // closed windows retained
 	accs     map[int]*Accumulator // latest week accumulator per shard
 	vantage  string
 	totals   WindowStats
 	cur      WindowStats
-	windows  []WindowStats // closed, oldest first, ≤ keep
+	windows  []WindowStats // closed, oldest first, ≤ keepWindows
 	restarts int           // supervised shard restarts
 	lost     map[int]bool  // shards abandoned by the supervisor
 }
 
-// NewLive creates dashboard state with the given window size (domains per
-// window) and retention (closed windows kept); non-positive values take
-// the defaults of 1000 and 24.
-func NewLive(windowSize, keep int) *Live {
-	if windowSize <= 0 {
-		windowSize = 1000
-	}
-	if keep <= 0 {
-		keep = 24
-	}
-	return &Live{size: windowSize, keep: keep}
+// The dashboard's rolling windows: windowSize domains each, the newest
+// keepWindows closed ones retained.
+const (
+	windowSize  = 1000
+	keepWindows = 24
+)
+
+// NewLive creates dashboard state.
+func NewLive() *Live {
+	return &Live{}
 }
 
 // ShardSink wraps the delivery callback of one shard's week accumulator:
@@ -114,7 +111,7 @@ func (l *Live) ShardSink(shard int, acc *Accumulator) func(i int, d *scanner.Dom
 		cls := acc.Add(d)
 		l.cur.fold(d, cls)
 		l.totals.fold(d, cls)
-		if l.cur.Domains >= l.size {
+		if l.cur.Domains >= windowSize {
 			l.roll()
 		}
 		return nil
@@ -166,11 +163,12 @@ func (l *Live) NoteLost(shard int) {
 // roll closes the current window. Caller holds l.mu.
 func (l *Live) roll() {
 	l.windows = append(l.windows, l.cur)
-	if len(l.windows) > l.keep {
-		// Oldest-first eviction keeps the ring at keep closed windows, so a
-		// follow-mode campaign running for months holds a fixed dashboard.
+	if len(l.windows) > keepWindows {
+		// Oldest-first eviction keeps the ring at keepWindows closed
+		// windows, so a follow-mode campaign running for months holds a
+		// fixed dashboard.
 		copy(l.windows, l.windows[1:])
-		l.windows = l.windows[:l.keep]
+		l.windows = l.windows[:keepWindows]
 	}
 	l.cur = WindowStats{Index: l.cur.Index + 1, Week: l.cur.Week}
 }
@@ -209,7 +207,7 @@ func (l *Live) Snapshot() LiveSnapshot {
 	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	snap := LiveSnapshot{WindowSize: l.size, Totals: l.totals, Vantage: l.vantage, Shards: len(l.accs), Restarts: l.restarts}
+	snap := LiveSnapshot{WindowSize: windowSize, Totals: l.totals, Vantage: l.vantage, Shards: len(l.accs), Restarts: l.restarts}
 	for shard := range l.lost {
 		snap.LostShards = append(snap.LostShards, shard)
 	}

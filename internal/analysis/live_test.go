@@ -26,7 +26,7 @@ func TestLiveDoesNotChangeTables(t *testing.T) {
 	}
 	golden := renderStreamWeek(plain)
 
-	live := NewLive(100, 8)
+	live := NewLive()
 	acc := NewAccumulator(cfg.Week, cfg.IPv6, world.ASDB())
 	if err := scanner.RunStream(world, cfg, live.ShardSink(0, acc)); err != nil {
 		t.Fatalf("RunStream live: %v", err)
@@ -52,20 +52,25 @@ func TestLiveDoesNotChangeTables(t *testing.T) {
 // boundaries, retention, the always-present open window, and that window
 // sums equal the totals while all windows are retained.
 func TestLiveWindows(t *testing.T) {
-	l := NewLive(10, 3)
+	l := NewLive()
 	acc := NewAccumulator(1, false, nil)
 	sink := l.ShardSink(0, acc)
 	ok := scanner.DomainResult{Resolved: true}
-	for i := 0; i < 35; i++ {
-		if err := sink(i, &ok); err != nil {
-			t.Fatal(err)
+	push := func(n int) {
+		for i := 0; i < n; i++ {
+			if err := sink(i, &ok); err != nil {
+				t.Fatal(err)
+			}
 		}
 	}
+	const half = windowSize / 2
+	first := 3*windowSize + half
+	push(first)
 	snap := l.Snapshot()
-	// 35 domains / size 10 → windows 0,1,2 closed, keep=3 retains all,
-	// plus the open window 3 with 5 domains.
-	if len(snap.Windows) != 4 {
-		t.Fatalf("got %d windows, want 4: %+v", len(snap.Windows), snap.Windows)
+	// 3.5 windows of domains → windows 0,1,2 closed and all retained, plus
+	// the open window 3 with half a window of domains.
+	if snap.WindowSize != windowSize || len(snap.Windows) != 4 {
+		t.Fatalf("got %d windows of %d, want 4 of %d: %+v", len(snap.Windows), snap.WindowSize, windowSize, snap.Windows)
 	}
 	var sum int
 	for i, w := range snap.Windows {
@@ -74,36 +79,36 @@ func TestLiveWindows(t *testing.T) {
 			t.Errorf("window %d has index %d", i, w.Index)
 		}
 	}
-	if sum != 35 || snap.Totals.Domains != 35 {
-		t.Errorf("window sum %d, totals %d, want 35", sum, snap.Totals.Domains)
+	if sum != first || snap.Totals.Domains != first {
+		t.Errorf("window sum %d, totals %d, want %d", sum, snap.Totals.Domains, first)
 	}
 	open := snap.Windows[len(snap.Windows)-1]
-	if open.Domains != 5 {
-		t.Errorf("open window has %d domains, want 5", open.Domains)
+	if open.Domains != half {
+		t.Errorf("open window has %d domains, want %d", open.Domains, half)
 	}
 
-	// 40 more close windows 3–6; retention keeps the newest 3 closed.
-	for i := 0; i < 40; i++ {
-		if err := sink(i, &ok); err != nil {
-			t.Fatal(err)
-		}
-	}
+	// keepWindows more windows' worth closes windows 3–26; retention keeps
+	// the newest keepWindows closed (3–26), windows 0–2 are evicted.
+	push(keepWindows * windowSize)
 	snap = l.Snapshot()
-	if len(snap.Windows) != 4 {
-		t.Fatalf("after retention got %d windows, want 4", len(snap.Windows))
+	if len(snap.Windows) != keepWindows+1 {
+		t.Fatalf("after retention got %d windows, want %d", len(snap.Windows), keepWindows+1)
 	}
-	if first := snap.Windows[0].Index; first != 4 {
-		t.Errorf("oldest retained window index %d, want 4", first)
+	if first := snap.Windows[0].Index; first != 3 {
+		t.Errorf("oldest retained window index %d, want 3", first)
 	}
-	if snap.Totals.Domains != 75 {
-		t.Errorf("totals %d, want 75", snap.Totals.Domains)
+	if open := snap.Windows[keepWindows]; open.Index != keepWindows+3 || open.Domains != half {
+		t.Errorf("open window %d has %d domains, want window %d with %d", open.Index, open.Domains, keepWindows+3, half)
+	}
+	if want := first + keepWindows*windowSize; snap.Totals.Domains != want {
+		t.Errorf("totals %d, want %d", snap.Totals.Domains, want)
 	}
 }
 
 // TestLiveHandler serves the dashboard both ways and checks the nil
 // no-ops.
 func TestLiveHandler(t *testing.T) {
-	l := NewLive(5, 2)
+	l := NewLive()
 	acc := NewAccumulator(2, false, nil)
 	sink := l.ShardSink(0, acc)
 	d := scanner.DomainResult{Resolved: true}
@@ -157,14 +162,16 @@ func TestLiveHandler(t *testing.T) {
 // the sink is folding domains (run under -race via scripts/check.sh): the
 // snapshot must always be internally consistent.
 func TestLiveConcurrentSinkAndDashboard(t *testing.T) {
-	l := NewLive(25, 4)
+	l := NewLive()
 	acc := NewAccumulator(1, false, nil)
 	sink := l.ShardSink(0, acc)
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
 		d := scanner.DomainResult{Resolved: true}
-		for i := 0; i < 2000; i++ {
+		// Enough domains that retention evicts windows while the
+		// dashboard reads.
+		for i := 0; i < (keepWindows+2)*windowSize; i++ {
 			if err := sink(i, &d); err != nil {
 				t.Errorf("sink: %v", err)
 				return

@@ -52,19 +52,6 @@ type DiffConfig struct {
 	IPv6    bool
 	Seed    int64
 	Workers int
-	// MaxDomainLogRatio bounds |ln(fast/emulated)| of a domain's mean
-	// spin-RTT across engines; zero means ln(256). The bound is loose by
-	// design: spin samples include application chunk gaps (up to ~1.2 s in
-	// the calibrated profile); both engines draw the same gaps, but packet
-	// timing decides which samples span them, so a single-sample mean
-	// spanning one maximal gap can stand against a pure-RTT mean of a few
-	// milliseconds. The per-domain bound only catches catastrophic
-	// divergence; the statistically meaningful check is MaxMedianRatio.
-	MaxDomainLogRatio float64
-	// MaxMedianRatio bounds the population median of the per-domain
-	// fast/emulated spin-RTT ratios; zero means 1.5. Individual domains may
-	// diverge, but the population must not be biased.
-	MaxMedianRatio float64
 	// Retry and Faults are passed to both engines verbatim, so the
 	// differential contract can be exercised under injected transient
 	// failures (the plan's dns and net rules) and recovery retries.
@@ -72,19 +59,22 @@ type DiffConfig struct {
 	Faults *fault.Plan
 }
 
-func (c DiffConfig) maxDomainLogRatio() float64 {
-	if c.MaxDomainLogRatio == 0 {
-		return math.Log(256)
-	}
-	return c.MaxDomainLogRatio
-}
-
-func (c DiffConfig) maxMedianRatio() float64 {
-	if c.MaxMedianRatio == 0 {
-		return 1.5
-	}
-	return c.MaxMedianRatio
-}
+// The spin-RTT bounds of every differential run.
+const (
+	// maxDomainLogRatio bounds |ln(fast/emulated)| of a domain's mean
+	// spin-RTT across engines: ln 256. The bound is loose by design: spin
+	// samples include application chunk gaps (up to ~1.2 s in the
+	// calibrated profile); both engines draw the same gaps, but packet
+	// timing decides which samples span them, so a single-sample mean
+	// spanning one maximal gap can stand against a pure-RTT mean of a few
+	// milliseconds. The per-domain bound only catches catastrophic
+	// divergence; the statistically meaningful check is maxMedianRatio.
+	maxDomainLogRatio = 8 * math.Ln2
+	// maxMedianRatio bounds the population median of the per-domain
+	// fast/emulated spin-RTT ratios. Individual domains may diverge, but
+	// the population must not be biased.
+	maxMedianRatio = 1.5
+)
 
 // Disagreement is one contract violation between the engines (or between
 // one engine and the ground truth).
@@ -194,11 +184,11 @@ func compare(cfg DiffConfig, fast, emu *scanner.Result) *DiffReport {
 			rep.RTTCompared++
 			ratio := float64(fr) / float64(er)
 			ratios = append(ratios, ratio)
-			if lr := math.Abs(math.Log(ratio)); lr > cfg.maxDomainLogRatio() {
+			if lr := math.Abs(math.Log(ratio)); lr > maxDomainLogRatio {
 				rep.Disagreements = append(rep.Disagreements, Disagreement{
 					Domain: fd.Domain, Kind: "rtt",
 					Detail: fmt.Sprintf("spin-RTT means diverge: fast %v, emulated %v (|ln ratio| %.2f > %.2f)",
-						fr, er, lr, cfg.maxDomainLogRatio()),
+						fr, er, lr, maxDomainLogRatio),
 				})
 			}
 		}
@@ -206,10 +196,10 @@ func compare(cfg DiffConfig, fast, emu *scanner.Result) *DiffReport {
 	if len(ratios) > 0 {
 		sort.Float64s(ratios)
 		rep.MedianRatio = ratios[len(ratios)/2]
-		if m := cfg.maxMedianRatio(); rep.MedianRatio > m || rep.MedianRatio < 1/m {
+		if rep.MedianRatio > maxMedianRatio || rep.MedianRatio < 1/maxMedianRatio {
 			rep.Disagreements = append(rep.Disagreements, Disagreement{
 				Domain: "<population>", Kind: "rtt",
-				Detail: fmt.Sprintf("median spin-RTT ratio %.3f outside [%.3f, %.3f]", rep.MedianRatio, 1/m, m),
+				Detail: fmt.Sprintf("median spin-RTT ratio %.3f outside [%.3f, %.3f]", rep.MedianRatio, 1/maxMedianRatio, maxMedianRatio),
 			})
 		}
 	}

@@ -19,6 +19,8 @@ func FuzzH3Request(f *testing.F) {
 	f.Add([]byte("GET / HTTP/3-lite\n:authority: a\nx: y\n\n"))
 	f.Add([]byte("GET / HTTP/3-lite\nbroken-header-line\n\n"))
 	f.Add([]byte("GET / HTTP/2\n\n")) // wrong protocol token
+	// A CR the line scanner leaves inside a header line.
+	f.Add([]byte("0 0 HTTP/3-lite\n: \r\r"))
 	f.Add([]byte("\n"))
 	f.Add([]byte{})
 	// Hostile-profile shapes: the header-flood profile streams endless

@@ -225,8 +225,10 @@ func readHeaders(sc *bufio.Scanner, set func(k, v string)) error {
 		if line == "" {
 			return nil
 		}
+		// The scanner strips one trailing CR; any other CR would not
+		// survive a round trip through the encoder.
 		k, v, ok := strings.Cut(line, ": ")
-		if !ok {
+		if !ok || strings.ContainsRune(line, '\r') {
 			return fmt.Errorf("%w: header line %q", ErrMalformed, line)
 		}
 		set(strings.ToLower(k), v)

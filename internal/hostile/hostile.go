@@ -168,8 +168,6 @@ func budgetProfile(kind string) Profile {
 		return MalformedHeader
 	case transport.BudgetMalformedFrame:
 		return MalformedFrames
-	case transport.BudgetLifetime:
-		return Slowloris
 	default:
 		return None
 	}

@@ -59,7 +59,6 @@ func TestProfileOfRoundTrip(t *testing.T) {
 		transport.BudgetRecvPackets:       PacketStorm,
 		transport.BudgetMalformedDatagram: MalformedHeader,
 		transport.BudgetMalformedFrame:    MalformedFrames,
-		transport.BudgetLifetime:          Slowloris,
 	}
 	for kind, want := range budgetKinds {
 		if got := ProfileOf(BudgetErrText(kind)); got != want {

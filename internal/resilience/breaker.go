@@ -15,11 +15,11 @@ type BreakerConfig struct {
 	// Cooldown is the virtual time an open breaker waits before letting a
 	// half-open probe through. Zero means 30s.
 	Cooldown time.Duration
-	// SkipCost is the virtual time a skipped domain advances the group
-	// clock by (the pacing cost of noting and skipping a target). Zero
-	// means 250ms.
-	SkipCost time.Duration
 }
+
+// skipCost is the virtual time a skipped domain advances the group clock by
+// (the pacing cost of noting and skipping a target).
+const skipCost = 250 * time.Millisecond
 
 // Enabled reports whether the breaker is active.
 func (c BreakerConfig) Enabled() bool { return c.Threshold > 0 }
@@ -29,13 +29,6 @@ func (c BreakerConfig) cooldown() time.Duration {
 		return 30 * time.Second
 	}
 	return c.Cooldown
-}
-
-func (c BreakerConfig) skipCost() time.Duration {
-	if c.SkipCost <= 0 {
-		return 250 * time.Millisecond
-	}
-	return c.SkipCost
 }
 
 // State is a breaker group's position in the classic three-state machine.
@@ -86,7 +79,7 @@ type Outcome struct {
 	// Skipped marks a breaker-skipped result (no scan happened).
 	Skipped bool
 	// Cost is the virtual time the attempt consumed; skipped outcomes
-	// default to the configured SkipCost.
+	// default to skipCost.
 	Cost time.Duration
 }
 
@@ -189,7 +182,7 @@ func (b *Breaker) Record(key string, pos int, o Outcome) Events {
 	g := b.group(key)
 	cost := o.Cost
 	if cost <= 0 {
-		cost = b.cfg.skipCost()
+		cost = skipCost
 	}
 	g.clock += cost
 	var ev Events

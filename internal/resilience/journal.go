@@ -38,11 +38,11 @@ import (
 //     the rest of the batch goes on into a fresh segment, so records
 //     landed after a torn write can never be glued to the torn bytes and
 //     lost.
-//   - After DegradeAfter consecutive failed record writes the journal flips
-//     to a degraded state: a record met while degraded fails fast with
-//     ErrJournalDegraded (the campaign keeps scanning without checkpoints),
-//     while every ProbeEvery-th is written for real to probe whether
-//     storage recovered.
+//   - After degradeAfter (3) consecutive failed record writes the journal
+//     flips to a degraded state: a record met while degraded fails fast
+//     with ErrJournalDegraded (the campaign keeps scanning without
+//     checkpoints), while every probeEvery-th (64th) is written for real to
+//     probe whether storage recovered.
 //
 // Segments also rotate at SegmentBytes. Nothing ever rewrites a segment:
 // the journal only grows, and a directory is retired whole — the campaign
@@ -73,8 +73,10 @@ type Journal struct {
 }
 
 // JournalConfig tunes the journal's storage behaviour. The zero value is
-// the legacy profile: real filesystem, no rotation, fsync only on close,
-// degraded mode after defaultDegradeAfter consecutive write failures.
+// the real filesystem, no rotation and fsync only on close. Degraded mode
+// is the same for every journal: it starts after degradeAfter (3)
+// consecutive failed record writes and probes every probeEvery-th (64th)
+// record met while degraded.
 type JournalConfig struct {
 	// FS is the filesystem implementation; nil means the real one. Tests
 	// inject a FaultFS here to chaos-test every journal code path.
@@ -89,34 +91,16 @@ type JournalConfig struct {
 	// Zero disables size-based rotation (segments still rotate per open
 	// and after write failures).
 	SegmentBytes int64
-	// DegradeAfter is the number of consecutive failed record writes
-	// before the journal disables itself (ErrJournalDegraded fast-fails).
-	// Zero means the default of 3; negative disables degraded mode.
-	DegradeAfter int
-	// ProbeEvery is how often a degraded journal risks a real write to
-	// detect recovery: every N-th record met while degraded. Zero means the
-	// default of 64; negative disables probing (degraded is terminal).
-	ProbeEvery int
 }
 
 const (
-	defaultDegradeAfter = 3
-	defaultProbeEvery   = 64
+	// degradeAfter is the number of consecutive failed record writes
+	// before the journal disables itself (ErrJournalDegraded fast-fails).
+	degradeAfter = 3
+	// probeEvery is how often a degraded journal risks a real write to
+	// detect recovery: every N-th record met while degraded.
+	probeEvery = 64
 )
-
-func (c JournalConfig) degradeAfter() int {
-	if c.DegradeAfter == 0 {
-		return defaultDegradeAfter
-	}
-	return c.DegradeAfter
-}
-
-func (c JournalConfig) probeEvery() int {
-	if c.ProbeEvery == 0 {
-		return defaultProbeEvery
-	}
-	return c.ProbeEvery
-}
 
 // ErrJournalDegraded reports that the journal has disabled itself after
 // repeated storage failures. The campaign is expected to keep scanning —
@@ -171,11 +155,6 @@ type journalRecord struct {
 // seqGenShift is where a handle's opening generation sits in the sequence
 // numbers it issues; the bits below count the handle's records.
 const seqGenShift = 32
-
-// OpenJournal creates (or reuses) dir with the legacy configuration.
-func OpenJournal(dir string) (*Journal, error) {
-	return OpenJournalWith(dir, JournalConfig{})
-}
 
 // OpenJournalWith creates (or reuses) dir and returns a journal that
 // appends to fresh segment files inside it. Opening reads the directory's
@@ -295,10 +274,10 @@ func (j *Journal) Add(shard int, key string, v any) error {
 }
 
 // admit decides the fate of one record met while the journal is degraded:
-// every ProbeEvery-th is written to probe whether storage recovered, and
+// every probeEvery-th is written to probe whether storage recovered, and
 // the others are dropped.
 func (j *Journal) admit() bool {
-	if pe := j.cfg.probeEvery(); pe < 0 || j.probeTick.Add(1)%int64(pe) != 0 {
+	if j.probeTick.Add(1)%probeEvery != 0 {
 		j.stats.skipped.Add(1)
 		return false
 	}
@@ -313,7 +292,7 @@ func (j *Journal) admit() bool {
 // costs the record it hit (an fsync, every record of the write it followed);
 // the segment is sealed and the rest of the batch goes on into a fresh one,
 // just as the next one-record Append would. Failures count one each towards
-// DegradeAfter; once the journal is degraded, the batch's remaining records
+// degradeAfter; once the journal is degraded, the batch's remaining records
 // are dropped but for the periodic probe, and a landed probe clears the
 // state. Unless every record landed, the error is a *CommitError naming the
 // lost records.
@@ -375,7 +354,7 @@ func (j *Journal) commitLocked(w *shardWriter, shard int) (int, error) {
 			first = err
 		}
 		j.stats.writeFailures.Add(1)
-		if da := j.cfg.degradeAfter(); da > 0 && j.consecFails.Add(1) >= int64(da) {
+		if j.consecFails.Add(1) >= degradeAfter {
 			j.degraded.Store(true)
 		}
 	}
@@ -438,6 +417,9 @@ func (j *Journal) commitLocked(w *shardWriter, shard int) (int, error) {
 				for r := i; r < k-1; r++ {
 					lost = append(lost, r)
 				}
+				// Every record of the write is lost; the failure counts once
+				// towards degradeAfter.
+				j.stats.writeFailures.Add(int64(k - 1 - i))
 				fail(k-1, fmt.Errorf("resilience: sync checkpoint segment: %w", err))
 				i = k
 				continue
@@ -495,9 +477,9 @@ type JournalStats struct {
 	// Appends counts records durably handed to the filesystem; Skipped
 	// counts records Add fast-failed while degraded.
 	Appends, Skipped int64
-	// WriteFailures and SyncFailures count storage errors; Rotations
-	// counts segment rollovers; Probes counts degraded-mode recovery
-	// attempts.
+	// WriteFailures counts records lost to a failed write, open or fsync;
+	// SyncFailures counts failed fsyncs; Rotations counts segment
+	// rollovers; Probes counts degraded-mode recovery attempts.
 	WriteFailures, SyncFailures int64
 	Rotations, Probes           int64
 	// Bytes counts the bytes handed to the filesystem through this handle,

@@ -109,7 +109,7 @@ func TestRetrySleepInterruptible(t *testing.T) {
 }
 
 func TestBreakerStateMachine(t *testing.T) {
-	cfg := BreakerConfig{Threshold: 3, Cooldown: time.Second, SkipCost: 100 * time.Millisecond}
+	cfg := BreakerConfig{Threshold: 3, Cooldown: time.Second}
 	b := NewBreaker(cfg)
 	key := "as-64500"
 	pos := 0
@@ -138,7 +138,7 @@ func TestBreakerStateMachine(t *testing.T) {
 	}
 
 	// Open: skipped until the cooldown elapses on the virtual clock.
-	// Each skip advances the clock by SkipCost (100ms); cooldown is 1s.
+	// Each skip advances the clock by skipCost (250ms); cooldown is 1s.
 	skips := 0
 	for {
 		d := b.Acquire(key, pos)
@@ -160,8 +160,8 @@ func TestBreakerStateMachine(t *testing.T) {
 			t.Fatal("cooldown never elapsed")
 		}
 	}
-	if skips != 10 {
-		t.Errorf("skips before probe = %d, want 10 (cooldown 1s / skip cost 100ms)", skips)
+	if want := int(cfg.Cooldown / skipCost); skips != want {
+		t.Errorf("skips before probe = %d, want %d (cooldown %v / skip cost %v)", skips, want, cfg.Cooldown, skipCost)
 	}
 	if got := b.GroupState(key); got != StateOpen {
 		t.Fatalf("state after failed probe = %v", got)
@@ -257,7 +257,7 @@ func TestBreakerAbortUnblocks(t *testing.T) {
 
 func TestJournalRoundTrip(t *testing.T) {
 	dir := t.TempDir()
-	j, err := OpenJournal(dir)
+	j, err := OpenJournalWith(dir, JournalConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -363,7 +363,7 @@ func TestJournalLineGrammar(t *testing.T) {
 
 func TestJournalReplayTornLine(t *testing.T) {
 	dir := t.TempDir()
-	j, err := OpenJournal(dir)
+	j, err := OpenJournalWith(dir, JournalConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}

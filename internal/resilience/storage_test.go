@@ -114,7 +114,7 @@ func TestReplayDuplicateKeysAcrossFiles(t *testing.T) {
 func TestJournalSeqContinuesAcrossReopen(t *testing.T) {
 	dir := t.TempDir()
 	for round := 1; round <= 3; round++ {
-		j, err := OpenJournal(dir)
+		j, err := OpenJournalWith(dir, JournalConfig{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -487,12 +487,12 @@ func (c countedValue) AppendJSON(dst []byte) ([]byte, error) {
 func TestJournalDegradedAndProbe(t *testing.T) {
 	fs := &flakyFS{FS: OSFS}
 	dir := t.TempDir()
-	j, err := OpenJournalWith(dir, JournalConfig{FS: fs, DegradeAfter: 3, ProbeEvery: 4})
+	j, err := OpenJournalWith(dir, JournalConfig{FS: fs})
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Three consecutive failures trip the breaker-style degrade.
-	for i := 0; i < 3; i++ {
+	// degradeAfter consecutive failures trip the breaker-style degrade.
+	for i := 0; i < degradeAfter; i++ {
 		if err := j.Append(0, "k", i); err == nil {
 			t.Fatal("append succeeded on dead storage")
 		} else if errors.Is(err, ErrJournalDegraded) {
@@ -500,12 +500,12 @@ func TestJournalDegradedAndProbe(t *testing.T) {
 		}
 	}
 	if !j.Degraded() {
-		t.Fatal("journal not degraded after DegradeAfter failures")
+		t.Fatal("journal not degraded after degradeAfter failures")
 	}
-	// Degraded appends fail fast without touching storage; every 4th is a
-	// probe that still fails while the disk is dead.
+	// Degraded appends fail fast without touching storage; every
+	// probeEvery-th is a probe that still fails while the disk is dead.
 	var probes, fastFails, encodes int
-	for i := 0; i < 8; i++ {
+	for i := 0; i < 2*probeEvery; i++ {
 		err := j.Append(0, "k", countedValue{&encodes})
 		if errors.Is(err, ErrJournalDegraded) {
 			fastFails++
@@ -515,16 +515,16 @@ func TestJournalDegradedAndProbe(t *testing.T) {
 			t.Fatal("append succeeded on dead storage")
 		}
 	}
-	if probes != 2 || fastFails != 6 {
-		t.Fatalf("probes=%d fastFails=%d, want 2/6", probes, fastFails)
+	if probes != 2 || fastFails != 2*probeEvery-2 {
+		t.Fatalf("probes=%d fastFails=%d, want 2/%d", probes, fastFails, 2*probeEvery-2)
 	}
 	if encodes != probes {
-		t.Fatalf("8 degraded appends encoded their value %d times, want once per probe (%d): a fast-fail must cost no encode", encodes, probes)
+		t.Fatalf("%d degraded appends encoded their value %d times, want once per probe (%d): a fast-fail must cost no encode", 2*probeEvery, encodes, probes)
 	}
 	// Storage recovers: the next probe succeeds and clears degraded.
 	fs.healed = true
 	var recovered bool
-	for i := 0; i < 8 && !recovered; i++ {
+	for i := 0; i < probeEvery && !recovered; i++ {
 		recovered = j.Append(0, "recovered", i) == nil
 	}
 	if !recovered {
@@ -540,8 +540,8 @@ func TestJournalDegradedAndProbe(t *testing.T) {
 		t.Fatal(err)
 	}
 	st := j.Stats()
-	if !((st.Probes >= 3) && st.Skipped >= 6 && st.WriteFailures >= 5) {
-		t.Errorf("stats = %+v, want probes≥3 skipped≥6 writeFailures≥5", st)
+	if !((st.Probes >= 3) && st.Skipped >= 2*probeEvery-2 && st.WriteFailures >= 5) {
+		t.Errorf("stats = %+v, want probes≥3 skipped≥%d writeFailures≥5", st, 2*probeEvery-2)
 	}
 	got, _, err := Replay(dir)
 	if err != nil {
@@ -560,7 +560,7 @@ func TestJournalDegradedAndProbe(t *testing.T) {
 func TestJournalOpenErrRetries(t *testing.T) {
 	fs := &stubFaultFS{FS: OSFS, failOpens: 2}
 	dir := t.TempDir()
-	j, err := OpenJournalWith(dir, JournalConfig{FS: fs, DegradeAfter: 5})
+	j, err := OpenJournalWith(dir, JournalConfig{FS: fs})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -584,7 +584,8 @@ func TestJournalOpenErrRetries(t *testing.T) {
 
 // TestJournalAckedSurviveChaos: under a mixed storage-fault plan, every
 // acked append must be replayable at its last acked value, torn bytes
-// notwithstanding — the core crash-safety contract.
+// notwithstanding — the core crash-safety contract. Degraded mode is on, so
+// an append that fails fast with ErrJournalDegraded is simply not acked.
 func TestJournalAckedSurviveChaos(t *testing.T) {
 	for seed := int64(1); seed <= 5; seed++ {
 		seed := seed
@@ -593,7 +594,7 @@ func TestJournalAckedSurviveChaos(t *testing.T) {
 			plan := fsPlan(seed, 0.15, 0.1, 0.15, 0.05)
 			fs := NewFaultFS(nil, plan)
 			j, err := OpenJournalWith(dir, JournalConfig{
-				FS: fs, SegmentBytes: 256, SyncEvery: 3, DegradeAfter: -1,
+				FS: fs, SegmentBytes: 256, SyncEvery: 3,
 			})
 			if err != nil {
 				t.Fatal(err)
@@ -607,7 +608,8 @@ func TestJournalAckedSurviveChaos(t *testing.T) {
 			acked := map[string]int{}
 			unacked := map[string]map[int]bool{}
 			var ackCount int
-			for i := 0; i < 400; i++ {
+			const n = 400
+			for i := 0; i < n; i++ {
 				key := fmt.Sprintf("d%d", rng.Intn(40))
 				val := rng.Intn(1 << 20)
 				if j.Append(rng.Intn(3), key, map[string]int{"n": val}) == nil {
@@ -641,8 +643,8 @@ func TestJournalAckedSurviveChaos(t *testing.T) {
 			if st := j.Stats(); st.Bytes != onDisk {
 				t.Errorf("Stats().Bytes = %d, the directory holds %d", st.Bytes, onDisk)
 			}
-			if ackCount == 0 {
-				t.Fatal("no append survived the plan; probabilities too hot")
+			if ackCount*10 < n {
+				t.Fatalf("%d of %d appends acked, want at least 10%%", ackCount, n)
 			}
 			got, torn, err := Replay(dir)
 			if err != nil {

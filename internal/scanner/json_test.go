@@ -198,7 +198,7 @@ func TestJournalAppendAllocCeiling(t *testing.T) {
 	if res == nil {
 		t.Fatal("no domain with spin activity to journal")
 	}
-	j, err := resilience.OpenJournal(t.TempDir())
+	j, err := resilience.OpenJournalWith(t.TempDir(), resilience.JournalConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}

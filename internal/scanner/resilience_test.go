@@ -413,6 +413,45 @@ func TestJournalWritesPerBatch(t *testing.T) {
 	}
 }
 
+// TestCheckpointErrorsCountRecords: checkpoint_errors_total counts the
+// records a journaled week loses to storage failures — the journal's own
+// WriteFailures — not the commits they fall in: one commit of a 64-record
+// batch can lose many of them.
+func TestCheckpointErrorsCountRecords(t *testing.T) {
+	w := testWorld(50_000)
+	plan, err := fault.Parse("seed:5,fs.write-err:0.3")
+	if err != nil {
+		t.Fatal(err)
+	}
+	reg := telemetry.New()
+	cfg := Config{Week: 3, Engine: EngineFast, Seed: 2, Workers: 4, Checkpoint: t.TempDir(), Telemetry: reg,
+		Journal: resilience.JournalConfig{FS: resilience.NewFaultFS(nil, plan)}}
+	c, err := newCampaign(w, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := c.runPipeline(func(int, *DomainResult) error { return nil }); err != nil {
+		t.Fatal(err)
+	}
+	c.close()
+	st := c.journal.Stats()
+	got := reg.Counter("checkpoint_errors_total").Value()
+	// Each batch is committed once, so no more commits can have failed.
+	commits := (w.NumDomains() + streamBatchSize - 1) / streamBatchSize
+	injected := plan.Injected(fault.FS, fault.WriteErr)
+	t.Logf("%d commits, %d failed writes injected: checkpoint_errors_total %d, WriteFailures %d, %d skipped",
+		commits, injected, got, st.WriteFailures, st.Skipped)
+	// A write-err plan fails no segment close, and each failed write costs
+	// the one record it hits.
+	if got != st.WriteFailures || got != int64(injected) {
+		t.Errorf("checkpoint_errors_total = %d, want the journal's WriteFailures (%d) and the injected write failures (%d)",
+			got, st.WriteFailures, injected)
+	}
+	if got <= int64(commits) {
+		t.Errorf("checkpoint_errors_total = %d, not above the %d commits: it counts commits, not records", got, commits)
+	}
+}
+
 // dirSize sums the sizes of dir's files.
 func dirSize(t *testing.T, dir string) (n int64) {
 	t.Helper()

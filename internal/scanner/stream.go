@@ -2,7 +2,6 @@ package scanner
 
 import (
 	"encoding/json"
-	"errors"
 	"fmt"
 	"runtime/metrics"
 	"slices"
@@ -159,10 +158,12 @@ type campaign struct {
 	journal  *resilience.Journal
 	replayed map[string]json.RawMessage
 	br       *resilience.Breaker // nil when disabled
-	// keyPrefix + domain name is a domain's journal key; journalBytes is
-	// how much of the journal's byte count the gauge already holds.
-	keyPrefix    string
-	journalBytes int64
+	// keyPrefix + domain name is a domain's journal key; journalBytes and
+	// journalFailures are how much of the journal's byte and write-failure
+	// counts journal_bytes and checkpoint_errors_total already hold.
+	keyPrefix       string
+	journalBytes    int64
+	journalFailures int64
 
 	interrupted atomic.Bool
 	// stopRequested records that the stop came from outside the pipeline
@@ -289,22 +290,24 @@ func (c *campaign) close() {
 		c.tm.checkpointDegraded.Set(boolGauge(st.Degraded))
 		c.tm.journalRotations.Set(st.Rotations)
 		c.tm.journalSkipped.Set(st.Skipped)
-		c.publishJournalBytes()
+		c.publishJournal()
 	}
 }
 
-// publishJournalBytes moves journal_bytes up by what the journal has
-// written since the last call. The gauge adds up over every handle that
+// publishJournal moves journal_bytes up by what the journal has written,
+// and checkpoint_errors_total by the records it has lost to a failed write,
+// open or fsync, since the last call. Both add up over every handle that
 // shares the registry (each week and each shard opens its own), so
 // journal_bytes / spinscan_domains_total is a campaign's bytes per domain.
 // Called from the sink goroutine and, after it has finished, from close.
-func (c *campaign) publishJournalBytes() {
+func (c *campaign) publishJournal() {
 	if c.journal == nil {
 		return
 	}
-	n := c.journal.Stats().Bytes
-	c.tm.journalBytes.Add(n - c.journalBytes)
-	c.journalBytes = n
+	st := c.journal.Stats()
+	c.tm.journalBytes.Add(st.Bytes - c.journalBytes)
+	c.tm.checkpointErrors.Add(st.WriteFailures - c.journalFailures)
+	c.journalBytes, c.journalFailures = st.Bytes, st.WriteFailures
 }
 
 // boolGauge maps a boolean state onto a 0/1 gauge value.
@@ -390,25 +393,16 @@ func (c *campaign) scanStep(eng *engine, shard int, rec *trace.Recorder, d *webs
 	}
 	c.tm.recordDomain(res)
 	if c.journal != nil && !fromCheckpoint {
-		c.journalResult(c.journal.Add(shard, ckey, res))
+		// Checkpointing is an optimisation: a record the journal refuses
+		// (degraded, or not encodable) is not journaled, and a resume
+		// rescans its domain. Storage failures surface at Commit.
+		_ = c.journal.Add(shard, ckey, res)
 	}
 	c.completed.Add(1)
 	if f := c.cfg.Faults; f != nil && f.Hit(fault.Scan, fault.Interrupt, "", f.Next(fault.Scan)) {
 		c.requestStop()
 	}
 	return true
-}
-
-// journalResult accounts for one journal call's outcome. Checkpointing is an
-// optimisation: count the failure, surface the degraded state, keep
-// scanning. Degraded fast-fails are tallied separately
-// (journal_appends_skipped) so the error counter tracks real storage
-// failures.
-func (c *campaign) journalResult(err error) {
-	if err != nil && !errors.Is(err, resilience.ErrJournalDegraded) {
-		c.tm.checkpointErrors.Inc()
-	}
-	c.tm.checkpointDegraded.Set(boolGauge(c.journal.Degraded()))
 }
 
 // worker scans batches until the work channel closes. After an interrupt it
@@ -444,8 +438,10 @@ func (c *campaign) worker(shard int, work <-chan *batch, results chan<- *batch) 
 			// One write for the batch, before it leaves for the reorder
 			// buffer, so a sink never sees a result whose journal write is
 			// still pending; an interrupted batch commits what it scanned.
-			_, err := c.journal.Commit(shard)
-			c.journalResult(err)
+			// The records a commit loses count in the journal's
+			// WriteFailures, which publishJournal mirrors; keep scanning.
+			_, _ = c.journal.Commit(shard)
+			c.tm.checkpointDegraded.Set(boolGauge(c.journal.Degraded()))
 		}
 		results <- b
 	}
@@ -555,7 +551,7 @@ func (c *campaign) runPipeline(sink func(i int, res *DomainResult) error) (sinkE
 		if c.allocs != nil && time.Since(lastMem) >= time.Second {
 			lastMem = time.Now()
 			c.allocs.publish(c.tm)
-			c.publishJournalBytes()
+			c.publishJournal()
 		}
 	}
 	return sinkErr

@@ -40,7 +40,9 @@ import (
 //	breaker_skipped_total               domains skipped by an open breaker
 //	breaker_probes_total                half-open probe scans
 //	domains_resumed_total               domains replayed from a checkpoint
-//	checkpoint_errors_total             journal write failures (scan continues)
+//	checkpoint_errors_total             checkpoint records lost to a failed
+//	                                    write, open or fsync, plus failed
+//	                                    journal closes (scan continues)
 //	scan_checkpoint_degraded            1 while the journal has disabled
 //	                                    itself after repeated storage
 //	                                    failures (probes may clear it)
@@ -83,7 +85,6 @@ var errClasses = []string{
 var budgetKinds = []string{
 	transport.BudgetRecvBytes, transport.BudgetRecvPackets,
 	transport.BudgetMalformedDatagram, transport.BudgetMalformedFrame,
-	transport.BudgetLifetime,
 }
 
 // errClass buckets a ConnResult.Err string for the error-class counters.

@@ -32,7 +32,7 @@ func TestTracingDoesNotChangeResults(t *testing.T) {
 			for _, workers := range []int{1, 4, 16} {
 				cfg := base
 				cfg.Workers = workers
-				cfg.Trace = trace.New(trace.Config{RingSize: 8})
+				cfg.Trace = trace.New(trace.Config{})
 				sameScanResults(t, plain, mustRun(t, w, cfg))
 			}
 		})
@@ -49,7 +49,7 @@ func TestTraceStagesRecorded(t *testing.T) {
 	}{{EngineEmulated, "emulated"}, {EngineFast, "fast"}} {
 		t.Run(tc.name, func(t *testing.T) {
 			w := testWorld(3_000)
-			tr := trace.New(trace.Config{RingSize: 64})
+			tr := trace.New(trace.Config{})
 			mustRun(t, w, Config{Week: 1, Engine: tc.engine, Seed: 7, Workers: 2, Trace: tr})
 			want := []string{"dns", "connect", "handshake", "h3", "observe", "classify"}
 			for _, tg := range tr.Recent(0) {
@@ -163,7 +163,7 @@ func TestPanicProducesFlightDump(t *testing.T) {
 func TestStallErrorContext(t *testing.T) {
 	w := testWorld(10_000)
 	dir := t.TempDir()
-	tr := trace.New(trace.Config{Dir: dir, MaxDumps: 4})
+	tr := trace.New(trace.Config{Dir: dir})
 	cfg := Config{Week: 1, Engine: EngineEmulated, Seed: 3, Workers: 2, Trace: tr}
 	cfg.watchdogSteps = 50 // absurdly small: every live exchange "stalls"
 	r := mustRun(t, w, cfg)

@@ -144,7 +144,7 @@ func TestFollowChaosCampaign(t *testing.T) {
 			fb := base
 			fb.Telemetry = reg
 			fb.Journal = resilience.JournalConfig{
-				FS: resilience.NewFaultFS(nil, plan), SegmentBytes: 2048, SyncEvery: 4, DegradeAfter: 3, ProbeEvery: 8,
+				FS: resilience.NewFaultFS(nil, plan), SegmentBytes: 2048, SyncEvery: 4,
 			}
 			cfg := followConfig(fb, seedBase, weeks, shards)
 			cfg.Checkpoint, cfg.RetainWeeks, cfg.MaxRestarts, cfg.Logf = t.TempDir(), 1, 2, t.Logf

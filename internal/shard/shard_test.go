@@ -172,7 +172,7 @@ func TestRunTransports(t *testing.T) {
 func TestMultiVantage(t *testing.T) {
 	w := fixture(t)
 	tm := telemetry.New()
-	live := analysis.NewLive(100, 4)
+	live := analysis.NewLive()
 	res, err := Run(w, Config{
 		Shards: 2,
 		Weeks:  []int{3},

@@ -28,7 +28,7 @@ func TestSupervisorRecoversCrash(t *testing.T) {
 	}
 	tm := telemetry.New()
 	tracer := trace.New(trace.Config{})
-	live := analysis.NewLive(100, 4)
+	live := analysis.NewLive()
 	// The supervisor traces into the week's scan tracer: concurrently
 	// scanned ranges must not share a per-worker recorder.
 	traced := func(week int) scanner.Config {
@@ -127,7 +127,7 @@ func TestShardLostDegradedMerge(t *testing.T) {
 		transport := transport
 		t.Run(transport.String(), func(t *testing.T) {
 			tm := telemetry.New()
-			live := analysis.NewLive(100, 4)
+			live := analysis.NewLive()
 			res, err := Run(w, Config{
 				Shards: 2, Weeks: []int{1}, ForWeek: baseConfig(scanner.EngineFast, 2),
 				Transport: transport, Telemetry: tm, Live: live,

@@ -39,7 +39,7 @@ func TestDisabledTracingZeroAlloc(t *testing.T) {
 // successful-scan trace must reuse recycled Trace objects (zero
 // steady-state allocations).
 func TestEnabledTracingSteadyStateAllocs(t *testing.T) {
-	tr := New(Config{RingSize: 4, Exemplars: 2})
+	tr := New(Config{})
 	r := tr.Recorder(0)
 	at := time.Date(2022, 4, 11, 0, 0, 0, 0, time.UTC)
 	run := func(d time.Duration) {
@@ -54,7 +54,7 @@ func TestEnabledTracingSteadyStateAllocs(t *testing.T) {
 	}
 	// Warm up: fill the ring and saturate the slowest-exemplar heap with
 	// longer traces so steady-state offers are rejected by comparison.
-	for i := 0; i < 16; i++ {
+	for i := 0; i < ringSize+exemplars; i++ {
 		run(time.Second)
 	}
 	allocs := testing.AllocsPerRun(1000, func() { run(time.Millisecond) })

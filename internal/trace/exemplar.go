@@ -12,15 +12,13 @@ import (
 // of traces. Offers clone the trace only on acceptance; the common case
 // (fast, successful scan) is a bounded comparison under a mutex.
 type exemplarSet struct {
-	k int
-
 	mu      sync.Mutex
-	slowest []*Trace            // min-heap by Duration, size <= k
-	failed  map[string][]*Trace // outcome class → ring of <= k clones
+	slowest []*Trace            // min-heap by Duration, size <= exemplars
+	failed  map[string][]*Trace // outcome class → ring of <= exemplars clones
 }
 
-func newExemplarSet(k int) *exemplarSet {
-	return &exemplarSet{k: k, failed: map[string][]*Trace{}}
+func newExemplarSet() *exemplarSet {
+	return &exemplarSet{failed: map[string][]*Trace{}}
 }
 
 // offer considers one committed trace for retention. The trace is still
@@ -31,7 +29,7 @@ func (e *exemplarSet) offer(t *Trace) {
 
 	if t.Outcome != "" && t.Outcome != "ok" {
 		ring := e.failed[t.Outcome]
-		if len(ring) == e.k {
+		if len(ring) == exemplars {
 			// Most recent K win: drop the oldest clone.
 			copy(ring, ring[1:])
 			ring[len(ring)-1] = t.clone()
@@ -42,7 +40,7 @@ func (e *exemplarSet) offer(t *Trace) {
 	}
 
 	d := t.Duration()
-	if len(e.slowest) < e.k {
+	if len(e.slowest) < exemplars {
 		e.heapPush(t.clone())
 		return
 	}

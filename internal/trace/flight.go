@@ -32,7 +32,7 @@ func (t *Tracer) dumpFlight(reason string, worker int, domain string) {
 	if t == nil || t.cfg.Dir == "" {
 		return
 	}
-	if t.dumps.Add(1) > t.cfg.maxDumps() {
+	if t.dumps.Add(1) > maxDumps {
 		return
 	}
 	seq := t.dumpSeq.Add(1)
@@ -45,7 +45,7 @@ func (t *Tracer) dumpFlight(reason string, worker int, domain string) {
 }
 
 // LastDumpCount reports how many dumps have been triggered (including any
-// suppressed past MaxDumps). Nil-safe; used by tests and the text view.
+// suppressed past maxDumps). Nil-safe; used by tests and the text view.
 func (t *Tracer) LastDumpCount() int64 {
 	if t == nil {
 		return 0

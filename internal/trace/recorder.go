@@ -33,7 +33,7 @@ func New(cfg Config) *Tracer {
 	return &Tracer{
 		cfg:  cfg,
 		recs: map[int]*Recorder{},
-		ex:   newExemplarSet(cfg.exemplars()),
+		ex:   newExemplarSet(),
 	}
 }
 
@@ -49,7 +49,7 @@ func (t *Tracer) Recorder(worker int) *Recorder {
 	defer t.mu.Unlock()
 	r := t.recs[worker]
 	if r == nil {
-		r = &Recorder{t: t, worker: worker, ring: make([]*Trace, t.cfg.ringSize())}
+		r = &Recorder{t: t, worker: worker, ring: make([]*Trace, ringSize)}
 		t.recs[worker] = r
 	}
 	return r

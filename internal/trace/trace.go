@@ -106,43 +106,26 @@ func (t *Trace) clone() *Trace {
 	return &c
 }
 
-// Config parameterises a Tracer. The zero value is usable: defaults are
-// filled in by New.
+// Flight-recorder bounds, the same for every Tracer.
+const (
+	// ringSize is the per-worker flight-recorder depth (last N traces).
+	ringSize = 64
+	// exemplars bounds the sampler: the K slowest traces overall plus the
+	// K most recent failed traces per error class.
+	exemplars = 8
+	// maxDumps caps the number of dump files one campaign may write, so a
+	// pathological run cannot fill the disk.
+	maxDumps = 16
+)
+
+// Config parameterises a Tracer. The zero value is usable. The ring depth,
+// exemplar count and dump cap are the constants ringSize (64), exemplars (8)
+// and maxDumps (16).
 type Config struct {
-	// RingSize is the per-worker flight-recorder depth (last N traces);
-	// zero means 64.
-	RingSize int
-	// Exemplars bounds the sampler: the K slowest traces overall plus the
-	// K most recent failed traces per error class; zero means 8.
-	Exemplars int
 	// Dir, when non-empty, is where flight-recorder dumps are written
 	// (flight-NNN-<reason>.json). Empty disables dumps.
 	Dir string
-	// MaxDumps caps the number of dump files one campaign may write, so a
-	// pathological run cannot fill the disk; zero means 16.
-	MaxDumps int
 	// Logf, when non-nil, receives one structured warning line per flight
 	// dump (reason, worker, domain, path).
 	Logf func(format string, args ...any)
-}
-
-func (c Config) ringSize() int {
-	if c.RingSize <= 0 {
-		return 64
-	}
-	return c.RingSize
-}
-
-func (c Config) exemplars() int {
-	if c.Exemplars <= 0 {
-		return 8
-	}
-	return c.Exemplars
-}
-
-func (c Config) maxDumps() int64 {
-	if c.MaxDumps <= 0 {
-		return 16
-	}
-	return int64(c.MaxDumps)
 }

@@ -2,6 +2,7 @@ package trace
 
 import (
 	"encoding/json"
+	"fmt"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
@@ -27,7 +28,7 @@ func record(r *Recorder, domain string, dur time.Duration, outcome, errStr strin
 }
 
 func TestRecorderBuildsTraces(t *testing.T) {
-	tr := New(Config{RingSize: 4})
+	tr := New(Config{})
 	r := tr.Recorder(0)
 	record(r, "a.example", 10*time.Millisecond, "ok", "")
 	record(r, "b.example", 20*time.Millisecond, "dns-timeout", "dns: timeout")
@@ -53,20 +54,20 @@ func TestRecorderBuildsTraces(t *testing.T) {
 }
 
 func TestRingEvictsOldest(t *testing.T) {
-	tr := New(Config{RingSize: 3})
+	tr := New(Config{})
 	r := tr.Recorder(0)
-	for i, d := range []string{"a", "b", "c", "d", "e"} {
-		record(r, d, time.Duration(i+1)*time.Millisecond, "ok", "")
+	const pushed = ringSize + 2
+	for i := 0; i < pushed; i++ {
+		record(r, fmt.Sprintf("d%d", i), time.Duration(i+1)*time.Millisecond, "ok", "")
 	}
 	recent := tr.Recent(0)
-	if len(recent) != 3 {
-		t.Fatalf("ring holds %d traces, want 3", len(recent))
+	if len(recent) != ringSize {
+		t.Fatalf("ring holds %d traces, want %d", len(recent), ringSize)
 	}
-	got := []string{recent[0].Domain, recent[1].Domain, recent[2].Domain}
-	want := []string{"e", "d", "c"}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("recent = %v, want %v", got, want)
+	// Newest first: d65 down to d2; d0 and d1 were evicted.
+	for i, tc := range recent {
+		if want := fmt.Sprintf("d%d", pushed-1-i); tc.Domain != want {
+			t.Fatalf("recent[%d] = %s, want %s", i, tc.Domain, want)
 		}
 	}
 }
@@ -90,26 +91,36 @@ func TestPendingAttrsDrainIntoNextTrace(t *testing.T) {
 }
 
 func TestExemplarsKeepSlowestAndFailedPerClass(t *testing.T) {
-	tr := New(Config{Exemplars: 2})
+	tr := New(Config{})
 	r := tr.Recorder(0)
-	for i := 1; i <= 6; i++ {
-		record(r, "s"+string(rune('0'+i)), time.Duration(i)*time.Millisecond, "ok", "")
+	const slow, failed = exemplars + 4, exemplars + 2
+	for i := 1; i <= slow; i++ {
+		record(r, fmt.Sprintf("s%d", i), time.Duration(i)*time.Millisecond, "ok", "")
 	}
-	for i := 1; i <= 4; i++ {
-		record(r, "f"+string(rune('0'+i)), time.Millisecond, "dns-timeout", "dns: timeout")
+	for i := 1; i <= failed; i++ {
+		record(r, fmt.Sprintf("f%d", i), time.Millisecond, "dns-timeout", "dns: timeout")
 	}
 	record(r, "other", time.Millisecond, "reset", "conn reset")
 
 	ex := tr.Exemplars()
-	if len(ex.Slowest) != 2 {
-		t.Fatalf("slowest = %d, want 2", len(ex.Slowest))
+	if len(ex.Slowest) != exemplars {
+		t.Fatalf("slowest = %d, want %d", len(ex.Slowest), exemplars)
 	}
-	if ex.Slowest[0].Domain != "s6" || ex.Slowest[1].Domain != "s5" {
-		t.Fatalf("slowest = %s, %s", ex.Slowest[0].Domain, ex.Slowest[1].Domain)
+	// Slowest first: s12 down to s5.
+	for i, tc := range ex.Slowest {
+		if want := fmt.Sprintf("s%d", slow-i); tc.Domain != want {
+			t.Fatalf("slowest[%d] = %s, want %s", i, tc.Domain, want)
+		}
 	}
+	// The most recent failures, oldest first: f3 up to f10.
 	fails := ex.Failed["dns-timeout"]
-	if len(fails) != 2 || fails[0].Domain != "f3" || fails[1].Domain != "f4" {
-		t.Fatalf("dns-timeout exemplars = %+v", fails)
+	if len(fails) != exemplars {
+		t.Fatalf("dns-timeout exemplars = %d, want %d", len(fails), exemplars)
+	}
+	for i, tc := range fails {
+		if want := fmt.Sprintf("f%d", failed-exemplars+1+i); tc.Domain != want {
+			t.Fatalf("dns-timeout exemplar %d = %s, want %s", i, tc.Domain, want)
+		}
 	}
 	if len(ex.Failed["reset"]) != 1 {
 		t.Fatalf("reset exemplars = %d, want 1", len(ex.Failed["reset"]))
@@ -180,19 +191,20 @@ func TestMarkDumpTriggersAfterCommit(t *testing.T) {
 
 func TestMaxDumpsCapsFiles(t *testing.T) {
 	dir := t.TempDir()
-	tr := New(Config{Dir: dir, MaxDumps: 2})
+	tr := New(Config{Dir: dir})
 	r := tr.Recorder(0)
-	for i := 0; i < 5; i++ {
+	const marked = maxDumps + 3
+	for i := 0; i < marked; i++ {
 		r.Begin("d.example", t0)
 		r.MarkDump("stall")
 		r.End(t0, "stall")
 	}
 	files, _ := filepath.Glob(filepath.Join(dir, "flight-*.json"))
-	if len(files) != 2 {
-		t.Fatalf("dump files = %d, want 2 (capped)", len(files))
+	if len(files) != maxDumps {
+		t.Fatalf("dump files = %d, want %d (capped)", len(files), maxDumps)
 	}
-	if tr.LastDumpCount() != 5 {
-		t.Fatalf("dump count = %d, want 5", tr.LastDumpCount())
+	if tr.LastDumpCount() != marked {
+		t.Fatalf("dump count = %d, want %d", tr.LastDumpCount(), marked)
 	}
 }
 
@@ -275,7 +287,7 @@ func TestHandlerNilTracerServesEmptyDoc(t *testing.T) {
 // flight ring: workers commit traces while the dashboard reads recent
 // traces and exemplars.
 func TestConcurrentRingWritesAndReads(t *testing.T) {
-	tr := New(Config{RingSize: 8})
+	tr := New(Config{})
 	const workers = 4
 	var writers, readers sync.WaitGroup
 	stop := make(chan struct{})
@@ -312,8 +324,8 @@ func TestConcurrentRingWritesAndReads(t *testing.T) {
 	writers.Wait()
 	close(stop)
 	readers.Wait()
-	if got := len(tr.Recent(0)); got != 8*workers {
-		t.Fatalf("retained %d traces, want %d", got, 8*workers)
+	if got := len(tr.Recent(0)); got != ringSize*workers {
+		t.Fatalf("retained %d traces, want %d", got, ringSize*workers)
 	}
 }
 

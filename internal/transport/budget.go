@@ -19,9 +19,6 @@ const (
 	BudgetMalformedDatagram = "malformed-datagram"
 	// BudgetMalformedFrame caps packets whose frames fail to parse.
 	BudgetMalformedFrame = "malformed-frame"
-	// BudgetLifetime caps the wall (virtual) time between the first and the
-	// latest received datagram.
-	BudgetLifetime = "lifetime"
 )
 
 // Budget bounds the resources one connection may consume on received
@@ -37,8 +34,6 @@ type Budget struct {
 	// packets (header or frame parse failures) before the connection is
 	// closed. Occasional corruption is tolerated; a stream of it is not.
 	MaxMalformed int
-	// MaxLifetime bounds the receive activity window.
-	MaxLifetime time.Duration
 }
 
 // DefaultBudget is the scanner's per-connection budget: generous against

@@ -123,13 +123,6 @@ func TestBudgetMalformedFrame(t *testing.T) {
 	budgetKind(t, conn, transport.BudgetMalformedFrame)
 }
 
-func TestBudgetLifetime(t *testing.T) {
-	// A 30 ms receive window over a 40 ms-RTT path: the second server
-	// flight must trip the lifetime budget.
-	conn := runWithBudget(t, transport.Budget{MaxLifetime: 30 * time.Millisecond}, nil, "x")
-	budgetKind(t, conn, transport.BudgetLifetime)
-}
-
 // TestBudgetErrorSurvivesClose checks the scanner-visible property that a
 // budget terminal error is not overwritten by the scanner's own cleanup
 // Close at the end of the probe.

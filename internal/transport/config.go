@@ -23,7 +23,6 @@ import (
 	"time"
 
 	"quicspin/internal/core"
-	"quicspin/internal/qlog"
 )
 
 // Default protocol parameters.
@@ -36,17 +35,28 @@ const (
 	MinInitialSize = 1200
 	// DefaultIdleTimeout closes connections with no activity.
 	DefaultIdleTimeout = 30 * time.Second
-	// DefaultMaxAckDelay is the advertised max_ack_delay (RFC 9000 default).
+	// DefaultMaxAckDelay is the locally applied ACK batching delay (the RFC
+	// 9000 max_ack_delay default).
 	DefaultMaxAckDelay = 25 * time.Millisecond
+	// ackEveryN acknowledges after every Nth ack-eliciting 1-RTT packet
+	// without waiting for DefaultMaxAckDelay (RFC 9000 §13.2.2).
+	ackEveryN = 2
 	// DefaultConnIDLen is the length of locally issued connection IDs.
 	DefaultConnIDLen = 8
+	// DefaultMaxInFlight caps ack-eliciting 1-RTT packets in flight (the
+	// 10-packet initial congestion window of RFC 9002 §7.2, held static).
+	// The cap paces multi-packet responses across round trips, which is
+	// what makes the spin bit flip during a download.
+	DefaultMaxInFlight = 10
 	// packetThreshold is the RFC 9002 §6.1.1 reordering threshold.
 	packetThreshold = 3
 	// maxAckRanges bounds remembered ACK ranges per packet-number space.
 	maxAckRanges = 32
 )
 
-// Config parameterises a connection or endpoint.
+// Config parameterises a connection or endpoint. The protocol constants
+// above (DefaultMaxAckDelay, ackEveryN, DefaultConnIDLen, DefaultMaxInFlight)
+// are the same for every connection.
 type Config struct {
 	// Rng drives connection IDs and spin-policy randomness. Required.
 	Rng *rand.Rand
@@ -60,22 +70,6 @@ type Config struct {
 	// IdleTimeout closes the connection when no packets are exchanged for
 	// this long. Zero means DefaultIdleTimeout.
 	IdleTimeout time.Duration
-	// MaxAckDelay is the locally applied ACK batching delay; zero means
-	// DefaultMaxAckDelay.
-	MaxAckDelay time.Duration
-	// AckEveryN acknowledges after every Nth ack-eliciting packet without
-	// waiting for MaxAckDelay; zero means 2 (RFC 9000 recommendation).
-	AckEveryN int
-	// Qlog, when non-nil, receives packet and recovery events.
-	Qlog *qlog.Writer
-	// ConnIDLen is the length of locally issued connection IDs; zero means
-	// DefaultConnIDLen.
-	ConnIDLen int
-	// MaxInFlight caps ack-eliciting 1-RTT packets in flight (a static
-	// congestion window of RFC 9002's initial size). The cap paces
-	// multi-packet responses across round trips — which is what makes the
-	// spin bit flip during a download. Zero means DefaultMaxInFlight.
-	MaxInFlight int
 	// Budget bounds resources spent on received traffic (see Budget). The
 	// zero value disables all limits.
 	Budget Budget
@@ -85,41 +79,9 @@ type Config struct {
 	Arena *Arena
 }
 
-// DefaultMaxInFlight is the default in-flight packet cap (the 10-packet
-// initial congestion window of RFC 9002 §7.2).
-const DefaultMaxInFlight = 10
-
-func (c Config) maxInFlight() int {
-	if c.MaxInFlight == 0 {
-		return DefaultMaxInFlight
-	}
-	return c.MaxInFlight
-}
-
 func (c Config) idleTimeout() time.Duration {
 	if c.IdleTimeout == 0 {
 		return DefaultIdleTimeout
 	}
 	return c.IdleTimeout
-}
-
-func (c Config) maxAckDelay() time.Duration {
-	if c.MaxAckDelay == 0 {
-		return DefaultMaxAckDelay
-	}
-	return c.MaxAckDelay
-}
-
-func (c Config) ackEveryN() int {
-	if c.AckEveryN == 0 {
-		return 2
-	}
-	return c.AckEveryN
-}
-
-func (c Config) connIDLen() int {
-	if c.ConnIDLen == 0 {
-		return DefaultConnIDLen
-	}
-	return c.ConnIDLen
 }

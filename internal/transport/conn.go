@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"quicspin/internal/core"
-	"quicspin/internal/qlog"
 	"quicspin/internal/rtt"
 	"quicspin/internal/wire"
 )
@@ -132,7 +131,6 @@ type Conn struct {
 	budgetTripped      bool
 	malformedDatagrams int
 	malformedFrames    int
-	firstRecv          time.Time
 
 	// mem is the connection's handle on Config.Arena: the stream buffers,
 	// payloadScratch and dgramBufs come from it and go back in Release, as
@@ -162,9 +160,9 @@ type Conn struct {
 // first flight. now seeds the idle timer.
 func NewClientConn(cfg Config, now time.Time) *Conn {
 	c := newConn(cfg, true)
-	c.odcid = randomCID(cfg, cfg.connIDLen())
+	c.odcid = randomCID(cfg)
 	c.dstCID = c.odcid
-	c.scid = randomCID(cfg, cfg.connIDLen())
+	c.scid = randomCID(cfg)
 	c.cryptoSend[spaceInitial].data = msgClientHello
 	c.idleDeadline = now.Add(cfg.idleTimeout())
 	return c
@@ -175,7 +173,7 @@ func NewClientConn(cfg Config, now time.Time) *Conn {
 func NewServerConn(cfg Config, odcid, clientSCID wire.ConnectionID, now time.Time) *Conn {
 	c := newConn(cfg, false)
 	c.odcid = odcid
-	c.scid = randomCID(cfg, cfg.connIDLen())
+	c.scid = randomCID(cfg)
 	c.dstCID = clientSCID
 	c.gotPeer = true
 	c.idleDeadline = now.Add(cfg.idleTimeout())
@@ -193,14 +191,14 @@ func newConn(cfg Config, isClient bool) *Conn {
 	c := cfg.Arena.conn()
 	if c == nil {
 		c = &Conn{
-			estimator:   rtt.New(cfg.maxAckDelay()),
+			estimator:   rtt.New(DefaultMaxAckDelay),
 			streamsSend: make(map[uint64]*sendStream),
 			streamsRecv: make(map[uint64]*recvStream),
 			spin:        core.NewController(isClient, cfg.SpinPolicy, cfg.Rng),
 		}
 	} else {
 		c.reset()
-		c.estimator.Reset(cfg.maxAckDelay())
+		c.estimator.Reset(DefaultMaxAckDelay)
 		c.spin.Reset(isClient, cfg.SpinPolicy, cfg.Rng)
 	}
 	c.cfg = cfg
@@ -257,14 +255,14 @@ func (c *Conn) reset() {
 	*c = kept
 }
 
-func randomCID(cfg Config, n int) wire.ConnectionID {
-	var b [wire.MaxConnIDLen]byte
-	cfg.Rng.Read(b[:n])
-	return wire.NewConnectionID(b[:n])
+func randomCID(cfg Config) wire.ConnectionID {
+	var b [DefaultConnIDLen]byte
+	cfg.Rng.Read(b[:])
+	return wire.NewConnectionID(b[:])
 }
 
 // ODCID returns the original destination connection ID identifying the
-// connection attempt (used for qlog and demultiplexing).
+// connection attempt (used for demultiplexing).
 func (c *Conn) ODCID() wire.ConnectionID { return c.odcid }
 
 // SCID returns the connection ID this endpoint issued; incoming
@@ -442,13 +440,6 @@ func (c *Conn) Receive(now time.Time, datagram []byte) error {
 	if b.MaxRecvBytes > 0 && c.stats.BytesReceived > b.MaxRecvBytes {
 		return c.tripBudget(now, BudgetRecvBytes, int64(b.MaxRecvBytes))
 	}
-	if b.MaxLifetime > 0 {
-		if c.firstRecv.IsZero() {
-			c.firstRecv = now
-		} else if now.Sub(c.firstRecv) > b.MaxLifetime {
-			return c.tripBudget(now, BudgetLifetime, int64(b.MaxLifetime))
-		}
-	}
 	c.idleDeadline = now.Add(c.cfg.idleTimeout())
 	rest := datagram
 	for len(rest) > 0 {
@@ -536,7 +527,6 @@ func (c *Conn) handlePacket(now time.Time, hdr *wire.Header, payload []byte) err
 			}
 		}
 	}
-	c.qlogPacket(qlog.EventPacketReceived, now, hdr, len(payload))
 
 	if !isNew {
 		return nil // duplicate: already acknowledged
@@ -553,10 +543,10 @@ func (c *Conn) handlePacket(now time.Time, hdr *wire.Header, payload []byte) err
 	}
 	if elicits {
 		rs.unackedElicits++
-		if sp != spaceAppData || rs.unackedElicits >= c.cfg.ackEveryN() {
+		if sp != spaceAppData || rs.unackedElicits >= ackEveryN {
 			rs.ackQueued = true
 		} else if rs.ackDeadline.IsZero() {
-			rs.ackDeadline = now.Add(c.cfg.maxAckDelay())
+			rs.ackDeadline = now.Add(DefaultMaxAckDelay)
 		}
 	}
 	return nil
@@ -636,7 +626,6 @@ func (c *Conn) handleAck(now time.Time, sp spaceID, ack *wire.AckFrame) {
 			ackDelay = 0
 		}
 		c.estimator.Update(latest, ackDelay, c.handshakeConfirmed)
-		c.qlogMetrics(now)
 	}
 	c.detectLosses(now, sp)
 	ss.compact()
@@ -902,7 +891,7 @@ func (c *Conn) framesFor(sp spaceID, now time.Time, budget int) ([]sendFrame, bo
 		elicits = true
 	}
 
-	if sp == spaceAppData && c.inFlightElicits() < c.cfg.maxInFlight() {
+	if sp == spaceAppData && c.inFlightElicits() < DefaultMaxInFlight {
 		if c.handshakeDoneQueued {
 			c.handshakeDoneQueued = false
 			frames = append(frames, sendFrame{kind: frameHandshakeDone})
@@ -1092,7 +1081,6 @@ func (c *Conn) recordSent(sp spaceID, ss *sendState, hdr *wire.Header, frames []
 	ss.inFlight = append(ss.inFlight, p)
 	ss.nextPN++
 	c.stats.PacketsSent++
-	c.qlogPacket(qlog.EventPacketSent, now, hdr, size)
 	if elicits {
 		c.armPTO(now)
 	}
@@ -1219,45 +1207,4 @@ func (c *Conn) onPTO(now time.Time) {
 		c.probePing[spaceAppData] = true
 	}
 	c.armPTO(now)
-}
-
-// --- qlog --------------------------------------------------------------
-
-func (c *Conn) qlogPacket(event string, now time.Time, hdr *wire.Header, size int) {
-	if c.cfg.Qlog == nil {
-		return
-	}
-	ph := qlog.PacketHeader{PacketNumber: hdr.PacketNumber}
-	if hdr.IsLong {
-		switch hdr.Type {
-		case wire.TypeInitial:
-			ph.PacketType = "initial"
-		case wire.TypeHandshake:
-			ph.PacketType = "handshake"
-		default:
-			ph.PacketType = "long"
-		}
-	} else {
-		ph.PacketType = "1RTT"
-		spin := hdr.SpinBit
-		ph.SpinBit = &spin
-		if c.cfg.EnableVEC {
-			vec := hdr.Reserved
-			ph.VEC = &vec
-		}
-	}
-	_ = c.cfg.Qlog.Emit(now, event, qlog.PacketEvent{Header: ph, Length: size})
-}
-
-func (c *Conn) qlogMetrics(now time.Time) {
-	if c.cfg.Qlog == nil {
-		return
-	}
-	ms := func(d time.Duration) float64 { return float64(d) / float64(time.Millisecond) }
-	_ = c.cfg.Qlog.MetricsUpdated(now, qlog.MetricsEvent{
-		LatestRTTMs:   ms(c.estimator.Latest()),
-		SmoothedRTTMs: ms(c.estimator.Smoothed()),
-		MinRTTMs:      ms(c.estimator.Min()),
-		RTTVarMs:      ms(c.estimator.Var()),
-	})
 }

@@ -14,16 +14,13 @@ import (
 type Endpoint struct {
 	// NewConnConfig returns the Config for an accepted connection; it is
 	// invoked once per connection so servers can roll per-connection spin
-	// policy dice with distinct qlog writers. Must be non-nil.
+	// policy dice. Must be non-nil.
 	NewConnConfig func(peer string) Config
 
 	// conns routes by the connection ID this server issued (short headers)
 	// and by the client's original DCID (Initial/Handshake long headers).
 	conns map[string]*entry
 	order []*entry
-	// cidLen is the length of the connection IDs this endpoint issues,
-	// resolved on the first short-header datagram (0 = not yet).
-	cidLen int
 	// Result lists of Poll and Conns and Receive's routing-header decode,
 	// reused across calls.
 	pollOut  []Outgoing
@@ -66,14 +63,10 @@ func (e *Endpoint) Receive(now time.Time, peer string, datagram []byte) error {
 		}
 	} else {
 		// Short header: destination CID is one we issued, of known length.
-		if e.cidLen == 0 {
-			// All connections share the configured length.
-			e.cidLen = e.NewConnConfig("").connIDLen()
-		}
-		if len(datagram) < 1+e.cidLen {
+		if len(datagram) < 1+DefaultConnIDLen {
 			return fmt.Errorf("endpoint: runt short-header datagram")
 		}
-		dcid := wire.NewConnectionID(datagram[1 : 1+e.cidLen])
+		dcid := wire.NewConnectionID(datagram[1 : 1+DefaultConnIDLen])
 		ent = e.conns[cidKey(dcid)]
 	}
 	if ent == nil {
