@@ -67,8 +67,7 @@ var (
 	shards           = flag.Int("shards", 0, "split the population into this many concurrently scanned shards (0 = unsharded)")
 	vantagesSpec     = flag.String("vantages", "", `scan from multiple vantage points, e.g. "local,far:30+5" (name[:extra_delay_ms[+jitter_ms]], comma-separated)`)
 	shardTransport   = flag.String("shard-transport", "inproc", "shard accumulator merge path: inproc, serialized or udp")
-	restarts         = flag.Int("restarts", 2, "restart budget per population range per week: a crashed or stalled scan is relaunched from its journal this many times before the range is declared lost (unsharded, that fails the campaign)")
-	shardStall       = flag.Duration("shard-stall-timeout", 0, "kill and restart a shard worker that delivers nothing for this long (0 disables the stall watchdog)")
+	restarts         = flag.Int("restarts", 2, "restart budget per population range per week: a scan that fails (an error or a panic) is relaunched from its journal this many times before the range is declared lost (unsharded, that fails the campaign)")
 	strictShards     = flag.Bool("strict-shards", false, "abort the campaign when any shard exhausts its restart budget instead of merging the survivors with a coverage report")
 	faultSpec        = flag.String("faults", "", `chaos-test fault plan, one grammar for every layer, e.g. "seed:3,udp.drop:0.05,udp.max-delay:2ms,fs.short-write:0.1,shard.crash:1@40x2,dns.timeout:0.3/2,net.blackout:0.1/1,scan.interrupt:5000" (see internal/fault)`)
 	followMode       = flag.Bool("follow", false, "continuous campaign service: keep scanning week after week from week 1 (bound with -weeks, stop with SIGINT/SIGTERM)")
@@ -210,7 +209,6 @@ func main() {
 		Telemetry:    reg,
 		Live:         live,
 		MaxRestarts:  *restarts,
-		StallTimeout: *shardStall,
 		StrictShards: *strictShards,
 		Faults:       faults,
 		Logf:         log.Printf,

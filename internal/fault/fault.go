@@ -52,7 +52,6 @@ const (
 	SyncErr    Kind = "sync-err"
 	OpenErr    Kind = "open-err"
 	Crash      Kind = "crash"
-	Stall      Kind = "stall"
 )
 
 // kinds is the vocabulary: which faults each site knows.
@@ -62,7 +61,7 @@ var kinds = map[Site][]Kind{
 	Scan:  {Interrupt, Panic},
 	UDP:   {Drop, Dup, Corrupt, Delay},
 	FS:    {ShortWrite, WriteErr, SyncErr, OpenErr},
-	Shard: {Crash, Panic, Stall},
+	Shard: {Crash, Panic},
 }
 
 // Rule is one where/what/when clause.

@@ -23,10 +23,10 @@ func TestParse(t *testing.T) {
 		{"seed:9, udp.drop:0.1, udp.dup:0.05, udp.corrupt:0.02, udp.delay:0.2, udp.max-delay:40ms", 9, 40 * ms, []Rule{
 			{Site: UDP, Kind: Drop, P: 0.1}, {Site: UDP, Kind: Dup, P: 0.05},
 			{Site: UDP, Kind: Corrupt, P: 0.02}, {Site: UDP, Kind: Delay, P: 0.2}}},
-		{"shard.crash:1@25,shard.panic:0@40x2,shard.stall:3@10", 1, 25 * ms, []Rule{
+		{"shard.crash:1@25,shard.panic:0@40x2,shard.crash:3@10", 1, 25 * ms, []Rule{
 			{Site: Shard, Kind: Crash, Target: "1", P: 1, After: 25, Times: 1}, // the multiplier defaults to 1
 			{Site: Shard, Kind: Panic, Target: "0", P: 1, After: 40, Times: 2},
-			{Site: Shard, Kind: Stall, Target: "3", P: 1, After: 10, Times: 1}}},
+			{Site: Shard, Kind: Crash, Target: "3", P: 1, After: 10, Times: 1}}},
 		{"seed:42,fs.short-write:0.1,fs.write-err:0.2,fs.sync-err:0.3,fs.open-err:0.4", 42, 25 * ms, []Rule{
 			{Site: FS, Kind: ShortWrite, P: 0.1}, {Site: FS, Kind: WriteErr, P: 0.2}, {Site: FS, Kind: SyncErr, P: 0.3},
 			{Site: FS, Kind: OpenErr, P: 0.4}}},
@@ -56,7 +56,7 @@ func TestParse(t *testing.T) {
 		"udp.max-delay:0", "udp.max-delay:soon", "warp:0.5", "drop:0.5", "fs.bogus:1", "dns.drop:0.1",
 		"fs.short-write:2", "fs.short-write:x", "fs.short-write", "dns.timeout:0.3/0", "dns.timeout:0.3/x",
 		"dns.timeout:@0.5", "shard.crash:1", "shard.crash:x@2", "shard.crash:-1@2", "shard.crash:1@-2",
-		"shard.crash:1@2x0", "shard.crash:1@2xq", "shard.crash:1@2x", "shard.stall:@5", "scan.interrupt:soon", "scan.interrupt:x@5",
+		"shard.crash:1@2x0", "shard.crash:1@2xq", "shard.crash:1@2x", "shard.panic:@5", "shard.stall:0@10", "scan.interrupt:soon", "scan.interrupt:x@5",
 		"udp.drop:0.1,,udp.dup:0.1",
 	} {
 		if p, err := Parse(bad); err == nil {
@@ -169,7 +169,7 @@ func TestWindowsAreExact(t *testing.T) {
 		{DNS, Timeout, "www.example.com", []int{0, 1}},
 		{Shard, Crash, "1", []int{40, 41}},
 		{DNS, Timeout, "other.example.com", nil}, // pinned to another target
-		{Shard, Stall, "1", nil},                 // another kind
+		{Shard, Panic, "1", nil},                 // another kind
 	} {
 		if got := fired(tc.site, tc.kind, tc.target); !reflect.DeepEqual(got, tc.want) {
 			t.Errorf("%s.%s for %q fired at %v, want %v", tc.site, tc.kind, tc.target, got, tc.want)

@@ -5,9 +5,11 @@ import (
 	"fmt"
 	"net/netip"
 	"os"
+	"runtime"
 	"strings"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"quicspin/internal/dns"
 	"quicspin/internal/fault"
@@ -362,6 +364,61 @@ func TestInterruptAndResume(t *testing.T) {
 		t.Error("resume replayed no domains")
 	} else if got >= int64(len(w.Domains)) {
 		t.Errorf("resume replayed %d of %d domains; interrupt did not interrupt", got, len(w.Domains))
+	}
+}
+
+// TestPanickingSinkDrainsPipeline: a sink that panics fails RunStream like
+// a sink that returns an error. With or without a checkpoint journal,
+// RunStream returns an error naming the panic, the sink has seen exactly the
+// results before it, and no goroutine of the pipeline is left behind.
+func TestPanickingSinkDrainsPipeline(t *testing.T) {
+	w := testWorld(100_000)
+	for _, journaled := range []bool{false, true} {
+		t.Run(fmt.Sprintf("checkpoint=%v", journaled), func(t *testing.T) {
+			cfg := Config{Week: 1, Engine: EngineFast, Seed: 3, Workers: 2}
+			if journaled {
+				cfg.Checkpoint = t.TempDir()
+			}
+			base := runtime.NumGoroutine()
+			var seen []int
+			calls := 0
+			err := func() (err error) {
+				defer func() {
+					if p := recover(); p != nil {
+						t.Errorf("the sink's panic escaped RunStream: %v", p)
+					}
+				}()
+				return RunStream(w, cfg, func(i int, _ *DomainResult) error {
+					if calls++; calls == 101 {
+						panic("sink failed at delivery 100")
+					}
+					seen = append(seen, i)
+					return nil
+				})
+			}()
+			if err == nil || !strings.Contains(err.Error(), "sink failed at delivery 100") {
+				t.Errorf("RunStream = %v, want an error naming the sink's panic", err)
+			}
+			if calls != 101 || len(seen) != 100 || seen[0] != 0 || seen[99] != 99 {
+				t.Errorf("sink called %d times with %d results, want 101 calls and indices 0-99", calls, len(seen))
+			}
+			deadline := time.Now().Add(2 * time.Second)
+			n := runtime.NumGoroutine()
+			for ; n > base && time.Now().Before(deadline); n = runtime.NumGoroutine() {
+				time.Sleep(time.Millisecond)
+			}
+			if n > base {
+				t.Errorf("%d goroutines after RunStream returned, %d before: the pipeline was stranded", n, base)
+			}
+			if journaled {
+				// The journal closed after the workers' last commits: every
+				// delivered domain is in it, and no record is torn.
+				got, torn, err := resilience.Replay(cfg.Checkpoint)
+				if err != nil || torn != 0 || len(got) < 100 {
+					t.Errorf("replay: %d records, %d torn, err %v; want at least 100, 0, nil", len(got), torn, err)
+				}
+			}
+		})
 	}
 }
 

@@ -453,7 +453,9 @@ func (c *campaign) worker(shard int, work <-chan *batch, results chan<- *batch) 
 // reordered on the caller's goroutine and handed to sink in canonical
 // order. Memory stays bounded by workers + channel capacities, independent
 // of the population size. It returns the first sink error, which also
-// stops the campaign.
+// stops the campaign; a panicking sink fails with its panic as the error.
+// Either way the pipeline drains before it returns: every worker has
+// stopped, and no goroutine of the run is left behind.
 func (c *campaign) runPipeline(sink func(i int, res *DomainResult) error) (sinkErr error) {
 	lo, n := c.bounds()
 	nw := c.cfg.workers()
@@ -526,7 +528,7 @@ func (c *campaign) runPipeline(sink func(i int, res *DomainResult) error) (sinkE
 		for b, ok := pending[next]; ok; b, ok = pending[next] {
 			delete(pending, next)
 			for j := 0; j < len(b.results) && !stopped; j++ {
-				if err := sink(b.start+j, &b.results[j]); err != nil {
+				if err := deliver(sink, b.start+j, &b.results[j]); err != nil {
 					sinkErr = err
 					stopped = true
 					c.interrupt()
@@ -557,6 +559,17 @@ func (c *campaign) runPipeline(sink func(i int, res *DomainResult) error) (sinkE
 	return sinkErr
 }
 
+// deliver hands one result to sink and returns the sink's error, or its
+// panic as one.
+func deliver(sink func(i int, res *DomainResult) error, i int, res *DomainResult) (err error) {
+	defer func() {
+		if p := recover(); p != nil {
+			err = fmt.Errorf("scanner: sink panicked at population index %d: %v", i, p)
+		}
+	}()
+	return sink(i, res)
+}
+
 // RunStream executes a measurement campaign and hands every DomainResult
 // to sink in canonical population order, without retaining earlier
 // results: peak memory is bounded by the worker pool and a small reorder
@@ -572,8 +585,8 @@ func (c *campaign) runPipeline(sink func(i int, res *DomainResult) error) (sinkE
 // kept. Race builds overwrite recycled storage with poison, so a sink that
 // breaks this contract fails its tests there.
 //
-// A non-nil sink error stops the campaign and is returned. When the
-// campaign is interrupted, sink
+// A non-nil sink error stops the campaign and is returned; so does a panic
+// in sink, as an error naming it. When the campaign is interrupted, sink
 // receives the longest completed prefix of the population and RunStream
 // returns ErrInterrupted; completed domains beyond the first gap are in
 // the checkpoint journal (when configured) but are not delivered. An

@@ -367,9 +367,6 @@ type SubmitPolicy struct {
 	// attempt number (1-based count of completed attempts) and the error
 	// that caused it.
 	OnRetry func(attempt int, err error)
-	// Rng drives backoff jitter; nil derives a deterministic one from the
-	// shard index.
-	Rng *rand.Rand
 }
 
 func (p SubmitPolicy) attempts() int {
@@ -400,10 +397,8 @@ func Submit(addr string, shard int, blob []byte, timeout time.Duration) error {
 // resubmission is idempotent). Failure returns a *SubmitError.
 func SubmitWithPolicy(addr string, shard int, blob []byte, p SubmitPolicy) error {
 	attempts := p.attempts()
-	rng := p.Rng
-	if rng == nil {
-		rng = rand.New(rand.NewSource(0x5eedacc + int64(shard)))
-	}
+	// Backoff jitter is deterministic per shard.
+	rng := rand.New(rand.NewSource(0x5eedacc + int64(shard)))
 	start := time.Now()
 	var err error
 	for attempt := 0; attempt < attempts; attempt++ {

@@ -14,7 +14,7 @@ type ShardState int
 const (
 	// ShardOK means the shard's first attempt completed.
 	ShardOK ShardState = iota
-	// ShardRecovered means the shard crashed or stalled at least once but
+	// ShardRecovered means the shard's scan failed at least once but
 	// a supervised restart completed it — by construction with the same
 	// results an undisturbed run would have produced.
 	ShardRecovered

@@ -25,22 +25,20 @@ func mustFaults(t *testing.T, spec string) *fault.Plan {
 // campaign has, and a crash scripted "after n deliveries, t times" kills
 // exactly the deliveries n..n+t-1 of its shard, whatever the kind.
 func TestShardFaultRules(t *testing.T) {
-	plan := mustFaults(t, "seed:9, udp.drop:0.1, shard.crash:1@25, shard.panic:0@40x2, shard.stall:3@10")
+	plan := mustFaults(t, "seed:9, udp.drop:0.1, shard.crash:1@25, shard.panic:0@40x2, shard.crash:3@10")
 	cfg := Config{Shards: 4, Weeks: []int{1}, ForWeek: baseConfig(scanner.EngineFast, 1), Faults: plan}
 	if err := cfg.Validate(); err != nil {
 		t.Errorf("plan within the shard count rejected: %v", err)
 	}
 	cfg.Shards = 3
 	if err := cfg.Validate(); err == nil || !strings.Contains(err.Error(), `shard "3"`) {
-		t.Errorf("Validate = %v, want the out-of-range stall target rejected", err)
+		t.Errorf("Validate = %v, want the out-of-range crash target rejected", err)
 	}
-	interrupt := make(chan struct{})
-	close(interrupt)
 	for shard, dies := range map[string][]int64{"0": {41, 42}, "1": {26}, "2": nil, "3": {11}} {
-		hook := crashHook(plan, shard, interrupt)
+		hook := crashHook(plan, shard)
 		var died []int64
 		for n := int64(1); n <= 60; n++ {
-			if hook(n) != nil {
+			if hookDies(hook, n) {
 				died = append(died, n)
 			}
 		}
@@ -53,10 +51,21 @@ func TestShardFaultRules(t *testing.T) {
 	}
 }
 
+// hookDies reports whether the hook kills delivery n: by returning an error
+// (a crash) or by panicking (a panic, which RunStream returns as an error).
+func hookDies(hook func(int64) error, n int64) (died bool) {
+	defer func() {
+		if recover() != nil {
+			died = true
+		}
+	}()
+	return hook(n) != nil
+}
+
 // TestCrashSpecDefaults: a crash spec without a multiplier kills one
 // delivery, so one restart recovers it.
 func TestCrashSpecDefaults(t *testing.T) {
-	hook := crashHook(mustFaults(t, "shard.crash:0@3"), "0", nil)
+	hook := crashHook(mustFaults(t, "shard.crash:0@3"), "0")
 	for n := int64(1); n <= 10; n++ {
 		if died := hook(n) != nil; died != (n == 4) {
 			t.Errorf("delivery %d: died = %v", n, died)

@@ -3,7 +3,7 @@
 // one or more contiguous population ranges ("shards") that are scanned
 // concurrently through scanner.RunStream — each with its own checkpoint
 // journal, breakers and telemetry labels — under a supervisor that restarts
-// crashed and stalled scans, and merged back into one campaign whose Tables
+// failed scans, and merged back into one campaign whose Tables
 // 1–5 and Figs. 2–4 are byte-identical to a plain unsharded week loop
 // (determinism_test.go pins this, like worker-count invariance before it).
 // A one-shot `spinscan -week N`, a `-weeks N` campaign, the `-follow`
@@ -148,7 +148,8 @@ type Config struct {
 	// that sees every delivery of that attempt before it is folded — the
 	// qlog export (scanner.QlogSink). vantage is the vantage's directory
 	// name, the one its journals sit under; sc is the attempt's scan
-	// configuration. An error from the sink fails the attempt like a crash.
+	// configuration. An error from the sink, or a panic in it, fails the
+	// attempt like a crash.
 	Tee func(vantage string, sc scanner.Config) func(i int, d *scanner.DomainResult) error
 	// Checkpoint, when non-empty, is the campaign's journal root. Every
 	// scan journals in a directory of its own,
@@ -172,26 +173,22 @@ type Config struct {
 	// /debug/campaign dashboard (shard-merged tables, rolling windows).
 	Live *analysis.Live
 	// MaxRestarts is the restart budget of one range in one week: how many
-	// times the supervisor relaunches a crashed, panicked or stalled scan
-	// (resuming from its checkpoint journal) before declaring the range
-	// lost for that week. Zero means scans are never restarted.
+	// times the supervisor relaunches a failed scan — one that returned an
+	// error or panicked — resuming from its checkpoint journal, before
+	// declaring the range lost for that week. Zero means scans are never restarted.
 	MaxRestarts int
 	// RestartBackoff paces restarts (real time). The zero value takes the
 	// resilience defaults: 250ms base, doubling, capped at 5s.
 	RestartBackoff resilience.RetryPolicy
-	// StallTimeout arms the supervisor's stall watchdog: a scan that
-	// delivers nothing for this long is killed and restarted like a crash.
-	// Zero disables stall detection.
-	StallTimeout time.Duration
 	// StrictShards restores fail-fast semantics: any range lost after its
 	// restart budget aborts the campaign. When false (the default), the
 	// surviving ranges merge and VantageResult.Coverage reports exactly
 	// what is missing.
 	StrictShards bool
 	// Faults, when non-nil, injects the plan's shard rules (scripted worker
-	// crashes, panics and stalls; target: the shard index, index: the
-	// shard's deliveries across its restarts and weeks) and udp rules (both
-	// ends of the UDP collector exchange) — the chaos harness the
+	// crashes and panics; target: the shard index, index: the shard's
+	// deliveries across its restarts and weeks) and udp rules (both ends of
+	// the UDP collector exchange) — the chaos harness the
 	// determinism suite runs under. The configs ForWeek returns carry the
 	// other sites' plan.
 	Faults *fault.Plan
@@ -228,9 +225,6 @@ func (c Config) Validate() error {
 	}
 	if c.MaxRestarts < 0 {
 		return fmt.Errorf("shard: MaxRestarts must be >= 0, got %d", c.MaxRestarts)
-	}
-	if c.StallTimeout < 0 {
-		return fmt.Errorf("shard: StallTimeout must be >= 0, got %v", c.StallTimeout)
 	}
 	if err := checkVantageNames(c.Vantages); err != nil {
 		return err
@@ -302,9 +296,9 @@ type vantageRun struct {
 	// statuses is the campaign-long supervision record per shard.
 	statuses []ShardStatus
 	// delivered counts each shard's deliveries across its attempts and
-	// weeks: the stall watchdog's progress signal and the index of the
-	// plan's shard faults ("after 40, twice" kills the attempt delivering
-	// the 41st domain and the next attempt's first delivery).
+	// weeks: the index of the plan's shard faults ("after 40, twice" kills
+	// the attempt delivering the 41st domain and the next attempt's first
+	// delivery).
 	delivered []atomic.Int64
 }
 
@@ -347,7 +341,7 @@ func Run(w *websim.World, cfg Config) (*Result, error) {
 		return nil, err
 	}
 	cfg.Telemetry.Describe(map[string]string{
-		"shard_restarts_total": "Supervised shard-worker restarts (crash, panic or stall recoveries).",
+		"shard_restarts_total": "Supervised shard-worker restarts (crash, panic or sink-error recoveries).",
 		"shard_lost_total":     "Shards abandoned after exhausting their restart budget.",
 		"submit_retries_total": "Accumulator submission retries (NAKs and ack timeouts).",
 	})
@@ -432,7 +426,7 @@ func (r *run) weeks(runs []*vantageRun) error {
 const collectTimeout = 30 * time.Second
 
 // scanWeek scans one week of the whole population from one vantage point:
-// every range under the supervisor's crash/stall recovery, then the merge
+// every range under the supervisor's restart-from-journal recovery, then the merge
 // into the vantage's campaign. Ranges that exhaust their restart budget are
 // lost: in strict mode that fails the campaign; otherwise the surviving
 // ranges merge and the coverage record names what is missing.

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"math/rand"
 	"strconv"
-	"sync/atomic"
 	"time"
 
 	"quicspin/internal/analysis"
@@ -16,12 +15,13 @@ import (
 )
 
 // supervisor owns one vantage's scans of one week: it runs each range's
-// scan attempt, watches for crashes, panics and stalls, restarts failed
-// attempts from their checkpoint journals within a bounded budget, and
-// classifies every shard as ok, recovered or lost. Restarted attempts resume
-// from the range's journal (when the campaign checkpoints) or rescan from
-// scratch — either way the scan is deterministic, so a recovered range's
-// accumulator is byte-identical to an undisturbed one.
+// scan attempt, classifies a failed attempt from the error the scan returns
+// (an injected crash, a panic, a failing sink), restarts it from its
+// checkpoint journal within a bounded budget, and classifies every shard as
+// ok, recovered or lost. Restarted attempts resume from the range's journal
+// (when the campaign checkpoints) or rescan from scratch — either way the
+// scan is deterministic, so a recovered range's accumulator is
+// byte-identical to an undisturbed one.
 type supervisor struct {
 	*run
 	vs *vantageRun
@@ -73,35 +73,23 @@ func (s *supervisor) superviseShard(si int, r Range) (*analysis.CampaignAccumula
 	}
 }
 
-// attempt runs one scan attempt with its fault-detection apparatus: a stall
-// watchdog (when configured), the injected-crash hook (when there is a
-// fault plan) and panic containment.
+// attempt runs one scan attempt, with the injected-fault hook when there is
+// a fault plan, and classifies its failure from the error the scan returns.
 func (s *supervisor) attempt(si int, r Range, restart bool) (camp *analysis.CampaignAccumulator, err error) {
 	defer func() {
-		// Safety net for genuine panics escaping the scan path; injected
-		// panics are already contained at the delivery hook below.
+		// Safety net for panics outside RunStream's pipeline — the attempt's
+		// sink setup, or RunStream before its pipeline starts. RunStream
+		// itself returns a panicking sink (the fault hook, the Tee, the fold)
+		// as its error, once its workers have stopped.
 		if p := recover(); p != nil {
 			camp, err = nil, fmt.Errorf("worker panic: %v", p)
 		}
 	}()
-	done := make(chan struct{})
-	defer close(done)
-	interrupt := (<-chan struct{})(s.stop)
-	// unblock is what an injected stall blocks on: nil without a watchdog,
-	// and the hook then degrades the stall to a crash instead of hanging.
-	var stall chan struct{}
-	var unblock <-chan struct{}
-	if s.cfg.StallTimeout > 0 {
-		stall = make(chan struct{})
-		go stallWatch(&s.vs.delivered[si], s.cfg.StallTimeout, stall, done)
-		interrupt = mergeInterrupt(s.stop, stall, done)
-		unblock = interrupt
-	}
 	var hook func(int64) error
 	if s.cfg.Faults != nil {
-		hook = crashHook(s.cfg.Faults, strconv.Itoa(si), unblock)
+		hook = crashHook(s.cfg.Faults, strconv.Itoa(si))
 	}
-	camp, err = s.scanRange(si, r, restart, interrupt, hook)
+	camp, err = s.scanRange(si, r, restart, hook)
 	switch {
 	case err == nil:
 		return camp, nil
@@ -112,8 +100,6 @@ func (s *supervisor) attempt(si int, r Range, restart bool) (camp *analysis.Camp
 		return nil, scanner.ErrInterrupted
 	case !errors.Is(err, scanner.ErrInterrupted):
 		return nil, err
-	case chClosed(stall):
-		return nil, fmt.Errorf("stalled: no progress for %v", s.cfg.StallTimeout)
 	}
 	// The scan itself was told to stop (an injected scan.interrupt): the
 	// whole campaign stops with it.
@@ -126,11 +112,11 @@ func (s *supervisor) attempt(si int, r Range, restart bool) (camp *analysis.Camp
 // on campaigns that did not ask to resume (a restart must pick up the
 // crashed attempt's progress); hook, when non-nil, observes every delivery
 // with the shard's running count (the fault plan's crash injection point).
-func (s *supervisor) scanRange(si int, r Range, restart bool, interrupt <-chan struct{}, hook func(int64) error) (*analysis.CampaignAccumulator, error) {
+func (s *supervisor) scanRange(si int, r Range, restart bool, hook func(int64) error) (*analysis.CampaignAccumulator, error) {
 	sc := s.sc
 	sc.Shard = scanner.ShardRange{Start: r.Start, End: r.End}
 	sc.Vantage = s.vs.v
-	sc.Interrupt = interrupt
+	sc.Interrupt = s.stop
 	sc.Checkpoint = s.journalDir(s.vs, si, sc)
 	sc.Resume = sc.Checkpoint != "" && (s.cfg.Resume || restart)
 	if sc.Telemetry == nil {
@@ -195,30 +181,16 @@ func (s *supervisor) submit(si int, camp *analysis.CampaignAccumulator) error {
 	})
 }
 
-// crashHook injects the plan's faults for one shard. It runs inside the
-// delivery path (called with the shard's 1-based delivery count), so a
-// panic is recovered right here at the hook boundary — letting it unwind
-// through RunStream would strand the scan pipeline's workers — and
-// converted into the error RunStream aborts with.
-func crashHook(plan *fault.Plan, shard string, interrupt <-chan struct{}) func(int64) error {
-	return func(n int64) (err error) {
+// crashHook injects the plan's shard faults for one shard. It runs inside
+// the delivery path, called with the shard's 1-based delivery count: a crash
+// is the error RunStream aborts with, and a panic unwinds into RunStream,
+// which returns it as the sink's error.
+func crashHook(plan *fault.Plan, shard string) func(int64) error {
+	return func(n int64) error {
 		before := int(n) - 1 // deliveries before this one
-		defer func() {
-			if p := recover(); p != nil {
-				err = fmt.Errorf("injected fault: worker panic: %v", p)
-			}
-		}()
 		switch {
 		case plan.Hit(fault.Shard, fault.Panic, shard, before):
 			panic(fmt.Sprintf("injected panic after %d domains", before))
-		case plan.Hit(fault.Shard, fault.Stall, shard, before):
-			if interrupt == nil {
-				// No watchdog: blocking here would hang the campaign until an
-				// operator stopped it, so degrade to a crash.
-				return fmt.Errorf("injected fault: stall after %d domains with no stall watchdog", before)
-			}
-			<-interrupt
-			return fmt.Errorf("injected fault: stall after %d domains", before)
 		case plan.Hit(fault.Shard, fault.Crash, shard, before):
 			return fmt.Errorf("injected fault: crash after %d domains", before)
 		}
@@ -226,56 +198,8 @@ func crashHook(plan *fault.Plan, shard string, interrupt <-chan struct{}) func(i
 	}
 }
 
-// stallWatch closes stallCh when progress stops advancing for the full
-// timeout. It polls at timeout/4 granularity — coarse, cheap and immune
-// to delivery burstiness.
-func stallWatch(progress *atomic.Int64, timeout time.Duration, stallCh chan struct{}, done <-chan struct{}) {
-	tick := timeout / 4
-	if tick <= 0 {
-		tick = time.Millisecond
-	}
-	t := time.NewTicker(tick)
-	defer t.Stop()
-	last := progress.Load()
-	lastChange := time.Now()
-	for {
-		select {
-		case <-done:
-			return
-		case <-t.C:
-			if cur := progress.Load(); cur != last {
-				last, lastChange = cur, time.Now()
-				continue
-			}
-			if time.Since(lastChange) >= timeout {
-				close(stallCh)
-				return
-			}
-		}
-	}
-}
-
-// mergeInterrupt fans two interrupt channels into one; done bounds the
-// helper goroutine's life to the attempt.
-func mergeInterrupt(a, b <-chan struct{}, done <-chan struct{}) <-chan struct{} {
-	out := make(chan struct{})
-	go func() {
-		select {
-		case <-a:
-		case <-b:
-		case <-done:
-			return
-		}
-		close(out)
-	}()
-	return out
-}
-
-// chClosed reports whether ch is closed; nil channels read as open.
+// chClosed reports whether ch is closed.
 func chClosed(ch <-chan struct{}) bool {
-	if ch == nil {
-		return false
-	}
 	select {
 	case <-ch:
 		return true

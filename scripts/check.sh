@@ -191,15 +191,17 @@ if ! diff -u "$tmp/shard-reference.txt" "$tmp/shard-resumed.txt"; then
 fi
 
 # Shard chaos smoke: run a sharded UDP campaign with faults at three sites
-# from one -faults spec — a scripted worker crash recovered from the
-# checkpoint journal, datagram drop/duplication/corruption/delay on the
-# accumulator exchange, and storage faults under every shard journal — and
-# require the rendered tables to be byte-identical to the fault-free
-# sharded reference above. The supervisor must log the restart, proving
-# the injected crash actually fired. The seed changes from run to run
-# (neutrality must hold for every fault pattern) and is printed on failure.
+# from one -faults spec — a scripted worker crash and a scripted worker
+# panic, both recovered from the checkpoint journal, datagram
+# drop/duplication/corruption/delay on the accumulator exchange, and storage
+# faults under every shard journal — and require the rendered tables to be
+# byte-identical to the fault-free sharded reference above. The supervisor
+# must log both restarts, proving the injected crash fired and the scan
+# pipeline returned the injected panic as the failed attempt's error. The
+# seed changes from run to run (neutrality must hold for every fault
+# pattern) and is printed on failure.
 echo "== shard chaos smoke"
-chaos_plan="seed:$(date +%s),udp.drop:0.05,udp.dup:0.05,udp.corrupt:0.02,udp.delay:0.05,udp.max-delay:2ms,fs.short-write:0.05,fs.write-err:0.1,fs.sync-err:0.05,shard.crash:1@40"
+chaos_plan="seed:$(date +%s),udp.drop:0.05,udp.dup:0.05,udp.corrupt:0.02,udp.delay:0.05,udp.max-delay:2ms,fs.short-write:0.05,fs.write-err:0.1,fs.sync-err:0.05,shard.crash:1@40,shard.panic:2@25"
 "$tmp/spinscan" $shard_flags -shard-transport udp -checkpoint "$tmp/chaos-ckpt" -faults "$chaos_plan" \
     2>"$tmp/chaos.log" >"$tmp/chaos.txt"
 if ! diff -u "$tmp/shard-reference.txt" "$tmp/chaos.txt"; then
@@ -207,8 +209,13 @@ if ! diff -u "$tmp/shard-reference.txt" "$tmp/chaos.txt"; then
     cat "$tmp/chaos.log" >&2
     exit 1
 fi
-if ! grep -q "restarting from journal" "$tmp/chaos.log"; then
-    echo "chaos run never restarted a shard (injected crash did not fire; -faults $chaos_plan):" >&2
+if ! grep -q "shard 1 (vantage 0): .*injected fault: crash.*restarting from journal" "$tmp/chaos.log"; then
+    echo "chaos run never restarted shard 1 (injected crash did not fire; -faults $chaos_plan):" >&2
+    cat "$tmp/chaos.log" >&2
+    exit 1
+fi
+if ! grep -q "shard 2 (vantage 0): .*injected panic after 25 domains.*restarting from journal" "$tmp/chaos.log"; then
+    echo "chaos run never restarted shard 2 after its injected panic (-faults $chaos_plan):" >&2
     cat "$tmp/chaos.log" >&2
     exit 1
 fi
