@@ -80,35 +80,38 @@ func TestSupervisorRecoversCrash(t *testing.T) {
 	}
 }
 
-// TestSupervisorRecoversPanic covers the other failure mode: an injected
-// worker panic, which RunStream returns as its sink's error, twice in a
-// row, recovered to byte-identical output.
-func TestSupervisorRecoversPanic(t *testing.T) {
+// TestSupervisorRecoversPanicAndStall covers the other failure mode: an
+// injected worker panic, which RunStream returns as its sink's error, twice
+// in a row, recovered to byte-identical output. Its stall case went with
+// the stall watchdog; the panic case keeps its subtest name.
+func TestSupervisorRecoversPanicAndStall(t *testing.T) {
 	w := fixture(t)
 	golden, err := Run(w, Config{Shards: 2, Weeks: []int{1}, ForWeek: baseConfig(scanner.EngineFast, 2)})
 	if err != nil {
 		t.Fatal(err)
 	}
-	tm := telemetry.New()
-	res, err := Run(w, Config{
-		Shards: 2, Weeks: []int{1}, ForWeek: baseConfig(scanner.EngineFast, 2),
-		Checkpoint: t.TempDir(), Telemetry: tm,
-		MaxRestarts: 3, RestartBackoff: fastBackoff,
-		Faults: mustFaults(t, "shard.panic:0@30x2"),
+	t.Run("panic", func(t *testing.T) {
+		tm := telemetry.New()
+		res, err := Run(w, Config{
+			Shards: 2, Weeks: []int{1}, ForWeek: baseConfig(scanner.EngineFast, 2),
+			Checkpoint: t.TempDir(), Telemetry: tm,
+			MaxRestarts: 3, RestartBackoff: fastBackoff,
+			Faults: mustFaults(t, "shard.panic:0@30x2"),
+		})
+		if err != nil {
+			t.Fatalf("panic campaign failed: %v", err)
+		}
+		cov := res.Vantages[0].Coverage
+		if st := cov.Shards[0]; st.State != ShardRecovered || st.Restarts != 2 {
+			t.Errorf("shard 0 status = %+v, want recovery after 2 restarts", st)
+		}
+		if got, want := renderCampaign(res.Vantages[0].Campaign), renderCampaign(golden.Vantages[0].Campaign); got != want {
+			t.Error("panic-recovered campaign differs from the undisturbed reference")
+		}
+		if c := tm.Counter("shard_restarts_total").Value(); c != 2 {
+			t.Errorf("shard_restarts_total = %d, want 2", c)
+		}
 	})
-	if err != nil {
-		t.Fatalf("panic campaign failed: %v", err)
-	}
-	cov := res.Vantages[0].Coverage
-	if st := cov.Shards[0]; st.State != ShardRecovered || st.Restarts != 2 {
-		t.Errorf("shard 0 status = %+v, want recovery after 2 restarts", st)
-	}
-	if got, want := renderCampaign(res.Vantages[0].Campaign), renderCampaign(golden.Vantages[0].Campaign); got != want {
-		t.Error("panic-recovered campaign differs from the undisturbed reference")
-	}
-	if c := tm.Counter("shard_restarts_total").Value(); c != 2 {
-		t.Errorf("shard_restarts_total = %d, want 2", c)
-	}
 }
 
 // goroutinesBackTo polls until the goroutine count is at most base, for up
