@@ -69,7 +69,7 @@ func fixture(b *testing.B) (v4, v6 *analysis.Accumulator, long *analysis.Campaig
 			}
 		}
 		fmt.Printf("## campaign complete in %v (%d domains, %d servers)\n\n",
-			time.Since(start).Round(time.Millisecond), len(w.Domains), len(w.Servers()))
+			time.Since(start).Round(time.Millisecond), len(w.Domains), w.NumServers())
 	})
 	return benchV4, benchV6, benchLong
 }

@@ -290,7 +290,7 @@ func main() {
 		log.Printf("population: %d domains (lazily synthesised)", world.NumDomains())
 	} else {
 		world = websim.Generate(prof)
-		log.Printf("population: %d domains, %d servers", world.NumDomains(), len(world.Servers()))
+		log.Printf("population: %d domains, %d servers", world.NumDomains(), world.NumServers())
 	}
 
 	if *asdbOut != "" {

@@ -20,7 +20,7 @@ func main() {
 	fmt.Printf("generating a 1/%d-scale synthetic web...\n", prof.Scale)
 	world := websim.Generate(prof)
 	fmt.Printf("  %d domains, %d server IPs, %d organisations\n\n",
-		len(world.Domains), len(world.Servers()), len(world.Orgs))
+		len(world.Domains), world.NumServers(), len(world.Orgs))
 
 	// Every scanned domain streams straight into the week's accumulator;
 	// nothing per-domain is retained.

@@ -46,7 +46,7 @@ const (
 	kindCampaign byte = 'C'
 )
 
-// ipFlagQUIC/ipFlagSpin encode one ipState.
+// ipFlagQUIC/ipFlagSpin encode one IP's flags in one view.
 const (
 	ipFlagQUIC = 1
 	ipFlagSpin = 2
@@ -195,6 +195,7 @@ func encodeAccBody(e *codecEnc, a *Accumulator) {
 	e.count(a.Week)
 	e.flag(a.IPv6)
 	e.count(len(a.views))
+	ips, text := sortedIPs(a.ips)
 	for i, v := range a.views {
 		e.str(v.Label)
 		ov := &a.overview[i].row
@@ -202,7 +203,7 @@ func encodeAccBody(e *codecEnc, a *Accumulator) {
 		e.count(ov.ResolvedDomains)
 		e.count(ov.QUICDomains)
 		e.count(ov.SpinDomains)
-		encodeIPStates(e, a.overview[i].ips)
+		encodeIPStates(e, ips, text, i)
 		cf := &a.config[i].row
 		e.count(cf.QUICDomains)
 		e.count(cf.AllZero)
@@ -246,7 +247,7 @@ func decodeAccBody(d *codecDec, res *asdb.Resolver) (*Accumulator, error) {
 		if err := decodeCounts(d, &ov.TotalDomains, &ov.ResolvedDomains, &ov.QUICDomains, &ov.SpinDomains); err != nil {
 			return nil, err
 		}
-		if err := decodeIPStates(d, a.overview[i].ips); err != nil {
+		if err := decodeIPStates(d, a.ips, i); err != nil {
 			return nil, err
 		}
 		cf := &a.config[i].row
@@ -280,40 +281,61 @@ func decodeCounts(d *codecDec, dst ...*int) error {
 	return nil
 }
 
-// encodeIPStates writes the per-IP set keyed by each address's text, in
-// string order. Every text is appended to one buffer and the entries are
-// sorted by their spans of it, so encoding costs no allocation per address.
-func encodeIPStates(e *codecEnc, ips map[netip.Addr]ipState) {
-	type entry struct {
-		lo, hi int
-		st     ipState
-	}
+// ipText is one IP table entry with its address's text, a span of a shared
+// buffer.
+type ipText struct {
+	lo, hi int
+	b      ipBits
+}
+
+// sortedIPs returns the table's entries in the order of their addresses'
+// text, which the codec writes, and the buffer holding the texts. Every
+// text is appended to one buffer and the entries are sorted by their spans
+// of it, so this costs no allocation per address.
+func sortedIPs(ips ipTable) ([]ipText, []byte) {
 	var text []byte
-	ents := make([]entry, 0, len(ips))
-	for ip, st := range ips {
+	ents := make([]ipText, 0, ips.len())
+	ips.each(func(ip netip.Addr, b ipBits) {
 		lo := len(text)
 		text = ip.AppendTo(text)
-		ents = append(ents, entry{lo, len(text), st})
-	}
+		ents = append(ents, ipText{lo, len(text), b})
+	})
 	sort.Slice(ents, func(i, j int) bool {
 		return bytes.Compare(text[ents[i].lo:ents[i].hi], text[ents[j].lo:ents[j].hi]) < 0
 	})
-	e.count(len(ents))
-	for _, en := range ents {
+	return ents, text
+}
+
+// encodeIPStates writes view v's per-IP set keyed by each address's text,
+// in string order, from the table's sorted entries.
+func encodeIPStates(e *codecEnc, ips []ipText, text []byte, v int) {
+	n := 0
+	for _, en := range ips {
+		if seen, _, _ := en.b.view(v); seen {
+			n++
+		}
+	}
+	e.count(n)
+	for _, en := range ips {
+		seen, quic, spin := en.b.view(v)
+		if !seen {
+			continue
+		}
 		e.uint(uint64(en.hi - en.lo))
 		e.b = append(e.b, text[en.lo:en.hi]...)
 		var f byte
-		if en.st.quic {
+		if quic {
 			f |= ipFlagQUIC
 		}
-		if en.st.spin {
+		if spin {
 			f |= ipFlagSpin
 		}
 		e.b = append(e.b, f)
 	}
 }
 
-func decodeIPStates(d *codecDec, ips map[netip.Addr]ipState) error {
+// decodeIPStates reads view v's per-IP set into the table.
+func decodeIPStates(d *codecDec, ips ipTable, v int) error {
 	n, err := d.length(3) // key length + ≥1 key byte + flags
 	if err != nil {
 		return err
@@ -345,7 +367,7 @@ func decodeIPStates(d *codecDec, ips map[netip.Addr]ipState) error {
 		if f > ipFlagQUIC|ipFlagSpin {
 			return decErr("bad IP flags %d", f)
 		}
-		ips[ip] = ipState{quic: f&ipFlagQUIC != 0, spin: f&ipFlagSpin != 0}
+		ips.or(ip, ipFlags(1<<v, f&ipFlagQUIC != 0, f&ipFlagSpin != 0))
 	}
 	return nil
 }

@@ -17,7 +17,7 @@ import (
 func nonCanonicalBlobs(res *asdb.Resolver) map[string][]byte {
 	ipBlob := func(text string) []byte {
 		a := NewAccumulator(1, false, res)
-		a.overview[0].ips[netip.MustParseAddr("1.2.3.4")] = ipState{quic: true}
+		a.ips.or(netip.MustParseAddr("1.2.3.4"), ipFlags(1, true, false)) // a QUIC IP of view 0
 		canon := append([]byte{byte(len("1.2.3.4"))}, "1.2.3.4"...)
 		return bytes.Replace(a.Marshal(), canon, append([]byte{byte(len(text))}, text...), 1)
 	}
@@ -47,7 +47,7 @@ func TestDecodeRejectsNonCanonical(t *testing.T) {
 	}
 	// The IP blobs differ from a canonical one only in the key's text.
 	a := NewAccumulator(1, false, nil)
-	a.overview[0].ips[netip.MustParseAddr("1.2.3.4")] = ipState{quic: true}
+	a.ips.or(netip.MustParseAddr("1.2.3.4"), ipFlags(1, true, false)) // a QUIC IP of view 0
 	if _, err := UnmarshalAccumulator(a.Marshal(), nil); err != nil {
 		t.Fatalf("canonical blob rejected: %v", err)
 	}

@@ -1,6 +1,7 @@
 package analysis
 
 import (
+	"encoding/binary"
 	"net/netip"
 	"sort"
 	"time"
@@ -16,28 +17,100 @@ import (
 // aggregation logic; the Accumulator merely drives every fold over each
 // delivered domain.
 
-// ipState tracks whether an IP ever carried a QUIC or spinning connection.
-type ipState struct{ quic, spin bool }
+// ipBits is one connection IP's state in every overview view (at most
+// eight): for view v, bit v says the view saw the IP, bit ipQUICShift+v
+// that it carried a QUIC connection there, and bit ipSpinShift+v a spinning
+// one.
+type ipBits uint32
 
-// overviewFold accumulates one Table 1/4 row.
-type overviewFold struct {
-	v   View
-	row OverviewRow
-	ips map[netip.Addr]ipState
+const (
+	ipQUICShift = 8
+	ipSpinShift = 16
+)
+
+// view returns the IP's flags in view v.
+func (b ipBits) view(v int) (seen, quic, spin bool) {
+	return b>>v&1 != 0, b>>(ipQUICShift+v)&1 != 0, b>>(ipSpinShift+v)&1 != 0
 }
 
-func newOverviewFold(v View) *overviewFold {
-	return &overviewFold{v: v, row: OverviewRow{Label: v.Label}, ips: map[netip.Addr]ipState{}}
+// ipFlags returns the flags of a connection seen in every view of mask.
+func ipFlags(mask ipBits, quic, spin bool) ipBits {
+	b := mask
+	if quic {
+		b |= mask << ipQUICShift
+	}
+	if spin {
+		b |= mask << ipSpinShift
+	}
+	return b
 }
 
-func (f *overviewFold) add(da *DomainAnalysis) {
-	d := da.Src
-	if !f.v.Match(d) {
+// ipTable is an accumulator's per-IP state, the ipBits of every
+// connection IP of the overview views. An IPv4 address (after unmapping),
+// every address of an IPv4 scan, keys its map by its 32 bits, which hash
+// and compare faster than a netip.Addr; any other address keys a map by
+// itself.
+type ipTable struct {
+	v4    map[uint32]ipBits
+	other map[netip.Addr]ipBits
+}
+
+func newIPTable() ipTable {
+	return ipTable{v4: map[uint32]ipBits{}, other: map[netip.Addr]ipBits{}}
+}
+
+// or adds the flags b to ip's. An IPv4-mapped address is its IPv4 address:
+// one host, one key, one canonical text in the codec.
+func (t ipTable) or(ip netip.Addr, b ipBits) {
+	ip = ip.Unmap()
+	if ip.Is4() {
+		a := ip.As4()
+		t.v4[binary.BigEndian.Uint32(a[:])] |= b
 		return
 	}
+	t.other[ip] |= b
+}
+
+// each calls f with every IP of the table and its flags, in no order.
+func (t ipTable) each(f func(ip netip.Addr, b ipBits)) {
+	for k, b := range t.v4 {
+		var a [4]byte
+		binary.BigEndian.PutUint32(a[:], k)
+		f(netip.AddrFrom4(a), b)
+	}
+	for ip, b := range t.other {
+		f(ip, b)
+	}
+}
+
+// len returns the number of IPs in the table.
+func (t ipTable) len() int { return len(t.v4) + len(t.other) }
+
+// merge adds o's flags to t's.
+func (t ipTable) merge(o ipTable) {
+	for k, b := range o.v4 {
+		t.v4[k] |= b
+	}
+	for ip, b := range o.other {
+		t.other[ip] |= b
+	}
+}
+
+// overviewFold accumulates the per-domain counters of one Table 1/4 row;
+// the per-IP ones come from the accumulator's one ipTable (addIPs).
+type overviewFold struct{ row OverviewRow }
+
+func newOverviewFold(v View) *overviewFold {
+	return &overviewFold{row: OverviewRow{Label: v.Label}}
+}
+
+// add counts a domain of the row's view and reports whether its connection
+// IPs belong to the view: whether it resolved.
+func (f *overviewFold) add(da *DomainAnalysis) bool {
+	d := da.Src
 	f.row.TotalDomains++
 	if !d.Resolved {
-		return
+		return false
 	}
 	f.row.ResolvedDomains++
 	if d.QUIC() {
@@ -46,49 +119,30 @@ func (f *overviewFold) add(da *DomainAnalysis) {
 	if da.Class == ClassSpin {
 		f.row.SpinDomains++
 	}
-	for j := range d.Conns {
-		c := &d.Conns[j]
-		if !c.IP.IsValid() {
-			continue
-		}
-		// An IPv4-mapped address is its IPv4 address: one host, one key,
-		// one canonical text in the codec.
-		ip := c.IP.Unmap()
-		st := f.ips[ip]
-		st.quic = st.quic || c.QUIC
-		st.spin = st.spin || da.Conns[j].Class == ClassSpin
-		f.ips[ip] = st
-	}
+	return true
 }
 
-// finish derives the per-IP counts; it does not mutate the fold and may be
-// called repeatedly.
-func (f *overviewFold) finish() OverviewRow {
-	row := f.row
-	for _, st := range f.ips {
-		row.TotalIPs++
-		if st.quic {
-			row.QUICIPs++
-		}
-		if st.spin {
-			row.SpinIPs++
+// addIPs writes each connection IP of the domain into the table once, in
+// every view of mask.
+func addIPs(ips ipTable, da *DomainAnalysis, mask ipBits) {
+	conns := da.Src.Conns
+	for j := range conns {
+		if c := &conns[j]; c.IP.IsValid() {
+			ips.or(c.IP, ipFlags(mask, c.QUIC, da.Conns[j].Class == ClassSpin))
 		}
 	}
-	return row
 }
 
 // configFold accumulates one Table 3 row.
-type configFold struct {
-	v   View
-	row ConfigRow
-}
+type configFold struct{ row ConfigRow }
 
 func newConfigFold(v View) *configFold {
-	return &configFold{v: v, row: ConfigRow{Label: v.Label}}
+	return &configFold{row: ConfigRow{Label: v.Label}}
 }
 
+// add counts a domain of the row's view.
 func (f *configFold) add(da *DomainAnalysis) {
-	if !f.v.Match(da.Src) || !da.Src.QUIC() {
+	if !da.Src.QUIC() {
 		return
 	}
 	f.row.QUICDomains++

@@ -6,7 +6,7 @@ import (
 )
 
 // Merge semantics: every fold object is a keyed sum (counters, count maps)
-// or a keyed monotone flag (ipState, longTrack.everSpun), so merging is
+// or a keyed monotone flag (ipBits, longTrack.everSpun), so merging is
 // associative AND commutative, with the freshly-constructed fold as the
 // identity. The distributed coordinator (internal/shard) relies on exactly
 // these laws: shard accumulators can be merged in any grouping and any
@@ -55,6 +55,7 @@ func (a *Accumulator) Merge(o *Accumulator) error {
 		a.overview[i].merge(o.overview[i])
 		a.config[i].merge(o.config[i])
 	}
+	a.ips.merge(o.ips)
 	a.orgs.merge(o.orgs)
 	a.software.merge(o.software)
 	a.errs.merge(o.errs)
@@ -64,17 +65,11 @@ func (a *Accumulator) Merge(o *Accumulator) error {
 
 func (f *overviewFold) merge(o *overviewFold) {
 	// Only the add-path counters merge; the per-IP counts are derived from
-	// the ips map by finish().
+	// the accumulator's IP table by OverviewRows.
 	f.row.TotalDomains += o.row.TotalDomains
 	f.row.ResolvedDomains += o.row.ResolvedDomains
 	f.row.QUICDomains += o.row.QUICDomains
 	f.row.SpinDomains += o.row.SpinDomains
-	for ip, st := range o.ips {
-		dst := f.ips[ip]
-		dst.quic = dst.quic || st.quic
-		dst.spin = dst.spin || st.spin
-		f.ips[ip] = dst
-	}
 }
 
 func (f *configFold) merge(o *configFold) {

@@ -1,6 +1,7 @@
 package analysis
 
 import (
+	"net/netip"
 	"time"
 
 	"quicspin/internal/asdb"
@@ -22,6 +23,7 @@ type Accumulator struct {
 
 	views    []View
 	overview []*overviewFold
+	ips      ipTable
 	config   []*configFold
 	orgs     *orgFold
 	software *softwareFold
@@ -44,6 +46,7 @@ func NewAccumulator(week int, ipv6 bool, res *asdb.Resolver) *Accumulator {
 		Week:     week,
 		IPv6:     ipv6,
 		views:    StandardViews(),
+		ips:      newIPTable(),
 		errs:     newErrorClassFold(),
 		acc:      newAccuracyFold(),
 		software: newSoftwareFold(StandardViews()[1]),
@@ -70,9 +73,18 @@ func (a *Accumulator) Add(d *scanner.DomainResult) Class {
 	}
 	a.scratch, a.rtts = conns, rtts
 	da := DomainAnalysis{Src: d, Conns: conns, Class: DomainClass(conns)}
-	for i := range a.overview {
-		a.overview[i].add(&da)
+	var mask ipBits
+	for i, v := range a.views {
+		if !v.Match(d) {
+			continue
+		}
+		if a.overview[i].add(&da) {
+			mask |= 1 << i
+		}
 		a.config[i].add(&da)
+	}
+	if mask != 0 {
+		addIPs(a.ips, &da, mask)
 	}
 	a.orgs.add(&da)
 	a.software.add(&da)
@@ -132,10 +144,25 @@ func (a *Accumulator) RenderErrorClasses() *report.Table {
 // consumers that need the counts rather than the rendered table (the
 // cross-vantage agreement table in internal/shard).
 func (a *Accumulator) OverviewRows() []OverviewRow {
-	rows := make([]OverviewRow, 0, len(a.overview))
-	for _, f := range a.overview {
-		rows = append(rows, f.finish())
+	rows := make([]OverviewRow, len(a.overview))
+	for i, f := range a.overview {
+		rows[i] = f.row
 	}
+	a.ips.each(func(_ netip.Addr, b ipBits) {
+		for i := range rows {
+			seen, quic, spin := b.view(i)
+			if !seen {
+				continue
+			}
+			rows[i].TotalIPs++
+			if quic {
+				rows[i].QUICIPs++
+			}
+			if spin {
+				rows[i].SpinIPs++
+			}
+		}
+	})
 	return rows
 }
 

@@ -54,17 +54,9 @@ type Record struct {
 // Backend supplies ground-truth zone data.
 type Backend interface {
 	// Zone returns the record for a fully-qualified name (no trailing
-	// dot), and whether the name exists.
+	// dot), and whether the name exists. The record's slices may alias
+	// the backend's storage, so a caller must not write to them.
 	Zone(name string) (Record, bool)
-}
-
-// MapBackend is a Backend over a plain map.
-type MapBackend map[string]Record
-
-// Zone implements Backend.
-func (m MapBackend) Zone(name string) (Record, bool) {
-	r, ok := m[name]
-	return r, ok
 }
 
 // Resolver resolves names against a Backend with injected failures. It is

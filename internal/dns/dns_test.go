@@ -10,8 +10,16 @@ import (
 	"quicspin/internal/telemetry"
 )
 
-func backend() MapBackend {
-	return MapBackend{
+// mapBackend is a Backend over a plain map.
+type mapBackend map[string]Record
+
+func (m mapBackend) Zone(name string) (Record, bool) {
+	r, ok := m[name]
+	return r, ok
+}
+
+func backend() mapBackend {
+	return mapBackend{
 		"www.example.com": {
 			A:    []netip.Addr{netip.MustParseAddr("192.0.2.1")},
 			AAAA: []netip.Addr{netip.MustParseAddr("2001:db8::1")},

@@ -92,7 +92,7 @@ func newEmulatedEngine(w *websim.World, cfg Config, tm *scanTelemetry, rec *trac
 	}
 	e.cf = newClosedForm(w, cfg, tm, rec, &e.dice, loop.Now)
 	e.net = netem.New(loop, netem.PathConfig{Delay: 10 * time.Millisecond}, e.netem.Rand)
-	e.resolver = dns.NewResolver(w.DNSBackend(), e.dice.dns.Rand)
+	e.resolver = dns.NewResolver(cfg.dnsBackend(w), e.dice.dns.Rand)
 	e.serverDelay = func() time.Duration { return e.world.Turnaround(e.serverTurnaround.Rand) }
 	e.net.SetTelemetry(cfg.Telemetry)
 	e.resolver.EnableCache()

@@ -34,7 +34,7 @@ func newFastEngine(w *websim.World, cfg Config, tm *scanTelemetry, rec *trace.Re
 	}
 	e.clock = func() time.Time { return e.now }
 	e.cf = newClosedForm(w, cfg, tm, rec, &e.dice, e.clock)
-	e.resolver = dns.NewResolver(w.DNSBackend(), e.dice.dns.Rand)
+	e.resolver = dns.NewResolver(cfg.dnsBackend(w), e.dice.dns.Rand)
 	e.resolver.EnableCache()
 	e.resolver.SetTelemetry(cfg.Telemetry)
 	e.resolver.SetFaults(cfg.Faults)

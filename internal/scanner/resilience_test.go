@@ -189,10 +189,7 @@ func TestMultiAddressFallback(t *testing.T) {
 		// Prepend a dead address to the victim's A records: resolveRetry
 		// returns all addresses and connection retries rotate through them
 		// (zgrab2-style fallback), so the scan must recover via addrs[1].
-		mb := w.DNSBackend().(dns.MapBackend)
-		rec := mb[dns.Normalize(victim.Host())]
-		rec.A = append([]netip.Addr{dead}, rec.A...)
-		mb[dns.Normalize(victim.Host())] = rec
+		base.zone = deadFirstZone{w.DNSBackend(), dns.Normalize(victim.Host()), dead}
 
 		noRetry := base
 		r := mustRun(t, w, noRetry)
@@ -210,6 +207,22 @@ func TestMultiAddressFallback(t *testing.T) {
 			t.Fatalf("engine %v: fallback did not rotate to the live address: %+v", eng, last)
 		}
 	}
+}
+
+// deadFirstZone answers like its inner zone, with dead before the A records
+// of host.
+type deadFirstZone struct {
+	inner dns.Backend
+	host  string
+	dead  netip.Addr
+}
+
+func (z deadFirstZone) Zone(name string) (dns.Record, bool) {
+	rec, ok := z.inner.Zone(name)
+	if ok && name == z.host {
+		rec.A = append([]netip.Addr{z.dead}, rec.A...)
+	}
+	return rec, ok
 }
 
 // TestRetryWorkerInvariance: with injected DNS and connection failures and

@@ -143,6 +143,17 @@ type Config struct {
 	// packet path, the ones the closed form settles too; in-package tests
 	// only (the reference of the closed form's equivalence test).
 	emulateAll bool
+	// zone, when non-nil, answers the engines' DNS instead of the world's
+	// backend; in-package tests only.
+	zone dns.Backend
+}
+
+// dnsBackend is the zone the engines resolve against.
+func (c Config) dnsBackend(w *websim.World) dns.Backend {
+	if c.zone != nil {
+		return c.zone
+	}
+	return w.DNSBackend()
 }
 
 // Validate reports descriptive errors for config values that zero-default

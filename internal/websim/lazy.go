@@ -1,6 +1,7 @@
 package websim
 
 import (
+	"encoding/binary"
 	"math/rand"
 	"net/netip"
 	"strconv"
@@ -112,7 +113,7 @@ func (w *World) synthDomain(d *Domain, i int, r *dice.Rand) *rand.Rand {
 	if rng.Float64() < v6Share {
 		if d.Org.V6PerDomain {
 			// Host 0 is never used, so i+1 keeps addresses unique and
-			// reversible (lazyServerAt decodes the index back out).
+			// reversible (ServerAt decodes the index back out).
 			d.V6 = v6At(d.Org.V6Prefix, uint64(i)+1)
 		} else if len(d.Org.v6Pool) > 0 {
 			d.V6 = d.Org.pick(rng, d.Org.v6Spin, d.Org.v6Rest, top)
@@ -151,21 +152,32 @@ func (d *Domain) redirect(t *Domain) {
 }
 
 // mode returns the spin deployment the org's quota assigned to a pooled
-// address (ModeZero when none).
+// address (ModeZero when none), by its pool host.
 func (o *Org) mode(addr netip.Addr) core.Mode {
-	if m, ok := o.modes[addr]; ok {
-		return m
+	modes := o.v6Modes
+	var host uint64
+	if addr.Is4() {
+		modes = o.v4Modes
+		a := addr.As4()
+		host = uint64(binary.BigEndian.Uint32(a[:]) & v4BlockHosts)
+	} else {
+		b := addr.As16()
+		host = binary.BigEndian.Uint64(b[8:])
 	}
-	return core.ModeZero
+	if host == 0 || host > uint64(len(modes)) {
+		return core.ModeZero
+	}
+	return modes[host-1]
 }
 
-// synthServer synthesises the pooled server of org o at addr from r
-// reseeded to the address's key: base RTT, then deployment churn.
-func (w *World) synthServer(r *dice.Rand, o *Org, addr netip.Addr) *Server {
+// synthServer fills s with the pooled server of org o at addr, drawn from
+// r reseeded to the address's key: base RTT, then deployment churn. It
+// returns s.
+func (w *World) synthServer(s *Server, r *dice.Rand, o *Org, addr netip.Addr) *Server {
 	var buf [64]byte
 	key := fnv64(addr.AppendTo(buf[:0])) // the bytes of addr.String()
 	rng := r.Reseed(dice.Key{Seed: w.Profile.Seed ^ int64(key) ^ serverSalt, Purpose: dice.World})
-	s := &Server{
+	*s = Server{
 		Addr:          addr,
 		Org:           o,
 		QUIC:          o.QUICHosting,
@@ -195,14 +207,6 @@ func (w *World) synthServer(r *dice.Rand, o *Org, addr netip.Addr) *Server {
 		s.Hostile = hostile.Assign(w.Profile.Seed, addr.String(), w.Profile.HostileFrac)
 	}
 	return s
-}
-
-// at returns a copy of s answering at addr: a per-domain v6 address fronts
-// the same stack as its domain's v4 server.
-func (s *Server) at(addr netip.Addr) *Server {
-	cp := *s
-	cp.Addr = addr
-	return &cp
 }
 
 // hostIndex decodes a www-form host name to the population index its label
@@ -258,80 +262,28 @@ func (w *World) lazyDomainAt(i int) *Domain {
 	return d
 }
 
-// lazyZone serves the on-demand world's zone.
-type lazyZone struct{ w *World }
+// zone serves a world's DNS. It decodes the population index from the
+// queried name and answers from that domain: the stored one on a
+// materialised world, a synthesised one on demand. Only resolving domains
+// have records.
+type zone struct{ w *World }
 
-// Zone implements dns.Backend: only resolving domains have records. The
-// redirect does not reach the zone, so its draws are skipped.
-func (z lazyZone) Zone(name string) (dns.Record, bool) {
+// Zone implements dns.Backend. The redirect does not reach the zone, so
+// the on-demand world skips its draws.
+func (z zone) Zone(name string) (dns.Record, bool) {
 	i, ok := z.w.hostIndex(name)
 	if !ok {
 		return dns.Record{}, false
 	}
-	var d Domain
-	z.w.synthDomain(&d, i, dice.New())
+	var d *Domain
+	if z.w.lazy() {
+		d = new(Domain)
+		z.w.synthDomain(d, i, dice.New())
+	} else {
+		d = z.w.Domains[i]
+	}
 	if d.host != name || !d.Resolves {
 		return dns.Record{}, false
 	}
 	return d.record(), true
-}
-
-// lazyServerAt synthesises the server deployed at addr, or nil for
-// blackhole/unallocated space. Pooled addresses draw their deployment from
-// an address-keyed stream; a per-domain v6 address fronts the same stack
-// as the owning domain's v4 server.
-func (w *World) lazyServerAt(addr netip.Addr) *Server {
-	for _, o := range w.Orgs {
-		switch {
-		case o.V4Prefix.Contains(addr):
-			if host, ok := v4HostIndex(o.V4Prefix, addr); ok && host >= 1 && int(host) <= len(o.v4Pool) {
-				return w.synthServer(dice.New(), o, addr)
-			}
-			return nil
-		case o.V6Prefix.Contains(addr):
-			host := v6HostIndex(addr)
-			if o.V6PerDomain {
-				if host < 1 || host > uint64(w.NumDomains()) {
-					return nil
-				}
-				r := dice.New()
-				var d Domain
-				w.synthDomain(&d, int(host-1), r)
-				if d.V6 != addr {
-					return nil
-				}
-				return w.synthServer(r, o, d.V4).at(addr)
-			}
-			if host >= 1 && int(host) <= len(o.v6Pool) {
-				return w.synthServer(dice.New(), o, addr)
-			}
-			return nil
-		}
-	}
-	return nil
-}
-
-// v4HostIndex recovers the pool index encoded by v4At.
-func v4HostIndex(p netip.Prefix, addr netip.Addr) (uint32, bool) {
-	if !addr.Is4() {
-		return 0, false
-	}
-	b := p.Addr().As4()
-	base := uint32(b[0])<<24 | uint32(b[1])<<16 | uint32(b[2])<<8 | uint32(b[3])
-	a := addr.As4()
-	v := uint32(a[0])<<24 | uint32(a[1])<<16 | uint32(a[2])<<8 | uint32(a[3])
-	if v < base {
-		return 0, false
-	}
-	return v - base, true
-}
-
-// v6HostIndex recovers the host counter encoded by v6At (low 8 bytes).
-func v6HostIndex(addr netip.Addr) uint64 {
-	b := addr.As16()
-	var v uint64
-	for i := 0; i < 8; i++ {
-		v |= uint64(b[15-i]) << (8 * i)
-	}
-	return v
 }

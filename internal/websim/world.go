@@ -1,10 +1,12 @@
 package websim
 
 import (
+	"encoding/binary"
 	"math"
 	"math/rand"
 	"net/netip"
 	"time"
+	"unsafe"
 
 	"quicspin/internal/asdb"
 	"quicspin/internal/core"
@@ -23,10 +25,11 @@ type Org struct {
 	V6Prefix    netip.Prefix
 	v4Pool      []netip.Addr
 	v6Pool      []netip.Addr
-	// modes pre-assigns the spin deployment of each pool address by
-	// quota, so small scaled-down pools still hit the org's configured
-	// SpinIPShare exactly instead of suffering Bernoulli noise.
-	modes map[netip.Addr]core.Mode
+	// v4Modes and v6Modes pre-assign the spin deployment of each pool
+	// address, by pool host minus one, by quota, so small scaled-down pools
+	// still hit the org's configured SpinIPShare exactly instead of
+	// suffering Bernoulli noise.
+	v4Modes, v6Modes []core.Mode
 	// spin/rest split each pool for density-weighted domain placement.
 	v4Spin, v4Rest []netip.Addr
 	v6Spin, v6Rest []netip.Addr
@@ -57,11 +60,9 @@ func (o *Org) pick(rng *rand.Rand, spin, rest []netip.Addr, top bool) netip.Addr
 
 // splitPools partitions the pools by assigned mode for weighted placement.
 func (o *Org) splitPools() {
-	split := func(pool []netip.Addr) (spin, rest []netip.Addr) {
-		for _, a := range pool {
-			// Note: ModeSpin is the zero Mode, so presence in the map
-			// must be checked explicitly.
-			if m, ok := o.modes[a]; ok && m == core.ModeSpin {
+	split := func(pool []netip.Addr, modes []core.Mode) (spin, rest []netip.Addr) {
+		for i, a := range pool {
+			if i < len(modes) && modes[i] == core.ModeSpin {
 				spin = append(spin, a)
 			} else {
 				rest = append(rest, a)
@@ -69,20 +70,22 @@ func (o *Org) splitPools() {
 		}
 		return
 	}
-	o.v4Spin, o.v4Rest = split(o.v4Pool)
-	o.v6Spin, o.v6Rest = split(o.v6Pool)
+	o.v4Spin, o.v4Rest = split(o.v4Pool, o.v4Modes)
+	o.v6Spin, o.v6Rest = split(o.v6Pool, o.v6Modes)
 }
 
 // assignModes deals out spin deployments over a pool: an exact quota of
 // spin-enabled stacks, plus the (rare) all-one and per-packet-grease
-// configurations, at randomly permuted positions.
-func (o *Org) assignModes(rng *rand.Rand, pool []netip.Addr) {
-	if o.modes == nil {
-		o.modes = map[netip.Addr]core.Mode{}
-	}
+// configurations, at randomly permuted positions. It returns the pool's
+// modes, ModeZero where none was dealt.
+func (o *Org) assignModes(rng *rand.Rand, pool []netip.Addr) []core.Mode {
 	n := len(pool)
+	modes := make([]core.Mode, n)
+	for i := range modes {
+		modes[i] = core.ModeZero
+	}
 	if n == 0 {
-		return
+		return modes
 	}
 	// Probabilistic rounding keeps the expected share unbiased even for
 	// pools scaled down to one or two addresses.
@@ -99,13 +102,14 @@ func (o *Org) assignModes(rng *rand.Rand, pool []netip.Addr) {
 	idx := 0
 	take := func(k int, m core.Mode) {
 		for i := 0; i < k && idx < n; i++ {
-			o.modes[pool[perm[idx]]] = m
+			modes[perm[idx]] = m
 			idx++
 		}
 	}
 	take(nSpin, core.ModeSpin)
 	take(nOne, core.ModeOne)
 	take(nGrease, core.ModeGreasePerPacket)
+	return modes
 }
 
 // Server is one addressable webserver (one IP).
@@ -226,11 +230,13 @@ func (d *Domain) Host() string { return d.host }
 // quic reports whether d resolves to a QUIC-hosting org.
 func (d *Domain) quic() bool { return d.Resolves && d.Org.QUICHosting }
 
-// record is d's zone record: an A and, when present, an AAAA address.
+// record is d's zone record: an A and, when present, an AAAA address. The
+// record's slices alias d's address fields, so answering a query copies
+// nothing; dns.Resolver copies them out and never writes to them.
 func (d *Domain) record() dns.Record {
-	rec := dns.Record{A: []netip.Addr{d.V4}}
+	rec := dns.Record{A: unsafe.Slice(&d.V4, 1)}
 	if d.V6.IsValid() {
-		rec.AAAA = []netip.Addr{d.V6}
+		rec.AAAA = unsafe.Slice(&d.V6, 1)
 	}
 	return rec
 }
@@ -242,13 +248,22 @@ func (d *Domain) record() dns.Record {
 // materialises it; GenerateLazy synthesises each domain and server on
 // demand, so Domains stays nil (use NumDomains and DomainAt). Both storages
 // of one profile hold the same population and render the same tables;
-// they differ in memory and speed only.
+// they differ in memory and speed only. Neither looks a name or an address
+// up in a map: a host name encodes its population index and an address its
+// org and pool host (hostIndex, orgHost), so every lookup decodes them.
 type World struct {
-	Profile    Profile
-	Orgs       []*Org
-	Domains    []*Domain
-	zone       dns.MapBackend
-	servers    map[netip.Addr]*Server
+	Profile Profile
+	Orgs    []*Org
+	Domains []*Domain
+	// pools, on a materialised world, holds the server at each pooled
+	// address a domain resolves to: pools[k] those of Orgs[k], indexed by
+	// pool host minus one. A slot whose Org is nil holds no server.
+	pools []orgServers
+	// v6Servers holds the per-domain v6 servers, and v6Slot, by population
+	// index, one more than the index of that domain's server in v6Servers
+	// (0 for a domain without one).
+	v6Servers  []Server
+	v6Slot     []int32
 	asResolver *asdb.Resolver
 	prefixes   map[netip.Prefix]uint32
 	// Population indices below topN are toplist domains, the zoneN after
@@ -256,17 +271,23 @@ type World struct {
 	topN, zoneN int
 }
 
+// orgServers is one org's materialised pool servers, by pool host minus one.
+type orgServers struct{ v4, v6 []Server }
+
 // Generate builds a world from the profile and materialises its
-// population: every domain, its zone record and the server at every
-// address a domain resolves to, each equal to what GenerateLazy(p)
-// synthesises on demand. Equal profiles yield identical worlds.
+// population: every domain and the server at every address a domain
+// resolves to, each equal to what GenerateLazy(p) synthesises on demand.
+// Equal profiles yield identical worlds.
 func Generate(p Profile) *World {
 	w := newWorld(p)
 	n := w.NumDomains()
 	slab := make([]Domain, n)
 	w.Domains = make([]*Domain, n)
-	w.zone = make(dns.MapBackend, n)
-	w.servers = map[netip.Addr]*Server{}
+	w.pools = make([]orgServers, len(w.Orgs))
+	for k, o := range w.Orgs {
+		w.pools[k] = orgServers{v4: make([]Server, len(o.v4Pool)), v6: make([]Server, len(o.v6Pool))}
+	}
+	w.v6Slot = make([]int32, n)
 	// A cross-host target may lie ahead in the population; resolve the
 	// drawn redirects once every domain exists.
 	type redirect struct {
@@ -287,18 +308,22 @@ func Generate(p Profile) *World {
 				redirects = append(redirects, redirect{d, j})
 			}
 		}
-		w.zone[d.host] = d.record()
-		v4 := w.servers[d.V4]
-		if v4 == nil {
-			v4 = w.synthServer(r, d.Org, d.V4)
-			w.servers[d.V4] = v4
+		v4 := w.poolSlot(d.V4)
+		if v4.Org == nil {
+			w.synthServer(v4, r, d.Org, d.V4)
 		}
 		switch {
-		case !d.V6.IsValid() || w.servers[d.V6] != nil:
+		case !d.V6.IsValid():
 		case d.Org.V6PerDomain:
-			w.servers[d.V6] = v4.at(d.V6)
+			// A per-domain v6 address fronts the same stack as its v4 one.
+			s := *v4
+			s.Addr = d.V6
+			w.v6Servers = append(w.v6Servers, s)
+			w.v6Slot[i] = int32(len(w.v6Servers))
 		default:
-			w.servers[d.V6] = w.synthServer(r, d.Org, d.V6)
+			if v6 := w.poolSlot(d.V6); v6.Org == nil {
+				w.synthServer(v6, r, d.Org, d.V6)
+			}
 		}
 	}
 	for _, rd := range redirects {
@@ -309,6 +334,16 @@ func Generate(p Profile) *World {
 		rd.d.redirect(t)
 	}
 	return w
+}
+
+// poolSlot returns the materialised world's slot for a pooled address some
+// domain resolves to.
+func (w *World) poolSlot(addr netip.Addr) *Server {
+	k, host, _ := w.orgHost(addr)
+	if addr.Is4() {
+		return &w.pools[k].v4[host-1]
+	}
+	return &w.pools[k].v6[host-1]
 }
 
 // newWorld builds the organisation layer every world shares (orgs, address
@@ -331,12 +366,17 @@ func newWorld(p Profile) *World {
 func (w *World) buildOrgs(rng *rand.Rand) {
 	idx := 0
 	add := func(prof OrgProfile, quic bool) {
+		if idx >= maxOrgs {
+			panic("websim: more orgs than the address layout has blocks")
+		}
 		o := &Org{OrgProfile: prof, QUICHosting: quic}
 		// Each org gets a /12 IPv4 block and a /32 IPv6 block, unique by
 		// index: synthetic but routable-looking address space.
 		o.V4Prefix = netip.PrefixFrom(netip.AddrFrom4([4]byte{32 + byte(idx>>4), byte(idx<<4) & 0xf0, 0, 0}), 12)
 		o.V6Prefix = netip.PrefixFrom(netip.AddrFrom16(v6base(uint16(idx))), 32)
-		pool := scaled(prof.V4Pool, w.Profile.Scale)
+		// A pool never outgrows its /12, so its addresses decode back
+		// to this org (orgHost).
+		pool := min(scaled(prof.V4Pool, w.Profile.Scale), v4BlockHosts)
 		o.v4Pool = make([]netip.Addr, pool)
 		for i := range o.v4Pool {
 			o.v4Pool[i] = v4At(o.V4Prefix, uint32(i)+1)
@@ -349,8 +389,8 @@ func (w *World) buildOrgs(rng *rand.Rand) {
 			}
 		}
 		if quic {
-			o.assignModes(rng, o.v4Pool)
-			o.assignModes(rng, o.v6Pool)
+			o.v4Modes = o.assignModes(rng, o.v4Pool)
+			o.v6Modes = o.assignModes(rng, o.v6Pool)
 		}
 		o.splitPools()
 		w.Orgs = append(w.Orgs, o)
@@ -380,11 +420,15 @@ var zoneTLDs = []struct {
 	{"xyz", 0.95}, {"online", 1.0},
 }
 
-// zoneSet is the set of TLDs with CZDS zone files (gTLDs only).
-var zoneSet = map[string]bool{"com": true, "net": true, "org": true, "info": true, "xyz": true, "online": true}
-
-// InZoneView reports whether a TLD's zone file is part of the CZDS view.
-func InZoneView(tld string) bool { return zoneSet[tld] }
+// InZoneView reports whether a TLD's zone file is part of the CZDS view: the
+// gTLDs of zoneTLDs.
+func InZoneView(tld string) bool {
+	switch tld {
+	case "com", "net", "org", "info", "xyz", "online":
+		return true
+	}
+	return false
+}
 
 // ComNetOrg reports whether a TLD belongs to the paper's focused
 // com/net/org view.
@@ -479,12 +523,7 @@ func (w *World) DomainAt(i int) *Domain {
 }
 
 // DNSBackend exposes the world's zone data to a dns.Resolver.
-func (w *World) DNSBackend() dns.Backend {
-	if w.lazy() {
-		return lazyZone{w}
-	}
-	return w.zone
-}
+func (w *World) DNSBackend() dns.Backend { return zone{w} }
 
 // ASDB returns the IP→ASN→org attribution database (the RIS + as2org
 // substitute).
@@ -494,18 +533,95 @@ func (w *World) ASDB() *asdb.Resolver { return w.asResolver }
 func (w *World) Prefixes() map[netip.Prefix]uint32 { return w.prefixes }
 
 // ServerAt returns the server at addr, or nil (blackhole / unallocated).
-// A materialised world holds only the servers its domains resolve to.
+// It decodes the org and pool host from the address (orgHost). A
+// materialised world reads the server from its slot and holds only the
+// servers its domains resolve to; the on-demand world synthesises the
+// server at any pooled address.
 func (w *World) ServerAt(addr netip.Addr) *Server {
-	if w.lazy() {
-		return w.lazyServerAt(addr)
+	k, host, ok := w.orgHost(addr)
+	if !ok || host == 0 {
+		return nil
 	}
-	return w.servers[addr]
+	o := w.Orgs[k]
+	if addr.Is6() && o.V6PerDomain {
+		return w.domainV6Server(o, addr, host-1)
+	}
+	pool := len(o.v4Pool)
+	if addr.Is6() {
+		pool = len(o.v6Pool)
+	}
+	if host > uint64(pool) {
+		return nil
+	}
+	if w.lazy() {
+		return w.synthServer(new(Server), dice.New(), o, addr)
+	}
+	if s := w.poolSlot(addr); s.Org != nil {
+		return s
+	}
+	return nil
 }
 
-// Servers returns the materialised server map keyed by address: one entry
-// per distinct address the domains resolve to. A world built by
-// GenerateLazy returns nil.
-func (w *World) Servers() map[netip.Addr]*Server { return w.servers }
+// domainV6Server returns the server at per-domain v6 address addr of org o,
+// which encodes population index i: the one fronting the same stack as
+// domain i's v4 server, or nil when addr is not domain i's v6 address.
+func (w *World) domainV6Server(o *Org, addr netip.Addr, i uint64) *Server {
+	if i >= uint64(w.NumDomains()) {
+		return nil
+	}
+	if w.lazy() {
+		r := dice.New()
+		var d Domain
+		w.synthDomain(&d, int(i), r)
+		if d.V6 != addr {
+			return nil
+		}
+		s := w.synthServer(new(Server), r, o, d.V4)
+		s.Addr = addr
+		return s
+	}
+	j := w.v6Slot[i]
+	if j == 0 || w.v6Servers[j-1].Addr != addr {
+		return nil
+	}
+	return &w.v6Servers[j-1]
+}
+
+// Servers returns the materialised servers keyed by address: one entry per
+// distinct address the domains resolve to, built from the world's slots on
+// each call. A world built by GenerateLazy returns nil.
+func (w *World) Servers() map[netip.Addr]*Server {
+	if w.lazy() {
+		return nil
+	}
+	m := make(map[netip.Addr]*Server, w.NumServers())
+	w.eachServer(func(s *Server) { m[s.Addr] = s })
+	return m
+}
+
+// NumServers returns the number of materialised servers, len(Servers())
+// without building the map.
+func (w *World) NumServers() int {
+	n := 0
+	w.eachServer(func(*Server) { n++ })
+	return n
+}
+
+// eachServer calls f with every materialised server.
+func (w *World) eachServer(f func(*Server)) {
+	each := func(slab []Server) {
+		for i := range slab {
+			if s := &slab[i]; s.Org != nil {
+				f(s)
+			}
+		}
+	}
+	for _, p := range w.pools {
+		each(p.v4)
+		each(p.v6)
+	}
+	each(w.v6Servers)
+}
 
 // DomainByHost maps a www-form host name to its domain, or nil for a name
 // outside the population.
@@ -560,6 +676,39 @@ func logUniform(rng *rand.Rand, lo, hi float64) float64 {
 		return lo
 	}
 	return math.Exp(math.Log(lo) + rng.Float64()*(math.Log(hi)-math.Log(lo)))
+}
+
+// The address layout of buildOrgs: org k holds the IPv4 block whose top 12
+// bits are v4BlockBase+k (32.0.0.0/12 for org 0) and the IPv6 block
+// 2600:kkkk::/32; a pool host h is the block's base plus h (v4At, v6At).
+const (
+	v4BlockBase  = 32 << 4
+	v4BlockHosts = 1<<20 - 1
+	maxOrgs      = (256 - 32) << 4
+)
+
+// orgHost decodes addr into the index in Orgs of the org whose block holds
+// it and the host number within the block, inverting buildOrgs' layout. ok is
+// false outside every org's block.
+func (w *World) orgHost(addr netip.Addr) (k int, host uint64, ok bool) {
+	switch {
+	case addr.Is4():
+		a := addr.As4()
+		v := binary.BigEndian.Uint32(a[:])
+		if v>>20 < v4BlockBase {
+			return 0, 0, false
+		}
+		k, host = int(v>>20-v4BlockBase), uint64(v&v4BlockHosts)
+	case addr.Is6() && addr.Zone() == "":
+		b := addr.As16()
+		if b[0] != 0x26 || b[1] != 0 || b[4]|b[5]|b[6]|b[7] != 0 {
+			return 0, 0, false
+		}
+		k, host = int(b[2])<<8|int(b[3]), binary.BigEndian.Uint64(b[8:])
+	default:
+		return 0, 0, false
+	}
+	return k, host, k < len(w.Orgs)
 }
 
 func v4At(p netip.Prefix, host uint32) netip.Addr {

@@ -320,17 +320,21 @@ done
 
 # World storage smoke: -lazy-world synthesises the population on demand
 # instead of materialising it; it is one population either way, so both
-# engines must print byte-identical tables with and without the flag.
+# engines must print byte-identical tables with and without the flag, on
+# IPv4 and on IPv6 (where the pooled and the per-domain v6 addresses
+# decode to their servers).
 echo "== world storage smoke"
 for eng in fast emulated; do
-    "$tmp/spinscan" -scale 20000 -week 3 -progress 0 -engine "$eng" \
-        2>/dev/null >"$tmp/world-eager-$eng.txt"
-    "$tmp/spinscan" -scale 20000 -week 3 -progress 0 -engine "$eng" -lazy-world \
-        2>/dev/null >"$tmp/world-lazy-$eng.txt"
-    if ! diff -u "$tmp/world-eager-$eng.txt" "$tmp/world-lazy-$eng.txt"; then
-        echo "-lazy-world changed the $eng engine's tables" >&2
-        exit 1
-    fi
+    for fam in "" -ipv6; do
+        "$tmp/spinscan" -scale 20000 -week 3 -progress 0 -engine "$eng" $fam \
+            2>/dev/null >"$tmp/world-eager-$eng$fam.txt"
+        "$tmp/spinscan" -scale 20000 -week 3 -progress 0 -engine "$eng" $fam -lazy-world \
+            2>/dev/null >"$tmp/world-lazy-$eng$fam.txt"
+        if ! diff -u "$tmp/world-eager-$eng$fam.txt" "$tmp/world-lazy-$eng$fam.txt"; then
+            echo "-lazy-world changed the $eng engine's ${fam:+IPv6 }tables" >&2
+            exit 1
+        fi
+    done
 done
 
 # Zero-alloc tracing gate: the race detector above instruments allocations,
@@ -338,6 +342,9 @@ done
 # the binding check that disabled tracing stays off the scan hot path.
 echo "== zero-alloc tracing gate"
 go test -count=1 -run 'TestDisabledTracingZeroAlloc' ./internal/trace
+# The world's zone answer and server lookups, decoded from the name and the
+# address, are on every scanned domain's path too.
+go test -count=1 -run 'TestLookupsZeroAlloc' ./internal/websim
 
 # Zero-alloc flowtable gate: the passive observer's per-packet path must
 # stay allocation-free in steady state (the line-rate contract); a named
