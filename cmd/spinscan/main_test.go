@@ -277,6 +277,41 @@ func TestParseAlerts(t *testing.T) {
 	}
 }
 
+// TestErrorRateCountsConnections: the error-rate alert is failed connections
+// over attempted ones, so it never exceeds 1 — a domain whose DNS lookup
+// failed opened no connection and counts in neither.
+func TestErrorRateCountsConnections(t *testing.T) {
+	prof := websim.DefaultProfile()
+	prof.Scale = 40_000
+	world := websim.Generate(prof)
+	reg := telemetry.New()
+	res, err := scanner.Run(world, scanner.Config{Week: 12, Engine: scanner.EngineFast, Seed: 1, Workers: 2, Telemetry: reg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	dnsErrs, attempted, failed := 0, 0, 0
+	for i := range res.Domains {
+		d := &res.Domains[i]
+		if d.DNSErr != "" {
+			dnsErrs++
+		}
+		for _, c := range d.Conns {
+			attempted++
+			if c.Err != "" {
+				failed++
+			}
+		}
+	}
+	if dnsErrs == 0 || failed == 0 {
+		t.Fatalf("vacuous: %d DNS failures, %d failed connections", dnsErrs, failed)
+	}
+	snap := reg.Snapshot()
+	got := alertQuantity("error-rate")(&snap)
+	if want := float64(failed) / float64(attempted); got != want || got > 1 {
+		t.Errorf("error-rate = %v, want %d failed / %d attempted connections = %v (with %d DNS failures)", got, failed, attempted, want, dnsErrs)
+	}
+}
+
 // TestDashboardEndpointsServe wires the full -debug-addr surface the way
 // main does — campaign dashboard, trace viewer, alert engine — runs a
 // traced streaming scan through the live sink, and scrapes every

@@ -113,7 +113,7 @@ func progressLine(cur, prev telemetry.Snapshot, dt time.Duration) string {
 }
 
 // errSummary renders the non-zero connection error classes as
-// "timeout:312,reset:51", largest class first.
+// "handshake-timeout:312,reset:51", largest class first.
 func errSummary(s telemetry.Snapshot) string {
 	const prefix = `spinscan_conn_errors_total{class="`
 	type kv struct {

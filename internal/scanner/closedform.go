@@ -9,7 +9,6 @@ import (
 	"quicspin/internal/dice"
 	"quicspin/internal/fault"
 	"quicspin/internal/hostile"
-	"quicspin/internal/trace"
 	"quicspin/internal/transport"
 	"quicspin/internal/websim"
 )
@@ -17,17 +16,16 @@ import (
 // closedForm synthesises a connection's outcome without packet emulation,
 // from the same ground truth as the emulated engine (servers, policies,
 // response plans) and a closed-form model of its packet timing. Both engines
-// hold one: the fast engine reports every connection through it, the
-// emulated engine the connections whose reported numbers packets cannot
-// change (see emulatedEngine.connect). It draws from its own streams, keyed
-// by the engine's domain dice, and reads the engine's virtual clock.
+// hold one in their scan state: the fast engine reports every connection
+// through it, the emulated engine the connections whose reported numbers
+// packets cannot change (see emulatedEngine.connect). It draws from its own
+// streams, keyed by the state's domain dice, and reads the state's virtual
+// clock.
 type closedForm struct {
-	world *websim.World
-	cfg   Config
-	tm    *scanTelemetry
-	rec   *trace.Recorder
-	dice  *domainDice
-	clock func() time.Time
+	// st is the scan state that holds it: the world, the configuration,
+	// telemetry, the trace recorder, the clock, the domain dice and the
+	// slabs of the domain being scanned.
+	st *scanState
 	// transport, app and netem are the streams of the connection being
 	// synthesised, rekeyed by synthesize: the server's spin dice and
 	// per-packet grease (the emulated server's transport stream), its
@@ -42,19 +40,11 @@ type closedForm struct {
 	obs   []core.Observation
 	plan  []websim.Chunk
 	ctrl  *core.Controller
-	// slabs keeps the results of the domain being scanned (the engine's
-	// scanDomain sets it).
-	slabs *slabs
 }
 
-func newClosedForm(w *websim.World, cfg Config, tm *scanTelemetry, rec *trace.Recorder, d *domainDice, clock func() time.Time) closedForm {
+func newClosedForm(st *scanState) closedForm {
 	return closedForm{
-		world:     w,
-		cfg:       cfg,
-		tm:        tm,
-		rec:       rec,
-		dice:      d,
-		clock:     clock,
+		st:        st,
 		transport: dice.New(),
 		app:       dice.New(),
 		netem:     dice.New(),
@@ -70,10 +60,10 @@ const (
 )
 
 // synthesis is one connection's closed-form outcome before it is reported:
-// the result, the virtual instants of its stage timeline, and what report
-// keeps or tallies for it.
+// the result, filled in place, the virtual instants of its stage timeline,
+// and what report keeps or tallies for it.
 type synthesis struct {
-	out ConnResult
+	out *ConnResult
 	// srv is the answering QUIC server, nil when nothing answered.
 	srv *websim.Server
 	// start, hsAt and end are the attempt's virtual instants; a zero hsAt
@@ -87,29 +77,31 @@ type synthesis struct {
 	stack    [fastStackSamples]time.Duration
 }
 
-// connect synthesises and reports one connection attempt.
-func (c *closedForm) connect(target string, ip netip.Addr, hop, attempt int, path string, _ int) ConnResult {
-	var s synthesis
+// connect synthesises and reports one connection attempt into out.
+func (c *closedForm) connect(out *ConnResult, target string, ip netip.Addr, hop, attempt int, path string, _ int) {
+	s := synthesis{out: out}
 	c.synthesize(&s, target, ip, hop, attempt, path, false)
-	return c.report(&s)
+	c.report(&s)
 }
 
-// synthesize fills s with the outcome of the attempt of redirect hop hop and
-// retry attempt attempt at ip. With settledOnly it gives up — and reports
-// false — on an answering server whose outcome packets could change: a
-// hostile one, or one whose controller rolled Spin or per-packet grease for
-// this connection. Nothing is reported or kept until report.
+// synthesize fills s, and the result s.out points at, with the outcome of
+// the attempt of redirect hop hop and retry attempt attempt at ip. With
+// settledOnly it gives up — and reports false — on an answering server whose
+// outcome packets could change: a hostile one, or one whose controller
+// rolled Spin or per-packet grease for this connection. Nothing is reported
+// or kept until report.
 func (c *closedForm) synthesize(s *synthesis, target string, ip netip.Addr, hop, attempt int, path string, settledOnly bool) bool {
-	s.out = ConnResult{Target: target, IP: ip, Hop: hop}
-	s.start = c.clock()
+	st := c.st
+	s.out.reset(target, ip, hop)
+	s.start = st.clock()
 	// The nil check spares the fault-free hot loop ip.String()'s allocation.
-	if f := c.cfg.Faults; f != nil && f.Hit(fault.Net, fault.Blackout, ip.String(), attempt) {
+	if f := st.cfg.Faults; f != nil && f.Hit(fault.Net, fault.Blackout, ip.String(), attempt) {
 		// Mirror the emulated engine during an injected outage: every
 		// packet is lost, so the handshake times out.
 		c.timedOut(s, "timeout: no QUIC handshake")
 		return true
 	}
-	srv := c.world.ServerAt(ip)
+	srv := st.world.ServerAt(ip)
 	if srv == nil || !srv.QUIC {
 		c.timedOut(s, "timeout: no QUIC handshake")
 		return true
@@ -127,9 +119,9 @@ func (c *closedForm) synthesize(s *synthesis, target string, ip netip.Addr, hop,
 	s.out.QUIC = true
 	// Nothing above draws, so most attempts — unanswered ones — key no
 	// stream.
-	c.transport.Reseed(c.dice.conn(dice.Transport, hop, attempt, dice.Server))
-	c.app.Reseed(c.dice.conn(dice.App, hop, attempt, dice.Server))
-	c.netem.Reseed(c.dice.conn(dice.Netem, hop, attempt, dice.Client))
+	c.transport.Reseed(st.dice.conn(dice.Transport, hop, attempt, dice.Server))
+	c.app.Reseed(st.dice.conn(dice.App, hop, attempt, dice.Server))
+	c.netem.Reseed(st.dice.conn(dice.Netem, hop, attempt, dice.Client))
 	switch srv.Hostile {
 	case hostile.MalformedHeader, hostile.MalformedFrames, hostile.PacketStorm,
 		hostile.OversizedBody, hostile.HeaderFlood, hostile.QlogGarbage,
@@ -147,7 +139,7 @@ func (c *closedForm) synthesize(s *synthesis, target string, ip netip.Addr, hop,
 	// both engines see the same dice. Reset is NewController's body: the
 	// same dice in the same order. Nothing else draws from this stream, so
 	// rolling before the path draws moves no draw.
-	c.ctrl.Reset(false, srv.PolicyForWeek(c.cfg.Week), c.transport.Rand)
+	c.ctrl.Reset(false, srv.PolicyForWeek(st.cfg.Week), c.transport.Rand)
 	if m := c.ctrl.EffectiveMode(); settledOnly && (m == core.ModeSpin || m == core.ModeGreasePerPacket) {
 		return false
 	}
@@ -160,7 +152,7 @@ func (c *closedForm) synthesize(s *synthesis, target string, ip netip.Addr, hop,
 	}
 
 	// Response content.
-	d := c.world.DomainByHost(target)
+	d := st.world.DomainByHost(target)
 	s.out.Server = srv.Software
 	respBytes := 512
 	switch {
@@ -190,12 +182,11 @@ func (c *closedForm) synthesize(s *synthesis, target string, ip netip.Addr, hop,
 }
 
 // report emits s's telemetry and trace spans — once per connection, here or
-// in the emulated engine's packet path, never both — keeps its samples and,
-// when it flips, its observations in the domain's slabs, and returns the
-// result.
-func (c *closedForm) report(s *synthesis) ConnResult {
-	out := s.out
-	if rec := c.rec; rec != nil {
+// in the emulated engine's packet path, never both — and keeps its samples
+// and, when it flips, its observations in the domain's slabs.
+func (c *closedForm) report(s *synthesis) {
+	st, out := c.st, s.out
+	if rec := st.rec; rec != nil {
 		rec.StageStart("connect", s.start)
 		rec.SpanAttrInt("hop", int64(out.Hop))
 		rec.SpanAttr("target", out.Target)
@@ -205,22 +196,21 @@ func (c *closedForm) report(s *synthesis) ConnResult {
 		}
 	}
 	if s.budget != "" {
-		c.tm.bumpBudget(s.budget)
-		c.rec.MarkDump("budget")
+		st.tm.bumpBudget(s.budget)
+		st.rec.MarkDump("budget")
 	}
 	var observed *ConnResult
 	if s.observed {
-		out.StackRTTs = keep(c.slabs, &c.slabs.rtts, s.stack[:]...)
-		observed = &out
+		out.StackRTTs = keep(st.slabs, &st.slabs.rtts, s.stack[:]...)
+		observed = out
 	}
-	c.tm.connTimeline(c.rec, s.start, s.hsAt, s.end, observed, c.obs)
-	c.tm.connsClosedForm.Inc()
+	st.tm.connTimeline(st.rec, s.start, s.hsAt, s.end, observed, c.obs)
+	st.tm.connsClosedForm.Inc()
 	// Only series with flips are retained, so the synthesis runs entirely in
 	// scratch and the retained minority is copied to the slab.
 	if out.HasFlips() {
-		out.Observations = keep(c.slabs, &c.slabs.obs, c.obs...)
+		out.Observations = keep(st.slabs, &st.slabs.obs, c.obs...)
 	}
-	return out
 }
 
 // timedOut is the outcome of an attempt that never completes a handshake. It
@@ -261,8 +251,9 @@ func (c *closedForm) pathRTT(srv *websim.Server) time.Duration {
 	// point's extra one-way delay and jitter enter the closed form exactly
 	// as the emulated engine's stacked netem path applies them (once per
 	// direction).
-	base := srv.BaseRTT + 2*c.cfg.Vantage.ExtraDelay
-	j := time.Duration(c.world.Profile.PathJitterMs*float64(time.Millisecond)) + c.cfg.Vantage.ExtraJitter
+	v := &c.st.cfg.Vantage
+	base := srv.BaseRTT + 2*v.ExtraDelay
+	j := time.Duration(c.st.world.Profile.PathJitterMs*float64(time.Millisecond)) + v.ExtraJitter
 	if j <= 0 {
 		return base
 	}

@@ -15,7 +15,7 @@ func TestEngineResolverMemoBounded(t *testing.T) {
 	for name, engine := range map[string]Engine{"fast": EngineFast, "emulated": EngineEmulated} {
 		cfg := Config{Week: 3, Engine: engine, Seed: 4, Workers: 1}
 		var resolver *dns.Resolver
-		eng := buildEngine(w, cfg, newScanTelemetry(nil), nil)
+		eng := buildEngine(w, &cfg, newScanTelemetry(nil), nil)
 		switch e := eng.(type) {
 		case *fastEngine:
 			resolver = e.resolver
@@ -25,10 +25,11 @@ func TestEngineResolverMemoBounded(t *testing.T) {
 		scanned := map[string]bool{}
 		var chain map[string]bool
 		var s slabs
+		var res DomainResult
 		for i := 0; i < w.NumDomains(); i++ {
 			d := w.DomainAt(i)
 			s.reset()
-			res := eng.scanDomain(d, &s)
+			eng.scanDomain(d, &s, &res)
 			chain = map[string]bool{d.Host(): true}
 			for _, c := range res.Conns {
 				chain[c.Target] = true

@@ -9,7 +9,6 @@ import (
 	"time"
 
 	"quicspin/internal/dice"
-	"quicspin/internal/dns"
 	"quicspin/internal/fault"
 	"quicspin/internal/h3"
 	"quicspin/internal/hostile"
@@ -22,19 +21,13 @@ import (
 
 // emulatedEngine scans domains with full packet-level QUIC-lite exchanges
 // over a private virtual-time network. One engine instance serves one
-// worker shard; everything is single-threaded on its loop.
+// worker shard; everything is single-threaded on its loop, whose clock is
+// the scan state's.
 type emulatedEngine struct {
-	world *websim.World
-	cfg   Config
-	tm    *scanTelemetry
-	rec   *trace.Recorder
-	// clock is the loop's Now bound once at construction (a per-scan
-	// method value would allocate on every domain).
-	clock func() time.Time
+	scanState
 
 	loop      *sim.Loop
 	net       *netem.Network
-	resolver  *dns.Resolver
 	servers   map[netip.Addr]*netem.ServerHost // instantiated server IPs
 	clientSeq int
 	// arena recycles every connection this engine drives, client and server
@@ -45,10 +38,6 @@ type emulatedEngine struct {
 	// scanned: kits[:kitsUsed] are taken, and scanDomain's drain frees them all.
 	kits     []*exchange
 	kitsUsed int
-	dice     domainDice
-	// cf settles, without packets, the connections whose reported numbers
-	// packets cannot change (see connect).
-	cf closedForm
 	// netem and serverTurnaround are the current connection's streams for
 	// the consumers every connection shares — the network and the server
 	// hosts — rekeyed by emulate. A path that emulate has cleared falls back
@@ -67,37 +56,29 @@ type emulatedEngine struct {
 	// plan is response-plan scratch, reused by every response a server host
 	// streams.
 	plan []websim.Chunk
-	// slabs keeps the results of the domain being scanned (scanDomain).
-	slabs *slabs
 	// stalled marks the engine unhealthy after a watchdog kill: the loop
 	// still holds undrained events, so the worker must rebuild the engine
 	// before scanning another domain.
 	stalled bool
 }
 
-func newEmulatedEngine(w *websim.World, cfg Config, tm *scanTelemetry, rec *trace.Recorder) *emulatedEngine {
+func newEmulatedEngine(w *websim.World, cfg *Config, tm *scanTelemetry, rec *trace.Recorder) *emulatedEngine {
 	loop := sim.NewLoop(campaignStart(cfg.Week))
 	e := &emulatedEngine{
-		world:            w,
-		cfg:              cfg,
-		tm:               tm,
-		rec:              rec,
-		clock:            loop.Now,
 		loop:             loop,
 		arena:            transport.NewArena(),
 		servers:          map[netip.Addr]*netem.ServerHost{},
-		dice:             newDomainDice(),
 		netem:            dice.New(),
 		serverTurnaround: dice.New(),
 	}
-	e.cf = newClosedForm(w, cfg, tm, rec, &e.dice, loop.Now)
+	e.init(w, cfg, tm, rec, loop.Now)
+	e.dial = e.connect
+	// Retry backoff advances this worker's virtual clock; the loop also
+	// fires any pending events inside the backoff window.
+	e.sleep = func(d time.Duration) { loop.RunUntil(loop.Now().Add(d)) }
 	e.net = netem.New(loop, netem.PathConfig{Delay: 10 * time.Millisecond}, e.netem.Rand)
-	e.resolver = dns.NewResolver(cfg.dnsBackend(w), e.dice.dns.Rand)
 	e.serverDelay = func() time.Duration { return e.world.Turnaround(e.serverTurnaround.Rand) }
 	e.net.SetTelemetry(cfg.Telemetry)
-	e.resolver.EnableCache()
-	e.resolver.SetTelemetry(cfg.Telemetry)
-	e.resolver.SetFaults(cfg.Faults)
 	return e
 }
 
@@ -107,15 +88,8 @@ func campaignStart(week int) time.Time {
 	return base.AddDate(0, 0, 7*(week-1))
 }
 
-func (e *emulatedEngine) scanDomain(d *websim.Domain, s *slabs) DomainResult {
-	// Key the per-domain streams to (Seed, Week, domain) so the outcome is
-	// independent of scan order and sharding; connect keys the rest.
-	e.dice.reseed(e.cfg, d.Name)
-	e.slabs, e.cf.slabs = s, s
-	// Retry backoff advances this worker's virtual clock; the loop also
-	// fires any pending events inside the backoff window.
-	sleep := func(d time.Duration) { e.loop.RunUntil(e.loop.Now().Add(d)) }
-	res := runChain(e.cfg, e.dice.retry.Rand, e.resolver, sleep, e.tm, e.rec, e.clock, d, s, e.connect)
+func (e *emulatedEngine) scanDomain(d *websim.Domain, s *slabs, res *DomainResult) {
+	e.runChain(d, s, res)
 	// Drain the loop completely: leftover events (server retransmissions,
 	// response-chunk timers, idle timeouts) belong to this domain and must
 	// not fire inside the next domain's scan. A stalled loop is not drained
@@ -129,14 +103,10 @@ func (e *emulatedEngine) scanDomain(d *websim.Domain, s *slabs) DomainResult {
 		e.arena.Drained()
 		e.kitsUsed = 0
 	}
-	return res
 }
 
 // healthy implements engine; false after a watchdog stall.
 func (e *emulatedEngine) healthy() bool { return !e.stalled }
-
-// clockNow implements engine: the loop's virtual clock.
-func (e *emulatedEngine) clockNow() time.Time { return e.loop.Now() }
 
 // defaultWatchdogSteps bounds the event-loop iterations of one connection
 // deterministically; a healthy exchange needs a few thousand. Exceeding it
@@ -158,26 +128,29 @@ const watchdogWall = 30 * time.Second
 // a later connection of the domain would miss the server-turnaround draws of
 // this one's late events (see serverTurnaround). Everything else is
 // emulated.
-func (e *emulatedEngine) connect(target string, ip netip.Addr, hop, attempt int, path string, retriesLeft int) ConnResult {
+func (e *emulatedEngine) connect(out *ConnResult, target string, ip netip.Addr, hop, attempt int, path string, retriesLeft int) {
 	if e.stalled {
-		return ConnResult{Target: target, IP: ip, Hop: hop, Err: "stall: engine marked unhealthy"}
+		out.reset(target, ip, hop)
+		out.Err = "stall: engine marked unhealthy"
+		return
 	}
 	if !e.cfg.emulateAll {
-		var s synthesis
-		if e.cf.synthesize(&s, target, ip, hop, attempt, path, true) && endsChain(&s.out, retriesLeft) {
+		s := synthesis{out: out}
+		if e.cf.synthesize(&s, target, ip, hop, attempt, path, true) && endsChain(out, retriesLeft) {
 			// The attempt's virtual time passes as if packets had carried
 			// it, so the engine's clock keeps its pace.
 			e.loop.RunUntil(s.end)
-			return e.cf.report(&s)
+			e.cf.report(&s)
+			return
 		}
 	}
-	return e.emulate(target, ip, hop, attempt, path)
+	e.emulate(out, target, ip, hop, attempt, path)
 }
 
 // emulate performs one request/response exchange against ip over the
-// emulated network.
-func (e *emulatedEngine) emulate(target string, ip netip.Addr, hop, attempt int, path string) ConnResult {
-	out := ConnResult{Target: target, IP: ip, Hop: hop}
+// emulated network, into out.
+func (e *emulatedEngine) emulate(out *ConnResult, target string, ip netip.Addr, hop, attempt int, path string) {
+	out.reset(target, ip, hop)
 	srv := e.world.ServerAt(ip)
 	e.site(ip, srv) // instantiate the server stack (nil for blackholes)
 
@@ -246,7 +219,7 @@ func (e *emulatedEngine) emulate(target string, ip netip.Addr, hop, attempt int,
 		if rec != nil {
 			rec.StageEnd(e.loop.Now())
 		}
-		return out
+		return
 	}
 	x.reqID = reqID
 	x.host.Kick()
@@ -283,7 +256,7 @@ func (e *emulatedEngine) emulate(target string, ip netip.Addr, hop, attempt int,
 				rec.SpanAttr("stage", stage)
 				rec.MarkDump("stall")
 			}
-			return out
+			return
 		}
 	}
 
@@ -337,7 +310,7 @@ func (e *emulatedEngine) emulate(target string, ip netip.Addr, hop, attempt int,
 		out.Err = "timeout: no response"
 	}
 
-	e.tm.connTimeline(rec, start, x.hsAt, now, &out, obs)
+	e.tm.connTimeline(rec, start, x.hsAt, now, out, obs)
 	if rec != nil {
 		delta := e.net.Stats().Delta(netBefore)
 		rec.SpanAttrInt("pkts_sent", int64(delta.Sent))
@@ -346,7 +319,6 @@ func (e *emulatedEngine) emulate(target string, ip netip.Addr, hop, attempt int,
 
 	conn.Close(now, 0, "scan complete")
 	x.host.Kick()
-	return out
 }
 
 // exchange is one connection's kit: the client's netem host and h3 client,

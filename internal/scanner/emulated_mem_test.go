@@ -45,7 +45,7 @@ func uniformProfile(domains int, quicRate float64) websim.Profile {
 
 func quicEngine(w *websim.World) *emulatedEngine {
 	cfg := Config{Week: 12, Engine: EngineEmulated, Seed: 1, Workers: 1, Telemetry: telemetry.New()}
-	return newEmulatedEngine(w, cfg, newScanTelemetry(cfg.Telemetry), nil)
+	return newEmulatedEngine(w, &cfg, newScanTelemetry(cfg.Telemetry), nil)
 }
 
 // closedForms is the number of connections e has settled in closed form.
@@ -65,11 +65,12 @@ func TestEmulatedEngineBoundedMemory(t *testing.T) {
 		heap          uint64
 	}
 	var s slabs
+	var res DomainResult
 	pass := func() snapshot {
 		for i := 0; i < w.NumDomains(); i++ {
 			d := w.DomainAt(i)
 			s.reset()
-			if res := e.scanDomain(d, &s); len(res.Conns) == 0 || res.Conns[0].Status != 200 {
+			if e.scanDomain(d, &s, &res); len(res.Conns) == 0 || res.Conns[0].Status != 200 {
 				t.Fatalf("%s: no 200 response: %+v", d.Name, res.Conns)
 			}
 			// After the per-domain drain nothing is live on any site.
@@ -150,14 +151,15 @@ func domainAllocs(t *testing.T, w *websim.World, wantStatus int) (*emulatedEngin
 	e := quicEngine(w)
 	d := w.DomainAt(7)
 	var s slabs
+	var res DomainResult
 	for i := 0; i < 5; i++ { // warm the site, the pools, the DNS cache and the slabs
 		s.reset()
-		if res := e.scanDomain(d, &s); len(res.Conns) != 1 || res.Conns[0].Status != wantStatus {
+		if e.scanDomain(d, &s, &res); len(res.Conns) != 1 || res.Conns[0].Status != wantStatus {
 			t.Fatalf("%s: want one connection with status %d: %+v", d.Name, wantStatus, res.Conns)
 		}
 	}
 	return e, testing.AllocsPerRun(50, func() {
 		s.reset()
-		e.scanDomain(d, &s)
+		e.scanDomain(d, &s, &res)
 	})
 }

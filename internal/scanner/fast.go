@@ -3,7 +3,6 @@ package scanner
 import (
 	"time"
 
-	"quicspin/internal/dns"
 	"quicspin/internal/trace"
 	"quicspin/internal/websim"
 )
@@ -11,48 +10,22 @@ import (
 // fastEngine synthesises every connection in closed form, without packet
 // emulation (see closedForm). It exists for campaign-scale runs;
 // TestEnginesAgree validates it against the emulated engine.
-type fastEngine struct {
-	cfg Config
-	tm  *scanTelemetry
-	rec *trace.Recorder
-	// clock feeds runChain's trace timestamps; bound once so the per-scan
-	// call passes an existing closure instead of allocating one.
-	clock    func() time.Time
-	resolver *dns.Resolver
-	now      time.Time
-	dice     domainDice
-	cf       closedForm
-}
+type fastEngine struct{ scanState }
 
-func newFastEngine(w *websim.World, cfg Config, tm *scanTelemetry, rec *trace.Recorder) *fastEngine {
-	e := &fastEngine{
-		cfg:  cfg,
-		tm:   tm,
-		rec:  rec,
-		now:  campaignStart(cfg.Week),
-		dice: newDomainDice(),
-	}
-	e.clock = func() time.Time { return e.now }
-	e.cf = newClosedForm(w, cfg, tm, rec, &e.dice, e.clock)
-	e.resolver = dns.NewResolver(cfg.dnsBackend(w), e.dice.dns.Rand)
-	e.resolver.EnableCache()
-	e.resolver.SetTelemetry(cfg.Telemetry)
-	e.resolver.SetFaults(cfg.Faults)
+func newFastEngine(w *websim.World, cfg *Config, tm *scanTelemetry, rec *trace.Recorder) *fastEngine {
+	e := &fastEngine{}
+	// The closed-form timeline is anchored at the week's campaign start, and
+	// no clock advances: retry backoff only draws its jitter (nil sleep).
+	start := campaignStart(cfg.Week)
+	e.init(w, cfg, tm, rec, func() time.Time { return start })
+	e.dial = e.cf.connect
 	return e
 }
 
-func (e *fastEngine) scanDomain(d *websim.Domain, s *slabs) DomainResult {
-	e.dice.reseed(e.cfg, d.Name)
-	e.cf.slabs = s
-	// No virtual clock to advance here: retry backoff only draws jitter
-	// from the retry stream (sleep is a no-op).
-	return runChain(e.cfg, e.dice.retry.Rand, e.resolver, nil, e.tm, e.rec, e.clock, d, s, e.cf.connect)
+func (e *fastEngine) scanDomain(d *websim.Domain, s *slabs, res *DomainResult) {
+	e.runChain(d, s, res)
 }
 
 // healthy implements engine; the fast engine holds no loop state that can
 // stall.
 func (e *fastEngine) healthy() bool { return true }
-
-// clockNow implements engine: the week's fixed campaign-start instant
-// (the fast engine's closed-form timeline is anchored there).
-func (e *fastEngine) clockNow() time.Time { return e.now }

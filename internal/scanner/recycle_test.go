@@ -268,3 +268,72 @@ func TestPipelineAllocatesSteadily(t *testing.T) {
 // is about as much again, and the old grow-on-demand pipeline moved several
 // hundred KiB on this world.
 const steadyAllocSlack = 64 << 10
+
+// TestPoisonedStorageNeverLeaks: every result is written in place into
+// recycled storage — the batch slot, the slabs behind its connections — so
+// nothing of an earlier trip may survive into it. With recycled batches
+// poisoned, a fast and an emulated week with hostile servers, injected DNS
+// timeouts and blackouts, and retries on three workers deliver, domain by
+// domain, results deep-equal to an unpoisoned run on one worker. The
+// emulated engine's observation times follow each worker's virtual clock, so
+// they are compared as offsets from their connection's first observation.
+func TestPoisonedStorageNeverLeaks(t *testing.T) {
+	p := websim.DefaultProfile()
+	p.Scale, p.HostileFrac = 40_000, 0.3
+	w := websim.Generate(p)
+	collect := func(eng Engine, workers int) []DomainResult {
+		cfg := Config{Week: 7, Engine: eng, Seed: 9, Workers: workers,
+			Retry: resilience.RetryPolicy{MaxRetries: 1},
+			Faults: fault.New(3,
+				fault.Rule{Site: fault.DNS, Kind: fault.Timeout, P: 0.3, Times: 1},
+				fault.Rule{Site: fault.DNS, Kind: fault.Timeout, P: 0.1, Times: 2},
+				fault.Rule{Site: fault.Net, Kind: fault.Blackout, P: 0.3, Times: 1})}
+		var out []DomainResult
+		if err := RunStream(w, cfg, func(_ int, d *DomainResult) error {
+			c := deepCopy(d)
+			for _, conn := range c.Conns {
+				for j := len(conn.Observations) - 1; j >= 0; j-- {
+					o := &conn.Observations[j]
+					o.T = time.Time{}.Add(o.T.Sub(conn.Observations[0].T))
+				}
+			}
+			out = append(out, c)
+			return nil
+		}); err != nil {
+			t.Fatal(err)
+		}
+		return out
+	}
+	engines := []Engine{EngineFast, EngineEmulated}
+	old := poisonBatches
+	poisonBatches = false
+	t.Cleanup(func() { poisonBatches = old })
+	want := make([][]DomainResult, len(engines))
+	for i, eng := range engines {
+		want[i] = collect(eng, 1)
+	}
+	withPoison(t)
+	for i, eng := range engines {
+		got := collect(eng, 3)
+		if len(got) != len(want[i]) {
+			t.Fatalf("engine %v: %d results poisoned on 3 workers, %d on 1", eng, len(got), len(want[i]))
+		}
+		dnsOrChain, hostiles := 0, 0
+		for j := range got {
+			if !reflect.DeepEqual(got[j], want[i][j]) {
+				t.Fatalf("engine %v: result %d differs poisoned on 3 workers:\n got %+v\nwant %+v", eng, j, got[j], want[i][j])
+			}
+			for _, c := range got[j].Conns {
+				if resilience.Classify(c.Err) == resilience.ClassHostile {
+					hostiles++
+				}
+			}
+			if got[j].DNSErr != "" || len(got[j].Conns) > 1 {
+				dnsOrChain++
+			}
+		}
+		if dnsOrChain == 0 || hostiles == 0 {
+			t.Fatalf("engine %v: vacuous: %d DNS failures or chains, %d hostile connections", eng, dnsOrChain, hostiles)
+		}
+	}
+}

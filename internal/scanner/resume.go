@@ -46,22 +46,21 @@ func checkpointPrefix(cfg Config) string {
 	return fmt.Sprintf("w%d/%s/", cfg.Week, fam)
 }
 
-// replayResult looks one domain up in a replayed journal. The JSON round
-// trip of DomainResult is lossless for everything the analysis pipeline
-// consumes (addresses as text, durations as nanosecond integers), so a
-// replayed result is byte-identical to its live counterpart in every
-// rendered table.
-func replayResult(replayed map[string]json.RawMessage, key string, d *websim.Domain) (DomainResult, bool) {
+// replayResult looks one domain up in a replayed journal and decodes it
+// into res, reporting whether it did. The JSON round trip of DomainResult is
+// lossless for everything the analysis pipeline consumes (addresses as
+// text, durations as nanosecond integers), so a replayed result is
+// byte-identical to its live counterpart in every rendered table.
+func replayResult(replayed map[string]json.RawMessage, key string, d *websim.Domain, res *DomainResult) bool {
 	raw, ok := replayed[key]
 	if !ok {
-		return DomainResult{}, false
+		return false
 	}
-	var res DomainResult
-	if err := json.Unmarshal(raw, &res); err != nil || res.Domain != d.Name {
-		// Corrupt or mismatched record: rescan rather than trust it.
-		return DomainResult{}, false
-	}
-	return res, true
+	// A fresh slot: the decoder would otherwise reuse the storage of
+	// whatever result the slot held before.
+	*res = DomainResult{}
+	// Corrupt or mismatched record: rescan rather than trust it.
+	return json.Unmarshal(raw, res) == nil && res.Domain == d.Name
 }
 
 // breakerSkipResult records a domain an open circuit breaker refused to
@@ -115,9 +114,9 @@ func domainOutcome(res *DomainResult) resilience.Outcome {
 // paper's setting the prefix→AS mapping is known a priori from routing
 // dumps, so the assignment is independent of scan-time DNS outcomes and
 // therefore of worker scheduling.
-func breakerKey(w *websim.World, cfg Config, d *websim.Domain) string {
+func breakerKey(w *websim.World, ipv6 bool, d *websim.Domain) string {
 	addr := d.V4
-	if cfg.IPv6 {
+	if ipv6 {
 		addr = d.V6
 	}
 	if !addr.IsValid() {

@@ -21,7 +21,7 @@ func fnv64a(s string) uint64 {
 // which makes spin dice, response plans and path noise a function of the
 // domain alone — not of scan order or worker count; the resume machinery
 // relies on that.
-func domainSeed(cfg Config, name string) int64 {
+func domainSeed(cfg *Config, name string) int64 {
 	return cfg.Seed ^ int64(cfg.Week)<<32 ^ int64(fnv64a(name))
 }
 
@@ -38,7 +38,7 @@ func newDomainDice() domainDice {
 }
 
 // reseed keys the per-domain streams to the domain called name.
-func (d *domainDice) reseed(cfg Config, name string) {
+func (d *domainDice) reseed(cfg *Config, name string) {
 	d.seed = domainSeed(cfg, name)
 	d.retry.Reseed(dice.Key{Seed: d.seed, Purpose: dice.Retry})
 	d.dns.Reseed(dice.Key{Seed: d.seed, Purpose: dice.DNS})
@@ -57,6 +57,6 @@ func (d *domainDice) conn(p dice.Purpose, hop, attempt int, side dice.Side) dice
 // test reads the disable-every-N roll and the per-connection grease value
 // from it.
 func ConnDice(cfg Config, name string, hop, attempt int, p core.Policy) *core.Controller {
-	d := domainDice{seed: domainSeed(cfg, name)}
+	d := domainDice{seed: domainSeed(&cfg, name)}
 	return core.NewController(false, p, dice.Seeded(d.conn(dice.Transport, hop, attempt, dice.Server)))
 }

@@ -19,6 +19,12 @@
 //     truth and calibrated closed-form timing. It exists for
 //     campaign-scale runs (weekly longitudinal scans, Fig. 2) and is
 //     validated against the emulated engine by tests.
+//
+// Each worker holds one scan state (scanState) that both engines build on:
+// it reads the campaign's one Config through a pointer, and its runChain
+// writes each domain's result straight into the domain's batch slot and
+// each connection into the slot it appends to the batch's connection slab,
+// so no result is copied on its way to the sink.
 package scanner
 
 import (
@@ -149,7 +155,7 @@ type Config struct {
 }
 
 // dnsBackend is the zone the engines resolve against.
-func (c Config) dnsBackend(w *websim.World) dns.Backend {
+func (c *Config) dnsBackend(w *websim.World) dns.Backend {
 	if c.zone != nil {
 		return c.zone
 	}
@@ -220,7 +226,7 @@ const (
 	maxRedirects = 3
 )
 
-func (c Config) workers() int {
+func (c *Config) workers() int {
 	if c.Workers == 0 {
 		return runtime.GOMAXPROCS(0)
 	}
@@ -254,6 +260,14 @@ type ConnResult struct {
 	// StackRTTs are the QUIC stack estimator's accepted samples (the
 	// paper's baseline), in arrival order.
 	StackRTTs []time.Duration
+}
+
+// reset clears c for an attempt at ip for target on redirect hop hop. It
+// sets the fields one by one: a composite literal would be built aside and
+// copied in.
+func (c *ConnResult) reset(target string, ip netip.Addr, hop int) {
+	*c = ConnResult{}
+	c.Target, c.IP, c.Hop = target, ip, hop
 }
 
 // HasFlips reports whether both spin values were received.
@@ -364,52 +378,98 @@ func Run(w *websim.World, cfg Config) (*Result, error) {
 	return out, err
 }
 
-// buildEngine constructs a worker's engine; also used to rebuild one whose
-// state cannot be trusted after a panic or watchdog stall. rec is the
-// shard's trace recorder (nil when tracing is disabled); it outlives
-// engine rebuilds so flight rings survive panics and stalls. Construction
-// draws nothing: every stream is keyed per domain or per connection, so
-// an engine's output cannot depend on which worker it serves.
-func buildEngine(w *websim.World, cfg Config, tm *scanTelemetry, rec *trace.Recorder) engine {
+// scanState is one worker's per-domain scan state, the one both engines
+// share: the world, the campaign's configuration, telemetry, the trace
+// recorder and the engine's virtual clock, the resolver, the domain dice,
+// the slabs of the domain being scanned and the closed form. An engine is a
+// scanState plus the way it dials one connection attempt.
+type scanState struct {
+	world *websim.World
+	cfg   *Config
+	tm    *scanTelemetry
+	// rec is the worker's trace recorder, nil when tracing is disabled.
+	rec *trace.Recorder
+	// clock feeds trace timestamps; bound once so no scan allocates one.
+	clock    func() time.Time
+	resolver *dns.Resolver
+	dice     domainDice
+	// slabs keeps the results of the domain being scanned (runChain).
+	slabs *slabs
+	// sleep advances the virtual clock by a retry backoff; nil when there is
+	// no clock to advance (the fast engine only draws the jitter).
+	sleep func(time.Duration)
+	// dial performs one connection attempt, filling out in place (attempt is
+	// its 0-based index within the hop's retries, and retriesLeft the
+	// domain's unspent retry budget, see endsChain).
+	dial func(out *ConnResult, target string, ip netip.Addr, hop, attempt int, path string, retriesLeft int)
+	// cf settles connections in closed form: every one of the fast engine,
+	// the emulated engine's whose reported numbers packets cannot change.
+	cf closedForm
+}
+
+// init sets up st in place, with clock as its virtual clock; the engine
+// sets dial, and sleep if it has a clock to advance.
+func (st *scanState) init(w *websim.World, cfg *Config, tm *scanTelemetry, rec *trace.Recorder, clock func() time.Time) {
+	st.world, st.cfg, st.tm, st.rec, st.clock = w, cfg, tm, rec, clock
+	st.dice = newDomainDice()
+	st.resolver = dns.NewResolver(cfg.dnsBackend(w), st.dice.dns.Rand)
+	st.resolver.EnableCache()
+	st.resolver.SetTelemetry(cfg.Telemetry)
+	st.resolver.SetFaults(cfg.Faults)
+	st.cf = newClosedForm(st)
+}
+
+// clockNow implements engine: the engine's virtual clock.
+func (st *scanState) clockNow() time.Time { return st.clock() }
+
+// buildEngine constructs a worker's engine on the campaign's configuration;
+// also used to rebuild one whose state cannot be trusted after a panic or
+// watchdog stall. rec is the worker's trace recorder (nil when tracing is
+// disabled); it outlives engine rebuilds so flight rings survive panics and
+// stalls. Construction draws nothing: every stream is keyed per domain or
+// per connection, so an engine's output cannot depend on which worker it
+// serves.
+func buildEngine(w *websim.World, cfg *Config, tm *scanTelemetry, rec *trace.Recorder) engine {
 	if cfg.Engine == EngineFast {
 		return newFastEngine(w, cfg, tm, rec)
 	}
 	return newEmulatedEngine(w, cfg, tm, rec)
 }
 
-// scanSafely isolates one domain scan: a panic anywhere in the engine is
-// converted into an error-classed DomainResult instead of killing the
-// campaign.
-func scanSafely(eng engine, cfg Config, d *websim.Domain, s *slabs) (res DomainResult, panicked bool) {
+// scanSafely isolates one domain scan into res: a panic anywhere in the
+// engine is converted into an error-classed DomainResult instead of killing
+// the campaign.
+func scanSafely(eng engine, d *websim.Domain, s *slabs, res *DomainResult) (panicked bool) {
 	defer func() {
 		if r := recover(); r != nil {
 			panicked = true
-			res = DomainResult{
+			*res = DomainResult{
 				Domain: d.Name, TLD: d.TLD, Toplist: d.Toplist,
 				Conns: []ConnResult{{Target: d.Host(), Err: fmt.Sprintf("panic: scanning %s: %v", d.Name, r)}},
 			}
 		}
 	}()
-	return eng.scanDomain(d, s), false
+	eng.scanDomain(d, s, res)
+	return false
 }
 
 // maybePanic fires the plan's scan.panic fault. runChain calls it once
 // per scan, after the stage spans exist but before the trace commits, so
 // the recovered panic's flight dump carries the victim's full stage trace.
-func maybePanic(cfg Config, d *websim.Domain) {
-	if cfg.Faults.Hit(fault.Scan, fault.Panic, d.Name, 0) {
+func maybePanic(f *fault.Plan, d *websim.Domain) {
+	if f.Hit(fault.Scan, fault.Panic, d.Name, 0) {
 		panic("injected scanner fault")
 	}
 }
 
-// engine executes one domain scan, keeping the result's connections, stack
-// RTT samples and observations in s. healthy reports whether the engine can
-// scan further domains; a stalled emulated loop returns false and the
-// worker rebuilds the engine. clockNow exposes the engine's virtual clock
-// so campaign-layer trace events (breaker skips, checkpoint replays)
-// timestamp consistently with in-scan spans.
+// engine executes one domain scan into res, keeping the result's
+// connections, stack RTT samples and observations in s. healthy reports
+// whether the engine can scan further domains; a stalled emulated loop
+// returns false and the worker rebuilds the engine. clockNow exposes the
+// engine's virtual clock so campaign-layer trace events (breaker skips,
+// checkpoint replays) timestamp consistently with in-scan spans.
 type engine interface {
-	scanDomain(d *websim.Domain, s *slabs) DomainResult
+	scanDomain(d *websim.Domain, s *slabs, res *DomainResult)
 	healthy() bool
 	clockNow() time.Time
 }
@@ -497,89 +557,86 @@ func resolveRetry(dst []netip.Addr, rt *retrier, res *dns.Resolver, host string,
 	}
 }
 
-// connectRetry dials until success or budget exhaustion, rotating through
-// the resolved addresses across attempts (zgrab2-style fallback: the first
-// address may be down while a later one answers).
-func connectRetry(rt *retrier, addrs []netip.Addr, dial func(ip netip.Addr, attempt int) ConnResult) ConnResult {
+// connectRetry dials into out until success or budget exhaustion, rotating
+// through the resolved addresses across attempts (zgrab2-style fallback: the
+// first address may be down while a later one answers). Each attempt
+// overwrites out: the last one is the connection's result.
+func (st *scanState) connectRetry(rt *retrier, out *ConnResult, addrs []netip.Addr, target string, hop int, path string) {
 	for attempt := 0; ; attempt++ {
-		conn := dial(addrs[attempt%len(addrs)], attempt)
-		if conn.Err == "" || !rt.retry(retryStageConn, conn.Err) {
-			return conn
+		st.dial(out, target, addrs[attempt%len(addrs)], hop, attempt, path, rt.left())
+		if out.Err == "" || !rt.retry(retryStageConn, out.Err) {
+			return
 		}
 	}
 }
 
-// runChain executes one domain's full scan — landing request plus redirect
-// chain — with retry and multi-address fallback. Both engines share it;
-// dial performs one engine-specific connection attempt (attempt is its
-// 0-based index within the hop's retries, and retriesLeft the domain's
-// unspent retry budget, see endsChain), and rng is the domain's retry
-// stream. The connections are kept in s, where dial keeps their samples and
-// observations. rec and now carry
-// the shard's trace recorder and the engine's virtual clock; with tracing
+// runChain scans domain d into res, its batch slot, which it resets first:
+// the landing request plus the redirect chain, with retry and multi-address
+// fallback. Both engines run it. Every connection is appended to s and
+// filled there by dial, which keeps the connection's samples and
+// observations in s too; res.Conns is the domain's run of them. With tracing
 // disabled (nil rec) every trace block is skipped and the scan allocates
 // nothing extra. Tracing reads the clock but draws no randomness, so the
 // DomainResult is identical with tracing on or off.
-func runChain(cfg Config, rng *rand.Rand, resolver *dns.Resolver, sleep func(time.Duration), tm *scanTelemetry, rec *trace.Recorder, now func() time.Time, d *websim.Domain, s *slabs, dial func(target string, ip netip.Addr, hop, attempt int, path string, retriesLeft int) ConnResult) DomainResult {
-	rt := &retrier{policy: cfg.Retry, rng: rng, sleep: sleep, tm: tm}
+func (st *scanState) runChain(d *websim.Domain, s *slabs, res *DomainResult) {
+	// Key the per-domain streams to (Seed, Week, domain) so the outcome is
+	// independent of scan order and sharding; dial keys the rest.
+	st.dice.reseed(st.cfg, d.Name)
+	st.slabs = s
+	rt := retrier{policy: st.cfg.Retry, rng: st.dice.retry.Rand, sleep: st.sleep, tm: st.tm}
 	// The engine's DNS memo serves one domain's chain: a redirect revisiting
 	// a host is a hit, but nothing carries over to the next domain, so the
 	// memo stays the size of one chain however long the campaign runs.
-	resolver.ResetCache()
-	res := DomainResult{Domain: d.Name, TLD: d.TLD, Toplist: d.Toplist}
+	st.resolver.ResetCache()
+	*res = DomainResult{} // then field by field, as ConnResult.reset does
+	res.Domain, res.TLD, res.Toplist = d.Name, d.TLD, d.Toplist
 	target, path := d.Host(), "/"
+	rec := st.rec
 	if rec != nil {
-		at := now()
+		at := st.clock()
 		rec.Begin(d.Name, at)
 		rec.StageStart("dns", at)
 	}
 	t := dns.TypeA
-	if cfg.IPv6 {
+	if st.cfg.IPv6 {
 		t = dns.TypeAAAA
 	}
 	// Every hop resolves into this array: a record holds one or two
 	// addresses, so the chain's lookups stay off the heap.
 	var buf [4]netip.Addr
-	addrs, err := resolveRetry(buf[:0], rt, resolver, target, t)
+	addrs, err := resolveRetry(buf[:0], &rt, st.resolver, target, t)
 	if err != nil {
 		res.DNSErr = dns.ErrText(err, target, t)
 		if rec != nil {
-			rec.StageEnd(now())
+			rec.StageEnd(st.clock())
 		}
-		maybePanic(cfg, d)
-		traceFinish(rec, now, rt, &res)
-		return res
+	} else {
+		res.Resolved = true
+		if rec != nil {
+			rec.StageEnd(st.clock())
+			rec.SpanAttrInt("addrs", int64(len(addrs)))
+		}
+		first := len(s.conns)
+		for hop := 0; hop <= maxRedirects; hop++ {
+			// Nothing else appends to s.conns while the hop dials, so out
+			// stays put.
+			out := &keep(s, &s.conns, ConnResult{})[0]
+			st.connectRetry(&rt, out, addrs, target, hop, path)
+			next := redirectTarget(out.Redirect)
+			if next == "" {
+				break
+			}
+			target, path = next, redirectPath(out.Redirect)
+			naddrs, err := resolveRetry(addrs, &rt, st.resolver, target, t)
+			if err != nil {
+				break
+			}
+			addrs = naddrs
+		}
+		res.Conns = tail(s.conns, first)
 	}
-	res.Resolved = true
-	if rec != nil {
-		rec.StageEnd(now())
-		rec.SpanAttrInt("addrs", int64(len(addrs)))
-	}
-	first := len(s.conns)
-	for hop := 0; hop <= maxRedirects; hop++ {
-		hop := hop
-		conn := connectRetry(rt, addrs, func(ip netip.Addr, attempt int) ConnResult {
-			return dial(target, ip, hop, attempt, path, rt.left())
-		})
-		keep(s, &s.conns, conn)
-		if conn.Redirect == "" {
-			break
-		}
-		next := redirectTarget(conn.Redirect)
-		if next == "" {
-			break
-		}
-		target, path = next, redirectPath(conn.Redirect)
-		naddrs, err := resolveRetry(addrs, rt, resolver, target, t)
-		if err != nil {
-			break
-		}
-		addrs = naddrs
-	}
-	res.Conns = tail(s.conns, first)
-	maybePanic(cfg, d)
-	traceFinish(rec, now, rt, &res)
-	return res
+	maybePanic(st.cfg.Faults, d)
+	st.traceFinish(&rt, res)
 }
 
 // traceOutcome labels a finished domain for the trace ring and exemplar
@@ -594,11 +651,12 @@ func traceOutcome(res *DomainResult) string {
 // traceFinish closes the domain trace: a classify span, domain-level
 // attrs (retry budget spent, chain depth), the first error in chain
 // order, and the outcome label.
-func traceFinish(rec *trace.Recorder, now func() time.Time, rt *retrier, res *DomainResult) {
+func (st *scanState) traceFinish(rt *retrier, res *DomainResult) {
+	rec := st.rec
 	if rec == nil {
 		return
 	}
-	at := now()
+	at := st.clock()
 	outcome := traceOutcome(res)
 	rec.StageStart("classify", at)
 	rec.SpanAttr("class", outcome)

@@ -317,24 +317,26 @@ func TestConnResultHelpers(t *testing.T) {
 func BenchmarkEmulatedScanPerDomain(b *testing.B) {
 	w := testWorld(100_000)
 	cfg := Config{Week: 1, Engine: EngineEmulated, Seed: 1, Workers: 1}
-	eng := newEmulatedEngine(w, cfg, newScanTelemetry(cfg.Telemetry), nil)
+	eng := newEmulatedEngine(w, &cfg, newScanTelemetry(cfg.Telemetry), nil)
 	var s slabs
+	var res DomainResult
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		s.reset()
-		eng.scanDomain(w.Domains[i%len(w.Domains)], &s)
+		eng.scanDomain(w.Domains[i%len(w.Domains)], &s, &res)
 	}
 }
 
 func BenchmarkFastScanPerDomain(b *testing.B) {
 	w := testWorld(100_000)
 	cfg := Config{Week: 1, Engine: EngineFast, Seed: 1, Workers: 1}
-	eng := newFastEngine(w, cfg, newScanTelemetry(cfg.Telemetry), nil)
+	eng := newFastEngine(w, &cfg, newScanTelemetry(cfg.Telemetry), nil)
 	var s slabs
+	var res DomainResult
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		s.reset()
-		eng.scanDomain(w.Domains[i%len(w.Domains)], &s)
+		eng.scanDomain(w.Domains[i%len(w.Domains)], &s, &res)
 	}
 }
 

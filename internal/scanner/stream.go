@@ -349,8 +349,7 @@ func (c *campaign) scanStep(eng *engine, shard int, rec *trace.Recorder, d *webs
 	if c.journal != nil {
 		ckey = c.keyPrefix + d.Name
 	}
-	var fromCheckpoint bool
-	*res, fromCheckpoint = replayResult(c.replayed, ckey, d)
+	fromCheckpoint := replayResult(c.replayed, ckey, d, res)
 	if fromCheckpoint {
 		c.tm.resumed.Inc()
 		if rec != nil {
@@ -363,8 +362,7 @@ func (c *campaign) scanStep(eng *engine, shard int, rec *trace.Recorder, d *webs
 			rec.Event(d.Name, (*eng).clockNow(), traceOutcome(res), "source", "breaker-skip")
 		}
 	} else {
-		var panicked bool
-		*res, panicked = scanSafely(*eng, c.cfg, d, s)
+		panicked := scanSafely(*eng, d, s, res)
 		if panicked {
 			c.tm.panics.Inc()
 			// Commit the partial trace the panic unwound through and dump
@@ -377,7 +375,7 @@ func (c *campaign) scanStep(eng *engine, shard int, rec *trace.Recorder, d *webs
 			// The engine's loop or internal state cannot be trusted after
 			// a panic or stall: rebuild it. Keyed streams keep every
 			// other domain's result unchanged.
-			*eng = buildEngine(c.w, c.cfg, c.tm, rec)
+			*eng = buildEngine(c.w, &c.cfg, c.tm, rec)
 		}
 	}
 	if key != "" {
@@ -417,7 +415,7 @@ func (c *campaign) worker(shard int, work <-chan *batch, results chan<- *batch) 
 	// disjoint ranges disjoint (and an unsharded run's ids what they were).
 	lo, _ := c.bounds()
 	rec := c.cfg.Trace.Recorder(lo + shard)
-	eng := buildEngine(c.w, c.cfg, c.tm, rec)
+	eng := buildEngine(c.w, &c.cfg, c.tm, rec)
 	for b := range work {
 		for j, d := range b.domains {
 			if c.interrupted.Load() {
@@ -491,7 +489,7 @@ func (c *campaign) runPipeline(sink func(i int, res *DomainResult) error) (sinkE
 				d := c.w.DomainAt(i)
 				b.domains = append(b.domains, d)
 				if gateNext != nil {
-					key := breakerKey(c.w, c.cfg, d)
+					key := breakerKey(c.w, c.cfg.IPv6, d)
 					p := 0
 					if key != "" {
 						p = gateNext[key]

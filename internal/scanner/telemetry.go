@@ -1,11 +1,11 @@
 package scanner
 
 import (
-	"strings"
 	"time"
 
 	"quicspin/internal/core"
 	"quicspin/internal/hostile"
+	"quicspin/internal/resilience"
 	"quicspin/internal/telemetry"
 	"quicspin/internal/trace"
 	"quicspin/internal/transport"
@@ -20,7 +20,8 @@ import (
 //	spinscan_conns_closed_form_total    attempts synthesised in closed form
 //	                                    (every fast-engine attempt; the
 //	                                    emulated engine's settled ones)
-//	spinscan_conn_errors_total{class}   failed connections by error class
+//	spinscan_conn_errors_total{class}   failed connections by resilience
+//	                                    class (DNS failures are not counted)
 //	spinscan_redirects_followed_total   redirect hops followed
 //	spinscan_spin_flip_conns_total      connections with spin flips
 //	spinscan_redirect_depth             histogram of per-domain chain depth
@@ -62,51 +63,10 @@ import (
 //	hostile_detected_total{profile}     connections classified hostile
 //	budget_exceeded_total{kind}         per-connection resource budget trips
 //
-// Connection error classes.
-const (
-	errClassDNS     = "dns"
-	errClassTimeout = "timeout"
-	errClassReset   = "reset"
-	errClassH3      = "h3"
-	errClassPanic   = "panic"
-	errClassStall   = "stall"
-	errClassBreaker = "breaker"
-	errClassHostile = "hostile"
-	errClassOther   = "other"
-)
-
-var errClasses = []string{
-	errClassDNS, errClassTimeout, errClassReset, errClassH3,
-	errClassPanic, errClassStall, errClassBreaker, errClassHostile,
-	errClassOther,
-}
-
 // budgetKinds enumerates the budget_exceeded_total label values.
 var budgetKinds = []string{
 	transport.BudgetRecvBytes, transport.BudgetRecvPackets,
 	transport.BudgetMalformedDatagram, transport.BudgetMalformedFrame,
-}
-
-// errClass buckets a ConnResult.Err string for the error-class counters.
-func errClass(s string) string {
-	switch {
-	case strings.HasPrefix(s, "panic:"):
-		return errClassPanic
-	case strings.HasPrefix(s, "stall:"):
-		return errClassStall
-	case strings.HasPrefix(s, "breaker:"):
-		return errClassBreaker
-	case strings.HasPrefix(s, "hostile:"):
-		return errClassHostile
-	case strings.HasPrefix(s, "timeout"):
-		return errClassTimeout
-	case strings.Contains(s, "reset") || strings.Contains(s, "closed"):
-		return errClassReset
-	case strings.Contains(s, "h3"):
-		return errClassH3
-	default:
-		return errClassOther
-	}
 }
 
 // scanTelemetry holds the pre-resolved instruments of one campaign run.
@@ -118,7 +78,7 @@ type scanTelemetry struct {
 	connsAttempted, connsSucceeded  *telemetry.Counter
 	connsClosedForm                 *telemetry.Counter
 	redirectsFollowed, flipConns    *telemetry.Counter
-	errs                            map[string]*telemetry.Counter
+	errs                            [resilience.ClassOther + 1]*telemetry.Counter
 	redirectDepth                   *telemetry.Histogram
 	stHandshake, stRequest, stTotal *telemetry.Stage
 	workersActive                   *telemetry.Gauge
@@ -162,7 +122,6 @@ func newScanTelemetry(reg *telemetry.Registry) *scanTelemetry {
 		workersActive:     reg.Gauge("spinscan_workers_active"),
 		week:              reg.Gauge("spinscan_week"),
 		population:        reg.Gauge("spinscan_domains_population"),
-		errs:              map[string]*telemetry.Counter{},
 		retries: map[string]*telemetry.Counter{
 			retryStageDNS:  reg.Counter(telemetry.Name("retries_total", "stage", retryStageDNS)),
 			retryStageConn: reg.Counter(telemetry.Name("retries_total", "stage", retryStageConn)),
@@ -186,8 +145,8 @@ func newScanTelemetry(reg *telemetry.Registry) *scanTelemetry {
 		allocBytes:         reg.Gauge("scan_alloc_bytes"),
 		allocObjects:       reg.Gauge("scan_allocs"),
 	}
-	for _, class := range errClasses {
-		t.errs[class] = reg.Counter(telemetry.Name("spinscan_conn_errors_total", "class", class))
+	for cls := resilience.ClassNone + 1; cls <= resilience.ClassOther; cls++ {
+		t.errs[cls] = reg.Counter(telemetry.Name("spinscan_conn_errors_total", "class", cls.String()))
 	}
 	for _, p := range hostile.Profiles() {
 		t.hostileDetected[p.String()] = reg.Counter(telemetry.Name("hostile_detected_total", "profile", p.String()))
@@ -243,11 +202,10 @@ func (t *scanTelemetry) connTimeline(rec *trace.Recorder, start, hsAt, end time.
 // recordDomain tallies one finished domain scan (and its connections).
 func (t *scanTelemetry) recordDomain(d *DomainResult) {
 	t.domains.Inc()
-	switch {
-	case d.Resolved:
+	// A DNS failure is no connection: it counts in domains − resolved, and
+	// in the resolver's dns_errors_total, not among the connection errors.
+	if d.Resolved {
 		t.resolved.Inc()
-	case d.DNSErr != "":
-		t.errs[errClassDNS].Inc()
 	}
 	if len(d.Conns) > 0 {
 		t.redirectDepth.Observe(float64(len(d.Conns) - 1))
@@ -264,12 +222,14 @@ func (t *scanTelemetry) recordDomain(d *DomainResult) {
 		if c.Hop > 0 {
 			t.redirectsFollowed.Inc()
 		}
-		if c.Err != "" {
-			t.errs[errClass(c.Err)].Inc()
-			if p := hostile.ProfileOf(c.Err); p != hostile.None {
-				if hc, ok := t.hostileDetected[p.String()]; ok {
-					hc.Inc()
-				}
+		if c.Err == "" {
+			continue
+		}
+		cls := resilience.Classify(c.Err)
+		t.errs[cls].Inc()
+		if cls == resilience.ClassHostile {
+			if hc, ok := t.hostileDetected[hostile.ProfileOf(c.Err).String()]; ok {
+				hc.Inc()
 			}
 		}
 	}

@@ -143,8 +143,8 @@ func TestEmulatedTelemetryNetem(t *testing.T) {
 	if snap.Counters["netem_packets_dropped_total"] == 0 {
 		t.Error("no netem_packets_dropped_total")
 	}
-	if snap.Counters[`spinscan_conn_errors_total{class="timeout"}`] == 0 {
-		t.Error("no timeout-class connection errors recorded")
+	if snap.Counters[`spinscan_conn_errors_total{class="handshake-timeout"}`] == 0 {
+		t.Error("no handshake-timeout-class connection errors recorded")
 	}
 }
 
@@ -172,12 +172,13 @@ func BenchmarkFastScanPerDomainTelemetry(b *testing.B) {
 	w := testWorld(100_000)
 	cfg := Config{Week: 1, Engine: EngineFast, Seed: 1, Workers: 1, Telemetry: telemetry.New()}
 	tm := newScanTelemetry(cfg.Telemetry)
-	eng := newFastEngine(w, cfg, tm, nil)
+	eng := newFastEngine(w, &cfg, tm, nil)
 	var s slabs
+	var d DomainResult
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		s.reset()
-		d := eng.scanDomain(w.Domains[i%len(w.Domains)], &s)
+		eng.scanDomain(w.Domains[i%len(w.Domains)], &s, &d)
 		tm.recordDomain(&d)
 	}
 }

@@ -63,6 +63,19 @@ if grep -rn 'map\[\*transport\.Conn\]' --include='*.go' cmd internal examples; t
     exit 1
 fi
 
+# Structural gate: the scan engines read the campaign's one scanner.Config
+# through a pointer. A by-value Config parameter copies its 256 bytes on every
+# call; on the per-domain path such copies, with the results returned by
+# value, were a tenth of a fast campaign's CPU. Only the entry points take it
+# by value.
+echo "== no by-value Config parameters in internal/scanner"
+if grep -rnE --include='*.go' --exclude='*_test.go' \
+    '^func (\([^)]*\) )?[A-Za-z0-9_]+\([^)]*[A-Za-z0-9_] Config[,)]' internal/scanner |
+    grep -vE 'func (RunStream|Run|newCampaign|openCheckpoint|checkpointPrefix|ConnDice)\('; then
+    echo "the functions above take scanner.Config by value; pass *Config or the fields they read" >&2
+    exit 1
+fi
+
 # Native Go fuzzing needs no build tags, so `go vet ./...` above already
 # covers the fuzz harnesses; here each target gets a short guided run
 # beyond its seed corpus (which plain `go test` replays as unit tests).
