@@ -72,25 +72,26 @@ type Conn struct {
 
 // AnalyzeConn runs the §3.3 methodology on one connection record.
 func AnalyzeConn(c *scanner.ConnResult) Conn {
-	out, _ := analyzeConn(c, nil)
+	var out Conn
+	analyzeConn(&out, c, nil)
 	return out
 }
 
-// analyzeConn is AnalyzeConn with the spin-RTT series appended to rtts,
-// which it returns grown: the result's SpinRTTsR and SpinRTTsS alias rtts,
-// so a caller that reuses rtts keeps the result only as long as that.
-func analyzeConn(c *scanner.ConnResult, rtts []time.Duration) (Conn, []time.Duration) {
-	out := Conn{}
+// analyzeConn is AnalyzeConn into out, which must be zero, with the
+// spin-RTT series appended to rtts, which it returns grown: out's SpinRTTsR
+// and SpinRTTsS alias rtts, so a caller that reuses rtts keeps out only as
+// long as that.
+func analyzeConn(out *Conn, c *scanner.ConnResult, rtts []time.Duration) []time.Duration {
 	switch c.Kind() {
 	case core.KindEmpty:
 		out.Class = ClassNone
-		return out, rtts
+		return rtts
 	case core.KindAllZero:
 		out.Class = ClassAllZero
-		return out, rtts
+		return rtts
 	case core.KindAllOne:
 		out.Class = ClassAllOne
-		return out, rtts
+		return rtts
 	}
 	// Flipping: compute spin RTTs both ways.
 	first := len(rtts)
@@ -126,7 +127,7 @@ func analyzeConn(c *scanner.ConnResult, rtts []time.Duration) (Conn, []time.Dura
 		out.RatioR = mappedRatio(out.SpinMeanR, out.StackMean)
 		out.RatioS = mappedRatio(out.SpinMeanS, out.StackMean)
 	}
-	return out, rtts
+	return rtts
 }
 
 // span is s[i:j] capped at j, so an append to it cannot reach past j, and

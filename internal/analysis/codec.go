@@ -448,15 +448,18 @@ func decodeSoftware(d *codecDec, agg map[string]*SoftwareRow) error {
 
 func encodeErrors(e *codecEnc, f *errorClassFold) {
 	e.count(f.total)
-	classes := make([]int, 0, len(f.classes))
-	for cls := range f.classes {
-		classes = append(classes, int(cls))
+	n := 0
+	for _, c := range f.classes {
+		if c != 0 {
+			n++
+		}
 	}
-	sort.Ints(classes)
-	e.count(len(classes))
-	for _, cls := range classes {
-		e.count(cls)
-		e.count(f.classes[resilience.Class(cls)])
+	e.count(n)
+	for cls, c := range f.classes {
+		if c != 0 {
+			e.count(cls)
+			e.count(c)
+		}
 	}
 	profiles := make([]int, 0, len(f.profiles))
 	for p := range f.profiles {
@@ -489,6 +492,9 @@ func decodeErrors(d *codecDec, f *errorClassFold) error {
 		if cls <= prev {
 			return decErr("error classes not strictly ascending (%d after %d)", cls, prev)
 		}
+		if cls <= int(resilience.ClassNone) || cls > int(resilience.ClassOther) {
+			return decErr("error class %d is not a failure class", cls)
+		}
 		prev = cls
 		c, err := d.count()
 		if err != nil {
@@ -497,7 +503,7 @@ func decodeErrors(d *codecDec, f *errorClassFold) error {
 		if c == 0 {
 			return decErr("error class %d has a zero count", cls)
 		}
-		f.classes[resilience.Class(cls)] = c
+		f.classes[cls] = c
 	}
 	n, err = d.length(2)
 	if err != nil {
@@ -511,6 +517,9 @@ func decodeErrors(d *codecDec, f *errorClassFold) error {
 		}
 		if p <= prev {
 			return decErr("hostile profiles not strictly ascending (%d after %d)", p, prev)
+		}
+		if p > len(hostile.Profiles()) {
+			return decErr("hostile profile %d is not a profile", p)
 		}
 		prev = p
 		c, err := d.count()

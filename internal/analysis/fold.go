@@ -286,28 +286,30 @@ func (f *softwareFold) finish() []SoftwareRow {
 	return rows
 }
 
-// errorClassFold accumulates the Table 5 error-class breakdown.
+// errorClassFold accumulates the Table 5 error-class breakdown from the
+// class and profile each connection carries. classes is indexed by class
+// (ClassNone's entry stays 0); profiles stays a map, because hostile
+// connections are a small minority.
 type errorClassFold struct {
 	total    int
-	classes  map[resilience.Class]int
+	classes  [resilience.ClassOther + 1]int
 	profiles map[hostile.Profile]int
 }
 
 func newErrorClassFold() *errorClassFold {
-	return &errorClassFold{classes: map[resilience.Class]int{}, profiles: map[hostile.Profile]int{}}
+	return &errorClassFold{profiles: map[hostile.Profile]int{}}
 }
 
 func (f *errorClassFold) add(d *scanner.DomainResult) {
+	f.total += len(d.Conns)
 	for j := range d.Conns {
 		c := &d.Conns[j]
-		f.total++
-		cls := resilience.Classify(c.Err)
-		if cls == resilience.ClassNone {
+		if c.ErrClass == resilience.ClassNone {
 			continue
 		}
-		f.classes[cls]++
-		if cls == resilience.ClassHostile {
-			f.profiles[hostile.ProfileOf(c.Err)]++
+		f.classes[c.ErrClass]++
+		if c.ErrClass == resilience.ClassHostile {
+			f.profiles[c.Hostile]++
 		}
 	}
 }

@@ -86,7 +86,7 @@ func renderErrorTable(week int, f *errorClassFold) *report.Table {
 			}
 		}
 	}
-	if len(f.classes) == 0 {
+	if f.classes == ([resilience.ClassOther + 1]int{}) {
 		t.AddRow("(no errors)", report.Count(0), stats.Percent(0, f.total))
 	}
 	return t

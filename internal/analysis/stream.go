@@ -2,6 +2,7 @@ package analysis
 
 import (
 	"net/netip"
+	"slices"
 	"time"
 
 	"quicspin/internal/asdb"
@@ -65,11 +66,13 @@ func NewAccumulator(week int, ipv6 bool, res *asdb.Resolver) *Accumulator {
 // during the call; the per-connection analyses live in a scratch slice
 // reused across calls.
 func (a *Accumulator) Add(d *scanner.DomainResult) Class {
-	conns, rtts := a.scratch[:0], a.rtts[:0]
-	for j := range d.Conns {
-		var c Conn
-		c, rtts = analyzeConn(&d.Conns[j], rtts)
-		conns = append(conns, c)
+	// Each analysis is filled in its scratch slot, not built aside and
+	// copied in.
+	conns := slices.Grow(a.scratch[:0], len(d.Conns))[:len(d.Conns)]
+	clear(conns)
+	rtts := a.rtts[:0]
+	for j := range conns {
+		rtts = analyzeConn(&conns[j], &d.Conns[j], rtts)
 	}
 	a.scratch, a.rtts = conns, rtts
 	da := DomainAnalysis{Src: d, Conns: conns, Class: DomainClass(conns)}

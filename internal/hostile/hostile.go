@@ -26,8 +26,9 @@ import (
 	"quicspin/internal/wire"
 )
 
-// Profile identifies one endpoint-misbehavior profile.
-type Profile int
+// Profile identifies one endpoint-misbehavior profile. One byte: a
+// scanner.ConnResult carries the profile of its hostile failure.
+type Profile uint8
 
 const (
 	// None marks a well-behaved server.

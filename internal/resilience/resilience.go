@@ -16,14 +16,20 @@
 //     replay is order-insensitive (last write per key wins), so an
 //     interrupted campaign resumes to the exact result an uninterrupted
 //     run would have produced.
+//
+// Classify is the one place where error text becomes a Class. The scanner
+// calls it once per failed connection, when it records the failure (and
+// when it decodes one from a journal or a qlog trace); every reader —
+// retries, the breaker, telemetry and Table 5 — reads the class the
+// connection carries, scanner.ConnResult.ErrClass. Only a DNS failure's
+// text is classified where it is read, by the retry and breaker paths.
 package resilience
 
 import "strings"
 
-// Class buckets a scan failure for retry and breaker decisions. The
-// classification is string-based so it works both on live errors and on
-// journaled results replayed from a checkpoint.
-type Class int
+// Class buckets a scan failure for retry and breaker decisions. One byte:
+// a scanner.ConnResult carries its class beside the error text.
+type Class uint8
 
 const (
 	// ClassNone marks success (no error).
@@ -97,7 +103,8 @@ func (c Class) Transient() bool {
 	return c == ClassDNSTimeout || c == ClassHandshakeTimeout || c == ClassStall
 }
 
-// Classify buckets an error string. An empty string is ClassNone.
+// Classify buckets an error string. An empty string is ClassNone. It runs
+// where error text is recorded or decoded, not where a class is read.
 func Classify(s string) Class {
 	switch {
 	case s == "":

@@ -174,7 +174,8 @@ func (c *closedForm) synthesize(s *synthesis, target string, ip netip.Addr, hop,
 	lastAt, complete := c.synthesizeObservations(s, rtt, respBytes, connTimeout-3*rtt/2)
 	s.end = s.hsAt.Add(lastAt)
 	if !complete {
-		s.out.Status, s.out.Server, s.out.Redirect, s.out.Err = 0, "", "", "timeout: no response"
+		s.out.Status, s.out.Server, s.out.Redirect = 0, "", ""
+		s.out.setErr("timeout: no response")
 		s.end = s.start.Add(connTimeout)
 	}
 	s.observed = true
@@ -217,7 +218,7 @@ func (c *closedForm) report(s *synthesis) {
 // models the emulated engine's stage timing: a blackholed target burns the
 // full virtual timeout.
 func (c *closedForm) timedOut(s *synthesis, err string) {
-	s.out.Err = err
+	s.out.setErr(err)
 	s.end = s.start.Add(connTimeout)
 }
 
@@ -235,9 +236,9 @@ func (c *closedForm) hostileOutcome(s *synthesis, srv *websim.Server) {
 		s.budget = transport.BudgetRecvPackets
 	}
 	if s.budget != "" {
-		s.out.Err = hostile.BudgetErrText(s.budget)
+		s.out.setErr(hostile.BudgetErrText(s.budget))
 	} else {
-		s.out.Err = hostile.ErrText(srv.Hostile)
+		s.out.setErr(hostile.ErrText(srv.Hostile))
 	}
 	// Handshake at ~1.5 RTT as usual, and roughly one more round trip until
 	// the degradation cutoff.
@@ -348,7 +349,7 @@ func (c *closedForm) synthesizeObservations(s *synthesis, rtt time.Duration, res
 	// Run the same pure spin-pattern detector the emulated engine applies,
 	// before the no-flip discard (the detector needs the series).
 	if p := hostile.DetectSpinPattern(obs); p != hostile.None {
-		s.out.Err = hostile.ErrText(p)
+		s.out.setErr(hostile.ErrText(p))
 	}
 	return lastAt, complete
 }

@@ -131,7 +131,7 @@ const watchdogWall = 30 * time.Second
 func (e *emulatedEngine) connect(out *ConnResult, target string, ip netip.Addr, hop, attempt int, path string, retriesLeft int) {
 	if e.stalled {
 		out.reset(target, ip, hop)
-		out.Err = "stall: engine marked unhealthy"
+		out.setErr("stall: engine marked unhealthy")
 		return
 	}
 	if !e.cfg.emulateAll {
@@ -215,7 +215,7 @@ func (e *emulatedEngine) emulate(out *ConnResult, target string, ip netip.Addr, 
 	}()
 	reqID, err := x.hc.Do(&h3.Request{Method: "GET", Authority: target, Path: path, Headers: scannerHeaders})
 	if err != nil {
-		out.Err = errString(err)
+		out.setErr(err.Error())
 		if rec != nil {
 			rec.StageEnd(e.loop.Now())
 		}
@@ -250,7 +250,7 @@ func (e *emulatedEngine) emulate(out *ConnResult, target string, ip netip.Addr, 
 			// the step budget — all pure functions of (Seed, Week, domain),
 			// so results stay deterministic. The flight-recorder dump path
 			// travels via the structured trace log, never the result.
-			out.Err = fmt.Sprintf("stall: %s stage for %s exceeded the watchdog budget (%d steps)", stage, target, budget)
+			out.setErr(fmt.Sprintf("stall: %s stage for %s exceeded the watchdog budget (%d steps)", stage, target, budget))
 			if rec != nil {
 				rec.StageEnd(e.loop.Now())
 				rec.SpanAttr("stage", stage)
@@ -281,18 +281,18 @@ func (e *emulatedEngine) emulate(out *ConnResult, target string, ip netip.Addr, 
 	case be != nil:
 		// A tripped resource budget wins over everything else: the scan was
 		// aborted deliberately, whatever else was in flight.
-		out.Err = hostile.BudgetErrText(be.Kind)
+		out.setErr(hostile.BudgetErrText(be.Kind))
 		e.tm.bumpBudget(be.Kind)
 		rec.MarkDump("budget")
 	case x.verdict != hostile.None:
-		out.Err = hostile.ErrText(x.verdict)
+		out.setErr(hostile.ErrText(x.verdict))
 	case resp == nil && out.QUIC && remoteClose(conn):
-		out.Err = hostile.ErrText(hostile.MidstreamReset)
+		out.setErr(hostile.ErrText(hostile.MidstreamReset))
 	case resp == nil && !out.QUIC && conn.Stats().PacketsReceived > 0:
 		// A lost honest handshake leaves PacketsReceived at zero (the SHLO
 		// flight is one coalesced datagram); parseable packets without a
 		// completed handshake mean the peer is stringing us along.
-		out.Err = hostile.ErrText(hostile.Slowloris)
+		out.setErr(hostile.ErrText(hostile.Slowloris))
 	case resp != nil:
 		out.Status = resp.Status
 		out.Server = resp.Server()
@@ -300,14 +300,14 @@ func (e *emulatedEngine) emulate(out *ConnResult, target string, ip netip.Addr, 
 			out.Redirect = resp.Location()
 		}
 		if p := hostile.DetectSpinPattern(obs); p != hostile.None {
-			out.Err = hostile.ErrText(p)
+			out.setErr(hostile.ErrText(p))
 		}
 	case x.respErr != nil:
-		out.Err = x.respErr.Error()
+		out.setErr(x.respErr.Error())
 	case !out.QUIC:
-		out.Err = "timeout: no QUIC handshake"
+		out.setErr("timeout: no QUIC handshake")
 	default:
-		out.Err = "timeout: no response"
+		out.setErr("timeout: no response")
 	}
 
 	e.tm.connTimeline(rec, start, x.hsAt, now, out, obs)

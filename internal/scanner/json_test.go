@@ -15,8 +15,11 @@ import (
 )
 
 // sameResult reports whether a JSON round trip gave the result back: every
-// field equal, nil and empty slices told apart, observation times compared
-// as instants (a decoded time carries another *Location).
+// encoded field equal, nil and empty slices told apart, observation times
+// compared as instants (a decoded time carries another *Location). A
+// connection's ErrClass and Hostile are not encoded — the ingress that
+// decodes a result classifies its text again (replayResult) — so they are
+// not compared.
 func sameResult(a, b *DomainResult) bool {
 	x, y := *a, *b
 	x.Conns, y.Conns = nil, nil
@@ -27,6 +30,7 @@ func sameResult(a, b *DomainResult) bool {
 		ca, cb := a.Conns[i], b.Conns[i]
 		oa, ob := ca.Observations, cb.Observations
 		ca.Observations, cb.Observations = nil, nil
+		ca.ErrClass, cb.ErrClass, ca.Hostile, cb.Hostile = 0, 0, 0, 0
 		if !reflect.DeepEqual(ca, cb) || len(oa) != len(ob) || (oa == nil) != (ob == nil) {
 			return false
 		}

@@ -115,11 +115,11 @@ func ReadConnQlog(r io.Reader) (*DomainResult, *ConnResult, int, bool, error) {
 		QUIC:     getb("quic"),
 		Status:   geti("status"),
 		Server:   get("server"),
-		Err:      get("error"),
 		Redirect: get("redirect"),
 		ZeroPkts: geti("zero_pkts"),
 		OnePkts:  geti("one_pkts"),
 	}
+	c.setErr(get("error")) // a trace holds the text: classify it as the scan did
 	if ip, err := netip.ParseAddr(get("ip")); err == nil {
 		c.IP = ip
 	}

@@ -5,6 +5,8 @@ import (
 	"io"
 	"testing"
 
+	"quicspin/internal/hostile"
+	"quicspin/internal/resilience"
 	"quicspin/internal/websim"
 )
 
@@ -111,6 +113,37 @@ func TestReadConnQlogRejectsForeignTrace(t *testing.T) {
 }
 
 func TestQlogClassificationSurvives(t *testing.T) {
+	// A failed hostile connection keeps its class and profile: the reader
+	// classifies the trace's error text as the scan did.
+	hp := websim.DefaultProfile()
+	hp.Scale, hp.HostileFrac = 100_000, 0.3
+	hres := mustRun(t, websim.Generate(hp), Config{Week: 12, Engine: EngineEmulated, Seed: 8, Workers: 2})
+	var hostileChecked int
+	for i := range hres.Domains {
+		for j := range hres.Domains[i].Conns {
+			want := &hres.Domains[i].Conns[j]
+			if want.ErrClass != resilience.ClassHostile {
+				continue
+			}
+			var buf bytes.Buffer
+			if err := WriteConnQlog(&buf, &hres.Domains[i], j, hres.Week, false); err != nil {
+				t.Fatal(err)
+			}
+			_, c, _, _, err := ReadConnQlog(&buf)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if want.Hostile == hostile.None || c.Err != want.Err || c.ErrClass != want.ErrClass || c.Hostile != want.Hostile {
+				t.Errorf("hostile failure %q (%v/%v) read back as %q (%v/%v)",
+					want.Err, want.ErrClass, want.Hostile, c.Err, c.ErrClass, c.Hostile)
+			}
+			hostileChecked++
+		}
+	}
+	if hostileChecked == 0 {
+		t.Error("no hostile failure in a 30 %-hostile week")
+	}
+
 	// A flipping connection keeps enough data for spin-RTT analysis.
 	p := websim.DefaultProfile()
 	p.Scale = 100_000

@@ -60,28 +60,38 @@ func replayResult(replayed map[string]json.RawMessage, key string, d *websim.Dom
 	// whatever result the slot held before.
 	*res = DomainResult{}
 	// Corrupt or mismatched record: rescan rather than trust it.
-	return json.Unmarshal(raw, res) == nil && res.Domain == d.Name
+	if json.Unmarshal(raw, res) != nil || res.Domain != d.Name {
+		return false
+	}
+	// The journal holds the error text only: classify it as the scan did.
+	for i := range res.Conns {
+		res.Conns[i].setErr(res.Conns[i].Err)
+	}
+	return true
 }
 
 // breakerSkipResult records a domain an open circuit breaker refused to
 // scan. It carries a distinct "breaker:" error class (not a timeout) so
 // the skip is visible in tables and telemetry.
 func breakerSkipResult(d *websim.Domain) DomainResult {
-	return DomainResult{
+	res := DomainResult{
 		Domain: d.Name, TLD: d.TLD, Toplist: d.Toplist,
-		Conns: []ConnResult{{Target: d.Host(), Err: "breaker: prefix circuit open, scan skipped"}},
+		Conns: []ConnResult{{Target: d.Host()}},
 	}
+	res.Conns[0].setErr("breaker: prefix circuit open, scan skipped")
+	return res
 }
 
 // classifyDomain buckets a finished domain by its landing outcome (the
 // DNS error or first connection), which is the outcome attributable to the
-// breaker group the domain was gated on.
+// breaker group the domain was gated on. A connection carries its class; a
+// DNS failure's text is classified here.
 func classifyDomain(res *DomainResult) resilience.Class {
 	if res.DNSErr != "" {
 		return resilience.Classify(res.DNSErr)
 	}
 	if len(res.Conns) > 0 {
-		return resilience.Classify(res.Conns[0].Err)
+		return res.Conns[0].ErrClass
 	}
 	return resilience.ClassNone
 }

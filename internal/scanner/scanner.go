@@ -40,6 +40,7 @@ import (
 	"quicspin/internal/core"
 	"quicspin/internal/dns"
 	"quicspin/internal/fault"
+	"quicspin/internal/hostile"
 	"quicspin/internal/resilience"
 	"quicspin/internal/telemetry"
 	"quicspin/internal/trace"
@@ -242,10 +243,18 @@ type ConnResult struct {
 	IP netip.Addr
 	// Hop is 0 for the landing request, 1.. for redirect follow-ups.
 	Hop int
-	// Err is non-empty when no QUIC connection was established.
+	// Err is non-empty when no QUIC connection was established. setErr
+	// writes it, together with the two fields after QUIC.
 	Err string
 	// QUIC reports a completed handshake.
 	QUIC bool
+	// ErrClass is Err's resilience class and Hostile the profile of a
+	// hostile failure (hostile.None otherwise). setErr sets both when it
+	// records Err, so every reader switches on them and none parses the
+	// text. Neither is encoded: decoding Err sets them again. They fill the
+	// padding after QUIC, so a ConnResult stays 176 bytes.
+	ErrClass resilience.Class `json:"-"`
+	Hostile  hostile.Profile  `json:"-"`
 	// Status and Server come from the HTTP/3-lite response.
 	Status int
 	Server string
@@ -268,6 +277,18 @@ type ConnResult struct {
 func (c *ConnResult) reset(target string, ip netip.Addr, hop int) {
 	*c = ConnResult{}
 	c.Target, c.IP, c.Hop = target, ip, hop
+}
+
+// setErr records text as c's failure: Err, its class and, for a hostile
+// failure, its profile. It is the one place a connection's failure is
+// classified; a reader reads ErrClass and Hostile.
+func (c *ConnResult) setErr(text string) {
+	c.Err = text
+	c.ErrClass = resilience.Classify(text)
+	c.Hostile = hostile.None
+	if c.ErrClass == resilience.ClassHostile {
+		c.Hostile = hostile.ProfileOf(text)
+	}
 }
 
 // HasFlips reports whether both spin values were received.
@@ -445,8 +466,9 @@ func scanSafely(eng engine, d *websim.Domain, s *slabs, res *DomainResult) (pani
 			panicked = true
 			*res = DomainResult{
 				Domain: d.Name, TLD: d.TLD, Toplist: d.Toplist,
-				Conns: []ConnResult{{Target: d.Host(), Err: fmt.Sprintf("panic: scanning %s: %v", d.Name, r)}},
+				Conns: []ConnResult{{Target: d.Host()}},
 			}
+			res.Conns[0].setErr(fmt.Sprintf("panic: scanning %s: %v", d.Name, r))
 		}
 	}()
 	eng.scanDomain(d, s, res)
@@ -474,12 +496,6 @@ type engine interface {
 	clockNow() time.Time
 }
 
-// Retry stages (telemetry labels of retries_total).
-const (
-	retryStageDNS  = "dns"
-	retryStageConn = "conn"
-)
-
 // retrier tracks one domain's retry budget, shared across DNS lookups and
 // connection attempts of the whole redirect chain. Backoff advances the
 // engine's virtual clock via sleep and draws jitter from the domain's retry
@@ -492,10 +508,11 @@ type retrier struct {
 	used   int
 }
 
-// retry reports whether the failure described by errStr should be retried,
-// burning one unit of budget and sleeping the backoff when it is.
-func (r *retrier) retry(stage, errStr string) bool {
-	if !r.policy.Enabled() || !retriable(errStr) {
+// retry reports whether a failure of class cls should be retried, burning
+// one unit of budget, counting the retry in its stage's retries_total
+// counter and sleeping the backoff when it is.
+func (r *retrier) retry(stage *telemetry.Counter, cls resilience.Class) bool {
+	if !r.policy.Enabled() || !retriable(cls) {
 		return false
 	}
 	if r.used >= r.policy.MaxRetries {
@@ -504,7 +521,7 @@ func (r *retrier) retry(stage, errStr string) bool {
 	}
 	d := r.policy.Backoff(r.rng, r.used)
 	r.used++
-	r.tm.retries[stage].Inc()
+	stage.Inc()
 	if r.sleep != nil {
 		r.sleep(d)
 	}
@@ -520,10 +537,9 @@ func (r *retrier) left() int {
 	return r.policy.MaxRetries - r.used
 }
 
-// retriable reports whether the failure described by errStr is one that
-// retries follow at all, budget aside.
-func retriable(errStr string) bool {
-	cls := resilience.Classify(errStr)
+// retriable reports whether a failure of class cls is one that retries
+// follow at all, budget aside.
+func retriable(cls resilience.Class) bool {
 	// Stalls are transient for campaign-level accounting (the breaker),
 	// but never retried in-domain: the engine that produced one must be
 	// rebuilt before it can scan again.
@@ -536,22 +552,24 @@ func retriable(errStr string) bool {
 // attempt (a retry, possibly at the next address). It decides as
 // connectRetry and runChain will.
 func endsChain(c *ConnResult, retriesLeft int) bool {
-	return c.Redirect == "" && (c.Err == "" || retriesLeft <= 0 || !retriable(c.Err))
+	return c.Redirect == "" && (c.ErrClass == resilience.ClassNone || retriesLeft <= 0 || !retriable(c.ErrClass))
 }
 
 // resolveRetry resolves the host in the given address family, retrying
 // transient DNS failures within the domain's budget. It returns every
 // resolved address, appended to dst[:0], so connection-level retries can
 // rotate through them (multi-address fallback); a failure is the lookup's
-// bare kind (see dns.Resolver.AppendLookup). The kind's own text classifies
-// as the spelled-out one would: the host name adds nothing Classify reads.
+// bare kind (see dns.Resolver.AppendLookup). A DNS failure carries no class,
+// so its text is classified here, and only with retries on; the kind's own
+// text classifies as the spelled-out one would: the host name adds nothing
+// Classify reads.
 func resolveRetry(dst []netip.Addr, rt *retrier, res *dns.Resolver, host string, t dns.RType) ([]netip.Addr, error) {
 	for attempt := 0; ; attempt++ {
 		addrs, err := res.AppendLookup(dst[:0], host, t, attempt)
 		if err == nil {
 			return addrs, nil
 		}
-		if !rt.retry(retryStageDNS, err.Error()) {
+		if !rt.policy.Enabled() || !rt.retry(rt.tm.retriesDNS, resilience.Classify(err.Error())) {
 			return nil, err
 		}
 	}
@@ -564,7 +582,7 @@ func resolveRetry(dst []netip.Addr, rt *retrier, res *dns.Resolver, host string,
 func (st *scanState) connectRetry(rt *retrier, out *ConnResult, addrs []netip.Addr, target string, hop int, path string) {
 	for attempt := 0; ; attempt++ {
 		st.dial(out, target, addrs[attempt%len(addrs)], hop, attempt, path, rt.left())
-		if out.Err == "" || !rt.retry(retryStageConn, out.Err) {
+		if out.ErrClass == resilience.ClassNone || !rt.retry(rt.tm.retriesConn, out.ErrClass) {
 			return
 		}
 	}
@@ -747,11 +765,4 @@ func redirectPath(loc string) string {
 var scannerHeaders = map[string]string{
 	"user-agent": "quicspin-scanner/1.0",
 	"x-research": "spin-bit measurement study; opt out: https://quicspin.invalid/optout",
-}
-
-func errString(err error) string {
-	if err == nil {
-		return ""
-	}
-	return err.Error()
 }

@@ -11,6 +11,7 @@ import (
 
 	"quicspin/internal/core"
 	"quicspin/internal/fault"
+	"quicspin/internal/hostile"
 	"quicspin/internal/resilience"
 	"quicspin/internal/trace"
 	"quicspin/internal/websim"
@@ -112,7 +113,7 @@ const poisoned = "poisoned: result storage recycled after its sink call returned
 // The values poison writes: no scan produces any of them.
 var (
 	poisonResult = DomainResult{Domain: poisoned, DNSErr: poisoned}
-	poisonConn   = ConnResult{Target: poisoned, Err: poisoned, Status: -1, ZeroPkts: -1, OnePkts: -1}
+	poisonConn   = ConnResult{Target: poisoned, Err: poisoned, ErrClass: ^resilience.Class(0), Hostile: ^hostile.Profile(0), Status: -1, ZeroPkts: -1, OnePkts: -1}
 	poisonObs    = core.Observation{PN: ^uint64(0), VEC: 0xff}
 )
 

@@ -84,7 +84,8 @@ type scanTelemetry struct {
 	workersActive                   *telemetry.Gauge
 	week, population                *telemetry.Gauge
 
-	retries            map[string]*telemetry.Counter
+	retriesDNS         *telemetry.Counter
+	retriesConn        *telemetry.Counter
 	retriesExhausted   *telemetry.Counter
 	panics, stalls     *telemetry.Counter
 	breakerOpen        *telemetry.Counter
@@ -98,7 +99,8 @@ type scanTelemetry struct {
 	journalSkipped     *telemetry.Gauge
 	journalBytes       *telemetry.Gauge
 
-	hostileDetected map[string]*telemetry.Counter
+	// hostileDetected is indexed by profile; hostile.None's entry is nil.
+	hostileDetected []*telemetry.Counter
 	budgetExceeded  map[string]*telemetry.Counter
 
 	domainsPerSec *telemetry.Gauge
@@ -108,24 +110,22 @@ type scanTelemetry struct {
 
 func newScanTelemetry(reg *telemetry.Registry) *scanTelemetry {
 	t := &scanTelemetry{
-		domains:           reg.Counter("spinscan_domains_total"),
-		resolved:          reg.Counter("spinscan_domains_resolved_total"),
-		connsAttempted:    reg.Counter("spinscan_conns_attempted_total"),
-		connsSucceeded:    reg.Counter("spinscan_conns_succeeded_total"),
-		connsClosedForm:   reg.Counter("spinscan_conns_closed_form_total"),
-		redirectsFollowed: reg.Counter("spinscan_redirects_followed_total"),
-		flipConns:         reg.Counter("spinscan_spin_flip_conns_total"),
-		redirectDepth:     reg.Histogram("spinscan_redirect_depth", telemetry.DepthBuckets),
-		stHandshake:       reg.Stage("spinscan_stage_seconds", "handshake", telemetry.DurationBuckets),
-		stRequest:         reg.Stage("spinscan_stage_seconds", "request", telemetry.DurationBuckets),
-		stTotal:           reg.Stage("spinscan_stage_seconds", "total", telemetry.DurationBuckets),
-		workersActive:     reg.Gauge("spinscan_workers_active"),
-		week:              reg.Gauge("spinscan_week"),
-		population:        reg.Gauge("spinscan_domains_population"),
-		retries: map[string]*telemetry.Counter{
-			retryStageDNS:  reg.Counter(telemetry.Name("retries_total", "stage", retryStageDNS)),
-			retryStageConn: reg.Counter(telemetry.Name("retries_total", "stage", retryStageConn)),
-		},
+		domains:            reg.Counter("spinscan_domains_total"),
+		resolved:           reg.Counter("spinscan_domains_resolved_total"),
+		connsAttempted:     reg.Counter("spinscan_conns_attempted_total"),
+		connsSucceeded:     reg.Counter("spinscan_conns_succeeded_total"),
+		connsClosedForm:    reg.Counter("spinscan_conns_closed_form_total"),
+		redirectsFollowed:  reg.Counter("spinscan_redirects_followed_total"),
+		flipConns:          reg.Counter("spinscan_spin_flip_conns_total"),
+		redirectDepth:      reg.Histogram("spinscan_redirect_depth", telemetry.DepthBuckets),
+		stHandshake:        reg.Stage("spinscan_stage_seconds", "handshake", telemetry.DurationBuckets),
+		stRequest:          reg.Stage("spinscan_stage_seconds", "request", telemetry.DurationBuckets),
+		stTotal:            reg.Stage("spinscan_stage_seconds", "total", telemetry.DurationBuckets),
+		workersActive:      reg.Gauge("spinscan_workers_active"),
+		week:               reg.Gauge("spinscan_week"),
+		population:         reg.Gauge("spinscan_domains_population"),
+		retriesDNS:         reg.Counter(telemetry.Name("retries_total", "stage", "dns")),
+		retriesConn:        reg.Counter(telemetry.Name("retries_total", "stage", "conn")),
 		retriesExhausted:   reg.Counter("retries_exhausted_total"),
 		panics:             reg.Counter("scan_panics_total"),
 		stalls:             reg.Counter("scan_stalls_total"),
@@ -139,7 +139,7 @@ func newScanTelemetry(reg *telemetry.Registry) *scanTelemetry {
 		journalRotations:   reg.Gauge("journal_segment_rotations"),
 		journalSkipped:     reg.Gauge("journal_appends_skipped"),
 		journalBytes:       reg.Gauge("journal_bytes"),
-		hostileDetected:    map[string]*telemetry.Counter{},
+		hostileDetected:    make([]*telemetry.Counter, len(hostile.Profiles())+1),
 		budgetExceeded:     map[string]*telemetry.Counter{},
 		domainsPerSec:      reg.Gauge("scan_domains_per_sec"),
 		allocBytes:         reg.Gauge("scan_alloc_bytes"),
@@ -149,7 +149,7 @@ func newScanTelemetry(reg *telemetry.Registry) *scanTelemetry {
 		t.errs[cls] = reg.Counter(telemetry.Name("spinscan_conn_errors_total", "class", cls.String()))
 	}
 	for _, p := range hostile.Profiles() {
-		t.hostileDetected[p.String()] = reg.Counter(telemetry.Name("hostile_detected_total", "profile", p.String()))
+		t.hostileDetected[p] = reg.Counter(telemetry.Name("hostile_detected_total", "profile", p.String()))
 	}
 	for _, kind := range budgetKinds {
 		t.budgetExceeded[kind] = reg.Counter(telemetry.Name("budget_exceeded_total", "kind", kind))
@@ -222,15 +222,12 @@ func (t *scanTelemetry) recordDomain(d *DomainResult) {
 		if c.Hop > 0 {
 			t.redirectsFollowed.Inc()
 		}
-		if c.Err == "" {
+		if c.ErrClass == resilience.ClassNone {
 			continue
 		}
-		cls := resilience.Classify(c.Err)
-		t.errs[cls].Inc()
-		if cls == resilience.ClassHostile {
-			if hc, ok := t.hostileDetected[hostile.ProfileOf(c.Err).String()]; ok {
-				hc.Inc()
-			}
+		t.errs[c.ErrClass].Inc()
+		if c.ErrClass == resilience.ClassHostile {
+			t.hostileDetected[c.Hostile].Inc()
 		}
 	}
 }

@@ -76,6 +76,38 @@ if grep -rnE --include='*.go' --exclude='*_test.go' \
     exit 1
 fi
 
+# Structural gate: a failed connection is classified once, when it is
+# recorded. ConnResult.setErr writes Err together with its class and hostile
+# profile, and every reader (retries, the breaker, telemetry, Table 5)
+# switches on those fields; a second classifier of the same text can drift
+# from the first, as telemetry and Table 5 did until they were merged. So
+# outside their own packages resilience.Classify and hostile.ProfileOf run
+# only in setErr and on DNS failure text (resolveRetry, classifyDomain), and
+# internal/scanner writes Err only in setErr and the poisonConn value.
+echo "== a connection's failure is classified once, by setErr"
+# funcsites PATTERN DIR...: "file:line: func: text" for every non-comment
+# line of non-test Go matching the awk PATTERN, naming its function.
+funcsites() {
+    pat=$1
+    shift
+    find "$@" -name '*.go' ! -name '*_test.go' | sort | xargs awk -v pat="$pat" '
+        FNR == 1 { fn = "" }
+        /^func / { fn = $0; sub(/ *\{.*/, "", fn) }
+        /^}/ { fn = "" }
+        $0 ~ pat && !/^[ \t]*\/\// { printf "%s:%d: %s: %s\n", FILENAME, FNR, fn, $0 }'
+}
+if funcsites '(resilience\.Classify|hostile\.ProfileOf)\(' cmd internal examples bench |
+    grep -v '^internal/resilience/\|^internal/hostile/' |
+    grep -vE '^internal/scanner/scanner\.go:[0-9]+: func \(c \*ConnResult\) setErr\(|^internal/scanner/[a-z]+\.go:[0-9]+: func (resolveRetry|classifyDomain)\(.*Classify\((err\.Error\(\)|res\.DNSErr)\)'; then
+    echo "the lines above classify error text; a connection carries its class (ConnResult.ErrClass, set by setErr)" >&2
+    exit 1
+fi
+if funcsites '\.Err[ \t]*=[^=]|(^|[^A-Za-z0-9_])Err:' internal/scanner |
+    grep -vE '^internal/scanner/scanner\.go:[0-9]+: func \(c \*ConnResult\) setErr\(|^internal/scanner/stream\.go:[0-9]+: [^:]*: [[:space:]]*poisonConn '; then
+    echo "the lines above write ConnResult.Err; record a failure with setErr, which classifies it" >&2
+    exit 1
+fi
+
 # Native Go fuzzing needs no build tags, so `go vet ./...` above already
 # covers the fuzz harnesses; here each target gets a short guided run
 # beyond its seed corpus (which plain `go test` replays as unit tests).
