@@ -10,10 +10,8 @@ import (
 	"math/rand"
 	"net/netip"
 	"strings"
-	"sync"
 
 	"quicspin/internal/fault"
-	"quicspin/internal/telemetry"
 )
 
 // Common resolution errors.
@@ -60,14 +58,15 @@ type Backend interface {
 }
 
 // Resolver resolves names against a Backend with injected failures. It is
-// safe for concurrent use.
+// owned by one goroutine: a campaign builds one per worker, and nothing
+// locks it. Its Stats are the only record of what it resolved; the scanner
+// publishes their deltas to the campaign's telemetry.
 type Resolver struct {
 	backend Backend
 	// TimeoutRate is the probability that a query times out even though
 	// the name exists (lame delegations, rate-limited auths, …).
 	TimeoutRate float64
 
-	mu  sync.Mutex
 	rng *rand.Rand
 
 	stats Stats
@@ -76,11 +75,6 @@ type Resolver struct {
 	// faults, when set, times out lookups the plan's dns rules select. See
 	// SetFaults.
 	faults *fault.Plan
-
-	tmQueries *telemetry.Counter
-	tmHits    *telemetry.Counter
-	tmMisses  *telemetry.Counter
-	tmErrs    map[string]*telemetry.Counter
 }
 
 // Stats counts resolver outcomes.
@@ -94,6 +88,22 @@ type Stats struct {
 	// EnableCache); they are also counted in Queries and the outcome
 	// fields, so attrition ratios stay meaningful.
 	CacheHits int
+	// CacheMisses counts lookups the enabled cache could not answer. A
+	// lookup an injected fault times out consults no cache and is neither.
+	CacheMisses int
+}
+
+// Delta returns the counts s gained since prev.
+func (s Stats) Delta(prev Stats) Stats {
+	return Stats{
+		Queries:     s.Queries - prev.Queries,
+		Resolved:    s.Resolved - prev.Resolved,
+		NXDomain:    s.NXDomain - prev.NXDomain,
+		Timeouts:    s.Timeouts - prev.Timeouts,
+		NoRecord:    s.NoRecord - prev.NoRecord,
+		CacheHits:   s.CacheHits - prev.CacheHits,
+		CacheMisses: s.CacheMisses - prev.CacheMisses,
+	}
 }
 
 // cacheKey identifies one cached lookup.
@@ -123,29 +133,11 @@ func Normalize(name string) string {
 // EnableCache turns on lookup memoisation: repeated queries for the same
 // (name, type) — redirect chains revisiting the same hosts — are answered
 // from memory. Injected timeouts are never cached. Campaign engines enable
-// this and scope it to one domain with ResetCache; telemetry exposes the
+// this and scope it to one domain with ResetCache; Stats counts the
 // hit/miss split.
 func (r *Resolver) EnableCache() {
-	r.mu.Lock()
-	defer r.mu.Unlock()
 	if r.cache == nil {
 		r.cache = map[cacheKey]cacheEntry{}
-	}
-}
-
-// SetTelemetry registers this resolver's counters (dns_queries_total,
-// dns_cache_{hits,misses}_total, dns_errors_total{class}) with reg. A nil
-// registry leaves the resolver uninstrumented (no-op counters).
-func (r *Resolver) SetTelemetry(reg *telemetry.Registry) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.tmQueries = reg.Counter("dns_queries_total")
-	r.tmHits = reg.Counter("dns_cache_hits_total")
-	r.tmMisses = reg.Counter("dns_cache_misses_total")
-	r.tmErrs = map[string]*telemetry.Counter{
-		"nxdomain": reg.Counter(telemetry.Name("dns_errors_total", "class", "nxdomain")),
-		"timeout":  reg.Counter(telemetry.Name("dns_errors_total", "class", "timeout")),
-		"norecord": reg.Counter(telemetry.Name("dns_errors_total", "class", "norecord")),
 	}
 }
 
@@ -155,8 +147,6 @@ func (r *Resolver) SetTelemetry(reg *telemetry.Registry) {
 // resolver state, so injected failures stay deterministic across worker
 // counts and cache warm-up order. A nil plan (the default) injects nothing.
 func (r *Resolver) SetFaults(plan *fault.Plan) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
 	r.faults = plan
 }
 
@@ -165,8 +155,6 @@ func (r *Resolver) SetFaults(plan *fault.Plan) {
 // one domain's redirect chain, so a per-domain memo answers almost all of
 // them while its size stays bounded by one chain.
 func (r *Resolver) ResetCache() {
-	r.mu.Lock()
-	defer r.mu.Unlock()
 	clear(r.cache)
 }
 
@@ -196,44 +184,40 @@ func (r *Resolver) LookupAttempt(name string, t RType, attempt int) ([]netip.Add
 // it: a caller that reports the failure spells it once with ErrText.
 func (r *Resolver) AppendLookup(dst []netip.Addr, name string, t RType, attempt int) ([]netip.Addr, error) {
 	name = Normalize(name)
-	r.mu.Lock()
-	defer r.mu.Unlock()
 	r.stats.Queries++
-	r.tmQueries.Inc()
 	// The plan outranks the cache: an injected timeout must fire even for
 	// cached names, or injected-failure tests would depend on which worker
 	// warmed the cache first. A name without a zone has no server to time
 	// out.
 	if r.faults != nil {
 		if _, ok := r.backend.Zone(name); ok && r.faults.Hit(fault.DNS, fault.Timeout, name, attempt) {
-			return dst, r.finishLocked(ErrTimeout)
+			return dst, r.finish(ErrTimeout)
 		}
 	}
 	key := cacheKey{name, t}
 	if r.cache != nil {
 		if e, ok := r.cache[key]; ok {
 			r.stats.CacheHits++
-			r.tmHits.Inc()
 			if e.err != nil {
-				return dst, r.finishLocked(e.err)
+				return dst, r.finish(e.err)
 			}
-			return append(dst, e.addrs...), r.finishLocked(nil)
+			return append(dst, e.addrs...), r.finish(nil)
 		}
-		r.tmMisses.Inc()
+		r.stats.CacheMisses++
 	}
-	addrs, err := r.lookupLocked(name, t)
+	addrs, err := r.lookup(name, t)
 	if r.cache != nil && err != ErrTimeout {
 		r.cache[key] = cacheEntry{addrs: addrs, err: err}
 	}
 	if err != nil {
-		return dst, r.finishLocked(err)
+		return dst, r.finish(err)
 	}
-	return append(dst, addrs...), r.finishLocked(nil)
+	return append(dst, addrs...), r.finish(nil)
 }
 
-// lookupLocked performs the uncached resolution against the backend. A
-// failure is its bare kind.
-func (r *Resolver) lookupLocked(name string, t RType) ([]netip.Addr, error) {
+// lookup performs the uncached resolution against the backend. A failure is
+// its bare kind.
+func (r *Resolver) lookup(name string, t RType) ([]netip.Addr, error) {
 	rec, ok := r.backend.Zone(name)
 	if !ok {
 		return nil, ErrNXDomain
@@ -254,20 +238,17 @@ func (r *Resolver) lookupLocked(name string, t RType) ([]netip.Addr, error) {
 	return addrs, nil
 }
 
-// finishLocked tallies a lookup outcome and returns its error.
-func (r *Resolver) finishLocked(err error) error {
+// finish tallies a lookup outcome and returns its error.
+func (r *Resolver) finish(err error) error {
 	switch err {
 	case nil:
 		r.stats.Resolved++
 	case ErrNXDomain:
 		r.stats.NXDomain++
-		r.tmErrs["nxdomain"].Inc()
 	case ErrTimeout:
 		r.stats.Timeouts++
-		r.tmErrs["timeout"].Inc()
 	case ErrNoRecord:
 		r.stats.NoRecord++
-		r.tmErrs["norecord"].Inc()
 	}
 	return err
 }
@@ -295,8 +276,4 @@ func (e *lookupError) Error() string { return e.text }
 func (e *lookupError) Unwrap() error { return e.kind }
 
 // Stats returns a snapshot of resolver counters.
-func (r *Resolver) Stats() Stats {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.stats
-}
+func (r *Resolver) Stats() Stats { return r.stats }

@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	"quicspin/internal/fault"
-	"quicspin/internal/telemetry"
 )
 
 // mapBackend is a Backend over a plain map.
@@ -150,10 +149,8 @@ func TestRTypeString(t *testing.T) {
 }
 
 func TestCacheHitMiss(t *testing.T) {
-	reg := telemetry.New()
 	r := NewResolver(backend(), rand.New(rand.NewSource(1)))
 	r.EnableCache()
-	r.SetTelemetry(reg)
 
 	for i := 0; i < 3; i++ {
 		if _, err := r.Lookup("www.example.com", TypeA); err != nil {
@@ -168,24 +165,14 @@ func TestCacheHitMiss(t *testing.T) {
 	}
 
 	st := r.Stats()
-	if st.Queries != 5 || st.CacheHits != 3 {
-		t.Errorf("stats = %+v, want Queries 5, CacheHits 3", st)
+	if st.Queries != 5 || st.CacheHits != 3 || st.CacheMisses != 2 {
+		t.Errorf("stats = %+v, want Queries 5, CacheHits 3, CacheMisses 2", st)
 	}
 	if st.Resolved != 3 || st.NXDomain != 2 {
 		t.Errorf("outcomes replayed wrong: %+v", st)
 	}
-	snap := reg.Snapshot()
-	if snap.Counters["dns_queries_total"] != 5 {
-		t.Errorf("dns_queries_total = %d, want 5", snap.Counters["dns_queries_total"])
-	}
-	if snap.Counters["dns_cache_hits_total"] != 3 {
-		t.Errorf("dns_cache_hits_total = %d, want 3", snap.Counters["dns_cache_hits_total"])
-	}
-	if snap.Counters["dns_cache_misses_total"] != 2 {
-		t.Errorf("dns_cache_misses_total = %d, want 2", snap.Counters["dns_cache_misses_total"])
-	}
-	if got := snap.Counters[`dns_errors_total{class="nxdomain"}`]; got != 2 {
-		t.Errorf("nxdomain errors = %d, want 2", got)
+	if d := st.Delta(Stats{Queries: 1, CacheMisses: 1}); d.Queries != 4 || d.CacheMisses != 1 || d.CacheHits != 3 {
+		t.Errorf("Delta = %+v, want Queries 4, CacheMisses 1, CacheHits 3", d)
 	}
 }
 

@@ -62,14 +62,16 @@ const (
 	// response.
 	MidstreamReset
 
-	profileCount // number of profiles including None
+	// NumProfiles is the number of profiles, None included: an array
+	// indexed by Profile has this length.
+	NumProfiles
 )
 
 // Profiles returns all misbehavior profiles (excluding None) in stable
 // order.
 func Profiles() []Profile {
-	out := make([]Profile, 0, profileCount-1)
-	for p := MalformedHeader; p < profileCount; p++ {
+	out := make([]Profile, 0, NumProfiles-1)
+	for p := MalformedHeader; p < NumProfiles; p++ {
 		out = append(out, p)
 	}
 	return out
@@ -151,7 +153,7 @@ func ProfileOf(err string) Profile {
 	}
 	rest := err[len(errPrefix):]
 	name, _, _ := strings.Cut(rest, ":")
-	for p := MalformedHeader; p < profileCount; p++ {
+	for p := MalformedHeader; p < NumProfiles; p++ {
 		if p.String() == name {
 			return p
 		}
@@ -217,7 +219,7 @@ func Assign(seed int64, addr string, frac float64) Profile {
 		return None
 	}
 	h2 := fnv64a(fmt.Sprintf("hostile-profile|%d|%s", seed, addr))
-	return MalformedHeader + Profile(h2%uint64(profileCount-1))
+	return MalformedHeader + Profile(h2%uint64(NumProfiles-1))
 }
 
 // StormCopies is the amplification factor of the PacketStorm profile: the

@@ -12,7 +12,6 @@ import (
 	"time"
 
 	"quicspin/internal/sim"
-	"quicspin/internal/telemetry"
 )
 
 // PathConfig shapes one directed path between two attached hosts.
@@ -114,11 +113,6 @@ type Network struct {
 	// per-datagram copy in transmit is allocation-free at steady state.
 	freeDel  []*delivery
 	freeBufs [][]byte
-
-	// tm mirrors stats into shared campaign telemetry counters; the zero
-	// value (nil counters) is a no-op, so uninstrumented networks pay
-	// only nil checks.
-	tm netTelemetry
 }
 
 // delivery is one scheduled datagram arrival. fn is the loop callback bound
@@ -129,24 +123,6 @@ type delivery struct {
 	from, to string
 	data     []byte
 	fn       func(now time.Time)
-}
-
-// netTelemetry holds the pre-resolved counters of one network. Counters
-// are atomic, so many worker-shard networks may share one registry.
-type netTelemetry struct {
-	sent, delivered, dropped, reordered, duplicated *telemetry.Counter
-}
-
-// SetTelemetry registers this network's packet counters
-// (netem_packets_*_total) with reg. A nil registry disables them.
-func (n *Network) SetTelemetry(reg *telemetry.Registry) {
-	n.tm = netTelemetry{
-		sent:       reg.Counter("netem_packets_sent_total"),
-		delivered:  reg.Counter("netem_packets_delivered_total"),
-		dropped:    reg.Counter("netem_packets_dropped_total"),
-		reordered:  reg.Counter("netem_packets_reordered_total"),
-		duplicated: reg.Counter("netem_packets_duplicated_total"),
-	}
 }
 
 // New creates a Network over loop with the given default path config.
@@ -268,17 +244,14 @@ func (n *Network) pathConfig(from, to string) PathConfig {
 // is copied, so callers may reuse their buffers.
 func (n *Network) Send(from, to string, data []byte) {
 	n.stats.Sent++
-	n.tm.sent.Inc()
 	if n.dropAll[to] {
 		n.stats.Dropped++
-		n.tm.dropped.Inc()
 		return
 	}
 	if m := n.manglers[from]; m != nil {
 		pieces := m(data)
 		if len(pieces) == 0 {
 			n.stats.Dropped++
-			n.tm.dropped.Inc()
 			return
 		}
 		for _, piece := range pieces {
@@ -296,7 +269,6 @@ func (n *Network) transmit(from, to string, data []byte) {
 	cfg := n.pathConfig(from, to)
 	if cfg.LossRate > 0 && n.rng.Float64() < cfg.LossRate {
 		n.stats.Dropped++
-		n.tm.dropped.Inc()
 		return
 	}
 	delay := cfg.Delay
@@ -309,7 +281,6 @@ func (n *Network) transmit(from, to string, data []byte) {
 		// Deliberately held back: may overtake later traffic.
 		at = at.Add(cfg.reorderExtra())
 		n.stats.Reordered++
-		n.tm.reordered.Inc()
 	} else {
 		// FIFO: a packet never arrives before its predecessor on the path.
 		if last, ok := n.lastDelivery[key]; ok && at.Before(last) {
@@ -328,7 +299,6 @@ func (n *Network) transmit(from, to string, data []byte) {
 	n.deliverAt(at, from, to, cp)
 	if cfg.DuplicateRate > 0 && n.rng.Float64() < cfg.DuplicateRate {
 		n.stats.Duplicated++
-		n.tm.duplicated.Inc()
 		dup := n.getBuf(len(cp))
 		copy(dup, cp)
 		n.deliverAt(at.Add(time.Millisecond), from, to, dup)
@@ -375,11 +345,9 @@ func (d *delivery) run(now time.Time) {
 	h, ok := n.hosts[to]
 	if !ok || n.dropAll[to] {
 		n.stats.Dropped++
-		n.tm.dropped.Inc()
 		return
 	}
 	n.stats.Delivered++
-	n.tm.delivered.Inc()
 	if n.tap != nil {
 		n.tap(now, from, to, data)
 	}

@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"quicspin/internal/sim"
-	"quicspin/internal/telemetry"
 )
 
 var epoch = time.Date(2023, 5, 15, 0, 0, 0, 0, time.UTC)
@@ -177,31 +176,6 @@ func TestTapSeesDeliveries(t *testing.T) {
 func TestStatsString(t *testing.T) {
 	if s := (Stats{Sent: 1}).String(); s == "" {
 		t.Error("empty Stats string")
-	}
-}
-
-func TestTelemetryCountersMirrorStats(t *testing.T) {
-	loop, n := newNet(PathConfig{Delay: 5 * time.Millisecond, LossRate: 0.3}, 4)
-	reg := telemetry.New()
-	n.SetTelemetry(reg)
-	n.Attach("b", func(time.Time, string, []byte) {})
-	for i := 0; i < 200; i++ {
-		n.Send("a", "b", []byte{1})
-	}
-	loop.Run()
-	st := n.Stats()
-	snap := reg.Snapshot()
-	if got := snap.Counters["netem_packets_sent_total"]; got != int64(st.Sent) {
-		t.Errorf("sent counter = %d, stats %d", got, st.Sent)
-	}
-	if got := snap.Counters["netem_packets_delivered_total"]; got != int64(st.Delivered) {
-		t.Errorf("delivered counter = %d, stats %d", got, st.Delivered)
-	}
-	if got := snap.Counters["netem_packets_dropped_total"]; got != int64(st.Dropped) {
-		t.Errorf("dropped counter = %d, stats %d", got, st.Dropped)
-	}
-	if st.Dropped == 0 || st.Delivered == 0 {
-		t.Errorf("test vacuous: %+v", st)
 	}
 }
 

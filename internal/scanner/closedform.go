@@ -205,8 +205,8 @@ func (c *closedForm) report(s *synthesis) {
 		out.StackRTTs = keep(st.slabs, &st.slabs.rtts, s.stack[:]...)
 		observed = out
 	}
-	st.tm.connTimeline(st.rec, s.start, s.hsAt, s.end, observed, c.obs)
-	st.tm.connsClosedForm.Inc()
+	st.tally.connTimeline(st.rec, s.start, s.hsAt, s.end, observed, c.obs)
+	st.tally.n.connsClosedForm++
 	// Only series with flips are retained, so the synthesis runs entirely in
 	// scratch and the retained minority is copied to the slab.
 	if out.HasFlips() {

@@ -15,7 +15,7 @@ func TestEngineResolverMemoBounded(t *testing.T) {
 	for name, engine := range map[string]Engine{"fast": EngineFast, "emulated": EngineEmulated} {
 		cfg := Config{Week: 3, Engine: engine, Seed: 4, Workers: 1}
 		var resolver *dns.Resolver
-		eng := buildEngine(w, &cfg, newScanTelemetry(nil), nil)
+		eng := buildEngine(w, &cfg, testTally(&cfg), nil)
 		switch e := eng.(type) {
 		case *fastEngine:
 			resolver = e.resolver

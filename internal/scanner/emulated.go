@@ -62,7 +62,7 @@ type emulatedEngine struct {
 	stalled bool
 }
 
-func newEmulatedEngine(w *websim.World, cfg *Config, tm *scanTelemetry, rec *trace.Recorder) *emulatedEngine {
+func newEmulatedEngine(w *websim.World, cfg *Config, tally *domainTally, rec *trace.Recorder) *emulatedEngine {
 	loop := sim.NewLoop(campaignStart(cfg.Week))
 	e := &emulatedEngine{
 		loop:             loop,
@@ -71,14 +71,13 @@ func newEmulatedEngine(w *websim.World, cfg *Config, tm *scanTelemetry, rec *tra
 		netem:            dice.New(),
 		serverTurnaround: dice.New(),
 	}
-	e.init(w, cfg, tm, rec, loop.Now)
+	e.init(w, cfg, tally, rec, loop.Now)
 	e.dial = e.connect
 	// Retry backoff advances this worker's virtual clock; the loop also
 	// fires any pending events inside the backoff window.
 	e.sleep = func(d time.Duration) { loop.RunUntil(loop.Now().Add(d)) }
 	e.net = netem.New(loop, netem.PathConfig{Delay: 10 * time.Millisecond}, e.netem.Rand)
 	e.serverDelay = func() time.Duration { return e.world.Turnaround(e.serverTurnaround.Rand) }
-	e.net.SetTelemetry(cfg.Telemetry)
 	return e
 }
 
@@ -310,7 +309,7 @@ func (e *emulatedEngine) emulate(out *ConnResult, target string, ip netip.Addr, 
 		out.setErr("timeout: no response")
 	}
 
-	e.tm.connTimeline(rec, start, x.hsAt, now, out, obs)
+	e.tally.connTimeline(rec, start, x.hsAt, now, out, obs)
 	if rec != nil {
 		delta := e.net.Stats().Delta(netBefore)
 		rec.SpanAttrInt("pkts_sent", int64(delta.Sent))

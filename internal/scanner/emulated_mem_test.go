@@ -45,11 +45,11 @@ func uniformProfile(domains int, quicRate float64) websim.Profile {
 
 func quicEngine(w *websim.World) *emulatedEngine {
 	cfg := Config{Week: 12, Engine: EngineEmulated, Seed: 1, Workers: 1, Telemetry: telemetry.New()}
-	return newEmulatedEngine(w, &cfg, newScanTelemetry(cfg.Telemetry), nil)
+	return newEmulatedEngine(w, &cfg, testTally(&cfg), nil)
 }
 
 // closedForms is the number of connections e has settled in closed form.
-func closedForms(e *emulatedEngine) int64 { return e.tm.connsClosedForm.Value() }
+func closedForms(e *emulatedEngine) int64 { return e.tally.n.connsClosedForm }
 
 // The emulated engine's memory is constant in the number of domains it has
 // scanned: after one pass over a world (every server site instantiated) two

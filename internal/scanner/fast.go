@@ -12,12 +12,12 @@ import (
 // TestEnginesAgree validates it against the emulated engine.
 type fastEngine struct{ scanState }
 
-func newFastEngine(w *websim.World, cfg *Config, tm *scanTelemetry, rec *trace.Recorder) *fastEngine {
+func newFastEngine(w *websim.World, cfg *Config, tally *domainTally, rec *trace.Recorder) *fastEngine {
 	e := &fastEngine{}
 	// The closed-form timeline is anchored at the week's campaign start, and
 	// no clock advances: retry backoff only draws its jitter (nil sleep).
 	start := campaignStart(cfg.Week)
-	e.init(w, cfg, tm, rec, func() time.Time { return start })
+	e.init(w, cfg, tally, rec, func() time.Time { return start })
 	e.dial = e.cf.connect
 	return e
 }

@@ -407,6 +407,10 @@ func Run(w *websim.World, cfg Config) (*Result, error) {
 type scanState struct {
 	world *websim.World
 	cfg   *Config
+	// tally is the worker's per-domain telemetry, which outlives engine
+	// rebuilds; tm is the campaign's, for the rare events (retries, stalls,
+	// budget trips) counted where they happen.
+	tally *domainTally
 	tm    *scanTelemetry
 	// rec is the worker's trace recorder, nil when tracing is disabled.
 	rec *trace.Recorder
@@ -430,12 +434,11 @@ type scanState struct {
 
 // init sets up st in place, with clock as its virtual clock; the engine
 // sets dial, and sleep if it has a clock to advance.
-func (st *scanState) init(w *websim.World, cfg *Config, tm *scanTelemetry, rec *trace.Recorder, clock func() time.Time) {
-	st.world, st.cfg, st.tm, st.rec, st.clock = w, cfg, tm, rec, clock
+func (st *scanState) init(w *websim.World, cfg *Config, tally *domainTally, rec *trace.Recorder, clock func() time.Time) {
+	st.world, st.cfg, st.tally, st.tm, st.rec, st.clock = w, cfg, tally, tally.tm, rec, clock
 	st.dice = newDomainDice()
 	st.resolver = dns.NewResolver(cfg.dnsBackend(w), st.dice.dns.Rand)
 	st.resolver.EnableCache()
-	st.resolver.SetTelemetry(cfg.Telemetry)
 	st.resolver.SetFaults(cfg.Faults)
 	st.cf = newClosedForm(st)
 }
@@ -446,15 +449,20 @@ func (st *scanState) clockNow() time.Time { return st.clock() }
 // buildEngine constructs a worker's engine on the campaign's configuration;
 // also used to rebuild one whose state cannot be trusted after a panic or
 // watchdog stall. rec is the worker's trace recorder (nil when tracing is
-// disabled); it outlives engine rebuilds so flight rings survive panics and
-// stalls. Construction draws nothing: every stream is keyed per domain or
-// per connection, so an engine's output cannot depend on which worker it
-// serves.
-func buildEngine(w *websim.World, cfg *Config, tm *scanTelemetry, rec *trace.Recorder) engine {
+// disabled) and tally its per-domain telemetry; both outlive engine rebuilds,
+// so flight rings survive panics and stalls, and the tally counts the new
+// engine's lookups and packets from here on (publish it first). Construction
+// draws nothing: every stream is keyed per domain or per connection, so an
+// engine's output cannot depend on which worker it serves.
+func buildEngine(w *websim.World, cfg *Config, tally *domainTally, rec *trace.Recorder) engine {
 	if cfg.Engine == EngineFast {
-		return newFastEngine(w, cfg, tm, rec)
+		e := newFastEngine(w, cfg, tally, rec)
+		tally.watch(e.resolver, nil)
+		return e
 	}
-	return newEmulatedEngine(w, cfg, tm, rec)
+	e := newEmulatedEngine(w, cfg, tally, rec)
+	tally.watch(e.resolver, e.net)
+	return e
 }
 
 // scanSafely isolates one domain scan into res: a panic anywhere in the

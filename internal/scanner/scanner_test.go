@@ -317,7 +317,7 @@ func TestConnResultHelpers(t *testing.T) {
 func BenchmarkEmulatedScanPerDomain(b *testing.B) {
 	w := testWorld(100_000)
 	cfg := Config{Week: 1, Engine: EngineEmulated, Seed: 1, Workers: 1}
-	eng := newEmulatedEngine(w, &cfg, newScanTelemetry(cfg.Telemetry), nil)
+	eng := newEmulatedEngine(w, &cfg, testTally(&cfg), nil)
 	var s slabs
 	var res DomainResult
 	b.ResetTimer()
@@ -330,7 +330,7 @@ func BenchmarkEmulatedScanPerDomain(b *testing.B) {
 func BenchmarkFastScanPerDomain(b *testing.B) {
 	w := testWorld(100_000)
 	cfg := Config{Week: 1, Engine: EngineFast, Seed: 1, Workers: 1}
-	eng := newFastEngine(w, &cfg, newScanTelemetry(cfg.Telemetry), nil)
+	eng := newFastEngine(w, &cfg, testTally(&cfg), nil)
 	var s slabs
 	var res DomainResult
 	b.ResetTimer()

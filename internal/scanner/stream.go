@@ -182,7 +182,8 @@ func newCampaign(w *websim.World, cfg Config) (*campaign, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	c := &campaign{w: w, cfg: cfg, tm: newScanTelemetry(cfg.Telemetry)}
+	c := &campaign{w: w, cfg: cfg}
+	c.tm = newScanTelemetry(&c.cfg)
 	if cfg.Shard.enabled() && cfg.Shard.End > w.NumDomains() {
 		return nil, fmt.Errorf("scanner: Shard range [%d, %d) exceeds the population of %d", cfg.Shard.Start, cfg.Shard.End, w.NumDomains())
 	}
@@ -321,12 +322,13 @@ func boolGauge(b bool) int64 {
 
 // scanStep executes one domain end to end into res, its batch slot: breaker
 // acquisition, checkpoint replay, the scan itself (with engine rebuild after
-// panics or stalls), breaker recording, journaling and telemetry. A scanned
-// result's slices live in s (see slabs), and the journal encodes the result
-// from its slot into the worker's pending batch. It returns false, leaving
-// res unspecified, when the campaign was aborted while waiting on the
-// breaker; the caller's worker should stop scanning.
-func (c *campaign) scanStep(eng *engine, shard int, rec *trace.Recorder, d *websim.Domain, key string, pos int, s *slabs, res *DomainResult) bool {
+// panics or stalls), breaker recording, journaling and telemetry, which
+// counts in the worker's tally. A scanned result's slices live in s (see
+// slabs), and the journal encodes the result from its slot into the
+// worker's pending batch. It returns false, leaving res unspecified, when
+// the campaign was aborted while waiting on the breaker; the caller's
+// worker should stop scanning.
+func (c *campaign) scanStep(eng *engine, tally *domainTally, shard int, rec *trace.Recorder, d *websim.Domain, key string, pos int, s *slabs, res *DomainResult) bool {
 	// The breaker serialises decisions in canonical domain order per
 	// group; batches are dispatched and processed in ascending index
 	// order, so waits are only ever on strictly-earlier indices and
@@ -374,9 +376,11 @@ func (c *campaign) scanStep(eng *engine, shard int, rec *trace.Recorder, d *webs
 		}
 		if panicked || !(*eng).healthy() {
 			// The engine's loop or internal state cannot be trusted after
-			// a panic or stall: rebuild it. Keyed streams keep every
-			// other domain's result unchanged.
-			*eng = buildEngine(c.w, &c.cfg, c.tm, rec)
+			// a panic or stall: rebuild it, publishing first so the old
+			// resolver's and network's counts are not lost. Keyed streams
+			// keep every other domain's result unchanged.
+			tally.publish()
+			*eng = buildEngine(c.w, &c.cfg, tally, rec)
 		}
 	}
 	if key != "" {
@@ -390,14 +394,13 @@ func (c *campaign) scanStep(eng *engine, shard int, rec *trace.Recorder, d *webs
 			c.tm.breakerGroups.Add(-1)
 		}
 	}
-	c.tm.recordDomain(res)
+	tally.recordDomain(res)
 	if c.journal != nil && !fromCheckpoint {
 		// Checkpointing is an optimisation: a record the journal refuses
 		// (degraded, or not encodable) is not journaled, and a resume
 		// rescans its domain. Storage failures surface at Commit.
 		_ = c.journal.Add(shard, ckey, res)
 	}
-	c.completed.Add(1)
 	if f := c.cfg.Faults; f != nil && f.Hit(fault.Scan, fault.Interrupt, "", f.Next(fault.Scan)) {
 		c.requestStop()
 	}
@@ -406,7 +409,8 @@ func (c *campaign) scanStep(eng *engine, shard int, rec *trace.Recorder, d *webs
 
 // worker scans batches until the work channel closes. After an interrupt it
 // keeps draining the channel (emitting truncated batches without scanning)
-// so the generator can never block on a send forever.
+// so the generator can never block on a send forever. Its per-domain
+// telemetry counts in a tally of its own, published once per batch.
 func (c *campaign) worker(shard int, work <-chan *batch, results chan<- *batch) {
 	c.tm.workersActive.Add(1)
 	defer c.tm.workersActive.Add(-1)
@@ -416,7 +420,8 @@ func (c *campaign) worker(shard int, work <-chan *batch, results chan<- *batch) 
 	// disjoint ranges disjoint (and an unsharded run's ids what they were).
 	lo, _ := c.bounds()
 	rec := c.cfg.Trace.Recorder(lo + shard)
-	eng := buildEngine(c.w, &c.cfg, c.tm, rec)
+	tally := newDomainTally(c.tm)
+	eng := buildEngine(c.w, &c.cfg, tally, rec)
 	for b := range work {
 		for j, d := range b.domains {
 			if c.interrupted.Load() {
@@ -428,7 +433,7 @@ func (c *campaign) worker(shard int, work <-chan *batch, results chan<- *batch) 
 			}
 			// reuse grew results to the batch: the slot never moves.
 			b.results = b.results[:j+1]
-			if !c.scanStep(&eng, shard, rec, d, key, pos, &b.slabs, &b.results[j]) {
+			if !c.scanStep(&eng, tally, shard, rec, d, key, pos, &b.slabs, &b.results[j]) {
 				b.results = b.results[:j]
 				break
 			}
@@ -442,6 +447,11 @@ func (c *campaign) worker(shard int, work <-chan *batch, results chan<- *batch) 
 			_, _ = c.journal.Commit(shard)
 			c.tm.checkpointDegraded.Set(boolGauge(c.journal.Degraded()))
 		}
+		// Publish before the batch leaves: by the time the sink sees a
+		// domain, every count of it is visible, and the last batch leaves
+		// the end-of-run values exact.
+		tally.publish()
+		c.completed.Add(int64(len(b.results)))
 		results <- b
 	}
 }

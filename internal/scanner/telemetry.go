@@ -4,7 +4,9 @@ import (
 	"time"
 
 	"quicspin/internal/core"
+	"quicspin/internal/dns"
 	"quicspin/internal/hostile"
+	"quicspin/internal/netem"
 	"quicspin/internal/resilience"
 	"quicspin/internal/telemetry"
 	"quicspin/internal/trace"
@@ -12,20 +14,31 @@ import (
 )
 
 // Campaign metric names (Prometheus families; see README "Observability").
+// The series marked * are per-domain: each worker counts them in its
+// domainTally and publishes them once per pipeline batch, so a live reader
+// lags by at most one batch of streamBatchSize domains per worker, and the
+// end-of-run values are exact.
 //
-//	spinscan_domains_total              domains scanned
-//	spinscan_domains_resolved_total     domains with DNS success
-//	spinscan_conns_attempted_total      connection attempts (incl. redirects)
-//	spinscan_conns_succeeded_total      completed QUIC handshakes
-//	spinscan_conns_closed_form_total    attempts synthesised in closed form
+//	spinscan_domains_total            * domains scanned
+//	spinscan_domains_resolved_total   * domains with DNS success
+//	spinscan_conns_attempted_total    * connection attempts (incl. redirects)
+//	spinscan_conns_succeeded_total    * completed QUIC handshakes
+//	spinscan_conns_closed_form_total  * attempts synthesised in closed form
 //	                                    (every fast-engine attempt; the
 //	                                    emulated engine's settled ones)
-//	spinscan_conn_errors_total{class}   failed connections by resilience
+//	spinscan_conn_errors_total{class} * failed connections by resilience
 //	                                    class (DNS failures are not counted)
-//	spinscan_redirects_followed_total   redirect hops followed
-//	spinscan_spin_flip_conns_total      connections with spin flips
-//	spinscan_redirect_depth             histogram of per-domain chain depth
-//	spinscan_stage_seconds{stage}       virtual-time stage histograms
+//	spinscan_redirects_followed_total * redirect hops followed
+//	spinscan_spin_flip_conns_total    * connections with spin flips
+//	spinscan_redirect_depth           * histogram of per-domain chain depth
+//	spinscan_stage_seconds{stage}     * virtual-time stage histograms
+//	dns_queries_total                 * resolver lookups (incl. cache hits)
+//	dns_cache_{hits,misses}_total     * lookups the per-domain memo answered
+//	                                    or missed
+//	dns_errors_total{class}           * failed lookups (nxdomain|timeout|
+//	                                    norecord)
+//	netem_packets_{sent,delivered,    * emulated datagram fates (emulated
+//	  dropped,reordered,duplicated}_total engine only)
 //	spinscan_workers_active             worker shards currently scanning
 //	spinscan_week                       campaign week being scanned
 //	spinscan_domains_population         domains queued across runs so far
@@ -60,7 +73,7 @@ import (
 //
 // Hostile-endpoint metric names (see README "Hostile endpoints").
 //
-//	hostile_detected_total{profile}     connections classified hostile
+//	hostile_detected_total{profile}   * connections classified hostile
 //	budget_exceeded_total{kind}         per-connection resource budget trips
 //
 // budgetKinds enumerates the budget_exceeded_total label values.
@@ -70,19 +83,13 @@ var budgetKinds = []string{
 }
 
 // scanTelemetry holds the pre-resolved instruments of one campaign run.
-// Built from a nil registry it is a complete no-op (every instrument nil),
-// which keeps the fast engine's hot path within the <2% overhead budget
-// when telemetry is disabled.
+// Built from a nil registry it is a complete no-op (every instrument nil).
+// The campaign-level instruments are written where their events happen;
+// the per-domain series are written only by the workers' domainTally
+// publish.
 type scanTelemetry struct {
-	domains, resolved               *telemetry.Counter
-	connsAttempted, connsSucceeded  *telemetry.Counter
-	connsClosedForm                 *telemetry.Counter
-	redirectsFollowed, flipConns    *telemetry.Counter
-	errs                            [resilience.ClassOther + 1]*telemetry.Counter
-	redirectDepth                   *telemetry.Histogram
-	stHandshake, stRequest, stTotal *telemetry.Stage
-	workersActive                   *telemetry.Gauge
-	week, population                *telemetry.Gauge
+	workersActive    *telemetry.Gauge
+	week, population *telemetry.Gauge
 
 	retriesDNS         *telemetry.Counter
 	retriesConn        *telemetry.Counter
@@ -98,17 +105,34 @@ type scanTelemetry struct {
 	journalRotations   *telemetry.Gauge
 	journalSkipped     *telemetry.Gauge
 	journalBytes       *telemetry.Gauge
-
-	// hostileDetected is indexed by profile; hostile.None's entry is nil.
-	hostileDetected []*telemetry.Counter
-	budgetExceeded  map[string]*telemetry.Counter
+	budgetExceeded     map[string]*telemetry.Counter
 
 	domainsPerSec *telemetry.Gauge
 	allocBytes    *telemetry.Gauge
 	allocObjects  *telemetry.Gauge
+
+	// The per-domain series, in domainCounts' layout.
+	domains, resolved               *telemetry.Counter
+	connsAttempted, connsSucceeded  *telemetry.Counter
+	connsClosedForm                 *telemetry.Counter
+	redirectsFollowed, flipConns    *telemetry.Counter
+	errs                            [resilience.ClassOther + 1]*telemetry.Counter
+	hostileDetected                 [hostile.NumProfiles]*telemetry.Counter
+	redirectDepth                   *telemetry.Histogram
+	stHandshake, stRequest, stTotal *telemetry.Histogram
+	dnsQueries, dnsHits, dnsMisses  *telemetry.Counter
+	dnsNXDomain, dnsTimeouts        *telemetry.Counter
+	dnsNoRecord                     *telemetry.Counter
+	// The netem series; nil on the fast engine, which sends no packets.
+	netSent, netDelivered, netDropped *telemetry.Counter
+	netReordered, netDuplicated       *telemetry.Counter
 }
 
-func newScanTelemetry(reg *telemetry.Registry) *scanTelemetry {
+func newScanTelemetry(cfg *Config) *scanTelemetry {
+	reg := cfg.Telemetry
+	stage := func(name string) *telemetry.Histogram {
+		return reg.Histogram(telemetry.Name("spinscan_stage_seconds", "stage", name), telemetry.DurationBuckets)
+	}
 	t := &scanTelemetry{
 		domains:            reg.Counter("spinscan_domains_total"),
 		resolved:           reg.Counter("spinscan_domains_resolved_total"),
@@ -118,9 +142,15 @@ func newScanTelemetry(reg *telemetry.Registry) *scanTelemetry {
 		redirectsFollowed:  reg.Counter("spinscan_redirects_followed_total"),
 		flipConns:          reg.Counter("spinscan_spin_flip_conns_total"),
 		redirectDepth:      reg.Histogram("spinscan_redirect_depth", telemetry.DepthBuckets),
-		stHandshake:        reg.Stage("spinscan_stage_seconds", "handshake", telemetry.DurationBuckets),
-		stRequest:          reg.Stage("spinscan_stage_seconds", "request", telemetry.DurationBuckets),
-		stTotal:            reg.Stage("spinscan_stage_seconds", "total", telemetry.DurationBuckets),
+		stHandshake:        stage("handshake"),
+		stRequest:          stage("request"),
+		stTotal:            stage("total"),
+		dnsQueries:         reg.Counter("dns_queries_total"),
+		dnsHits:            reg.Counter("dns_cache_hits_total"),
+		dnsMisses:          reg.Counter("dns_cache_misses_total"),
+		dnsNXDomain:        reg.Counter(telemetry.Name("dns_errors_total", "class", "nxdomain")),
+		dnsTimeouts:        reg.Counter(telemetry.Name("dns_errors_total", "class", "timeout")),
+		dnsNoRecord:        reg.Counter(telemetry.Name("dns_errors_total", "class", "norecord")),
 		workersActive:      reg.Gauge("spinscan_workers_active"),
 		week:               reg.Gauge("spinscan_week"),
 		population:         reg.Gauge("spinscan_domains_population"),
@@ -139,11 +169,17 @@ func newScanTelemetry(reg *telemetry.Registry) *scanTelemetry {
 		journalRotations:   reg.Gauge("journal_segment_rotations"),
 		journalSkipped:     reg.Gauge("journal_appends_skipped"),
 		journalBytes:       reg.Gauge("journal_bytes"),
-		hostileDetected:    make([]*telemetry.Counter, len(hostile.Profiles())+1),
 		budgetExceeded:     map[string]*telemetry.Counter{},
 		domainsPerSec:      reg.Gauge("scan_domains_per_sec"),
 		allocBytes:         reg.Gauge("scan_alloc_bytes"),
 		allocObjects:       reg.Gauge("scan_allocs"),
+	}
+	if cfg.Engine == EngineEmulated {
+		t.netSent = reg.Counter("netem_packets_sent_total")
+		t.netDelivered = reg.Counter("netem_packets_delivered_total")
+		t.netDropped = reg.Counter("netem_packets_dropped_total")
+		t.netReordered = reg.Counter("netem_packets_reordered_total")
+		t.netDuplicated = reg.Counter("netem_packets_duplicated_total")
 	}
 	for cls := resilience.ClassNone + 1; cls <= resilience.ClassOther; cls++ {
 		t.errs[cls] = reg.Counter(telemetry.Name("spinscan_conn_errors_total", "class", cls.String()))
@@ -164,19 +200,123 @@ func (t *scanTelemetry) bumpBudget(kind string) {
 	}
 }
 
+// domainCounts are a worker's unpublished per-domain counts.
+type domainCounts struct {
+	domains, resolved              int64
+	connsAttempted, connsSucceeded int64
+	connsClosedForm                int64
+	redirectsFollowed, flipConns   int64
+	errs                           [resilience.ClassOther + 1]int64
+	hostileDetected                [hostile.NumProfiles]int64
+}
+
+// domainTally is one worker's per-domain telemetry: plain counts and
+// histogram tallies that only the worker's goroutine writes, and the
+// resolver and network of its current engine, whose Stats count DNS
+// lookups and packets. campaign.worker builds one and keeps it across
+// engine rebuilds; publish adds what it holds to the campaign's series.
+type domainTally struct {
+	tm                              *scanTelemetry
+	n                               domainCounts
+	redirectDepth                   telemetry.Tally
+	stHandshake, stRequest, stTotal telemetry.Tally
+
+	// resolver and net belong to the worker's current engine (net is nil
+	// on the fast engine); dnsSeen and netSeen are their Stats as of the
+	// last publish.
+	resolver *dns.Resolver
+	net      *netem.Network
+	dnsSeen  dns.Stats
+	netSeen  netem.Stats
+}
+
+func newDomainTally(tm *scanTelemetry) *domainTally {
+	return &domainTally{
+		tm:            tm,
+		redirectDepth: tm.redirectDepth.Tally(),
+		stHandshake:   tm.stHandshake.Tally(),
+		stRequest:     tm.stRequest.Tally(),
+		stTotal:       tm.stTotal.Tally(),
+	}
+}
+
+// watch makes res and net, a freshly built engine's, the sources of the
+// DNS and packet counts. Publish before the engine they replace is
+// dropped, or its unpublished counts are lost.
+func (t *domainTally) watch(res *dns.Resolver, net *netem.Network) {
+	t.resolver, t.net = res, net
+	t.dnsSeen, t.netSeen = dns.Stats{}, netem.Stats{}
+}
+
+// publish adds the worker's unpublished counts to the campaign's series
+// and starts counting afresh. The worker calls it before a batch leaves
+// for the sink, so every count of a delivered domain is visible by the
+// time the sink sees the domain, and before it rebuilds its engine.
+func (t *domainTally) publish() {
+	tm, n := t.tm, &t.n
+	add(tm.domains, n.domains)
+	add(tm.resolved, n.resolved)
+	add(tm.connsAttempted, n.connsAttempted)
+	add(tm.connsSucceeded, n.connsSucceeded)
+	add(tm.connsClosedForm, n.connsClosedForm)
+	add(tm.redirectsFollowed, n.redirectsFollowed)
+	add(tm.flipConns, n.flipConns)
+	for cls, v := range n.errs {
+		add(tm.errs[cls], v)
+	}
+	for p, v := range n.hostileDetected {
+		add(tm.hostileDetected[p], v)
+	}
+	*n = domainCounts{}
+	t.redirectDepth.Flush()
+	t.stHandshake.Flush()
+	t.stRequest.Flush()
+	t.stTotal.Flush()
+
+	if t.resolver != nil {
+		st := t.resolver.Stats()
+		d := st.Delta(t.dnsSeen)
+		t.dnsSeen = st
+		add(tm.dnsQueries, int64(d.Queries))
+		add(tm.dnsHits, int64(d.CacheHits))
+		add(tm.dnsMisses, int64(d.CacheMisses))
+		add(tm.dnsNXDomain, int64(d.NXDomain))
+		add(tm.dnsTimeouts, int64(d.Timeouts))
+		add(tm.dnsNoRecord, int64(d.NoRecord))
+	}
+	if t.net != nil {
+		st := t.net.Stats()
+		d := st.Delta(t.netSeen)
+		t.netSeen = st
+		add(tm.netSent, int64(d.Sent))
+		add(tm.netDelivered, int64(d.Delivered))
+		add(tm.netDropped, int64(d.Dropped))
+		add(tm.netReordered, int64(d.Reordered))
+		add(tm.netDuplicated, int64(d.Duplicated))
+	}
+}
+
+// add publishes a non-zero count: a zero would be an atomic add for
+// nothing.
+func add(c *telemetry.Counter, n int64) {
+	if n != 0 {
+		c.Add(n)
+	}
+}
+
 // connTimeline records the outcome of one connection attempt from its three
 // virtual instants, on both timelines at once: the spinscan_stage_seconds
-// histograms and the flight recorder, whose connect span has been open since
+// tallies and the flight recorder, whose connect span has been open since
 // start. A zero hsAt means the handshake never completed — the attempt is
 // that one connect span and a total. Otherwise connect ends at hsAt and the
 // handshake and h3 spans follow retroactively (spans are a flat sequence, not
 // a stack). A non-nil out appends the observe span with the spin-series
 // counts of out and obs; attributes the caller sets next land on it.
-func (t *scanTelemetry) connTimeline(rec *trace.Recorder, start, hsAt, end time.Time, out *ConnResult, obs []core.Observation) {
-	t.stTotal.Start(start).End(end)
+func (t *domainTally) connTimeline(rec *trace.Recorder, start, hsAt, end time.Time, out *ConnResult, obs []core.Observation) {
+	t.stTotal.ObserveDuration(span(start, end))
 	if !hsAt.IsZero() {
-		t.stHandshake.Start(start).End(hsAt)
-		t.stRequest.Start(hsAt).End(end)
+		t.stHandshake.ObserveDuration(span(start, hsAt))
+		t.stRequest.ObserveDuration(span(hsAt, end))
 	}
 	if rec == nil {
 		return
@@ -199,35 +339,41 @@ func (t *scanTelemetry) connTimeline(rec *trace.Recorder, start, hsAt, end time.
 	rec.StageEnd(end)
 }
 
+// span is the stage duration from start to end, never negative.
+func span(start, end time.Time) time.Duration {
+	return max(end.Sub(start), 0)
+}
+
 // recordDomain tallies one finished domain scan (and its connections).
-func (t *scanTelemetry) recordDomain(d *DomainResult) {
-	t.domains.Inc()
+func (t *domainTally) recordDomain(d *DomainResult) {
+	n := &t.n
+	n.domains++
 	// A DNS failure is no connection: it counts in domains − resolved, and
 	// in the resolver's dns_errors_total, not among the connection errors.
 	if d.Resolved {
-		t.resolved.Inc()
+		n.resolved++
 	}
 	if len(d.Conns) > 0 {
 		t.redirectDepth.Observe(float64(len(d.Conns) - 1))
 	}
 	for i := range d.Conns {
 		c := &d.Conns[i]
-		t.connsAttempted.Inc()
+		n.connsAttempted++
 		if c.QUIC {
-			t.connsSucceeded.Inc()
+			n.connsSucceeded++
 		}
 		if c.HasFlips() {
-			t.flipConns.Inc()
+			n.flipConns++
 		}
 		if c.Hop > 0 {
-			t.redirectsFollowed.Inc()
+			n.redirectsFollowed++
 		}
 		if c.ErrClass == resilience.ClassNone {
 			continue
 		}
-		t.errs[c.ErrClass].Inc()
+		n.errs[c.ErrClass]++
 		if c.ErrClass == resilience.ClassHostile {
-			t.hostileDetected[c.Hostile].Inc()
+			n.hostileDetected[c.Hostile]++
 		}
 	}
 }

@@ -8,9 +8,15 @@
 // into throughput, error classes and per-stage latency. This package keeps
 // that visibility cheap enough to leave always-on:
 //
-//   - The mutation hot path (Counter.Inc, Histogram.Observe) is
+//   - The shared mutation path (Counter.Inc/Add, Histogram.Observe) is
 //     allocation-free and lock-free (atomics only); see the package
 //     benchmarks with -benchmem.
+//   - A writer that records on every operation of a hot loop keeps its
+//     counts in plain fields it owns and publishes them in bulk: integers
+//     with Counter.Add, histogram samples through a Tally, whose Flush
+//     costs one atomic add per non-empty bucket. The scanner's workers
+//     publish once per pipeline batch, so live readers lag by at most one
+//     batch and end-of-run values are exact.
 //   - Every metric type has a no-op nil receiver, and a nil *Registry
 //     hands out nil instruments, so a disabled scan pays only an
 //     inlineable nil check per record site.
@@ -124,6 +130,11 @@ func (h *Histogram) Observe(v float64) {
 		}
 	}
 	h.count.Add(1)
+	h.addSum(v)
+}
+
+// addSum adds v to the float sum.
+func (h *Histogram) addSum(v float64) {
 	for {
 		old := h.sum.Load()
 		next := math.Float64bits(math.Float64frombits(old) + v)
@@ -136,6 +147,66 @@ func (h *Histogram) Observe(v float64) {
 // ObserveDuration records d in seconds. No-op on a nil receiver.
 func (h *Histogram) ObserveDuration(d time.Duration) {
 	h.Observe(d.Seconds())
+}
+
+// Tally stages one goroutine's observations of a Histogram in plain fields,
+// and Flush adds them to the histogram: one atomic add per non-empty
+// bucket, one to the count and one to the sum. A tally has one owner; it is
+// not safe for concurrent use. Readers of the histogram see the staged
+// observations only once they are flushed. The zero Tally, and the tally of
+// a nil histogram, is a no-op.
+type Tally struct {
+	h      *Histogram
+	bounds []float64 // h's
+	counts []uint64
+	count  uint64
+	sum    float64
+}
+
+// Tally returns a tally that flushes into h; allocate one per owner, once,
+// and reuse it across flushes.
+func (h *Histogram) Tally() Tally {
+	if h == nil {
+		return Tally{}
+	}
+	return Tally{h: h, bounds: h.bounds, counts: make([]uint64, len(h.bounds))}
+}
+
+// Observe stages one sample.
+func (t *Tally) Observe(v float64) {
+	if t.h == nil {
+		return
+	}
+	for i, b := range t.bounds {
+		if v <= b {
+			t.counts[i]++
+			break
+		}
+	}
+	t.count++
+	t.sum += v
+}
+
+// ObserveDuration stages d in seconds.
+func (t *Tally) ObserveDuration(d time.Duration) {
+	t.Observe(d.Seconds())
+}
+
+// Flush adds the staged observations to the histogram and empties the
+// tally.
+func (t *Tally) Flush() {
+	if t.count == 0 {
+		return
+	}
+	for i, n := range t.counts {
+		if n > 0 {
+			t.h.counts[i].Add(n)
+			t.counts[i] = 0
+		}
+	}
+	t.h.count.Add(t.count)
+	t.h.addSum(t.sum)
+	t.count, t.sum = 0, 0
 }
 
 // HistogramSnapshot is a point-in-time copy of a histogram's state.

@@ -48,6 +48,51 @@ func TestHistogramBuckets(t *testing.T) {
 	}
 }
 
+// TestTallyFlushMatchesObserve: samples staged in tallies and flushed read
+// as the same samples observed on the histogram itself, a flush empties its
+// tally, and the nil histogram's tally is a no-op.
+func TestTallyFlushMatchesObserve(t *testing.T) {
+	r := New()
+	bounds := []float64{0.01, 0.1, 1}
+	direct := r.Histogram("direct_seconds", bounds)
+	staged := r.Histogram("staged_seconds", bounds)
+	a, b := staged.Tally(), staged.Tally()
+	samples := []float64{0.005, 0.05, 0.5, 5, 0.01, 0.25}
+	for i, v := range samples {
+		direct.Observe(v)
+		if i%2 == 0 {
+			a.Observe(v)
+		} else {
+			b.ObserveDuration(time.Duration(v * float64(time.Second)))
+		}
+		if i == 2 {
+			a.Flush()
+		}
+	}
+	if got := staged.snapshot().Count; got != 2 {
+		t.Errorf("before the last flushes the histogram counts %d, want the 2 flushed", got)
+	}
+	a.Flush()
+	b.Flush()
+	a.Flush() // empty: adds nothing
+	want, got := direct.snapshot(), staged.snapshot()
+	if got.Count != want.Count || got.Sum != want.Sum {
+		t.Errorf("flushed count/sum = %d/%v, want %d/%v", got.Count, got.Sum, want.Count, want.Sum)
+	}
+	for i := range want.Counts {
+		if got.Counts[i] != want.Counts[i] {
+			t.Errorf("bucket %d = %d, want %d", i, got.Counts[i], want.Counts[i])
+		}
+	}
+	var nilHist *Histogram
+	nt := nilHist.Tally()
+	nt.Observe(1)
+	nt.Flush()
+	var zero Tally
+	zero.Observe(1)
+	zero.Flush()
+}
+
 func TestNilRegistryAndInstrumentsAreNoOps(t *testing.T) {
 	var r *Registry
 	c := r.Counter("c")
@@ -276,10 +321,13 @@ func TestCounterHotPathAllocFree(t *testing.T) {
 	r := New()
 	c := r.Counter("alloc_total")
 	h := r.Histogram("alloc_seconds", DurationBuckets)
+	tally := h.Tally()
 	allocs := testing.AllocsPerRun(1000, func() {
 		c.Inc()
 		c.Add(2)
 		h.Observe(0.01)
+		tally.Observe(0.01)
+		tally.Flush()
 	})
 	if allocs != 0 {
 		t.Errorf("hot path allocates %v allocs/op, want 0", allocs)

@@ -108,6 +108,29 @@ if funcsites '\.Err[ \t]*=[^=]|(^|[^A-Za-z0-9_])Err:' internal/scanner |
     exit 1
 fi
 
+# Structural gate: per-domain telemetry is owned. A worker counts every
+# domain, connection, lookup and packet in plain fields of its own (the
+# scanner's domainTally, the resolver's and the network's Stats) and
+# publishes them to the shared registry once per pipeline batch; a shared
+# atomic per event cost a fast campaign a fifth of its CPU. So the resolver
+# and the network know nothing of telemetry, and the per-domain recorders
+# are methods of the worker's tally, not of the campaign's scanTelemetry.
+echo "== per-domain telemetry is owned"
+if go list -deps ./internal/dns ./internal/netem | grep -qx 'quicspin/internal/telemetry'; then
+    echo "internal/dns or internal/netem depends on internal/telemetry; count in their Stats, which the scanner publishes" >&2
+    exit 1
+fi
+if grep -nE '^func \([a-z]+ \*scanTelemetry\) (recordDomain|connTimeline)\(' internal/scanner/*.go; then
+    echo "the lines above record per-domain telemetry on the campaign-level type; record in the worker's domainTally" >&2
+    exit 1
+fi
+for fn in recordDomain connTimeline; do
+    if ! grep -qE "^func \([a-z]+ \*domainTally\) $fn\(" internal/scanner/telemetry.go; then
+        echo "internal/scanner/telemetry.go has no domainTally.$fn; the gate above checks nothing" >&2
+        exit 1
+    fi
+done
+
 # Native Go fuzzing needs no build tags, so `go vet ./...` above already
 # covers the fuzz harnesses; here each target gets a short guided run
 # beyond its seed corpus (which plain `go test` replays as unit tests).
@@ -180,11 +203,11 @@ if ! diff -u "$tmp/reference.txt" "$tmp/resumed.txt"; then
 fi
 
 # qlog interchange smoke: spinscan streams per-connection traces to
-# -qlog-dir while scanning; spinalyze must rebuild Tables 2 and 3 from them
-# byte-identically (with the -asdb-out snapshot), and must also run without
-# a snapshot (Table 2 skipped, nothing crashes on the missing resolver).
-# Table 1 is not compared: unresolved domains emit no traces, so its Total
-# column legitimately differs.
+# -qlog-dir while scanning; spinalyze must rebuild Tables 2, 3 and 5 from
+# them byte-identically (with the -asdb-out snapshot), and must also run
+# without a snapshot (Table 2 skipped, nothing crashes on the missing
+# resolver). Table 1 is not compared: unresolved domains emit no traces, so
+# its Total column legitimately differs.
 echo "== qlog interchange smoke"
 "$tmp/spinscan" -scale 200000 -week 3 -progress 0 -qlog-dir "$tmp/qlogs" -asdb-out "$tmp/asdb.txt" \
     2>/dev/null >"$tmp/qlog-scan.txt"
@@ -193,7 +216,7 @@ go build -o "$tmp/spinalyze" ./cmd/spinalyze
 "$tmp/spinalyze" -qlog-dir "$tmp/qlogs" 2>/dev/null >/dev/null
 # table N FILE: the block from "Table N." to the next blank line.
 table() { awk -v t="Table $1." 'index($0, t) == 1 { on = 1 } on && $0 == "" { exit } on' "$2"; }
-for n in 2 3; do
+for n in 2 3 5; do
     table "$n" "$tmp/qlog-scan.txt" >"$tmp/qlog-t$n-scan.txt"
     table "$n" "$tmp/qlog-analyzed.txt" >"$tmp/qlog-t$n-analyzed.txt"
     if [ ! -s "$tmp/qlog-t$n-scan.txt" ] || ! diff -u "$tmp/qlog-t$n-scan.txt" "$tmp/qlog-t$n-analyzed.txt"; then
