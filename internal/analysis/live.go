@@ -251,16 +251,6 @@ func (l *Live) mergedLocked() *Accumulator {
 	return merged
 }
 
-// Totals returns the campaign-wide counts folded so far. Nil-safe.
-func (l *Live) Totals() WindowStats {
-	if l == nil {
-		return WindowStats{}
-	}
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.totals
-}
-
 // renderText renders the dashboard as plain text: totals line, the
 // rolling-window table, then the cumulative tables.
 func renderText(s *LiveSnapshot) string {

@@ -165,10 +165,11 @@ func (r *Resolver) Lookup(name string, t RType) ([]netip.Addr, error) {
 
 // LookupAttempt resolves name to addresses of the given type, identifying
 // the caller's per-domain retry attempt (0-based) so a fault plan can fail
-// the first k attempts deterministically. The result is the caller's own
-// copy. A failure wraps its kind (ErrNXDomain, ErrTimeout or ErrNoRecord)
-// and reads as ErrText spells it.
+// the first k attempts deterministically. It canonicalises name first (see
+// Normalize). The result is the caller's own copy. A failure wraps its kind
+// (ErrNXDomain, ErrTimeout or ErrNoRecord) and reads as ErrText spells it.
 func (r *Resolver) LookupAttempt(name string, t RType, attempt int) ([]netip.Addr, error) {
+	name = Normalize(name)
 	addrs, err := r.AppendLookup(nil, name, t, attempt)
 	if err != nil {
 		return nil, &lookupError{kind: err, text: ErrText(err, name, t)}
@@ -181,9 +182,9 @@ func (r *Resolver) LookupAttempt(name string, t RType, attempt int) ([]netip.Add
 // addresses are a copy: nothing the caller does to dst reaches the backend
 // or the memo. On error dst is returned unchanged, and the error is the bare
 // failure kind — ErrNXDomain, ErrTimeout or ErrNoRecord — with no name in
-// it: a caller that reports the failure spells it once with ErrText.
+// it: a caller that reports the failure spells it once with ErrText. name
+// must be canonical (see Normalize): AppendLookup queries it as it is.
 func (r *Resolver) AppendLookup(dst []netip.Addr, name string, t RType, attempt int) ([]netip.Addr, error) {
-	name = Normalize(name)
 	r.stats.Queries++
 	// The plan outranks the cache: an injected timeout must fire even for
 	// cached names, or injected-failure tests would depend on which worker
@@ -257,9 +258,8 @@ func (r *Resolver) finish(err error) error {
 // returned: "dns: NXDOMAIN: <name>" for a name that does not exist, and the
 // kind's text followed by ": <name> <type>" otherwise. It is the text of
 // LookupAttempt's error and of a scanned domain's DNS error, built with one
-// allocation.
+// allocation. name is spelled as it is given.
 func ErrText(kind error, name string, t RType) string {
-	name = Normalize(name)
 	if kind == ErrNXDomain {
 		return kind.Error() + ": " + name
 	}

@@ -292,8 +292,10 @@ func TestFailureTexts(t *testing.T) {
 				if !errors.Is(err, c.kind) || err.Error() != c.text {
 					t.Errorf("LookupAttempt(%s, %s) = %q, want %q wrapping %v", c.name, c.typ, err, c.text, c.kind)
 				}
-				if got := ErrText(c.kind, c.name, c.typ); got != c.text {
-					t.Errorf("ErrText(%v, %s, %s) = %q, want %q", c.kind, c.name, c.typ, got, c.text)
+				// ErrText spells the name it is given; LookupAttempt gives
+				// it the canonical one.
+				if got := ErrText(c.kind, Normalize(c.name), c.typ); got != c.text {
+					t.Errorf("ErrText(%v, %s, %s) = %q, want %q", c.kind, Normalize(c.name), c.typ, got, c.text)
 				}
 			}
 		}

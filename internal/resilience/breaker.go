@@ -1,7 +1,6 @@
 package resilience
 
 import (
-	"sort"
 	"sync"
 	"time"
 )
@@ -91,11 +90,6 @@ type Events struct {
 	Closed bool
 }
 
-// Stats is a snapshot of cumulative breaker activity.
-type Stats struct {
-	Opened, Closed, Skipped, Probes int64
-}
-
 // Breaker is a deterministic per-group circuit breaker shared by all
 // campaign workers. Positions within a group are totally ordered: Acquire
 // for position p blocks until positions 0..p-1 of the same group have
@@ -114,7 +108,6 @@ type Breaker struct {
 	cond    *sync.Cond
 	groups  map[string]*breakerGroup
 	aborted bool
-	stats   Stats
 }
 
 type breakerGroup struct {
@@ -161,7 +154,6 @@ func (b *Breaker) Acquire(key string, pos int) Decision {
 			g.state = StateHalfOpen
 			d.State = StateHalfOpen
 			d.Probe = true
-			b.stats.Probes++
 		} else {
 			d.Skip = true
 		}
@@ -169,7 +161,6 @@ func (b *Breaker) Acquire(key string, pos int) Decision {
 		// Unreachable through the gate (the probe's Record always leaves
 		// half-open before the next Acquire), but harmless: probe again.
 		d.Probe = true
-		b.stats.Probes++
 	}
 	return d
 }
@@ -188,7 +179,6 @@ func (b *Breaker) Record(key string, pos int, o Outcome) Events {
 	var ev Events
 	switch {
 	case o.Skipped:
-		b.stats.Skipped++
 	case g.state == StateClosed:
 		if o.Transient {
 			g.consec++
@@ -196,7 +186,6 @@ func (b *Breaker) Record(key string, pos int, o Outcome) Events {
 				g.state = StateOpen
 				g.openedAt = g.clock
 				ev.Opened = true
-				b.stats.Opened++
 			}
 		} else {
 			g.consec = 0
@@ -206,12 +195,10 @@ func (b *Breaker) Record(key string, pos int, o Outcome) Events {
 			g.state = StateOpen
 			g.openedAt = g.clock
 			ev.Opened = true
-			b.stats.Opened++
 		} else {
 			g.state = StateClosed
 			g.consec = 0
 			ev.Closed = true
-			b.stats.Closed++
 		}
 	}
 	if pos >= g.next {
@@ -228,32 +215,6 @@ func (b *Breaker) Abort() {
 	b.aborted = true
 	b.mu.Unlock()
 	b.cond.Broadcast()
-}
-
-// Stats returns a snapshot of cumulative breaker activity.
-func (b *Breaker) Stats() Stats {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.stats
-}
-
-// OpenGroups returns the keys of every group currently open or half-open,
-// sorted; the campaign dashboard lists them so an operator can see which
-// prefixes the scan is backing off from.
-func (b *Breaker) OpenGroups() []string {
-	if b == nil {
-		return nil
-	}
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	var keys []string
-	for key, g := range b.groups {
-		if g.state != StateClosed {
-			keys = append(keys, key)
-		}
-	}
-	sort.Strings(keys)
-	return keys
 }
 
 // GroupState returns the current state of a group (closed for unknown

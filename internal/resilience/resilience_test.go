@@ -113,9 +113,28 @@ func TestBreakerStateMachine(t *testing.T) {
 	b := NewBreaker(cfg)
 	key := "as-64500"
 	pos := 0
-	step := func(o Outcome) (Decision, Events) {
+	// acquire and record count what every decision and transition says.
+	var opened, closed, probes int
+	acquire := func() Decision {
 		d := b.Acquire(key, pos)
+		if d.Probe {
+			probes++
+		}
+		return d
+	}
+	record := func(o Outcome) Events {
 		ev := b.Record(key, pos, o)
+		if ev.Opened {
+			opened++
+		}
+		if ev.Closed {
+			closed++
+		}
+		return ev
+	}
+	step := func(o Outcome) (Decision, Events) {
+		d := acquire()
+		ev := record(o)
 		pos++
 		return d, ev
 	}
@@ -141,10 +160,10 @@ func TestBreakerStateMachine(t *testing.T) {
 	// Each skip advances the clock by skipCost (250ms); cooldown is 1s.
 	skips := 0
 	for {
-		d := b.Acquire(key, pos)
+		d := acquire()
 		if d.Probe {
 			// Half-open probe: fail it — breaker must re-open.
-			if ev := b.Record(key, pos, Outcome{Transient: true, Cost: time.Millisecond}); !ev.Opened {
+			if ev := record(Outcome{Transient: true, Cost: time.Millisecond}); !ev.Opened {
 				t.Fatal("failed probe did not re-open breaker")
 			}
 			pos++
@@ -153,7 +172,7 @@ func TestBreakerStateMachine(t *testing.T) {
 		if !d.Skip {
 			t.Fatalf("open breaker let a scan through: %+v", d)
 		}
-		b.Record(key, pos, Outcome{Skipped: true})
+		record(Outcome{Skipped: true})
 		pos++
 		skips++
 		if skips > 50 {
@@ -169,15 +188,15 @@ func TestBreakerStateMachine(t *testing.T) {
 
 	// Wait out the cooldown again; this time the probe succeeds and closes.
 	for {
-		d := b.Acquire(key, pos)
+		d := acquire()
 		if d.Probe {
-			if ev := b.Record(key, pos, Outcome{Cost: time.Millisecond}); !ev.Closed {
+			if ev := record(Outcome{Cost: time.Millisecond}); !ev.Closed {
 				t.Fatal("successful probe did not close breaker")
 			}
 			pos++
 			break
 		}
-		b.Record(key, pos, Outcome{Skipped: true})
+		record(Outcome{Skipped: true})
 		pos++
 	}
 	if got := b.GroupState(key); got != StateClosed {
@@ -188,9 +207,8 @@ func TestBreakerStateMachine(t *testing.T) {
 		t.Fatal("closed breaker skipped a scan")
 	}
 
-	st := b.Stats()
-	if st.Opened != 2 || st.Closed != 1 || st.Probes != 2 {
-		t.Errorf("stats = %+v, want Opened 2 Closed 1 Probes 2", st)
+	if opened != 2 || closed != 1 || probes != 2 {
+		t.Errorf("opened %d, closed %d, probes %d; want Opened 2 Closed 1 Probes 2", opened, closed, probes)
 	}
 }
 
@@ -409,27 +427,5 @@ func TestJournalReplayMissingDir(t *testing.T) {
 	}
 	if len(got) != 0 || torn != 0 {
 		t.Fatalf("missing dir replay = (%d keys, %d torn), want empty", len(got), torn)
-	}
-}
-
-func TestOpenGroups(t *testing.T) {
-	var nb *Breaker
-	if got := nb.OpenGroups(); got != nil {
-		t.Fatalf("nil breaker OpenGroups = %v, want nil", got)
-	}
-	b := NewBreaker(BreakerConfig{Threshold: 2})
-	trip := func(key string) {
-		for pos := 0; pos < 2; pos++ {
-			b.Acquire(key, pos)
-			b.Record(key, pos, Outcome{Transient: true, Cost: time.Second})
-		}
-	}
-	trip("as20")
-	trip("as10")
-	b.Acquire("as30", 0)
-	b.Record("as30", 0, Outcome{Cost: time.Second}) // success: stays closed
-	got := b.OpenGroups()
-	if len(got) != 2 || got[0] != "as10" || got[1] != "as20" {
-		t.Fatalf("OpenGroups = %v, want sorted [as10 as20]", got)
 	}
 }

@@ -1,9 +1,13 @@
 package scanner
 
 import (
+	"sync"
 	"testing"
 
 	"quicspin/internal/dns"
+	"quicspin/internal/fault"
+	"quicspin/internal/resilience"
+	"quicspin/internal/websim"
 )
 
 // TestEngineResolverMemoBounded: an engine's DNS memo serves one domain's
@@ -64,4 +68,57 @@ func TestEngineResolverMemoBounded(t *testing.T) {
 		}
 		t.Logf("%s: %d queries, %d memo hits in the week; %d earlier hosts all missed", name, st.Queries, st.CacheHits, misses)
 	}
+}
+
+// TestResolvedNamesAreCanonical: the resolver queries a name as it is given,
+// so every name the engines resolve, landing hosts and redirect targets
+// alike, must already be canonical. A recording zone in front of the
+// world's sees every query of a hostile, redirecting week with injected DNS
+// timeouts and retries, on both engines.
+func TestResolvedNamesAreCanonical(t *testing.T) {
+	p := websim.DefaultProfile()
+	p.Scale, p.HostileFrac = 40_000, 0.3
+	w := websim.Generate(p)
+	for _, eng := range []Engine{EngineFast, EngineEmulated} {
+		z := &recordingZone{inner: w.DNSBackend(), names: map[string]bool{}}
+		cfg := Config{Week: 5, Engine: eng, Seed: 6, Workers: 3, zone: z,
+			Retry: resilience.RetryPolicy{MaxRetries: 1},
+			Faults: fault.New(4,
+				fault.Rule{Site: fault.DNS, Kind: fault.Timeout, P: 0.3, Times: 1},
+				fault.Rule{Site: fault.DNS, Kind: fault.Timeout, P: 0.1, Times: 2})}
+		redirects, dnsErrs := 0, 0
+		if err := RunStream(w, cfg, func(_ int, d *DomainResult) error {
+			if len(d.Conns) > 0 && d.Conns[0].Redirect != "" {
+				redirects++
+			}
+			if d.DNSErr != "" {
+				dnsErrs++
+			}
+			return nil
+		}); err != nil {
+			t.Fatal(err)
+		}
+		if redirects == 0 || dnsErrs == 0 || len(z.names) < w.NumDomains()/2 {
+			t.Fatalf("engine %v: vacuous: %d redirected landings, %d DNS failures, %d names resolved", eng, redirects, dnsErrs, len(z.names))
+		}
+		for name := range z.names {
+			if name != dns.Normalize(name) {
+				t.Errorf("engine %v: resolved %q, which is not canonical (%q)", eng, name, dns.Normalize(name))
+			}
+		}
+	}
+}
+
+// recordingZone answers like its inner zone and records every queried name.
+type recordingZone struct {
+	inner dns.Backend
+	mu    sync.Mutex
+	names map[string]bool
+}
+
+func (z *recordingZone) Zone(name string) (dns.Record, bool) {
+	z.mu.Lock()
+	z.names[name] = true
+	z.mu.Unlock()
+	return z.inner.Zone(name)
 }

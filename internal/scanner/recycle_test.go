@@ -3,6 +3,7 @@ package scanner
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"math"
 	"reflect"
 	"runtime"
@@ -43,6 +44,21 @@ func deepCopy(d *DomainResult) DomainResult {
 		}
 		if r := d.Conns[i].StackRTTs; r != nil {
 			c.Conns[i].StackRTTs = append(make([]time.Duration, 0, len(r)), r...)
+		}
+	}
+	return c
+}
+
+// offsetCopy is deepCopy with every observation time made an offset from
+// its connection's first observation: the emulated engine's observation
+// times follow each worker's virtual clock, which depends on what else the
+// worker scanned.
+func offsetCopy(d *DomainResult) DomainResult {
+	c := deepCopy(d)
+	for _, conn := range c.Conns {
+		for j := len(conn.Observations) - 1; j >= 0; j-- {
+			o := &conn.Observations[j]
+			o.T = time.Time{}.Add(o.T.Sub(conn.Observations[0].T))
 		}
 	}
 	return c
@@ -225,8 +241,8 @@ func TestRecycledResultsJournalAsCopies(t *testing.T) {
 // however its workers are scheduled. The pipeline makes its batch set up
 // front instead of a batch whenever the free list runs dry, so neither the
 // processor count nor a sink that yields, both of which move how far the
-// generator and the workers run ahead of the reorder buffer, changes what a
-// week allocates.
+// generator and the workers run ahead of the sink at the FIFO head, changes
+// what a week allocates.
 func TestPipelineAllocatesSteadily(t *testing.T) {
 	w := testWorld(50_000)
 	cfg := Config{Week: 12, Engine: EngineFast, Seed: 5, Workers: 4}
@@ -290,14 +306,7 @@ func TestPoisonedStorageNeverLeaks(t *testing.T) {
 				fault.Rule{Site: fault.Net, Kind: fault.Blackout, P: 0.3, Times: 1})}
 		var out []DomainResult
 		if err := RunStream(w, cfg, func(_ int, d *DomainResult) error {
-			c := deepCopy(d)
-			for _, conn := range c.Conns {
-				for j := len(conn.Observations) - 1; j >= 0; j-- {
-					o := &conn.Observations[j]
-					o.T = time.Time{}.Add(o.T.Sub(conn.Observations[0].T))
-				}
-			}
-			out = append(out, c)
+			out = append(out, offsetCopy(d))
 			return nil
 		}); err != nil {
 			t.Fatal(err)
@@ -334,6 +343,82 @@ func TestPoisonedStorageNeverLeaks(t *testing.T) {
 		}
 		if dnsOrChain == 0 || hostiles == 0 {
 			t.Fatalf("engine %v: vacuous: %d DNS failures or chains, %d hostile connections", eng, dnsOrChain, hostiles)
+		}
+	}
+}
+
+// TestWorkerSideSynthesis: each worker synthesises the domains of the index
+// range it takes, and the sink takes batches from the head of one FIFO. So
+// the eager and the on-demand world of one profile, scanned on one worker
+// and on three, with the breaker off and at threshold 5, deliver results
+// deep-equal index by index on both engines, also to a sink that yields on
+// the first result of every batch, which keeps the FIFO head waiting while
+// the workers run ahead. Emulated observation times are compared as
+// offsets (see offsetCopy).
+func TestWorkerSideSynthesis(t *testing.T) {
+	p := websim.DefaultProfile()
+	p.Scale, p.HostileFrac = 40_000, 0.3
+	worlds := []struct {
+		name string
+		w    *websim.World
+	}{{"eager", websim.Generate(p)}, {"lazy", websim.GenerateLazy(p)}}
+	if nb := (worlds[0].w.NumDomains() + streamBatchSize - 1) / streamBatchSize; nb < 2*pipelineBatches(3) {
+		t.Fatalf("vacuous: %d batches of population, want at least two trips of the batch set", nb)
+	}
+	collect := func(w *websim.World, cfg Config, yield bool) (out []DomainResult) {
+		err := RunStream(w, cfg, func(i int, d *DomainResult) error {
+			if i != len(out) {
+				return fmt.Errorf("sink called with index %d after %d results", i, len(out))
+			}
+			if yield && i%streamBatchSize == 0 {
+				runtime.Gosched()
+			}
+			out = append(out, offsetCopy(d))
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return out
+	}
+	for _, eng := range []Engine{EngineFast, EngineEmulated} {
+		for _, threshold := range []int{0, 5} {
+			base := Config{Week: 4, Engine: eng, Seed: 13, Workers: 1,
+				Retry:   resilience.RetryPolicy{MaxRetries: 1},
+				Breaker: resilience.BreakerConfig{Threshold: threshold},
+				Faults:  fault.New(6, fault.Rule{Site: fault.Net, Kind: fault.Blackout, P: 0.3, Times: 1})}
+			want := collect(worlds[0].w, base, false)
+			if len(want) != worlds[0].w.NumDomains() {
+				t.Fatalf("engine %v: %d results of %d domains", eng, len(want), worlds[0].w.NumDomains())
+			}
+			skipped, skipErr := 0, breakerSkipResult(worlds[0].w.DomainAt(0)).Conns[0].Err
+			for i := range want {
+				if len(want[i].Conns) == 1 && want[i].Conns[0].Err == skipErr {
+					skipped++
+				}
+			}
+			if (threshold > 0) != (skipped > 0) {
+				t.Fatalf("engine %v, breaker threshold %d: %d domains skipped by the breaker", eng, threshold, skipped)
+			}
+			for _, world := range worlds {
+				for _, workers := range []int{1, 3} {
+					for _, yield := range []bool{false, true} {
+						cfg := base
+						cfg.Workers = workers
+						got := collect(world.w, cfg, yield)
+						if len(got) != len(want) {
+							t.Fatalf("engine %v, %s world, W = %d, threshold %d, yield %v: %d results, want %d",
+								eng, world.name, workers, threshold, yield, len(got), len(want))
+						}
+						for i := range want {
+							if !reflect.DeepEqual(got[i], want[i]) {
+								t.Fatalf("engine %v, %s world, W = %d, threshold %d, yield %v: result %d differs:\n got %+v\nwant %+v",
+									eng, world.name, workers, threshold, yield, i, got[i], want[i])
+							}
+						}
+					}
+				}
+			}
 		}
 	}
 }

@@ -713,8 +713,9 @@ func spinEdges(obs []core.Observation) int {
 
 // splitRedirect parses a Location value of the form https://host[:port]/path.
 // The scheme is matched case-insensitively and an explicit port is stripped
-// (HTTPS://Host:443/x redirects to host "host", path "/x"); the host is
-// lowercased like any DNS name. ok is false for non-https or empty hosts.
+// (HTTPS://Host.:443/x redirects to host "host", path "/x"); the host is
+// canonicalised like any queried DNS name (dns.Normalize), because the
+// resolver takes it as it is. ok is false for non-https or empty hosts.
 func splitRedirect(loc string) (host, path string, ok bool) {
 	const pfx = "https://"
 	if len(loc) <= len(pfx) || !strings.EqualFold(loc[:len(pfx)], pfx) {
@@ -730,10 +731,10 @@ func splitRedirect(loc string) (host, path string, ok bool) {
 	if i := strings.LastIndexByte(host, ':'); i >= 0 && isDigits(host[i+1:]) {
 		host = host[:i]
 	}
-	if host == "" {
+	if host = dns.Normalize(host); host == "" {
 		return "", "/", false
 	}
-	return strings.ToLower(host), path, true
+	return host, path, true
 }
 
 func isDigits(s string) bool {

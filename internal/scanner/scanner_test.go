@@ -261,6 +261,10 @@ func TestRedirectTarget(t *testing.T) {
 		"HTTPS://Host:443/x":              "host",
 		"Https://WWW.Example.COM/landing": "www.example.com",
 		"https://www.example.com:8443":    "www.example.com",
+		// One trailing dot goes, with or without a port.
+		"https://www.example.com./x":   "www.example.com",
+		"https://WWW.Example.COM.:443": "www.example.com",
+		"https://./":                   "",
 		// A non-numeric "port" is not a port; nothing is stripped.
 		"https://www.example.com:abc/x": "www.example.com:abc",
 		"HTTP://www.example.com/":       "",

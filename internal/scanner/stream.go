@@ -18,36 +18,38 @@ import (
 )
 
 // streamBatchSize is the generator→worker hand-off granularity: small
-// enough to keep workers load-balanced and the reorder buffer tiny, large
-// enough to amortise channel operations over fast-engine scans.
+// enough to keep workers load-balanced and the FIFO head's wait short,
+// large enough to amortise channel operations over fast-engine scans.
 const streamBatchSize = 64
 
 // pipelineBatches is the size of a pipeline's batch set with nw workers:
-// one at the generator, nw in each channel and nw at the workers, and as
-// many again for the reorder buffer (see runPipeline).
+// one at the generator, nw in the work channel and nw at the workers, and
+// as many again for finished batches waiting behind the FIFO head (see
+// runPipeline).
 func pipelineBatches(nw int) int { return 2 * (3*nw + 1) }
 
 // batch is one contiguous run of population indices and, once scanned, its
-// results. It makes a round trip: the generator synthesises its domains in
-// canonical order (with the breaker slots pre-assigned in that order, which
-// is what makes breaker decisions worker-invariant), a worker scans them
-// into results, the reorder buffer hands the results to the sink, and the
-// batch goes back to the generator over a bounded free list. Every slice it
-// holds is reused on the next trip, so a steady campaign allocates no batch
-// storage at all.
+// results. It makes a round trip: the generator hands out its index range
+// in canonical order (with the breaker slots pre-assigned in that order,
+// which is what makes breaker decisions worker-invariant), a worker
+// synthesises and scans its domains into results, the sink takes it from
+// the head of the order FIFO once it is done, and the batch goes back to
+// the generator over a bounded free list. Every slice it holds is reused on
+// the next trip, so a steady campaign allocates no batch storage at all.
 type batch struct {
-	start   int
-	domains []*websim.Domain
+	start, n int
 	// keys/pos are the breaker group and in-group position per domain;
 	// nil when the breaker is disabled.
 	keys []string
 	pos  []int
-	// results may be shorter than domains when the campaign was
-	// interrupted mid-batch; the missing tail was never scanned.
+	// results may be shorter than n when the campaign was interrupted
+	// mid-batch; the missing tail was never scanned.
 	results []DomainResult
 	// slabs is where the results' connections, stack RTT samples and
 	// observation series live.
 	slabs slabs
+	// done takes one token when a worker has finished the batch.
+	done chan struct{}
 }
 
 // slabs is a batch's result storage. Each scanned domain appends its
@@ -91,8 +93,8 @@ func tail[T any](slab []T, first int) []T {
 // domains, keeping every slice's storage. The results slice is grown to n
 // up front, so the results of one trip never move.
 func (b *batch) reuse(start, n int) {
-	b.start = start
-	b.domains, b.keys, b.pos = b.domains[:0], b.keys[:0], b.pos[:0]
+	b.start, b.n = start, n
+	b.keys, b.pos = b.keys[:0], b.pos[:0]
 	b.results = slices.Grow(b.results[:0], n)
 	b.slabs.reset()
 }
@@ -407,11 +409,12 @@ func (c *campaign) scanStep(eng *engine, tally *domainTally, shard int, rec *tra
 	return true
 }
 
-// worker scans batches until the work channel closes. After an interrupt it
-// keeps draining the channel (emitting truncated batches without scanning)
-// so the generator can never block on a send forever. Its per-domain
-// telemetry counts in a tally of its own, published once per batch.
-func (c *campaign) worker(shard int, work <-chan *batch, results chan<- *batch) {
+// worker synthesises and scans batches until the work channel closes.
+// After an interrupt it keeps draining the channel (finishing truncated
+// batches without scanning) so the generator can never block on a send
+// forever. Its per-domain telemetry counts in a tally of its own, published
+// once per batch.
+func (c *campaign) worker(shard int, work <-chan *batch) {
 	c.tm.workersActive.Add(1)
 	defer c.tm.workersActive.Add(-1)
 	// A recorder has one owner. Ranges of one campaign scanned concurrently
@@ -423,93 +426,93 @@ func (c *campaign) worker(shard int, work <-chan *batch, results chan<- *batch) 
 	tally := newDomainTally(c.tm)
 	eng := buildEngine(c.w, &c.cfg, tally, rec)
 	for b := range work {
-		for j, d := range b.domains {
-			if c.interrupted.Load() {
-				break
-			}
+		for j := 0; j < b.n && !c.interrupted.Load(); j++ {
 			key, pos := "", 0
 			if b.keys != nil {
 				key, pos = b.keys[j], b.pos[j]
 			}
 			// reuse grew results to the batch: the slot never moves.
 			b.results = b.results[:j+1]
-			if !c.scanStep(&eng, tally, shard, rec, d, key, pos, &b.slabs, &b.results[j]) {
+			if !c.scanStep(&eng, tally, shard, rec, c.w.DomainAt(b.start+j), key, pos, &b.slabs, &b.results[j]) {
 				b.results = b.results[:j]
 				break
 			}
 		}
 		if c.journal != nil {
-			// One write for the batch, before it leaves for the reorder
-			// buffer, so a sink never sees a result whose journal write is
-			// still pending; an interrupted batch commits what it scanned.
-			// The records a commit loses count in the journal's
-			// WriteFailures, which publishJournal mirrors; keep scanning.
+			// One write for the batch, before it is handed over, so a sink
+			// never sees a result whose journal write is still pending; an
+			// interrupted batch commits what it scanned. The records a
+			// commit loses count in the journal's WriteFailures, which
+			// publishJournal mirrors; keep scanning.
 			_, _ = c.journal.Commit(shard)
 			c.tm.checkpointDegraded.Set(boolGauge(c.journal.Degraded()))
 		}
-		// Publish before the batch leaves: by the time the sink sees a
-		// domain, every count of it is visible, and the last batch leaves
-		// the end-of-run values exact.
+		// Publish before the hand-over: by the time the sink sees a domain,
+		// every count of it is visible, and the last batch leaves the
+		// end-of-run values exact.
 		tally.publish()
 		c.completed.Add(int64(len(b.results)))
-		results <- b
+		b.done <- struct{}{}
 	}
 }
 
-// runPipeline executes the streaming campaign: a generator synthesises
-// domains on demand in canonical order (lazy worlds never materialise
-// their population), a worker pool scans them, and finished batches are
-// reordered on the caller's goroutine and handed to sink in canonical
-// order. Memory stays bounded by workers + channel capacities, independent
-// of the population size. It returns the first sink error, which also
-// stops the campaign; a panicking sink fails with its panic as the error.
-// Either way the pipeline drains before it returns: every worker has
-// stopped, and no goroutine of the run is left behind.
+// runPipeline executes the streaming campaign as one FIFO: a generator
+// hands out index ranges in canonical order, queueing each batch on the
+// order channel as well as on work; a worker pool synthesises and scans
+// them (lazy worlds never materialise their population); and the caller's
+// goroutine takes batches from the head of order, waits for each to be
+// done, and hands its results to sink in canonical order. Memory stays
+// bounded by the batch set, independent of the population size. It
+// returns the first sink error, which also stops the campaign; a panicking
+// sink fails with its panic as the error. Either way the pipeline drains
+// before it returns: every worker has stopped, and no goroutine of the run
+// is left behind.
 func (c *campaign) runPipeline(sink func(i int, res *DomainResult) error) (sinkErr error) {
 	lo, n := c.bounds()
 	nw := c.cfg.workers()
 	if nw > n-lo {
 		nw = 1
 	}
-	work := make(chan *batch, nw)
-	results := make(chan *batch, nw)
 	// The pipeline owns a fixed set of batches, made here and cycled through
 	// the free list in FIFO order: the generator waits for a delivered batch
-	// rather than making one. The set holds what the channels, the workers
-	// and the generator can hold at once, plus as many again for the reorder
-	// buffer, so storage stays bounded by the worker count and a run
-	// allocates the same batches however its workers are scheduled.
+	// rather than making one. The set holds what the work channel, the
+	// workers and the generator can hold at once, plus as many again for
+	// finished batches behind the FIFO head, so storage stays bounded by the
+	// worker count and a run allocates the same batches however its workers
+	// are scheduled. No channel holds more than the set, so the sink's sends
+	// to free and the generator's to order never block.
 	nb := min(pipelineBatches(nw), (n-lo+streamBatchSize-1)/streamBatchSize)
+	work := make(chan *batch, nw)
+	order := make(chan *batch, nb)
 	free := make(chan *batch, nb)
 	for range nb {
-		free <- &batch{}
-	}
-	var gateNext map[string]int
-	if c.br != nil {
-		gateNext = map[string]int{}
+		free <- &batch{done: make(chan struct{}, 1)}
 	}
 	go func() {
 		defer close(work)
+		defer close(order)
+		var gateNext map[string]int
+		if c.br != nil {
+			gateNext = map[string]int{}
+		}
 		for start := lo; start < n && !c.interrupted.Load(); start += streamBatchSize {
 			end := min(start+streamBatchSize, n)
-			// Every batch not in the free list is on its way to the sink, the
-			// one due next among them, so the wait always ends.
+			// Every batch not in the free list is queued in order ahead of
+			// the sink, which frees the head once a worker is done with it,
+			// so the wait always ends.
 			b := <-free
 			b.reuse(start, end-start)
-			for i := start; i < end; i++ {
-				d := c.w.DomainAt(i)
-				b.domains = append(b.domains, d)
-				if gateNext != nil {
-					key := breakerKey(c.w, c.cfg.IPv6, d)
-					p := 0
-					if key != "" {
-						p = gateNext[key]
-						gateNext[key]++
-					}
-					b.keys = append(b.keys, key)
-					b.pos = append(b.pos, p)
+			for i := start; gateNext != nil && i < end; i++ {
+				key := breakerKey(c.w, c.cfg.IPv6, c.w.DomainAt(i))
+				p := 0
+				if key != "" {
+					p = gateNext[key]
+					gateNext[key]++
 				}
+				b.keys = append(b.keys, key)
+				b.pos = append(b.pos, p)
 			}
+			order <- b
 			work <- b
 		}
 	}()
@@ -518,43 +521,31 @@ func (c *campaign) runPipeline(sink func(i int, res *DomainResult) error) (sinkE
 		wg.Add(1)
 		go func(shard int) {
 			defer wg.Done()
-			c.worker(shard, work, results)
+			c.worker(shard, work)
 		}(shard)
 	}
-	go func() {
-		wg.Wait()
-		close(results)
-	}()
-	// The reorder buffer never holds more than the batch set.
-	pending := make(map[int]*batch, nb)
-	next := lo // start index of the next batch to deliver
 	stopped := false
 	completed := 0
 	var lastMem time.Time
-	for rb := range results {
-		completed += len(rb.results)
-		pending[rb.start] = rb
-		for b, ok := pending[next]; ok; b, ok = pending[next] {
-			delete(pending, next)
-			for j := 0; j < len(b.results) && !stopped; j++ {
-				if err := deliver(sink, b.start+j, &b.results[j]); err != nil {
-					sinkErr = err
-					stopped = true
-					c.interrupt()
-				}
+	for b := range order {
+		<-b.done
+		completed += len(b.results)
+		for j := 0; j < len(b.results) && !stopped; j++ {
+			if err := deliver(sink, b.start+j, &b.results[j]); err != nil {
+				sinkErr = err
+				stopped = true
+				c.interrupt()
 			}
-			if len(b.results) < len(b.domains) {
-				stopped = true // interrupted mid-batch: a gap follows
-			}
-			next = b.start + len(b.domains)
-			// The sink has seen every result of b: its storage is free.
-			if poisonBatches {
-				b.poison()
-			}
-			free <- b // never blocks: the list has room for every batch
 		}
-		el := time.Since(c.started)
-		if el > 0 {
+		if len(b.results) < b.n {
+			stopped = true // interrupted mid-batch: a gap follows
+		}
+		// The sink has seen every result of b: its storage is free.
+		if poisonBatches {
+			b.poison()
+		}
+		free <- b
+		if el := time.Since(c.started); el > 0 {
 			c.tm.domainsPerSec.Set(int64(float64(completed) / el.Seconds()))
 		}
 		// Keep the allocation gauges live for mid-scan scrapes; once a
@@ -565,6 +556,7 @@ func (c *campaign) runPipeline(sink func(i int, res *DomainResult) error) (sinkE
 			c.publishJournal()
 		}
 	}
+	wg.Wait()
 	return sinkErr
 }
 
@@ -581,10 +573,10 @@ func deliver(sink func(i int, res *DomainResult) error, i int, res *DomainResult
 
 // RunStream executes a measurement campaign and hands every DomainResult
 // to sink in canonical population order, without retaining earlier
-// results: peak memory is bounded by the worker pool and a small reorder
-// buffer regardless of population size. Pair it with a lazy world
-// (websim.GenerateLazy) and the analysis accumulators for end-to-end
-// bounded-memory campaigns.
+// results: peak memory is bounded by the worker pool's batch set regardless
+// of population size. Each worker synthesises the domains it scans, so pair
+// it with a lazy world (websim.GenerateLazy) and the analysis accumulators
+// for end-to-end bounded-memory campaigns.
 //
 // sink runs on the caller's goroutine. It borrows res for the length of the
 // call: res, res.Conns and every connection's StackRTTs and Observations

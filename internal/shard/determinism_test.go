@@ -30,7 +30,7 @@ func TestShardDeterminism(t *testing.T) {
 		{"fast", scanner.EngineFast, 20_000},
 		{"emulated", scanner.EngineEmulated, 100_000},
 	}
-	transports := []Transport{TransportInProc, TransportSerialized, TransportUDP}
+	transports := []Transport{TransportSerialized, TransportUDP}
 	for _, eng := range engines {
 		eng := eng
 		t.Run(eng.name, func(t *testing.T) {

@@ -12,11 +12,11 @@
 // why.)
 //
 // The ranges run as goroutines in this process; the accumulators they
-// produce flow back to the merge three ways (Config.Transport): direct
-// in-memory merge, a round-trip through the versioned wire format
-// (internal/analysis codec), or real UDP sockets via internal/udprun —
-// the exchange a multi-process deployment would use, proving the merged
-// bytes are process-agnostic.
+// produce flow back to the merge two ways (Config.Transport): a round-trip
+// through the versioned wire format (internal/analysis codec), or real UDP
+// sockets via internal/udprun — the exchange a multi-process deployment
+// would use. Either way the merge reads only encoded bytes, proving the
+// merged tables are process-agnostic.
 //
 // Multi-vantage campaigns scan every week from each vantage point through
 // its own extra path delay/jitter (scanner.Vantage), and RenderAgreement
@@ -75,12 +75,10 @@ func Plan(n, shards int) []Range {
 type Transport int
 
 const (
-	// TransportInProc merges the shard goroutines' accumulators directly.
-	TransportInProc Transport = iota
-	// TransportSerialized round-trips every shard accumulator through the
-	// versioned wire format before merging — what any cross-process
-	// deployment carries, without the sockets.
-	TransportSerialized
+	// TransportSerialized (the default) round-trips every shard accumulator
+	// through the versioned wire format before merging — what any
+	// cross-process deployment carries, without the sockets.
+	TransportSerialized Transport = iota
 	// TransportUDP ships serialized accumulators over real loopback UDP
 	// sockets (QUIC-lite streams driven by internal/udprun) to a collector
 	// endpoint, then merges the received bytes.
@@ -89,8 +87,6 @@ const (
 
 func (t Transport) String() string {
 	switch t {
-	case TransportInProc:
-		return "inproc"
 	case TransportSerialized:
 		return "serialized"
 	case TransportUDP:
@@ -103,14 +99,12 @@ func (t Transport) String() string {
 // ParseTransport parses the spinscan -shard-transport flag value.
 func ParseTransport(s string) (Transport, error) {
 	switch s {
-	case "inproc":
-		return TransportInProc, nil
 	case "serialized":
 		return TransportSerialized, nil
 	case "udp":
 		return TransportUDP, nil
 	default:
-		return 0, fmt.Errorf("shard: unknown transport %q (want inproc, serialized or udp)", s)
+		return 0, fmt.Errorf("shard: unknown transport %q (want serialized or udp)", s)
 	}
 }
 
@@ -214,7 +208,7 @@ func (c Config) Validate() error {
 	if c.ForWeek == nil {
 		return fmt.Errorf("shard: ForWeek must be set")
 	}
-	if c.Transport < TransportInProc || c.Transport > TransportUDP {
+	if c.Transport < TransportSerialized || c.Transport > TransportUDP {
 		return fmt.Errorf("shard: unknown Transport %d", int(c.Transport))
 	}
 	if c.Resume && c.Checkpoint == "" {
@@ -510,7 +504,7 @@ func (r *run) mergeWeek(vs *vantageRun, camps []*analysis.CampaignAccumulator, c
 				return fmt.Errorf("decoding shard %d accumulator: %w", si, err)
 			}
 		}
-	} else if r.cfg.Transport == TransportSerialized {
+	} else {
 		for si, camp := range camps {
 			if camp == nil {
 				continue

@@ -2,6 +2,7 @@ package shard
 
 import (
 	"errors"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -93,14 +94,16 @@ func TestPlan(t *testing.T) {
 }
 
 func TestParseTransport(t *testing.T) {
-	for _, tr := range []Transport{TransportInProc, TransportSerialized, TransportUDP} {
+	for _, tr := range []Transport{TransportSerialized, TransportUDP} {
 		got, err := ParseTransport(tr.String())
 		if err != nil || got != tr {
 			t.Errorf("ParseTransport(%q) = %v, %v", tr.String(), got, err)
 		}
 	}
-	if _, err := ParseTransport("carrier-pigeon"); err == nil {
-		t.Error("ParseTransport accepted an unknown transport")
+	for _, bad := range []string{"carrier-pigeon", "inproc"} {
+		if _, err := ParseTransport(bad); err == nil || !strings.Contains(err.Error(), strconv.Quote(bad)) {
+			t.Errorf("ParseTransport(%q) = %v, want an error naming the value", bad, err)
+		}
 	}
 	if s := Transport(42).String(); s != "Transport(42)" {
 		t.Errorf("Transport(42).String() = %q", s)
@@ -137,15 +140,24 @@ func TestConfigValidate(t *testing.T) {
 }
 
 // TestRunTransports runs the same sharded campaign over every transport and
-// requires identical rendered output — the wire format and the UDP exchange
-// are pure plumbing.
+// requires rendered output identical to the plain unsharded week loop — the
+// wire format and the UDP exchange are pure plumbing.
 func TestRunTransports(t *testing.T) {
 	w := fixture(t)
-	var golden string
-	for _, tr := range []Transport{TransportInProc, TransportSerialized, TransportUDP} {
+	weeks := []int{1, 2}
+	plain := analysis.NewCampaignAccumulator()
+	for _, week := range weeks {
+		sc := baseConfig(scanner.EngineFast, 2)(week)
+		sc.Week = week
+		if err := scanner.RunStream(w, sc, plain.StartWeek(week, false, w.ASDB()).Sink()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	golden := renderCampaign(plain)
+	for _, tr := range []Transport{TransportSerialized, TransportUDP} {
 		res, err := Run(w, Config{
 			Shards:    3,
-			Weeks:     []int{1, 2},
+			Weeks:     weeks,
 			ForWeek:   baseConfig(scanner.EngineFast, 2),
 			Transport: tr,
 		})
@@ -155,13 +167,8 @@ func TestRunTransports(t *testing.T) {
 		if res.Shards != 3 || len(res.Vantages) != 1 {
 			t.Fatalf("%v: unexpected result shape: %d shards, %d vantages", tr, res.Shards, len(res.Vantages))
 		}
-		got := renderCampaign(res.Vantages[0].Campaign)
-		if golden == "" {
-			golden = got
-			continue
-		}
-		if got != golden {
-			t.Errorf("%v: rendered campaign differs from inproc", tr)
+		if got := renderCampaign(res.Vantages[0].Campaign); got != golden {
+			t.Errorf("%v: rendered campaign differs from the unsharded week loop", tr)
 		}
 	}
 }

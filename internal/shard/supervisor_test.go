@@ -179,7 +179,7 @@ func TestSupervisorContainsPanickingTee(t *testing.T) {
 func TestShardLostDegradedMerge(t *testing.T) {
 	w := fixture(t)
 	ranges := Plan(w.NumDomains(), 2)
-	for _, transport := range []Transport{TransportInProc, TransportUDP} {
+	for _, transport := range []Transport{TransportSerialized, TransportUDP} {
 		transport := transport
 		t.Run(transport.String(), func(t *testing.T) {
 			tm := telemetry.New()

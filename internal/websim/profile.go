@@ -166,7 +166,6 @@ const (
 	SoftFastly     = "fastly"
 	SoftNginx      = "nginx"
 	SoftApache     = "Apache"
-	SoftCaddy      = "Caddy"
 )
 
 // DefaultProfile returns the calibrated reproduction profile. The org

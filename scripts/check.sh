@@ -1,7 +1,8 @@
 #!/bin/sh
-# Pre-PR gate: formatting, vet, build, the full test suite under the race
-# detector with shuffled test order, and a short fuzz smoke over every
-# native fuzz target. Run from the repository root:
+# Pre-PR gate: formatting, vet, build, the full test suite once under the
+# race detector with shuffled test order and once plainly, coverage floors,
+# structural gates, a short fuzz smoke over every native fuzz target, and
+# CLI smokes. Run from the repository root:
 #
 #   ./scripts/check.sh
 #
@@ -26,6 +27,14 @@ go build ./...
 
 echo "== go test -race -shuffle=on ./..."
 go test -race -shuffle=on ./...
+
+# The plain run. The race runtime changes allocation counts, so every
+# testing.AllocsPerRun ceiling (zero-alloc tracing, flowtable, dice, clock,
+# world lookups, the emulated and fast campaign memory ceilings) skips itself
+# above; this run is the binding one for all of them, and it also runs the
+# benchmark ruler's tests (bench/) against the changed internal/*.
+echo "== go test -count=1 ./..."
+go test -count=1 ./...
 
 # Coverage floors on the packages the streaming pipeline flows through,
 # and on spinscan's flag and settings handling.
@@ -343,31 +352,6 @@ if [ "$(ls "$tmp/follow-ckpt")" != "w3-v4" ]; then
     exit 1
 fi
 
-# Journal layout properties: a resumed week opens only segments under its
-# own week directory; retention removes expired week directories whole and
-# leaves the tables alone; a directory of seq-less, counter and compacted
-# segments (as older builds wrote them) replays under generation-prefixed
-# numbers, which never overlap between handles; and the week loop matches
-# the plain reference loop. Already part of the race suite above; this named
-# run pins the property gates explicitly so a failure is attributable at a
-# glance.
-echo "== journal layout properties"
-go test -count=1 -run 'TestResumeReadsOneWeek|TestFollowRetention|TestJournalMixedLineage|TestFollowMatchesOneShot' \
-    ./internal/resilience ./internal/shard
-
-# Journal group commit: a worker journals its pipeline batch with one
-# write, so the crash contract is restated per batch and pinned here by
-# name. A journaled week issues one write per batch; a week's segment cut
-# at every batch boundary and through a record of every batch resumes to
-# the uncut tables; every record a commit reports as landed survives a
-# storage-fault plan; batched commits leave the segments, and under faults
-# lose the records, that per-record appends do; and a journal that degrades
-# part-way through a batch drops and probes record by record.
-echo "== journal group commit"
-go test -count=1 -run 'TestJournalCommitSurviveChaos|TestJournalCommitMatchesAppend|TestJournalCommitFaultsMatchAppend|TestJournalDegradedBatch' ./internal/resilience
-go test -count=1 -run 'TestJournalWritesPerBatch' ./internal/scanner
-go test -count=1 -run 'TestJournalCutResume' ./internal/shard
-
 # Hostile chaos smoke: both engines must survive a 30 %-hostile world at
 # the CLI level — exit 0, non-empty adoption tables, and the hostile error
 # classes rendered in Table 5. The in-process chaos test covers the
@@ -404,79 +388,6 @@ for eng in fast emulated; do
         fi
     done
 done
-
-# Zero-alloc tracing gate: the race detector above instruments allocations,
-# so the AllocsPerRun assertions skip themselves there; this plain run is
-# the binding check that disabled tracing stays off the scan hot path.
-echo "== zero-alloc tracing gate"
-go test -count=1 -run 'TestDisabledTracingZeroAlloc' ./internal/trace
-# The world's zone answer and server lookups, decoded from the name and the
-# address, are on every scanned domain's path too.
-go test -count=1 -run 'TestLookupsZeroAlloc' ./internal/websim
-
-# Zero-alloc flowtable gate: the passive observer's per-packet path must
-# stay allocation-free in steady state (the line-rate contract); a named
-# plain run so a regression is attributable at a glance.
-echo "== zero-alloc flowtable gate"
-go test -count=1 -run 'TestIngestZeroAlloc|TestIngestBatchZeroAlloc' ./internal/flowtable
-
-# Dice and clock gate: every random stream is a pure function of its key
-# (injective key derivation, disjoint sibling streams, allocation-free
-# reseeding), both engines roll each connection's spin dice alike, and the
-# event heap must fire in (deadline, scheduling order) with zero
-# steady-state allocation; a named plain run, because the goldens depend on
-# both and the race runtime changes allocation counts.
-echo "== dice and clock gate"
-go test -count=1 -run 'TestKeyDerivationInjective|TestSiblingStreamsShareNoValue|TestReseedRestartsStream|TestReseedZeroAlloc' ./internal/dice
-go test -count=1 -run 'TestComplianceDiceBinomial' ./internal/scanner
-go test -count=1 -run 'TestLoopMatchesReference|TestLoopSteadyStateZeroAlloc' ./internal/sim
-
-# Emulated memory gate: the packet-level engine's memory is constant in the
-# number of domains scanned, and everything a connection owns — its buffers
-# and the Conn itself — is recycled through a per-worker arena. A race build
-# poisons that arena (a returned buffer is overwritten, a double return
-# panics, a released connection refuses to send or receive), so a use after
-# release shows up as a panic or a golden diff here rather than as plausible
-# stale bytes; the named runs pin the bounded-memory test (pools and netem
-# tables) and the packet-path allocation ceiling, both on a world where every
-# connection takes packets, the closed-form ceiling (a settled connection
-# allocates nothing), the closed form's equivalence with the packet path, the
-# recycled-is-fresh, reassembler and endpoint properties, and the poisoned
-# goldens, determinism, differential and hostile-chaos suites. The race
-# runtime changes allocation counts, so the ceilings run once more without
-# it: that plain run is the binding one, as for the tracing gate.
-echo "== emulated memory gate"
-go test -race -count=1 -run 'TestEmulatedEngineBoundedMemory|TestEmulatedConnAllocCeiling|TestEmulatedBlackholeAllocCeiling|TestClosedFormEquivalence' ./internal/scanner
-go test -count=1 -run 'TestEmulatedConnAllocCeiling|TestEmulatedBlackholeAllocCeiling' ./internal/scanner
-go test -race -count=1 -run 'TestArena|TestRecvStreamMatchesReference|TestAcceptStream|TestEndpointDropsReleasesAndRecycles|TestConnRecycledIsFresh|TestReleasedConnIsPoisoned' ./internal/transport
-go test -race -count=1 -run 'TestNetworkTablesBoundedAcrossProbes' ./internal/netem
-go test -race -count=1 -run 'TestServerForgetsDroppedConnections' ./internal/h3
-go test -race -count=1 -run 'TestGoldenEmulatedWeek|TestGoldenCampaign|TestTableDeterminism$' ./internal/analysis
-go test -race -count=1 -run 'TestDifferentialEngines$|TestHostileChaosCampaign' ./internal/conformance
-
-# Fast campaign memory gate: a fast-engine domain scanned through the
-# streaming pipeline and folded into the campaign costs at most 0.4
-# allocations (0.20 recorded: results live in batch-owned storage recycled
-# through the reorder buffer), at most 0.6 when the week is journaled too
-# (0.21 recorded: the journal encodes from the batch slot), the
-# longitudinal fold keeps a record only for domains that spoke QUIC, and an
-# engine's DNS memo holds one domain's chain; a plain run, because the race
-# runtime changes allocation counts.
-# A race build poisons a recycled batch, so the race run pins the sink
-# contract: a sink that keeps a borrowed result reads poison, Run's copies
-# equal clones taken inside a sink, and the journal holds exactly the bytes
-# of what the sink was shown.
-echo "== fast campaign memory gate"
-go test -count=1 -run 'TestFastDomainAllocCeiling|TestJournaledDomainAllocCeiling|TestLongFoldTracksOnlyQUIC' ./internal/analysis
-go test -count=1 -run 'TestEngineResolverMemoBounded' ./internal/scanner
-go test -race -count=1 -run 'TestRetainingSinkSeesPoison|TestRunResultsAreSinkClones|TestRecycledResultsJournalAsCopies' ./internal/scanner
-
-# Benchmark ruler untouched: bench/ is the fixed ruler a perf PR is measured
-# with, so it must vet and pass as it is against the changed internal/*
-# (its tests run every workload's smoke pass, traced and untraced).
-echo "== benchmark ruler untouched"
-go vet ./bench
-go test -count=1 ./bench
 
 # Live dashboard smoke: run a traced, sharded follow service with the debug
 # endpoint on an ephemeral port and scrape /debug/campaign and /debug/traces
