@@ -42,44 +42,42 @@ import (
 
 // The flags live at package level so tests can count and set them.
 var (
-	scale            = flag.Int("scale", 2000, "population scale divisor (1000 = 216k CZDS domains)")
-	seed             = flag.Int64("seed", 20230515, "world generation seed")
-	hostileFrac      = flag.Float64("hostile-frac", 0, "fraction of QUIC servers assigned a hostile-endpoint misbehavior profile (0-1)")
-	week             = flag.Int("week", 12, "campaign week to scan (>= 1; the paper's campaign spans weeks 1-12)")
-	weeks            = flag.Int("weeks", 0, "scan this many consecutive weeks instead of one")
-	ipv6             = flag.Bool("ipv6", false, "scan AAAA targets (Table 4 view)")
-	engine           = flag.String("engine", "emulated", "scan engine: emulated or fast")
-	workers          = flag.Int("workers", 0, "parallel workers (0 = GOMAXPROCS)")
-	qlogDir          = flag.String("qlog-dir", "", "write per-connection qlog traces to this directory")
-	asdbOut          = flag.String("asdb-out", "", "write the world's prefix→ASN→org snapshot here (for spinalyze -asdb)")
-	summary          = flag.Bool("summary", true, "print adoption tables after scanning")
-	debugAddr        = flag.String("debug-addr", "", "serve /metrics, /snapshot and /debug/pprof on this address (e.g. :9090)")
-	progressEvery    = flag.Duration("progress", 5*time.Second, "progress report interval (0 disables)")
-	retries          = flag.Int("retries", 0, "per-domain retry budget for transient failures (0 disables)")
-	breakerThreshold = flag.Int("breaker-threshold", 0, "open a prefix circuit breaker after this many consecutive transient failures per AS (0 disables)")
-	breakerCooldown  = flag.Duration("breaker-cooldown", 0, "virtual cooldown before an open breaker probes again (0 = 30s default)")
-	checkpoint       = flag.String("checkpoint", "", "journal completed domains to this directory (enables -resume)")
-	resume           = flag.Bool("resume", false, "replay the -checkpoint journal and scan only the remainder")
-	lazyWorld        = flag.Bool("lazy-world", false, "synthesise domains and servers on demand instead of materialising the population: same tables, less memory, slower")
-	traceOn          = flag.Bool("trace", false, "record per-domain stage traces into the flight recorder (serves /debug/traces with -debug-addr)")
-	traceDir         = flag.String("trace-dir", "", "write flight-recorder dumps (panic/stall/budget postmortems) to this directory; implies -trace")
-	alertSpec        = flag.String("alerts", "", `threshold alerts evaluated each progress tick, e.g. "error-rate<=0.05,domains-per-sec>=100,spin-share>=0.01"`)
-	shards           = flag.Int("shards", 0, "split the population into this many concurrently scanned shards (0 = unsharded)")
-	vantagesSpec     = flag.String("vantages", "", `scan from multiple vantage points, e.g. "local,far:30+5" (name[:extra_delay_ms[+jitter_ms]], comma-separated)`)
-	shardTransport   = flag.String("shard-transport", "serialized", "shard accumulator merge path: serialized or udp")
-	restarts         = flag.Int("restarts", 2, "restart budget per population range per week: a scan that fails (an error or a panic) is relaunched from its journal this many times before the range is declared lost (unsharded, that fails the campaign)")
-	strictShards     = flag.Bool("strict-shards", false, "abort the campaign when any shard exhausts its restart budget instead of merging the survivors with a coverage report")
-	faultSpec        = flag.String("faults", "", `chaos-test fault plan, one grammar for every layer, e.g. "seed:3,udp.drop:0.05,udp.max-delay:2ms,fs.short-write:0.1,shard.crash:1@40x2,dns.timeout:0.3/2,net.blackout:0.1/1,scan.interrupt:5000" (see internal/fault)`)
-	followMode       = flag.Bool("follow", false, "continuous campaign service: keep scanning week after week from week 1 (bound with -weeks, stop with SIGINT/SIGTERM)")
-	followInterval   = flag.Duration("follow-interval", 0, "pause between consecutive weeks (interruptible; 0 = back to back)")
-	retainWeeks      = flag.Int("journal-retain-weeks", 0, "after each completed week, remove the -checkpoint week directories older than the last N weeks (0 keeps all)")
-	journalSync      = flag.Int("journal-sync", 0, "fsync the checkpoint journal after the batch write that carries its N-th unsynced record (0 = only on rotation and close; 1 = every record is fsynced before its result is delivered)")
-	journalSegBytes  = flag.Int64("journal-segment-bytes", 0, "rotate checkpoint journal segments past this size (0 disables size-based rotation)")
-	tunablesPath     = flag.String("tunables", "", "runtime tunables file overlaying -alerts, -progress, -breaker-threshold and -breaker-cooldown (same keys, same checks); SIGHUP reloads it without restart")
+	scale           = flag.Int("scale", 2000, "population scale divisor (1000 = 216k CZDS domains)")
+	seed            = flag.Int64("seed", 20230515, "world generation seed")
+	hostileFrac     = flag.Float64("hostile-frac", 0, "fraction of QUIC servers assigned a hostile-endpoint misbehavior profile (0-1)")
+	week            = flag.Int("week", 12, "campaign week to scan (>= 1; the paper's campaign spans weeks 1-12)")
+	weeks           = flag.Int("weeks", 0, "scan this many consecutive weeks instead of one")
+	ipv6            = flag.Bool("ipv6", false, "scan AAAA targets (Table 4 view)")
+	engine          = flag.String("engine", "emulated", "scan engine: emulated or fast")
+	workers         = flag.Int("workers", 0, "parallel workers (0 = GOMAXPROCS)")
+	qlogDir         = flag.String("qlog-dir", "", "write per-connection qlog traces to this directory")
+	asdbOut         = flag.String("asdb-out", "", "write the world's prefix→ASN→org snapshot here (for spinalyze -asdb)")
+	summary         = flag.Bool("summary", true, "print adoption tables after scanning")
+	debugAddr       = flag.String("debug-addr", "", "serve /metrics, /snapshot and /debug/pprof on this address (e.g. :9090)")
+	progressEvery   = flag.Duration("progress", 5*time.Second, "progress report interval (0 disables)")
+	retries         = flag.Int("retries", 0, "per-domain retry budget for transient failures (0 disables)")
+	checkpoint      = flag.String("checkpoint", "", "journal completed domains to this directory (enables -resume)")
+	resume          = flag.Bool("resume", false, "replay the -checkpoint journal and scan only the remainder")
+	lazyWorld       = flag.Bool("lazy-world", false, "synthesise domains and servers on demand instead of materialising the population: same tables, less memory, slower")
+	traceOn         = flag.Bool("trace", false, "record per-domain stage traces into the flight recorder (serves /debug/traces with -debug-addr)")
+	traceDir        = flag.String("trace-dir", "", "write flight-recorder dumps (panic/stall/budget postmortems) to this directory; implies -trace")
+	alertSpec       = flag.String("alerts", "", `threshold alerts evaluated each progress tick, e.g. "error-rate<=0.05,domains-per-sec>=100,spin-share>=0.01"`)
+	shards          = flag.Int("shards", 0, "split the population into this many concurrently scanned shards (0 = unsharded)")
+	vantagesSpec    = flag.String("vantages", "", `scan from multiple vantage points, e.g. "local,far:30+5" (name[:extra_delay_ms[+jitter_ms]], comma-separated)`)
+	shardTransport  = flag.String("shard-transport", "serialized", "shard accumulator merge path: serialized or udp")
+	restarts        = flag.Int("restarts", 2, "restart budget per population range per week: a scan that fails (an error or a panic) is relaunched from its journal this many times before the range is declared lost (unsharded, that fails the campaign)")
+	strictShards    = flag.Bool("strict-shards", false, "abort the campaign when any shard exhausts its restart budget instead of merging the survivors with a coverage report")
+	faultSpec       = flag.String("faults", "", `chaos-test fault plan, one grammar for every layer, e.g. "seed:3,udp.drop:0.05,udp.max-delay:2ms,fs.short-write:0.1,shard.crash:1@40x2,dns.timeout:0.3/2,net.blackout:0.1/1,scan.interrupt:5000" (see internal/fault)`)
+	followMode      = flag.Bool("follow", false, "continuous campaign service: keep scanning week after week from week 1 (bound with -weeks, stop with SIGINT/SIGTERM)")
+	followInterval  = flag.Duration("follow-interval", 0, "pause between consecutive weeks (interruptible; 0 = back to back)")
+	retainWeeks     = flag.Int("journal-retain-weeks", 0, "after each completed week, remove the -checkpoint week directories older than the last N weeks (0 keeps all)")
+	journalSync     = flag.Int("journal-sync", 0, "fsync the checkpoint journal after the batch write that carries its N-th unsynced record (0 = only on rotation and close; 1 = every record is fsynced before its result is delivered)")
+	journalSegBytes = flag.Int64("journal-segment-bytes", 0, "rotate checkpoint journal segments past this size (0 disables size-based rotation)")
+	tunablesPath    = flag.String("tunables", "", "runtime tunables file overlaying -alerts and -progress (same keys, same checks); SIGHUP reloads it without restart")
 )
 
 // validateFlags rejects the command lines the campaign would silently
-// misread, naming the flag. The four reloadable settings are checked by
+// misread, naming the flag. The two reloadable settings are checked by
 // settings.validate instead, the same way for a flag and a tunables file.
 func validateFlags() error {
 	if flag.NArg() > 0 {
@@ -197,7 +195,6 @@ func main() {
 		ForWeek: func(week int) scanner.Config {
 			cfg := baseCfg
 			cfg.Seed = *seed + int64(week)
-			cfg.Breaker = tun.breaker()
 			log.Printf("scanning week %d (%s, ipv6=%v)...", week, *engine, cfg.IPv6)
 			return cfg
 		},

@@ -101,14 +101,14 @@ func TestOptionBudget(t *testing.T) {
 			flags++
 		}
 	})
-	if flags > 34 {
-		t.Errorf("spinscan defines %d flags, budget 34", flags)
+	if flags > 32 {
+		t.Errorf("spinscan defines %d flags, budget 32", flags)
 	}
 	for _, c := range []struct {
 		cfg    any
 		budget int
 	}{
-		{scanner.Config{}, 16}, {shard.Config{}, 19}, {shard.SubmitPolicy{}, 5},
+		{scanner.Config{}, 15}, {shard.Config{}, 19}, {shard.SubmitPolicy{}, 5},
 		{transport.Config{}, 6}, {transport.Budget{}, 3}, {trace.Config{}, 2},
 		{resilience.JournalConfig{}, 3}, {resilience.BreakerConfig{}, 2},
 		{conformance.DiffConfig{}, 7},

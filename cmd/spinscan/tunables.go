@@ -5,16 +5,14 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"strconv"
 	"strings"
 	"sync"
 	"time"
 
-	"quicspin/internal/resilience"
 	"quicspin/internal/telemetry"
 )
 
-// settings are the four options a running spinscan service can change
+// settings are the two options a running spinscan service can change
 // without a restart. The flags of the same names seed them; the -tunables
 // file overlays them at start and again on every SIGHUP, and a key the file
 // omits keeps its current value. Both sources go through one validate.
@@ -22,31 +20,21 @@ import (
 // File grammar: one `key = value` per line, '#' comments, blank lines
 // ignored; the keys are the flag names.
 //
-//	alerts            = error-rate<=0.05,domains-per-sec>=100
-//	progress          = 30s
-//	breaker-threshold = 5
-//	breaker-cooldown  = 45s
+//	alerts   = error-rate<=0.05,domains-per-sec>=100
+//	progress = 30s
 type settings struct {
-	alerts           string
-	progress         time.Duration
-	breakerThreshold int
-	breakerCooldown  time.Duration
+	alerts   string
+	progress time.Duration
 }
 
 // String renders s in the tunables file's key names, for log lines.
 func (s settings) String() string {
-	return fmt.Sprintf("alerts=%q progress=%v breaker-threshold=%d breaker-cooldown=%v",
-		s.alerts, s.progress, s.breakerThreshold, s.breakerCooldown)
+	return fmt.Sprintf("alerts=%q progress=%v", s.alerts, s.progress)
 }
 
 // flagSettings seeds the settings from the command line.
 func flagSettings() settings {
-	return settings{
-		alerts:           *alertSpec,
-		progress:         *progressEvery,
-		breakerThreshold: *breakerThreshold,
-		breakerCooldown:  *breakerCooldown,
-	}
+	return settings{alerts: *alertSpec, progress: *progressEvery}
 }
 
 // parseTunables overlays the key = value lines of r on s.
@@ -72,10 +60,6 @@ func parseTunables(r io.Reader, s settings) (settings, error) {
 			s.alerts = val // an empty value clears all rules
 		case "progress":
 			s.progress, err = time.ParseDuration(val)
-		case "breaker-threshold":
-			s.breakerThreshold, err = strconv.Atoi(val)
-		case "breaker-cooldown":
-			s.breakerCooldown, err = time.ParseDuration(val)
 		default:
 			return s, fmt.Errorf("tunables line %d: unknown key %q", lineNo, key)
 		}
@@ -106,25 +90,15 @@ func (s settings) validate() ([]telemetry.Rule, error) {
 	if err != nil {
 		return nil, fmt.Errorf("alerts: %v", err)
 	}
-	for _, o := range []struct {
-		name string
-		neg  bool
-		v    any
-	}{
-		{"progress", s.progress < 0, s.progress},
-		{"breaker-threshold", s.breakerThreshold < 0, s.breakerThreshold},
-		{"breaker-cooldown", s.breakerCooldown < 0, s.breakerCooldown},
-	} {
-		if o.neg {
-			return nil, fmt.Errorf("%s must be >= 0 (got %v)", o.name, o.v)
-		}
+	if s.progress < 0 {
+		return nil, fmt.Errorf("progress must be >= 0 (got %v)", s.progress)
 	}
 	return rules, nil
 }
 
 // tunables holds the settings installed in a running campaign. Alerts and
-// the progress cadence change at once; ForWeek reads the breaker at the next
-// week boundary, so a scan in flight is never reconfigured.
+// the progress cadence change at once; neither reconfigures a scan in
+// flight.
 type tunables struct {
 	mu          sync.Mutex
 	cur         settings
@@ -183,12 +157,6 @@ func (t *tunables) get() settings {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	return t.cur
-}
-
-// breaker is the circuit-breaker configuration of the next week's scan.
-func (t *tunables) breaker() resilience.BreakerConfig {
-	s := t.get()
-	return resilience.BreakerConfig{Threshold: s.breakerThreshold, Cooldown: s.breakerCooldown}
 }
 
 // startProgress starts the progress reporter at the installed cadence;

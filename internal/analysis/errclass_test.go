@@ -3,7 +3,6 @@ package analysis
 import (
 	"fmt"
 	"testing"
-	"time"
 	"unsafe"
 
 	"quicspin/internal/fault"
@@ -30,7 +29,7 @@ func checkErrClasses(d *scanner.DomainResult) error {
 // TestOneErrorClassEverywhere: a failed connection is classified once, when
 // the failure is recorded, and every reader reads that class. A fast and an
 // emulated week over a 30 %-hostile world, with DNS timeouts, blackouts, a
-// scan panic, retries, a breaker and three workers, deliver only
+// scan panic, retries and three workers, deliver only
 // connections whose ErrClass and Hostile agree with their text; so do the
 // same weeks replayed from their journals, whose Table 5 is the scanned
 // one. The campaign's spinscan_conn_errors_total{class} and
@@ -53,10 +52,7 @@ func TestOneErrorClassEverywhere(t *testing.T) {
 		reg := telemetry.New()
 		cfg := scanner.Config{
 			Week: 12, Engine: eng, Seed: 5, Workers: 3, Telemetry: reg, Faults: faults,
-			Retry: resilience.RetryPolicy{MaxRetries: 1},
-			// A short cooldown lets half-open probes through, so the
-			// breaker does not skip the whole week.
-			Breaker:    resilience.BreakerConfig{Threshold: 5, Cooldown: time.Millisecond},
+			Retry:      resilience.RetryPolicy{MaxRetries: 1},
 			Checkpoint: t.TempDir(),
 		}
 		scan := func(cfg scanner.Config) *Accumulator {

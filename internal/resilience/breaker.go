@@ -6,7 +6,9 @@ import (
 )
 
 // BreakerConfig parameterises the per-prefix/AS circuit breaker. The zero
-// value disables breaking.
+// value disables breaking. The scanner no longer uses the breaker: its only
+// caller is the bench's resilience.breaker row, and it goes with that row
+// (ROADMAP item 1).
 type BreakerConfig struct {
 	// Threshold is the number of consecutive transient failures within one
 	// group (prefix or AS) that opens the breaker. Zero disables it.

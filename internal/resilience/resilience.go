@@ -1,17 +1,13 @@
 // Package resilience is the campaign-survival layer of the scanner: it
-// decides which failures are worth retrying, when a prefix has failed often
-// enough that continuing to scan it would violate the paper's backoff
-// etiquette (§A), and how a multi-hour campaign over hundreds of millions
-// of domains survives a crash without losing completed work.
+// decides which failures are worth retrying, and how a multi-hour campaign
+// over hundreds of millions of domains survives a crash without losing
+// completed work.
 //
 // Everything in this package is deterministic by construction:
 //
 //   - Retry backoff runs in virtual time and draws jitter from the caller's
 //     per-domain random stream, so retried scans remain a pure function of
 //     (Seed, Week, domain) — byte-identical across worker counts.
-//   - The circuit breaker serialises decisions per group (prefix/AS) in a
-//     fixed canonical order via a position gate, so which domains get
-//     skipped does not depend on scheduling.
 //   - The checkpoint journal is an append-only sharded JSONL log whose
 //     replay is order-insensitive (last write per key wins), so an
 //     interrupted campaign resumes to the exact result an uninterrupted
@@ -20,14 +16,14 @@
 // Classify is the one place where error text becomes a Class. The scanner
 // calls it once per failed connection, when it records the failure (and
 // when it decodes one from a journal or a qlog trace); every reader —
-// retries, the breaker, telemetry and Table 5 — reads the class the
-// connection carries, scanner.ConnResult.ErrClass. Only a DNS failure's
-// text is classified where it is read, by the retry and breaker paths.
+// retries, telemetry and Table 5 — reads the class the connection
+// carries, scanner.ConnResult.ErrClass. Only a DNS failure's text is
+// classified where it is read, by the retry path and the trace outcome.
 package resilience
 
 import "strings"
 
-// Class buckets a scan failure for retry and breaker decisions. One byte:
+// Class buckets a scan failure for retry decisions and Table 5. One byte:
 // a scanner.ConnResult carries its class beside the error text.
 type Class uint8
 
@@ -56,12 +52,15 @@ const (
 	// ClassPanic is a scanner-side panic converted into a result by worker
 	// isolation — not retried (it is our bug, not the network's).
 	ClassPanic
-	// ClassBreakerOpen marks a domain skipped by an open circuit breaker.
+	// ClassBreakerOpen marks a domain an open circuit breaker skipped. The
+	// scanner no longer has a breaker and never produces it; the value is
+	// reserved so the classes after it keep their numbers, and a checkpoint
+	// journaled with the breaker on replays with the class it was written
+	// with.
 	ClassBreakerOpen
 	// ClassHostile marks an endpoint classified as deliberately misbehaving
 	// (protocol violations, floods, exceeded resource budgets) — permanent:
-	// never retried, and never charged against the per-AS breaker (the host
-	// answered; it is broken, not unreachable).
+	// never retried (the host answered; it is broken, not unreachable).
 	ClassHostile
 	// ClassOther is any unrecognised failure — permanent.
 	ClassOther

@@ -25,8 +25,7 @@ var wallGauges = []string{"scan_domains_per_sec ", "scan_alloc_bytes ", "scan_al
 
 // TestMetricsGolden pins the end-of-run /metrics text of fixed scans, one
 // per engine, on a hostile world with retries, injected DNS timeouts,
-// blackouts and panics, and the circuit breaker on the fast one: every
-// series, every label set and every count. The wall-clock gauges read as
+// blackouts and panics: every series, every label set and every count. The wall-clock gauges read as
 // "-", and a histogram's _sum is held to 1e-9 relative, since workers add
 // their samples in a different order from run to run.
 func TestMetricsGolden(t *testing.T) {
@@ -34,12 +33,11 @@ func TestMetricsGolden(t *testing.T) {
 	p.Scale, p.HostileFrac = 20_000, 0.3
 	w := websim.Generate(p)
 	for _, tc := range []struct {
-		name    string
-		engine  scanner.Engine
-		breaker int
+		name   string
+		engine scanner.Engine
 	}{
-		{"emulated", scanner.EngineEmulated, 0},
-		{"fast", scanner.EngineFast, 12},
+		{"emulated", scanner.EngineEmulated},
+		{"fast", scanner.EngineFast},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			plan, err := fault.Parse("seed:3,dns.timeout:0.2/1,net.blackout:0.05/1,scan.panic:0.002")
@@ -48,8 +46,7 @@ func TestMetricsGolden(t *testing.T) {
 			}
 			reg := telemetry.New()
 			cfg := scanner.Config{Week: 5, Engine: tc.engine, Seed: 9, Workers: 3, Telemetry: reg, Faults: plan,
-				Retry:   resilience.RetryPolicy{MaxRetries: 2},
-				Breaker: resilience.BreakerConfig{Threshold: tc.breaker}}
+				Retry: resilience.RetryPolicy{MaxRetries: 2}}
 			if err := scanner.RunStream(w, cfg, func(int, *scanner.DomainResult) error { return nil }); err != nil {
 				t.Fatal(err)
 			}

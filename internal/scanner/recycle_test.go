@@ -350,8 +350,7 @@ func TestPoisonedStorageNeverLeaks(t *testing.T) {
 // TestWorkerSideSynthesis: each worker synthesises the domains of the index
 // range it takes, and the sink takes batches from the head of one FIFO. So
 // the eager and the on-demand world of one profile, scanned on one worker
-// and on three, with the breaker off and at threshold 5, deliver results
-// deep-equal index by index on both engines, also to a sink that yields on
+// and on three, deliver results deep-equal index by index on both engines, also to a sink that yields on
 // the first result of every batch, which keeps the FIFO head waiting while
 // the workers run ahead. Emulated observation times are compared as
 // offsets (see offsetCopy).
@@ -382,39 +381,27 @@ func TestWorkerSideSynthesis(t *testing.T) {
 		return out
 	}
 	for _, eng := range []Engine{EngineFast, EngineEmulated} {
-		for _, threshold := range []int{0, 5} {
-			base := Config{Week: 4, Engine: eng, Seed: 13, Workers: 1,
-				Retry:   resilience.RetryPolicy{MaxRetries: 1},
-				Breaker: resilience.BreakerConfig{Threshold: threshold},
-				Faults:  fault.New(6, fault.Rule{Site: fault.Net, Kind: fault.Blackout, P: 0.3, Times: 1})}
-			want := collect(worlds[0].w, base, false)
-			if len(want) != worlds[0].w.NumDomains() {
-				t.Fatalf("engine %v: %d results of %d domains", eng, len(want), worlds[0].w.NumDomains())
-			}
-			skipped, skipErr := 0, breakerSkipResult(worlds[0].w.DomainAt(0)).Conns[0].Err
-			for i := range want {
-				if len(want[i].Conns) == 1 && want[i].Conns[0].Err == skipErr {
-					skipped++
-				}
-			}
-			if (threshold > 0) != (skipped > 0) {
-				t.Fatalf("engine %v, breaker threshold %d: %d domains skipped by the breaker", eng, threshold, skipped)
-			}
-			for _, world := range worlds {
-				for _, workers := range []int{1, 3} {
-					for _, yield := range []bool{false, true} {
-						cfg := base
-						cfg.Workers = workers
-						got := collect(world.w, cfg, yield)
-						if len(got) != len(want) {
-							t.Fatalf("engine %v, %s world, W = %d, threshold %d, yield %v: %d results, want %d",
-								eng, world.name, workers, threshold, yield, len(got), len(want))
-						}
-						for i := range want {
-							if !reflect.DeepEqual(got[i], want[i]) {
-								t.Fatalf("engine %v, %s world, W = %d, threshold %d, yield %v: result %d differs:\n got %+v\nwant %+v",
-									eng, world.name, workers, threshold, yield, i, got[i], want[i])
-							}
+		base := Config{Week: 4, Engine: eng, Seed: 13, Workers: 1,
+			Retry:  resilience.RetryPolicy{MaxRetries: 1},
+			Faults: fault.New(6, fault.Rule{Site: fault.Net, Kind: fault.Blackout, P: 0.3, Times: 1})}
+		want := collect(worlds[0].w, base, false)
+		if len(want) != worlds[0].w.NumDomains() {
+			t.Fatalf("engine %v: %d results of %d domains", eng, len(want), worlds[0].w.NumDomains())
+		}
+		for _, world := range worlds {
+			for _, workers := range []int{1, 3} {
+				for _, yield := range []bool{false, true} {
+					cfg := base
+					cfg.Workers = workers
+					got := collect(world.w, cfg, yield)
+					if len(got) != len(want) {
+						t.Fatalf("engine %v, %s world, W = %d, yield %v: %d results, want %d",
+							eng, world.name, workers, yield, len(got), len(want))
+					}
+					for i := range want {
+						if !reflect.DeepEqual(got[i], want[i]) {
+							t.Fatalf("engine %v, %s world, W = %d, yield %v: result %d differs:\n got %+v\nwant %+v",
+								eng, world.name, workers, yield, i, got[i], want[i])
 						}
 					}
 				}

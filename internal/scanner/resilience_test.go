@@ -245,105 +245,6 @@ func TestRetryWorkerInvariance(t *testing.T) {
 	}
 }
 
-func TestBreakerCampaign(t *testing.T) {
-	w := testWorld(60_000)
-	base := Config{Week: 1, Engine: EngineFast, Seed: 7, Workers: 1}
-
-	// Find the AS with the most resolvable domains and fail every address
-	// in it permanently.
-	asOf := func(d *websim.Domain) (string, bool) {
-		if !d.V4.IsValid() {
-			return "", false
-		}
-		asn, ok := w.ASDB().Table.Lookup(d.V4)
-		if !ok {
-			return "unattributed", true
-		}
-		return fmt.Sprintf("as-%d", asn), true
-	}
-	counts := map[string]int{}
-	for _, d := range w.Domains {
-		if key, ok := asOf(d); ok {
-			counts[key]++
-		}
-	}
-	target, best := "", 0
-	for key, n := range counts {
-		if n > best {
-			target, best = key, n
-		}
-	}
-	if best < 6 {
-		t.Fatalf("largest AS group has only %d domains", best)
-	}
-	var fail []fault.Rule
-	var groupIdx []int
-	for i, d := range w.Domains {
-		if key, ok := asOf(d); ok && key == target {
-			fail = append(fail, fault.Rule{Site: fault.Net, Kind: fault.Blackout, Target: d.V4.String(), P: 1})
-			groupIdx = append(groupIdx, i)
-		}
-	}
-
-	reg := telemetry.New()
-	cfg := base
-	cfg.Faults = fault.New(1, fail...)
-	cfg.Breaker = resilience.BreakerConfig{Threshold: 3}
-	cfg.Telemetry = reg
-	r := mustRun(t, w, cfg)
-
-	// The first domains of the group fail transiently until the threshold
-	// opens the breaker; afterwards group members are skipped with the
-	// distinct "breaker:" class (half-open probes may interleave once the
-	// virtual cooldown elapses, and DNS-failed domains never reach the
-	// network at all). Note other AS groups can open their own breakers
-	// from the world's natural transient DNS timeouts — that is the breaker
-	// working as intended, so skip counters are asserted globally.
-	groupTimeouts, groupSkips, allSkips := 0, 0, 0
-	inGroup := map[int]bool{}
-	for _, i := range groupIdx {
-		inGroup[i] = true
-	}
-	for i := range r.Domains {
-		d := &r.Domains[i]
-		for j := range d.Conns {
-			switch {
-			case strings.HasPrefix(d.Conns[j].Err, "breaker:"):
-				allSkips++
-				if inGroup[i] {
-					groupSkips++
-				}
-			case inGroup[i] && d.Conns[j].Err == "timeout: no QUIC handshake":
-				groupTimeouts++
-			}
-		}
-	}
-	if groupTimeouts < 3 {
-		t.Errorf("transient failures before the breaker opened = %d, want >= 3", groupTimeouts)
-	}
-	if groupSkips == 0 {
-		t.Error("open breaker skipped no domains in the failed AS")
-	}
-	snap := reg.Snapshot()
-	if got := snap.Counters["breaker_open_total"]; got < 1 {
-		t.Errorf("breaker_open_total = %d, want >= 1", got)
-	}
-	if got := snap.Counters["breaker_skipped_total"]; got != int64(allSkips) {
-		t.Errorf("breaker_skipped_total = %d, want %d", got, allSkips)
-	}
-	if got := snap.Counters[`spinscan_conn_errors_total{class="breaker"}`]; got != int64(allSkips) {
-		t.Errorf("breaker error class counter = %d, want %d", got, allSkips)
-	}
-
-	// Worker invariance: the gate serialises breaker decisions in
-	// canonical order, so worker count changes nothing.
-	cfg.Workers = 4
-	r4 := mustRun(t, w, cfg)
-	cfg.Workers = 1
-	r1 := mustRun(t, w, cfg)
-	sameScanResults(t, r1, r4)
-}
-
 func TestInterruptAndResume(t *testing.T) {
 	w := testWorld(60_000)
 	base := Config{Week: 1, Engine: EngineFast, Seed: 5, Workers: 4}
@@ -545,8 +446,5 @@ func TestValidateResilienceConfig(t *testing.T) {
 	}
 	if err := (Config{Retry: resilience.RetryPolicy{MaxRetries: -1}}).Validate(); err == nil {
 		t.Error("negative MaxRetries must be rejected")
-	}
-	if err := (Config{Breaker: resilience.BreakerConfig{Threshold: -1}}).Validate(); err == nil {
-		t.Error("negative Breaker.Threshold must be rejected")
 	}
 }

@@ -3,7 +3,6 @@ package scanner
 import (
 	"encoding/json"
 	"fmt"
-	"time"
 
 	"quicspin/internal/resilience"
 	"quicspin/internal/websim"
@@ -70,22 +69,9 @@ func replayResult(replayed map[string]json.RawMessage, key string, d *websim.Dom
 	return true
 }
 
-// breakerSkipResult records a domain an open circuit breaker refused to
-// scan. It carries a distinct "breaker:" error class (not a timeout) so
-// the skip is visible in tables and telemetry.
-func breakerSkipResult(d *websim.Domain) DomainResult {
-	res := DomainResult{
-		Domain: d.Name, TLD: d.TLD, Toplist: d.Toplist,
-		Conns: []ConnResult{{Target: d.Host()}},
-	}
-	res.Conns[0].setErr("breaker: prefix circuit open, scan skipped")
-	return res
-}
-
-// classifyDomain buckets a finished domain by its landing outcome (the
-// DNS error or first connection), which is the outcome attributable to the
-// breaker group the domain was gated on. A connection carries its class; a
-// DNS failure's text is classified here.
+// classifyDomain buckets a finished domain by its landing outcome: the DNS
+// error, or else its first connection's class. A connection carries its
+// class; a DNS failure's text is classified here.
 func classifyDomain(res *DomainResult) resilience.Class {
 	if res.DNSErr != "" {
 		return resilience.Classify(res.DNSErr)
@@ -94,46 +80,4 @@ func classifyDomain(res *DomainResult) resilience.Class {
 		return res.Conns[0].ErrClass
 	}
 	return resilience.ClassNone
-}
-
-// nominalScanCost is the virtual time a non-transient scan advances its
-// breaker group's clock by. Transient failures advance it by the full
-// connection timeout instead — failing prefixes cool down in proportion to
-// the time actually wasted on them.
-const nominalScanCost = 500 * time.Millisecond
-
-// domainOutcome converts a finished (or replayed, or skipped) domain into
-// the breaker's accounting terms. It depends only on the result itself, so
-// journal replay drives the breaker through exactly the transitions of the
-// original run.
-func domainOutcome(res *DomainResult) resilience.Outcome {
-	cls := classifyDomain(res)
-	switch {
-	case cls == resilience.ClassBreakerOpen:
-		return resilience.Outcome{Skipped: true}
-	case cls.Transient():
-		return resilience.Outcome{Transient: true, Cost: connTimeout}
-	default:
-		return resilience.Outcome{Cost: nominalScanCost}
-	}
-}
-
-// breakerKey maps a domain to its breaker group (origin AS), or "" when it
-// does not participate (no address to back off from). Grouping uses the
-// world's ground-truth addresses and the RIS-derived prefix table — in the
-// paper's setting the prefix→AS mapping is known a priori from routing
-// dumps, so the assignment is independent of scan-time DNS outcomes and
-// therefore of worker scheduling.
-func breakerKey(w *websim.World, ipv6 bool, d *websim.Domain) string {
-	addr := d.V4
-	if ipv6 {
-		addr = d.V6
-	}
-	if !addr.IsValid() {
-		return "" // unresolvable: no prefix to back off from
-	}
-	if asn, ok := w.ASDB().Table.Lookup(addr); ok {
-		return fmt.Sprintf("as-%d", asn)
-	}
-	return "unattributed"
 }

@@ -98,12 +98,6 @@ type Config struct {
 	// worker-invariant.
 	// The zero value disables retries (legacy behaviour).
 	Retry resilience.RetryPolicy
-	// Breaker enables the per-prefix/AS circuit breaker (§A backoff
-	// etiquette): after Breaker.Threshold consecutive transient failures
-	// within one AS, further domains there are skipped with a "breaker:"
-	// error class until a virtual cooldown elapses. The zero value
-	// disables it.
-	Breaker resilience.BreakerConfig
 	// Checkpoint, when non-empty, journals every completed DomainResult to
 	// sharded JSONL files under this directory so an interrupted campaign
 	// can resume.
@@ -178,9 +172,6 @@ func (c Config) Validate() error {
 	}
 	if c.Retry.MaxRetries < 0 {
 		return fmt.Errorf("scanner: Retry.MaxRetries must be >= 0 (0 disables retries), got %d", c.Retry.MaxRetries)
-	}
-	if c.Breaker.Threshold < 0 {
-		return fmt.Errorf("scanner: Breaker.Threshold must be >= 0 (0 disables the breaker), got %d", c.Breaker.Threshold)
 	}
 	if c.Resume && c.Checkpoint == "" {
 		return fmt.Errorf("scanner: Resume requires a Checkpoint directory")
@@ -496,8 +487,8 @@ func maybePanic(f *fault.Plan, d *websim.Domain) {
 // connections, stack RTT samples and observations in s. healthy reports
 // whether the engine can scan further domains; a stalled emulated loop
 // returns false and the worker rebuilds the engine. clockNow exposes the
-// engine's virtual clock so campaign-layer trace events (breaker skips,
-// checkpoint replays) timestamp consistently with in-scan spans.
+// engine's virtual clock so campaign-layer trace events (checkpoint
+// replays) timestamp consistently with in-scan spans.
 type engine interface {
 	scanDomain(d *websim.Domain, s *slabs, res *DomainResult)
 	healthy() bool
@@ -548,9 +539,8 @@ func (r *retrier) left() int {
 // retriable reports whether a failure of class cls is one that retries
 // follow at all, budget aside.
 func retriable(cls resilience.Class) bool {
-	// Stalls are transient for campaign-level accounting (the breaker),
-	// but never retried in-domain: the engine that produced one must be
-	// rebuilt before it can scan again.
+	// Stalls are transient, but never retried in-domain: the engine that
+	// produced one must be rebuilt before it can scan again.
 	return cls != resilience.ClassStall && cls.Transient()
 }
 

@@ -30,18 +30,13 @@ func pipelineBatches(nw int) int { return 2 * (3*nw + 1) }
 
 // batch is one contiguous run of population indices and, once scanned, its
 // results. It makes a round trip: the generator hands out its index range
-// in canonical order (with the breaker slots pre-assigned in that order,
-// which is what makes breaker decisions worker-invariant), a worker
-// synthesises and scans its domains into results, the sink takes it from
-// the head of the order FIFO once it is done, and the batch goes back to
-// the generator over a bounded free list. Every slice it holds is reused on
-// the next trip, so a steady campaign allocates no batch storage at all.
+// in canonical order, a worker synthesises and scans its domains into
+// results, the sink takes it from the head of the order FIFO once it is
+// done, and the batch goes back to the generator over a bounded free list.
+// Every slice it holds is reused on the next trip, so a steady campaign
+// allocates no batch storage at all.
 type batch struct {
 	start, n int
-	// keys/pos are the breaker group and in-group position per domain;
-	// nil when the breaker is disabled.
-	keys []string
-	pos  []int
 	// results may be shorter than n when the campaign was interrupted
 	// mid-batch; the missing tail was never scanned.
 	results []DomainResult
@@ -94,7 +89,6 @@ func tail[T any](slab []T, first int) []T {
 // up front, so the results of one trip never move.
 func (b *batch) reuse(start, n int) {
 	b.start, b.n = start, n
-	b.keys, b.pos = b.keys[:0], b.pos[:0]
 	b.results = slices.Grow(b.results[:0], n)
 	b.slabs.reset()
 }
@@ -152,15 +146,14 @@ func fill[T any](s []T, v T) {
 }
 
 // campaign is the shared state of one measurement run: configuration,
-// telemetry, the checkpoint journal, the circuit breaker, and interrupt
-// bookkeeping. Every domain executes through campaign.scanStep.
+// telemetry, the checkpoint journal and interrupt bookkeeping. Every domain
+// executes through campaign.scanStep.
 type campaign struct {
 	w        *websim.World
 	cfg      Config
 	tm       *scanTelemetry
 	journal  *resilience.Journal
 	replayed map[string]json.RawMessage
-	br       *resilience.Breaker // nil when disabled
 	// keyPrefix + domain name is a domain's journal key; journalBytes and
 	// journalFailures are how much of the journal's byte and write-failure
 	// counts journal_bytes and checkpoint_errors_total already hold.
@@ -202,9 +195,6 @@ func newCampaign(w *websim.World, cfg Config) (*campaign, error) {
 		return nil, err
 	}
 	c.journal, c.replayed, c.keyPrefix = journal, replayed, checkpointPrefix(cfg)
-	if cfg.Breaker.Enabled() {
-		c.br = resilience.NewBreaker(cfg.Breaker)
-	}
 	if cfg.Interrupt != nil {
 		c.stopWatch = make(chan struct{})
 		go func() {
@@ -257,12 +247,10 @@ func (c *campaign) bounds() (start, end int) {
 	return 0, c.w.NumDomains()
 }
 
-// interrupt stops the campaign: workers finish their current domain, the
-// generator stops producing, and blocked breaker waiters are released.
+// interrupt stops the campaign: workers finish their current domain and
+// the generator stops producing.
 func (c *campaign) interrupt() {
-	if c.interrupted.CompareAndSwap(false, true) && c.br != nil {
-		c.br.Abort()
-	}
+	c.interrupted.Store(true)
 }
 
 // requestStop is interrupt for a stop asked for from outside the pipeline.
@@ -322,34 +310,12 @@ func boolGauge(b bool) int64 {
 	return 0
 }
 
-// scanStep executes one domain end to end into res, its batch slot: breaker
-// acquisition, checkpoint replay, the scan itself (with engine rebuild after
-// panics or stalls), breaker recording, journaling and telemetry, which
-// counts in the worker's tally. A scanned result's slices live in s (see
-// slabs), and the journal encodes the result from its slot into the
-// worker's pending batch. It returns false, leaving res unspecified, when
-// the campaign was aborted while waiting on the breaker; the caller's
-// worker should stop scanning.
-func (c *campaign) scanStep(eng *engine, tally *domainTally, shard int, rec *trace.Recorder, d *websim.Domain, key string, pos int, s *slabs, res *DomainResult) bool {
-	// The breaker serialises decisions in canonical domain order per
-	// group; batches are dispatched and processed in ascending index
-	// order, so waits are only ever on strictly-earlier indices and
-	// cannot deadlock.
-	var dec resilience.Decision
-	if key != "" {
-		dec = c.br.Acquire(key, pos)
-		if dec.Aborted {
-			return false
-		}
-		if dec.Probe {
-			c.tm.breakerProbes.Inc()
-		}
-		if rec != nil && (dec.State != resilience.StateClosed || dec.Probe) {
-			// Queued for the next Begin: the engine opens the trace, but the
-			// breaker verdict is campaign-layer context worth keeping on it.
-			rec.Pending("breaker", dec.State.String())
-		}
-	}
+// scanStep executes one domain end to end into res, its batch slot:
+// checkpoint replay, the scan itself (with engine rebuild after panics or
+// stalls), journaling and telemetry, which counts in the worker's tally. A
+// scanned result's slices live in s (see slabs), and the journal encodes the
+// result from its slot into the worker's pending batch.
+func (c *campaign) scanStep(eng *engine, tally *domainTally, shard int, rec *trace.Recorder, d *websim.Domain, s *slabs, res *DomainResult) {
 	var ckey string
 	if c.journal != nil {
 		ckey = c.keyPrefix + d.Name
@@ -359,12 +325,6 @@ func (c *campaign) scanStep(eng *engine, tally *domainTally, shard int, rec *tra
 		c.tm.resumed.Inc()
 		if rec != nil {
 			rec.Event(d.Name, (*eng).clockNow(), traceOutcome(res), "source", "checkpoint")
-		}
-	} else if dec.Skip {
-		*res = breakerSkipResult(d)
-		c.tm.breakerSkipped.Inc()
-		if rec != nil {
-			rec.Event(d.Name, (*eng).clockNow(), traceOutcome(res), "source", "breaker-skip")
 		}
 	} else {
 		panicked := scanSafely(*eng, d, s, res)
@@ -385,17 +345,6 @@ func (c *campaign) scanStep(eng *engine, tally *domainTally, shard int, rec *tra
 			*eng = buildEngine(c.w, &c.cfg, tally, rec)
 		}
 	}
-	if key != "" {
-		// Replayed results report the same outcome their live scan did,
-		// so the breaker replays to the same state.
-		switch ev := c.br.Record(key, pos, domainOutcome(res)); {
-		case ev.Opened:
-			c.tm.breakerOpen.Inc()
-			c.tm.breakerGroups.Add(1)
-		case ev.Closed:
-			c.tm.breakerGroups.Add(-1)
-		}
-	}
 	tally.recordDomain(res)
 	if c.journal != nil && !fromCheckpoint {
 		// Checkpointing is an optimisation: a record the journal refuses
@@ -406,7 +355,6 @@ func (c *campaign) scanStep(eng *engine, tally *domainTally, shard int, rec *tra
 	if f := c.cfg.Faults; f != nil && f.Hit(fault.Scan, fault.Interrupt, "", f.Next(fault.Scan)) {
 		c.requestStop()
 	}
-	return true
 }
 
 // worker synthesises and scans batches until the work channel closes.
@@ -427,16 +375,9 @@ func (c *campaign) worker(shard int, work <-chan *batch) {
 	eng := buildEngine(c.w, &c.cfg, tally, rec)
 	for b := range work {
 		for j := 0; j < b.n && !c.interrupted.Load(); j++ {
-			key, pos := "", 0
-			if b.keys != nil {
-				key, pos = b.keys[j], b.pos[j]
-			}
 			// reuse grew results to the batch: the slot never moves.
 			b.results = b.results[:j+1]
-			if !c.scanStep(&eng, tally, shard, rec, c.w.DomainAt(b.start+j), key, pos, &b.slabs, &b.results[j]) {
-				b.results = b.results[:j]
-				break
-			}
+			c.scanStep(&eng, tally, shard, rec, c.w.DomainAt(b.start+j), &b.slabs, &b.results[j])
 		}
 		if c.journal != nil {
 			// One write for the batch, before it is handed over, so a sink
@@ -491,10 +432,6 @@ func (c *campaign) runPipeline(sink func(i int, res *DomainResult) error) (sinkE
 	go func() {
 		defer close(work)
 		defer close(order)
-		var gateNext map[string]int
-		if c.br != nil {
-			gateNext = map[string]int{}
-		}
 		for start := lo; start < n && !c.interrupted.Load(); start += streamBatchSize {
 			end := min(start+streamBatchSize, n)
 			// Every batch not in the free list is queued in order ahead of
@@ -502,16 +439,6 @@ func (c *campaign) runPipeline(sink func(i int, res *DomainResult) error) (sinkE
 			// so the wait always ends.
 			b := <-free
 			b.reuse(start, end-start)
-			for i := start; gateNext != nil && i < end; i++ {
-				key := breakerKey(c.w, c.cfg.IPv6, c.w.DomainAt(i))
-				p := 0
-				if key != "" {
-					p = gateNext[key]
-					gateNext[key]++
-				}
-				b.keys = append(b.keys, key)
-				b.pos = append(b.pos, p)
-			}
 			order <- b
 			work <- b
 		}

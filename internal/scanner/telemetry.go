@@ -49,10 +49,6 @@ import (
 //	retries_exhausted_total             domains whose retry budget ran out
 //	scan_panics_total                   worker panics downgraded to results
 //	scan_stalls_total                   emulated loops killed by the watchdog
-//	breaker_open_total                  circuit-breaker open transitions
-//	breaker_groups_open                 groups currently open or half-open
-//	breaker_skipped_total               domains skipped by an open breaker
-//	breaker_probes_total                half-open probe scans
 //	domains_resumed_total               domains replayed from a checkpoint
 //	checkpoint_errors_total             checkpoint records lost to a failed
 //	                                    write, open or fsync, plus failed
@@ -95,10 +91,6 @@ type scanTelemetry struct {
 	retriesConn        *telemetry.Counter
 	retriesExhausted   *telemetry.Counter
 	panics, stalls     *telemetry.Counter
-	breakerOpen        *telemetry.Counter
-	breakerGroups      *telemetry.Gauge
-	breakerSkipped     *telemetry.Counter
-	breakerProbes      *telemetry.Counter
 	resumed            *telemetry.Counter
 	checkpointErrors   *telemetry.Counter
 	checkpointDegraded *telemetry.Gauge
@@ -159,10 +151,6 @@ func newScanTelemetry(cfg *Config) *scanTelemetry {
 		retriesExhausted:   reg.Counter("retries_exhausted_total"),
 		panics:             reg.Counter("scan_panics_total"),
 		stalls:             reg.Counter("scan_stalls_total"),
-		breakerOpen:        reg.Counter("breaker_open_total"),
-		breakerGroups:      reg.Gauge("breaker_groups_open"),
-		breakerSkipped:     reg.Counter("breaker_skipped_total"),
-		breakerProbes:      reg.Counter("breaker_probes_total"),
 		resumed:            reg.Counter("domains_resumed_total"),
 		checkpointErrors:   reg.Counter("checkpoint_errors_total"),
 		checkpointDegraded: reg.Gauge("scan_checkpoint_degraded"),

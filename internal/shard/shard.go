@@ -2,7 +2,7 @@
 // week, from one vantage point or several, with every week planned into
 // one or more contiguous population ranges ("shards") that are scanned
 // concurrently through scanner.RunStream — each with its own checkpoint
-// journal, breakers and telemetry labels — under a supervisor that restarts
+// journal and telemetry labels — under a supervisor that restarts
 // failed scans, and merged back into one campaign whose Tables
 // 1–5 and Figs. 2–4 are byte-identical to a plain unsharded week loop
 // (determinism_test.go pins this, like worker-count invariance before it).
@@ -129,7 +129,7 @@ type Config struct {
 	// vantage.
 	Vantages []scanner.Vantage
 	// ForWeek returns the scan configuration for one week (seed, engine,
-	// workers, retry/breaker policy, address family, journal tuning…). It
+	// workers, retry policy, address family, journal tuning…). It
 	// is called once per week, before the week's first scan, so it is also
 	// where per-week reconfiguration happens: a scan in flight is never
 	// reconfigured. Run overrides Week, Shard, Vantage, Interrupt,

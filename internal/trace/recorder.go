@@ -97,10 +97,9 @@ type Recorder struct {
 	worker int
 
 	// cur is the trace being built; owned by the worker goroutine.
-	cur     *Trace
-	pending []Attr // attrs queued before Begin (breaker state, replay)
-	dump    string // non-empty: End triggers a flight dump with this reason
-	seq     uint64
+	cur  *Trace
+	dump string // non-empty: End triggers a flight dump with this reason
+	seq  uint64
 
 	// mu guards the committed ring and the freelist (the dashboard reads
 	// the ring while the worker commits into it).
@@ -112,7 +111,6 @@ type Recorder struct {
 }
 
 // Begin opens a trace for one domain at the engine-clock instant `at`.
-// Attrs queued with Pending/PendingInt are drained into the new trace.
 func (r *Recorder) Begin(domain string, at time.Time) {
 	if r == nil {
 		return
@@ -128,18 +126,7 @@ func (r *Recorder) Begin(domain string, at time.Time) {
 	t.Seq = r.seq
 	r.seq++
 	t.Start, t.End = at, at
-	t.Attrs = append(t.Attrs, r.pending...)
-	r.pending = r.pending[:0]
 	r.cur = t
-}
-
-// Pending queues a string attr for the next Begin (used by the campaign
-// layer, which learns breaker/replay context before the engine runs).
-func (r *Recorder) Pending(key, val string) {
-	if r == nil {
-		return
-	}
-	r.pending = append(r.pending, Attr{Key: key, Str: val})
 }
 
 // Attr annotates the open trace with a string value.
@@ -239,8 +226,8 @@ func (r *Recorder) End(at time.Time, outcome string) {
 // Event records a complete zero-duration synthetic trace in one call:
 // Begin at `at`, the given key/value string attrs (pairs; a trailing odd
 // key is ignored), End with the outcome. It is how campaign-layer events
-// that never ran an engine — checkpoint replays, breaker skips,
-// supervisor restarts — enter the flight ring. Nil-safe.
+// that never ran an engine — checkpoint replays, supervisor restarts —
+// enter the flight ring. Nil-safe.
 func (r *Recorder) Event(domain string, at time.Time, outcome string, kv ...string) {
 	if r == nil {
 		return

@@ -2,9 +2,9 @@
 // zero-dependency, allocation-conscious record of *why* one domain was
 // classified the way it was. Every scanned domain produces a bounded Trace
 // of stage spans (dns → connect → handshake → h3 → observe → classify)
-// with attributes like retry count, breaker state, hostile profile and
-// spin edge count, timestamped on the engine's clock — virtual time for
-// the emulated engine, so traces are deterministic for a fixed seed.
+// with attributes like retry count, hostile profile and spin edge count,
+// timestamped on the engine's clock — virtual time for the emulated
+// engine, so traces are deterministic for a fixed seed.
 //
 // Traces feed two consumers:
 //

@@ -72,24 +72,6 @@ func TestRingEvictsOldest(t *testing.T) {
 	}
 }
 
-func TestPendingAttrsDrainIntoNextTrace(t *testing.T) {
-	tr := New(Config{})
-	r := tr.Recorder(2)
-	r.Pending("breaker", "open")
-	record(r, "x.example", time.Millisecond, "breaker-open", "breaker: open")
-	got := tr.Recent(1)[0]
-	if len(got.Attrs) == 0 || got.Attrs[0].Key != "breaker" || got.Attrs[0].Str != "open" {
-		t.Fatalf("attrs = %+v", got.Attrs)
-	}
-	// Pending attrs must not leak into the trace after next.
-	record(r, "y.example", time.Millisecond, "ok", "")
-	for _, a := range tr.Recent(1)[0].Attrs {
-		if a.Key == "breaker" {
-			t.Fatalf("pending attr leaked: %+v", a)
-		}
-	}
-}
-
 func TestExemplarsKeepSlowestAndFailedPerClass(t *testing.T) {
 	tr := New(Config{})
 	r := tr.Recorder(0)
@@ -216,7 +198,6 @@ func TestNilTracerAndRecorderAreNoOps(t *testing.T) {
 	}
 	// Every method must be callable on the nil recorder.
 	r.Begin("x", t0)
-	r.Pending("k", "v")
 	r.Attr("k", "v")
 	r.AttrInt("k", 1)
 	r.StageStart("dns", t0)

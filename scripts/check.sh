@@ -87,8 +87,8 @@ fi
 
 # Structural gate: a failed connection is classified once, when it is
 # recorded. ConnResult.setErr writes Err together with its class and hostile
-# profile, and every reader (retries, the breaker, telemetry, Table 5)
-# switches on those fields; a second classifier of the same text can drift
+# profile, and every reader (retries, telemetry, Table 5) switches on those
+# fields; a second classifier of the same text can drift
 # from the first, as telemetry and Table 5 did until they were merged. So
 # outside their own packages resilience.Classify and hostile.ProfileOf run
 # only in setErr and on DNS failure text (resolveRetry, classifyDomain), and
@@ -114,6 +114,29 @@ fi
 if funcsites '\.Err[ \t]*=[^=]|(^|[^A-Za-z0-9_])Err:' internal/scanner |
     grep -vE '^internal/scanner/scanner\.go:[0-9]+: func \(c \*ConnResult\) setErr\(|^internal/scanner/stream\.go:[0-9]+: [^:]*: [[:space:]]*poisonConn '; then
     echo "the lines above write ConnResult.Err; record a failure with setErr, which classifies it" >&2
+    exit 1
+fi
+
+# Structural gate: the scan path has no circuit breaker. A per-AS breaker
+# cannot work on a population where most hosts do not speak QUIC and answer
+# with a handshake timeout: it skipped 86 % of a fast week's connections, and
+# its per-group gate made the generator synthesise every domain a second
+# time, in one serial pass, for the gate key. The type stays in
+# internal/resilience only for the benchmark's resilience.breaker row; no
+# other program code names it. And the generator hands out index ranges
+# only: a domain is synthesised once, by the worker that scans it.
+echo "== no circuit breaker in the scan path"
+if grep -rnE --include='*.go' --exclude='*_test.go' 'resilience\.(NewBreaker|BreakerConfig|Breaker)([^A-Za-z0-9_]|$)' cmd internal examples ./*.go |
+    grep -v '^internal/resilience/'; then
+    echo "the lines above use the circuit breaker outside internal/resilience and bench/" >&2
+    exit 1
+fi
+if funcsites 'DomainAt\(' internal/scanner/stream.go | grep -vE '^internal/scanner/stream\.go:[0-9]+: func \(c \*campaign\) worker\('; then
+    echo "the lines above synthesise a domain outside the worker; the generator hands out index ranges only" >&2
+    exit 1
+fi
+if ! funcsites 'DomainAt\(' internal/scanner/stream.go | grep -q ': func (c \*campaign) worker('; then
+    echo "internal/scanner/stream.go: the worker calls no DomainAt; the gate above checks nothing" >&2
     exit 1
 fi
 
