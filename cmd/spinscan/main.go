@@ -64,10 +64,9 @@ var (
 	alertSpec       = flag.String("alerts", "", `threshold alerts evaluated each progress tick, e.g. "error-rate<=0.05,domains-per-sec>=100,spin-share>=0.01"`)
 	shards          = flag.Int("shards", 0, "split the population into this many concurrently scanned shards (0 = unsharded)")
 	vantagesSpec    = flag.String("vantages", "", `scan from multiple vantage points, e.g. "local,far:30+5" (name[:extra_delay_ms[+jitter_ms]], comma-separated)`)
-	shardTransport  = flag.String("shard-transport", "serialized", "shard accumulator merge path: serialized or udp")
 	restarts        = flag.Int("restarts", 2, "restart budget per population range per week: a scan that fails (an error or a panic) is relaunched from its journal this many times before the range is declared lost (unsharded, that fails the campaign)")
 	strictShards    = flag.Bool("strict-shards", false, "abort the campaign when any shard exhausts its restart budget instead of merging the survivors with a coverage report")
-	faultSpec       = flag.String("faults", "", `chaos-test fault plan, one grammar for every layer, e.g. "seed:3,udp.drop:0.05,udp.max-delay:2ms,fs.short-write:0.1,shard.crash:1@40x2,dns.timeout:0.3/2,net.blackout:0.1/1,scan.interrupt:5000" (see internal/fault)`)
+	faultSpec       = flag.String("faults", "", `chaos-test fault plan, one grammar for every layer, e.g. "seed:3,fs.short-write:0.1,shard.crash:1@40x2,dns.timeout:0.3/2,net.blackout:0.1/1,scan.interrupt:5000" (see internal/fault)`)
 	followMode      = flag.Bool("follow", false, "continuous campaign service: keep scanning week after week from week 1 (bound with -weeks, stop with SIGINT/SIGTERM)")
 	followInterval  = flag.Duration("follow-interval", 0, "pause between consecutive weeks (interruptible; 0 = back to back)")
 	retainWeeks     = flag.Int("journal-retain-weeks", 0, "after each completed week, remove the -checkpoint week directories older than the last N weeks (0 keeps all)")
@@ -154,10 +153,6 @@ func main() {
 			weekList = append(weekList, wk)
 		}
 	}
-	tr, err := shard.ParseTransport(*shardTransport)
-	if err != nil {
-		log.Fatalf("-shard-transport: %v", err)
-	}
 	vantages, err := parseVantages(*vantagesSpec)
 	if err != nil {
 		log.Fatalf("-vantages: %v", err)
@@ -202,7 +197,6 @@ func main() {
 		Checkpoint:   *checkpoint,
 		Resume:       *resume,
 		RetainWeeks:  *retainWeeks,
-		Transport:    tr,
 		Telemetry:    reg,
 		Live:         live,
 		MaxRestarts:  *restarts,

@@ -1,11 +1,15 @@
 package main
 
 import (
+	"bytes"
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
 	"net/http"
+	"os"
+	"os/exec"
 	"reflect"
 	"strings"
 	"testing"
@@ -92,8 +96,9 @@ func TestDebugEndpointServesScanMetrics(t *testing.T) {
 // Every field of the library configs below is set by a caller outside
 // tests, except the ones that pace real-time sleeps, which stay settable so
 // tests can shorten them: shard.Config.RestartBackoff, and
-// shard.SubmitPolicy's MaxAttempts, AckTimeout and Backoff. Any other value
-// only tests set is a constant.
+// shard.SubmitPolicy's MaxAttempts, AckTimeout and Backoff (SubmitPolicy's
+// one caller outside tests is bench/). Any other value only tests set is a
+// constant.
 func TestOptionBudget(t *testing.T) {
 	flags := 0
 	flag.VisitAll(func(f *flag.Flag) {
@@ -101,8 +106,8 @@ func TestOptionBudget(t *testing.T) {
 			flags++
 		}
 	})
-	if flags > 32 {
-		t.Errorf("spinscan defines %d flags, budget 32", flags)
+	if flags > 31 {
+		t.Errorf("spinscan defines %d flags, budget 31", flags)
 	}
 	for _, c := range []struct {
 		cfg    any
@@ -122,6 +127,49 @@ func TestOptionBudget(t *testing.T) {
 		}
 		if exported > c.budget {
 			t.Errorf("%v has %d exported fields, budget %d", typ, exported, c.budget)
+		}
+	}
+}
+
+// TestMain runs spinscan's main instead of the tests when SPINSCAN_ARGS
+// holds a command line (one argument per line), so a test can run the
+// command as a child process and read its exit code and stderr.
+func TestMain(m *testing.M) {
+	if args, ok := os.LookupEnv("SPINSCAN_ARGS"); ok {
+		os.Args = append([]string{"spinscan"}, strings.Split(args, "\n")...)
+		main()
+		os.Exit(0)
+	}
+	os.Exit(m.Run())
+}
+
+// TestUsageErrors: command lines the campaign cannot run exit with a
+// message naming the problem, before the world is generated.
+func TestUsageErrors(t *testing.T) {
+	for _, c := range []struct {
+		args []string
+		code int
+		want string
+	}{
+		// The campaign exchanges no datagrams: a udp rule would do nothing.
+		{[]string{"-faults", "udp.drop:0.05"}, 1, "udp.drop"},
+		// The one merge path needs no flag.
+		{[]string{"-shard-transport", "udp"}, 2, "flag provided but not defined"},
+	} {
+		cmd := exec.Command(os.Args[0])
+		cmd.Env = append(os.Environ(), "SPINSCAN_ARGS="+strings.Join(c.args, "\n"))
+		var stderr bytes.Buffer
+		cmd.Stderr = &stderr
+		err := cmd.Run()
+		var exit *exec.ExitError
+		if !errors.As(err, &exit) || exit.ExitCode() != c.code {
+			t.Errorf("spinscan %s: %v, want exit status %d", strings.Join(c.args, " "), err, c.code)
+		}
+		if !strings.Contains(stderr.String(), c.want) {
+			t.Errorf("spinscan %s: stderr %q does not name %q", strings.Join(c.args, " "), stderr.String(), c.want)
+		}
+		if strings.Contains(stderr.String(), "generating world") {
+			t.Errorf("spinscan %s: generated the world before failing", strings.Join(c.args, " "))
 		}
 	}
 }

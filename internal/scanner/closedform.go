@@ -206,7 +206,7 @@ func (c *closedForm) report(s *synthesis) {
 		observed = out
 	}
 	st.tally.connTimeline(st.rec, s.start, s.hsAt, s.end, observed, c.obs)
-	st.tally.n.connsClosedForm++
+	st.settled = true
 	// Only series with flips are retained, so the synthesis runs entirely in
 	// scratch and the retained minority is copied to the slab.
 	if out.HasFlips() {

@@ -421,6 +421,8 @@ type scanState struct {
 	// cf settles connections in closed form: every one of the fast engine,
 	// the emulated engine's whose reported numbers packets cannot change.
 	cf closedForm
+	// settled reports whether cf settled the last dialled attempt.
+	settled bool
 }
 
 // init sets up st in place, with clock as its virtual clock; the engine
@@ -576,12 +578,14 @@ func resolveRetry(dst []netip.Addr, rt *retrier, res *dns.Resolver, host string,
 // connectRetry dials into out until success or budget exhaustion, rotating
 // through the resolved addresses across attempts (zgrab2-style fallback: the
 // first address may be down while a later one answers). Each attempt
-// overwrites out: the last one is the connection's result.
-func (st *scanState) connectRetry(rt *retrier, out *ConnResult, addrs []netip.Addr, target string, hop int, path string) {
+// overwrites out: the last one is the connection's result, and settled
+// reports whether that attempt was settled in closed form.
+func (st *scanState) connectRetry(rt *retrier, out *ConnResult, addrs []netip.Addr, target string, hop int, path string) (settled bool) {
 	for attempt := 0; ; attempt++ {
+		st.settled = false
 		st.dial(out, target, addrs[attempt%len(addrs)], hop, attempt, path, rt.left())
 		if out.ErrClass == resilience.ClassNone || !rt.retry(rt.tm.retriesConn, out.ErrClass) {
-			return
+			return st.settled
 		}
 	}
 }
@@ -620,6 +624,9 @@ func (st *scanState) runChain(d *websim.Domain, s *slabs, res *DomainResult) {
 	// Every hop resolves into this array: a record holds one or two
 	// addresses, so the chain's lookups stay off the heap.
 	var buf [4]netip.Addr
+	// settled counts the kept connections settled in closed form; a
+	// panicking scan keeps none of them.
+	var settled int64
 	addrs, err := resolveRetry(buf[:0], &rt, st.resolver, target, t)
 	if err != nil {
 		res.DNSErr = dns.ErrText(err, target, t)
@@ -637,7 +644,9 @@ func (st *scanState) runChain(d *websim.Domain, s *slabs, res *DomainResult) {
 			// Nothing else appends to s.conns while the hop dials, so out
 			// stays put.
 			out := &keep(s, &s.conns, ConnResult{})[0]
-			st.connectRetry(&rt, out, addrs, target, hop, path)
+			if st.connectRetry(&rt, out, addrs, target, hop, path) {
+				settled++
+			}
 			next := redirectTarget(out.Redirect)
 			if next == "" {
 				break
@@ -652,6 +661,7 @@ func (st *scanState) runChain(d *websim.Domain, s *slabs, res *DomainResult) {
 		res.Conns = tail(s.conns, first)
 	}
 	maybePanic(st.cfg.Faults, d)
+	st.tally.n.connsClosedForm += settled
 	st.traceFinish(&rt, res)
 }
 

@@ -23,9 +23,11 @@ import (
 //	spinscan_domains_resolved_total   * domains with DNS success
 //	spinscan_conns_attempted_total    * connection attempts (incl. redirects)
 //	spinscan_conns_succeeded_total    * completed QUIC handshakes
-//	spinscan_conns_closed_form_total  * attempts synthesised in closed form
-//	                                    (every fast-engine attempt; the
-//	                                    emulated engine's settled ones)
+//	spinscan_conns_closed_form_total  * connections whose final attempt
+//	                                    was settled in closed form (all of
+//	                                    the fast engine's but a panicked
+//	                                    domain's; on the emulated engine at
+//	                                    most the attempted count)
 //	spinscan_conn_errors_total{class} * failed connections by resilience
 //	                                    class (DNS failures are not counted)
 //	spinscan_redirects_followed_total * redirect hops followed

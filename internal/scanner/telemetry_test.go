@@ -195,6 +195,11 @@ func engineSources(eng engine) (*dns.Resolver, *netem.Network) {
 // must count the same at every worker count, on both engines. The plan
 // panics domains after their lookups and connections, so a worker that
 // rebuilt its engine without publishing first would lose them.
+//
+// spinscan_conns_closed_form_total counts the kept connections whose final
+// attempt was settled in closed form: on the fast engine every connection
+// but a panicked domain's one synthetic connection, retries or not; on the
+// emulated engine some, and never more than were attempted.
 func TestRegistryCountsMatchEngineStats(t *testing.T) {
 	w := testWorld(40_000)
 	for _, engine := range []Engine{EngineFast, EngineEmulated} {
@@ -274,6 +279,14 @@ func TestRegistryCountsMatchEngineStats(t *testing.T) {
 				if !ok || got != int64(n) {
 					t.Errorf("engine %d, W=%d: %s = %d (present %v), want the engines' %d", engine, workers, name, got, ok, n)
 				}
+			}
+			attempted := snap.Counters["spinscan_conns_attempted_total"]
+			closed := snap.Counters["spinscan_conns_closed_form_total"]
+			switch {
+			case engine == EngineFast && closed != attempted-int64(panics):
+				t.Errorf("fast engine, W=%d: %d closed-form connections, want the %d attempted less %d panicked", workers, closed, attempted, panics)
+			case engine == EngineEmulated && (closed == 0 || closed > attempted):
+				t.Errorf("emulated engine, W=%d: %d closed-form connections of %d attempted, want some and at most all", workers, closed, attempted)
 			}
 		}
 	}

@@ -8,7 +8,6 @@ import (
 	"hash/crc32"
 	"math/rand"
 	"net"
-	"sort"
 	"strconv"
 	"strings"
 	"sync"
@@ -20,9 +19,9 @@ import (
 	"quicspin/internal/udprun"
 )
 
-// The accumulator exchange: each shard worker opens one QUIC-lite
-// connection to the collector endpoint and sends its submission on the
-// first client stream, closed with FIN. The submission is CRC-framed:
+// The accumulator exchange: a submitter opens one QUIC-lite connection to
+// the collector endpoint and sends its submission on the first client
+// stream, closed with FIN. The submission is CRC-framed:
 //
 //	uvarint shard | uvarint len(blob) | blob | crc32c over everything before
 //
@@ -35,8 +34,7 @@ import (
 // and ack timeouts with an identical resubmission, which the collector
 // deduplicates by shard index and byte equality. Both sides run the exact
 // sans-IO transport the scanner emulates, driven over real UDP sockets by
-// internal/udprun, so a future multi-process deployment changes where
-// workers run, not what bytes they exchange.
+// internal/udprun.
 const (
 	// submitStream is the client-initiated stream carrying the submission.
 	submitStream = 0
@@ -59,8 +57,8 @@ func frameSubmission(shard int, blob []byte) []byte {
 }
 
 // DecodeError is one rejected submission: what the collector could not
-// accept and why. Decode errors surface through Collector.Errors and ride
-// on CollectError when shards end up missing.
+// accept and why. Decode errors ride on CollectError when shards end up
+// missing.
 type DecodeError struct {
 	// Shard is the claimed shard index, or -1 when the submission was too
 	// mangled to attribute (bad header, checksum mismatch).
@@ -109,7 +107,10 @@ func parseSubmission(data []byte, want int) (int, []byte, *DecodeError) {
 	return int(shard), body, nil
 }
 
-// Collector receives serialized shard accumulators over loopback UDP.
+// Collector receives serialized shard accumulators over loopback UDP. The
+// campaign runner merges without it; its one caller outside tests is the
+// benchmark's shard.submit_udp row (bench/layers.go), and the CRC framing
+// is what a child-process merge path would reuse (ROADMAP item 17).
 type Collector struct {
 	pc     net.PacketConn
 	cancel context.CancelFunc
@@ -118,10 +119,8 @@ type Collector struct {
 	mu        sync.Mutex
 	want      int
 	blobs     map[int][]byte
-	abandoned map[int]bool
 	decodeErr []DecodeError
-	fullDone  bool
-	full      chan struct{} // closed once every shard is submitted or abandoned
+	full      chan struct{} // closed once every shard has submitted
 }
 
 // NewCollector starts a collector expecting one submission per shard on a
@@ -135,15 +134,13 @@ func NewCollector(want int, faults *fault.Plan) (*Collector, error) {
 		return nil, fmt.Errorf("shard: collector listen: %w", err)
 	}
 	c := &Collector{
-		pc:        pc,
-		done:      make(chan struct{}),
-		want:      want,
-		blobs:     map[int][]byte{},
-		abandoned: map[int]bool{},
-		full:      make(chan struct{}),
+		pc:    pc,
+		done:  make(chan struct{}),
+		want:  want,
+		blobs: map[int][]byte{},
+		full:  make(chan struct{}),
 	}
 	if want == 0 {
-		c.fullDone = true
 		close(c.full)
 	}
 	// One rng for every accepted connection's transport randomness: the
@@ -227,7 +224,11 @@ func (c *Collector) record(shard int, blob []byte) {
 		return
 	}
 	c.blobs[shard] = blob
-	c.maybeFullLocked()
+	// parseSubmission admits only shards below want, so the count reaches
+	// want exactly once.
+	if len(c.blobs) == c.want {
+		close(c.full)
+	}
 }
 
 // noteDecodeError appends one structured rejection.
@@ -235,43 +236,6 @@ func (c *Collector) noteDecodeError(e DecodeError) {
 	c.mu.Lock()
 	c.decodeErr = append(c.decodeErr, e)
 	c.mu.Unlock()
-}
-
-// Abandon tells the collector to stop waiting for one shard: the
-// supervisor lost it and no submission is coming. Wait then completes as
-// soon as every non-abandoned shard has submitted, instead of burning the
-// whole timeout on a shard known to be dead.
-func (c *Collector) Abandon(shard int) {
-	c.mu.Lock()
-	c.abandoned[shard] = true
-	c.maybeFullLocked()
-	c.mu.Unlock()
-}
-
-// maybeFullLocked closes full once every shard is accounted for —
-// submitted or abandoned. Caller holds c.mu.
-func (c *Collector) maybeFullLocked() {
-	if c.fullDone {
-		return
-	}
-	covered := len(c.blobs)
-	for shard := range c.abandoned {
-		if _, ok := c.blobs[shard]; !ok {
-			covered++
-		}
-	}
-	if covered >= c.want {
-		c.fullDone = true
-		close(c.full)
-	}
-}
-
-// Errors returns the structured decode errors recorded so far (rejected
-// and conflicting submissions), oldest first.
-func (c *Collector) Errors() []DecodeError {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return append([]DecodeError(nil), c.decodeErr...)
 }
 
 // CollectError is Wait's structured failure: which shards never arrived
@@ -295,10 +259,9 @@ func (e *CollectError) Error() string {
 	return b.String()
 }
 
-// Wait blocks until every shard has submitted or been abandoned (or the
-// timeout elapses) and returns the blobs keyed by shard index — abandoned
-// shards are simply absent. Timeouts return a *CollectError naming the
-// missing shards and any recorded decode errors.
+// Wait blocks until every shard has submitted (or the timeout elapses) and
+// returns the blobs keyed by shard index. Timeouts return a *CollectError
+// naming the missing shards and any recorded decode errors.
 func (c *Collector) Wait(timeout time.Duration) (map[int][]byte, error) {
 	select {
 	case <-c.full:
@@ -311,11 +274,10 @@ func (c *Collector) Wait(timeout time.Duration) (map[int][]byte, error) {
 			Decode: append([]DecodeError(nil), c.decodeErr...),
 		}
 		for shard := 0; shard < c.want; shard++ {
-			if _, ok := c.blobs[shard]; !ok && !c.abandoned[shard] {
+			if _, ok := c.blobs[shard]; !ok {
 				cerr.Missing = append(cerr.Missing, shard)
 			}
 		}
-		sort.Ints(cerr.Missing)
 		return nil, cerr
 	}
 	c.mu.Lock()
@@ -325,12 +287,6 @@ func (c *Collector) Wait(timeout time.Duration) (map[int][]byte, error) {
 		out[k] = v
 	}
 	return out, nil
-}
-
-// Submit ships one shard's serialized campaign to the collector with the
-// default retry policy and waits for the ack.
-func (c *Collector) Submit(shard int, blob []byte) error {
-	return SubmitWithPolicy(c.Addr().String(), shard, blob, SubmitPolicy{})
 }
 
 // SubmitError is a failed submission with its full retry history: which
@@ -381,14 +337,6 @@ func (p SubmitPolicy) ackTimeout() time.Duration {
 		return 5 * time.Second
 	}
 	return p.AckTimeout
-}
-
-// Submit connects to a collector at addr and delivers one shard's
-// serialized campaign over a QUIC-lite connection on a fresh loopback
-// socket, returning once the collector acked receipt. Single attempt; use
-// SubmitWithPolicy for retried submission.
-func Submit(addr string, shard int, blob []byte, timeout time.Duration) error {
-	return SubmitWithPolicy(addr, shard, blob, SubmitPolicy{MaxAttempts: 1, AckTimeout: timeout})
 }
 
 // SubmitWithPolicy delivers one shard's serialized campaign with bounded

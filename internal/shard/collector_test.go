@@ -16,6 +16,18 @@ import (
 	"quicspin/internal/udprun"
 )
 
+// submit ships blob as shard's submission with the default retry policy.
+func submit(col *Collector, shard int, blob []byte) error {
+	return SubmitWithPolicy(col.Addr().String(), shard, blob, SubmitPolicy{})
+}
+
+// decodeErrors returns the rejections col has recorded so far, oldest first.
+func decodeErrors(col *Collector) []DecodeError {
+	col.mu.Lock()
+	defer col.mu.Unlock()
+	return append([]DecodeError(nil), col.decodeErr...)
+}
+
 func TestCollectorRoundTrip(t *testing.T) {
 	const want = 3
 	col, err := NewCollector(want, nil)
@@ -32,7 +44,7 @@ func TestCollectorRoundTrip(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			if err := col.Submit(i, blobs[i]); err != nil {
+			if err := submit(col, i, blobs[i]); err != nil {
 				t.Errorf("submit %d: %v", i, err)
 			}
 		}(i)
@@ -50,7 +62,7 @@ func TestCollectorRoundTrip(t *testing.T) {
 			t.Errorf("shard %d blob mangled: %d bytes, want %d", i, len(got[i]), len(blobs[i]))
 		}
 	}
-	if errs := col.Errors(); len(errs) != 0 {
+	if errs := decodeErrors(col); len(errs) != 0 {
 		t.Errorf("clean round trip recorded decode errors: %v", errs)
 	}
 }
@@ -65,19 +77,19 @@ func TestCollectorDuplicate(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer col.Close()
-	if err := col.Submit(0, []byte("first")); err != nil {
+	if err := submit(col, 0, []byte("first")); err != nil {
 		t.Fatal(err)
 	}
-	if err := col.Submit(0, []byte("first")); err != nil {
+	if err := submit(col, 0, []byte("first")); err != nil {
 		t.Fatalf("identical resubmission not acked: %v", err)
 	}
-	if errs := col.Errors(); len(errs) != 0 {
+	if errs := decodeErrors(col); len(errs) != 0 {
 		t.Errorf("identical resubmission recorded as conflict: %v", errs)
 	}
-	if err := col.Submit(0, []byte("second")); err != nil {
+	if err := submit(col, 0, []byte("second")); err != nil {
 		t.Fatalf("conflicting duplicate not acked: %v", err)
 	}
-	if err := col.Submit(1, []byte("other")); err != nil {
+	if err := submit(col, 1, []byte("other")); err != nil {
 		t.Fatal(err)
 	}
 	got, err := col.Wait(5 * time.Second)
@@ -87,7 +99,7 @@ func TestCollectorDuplicate(t *testing.T) {
 	if string(got[0]) != "first" {
 		t.Errorf("duplicate overwrote shard 0: %q", got[0])
 	}
-	errs := col.Errors()
+	errs := decodeErrors(col)
 	if len(errs) != 1 || errs[0].Reason != "conflict" || errs[0].Shard != 0 {
 		t.Errorf("conflicting duplicate not recorded: %v", errs)
 	}
@@ -169,7 +181,7 @@ func TestCollectorAcceptsSubmitStreamOnce(t *testing.T) {
 	if len(blobs) != 1 || string(blobs[0]) != "accumulator" {
 		t.Errorf("collector holds %q, want the one accumulator", blobs)
 	}
-	errs := col.Errors()
+	errs := decodeErrors(col)
 	if len(errs) != 2 || errs[0].Reason != "crc" || errs[1].Reason != "crc" {
 		t.Errorf("decode errors %v, want the two rejected submit streams and nothing from stream 4", errs)
 	}
@@ -184,11 +196,11 @@ func TestCollectorTimeout(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer col.Close()
-	if err := col.Submit(0, []byte("good")); err != nil {
+	if err := submit(col, 0, []byte("good")); err != nil {
 		t.Fatal(err)
 	}
 	// Shard index 7 is out of range for want=2: NAK'd on every attempt.
-	err = Submit(col.Addr().String(), 7, []byte("bad"), 5*time.Second)
+	err = SubmitWithPolicy(col.Addr().String(), 7, []byte("bad"), SubmitPolicy{MaxAttempts: 1, AckTimeout: 5 * time.Second})
 	if err == nil || !strings.Contains(err.Error(), "rejected") {
 		t.Fatalf("out-of-range submission = %v, want nak rejection", err)
 	}
@@ -209,34 +221,6 @@ func TestCollectorTimeout(t *testing.T) {
 	}
 	if len(cerr.Decode) != 1 || cerr.Decode[0].Reason != "shard-range" || cerr.Decode[0].Shard != 7 {
 		t.Errorf("CollectError.Decode = %v, want one shard-range rejection for shard 7", cerr.Decode)
-	}
-}
-
-// TestCollectorAbandon checks that abandoning a lost shard completes Wait
-// early with the surviving blobs instead of burning the whole timeout.
-func TestCollectorAbandon(t *testing.T) {
-	col, err := NewCollector(3, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer col.Close()
-	if err := col.Submit(0, []byte("zero")); err != nil {
-		t.Fatal(err)
-	}
-	if err := col.Submit(2, []byte("two")); err != nil {
-		t.Fatal(err)
-	}
-	col.Abandon(1)
-	start := time.Now()
-	got, err := col.Wait(30 * time.Second)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if elapsed := time.Since(start); elapsed > 5*time.Second {
-		t.Errorf("Wait took %v despite full coverage", elapsed)
-	}
-	if len(got) != 2 || got[1] != nil {
-		t.Errorf("Wait = %v, want shards 0 and 2 only", got)
 	}
 }
 
@@ -336,11 +320,11 @@ func TestSubmitNoCollector(t *testing.T) {
 	}
 	addr := pc.LocalAddr().String()
 	pc.Close() // nothing listens here anymore
-	err = Submit(addr, 0, []byte("lost"), 300*time.Millisecond)
+	err = SubmitWithPolicy(addr, 0, []byte("lost"), SubmitPolicy{MaxAttempts: 1, AckTimeout: 300 * time.Millisecond})
 	if err == nil || !strings.Contains(err.Error(), "submit shard 0") {
-		t.Errorf("Submit to dead address = %v, want shard-labelled error", err)
+		t.Errorf("submit to dead address = %v, want shard-labelled error", err)
 	}
-	if err := Submit("not-an-address:port", 1, nil, time.Second); err == nil {
-		t.Error("Submit accepted an unresolvable address")
+	if err := SubmitWithPolicy("not-an-address:port", 1, nil, SubmitPolicy{MaxAttempts: 1, AckTimeout: time.Second}); err == nil {
+		t.Error("SubmitWithPolicy accepted an unresolvable address")
 	}
 }

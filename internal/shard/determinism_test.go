@@ -14,11 +14,9 @@ import (
 // runner at all) for shard counts 0 (unsharded), 1, 2 and 8, worker counts 1
 // and 4, and both engines — the per-domain rng is derived from (seed, week,
 // domain), sink indices are population-global, and merging is the analysis
-// merge algebra, so nothing about the split may leak into the output. The
-// transports rotate across the grid so the serialized wire format and the
-// UDP collector exchange are pinned to the same bytes as the in-process
-// merge, and one row journals with a one-week retention horizon between
-// the weeks.
+// merge algebra, so nothing about the split may leak into the output. Every
+// row merges through the wire format, and one row journals with a one-week
+// retention horizon between the weeks.
 func TestShardDeterminism(t *testing.T) {
 	engines := []struct {
 		name   string
@@ -30,7 +28,6 @@ func TestShardDeterminism(t *testing.T) {
 		{"fast", scanner.EngineFast, 20_000},
 		{"emulated", scanner.EngineEmulated, 100_000},
 	}
-	transports := []Transport{TransportSerialized, TransportUDP}
 	for _, eng := range engines {
 		eng := eng
 		t.Run(eng.name, func(t *testing.T) {
@@ -51,26 +48,22 @@ func TestShardDeterminism(t *testing.T) {
 				}
 			}
 			golden := renderCampaign(plain)
-			ti := 0
 			for _, shards := range []int{0, 1, 2, 8} {
 				for _, workers := range []int{1, 4} {
-					tr := transports[ti%len(transports)]
-					ti++
 					cfg := Config{
-						Shards:    shards,
-						Weeks:     []int{1, 3},
-						ForWeek:   forWeek(workers),
-						Transport: tr,
+						Shards:  shards,
+						Weeks:   []int{1, 3},
+						ForWeek: forWeek(workers),
 					}
 					if shards == 2 && workers == 4 {
 						cfg.Checkpoint, cfg.RetainWeeks = t.TempDir(), 1
 					}
 					res, err := Run(w, cfg)
 					if err != nil {
-						t.Fatalf("shards=%d workers=%d transport=%v: %v", shards, workers, tr, err)
+						t.Fatalf("shards=%d workers=%d: %v", shards, workers, err)
 					}
 					if got := renderCampaign(res.Vantages[0].Campaign); got != golden {
-						t.Errorf("shards=%d workers=%d transport=%v: rendered campaign differs from the plain week loop", shards, workers, tr)
+						t.Errorf("shards=%d workers=%d: rendered campaign differs from the plain week loop", shards, workers)
 					}
 				}
 			}

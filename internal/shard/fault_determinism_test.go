@@ -11,12 +11,10 @@ import (
 	"quicspin/internal/websim"
 )
 
-// TestShardFaultDeterminism is the PR's headline proof: a campaign run
-// under transient fault injection — scripted worker crashes recovered by
-// the supervisor, plus datagram drop/duplication/corruption/reordering on
-// the UDP accumulator exchange — renders Tables 1–5 and Figs. 2–4
-// byte-identical to a fault-free run, for 2 and 8 shards and both scan
-// engines. Fault tolerance must be output-neutral: recovery changes how
+// TestShardFaultDeterminism: a campaign run under transient fault
+// injection — scripted worker crashes and panics recovered by the
+// supervisor — renders Tables 1–5 and Figs. 2–4 byte-identical to a
+// fault-free run, for 2 and 8 shards and both scan engines. Fault tolerance must be output-neutral: recovery changes how
 // long the campaign takes, never what it measures.
 func TestShardFaultDeterminism(t *testing.T) {
 	engines := []struct {
@@ -29,7 +27,7 @@ func TestShardFaultDeterminism(t *testing.T) {
 		{"fast", scanner.EngineFast, 20_000},
 		{"emulated", scanner.EngineEmulated, 100_000},
 	}
-	plan := mustFaults(t, "seed:3,udp.drop:0.08,udp.dup:0.08,udp.corrupt:0.04,udp.delay:0.08,udp.max-delay:3ms,shard.crash:1@25,shard.panic:0@40x2")
+	plan := mustFaults(t, "seed:3,shard.crash:1@25,shard.panic:0@40x2")
 	for _, eng := range engines {
 		eng := eng
 		t.Run(eng.name, func(t *testing.T) {
@@ -39,10 +37,7 @@ func TestShardFaultDeterminism(t *testing.T) {
 			forWeek := func(week int) scanner.Config {
 				return scanner.Config{Engine: eng.engine, Seed: 11, Workers: 4}
 			}
-			clean, err := Run(w, Config{
-				Shards: 2, Weeks: []int{1, 3}, ForWeek: forWeek,
-				Transport: TransportUDP,
-			})
+			clean, err := Run(w, Config{Shards: 2, Weeks: []int{1, 3}, ForWeek: forWeek})
 			if err != nil {
 				t.Fatalf("fault-free run: %v", err)
 			}
@@ -51,7 +46,7 @@ func TestShardFaultDeterminism(t *testing.T) {
 				tm := telemetry.New()
 				cfg := Config{
 					Shards: shards, Weeks: []int{1, 3}, ForWeek: forWeek,
-					Transport: TransportUDP, Telemetry: tm,
+					Telemetry:   tm,
 					MaxRestarts: 2, RestartBackoff: fastBackoff,
 					Faults: plan,
 				}
@@ -82,10 +77,9 @@ func TestShardFaultDeterminism(t *testing.T) {
 	}
 }
 
-// TestOneSpecFaultsEveryLayer: one parsed spec turns on datagram faults on
-// the accumulator exchange, storage faults under every shard journal, a
-// shard worker crash and a campaign interrupt, all at once, on a 2-week,
-// 4-shard UDP journaled campaign. The interrupted run is resumed with the
+// TestOneSpecFaultsEveryLayer: one parsed spec turns on storage faults
+// under every shard journal, a shard worker crash and a campaign interrupt,
+// all at once, on a 2-week, 4-shard journaled campaign. The interrupted run is resumed with the
 // same plan, and the tables must be byte-identical to the fault-free run —
 // with every site having actually injected something.
 func TestOneSpecFaultsEveryLayer(t *testing.T) {
@@ -95,10 +89,9 @@ func TestOneSpecFaultsEveryLayer(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	plan := mustFaults(t, "seed:3,udp.drop:0.05,udp.dup:0.05,udp.corrupt:0.02,udp.delay:0.05,udp.max-delay:2ms,"+
-		"fs.short-write:0.05,fs.write-err:0.1,fs.sync-err:0.05,shard.crash:1@40,scan.interrupt:300")
+	plan := mustFaults(t, "seed:3,fs.short-write:0.05,fs.write-err:0.1,fs.sync-err:0.05,shard.crash:1@40,scan.interrupt:300")
 	cfg := Config{
-		Shards: 4, Weeks: weeks, Transport: TransportUDP, Checkpoint: t.TempDir(),
+		Shards: 4, Weeks: weeks, Checkpoint: t.TempDir(),
 		MaxRestarts: 2, RestartBackoff: fastBackoff, Faults: plan, Logf: t.Logf,
 		ForWeek: func(week int) scanner.Config {
 			sc := baseConfig(scanner.EngineFast, 2)(week)
@@ -123,7 +116,7 @@ func TestOneSpecFaultsEveryLayer(t *testing.T) {
 	if got, want := renderCampaign(res.Vantages[0].Campaign), renderCampaign(golden.Vantages[0].Campaign); got != want {
 		t.Error("faulted and resumed campaign differs from the fault-free reference")
 	}
-	for _, site := range []fault.Site{fault.UDP, fault.FS, fault.Shard, fault.Scan} {
+	for _, site := range []fault.Site{fault.FS, fault.Shard, fault.Scan} {
 		if plan.Injected(site, fault.AnyKind) == 0 {
 			t.Errorf("site %s injected nothing", site)
 		}

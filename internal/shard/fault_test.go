@@ -25,7 +25,7 @@ func mustFaults(t *testing.T, spec string) *fault.Plan {
 // campaign has, and a crash scripted "after n deliveries, t times" kills
 // exactly the deliveries n..n+t-1 of its shard, whatever the kind.
 func TestShardFaultRules(t *testing.T) {
-	plan := mustFaults(t, "seed:9, udp.drop:0.1, shard.crash:1@25, shard.panic:0@40x2, shard.crash:3@10")
+	plan := mustFaults(t, "seed:9, shard.crash:1@25, shard.panic:0@40x2, shard.crash:3@10")
 	cfg := Config{Shards: 4, Weeks: []int{1}, ForWeek: baseConfig(scanner.EngineFast, 1), Faults: plan}
 	if err := cfg.Validate(); err != nil {
 		t.Errorf("plan within the shard count rejected: %v", err)

@@ -11,12 +11,10 @@
 // keeps the name of the subsystem the runner grew out of; DESIGN.md §3 says
 // why.)
 //
-// The ranges run as goroutines in this process; the accumulators they
-// produce flow back to the merge two ways (Config.Transport): a round-trip
-// through the versioned wire format (internal/analysis codec), or real UDP
-// sockets via internal/udprun — the exchange a multi-process deployment
-// would use. Either way the merge reads only encoded bytes, proving the
-// merged tables are process-agnostic.
+// The ranges run as goroutines in this process. Each range's one-week
+// accumulator reaches the merge one way: a round-trip through the versioned
+// wire format (internal/analysis codec), so the merge reads only encoded
+// bytes, as it would from another process.
 //
 // Multi-vantage campaigns scan every week from each vantage point through
 // its own extra path delay/jitter (scanner.Vantage), and RenderAgreement
@@ -71,42 +69,14 @@ func Plan(n, shards int) []Range {
 	return out
 }
 
-// Transport selects how shard accumulators travel back to the coordinator.
+// Transport names the accumulator merge path. The serialized round trip is
+// the only one; the type and Config.Transport stay while bench/ names them
+// (ROADMAP item 1).
 type Transport int
 
-const (
-	// TransportSerialized (the default) round-trips every shard accumulator
-	// through the versioned wire format before merging — what any
-	// cross-process deployment carries, without the sockets.
-	TransportSerialized Transport = iota
-	// TransportUDP ships serialized accumulators over real loopback UDP
-	// sockets (QUIC-lite streams driven by internal/udprun) to a collector
-	// endpoint, then merges the received bytes.
-	TransportUDP
-)
-
-func (t Transport) String() string {
-	switch t {
-	case TransportSerialized:
-		return "serialized"
-	case TransportUDP:
-		return "udp"
-	default:
-		return fmt.Sprintf("Transport(%d)", int(t))
-	}
-}
-
-// ParseTransport parses the spinscan -shard-transport flag value.
-func ParseTransport(s string) (Transport, error) {
-	switch s {
-	case "serialized":
-		return TransportSerialized, nil
-	case "udp":
-		return TransportUDP, nil
-	default:
-		return 0, fmt.Errorf("shard: unknown transport %q (want serialized or udp)", s)
-	}
-}
+// TransportSerialized round-trips every range's accumulator through the
+// versioned wire format before merging.
+const TransportSerialized Transport = 0
 
 // Config parameterises one campaign.
 type Config struct {
@@ -158,7 +128,7 @@ type Config struct {
 	// rescan time on resume for bounded disk — results are unaffected
 	// either way (scans are deterministic).
 	RetainWeeks int
-	// Transport selects the accumulator merge path (see the constants).
+	// Transport must be TransportSerialized, the one merge path.
 	Transport Transport
 	// Telemetry receives the shard/vantage gauges and per-shard progress
 	// counters in addition to the scanner's own campaign metrics.
@@ -181,13 +151,13 @@ type Config struct {
 	StrictShards bool
 	// Faults, when non-nil, injects the plan's shard rules (scripted worker
 	// crashes and panics; target: the shard index, index: the shard's
-	// deliveries across its restarts and weeks) and udp rules (both ends of
-	// the UDP collector exchange) — the chaos harness the
+	// deliveries across its restarts and weeks) — the chaos harness the
 	// determinism suite runs under. The configs ForWeek returns carry the
-	// other sites' plan.
+	// other sites' plan. A udp rule is rejected: the campaign has no
+	// datagram exchange for it to act on.
 	Faults *fault.Plan
 	// Logf, when non-nil, receives the runner's progress lines (weeks,
-	// restarts, losses, submit retries, pruned journals).
+	// restarts, losses, pruned journals).
 	Logf func(format string, args ...any)
 }
 
@@ -208,7 +178,7 @@ func (c Config) Validate() error {
 	if c.ForWeek == nil {
 		return fmt.Errorf("shard: ForWeek must be set")
 	}
-	if c.Transport < TransportSerialized || c.Transport > TransportUDP {
+	if c.Transport != TransportSerialized {
 		return fmt.Errorf("shard: unknown Transport %d", int(c.Transport))
 	}
 	if c.Resume && c.Checkpoint == "" {
@@ -224,6 +194,9 @@ func (c Config) Validate() error {
 		return err
 	}
 	for _, r := range c.Faults.Rules() {
+		if r.Site == fault.UDP {
+			return fmt.Errorf("shard: fault rule %s.%s: the campaign exchanges no datagrams for a udp rule to act on", r.Site, r.Kind)
+		}
 		if r.Site != fault.Shard {
 			continue
 		}
@@ -265,9 +238,8 @@ type run struct {
 	stop     chan struct{}
 	stopOnce sync.Once
 
-	restarts      *telemetry.Counter
-	lost          *telemetry.Counter
-	submitRetries *telemetry.Counter
+	restarts *telemetry.Counter
+	lost     *telemetry.Counter
 }
 
 func (r *run) interrupt() { r.stopOnce.Do(func() { close(r.stop) }) }
@@ -300,15 +272,15 @@ type vantageRun struct {
 // each week, for each vantage, the population is planned into
 // max(Shards, 1) ranges; every range is scanned under the supervisor
 // (attempt → restart from its journal → lost) into a week-isolated
-// accumulator; the ranges merge over the configured transport; and the week
+// accumulator; the ranges merge through the wire format; and the week
 // folds into the vantage's campaign only on success, so a failed attempt —
 // worker panic storm, poisoned engine, storage chaos — leaves no partial
 // state behind. Between weeks the week directories past the retention
 // horizon are removed. An unsharded run is the same path with one range, and
 // a one-shot run the same loop as the follow service with a bounded Weeks.
 // The result is byte-identical in every rendered table to folding the same
-// weeks straight into one CampaignAccumulator, for any Shards, Transport,
-// worker count, resume point and injected transient fault (the determinism
+// weeks straight into one CampaignAccumulator, for any Shards, worker
+// count, resume point and injected transient fault (the determinism
 // tests pin this against a test-local reference loop).
 //
 // Four rules hold for every configuration:
@@ -337,15 +309,13 @@ func Run(w *websim.World, cfg Config) (*Result, error) {
 	cfg.Telemetry.Describe(map[string]string{
 		"shard_restarts_total": "Supervised shard-worker restarts (crash, panic or sink-error recoveries).",
 		"shard_lost_total":     "Shards abandoned after exhausting their restart budget.",
-		"submit_retries_total": "Accumulator submission retries (NAKs and ack timeouts).",
 	})
 	r := &run{
 		w: w, cfg: cfg,
-		ranges:        Plan(w.NumDomains(), cfg.ranges()),
-		stop:          make(chan struct{}),
-		restarts:      cfg.Telemetry.Counter("shard_restarts_total"),
-		lost:          cfg.Telemetry.Counter("shard_lost_total"),
-		submitRetries: cfg.Telemetry.Counter("submit_retries_total"),
+		ranges:   Plan(w.NumDomains(), cfg.ranges()),
+		stop:     make(chan struct{}),
+		restarts: cfg.Telemetry.Counter("shard_restarts_total"),
+		lost:     cfg.Telemetry.Counter("shard_lost_total"),
 	}
 	if cfg.Interrupt != nil {
 		done := make(chan struct{})
@@ -413,12 +383,6 @@ func (r *run) weeks(runs []*vantageRun) error {
 	return nil
 }
 
-// collectTimeout bounds the wait for UDP-submitted accumulators. Every
-// successful submit completes before the range's goroutine exits, so by
-// merge time the blobs are already in — the timeout only catches collector
-// socket failures.
-const collectTimeout = 30 * time.Second
-
 // scanWeek scans one week of the whole population from one vantage point:
 // every range under the supervisor's restart-from-journal recovery, then the merge
 // into the vantage's campaign. Ranges that exhaust their restart budget are
@@ -426,15 +390,7 @@ const collectTimeout = 30 * time.Second
 // ranges merge and the coverage record names what is missing.
 func (r *run) scanWeek(vs *vantageRun, sc scanner.Config) error {
 	r.cfg.Live.SetVantage(vs.label)
-	var col *Collector
-	if r.cfg.Transport == TransportUDP {
-		var err error
-		if col, err = NewCollector(len(r.ranges), r.cfg.Faults); err != nil {
-			return err
-		}
-		defer col.Close()
-	}
-	sup := &supervisor{run: r, vs: vs, sc: sc, col: col}
+	sup := &supervisor{run: r, vs: vs, sc: sc}
 	camps := make([]*analysis.CampaignAccumulator, len(r.ranges))
 	statuses := make([]ShardStatus, len(r.ranges))
 	var wg sync.WaitGroup
@@ -442,19 +398,7 @@ func (r *run) scanWeek(vs *vantageRun, sc scanner.Config) error {
 		wg.Add(1)
 		go func(si int, rg Range) {
 			defer wg.Done()
-			camp, st := sup.superviseShard(si, rg)
-			if col != nil && camp != nil {
-				// A range whose submission fails even after retries is as
-				// lost as a crashed one — its data never reached the merge.
-				if serr := sup.submit(si, camp); serr != nil {
-					st.State = ShardLost
-					st.Err = serr
-					st.Faults = append(st.Faults, fmt.Sprintf("submit: %v", serr))
-					sup.noteLost(si, st.Restarts, serr)
-					camp = nil
-				}
-			}
-			camps[si], statuses[si] = camp, st
+			camps[si], statuses[si] = sup.superviseShard(si, rg)
 		}(si, rg)
 	}
 	wg.Wait()
@@ -478,7 +422,7 @@ func (r *run) scanWeek(vs *vantageRun, sc scanner.Config) error {
 		return fmt.Errorf("shard: week %d: %d of %d shards lost (strict mode; first loss: shard %d: %w)",
 			sc.Week, lost, len(statuses), firstLost.Shard, firstLost.Err)
 	}
-	if err := r.mergeWeek(vs, camps, col); err != nil {
+	if err := r.mergeWeek(vs, camps); err != nil {
 		return fmt.Errorf("shard: week %d: %w", sc.Week, err)
 	}
 	vs.fold(sc.Week, statuses)
@@ -486,35 +430,21 @@ func (r *run) scanWeek(vs *vantageRun, sc scanner.Config) error {
 }
 
 // mergeWeek folds the surviving ranges' one-week campaigns into the
-// vantage's campaign, in shard order over the configured transport; lost
-// ranges (nil camps, unsubmitted blobs) are skipped. Everything that can
-// fail for a reason outside the program — the collector wait, the decode —
-// happens before the campaign is touched. Merging is associative and
-// commutative (the analysis merge laws), so the order is a convention, not
-// a correctness requirement.
-func (r *run) mergeWeek(vs *vantageRun, camps []*analysis.CampaignAccumulator, col *Collector) error {
-	if col != nil {
-		blobs, err := col.Wait(collectTimeout)
+// vantage's campaign, in shard order, each through a round trip of the wire
+// format; lost ranges (nil camps) are skipped. Every decode happens before
+// the campaign is touched. Merging is associative and commutative (the
+// analysis merge laws), so the order is a convention, not a correctness
+// requirement.
+func (r *run) mergeWeek(vs *vantageRun, camps []*analysis.CampaignAccumulator) error {
+	for si, camp := range camps {
+		if camp == nil {
+			continue
+		}
+		rt, err := analysis.UnmarshalCampaign(camp.Marshal(), r.w.ASDB())
 		if err != nil {
-			return err
+			return fmt.Errorf("round-tripping shard %d accumulator: %w", si, err)
 		}
-		camps = make([]*analysis.CampaignAccumulator, len(camps))
-		for si, blob := range blobs {
-			if camps[si], err = analysis.UnmarshalCampaign(blob, r.w.ASDB()); err != nil {
-				return fmt.Errorf("decoding shard %d accumulator: %w", si, err)
-			}
-		}
-	} else {
-		for si, camp := range camps {
-			if camp == nil {
-				continue
-			}
-			rt, err := analysis.UnmarshalCampaign(camp.Marshal(), r.w.ASDB())
-			if err != nil {
-				return fmt.Errorf("round-tripping shard %d accumulator: %w", si, err)
-			}
-			camps[si] = rt
-		}
+		camps[si] = rt
 	}
 	for _, camp := range camps {
 		if err := vs.camp.Merge(camp); err != nil {

@@ -2,7 +2,6 @@ package shard
 
 import (
 	"errors"
-	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -93,23 +92,6 @@ func TestPlan(t *testing.T) {
 	}
 }
 
-func TestParseTransport(t *testing.T) {
-	for _, tr := range []Transport{TransportSerialized, TransportUDP} {
-		got, err := ParseTransport(tr.String())
-		if err != nil || got != tr {
-			t.Errorf("ParseTransport(%q) = %v, %v", tr.String(), got, err)
-		}
-	}
-	for _, bad := range []string{"carrier-pigeon", "inproc"} {
-		if _, err := ParseTransport(bad); err == nil || !strings.Contains(err.Error(), strconv.Quote(bad)) {
-			t.Errorf("ParseTransport(%q) = %v, want an error naming the value", bad, err)
-		}
-	}
-	if s := Transport(42).String(); s != "Transport(42)" {
-		t.Errorf("Transport(42).String() = %q", s)
-	}
-}
-
 func TestConfigValidate(t *testing.T) {
 	ok := Config{Shards: 2, Weeks: []int{1}, ForWeek: baseConfig(scanner.EngineFast, 1)}
 	if err := ok.Validate(); err != nil {
@@ -137,11 +119,17 @@ func TestConfigValidate(t *testing.T) {
 			t.Errorf("Run accepted bad config %d", i)
 		}
 	}
+	// A udp rule would do nothing: the campaign exchanges no datagrams.
+	udp := ok
+	udp.Faults = mustFaults(t, "shard.crash:1@5,udp.drop:0.05")
+	if err := udp.Validate(); err == nil || !strings.Contains(err.Error(), "udp.drop") {
+		t.Errorf("Validate = %v, want the udp rule rejected by name", err)
+	}
 }
 
-// TestRunTransports runs the same sharded campaign over every transport and
-// requires rendered output identical to the plain unsharded week loop — the
-// wire format and the UDP exchange are pure plumbing.
+// TestRunTransports runs a campaign of three uneven ranges through the
+// wire-format merge and requires rendered output identical to the plain
+// unsharded week loop, and a result that echoes its shape.
 func TestRunTransports(t *testing.T) {
 	w := fixture(t)
 	weeks := []int{1, 2}
@@ -153,23 +141,19 @@ func TestRunTransports(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	golden := renderCampaign(plain)
-	for _, tr := range []Transport{TransportSerialized, TransportUDP} {
-		res, err := Run(w, Config{
-			Shards:    3,
-			Weeks:     weeks,
-			ForWeek:   baseConfig(scanner.EngineFast, 2),
-			Transport: tr,
-		})
-		if err != nil {
-			t.Fatalf("%v: %v", tr, err)
-		}
-		if res.Shards != 3 || len(res.Vantages) != 1 {
-			t.Fatalf("%v: unexpected result shape: %d shards, %d vantages", tr, res.Shards, len(res.Vantages))
-		}
-		if got := renderCampaign(res.Vantages[0].Campaign); got != golden {
-			t.Errorf("%v: rendered campaign differs from the unsharded week loop", tr)
-		}
+	res, err := Run(w, Config{
+		Shards:  3,
+		Weeks:   weeks,
+		ForWeek: baseConfig(scanner.EngineFast, 2),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Shards != 3 || len(res.Vantages) != 1 {
+		t.Fatalf("unexpected result shape: %d shards, %d vantages", res.Shards, len(res.Vantages))
+	}
+	if got := renderCampaign(res.Vantages[0].Campaign); got != renderCampaign(plain) {
+		t.Error("rendered campaign differs from the unsharded week loop")
 	}
 }
 

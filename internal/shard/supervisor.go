@@ -26,8 +26,7 @@ type supervisor struct {
 	*run
 	vs *vantageRun
 	// sc is the week's scan configuration, as ForWeek returned it.
-	sc  scanner.Config
-	col *Collector
+	sc scanner.Config
 }
 
 // recorder is the supervisor's trace recorder for one shard: supervisor
@@ -160,25 +159,10 @@ func (s *supervisor) noteRestart(si, attempt int, cause error) {
 func (s *supervisor) noteLost(si, attempt int, cause error) {
 	s.lost.Inc()
 	s.cfg.Live.NoteLost(si)
-	if s.col != nil {
-		s.col.Abandon(si)
-	}
 	s.recorder(si).Event(fmt.Sprintf("shard-%03d", si), time.Now(), "lost",
 		"attempts", fmt.Sprintf("%d", attempt+1),
 		"cause", cause.Error())
 	s.logf("shard %d (vantage %d): week %d lost after %d attempt(s): %v", si, s.vs.vi, s.sc.Week, attempt+1, cause)
-}
-
-// submit ships one completed range's campaign to the collector with
-// retried, fault-injected, idempotent submission.
-func (s *supervisor) submit(si int, camp *analysis.CampaignAccumulator) error {
-	return SubmitWithPolicy(s.col.Addr().String(), si, camp.Marshal(), SubmitPolicy{
-		Faults: s.cfg.Faults,
-		OnRetry: func(attempt int, err error) {
-			s.submitRetries.Inc()
-			s.logf("shard %d (vantage %d): submit attempt %d failed (%v); retrying", si, s.vs.vi, attempt, err)
-		},
-	})
 }
 
 // crashHook injects the plan's shard faults for one shard. It runs inside

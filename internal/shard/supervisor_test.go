@@ -179,56 +179,53 @@ func TestSupervisorContainsPanickingTee(t *testing.T) {
 func TestShardLostDegradedMerge(t *testing.T) {
 	w := fixture(t)
 	ranges := Plan(w.NumDomains(), 2)
-	for _, transport := range []Transport{TransportSerialized, TransportUDP} {
-		transport := transport
-		t.Run(transport.String(), func(t *testing.T) {
-			tm := telemetry.New()
-			live := analysis.NewLive()
-			res, err := Run(w, Config{
-				Shards: 2, Weeks: []int{1}, ForWeek: baseConfig(scanner.EngineFast, 2),
-				Transport: transport, Telemetry: tm, Live: live,
-				MaxRestarts: 1, RestartBackoff: fastBackoff,
-				Faults: mustFaults(t, "shard.crash:1@20x99"),
-			})
-			if err != nil {
-				t.Fatalf("degraded campaign failed outright: %v", err)
-			}
-			cov := res.Vantages[0].Coverage
-			if cov.Complete() {
-				t.Fatal("coverage claims completeness with a lost shard")
-			}
-			if st := cov.Shards[1]; st.State != ShardLost || st.Restarts != 1 || st.Err == nil {
-				t.Errorf("shard 1 status = %+v, want lost after 1 restart", st)
-			}
-			wantMissing := ranges[1].End - ranges[1].Start
-			if cov.TotalDomains != w.NumDomains() || cov.CoveredDomains != w.NumDomains()-wantMissing {
-				t.Errorf("coverage %d/%d, want %d/%d", cov.CoveredDomains, cov.TotalDomains, w.NumDomains()-wantMissing, w.NumDomains())
-			}
-			if len(cov.Missing) != 1 || cov.Missing[0] != ranges[1] {
-				t.Errorf("missing = %v, want [%v]", cov.Missing, ranges[1])
-			}
-			if ann := cov.Confidence("Table 1"); !strings.Contains(ann, "Table 1") {
-				t.Errorf("confidence annotation = %q", ann)
-			}
-			// The degraded tables must equal a direct scan of the surviving
-			// range — no partial data from the lost shard's attempts.
-			ref := analysis.NewCampaignAccumulator()
-			sc := baseConfig(scanner.EngineFast, 2)(1)
-			sc.Week, sc.Shard = 1, scanner.ShardRange{Start: ranges[0].Start, End: ranges[0].End}
-			if err := scanner.RunStream(w, sc, ref.StartWeek(1, false, w.ASDB()).Sink()); err != nil {
-				t.Fatal(err)
-			}
-			if got, want := renderCampaign(res.Vantages[0].Campaign), renderCampaign(ref); got != want {
-				t.Error("degraded merge differs from a direct scan of the surviving shard")
-			}
-			if c := tm.Counter("shard_lost_total").Value(); c != 1 {
-				t.Errorf("shard_lost_total = %d, want 1", c)
-			}
-			if snap := live.Snapshot(); len(snap.LostShards) != 1 || snap.LostShards[0] != 1 {
-				t.Errorf("dashboard lost shards = %v, want [1]", snap.LostShards)
-			}
+	t.Run("serialized", func(t *testing.T) {
+		tm := telemetry.New()
+		live := analysis.NewLive()
+		res, err := Run(w, Config{
+			Shards: 2, Weeks: []int{1}, ForWeek: baseConfig(scanner.EngineFast, 2),
+			Telemetry: tm, Live: live,
+			MaxRestarts: 1, RestartBackoff: fastBackoff,
+			Faults: mustFaults(t, "shard.crash:1@20x99"),
 		})
-	}
+		if err != nil {
+			t.Fatalf("degraded campaign failed outright: %v", err)
+		}
+		cov := res.Vantages[0].Coverage
+		if cov.Complete() {
+			t.Fatal("coverage claims completeness with a lost shard")
+		}
+		if st := cov.Shards[1]; st.State != ShardLost || st.Restarts != 1 || st.Err == nil {
+			t.Errorf("shard 1 status = %+v, want lost after 1 restart", st)
+		}
+		wantMissing := ranges[1].End - ranges[1].Start
+		if cov.TotalDomains != w.NumDomains() || cov.CoveredDomains != w.NumDomains()-wantMissing {
+			t.Errorf("coverage %d/%d, want %d/%d", cov.CoveredDomains, cov.TotalDomains, w.NumDomains()-wantMissing, w.NumDomains())
+		}
+		if len(cov.Missing) != 1 || cov.Missing[0] != ranges[1] {
+			t.Errorf("missing = %v, want [%v]", cov.Missing, ranges[1])
+		}
+		if ann := cov.Confidence("Table 1"); !strings.Contains(ann, "Table 1") {
+			t.Errorf("confidence annotation = %q", ann)
+		}
+		// The degraded tables must equal a direct scan of the surviving
+		// range — no partial data from the lost shard's attempts.
+		ref := analysis.NewCampaignAccumulator()
+		sc := baseConfig(scanner.EngineFast, 2)(1)
+		sc.Week, sc.Shard = 1, scanner.ShardRange{Start: ranges[0].Start, End: ranges[0].End}
+		if err := scanner.RunStream(w, sc, ref.StartWeek(1, false, w.ASDB()).Sink()); err != nil {
+			t.Fatal(err)
+		}
+		if got, want := renderCampaign(res.Vantages[0].Campaign), renderCampaign(ref); got != want {
+			t.Error("degraded merge differs from a direct scan of the surviving shard")
+		}
+		if c := tm.Counter("shard_lost_total").Value(); c != 1 {
+			t.Errorf("shard_lost_total = %d, want 1", c)
+		}
+		if snap := live.Snapshot(); len(snap.LostShards) != 1 || snap.LostShards[0] != 1 {
+			t.Errorf("dashboard lost shards = %v, want [1]", snap.LostShards)
+		}
+	})
 }
 
 // TestStrictShardsFailsFast pins the -strict-shards escape hatch: the same
@@ -285,32 +282,5 @@ func TestSupervisorPassesInterruptThrough(t *testing.T) {
 	}
 	if c := tm.Counter("shard_restarts_total").Value(); c != 0 {
 		t.Errorf("interrupt consumed %d restart attempts", c)
-	}
-}
-
-// TestSupervisedUDPWithTransportFaults runs supervision and transport
-// fault injection together over the real UDP exchange — the integration
-// the chaos smoke in scripts/check.sh drives from the CLI.
-func TestSupervisedUDPWithTransportFaults(t *testing.T) {
-	w := fixture(t)
-	golden, err := Run(w, Config{Shards: 2, Weeks: []int{1}, ForWeek: baseConfig(scanner.EngineFast, 2)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	tm := telemetry.New()
-	res, err := Run(w, Config{
-		Shards: 2, Weeks: []int{1}, ForWeek: baseConfig(scanner.EngineFast, 2),
-		Transport: TransportUDP, Checkpoint: t.TempDir(), Telemetry: tm,
-		MaxRestarts: 2, RestartBackoff: fastBackoff,
-		Faults: mustFaults(t, "seed:5,udp.drop:0.08,udp.dup:0.08,udp.corrupt:0.04,udp.delay:0.08,udp.max-delay:3ms,shard.crash:1@35"),
-	})
-	if err != nil {
-		t.Fatalf("chaos campaign failed: %v", err)
-	}
-	if !res.Vantages[0].Coverage.Complete() {
-		t.Fatalf("chaos campaign lost shards: %+v", res.Vantages[0].Coverage)
-	}
-	if got, want := renderCampaign(res.Vantages[0].Campaign), renderCampaign(golden.Vantages[0].Campaign); got != want {
-		t.Error("chaos campaign differs from the undisturbed reference")
 	}
 }

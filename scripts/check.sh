@@ -163,6 +163,24 @@ for fn in recordDomain connTimeline; do
     fi
 done
 
+# Structural gate: the campaign has one merge path. Every population range
+# is a goroutine of one process, and its one-week accumulator reaches the
+# merge through a round trip of the wire format; the loopback-UDP exchange
+# it once also shipped over rendered the same bytes on real-time retransmit
+# timers. The collector and its fault-injecting socket stay a library for the
+# benchmark's shard.submit_udp row, so only the collector's own file,
+# internal/udprun and bench/ may name them.
+echo "== one merge path"
+if grep -rnE --include='*.go' --exclude='*_test.go' 'TransportUDP|ParseTransport|shard-transport' cmd internal examples bench ./*.go; then
+    echo "the lines above bring back a second merge path; the campaign merges through the wire format only" >&2
+    exit 1
+fi
+if grep -rnE --include='*.go' --exclude='*_test.go' '(NewCollector|SubmitWithPolicy|udprun\.NewFaultConn)([^A-Za-z0-9_]|$)' cmd internal examples ./*.go |
+    grep -vE '^(internal/shard/collector\.go|internal/udprun/)'; then
+    echo "the lines above use the UDP collector outside the benchmark" >&2
+    exit 1
+fi
+
 # Native Go fuzzing needs no build tags, so `go vet ./...` above already
 # covers the fuzz harnesses; here each target gets a short guided run
 # beyond its seed corpus (which plain `go test` replays as unit tests).
@@ -261,8 +279,7 @@ done
 # the distributed coordinator — SIGKILL a sharded campaign mid-run, resume
 # from the per-shard journals, and require byte-identical tables against an
 # uninterrupted sharded reference (which TestShardDeterminism already pins
-# to the unsharded output). The UDP transport on the resume leg exercises
-# the collector exchange from the CLI.
+# to the unsharded output).
 echo "== sharded interrupt-and-resume smoke"
 shard_flags="-scale 4000 -engine emulated -week 3 -workers 4 -progress 0 -shards 4"
 
@@ -282,7 +299,7 @@ kill -9 "$shard_pid" 2>/dev/null || true
 wait "$shard_pid" 2>/dev/null || true
 killed=$(cat "$tmp"/shard-ckpt/*/*/*/*.jsonl 2>/dev/null | wc -l)
 
-"$tmp/spinscan" $shard_flags -checkpoint "$tmp/shard-ckpt" -resume -shard-transport udp \
+"$tmp/spinscan" $shard_flags -checkpoint "$tmp/shard-ckpt" -resume \
     2>/dev/null >"$tmp/shard-resumed.txt"
 interrupted "sharded" "$killed" "$(cat "$tmp"/shard-ckpt/*/*/*/*.jsonl | wc -l)"
 if ! diff -u "$tmp/shard-reference.txt" "$tmp/shard-resumed.txt"; then
@@ -290,19 +307,18 @@ if ! diff -u "$tmp/shard-reference.txt" "$tmp/shard-resumed.txt"; then
     exit 1
 fi
 
-# Shard chaos smoke: run a sharded UDP campaign with faults at three sites
-# from one -faults spec — a scripted worker crash and a scripted worker
-# panic, both recovered from the checkpoint journal, datagram
-# drop/duplication/corruption/delay on the accumulator exchange, and storage
-# faults under every shard journal — and require the rendered tables to be
-# byte-identical to the fault-free sharded reference above. The supervisor
+# Shard chaos smoke: run a sharded campaign with faults at two sites from
+# one -faults spec — a scripted worker crash and a scripted worker panic,
+# both recovered from the checkpoint journal, and storage faults under every
+# shard journal — and require the rendered tables to be byte-identical to
+# the fault-free sharded reference above. The supervisor
 # must log both restarts, proving the injected crash fired and the scan
 # pipeline returned the injected panic as the failed attempt's error. The
 # seed changes from run to run (neutrality must hold for every fault
 # pattern) and is printed on failure.
 echo "== shard chaos smoke"
-chaos_plan="seed:$(date +%s),udp.drop:0.05,udp.dup:0.05,udp.corrupt:0.02,udp.delay:0.05,udp.max-delay:2ms,fs.short-write:0.05,fs.write-err:0.1,fs.sync-err:0.05,shard.crash:1@40,shard.panic:2@25"
-"$tmp/spinscan" $shard_flags -shard-transport udp -checkpoint "$tmp/chaos-ckpt" -faults "$chaos_plan" \
+chaos_plan="seed:$(date +%s),fs.short-write:0.05,fs.write-err:0.1,fs.sync-err:0.05,shard.crash:1@40,shard.panic:2@25"
+"$tmp/spinscan" $shard_flags -checkpoint "$tmp/chaos-ckpt" -faults "$chaos_plan" \
     2>"$tmp/chaos.log" >"$tmp/chaos.txt"
 if ! diff -u "$tmp/shard-reference.txt" "$tmp/chaos.txt"; then
     echo "chaos-run tables differ from the fault-free sharded reference (-faults $chaos_plan)" >&2
@@ -321,7 +337,7 @@ if ! grep -q "shard 2 (vantage 0): .*injected panic after 25 domains.*restarting
 fi
 
 # Follow-mode smoke: the continuous campaign service under storage chaos,
-# sharded. A 3-week `-follow -shards 4 -shard-transport udp` campaign with
+# sharded. A 3-week `-follow -shards 4` campaign with
 # an injected storage fault plan is SIGTERMed once week 1 completes (so the
 # signal lands mid-week-2), must exit 143 (128+SIGTERM; SIGINT is 130), then
 # resumes from the per-shard rolling journals and must render tables
@@ -337,7 +353,7 @@ storage_plan="seed:7,fs.short-write:0.05,fs.write-err:0.1,fs.sync-err:0.05"
 
 "$tmp/spinscan" $follow_flags 2>/dev/null >"$tmp/follow-reference.txt"
 
-follow_service="-follow -shards 4 -shard-transport udp -journal-segment-bytes 8192 -journal-sync 16 -journal-retain-weeks 1"
+follow_service="-follow -shards 4 -journal-segment-bytes 8192 -journal-sync 16 -journal-retain-weeks 1"
 "$tmp/spinscan" $follow_flags $follow_service -checkpoint "$tmp/follow-ckpt" -faults "$storage_plan" \
     2>"$tmp/follow.log" >"$tmp/follow-first.txt" &
 follow_pid=$!
