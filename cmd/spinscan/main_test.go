@@ -153,6 +153,7 @@ func TestUsageErrors(t *testing.T) {
 	}{
 		// The campaign exchanges no datagrams: a udp rule would do nothing.
 		{[]string{"-faults", "udp.drop:0.05"}, 1, "udp.drop"},
+		{[]string{"-faults", "udp.max-delay:2ms"}, 1, "udp.max-delay"},
 		// The one merge path needs no flag.
 		{[]string{"-shard-transport", "udp"}, 2, "flag provided but not defined"},
 	} {

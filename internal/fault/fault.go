@@ -89,6 +89,8 @@ type Plan struct {
 	seed int64
 	// MaxDelay bounds how long a udp.delay holds a datagram back.
 	MaxDelay time.Duration
+	// maxDelayGiven records that the spec set MaxDelay (udp.max-delay).
+	maxDelayGiven bool
 
 	rules    []Rule
 	injected []atomic.Int64 // per rule
@@ -104,6 +106,10 @@ func New(seed int64, rules ...Rule) *Plan {
 	p.injected = make([]atomic.Int64, len(rules))
 	return p
 }
+
+// MaxDelayGiven reports whether the spec the plan was parsed from set
+// udp.max-delay: a setting, not a rule, so Rules does not show it.
+func (p *Plan) MaxDelayGiven() bool { return p != nil && p.maxDelayGiven }
 
 // Rules returns the plan's rules; callers must not modify them.
 func (p *Plan) Rules() []Rule {
@@ -227,7 +233,7 @@ func (p *Plan) parseItem(item string) (want string) {
 		if err != nil || d <= 0 {
 			return "a positive duration"
 		}
-		p.MaxDelay = d
+		p.MaxDelay, p.maxDelayGiven = d, true
 		return ""
 	}
 	site, kind, _ := strings.Cut(name, ".")

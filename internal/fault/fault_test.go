@@ -4,6 +4,7 @@ import (
 	"math"
 	"reflect"
 	"strconv"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -49,6 +50,8 @@ func TestParse(t *testing.T) {
 		case p.seed != tc.seed || p.MaxDelay != tc.maxDelay || !reflect.DeepEqual(p.Rules(), tc.rules):
 			t.Errorf("Parse(%q) = seed %d, max-delay %v, rules %+v; want %d, %v, %+v",
 				tc.spec, p.seed, p.MaxDelay, p.Rules(), tc.seed, tc.maxDelay, tc.rules)
+		case p.MaxDelayGiven() != strings.Contains(tc.spec, "udp.max-delay"):
+			t.Errorf("Parse(%q).MaxDelayGiven() = %v", tc.spec, p.MaxDelayGiven())
 		}
 	}
 	for _, bad := range []string{

@@ -20,6 +20,13 @@ type ClientConn struct {
 	// reqBuf is the request encoding scratch: the transport copies what Do
 	// queues.
 	reqBuf []byte
+	// resp is the last response Response parsed, for stream respID, with
+	// its error; parsed is false until this connection has one. Reset keeps
+	// resp to parse the next connection's response into.
+	resp    *Response
+	respID  uint64
+	respErr error
+	parsed  bool
 }
 
 // NewClientConn wraps an established (or connecting) client transport conn.
@@ -33,7 +40,7 @@ func NewClientConn(conn *transport.Conn) *ClientConn {
 // create it: one ClientConn (its zero value is ready for Reset) serves a
 // sequence of connections.
 func (c *ClientConn) Reset(conn *transport.Conn) {
-	c.conn, c.nextID = conn, FirstStreamID
+	c.conn, c.nextID, c.parsed, c.respErr = conn, FirstStreamID, false, nil
 }
 
 // Conn returns the underlying transport connection.
@@ -53,17 +60,31 @@ func (c *ClientConn) Do(req *Request) (uint64, error) {
 }
 
 // Response returns the parsed response for a stream once it has fully
-// arrived. done is false while the exchange is still in flight.
+// arrived. done is false while the exchange is still in flight. A stream is
+// parsed once: polling it again returns the same Response (or error)
+// without parsing. The Response stays valid until the next Reset, which
+// parses the next connection's response into it; its Body aliases the
+// transport's receive buffer.
 func (c *ClientConn) Response(id uint64) (*Response, bool, error) {
+	if c.parsed && c.respID == id {
+		if c.respErr != nil {
+			return nil, true, c.respErr
+		}
+		return c.resp, true, nil
+	}
 	data, complete := c.conn.StreamRecv(id)
 	if !complete {
 		return nil, false, nil
 	}
-	resp, err := ParseResponse(data)
-	if err != nil {
-		return nil, true, err
+	if c.resp == nil || c.parsed {
+		// Another stream's Response, handed out before, stays intact.
+		c.resp = new(Response)
 	}
-	return resp, true, nil
+	c.parsed, c.respID = true, id
+	if c.respErr = c.resp.Parse(data); c.respErr != nil {
+		return nil, true, c.respErr
+	}
+	return c.resp, true, nil
 }
 
 // Handler produces a response for a request. peer is the address the

@@ -134,3 +134,34 @@ func TestDoAfterClose(t *testing.T) {
 		t.Error("Do succeeded on closed connection")
 	}
 }
+
+// A completed stream is parsed once: polling it again returns the same
+// Response without allocating, and a later stream's Response leaves the
+// earlier one intact.
+func TestResponseParsedOnce(t *testing.T) {
+	loop, client, hc := pair(t, func(peer string, req *h3.Request) *h3.Response {
+		return &h3.Response{Status: 200, Headers: map[string]string{"server": "t"}, Body: []byte(req.Path)}
+	})
+	a, _ := hc.Do(&h3.Request{Method: "GET", Authority: "a", Path: "/a", Headers: map[string]string{}})
+	b, _ := hc.Do(&h3.Request{Method: "GET", Authority: "a", Path: "/b", Headers: map[string]string{}})
+	client.Kick()
+	loop.RunUntil(epoch.Add(5 * time.Second))
+	first, done, err := hc.Response(a)
+	if err != nil || !done {
+		t.Fatalf("(%v, %v)", done, err)
+	}
+	again, _, _ := hc.Response(a)
+	if again != first {
+		t.Fatal("a second poll of a completed stream returned another Response")
+	}
+	if n := testing.AllocsPerRun(100, func() { hc.Response(a) }); n != 0 {
+		t.Errorf("polling a parsed stream allocates %.1f times, want 0", n)
+	}
+	second, _, err := hc.Response(b)
+	if err != nil || second == first {
+		t.Fatalf("stream %d: %p (err %v), the first stream's Response is %p", b, second, err, first)
+	}
+	if string(first.Body) != "/a" || string(second.Body) != "/b" {
+		t.Errorf("bodies %q and %q, want /a and /b", first.Body, second.Body)
+	}
+}

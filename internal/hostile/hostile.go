@@ -16,9 +16,12 @@ package hostile
 import (
 	"bytes"
 	"fmt"
+	"math"
 	"sort"
 	"strings"
 	"time"
+	"unicode"
+	"unicode/utf8"
 
 	"quicspin/internal/core"
 	"quicspin/internal/h3"
@@ -457,13 +460,14 @@ func InspectStream(data []byte) Profile {
 		return None
 	}
 	if i := bytes.Index(data, []byte("\n\n")); i >= 0 {
-		for _, line := range strings.Split(string(data[:i]), "\n") {
-			v, ok := strings.CutPrefix(line, "content-length: ")
-			if !ok {
-				continue
+		for head := data[:i]; len(head) > 0; {
+			line := head
+			if j := bytes.IndexByte(head, '\n'); j >= 0 {
+				line, head = head[:j], head[j+1:]
+			} else {
+				head = nil
 			}
-			var clen int64
-			if _, err := fmt.Sscanf(v, "%d", &clen); err == nil && clen > MaxDeclaredBody {
+			if v, ok := bytes.CutPrefix(line, []byte("content-length: ")); ok && declaresOversized(v) {
 				return OversizedBody
 			}
 		}
@@ -473,6 +477,39 @@ func InspectStream(data []byte) Profile {
 		return HeaderFlood
 	}
 	return None
+}
+
+// declaresOversized reports whether the content-length value v declares more
+// than MaxDeclaredBody bytes. It reads v as an int64 the way fmt's %d verb
+// does: white space, an optional sign, then decimal digits, the rest
+// ignored; a value without digits or beyond int64 declares nothing.
+func declaresOversized(v []byte) bool {
+	for len(v) > 0 {
+		r, size := utf8.DecodeRune(v)
+		if !unicode.IsSpace(r) {
+			break
+		}
+		v = v[size:]
+	}
+	if len(v) > 0 && (v[0] == '+' || v[0] == '-') {
+		if v[0] == '-' {
+			return false
+		}
+		v = v[1:]
+	}
+	var n int64
+	digits := false
+	for _, c := range v {
+		if c < '0' || c > '9' {
+			break
+		}
+		d := int64(c - '0')
+		if n > (math.MaxInt64-d)/10 {
+			return false
+		}
+		n, digits = n*10+d, true
+	}
+	return digits && n > MaxDeclaredBody
 }
 
 // ResponseBytes builds the response stream a site-level profile serves in

@@ -1,6 +1,7 @@
 package hostile
 
 import (
+	"bytes"
 	"fmt"
 	"strings"
 	"testing"
@@ -285,5 +286,73 @@ func TestInspectStream(t *testing.T) {
 	}
 	if got := InspectStream(nil); got != None {
 		t.Errorf("empty stream = %s, want none", got)
+	}
+}
+
+// oracleInspectStream is InspectStream as it read content-length before it
+// parsed the number over the byte slice: strings.Split of the head and
+// fmt.Sscanf. FuzzInspectStream holds InspectStream to it.
+func oracleInspectStream(data []byte) Profile {
+	if len(data) == 0 {
+		return None
+	}
+	proto := []byte(h3.Proto)
+	n := min(len(proto), len(data))
+	if !bytes.Equal(data[:n], proto[:n]) {
+		if data[0] == '{' || data[0] == 0x1e {
+			return QlogGarbage
+		}
+		return None
+	}
+	if i := bytes.Index(data, []byte("\n\n")); i >= 0 {
+		for _, line := range strings.Split(string(data[:i]), "\n") {
+			v, ok := strings.CutPrefix(line, "content-length: ")
+			if !ok {
+				continue
+			}
+			var clen int64
+			if _, err := fmt.Sscanf(v, "%d", &clen); err == nil && clen > MaxDeclaredBody {
+				return OversizedBody
+			}
+		}
+		return None
+	}
+	if len(data) > MaxInspectHeaderBytes {
+		return HeaderFlood
+	}
+	return None
+}
+
+// FuzzInspectStream checks that InspectStream classifies every stream as
+// the Sscanf reference does, from the profiles' own bytes to mangled
+// content-length values.
+func FuzzInspectStream(f *testing.F) {
+	for _, p := range []Profile{OversizedBody, HeaderFlood, QlogGarbage} {
+		f.Add(ResponseBytes(p, "h2o"))
+	}
+	for _, v := range []string{
+		"524289", "524288", "+600000", "-600000", " \t600000x", " 600000", "  +9",
+		"9223372036854775807", "9223372036854775808", "99999999999999999999", "", "+", "x1", "\xff600000",
+		"600000\r", "0x90000", "600_000", "\u2003600000", "\u00a0+600000", "\u200b600000",
+	} {
+		f.Add([]byte(h3.Proto + " 200\nserver: a\ncontent-length: " + v + "\n\nbody"))
+	}
+	f.Add([]byte(h3.Proto + " 200\ncontent-length: 1\ncontent-length: 700000\n\n"))
+	f.Add([]byte(h3.Proto[:4]))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if got, want := InspectStream(data), oracleInspectStream(data); got != want {
+			t.Fatalf("InspectStream(%q) = %s, reference %s", data, got, want)
+		}
+	})
+}
+
+// InspectStream runs on every delivery of a response stream, so it
+// allocates nothing, whatever the stream holds.
+func TestInspectStreamAllocs(t *testing.T) {
+	honest := h3.EncodeResponse(&h3.Response{Status: 200, Headers: map[string]string{"server": "h2o"}, Body: make([]byte, 4096)})
+	for _, data := range [][]byte{honest, ResponseBytes(OversizedBody, "h2o"), ResponseBytes(HeaderFlood, "h2o")} {
+		if n := testing.AllocsPerRun(50, func() { InspectStream(data) }); n != 0 {
+			t.Errorf("InspectStream(%.20q…) allocates %.1f times, want 0", data, n)
+		}
 	}
 }

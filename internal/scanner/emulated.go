@@ -53,9 +53,9 @@ type emulatedEngine struct {
 	netem, serverTurnaround *dice.Rand
 	// serverDelay draws a server host's turnaround, bound once like clock.
 	serverDelay func() time.Duration
-	// plan is response-plan scratch, reused by every response a server host
-	// streams.
-	plan []websim.Chunk
+	// req is what every server host parses a request into. Only the handler
+	// reads it, before it returns; no string of it is kept.
+	req h3.Request
 	// stalled marks the engine unhealthy after a watchdog kill: the loop
 	// still holds undrained events, so the worker must rebuild the engine
 	// before scanning another domain.
@@ -333,6 +333,10 @@ type exchange struct {
 	hc   h3.ClientConn
 	addr string // the client's address, unique to this connection
 	dice connDice
+	// served is the server side's response to the connection's one request,
+	// written from the kit; it lives as long as the kit, so the chunks
+	// scheduled against it stay valid until scanDomain's drain.
+	served served
 
 	reqID     uint64
 	done      bool
@@ -343,6 +347,20 @@ type exchange struct {
 	inspected bool // response head vetted: no further inspection needed
 }
 
+// served is a server's response being streamed: the encoded head and the
+// shared body, written chunk by chunk as the response plan says.
+type served struct {
+	head, body []byte
+	plan       []websim.Chunk
+	next, off  int // the plan's next chunk, and the byte it starts at
+	conn       *transport.Conn
+	id         uint64
+	host       *netem.ServerHost
+	// write is writeChunk, bound once per kit: the loop fires one call per
+	// chunk of the plan.
+	write func(time.Time)
+}
+
 // kit takes a free client kit for the connection of redirect hop hop and
 // retry attempt attempt from clientAddr (unique per connection: a reused
 // address would receive the previous hop's stale datagrams), with its
@@ -351,9 +369,12 @@ func (e *emulatedEngine) kit(clientAddr string, hop, attempt int) *exchange {
 	var x *exchange
 	if e.kitsUsed < len(e.kits) {
 		x = e.kits[e.kitsUsed]
-		*x = exchange{host: x.host, hc: x.hc, dice: x.dice}
+		*x = exchange{host: x.host, hc: x.hc, dice: x.dice, served: served{
+			head: x.served.head[:0], plan: x.served.plan[:0], write: x.served.write,
+		}}
 	} else {
 		x = &exchange{dice: connDice{dice.New(), dice.New(), dice.New(), dice.New()}}
+		x.served.write = x.served.writeChunk
 		e.kits = append(e.kits, x)
 	}
 	e.kitsUsed++
@@ -454,7 +475,6 @@ func (e *emulatedEngine) site(ip netip.Addr, srv *websim.Server) {
 		return
 	}
 	week := e.cfg.Week
-	world := e.world
 	// Each server connection rolls its spin dice as the first draws of its
 	// own server transport stream, held by the client's kit.
 	ep := transport.NewEndpoint(func(peer string) transport.Config {
@@ -471,7 +491,10 @@ func (e *emulatedEngine) site(ip netip.Addr, srv *websim.Server) {
 	// (TTFB + dynamic-page chunk gaps).
 	host.OnActivity = func(ep *transport.Endpoint, now time.Time) {
 		for st, ok := ep.AcceptStream(); ok; st, ok = ep.AcceptStream() {
-			conn, id, app := st.Conn, st.ID, e.kitOf(st.Peer).dice.app.Rand
+			// The scanner sends one request per connection, so the
+			// connection's kit holds its one response.
+			x := e.kitOf(st.Peer)
+			conn, id, app := st.Conn, st.ID, x.dice.app.Rand
 			// Site-level hostile behavior: replace the application
 			// response with the profile's pathological payload.
 			switch srv.Hostile {
@@ -479,51 +502,51 @@ func (e *emulatedEngine) site(ip netip.Addr, srv *websim.Server) {
 				e.hostileResponse(host, srv, conn, id, app)
 				continue
 			}
-			var resp *h3.Response
-			if req, err := h3.ParseRequest(st.Data); err != nil {
-				resp = &h3.Response{Status: 400, Headers: map[string]string{"server": srv.Software}}
-			} else {
-				resp = buildResponse(world, srv, req)
-			}
+			r := &x.served
+			r.head, r.body = e.respond(r.head[:0], srv, st.Data)
 			if srv.Hostile == hostile.MidstreamReset {
 				// Send half the response, then slam the door.
-				e.midstreamReset(host, srv, conn, id, app, h3.EncodeResponse(resp))
+				r.head = append(r.head, r.body...)
+				e.midstreamReset(host, srv, conn, id, app, r.head)
 				continue
 			}
-			head := h3.AppendResponseHead(make([]byte, 0, 128), resp.Status, len(resp.Body), resp.Headers)
-			e.streamResponse(host, srv, conn, id, app, head, resp.Body)
+			e.streamResponse(r, host, srv, conn, id, app)
 		}
 	}
 	e.servers[ip] = host
 }
 
-// streamResponse schedules the chunked application writes of an encoded
-// response — head followed by body, never joined — according to the server's
-// response plan. The chunk that spans the boundary is two stream writes
-// before the one flush, so the stream and its packets are those of writing
-// the joined bytes.
-func (e *emulatedEngine) streamResponse(host *netem.ServerHost, srv *websim.Server, conn *transport.Conn, id uint64, app *rand.Rand, head, body []byte) {
-	e.plan = srv.AppendResponsePlan(e.plan[:0], app, len(head)+len(body))
-	plan := e.plan
-	off := 0
-	for i, ch := range plan {
-		start, end := off, off+ch.Bytes
-		off = end
-		fin := i == len(plan)-1
-		e.loop.After(ch.At, func(time.Time) {
-			if conn.Terminating() {
-				return
-			}
-			if start < len(head) {
-				cut := min(end, len(head))
-				_ = conn.SendStream(id, head[start:cut], fin && cut == end)
-			}
-			if end > len(head) {
-				_ = conn.SendStream(id, body[max(start, len(head))-len(head):end-len(head)], fin)
-			}
-			host.Kick()
-		})
+// streamResponse schedules the chunked application writes of r — head
+// followed by body, never joined — according to the server's response plan.
+// One r.write fires per chunk: the plan's times are nondecreasing and the
+// loop fires ties in the order they were scheduled, so the calls come in
+// plan order.
+func (e *emulatedEngine) streamResponse(r *served, host *netem.ServerHost, srv *websim.Server, conn *transport.Conn, id uint64, app *rand.Rand) {
+	r.plan = srv.AppendResponsePlan(r.plan[:0], app, len(r.head)+len(r.body))
+	r.next, r.off, r.conn, r.id, r.host = 0, 0, conn, id, host
+	for _, ch := range r.plan {
+		e.loop.After(ch.At, r.write)
 	}
+}
+
+// writeChunk writes the response's next chunk. The chunk that spans the
+// boundary of head and body is two stream writes before the one flush, so
+// the stream and its packets are those of writing the joined bytes.
+func (r *served) writeChunk(time.Time) {
+	start, end := r.off, r.off+r.plan[r.next].Bytes
+	r.next, r.off = r.next+1, end
+	if r.conn.Terminating() {
+		return
+	}
+	fin, head := r.next == len(r.plan), r.head
+	if start < len(head) {
+		cut := min(end, len(head))
+		_ = r.conn.SendStream(r.id, head[start:cut], fin && cut == end)
+	}
+	if end > len(head) {
+		_ = r.conn.SendStream(r.id, r.body[max(start, len(head))-len(head):end-len(head)], fin)
+	}
+	r.host.Kick()
 }
 
 // hostileResponse streams the profile's pathological payload after the
@@ -562,19 +585,39 @@ func (e *emulatedEngine) midstreamReset(host *netem.ServerHost, srv *websim.Serv
 	})
 }
 
-// buildResponse renders the landing page (or redirect) for a request, with
-// the Server header used for webserver attribution.
-func buildResponse(w *websim.World, srv *websim.Server, req *h3.Request) *h3.Response {
-	d := w.DomainByHost(req.Authority)
-	hdr := map[string]string{"server": srv.Software, "content-type": "text/html"}
-	if d == nil {
-		return &h3.Response{Status: 404, Headers: hdr, Body: []byte("unknown authority")}
+// unknownAuthority is the body of the 404 for a host the world does not
+// know.
+var unknownAuthority = []byte("unknown authority")
+
+// respond parses the request data and renders the response — the landing
+// page, a redirect, a 404 or a 400 — appending its head to head and
+// returning the head and the body, which is shared and must not be written
+// to. The Server header is the one webserver attribution reads. Header
+// lines are written in name order, as h3.AppendResponseHead writes a map.
+func (e *emulatedEngine) respond(head []byte, srv *websim.Server, data []byte) ([]byte, []byte) {
+	req := &e.req
+	if err := req.Parse(data); err != nil {
+		head = h3.AppendStatus(head, 400, 0)
+		return append(h3.AppendHeader(head, "server", srv.Software), '\n'), nil
 	}
-	if d.RedirectTo != "" && req.Path == "/" {
-		hdr["location"] = "https://www." + d.RedirectTo + "/landing"
-		return &h3.Response{Status: 301, Headers: hdr}
+	status, body := 200, []byte(nil)
+	d := e.world.DomainByHost(req.Authority)
+	redirect := d != nil && d.RedirectTo != "" && req.Path == "/"
+	switch {
+	case d == nil:
+		status, body = 404, unknownAuthority
+	case redirect:
+		status = 301
+	default:
+		body = patternBody(d.BodyBytes)
 	}
-	return &h3.Response{Status: 200, Headers: hdr, Body: patternBody(d.BodyBytes)}
+	head = h3.AppendStatus(head, status, len(body))
+	head = h3.AppendHeader(head, "content-type", "text/html")
+	if redirect {
+		head = h3.AppendHeader(head, "location", "https://www.", d.RedirectTo, "/landing")
+	}
+	head = h3.AppendHeader(head, "server", srv.Software)
+	return append(head, '\n'), body
 }
 
 // patternPage is the shared landing page every response body is sliced

@@ -193,6 +193,9 @@ func (c Config) Validate() error {
 	if err := checkVantageNames(c.Vantages); err != nil {
 		return err
 	}
+	if c.Faults.MaxDelayGiven() {
+		return fmt.Errorf("shard: fault setting udp.max-delay: the campaign exchanges no datagrams for it to delay")
+	}
 	for _, r := range c.Faults.Rules() {
 		if r.Site == fault.UDP {
 			return fmt.Errorf("shard: fault rule %s.%s: the campaign exchanges no datagrams for a udp rule to act on", r.Site, r.Kind)

@@ -125,6 +125,11 @@ func TestConfigValidate(t *testing.T) {
 	if err := udp.Validate(); err == nil || !strings.Contains(err.Error(), "udp.drop") {
 		t.Errorf("Validate = %v, want the udp rule rejected by name", err)
 	}
+	// So would the udp.max-delay setting, which is no rule.
+	udp.Faults = mustFaults(t, "shard.crash:1@5,udp.max-delay:2ms")
+	if err := udp.Validate(); err == nil || !strings.Contains(err.Error(), "udp.max-delay") {
+		t.Errorf("Validate = %v, want the udp.max-delay setting rejected by name", err)
+	}
 }
 
 // TestRunTransports runs a campaign of three uneven ranges through the

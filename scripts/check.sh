@@ -181,24 +181,41 @@ if grep -rnE --include='*.go' --exclude='*_test.go' '(NewCollector|SubmitWithPol
     exit 1
 fi
 
+# Structural gate: the emulated engine's HTTP exchange allocates only the
+# strings a result keeps. A bufio.Scanner per parse (a 4 KiB buffer, a
+# reader, a string per line) and fmt.Sscanf per inspected head were two
+# thirds of an emulated week's allocated bytes; the parsers walk the byte
+# slice instead. Neither may alias a receive buffer through unsafe: a kept
+# Server or Location string would change under the next connection.
+echo "== the HTTP exchange parses over the byte slice"
+if grep -rnE --include='*.go' --exclude='*_test.go' '"(bufio|unsafe)"' internal/h3; then
+    echo "the lines above import bufio or unsafe in internal/h3; walk the byte slice and copy what a parse keeps" >&2
+    exit 1
+fi
+if grep -rn --include='*.go' --exclude='*_test.go' 'fmt\.Sscanf' internal/hostile; then
+    echo "the lines above scan with fmt in internal/hostile; parse the number over the byte slice" >&2
+    exit 1
+fi
+
 # Native Go fuzzing needs no build tags, so `go vet ./...` above already
-# covers the fuzz harnesses; here each target gets a short guided run
-# beyond its seed corpus (which plain `go test` replays as unit tests).
+# covers the fuzz harnesses; here every target the tree declares (a
+# `func Fuzz…` in a test file) gets a short guided run beyond its seed
+# corpus (which plain `go test` replays as unit tests).
 fuzz_smoke() {
     pkg=$1
     target=$2
     echo "== go test -fuzz=$target -fuzztime=5s $pkg"
     go test -run='^$' -fuzz="^${target}\$" -fuzztime=5s "$pkg"
 }
-fuzz_smoke ./internal/wire FuzzVarint
-fuzz_smoke ./internal/wire FuzzShortHeader
-fuzz_smoke ./internal/wire FuzzLongHeader
-fuzz_smoke ./internal/qlog FuzzQlogParse
-fuzz_smoke ./internal/h3 FuzzH3Request
-fuzz_smoke ./internal/analysis FuzzAccumulatorUnmarshal
-fuzz_smoke ./internal/shard FuzzSubmissionFrame
-fuzz_smoke ./internal/flowtable FuzzFlowIngest
-fuzz_smoke ./internal/scanner FuzzDomainResultJSON
+fuzz_targets=$(grep -rH --include='*_test.go' '^func Fuzz' cmd internal bench examples ./*_test.go |
+    sed -nE 's|^(.*)/[^/]*:func (Fuzz[A-Za-z0-9_]+)\(.*|\1:\2|p' | sort)
+if [ -z "$fuzz_targets" ]; then
+    echo "no func Fuzz… found in any test file; the fuzz smoke checks nothing" >&2
+    exit 1
+fi
+for t in $fuzz_targets; do
+    fuzz_smoke "./${t%%:*}" "${t#*:}"
+done
 
 # Interrupt-and-resume smoke: SIGKILL a real spinscan campaign mid-run,
 # resume it from the checkpoint journal, and require the rendered tables to
