@@ -171,7 +171,6 @@ func main() {
 	if faults != nil {
 		baseCfg.Faults = faults
 		baseCfg.Journal.FS = resilience.NewFaultFS(nil, faults)
-		log.Printf("fault injection armed: %s", *faultSpec)
 	}
 
 	// The live dashboard rides on the runner's sinks; it stays nil (a valid
@@ -226,6 +225,9 @@ func main() {
 	}
 	if err := campCfg.Validate(); err != nil {
 		log.Fatal(err)
+	}
+	if faults != nil {
+		log.Printf("fault injection armed: %s", *faultSpec)
 	}
 
 	// First SIGINT/SIGTERM stops the campaign gracefully (completed domains

@@ -172,6 +172,10 @@ func TestUsageErrors(t *testing.T) {
 		if strings.Contains(stderr.String(), "generating world") {
 			t.Errorf("spinscan %s: generated the world before failing", strings.Join(c.args, " "))
 		}
+		// A plan the checks refuse never ran, so it was never armed.
+		if strings.Contains(stderr.String(), "fault injection armed") {
+			t.Errorf("spinscan %s: logged an armed fault plan it then refused", strings.Join(c.args, " "))
+		}
 	}
 }
 
@@ -341,7 +345,7 @@ func TestErrorRateCountsConnections(t *testing.T) {
 	dnsErrs, attempted, failed := 0, 0, 0
 	for i := range res.Domains {
 		d := &res.Domains[i]
-		if d.DNSErr != "" {
+		if !d.DNSErr.IsZero() {
 			dnsErrs++
 		}
 		for _, c := range d.Conns {

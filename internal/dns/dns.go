@@ -7,6 +7,7 @@ package dns
 
 import (
 	"errors"
+	"fmt"
 	"math/rand"
 	"net/netip"
 	"strings"
@@ -14,19 +15,53 @@ import (
 	"quicspin/internal/fault"
 )
 
-// Common resolution errors.
+// Common resolution errors: the kinds a Failure unwraps to.
 var (
 	// ErrNXDomain reports a name that does not exist.
-	ErrNXDomain = errors.New("dns: NXDOMAIN")
+	ErrNXDomain = errors.New(kindText[NXDomain])
 	// ErrTimeout reports an unresponsive authoritative server.
-	ErrTimeout = errors.New("dns: query timed out")
+	ErrTimeout = errors.New(kindText[Timeout])
 	// ErrNoRecord reports a name that exists but has no record of the
 	// queried type (e.g. AAAA query for a v4-only host).
-	ErrNoRecord = errors.New("dns: no record of requested type")
+	ErrNoRecord = errors.New(kindText[NoRecord])
 )
 
+// Kind is what a failed lookup ran into. The zero Kind is no failure.
+type Kind uint8
+
+// The failure kinds.
+const (
+	// NXDomain is a name that does not exist.
+	NXDomain Kind = 1 + iota
+	// Timeout is an unresponsive authoritative server.
+	Timeout
+	// NoRecord is a name without a record of the queried type.
+	NoRecord
+	numKinds
+)
+
+// kindText is each kind's error text, the prefix of a Failure's.
+var kindText = [numKinds]string{
+	NXDomain: "dns: NXDOMAIN",
+	Timeout:  "dns: query timed out",
+	NoRecord: "dns: no record of requested type",
+}
+
+// err is k's sentinel error, nil for the zero Kind and any unknown one.
+func (k Kind) err() error {
+	switch k {
+	case NXDomain:
+		return ErrNXDomain
+	case Timeout:
+		return ErrTimeout
+	case NoRecord:
+		return ErrNoRecord
+	}
+	return nil
+}
+
 // RType selects the record type of a query.
-type RType int
+type RType uint8
 
 const (
 	// TypeA queries IPv4 addresses.
@@ -112,11 +147,11 @@ type cacheKey struct {
 	t    RType
 }
 
-// cacheEntry memoises a lookup outcome, a failure as its bare kind.
-// Injected timeouts are never cached — they model transient auth failures.
+// cacheEntry memoises a lookup outcome, a failure as its kind. Injected
+// timeouts are never cached — they model transient auth failures.
 type cacheEntry struct {
 	addrs []netip.Addr
-	err   error
+	kind  Kind
 }
 
 // NewResolver builds a resolver over backend; rng drives failure injection
@@ -166,13 +201,13 @@ func (r *Resolver) Lookup(name string, t RType) ([]netip.Addr, error) {
 // LookupAttempt resolves name to addresses of the given type, identifying
 // the caller's per-domain retry attempt (0-based) so a fault plan can fail
 // the first k attempts deterministically. It canonicalises name first (see
-// Normalize). The result is the caller's own copy. A failure wraps its kind
-// (ErrNXDomain, ErrTimeout or ErrNoRecord) and reads as ErrText spells it.
+// Normalize). The result is the caller's own copy. A failure is the lookup's
+// Failure, which unwraps to its kind's error (ErrNXDomain, ErrTimeout or
+// ErrNoRecord) and reads as ErrText spells it.
 func (r *Resolver) LookupAttempt(name string, t RType, attempt int) ([]netip.Addr, error) {
-	name = Normalize(name)
-	addrs, err := r.AppendLookup(nil, name, t, attempt)
-	if err != nil {
-		return nil, &lookupError{kind: err, text: ErrText(err, name, t)}
+	addrs, f := r.AppendLookup(nil, Normalize(name), t, attempt)
+	if !f.IsZero() {
+		return nil, f
 	}
 	return addrs, nil
 }
@@ -180,11 +215,11 @@ func (r *Resolver) LookupAttempt(name string, t RType, attempt int) ([]netip.Add
 // AppendLookup is LookupAttempt appending the addresses to dst, so a caller
 // with storage of its own resolves without allocating. The appended
 // addresses are a copy: nothing the caller does to dst reaches the backend
-// or the memo. On error dst is returned unchanged, and the error is the bare
-// failure kind — ErrNXDomain, ErrTimeout or ErrNoRecord — with no name in
-// it: a caller that reports the failure spells it once with ErrText. name
-// must be canonical (see Normalize): AppendLookup queries it as it is.
-func (r *Resolver) AppendLookup(dst []netip.Addr, name string, t RType, attempt int) ([]netip.Addr, error) {
+// or the memo. On failure dst is returned unchanged with the Failure, which
+// holds name itself: recording it allocates nothing. The Failure is zero on
+// success. name must be canonical (see Normalize): AppendLookup queries it as
+// it is.
+func (r *Resolver) AppendLookup(dst []netip.Addr, name string, t RType, attempt int) ([]netip.Addr, Failure) {
 	r.stats.Queries++
 	// The plan outranks the cache: an injected timeout must fire even for
 	// cached names, or injected-failure tests would depend on which worker
@@ -192,39 +227,39 @@ func (r *Resolver) AppendLookup(dst []netip.Addr, name string, t RType, attempt 
 	// out.
 	if r.faults != nil {
 		if _, ok := r.backend.Zone(name); ok && r.faults.Hit(fault.DNS, fault.Timeout, name, attempt) {
-			return dst, r.finish(ErrTimeout)
+			return dst, r.finish(Timeout, name, t)
 		}
 	}
 	key := cacheKey{name, t}
 	if r.cache != nil {
 		if e, ok := r.cache[key]; ok {
 			r.stats.CacheHits++
-			if e.err != nil {
-				return dst, r.finish(e.err)
+			if e.kind != 0 {
+				return dst, r.finish(e.kind, name, t)
 			}
-			return append(dst, e.addrs...), r.finish(nil)
+			return append(dst, e.addrs...), r.finish(0, name, t)
 		}
 		r.stats.CacheMisses++
 	}
-	addrs, err := r.lookup(name, t)
-	if r.cache != nil && err != ErrTimeout {
-		r.cache[key] = cacheEntry{addrs: addrs, err: err}
+	addrs, kind := r.lookup(name, t)
+	if r.cache != nil && kind != Timeout {
+		r.cache[key] = cacheEntry{addrs: addrs, kind: kind}
 	}
-	if err != nil {
-		return dst, r.finish(err)
+	if kind != 0 {
+		return dst, r.finish(kind, name, t)
 	}
-	return append(dst, addrs...), r.finish(nil)
+	return append(dst, addrs...), r.finish(0, name, t)
 }
 
 // lookup performs the uncached resolution against the backend. A failure is
-// its bare kind.
-func (r *Resolver) lookup(name string, t RType) ([]netip.Addr, error) {
+// its kind.
+func (r *Resolver) lookup(name string, t RType) ([]netip.Addr, Kind) {
 	rec, ok := r.backend.Zone(name)
 	if !ok {
-		return nil, ErrNXDomain
+		return nil, NXDomain
 	}
 	if r.TimeoutRate > 0 && r.rng.Float64() < r.TimeoutRate {
-		return nil, ErrTimeout
+		return nil, Timeout
 	}
 	var addrs []netip.Addr
 	switch t {
@@ -234,31 +269,36 @@ func (r *Resolver) lookup(name string, t RType) ([]netip.Addr, error) {
 		addrs = rec.AAAA
 	}
 	if len(addrs) == 0 {
-		return nil, ErrNoRecord
+		return nil, NoRecord
 	}
-	return addrs, nil
+	return addrs, 0
 }
 
-// finish tallies a lookup outcome and returns its error.
-func (r *Resolver) finish(err error) error {
-	switch err {
-	case nil:
+// finish tallies a lookup outcome of kind (0 for success) for name and t,
+// and returns its Failure.
+func (r *Resolver) finish(kind Kind, name string, t RType) Failure {
+	switch kind {
+	case 0:
 		r.stats.Resolved++
-	case ErrNXDomain:
+		return Failure{}
+	case NXDomain:
 		r.stats.NXDomain++
-	case ErrTimeout:
+		// The name does not exist for any type: the failure is the same
+		// whichever was queried, and its text names none.
+		t = TypeA
+	case Timeout:
 		r.stats.Timeouts++
-	case ErrNoRecord:
+	case NoRecord:
 		r.stats.NoRecord++
 	}
-	return err
+	return Failure{Kind: kind, Type: t, Name: name}
 }
 
-// ErrText spells a failed lookup of name for type t, whose kind AppendLookup
-// returned: "dns: NXDOMAIN: <name>" for a name that does not exist, and the
-// kind's text followed by ": <name> <type>" otherwise. It is the text of
-// LookupAttempt's error and of a scanned domain's DNS error, built with one
-// allocation. name is spelled as it is given.
+// ErrText spells a failed lookup of name for type t, whose kind is the
+// error kind: "dns: NXDOMAIN: <name>" for a name that does not exist, and
+// the kind's text followed by ": <name> <type>" otherwise. It is what a
+// Failure's Error returns, built with one allocation. name is spelled as it
+// is given.
 func ErrText(kind error, name string, t RType) string {
 	if kind == ErrNXDomain {
 		return kind.Error() + ": " + name
@@ -266,14 +306,94 @@ func ErrText(kind error, name string, t RType) string {
 	return kind.Error() + ": " + name + " " + t.String()
 }
 
-// lookupError is LookupAttempt's failure: its kind, spelled by ErrText.
-type lookupError struct {
-	kind error
-	text string
+// Failure is a failed lookup: its kind, the record type and the name as
+// queried. The zero Failure is no failure. It holds the name the caller
+// already has, so recording one allocates nothing; it is spelled (Error,
+// AppendText) only where it is printed or encoded. Its text form is the one
+// ErrText spells, and MarshalText and UnmarshalText carry it through JSON
+// as that text.
+type Failure struct {
+	Kind Kind
+	// Type is the queried record type; TypeA for NXDOMAIN, which names no
+	// type.
+	Type RType
+	Name string
 }
 
-func (e *lookupError) Error() string { return e.text }
-func (e *lookupError) Unwrap() error { return e.kind }
+// IsZero reports whether f is no failure.
+func (f Failure) IsZero() bool { return f.Kind == 0 }
+
+// Error spells f as ErrText does; the zero Failure is "".
+func (f Failure) Error() string {
+	if k := f.Kind.err(); k != nil {
+		return ErrText(k, f.Name, f.Type)
+	}
+	return ""
+}
+
+// String is Error.
+func (f Failure) String() string { return f.Error() }
+
+// Unwrap returns f's kind as its error (ErrNXDomain, ErrTimeout or
+// ErrNoRecord), so errors.Is matches a failure by kind.
+func (f Failure) Unwrap() error { return f.Kind.err() }
+
+// AppendText appends f's text, as Error spells it, to b without allocating
+// beyond b's growth. The zero Failure appends nothing; a Failure of no
+// known kind is an error.
+func (f Failure) AppendText(b []byte) ([]byte, error) {
+	if f.Kind == 0 {
+		return b, nil
+	}
+	if f.Kind >= numKinds {
+		return b, fmt.Errorf("dns: unknown failure kind %d", f.Kind)
+	}
+	b = append(b, kindText[f.Kind]...)
+	b = append(b, ": "...)
+	b = append(b, f.Name...)
+	if f.Kind != NXDomain {
+		b = append(b, ' ')
+		b = append(b, f.Type.String()...)
+	}
+	return b, nil
+}
+
+// MarshalText is AppendText into a new slice.
+func (f Failure) MarshalText() ([]byte, error) {
+	return f.AppendText(nil)
+}
+
+// UnmarshalText parses text as AppendText spells it: empty text is the zero
+// Failure, and text of no kind, or of a kind without its ": <name>" or its
+// record type, is an error.
+func (f *Failure) UnmarshalText(text []byte) error {
+	if len(text) == 0 {
+		*f = Failure{}
+		return nil
+	}
+	s := string(text)
+	for k := NXDomain; k < numKinds; k++ {
+		rest, ok := strings.CutPrefix(s, kindText[k])
+		if !ok {
+			continue
+		}
+		name, ok := strings.CutPrefix(rest, ": ")
+		t := TypeA
+		if ok && k != NXDomain {
+			if name, ok = strings.CutSuffix(name, " AAAA"); ok {
+				t = TypeAAAA
+			} else {
+				name, ok = strings.CutSuffix(name, " A")
+			}
+		}
+		if !ok {
+			break
+		}
+		*f = Failure{Kind: k, Type: t, Name: name}
+		return nil
+	}
+	return fmt.Errorf("dns: not a lookup failure: %q", text)
+}
 
 // Stats returns a snapshot of resolver counters.
 func (r *Resolver) Stats() Stats { return r.stats }

@@ -90,7 +90,11 @@ func lookups(r *Resolver) map[string]func(name string, t RType) ([]netip.Addr, e
 	return map[string]func(string, RType) ([]netip.Addr, error){
 		"Lookup": r.Lookup,
 		"AppendLookup": func(name string, t RType) ([]netip.Addr, error) {
-			return r.AppendLookup(own[:0], name, t, 0)
+			addrs, f := r.AppendLookup(own[:0], name, t, 0)
+			if f.IsZero() {
+				return addrs, nil
+			}
+			return addrs, f
 		},
 	}
 }
@@ -116,13 +120,13 @@ func TestAppendLookup(t *testing.T) {
 	v6 := netip.MustParseAddr("2001:db8::1")
 	dst := make([]netip.Addr, 1, 4)
 	dst[0] = v6
-	got, err := r.AppendLookup(dst, "www.example.com", TypeA, 0)
-	if err != nil || len(got) != 2 || got[0] != v6 || got[1] != netip.MustParseAddr("192.0.2.1") {
-		t.Fatalf("AppendLookup = (%v, %v), want [%v 192.0.2.1]", got, err, v6)
+	got, f := r.AppendLookup(dst, "www.example.com", TypeA, 0)
+	if !f.IsZero() || len(got) != 2 || got[0] != v6 || got[1] != netip.MustParseAddr("192.0.2.1") {
+		t.Fatalf("AppendLookup = (%v, %q), want [%v 192.0.2.1]", got, f, v6)
 	}
-	got, err = r.AppendLookup(dst, "missing.example.com", TypeA, 0)
-	if !errors.Is(err, ErrNXDomain) || len(got) != 1 || got[0] != v6 {
-		t.Fatalf("failed AppendLookup = (%v, %v), want dst unchanged and NXDOMAIN", got, err)
+	got, f = r.AppendLookup(dst, "missing.example.com", TypeA, 0)
+	if f != (Failure{Kind: NXDomain, Name: "missing.example.com"}) || len(got) != 1 || got[0] != v6 {
+		t.Fatalf("failed AppendLookup = (%v, %+v), want dst unchanged and NXDOMAIN", got, f)
 	}
 	if n := testing.AllocsPerRun(100, func() { r.AppendLookup(dst[:0], "www.example.com", TypeA, 0) }); n != 0 {
 		t.Errorf("a memoised AppendLookup allocates %.1f times, want 0", n)
@@ -257,9 +261,10 @@ func TestCachedResultIsACopy(t *testing.T) {
 }
 
 // TestFailureTexts: every failure kind, from the backend, the memo, the
-// random timeout and the fault plan alike, reaches AppendLookup as the bare
-// kind and LookupAttempt as ErrText's spelling of it — the text fmt.Errorf
-// wrote before the kinds went bare, pinned literally.
+// random timeout and the fault plan alike, reaches AppendLookup as a Failure
+// of that kind naming the queried name, and LookupAttempt as the same
+// Failure, which spells as ErrText does — the text fmt.Errorf wrote before
+// failures became values, pinned literally.
 func TestFailureTexts(t *testing.T) {
 	cases := []struct {
 		name   string
@@ -285,8 +290,8 @@ func TestFailureTexts(t *testing.T) {
 				r.EnableCache()
 			}
 			for i := 0; i < 2; i++ { // the second lookup hits the memo, if any
-				if _, err := r.AppendLookup(nil, c.name, c.typ, 0); err != c.kind {
-					t.Errorf("AppendLookup(%s, %s) = %v, want the bare %v", c.name, c.typ, err, c.kind)
+				if _, f := r.AppendLookup(nil, Normalize(c.name), c.typ, 0); f.Unwrap() != c.kind || f.Name != Normalize(c.name) || f.Error() != c.text {
+					t.Errorf("AppendLookup(%s, %s) = %+v, want a %v failure spelled %q", c.name, c.typ, f, c.kind, c.text)
 				}
 				_, err := r.LookupAttempt(c.name, c.typ, 0)
 				if !errors.Is(err, c.kind) || err.Error() != c.text {
@@ -302,15 +307,20 @@ func TestFailureTexts(t *testing.T) {
 	}
 }
 
-// A memoised failure costs AppendLookup nothing, and ErrText one string.
+// A memoised failure costs AppendLookup nothing, AppendText into room
+// nothing, and ErrText one string.
 func TestFailureAllocs(t *testing.T) {
 	r := NewResolver(backend(), rand.New(rand.NewSource(1)))
 	r.EnableCache()
-	var err error
-	if n := testing.AllocsPerRun(100, func() { _, err = r.AppendLookup(nil, "missing.example.com", TypeA, 0) }); n != 0 {
+	var f Failure
+	if n := testing.AllocsPerRun(100, func() { _, f = r.AppendLookup(nil, "missing.example.com", TypeA, 0) }); n != 0 {
 		t.Errorf("a memoised failed AppendLookup allocates %.1f times, want 0", n)
 	}
-	if n := testing.AllocsPerRun(100, func() { _ = ErrText(err, "v4only.example.com", TypeAAAA) }); n != 1 {
+	buf := make([]byte, 0, 64)
+	if n := testing.AllocsPerRun(100, func() { buf, _ = f.AppendText(buf[:0]) }); n != 0 {
+		t.Errorf("AppendText allocates %.1f times, want 0", n)
+	}
+	if n := testing.AllocsPerRun(100, func() { _ = ErrText(f.Unwrap(), "v4only.example.com", TypeAAAA) }); n != 1 {
 		t.Errorf("ErrText allocates %.1f times, want 1", n)
 	}
 }

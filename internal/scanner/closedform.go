@@ -33,13 +33,16 @@ type closedForm struct {
 	// for.
 	transport, app, netem *dice.Rand
 
-	// times, obs, plan and ctrl are per-connection synthesis scratch, reused
-	// across connections to keep the campaign hot loop allocation-free;
-	// retained observation series are copied out (see report).
+	// times, plan and ctrl are per-connection synthesis scratch, reused
+	// across connections to keep the campaign hot loop allocation-free.
 	times []time.Duration
-	obs   []core.Observation
 	plan  []websim.Chunk
 	ctrl  *core.Controller
+	// obs is the last synthesised series, nil for one that cannot flip. It
+	// lies in the spare capacity of the domain's observation slab, past its
+	// length, where report keeps it by extending the slab over it; the
+	// slab's next append overwrites it.
+	obs []core.Observation
 }
 
 func newClosedForm(st *scanState) closedForm {
@@ -160,7 +163,7 @@ func (c *closedForm) synthesize(s *synthesis, target string, ip netip.Addr, hop,
 		s.out.Status = 404
 	case d.RedirectTo != "" && path == "/":
 		s.out.Status = 301
-		s.out.Redirect = "https://www." + d.RedirectTo + "/landing"
+		s.out.Redirect = d.RedirectURL()
 	default:
 		s.out.Status = 200
 		respBytes = d.BodyBytes
@@ -207,10 +210,12 @@ func (c *closedForm) report(s *synthesis) {
 	}
 	st.tally.connTimeline(st.rec, s.start, s.hsAt, s.end, observed, c.obs)
 	st.settled = true
-	// Only series with flips are retained, so the synthesis runs entirely in
-	// scratch and the retained minority is copied to the slab.
+	// Only series with flips are retained: the synthesis ran in the slab's
+	// spare capacity, and the retained minority is kept where it lies.
 	if out.HasFlips() {
-		out.Observations = keep(st.slabs, &st.slabs.obs, c.obs...)
+		first := len(st.slabs.obs)
+		st.slabs.obs = st.slabs.obs[:first+len(c.obs)]
+		out.Observations = tail(st.slabs.obs, first)
 	}
 }
 
@@ -313,7 +318,19 @@ func (c *closedForm) synthesizeObservations(s *synthesis, rtt time.Duration, res
 	lastFlip := -rtt
 	var pn uint64
 	var lastAt time.Duration
-	obs := c.obs[:0]
+	// Only a series with flips is kept (see report), and only these modes
+	// and spin liars can flip: a constant series is counted, not written,
+	// for it holds neither an edge nor a liar's pattern. A series that can
+	// flip goes straight into the spare capacity of the domain's observation
+	// slab, grown first to hold one observation per packet.
+	canFlip := mode == core.ModeSpin || mode == core.ModeGreasePerPacket ||
+		srv.Hostile == hostile.SpinFlap || srv.Hostile == hostile.SpinLiar
+	var obs []core.Observation
+	if canFlip {
+		slabs := c.st.slabs
+		reserve(slabs, &slabs.obs, len(times))
+		obs = slabs.obs[len(slabs.obs):len(slabs.obs)]
+	}
 	for _, at := range times {
 		if at > lastAt {
 			lastAt = at
@@ -336,16 +353,17 @@ func (c *closedForm) synthesizeObservations(s *synthesis, rtt time.Duration, res
 		case hostile.SpinLiar:
 			v = (pn/2)%2 == 1
 		}
-		ob := core.Observation{T: s.hsAt.Add(at), PN: pn, Spin: v}
+		if canFlip {
+			obs = append(obs, core.Observation{T: s.hsAt.Add(at), PN: pn, Spin: v})
+		}
 		pn++
 		if v {
 			s.out.OnePkts++
 		} else {
 			s.out.ZeroPkts++
 		}
-		obs = append(obs, ob)
 	}
-	c.obs = obs // keep the grown scratch for the next connection
+	c.obs = obs
 	// Run the same pure spin-pattern detector the emulated engine applies,
 	// before the no-flip discard (the detector needs the series).
 	if p := hostile.DetectSpinPattern(obs); p != hostile.None {

@@ -91,7 +91,7 @@ func TestResolvedNamesAreCanonical(t *testing.T) {
 			if len(d.Conns) > 0 && d.Conns[0].Redirect != "" {
 				redirects++
 			}
-			if d.DNSErr != "" {
+			if !d.DNSErr.IsZero() {
 				dnsErrs++
 			}
 			return nil

@@ -614,7 +614,7 @@ func (e *emulatedEngine) respond(head []byte, srv *websim.Server, data []byte) (
 	head = h3.AppendStatus(head, status, len(body))
 	head = h3.AppendHeader(head, "content-type", "text/html")
 	if redirect {
-		head = h3.AppendHeader(head, "location", "https://www.", d.RedirectTo, "/landing")
+		head = h3.AppendHeader(head, "location", d.RedirectURL())
 	}
 	head = h3.AppendHeader(head, "server", srv.Software)
 	return append(head, '\n'), body

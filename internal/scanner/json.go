@@ -4,7 +4,9 @@ import (
 	"errors"
 	"strconv"
 	"time"
+	"unicode/utf8"
 
+	"quicspin/internal/dns"
 	"quicspin/internal/resilience"
 )
 
@@ -24,7 +26,10 @@ func (d *DomainResult) AppendJSON(dst []byte) ([]byte, error) {
 	dst = append(dst, `,"Resolved":`...)
 	dst = strconv.AppendBool(dst, d.Resolved)
 	dst = append(dst, `,"DNSErr":`...)
-	dst = resilience.AppendJSONString(dst, d.DNSErr)
+	dst, err := appendJSONFailure(dst, d.DNSErr)
+	if err != nil {
+		return dst, err
+	}
 	dst = append(dst, `,"Conns":`...)
 	if d.Conns == nil {
 		return append(dst, `null}`...), nil
@@ -108,6 +113,24 @@ func (c *ConnResult) appendJSON(dst []byte) ([]byte, error) {
 		dst = append(dst, ']')
 	}
 	return append(dst, '}'), nil
+}
+
+// appendJSONFailure appends f's text as a JSON string, as json.Marshal
+// writes a TextMarshaler. The text is appended in place and quoted; only a
+// text with a byte to escape, which no name of a generated world has, is
+// copied out and escaped.
+func appendJSONFailure(dst []byte, f dns.Failure) ([]byte, error) {
+	mark := len(dst)
+	dst, err := f.AppendText(append(dst, '"'))
+	if err != nil {
+		return dst[:mark], err
+	}
+	for _, b := range dst[mark+1:] {
+		if b < ' ' || b >= utf8.RuneSelf || b == '"' || b == '\\' || b == '<' || b == '>' || b == '&' {
+			return resilience.AppendJSONString(dst[:mark], string(dst[mark+1:])), nil
+		}
+	}
+	return append(dst, '"'), nil
 }
 
 // appendJSONTime appends t as time.Time.MarshalJSON writes it: quoted

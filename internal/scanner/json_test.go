@@ -10,6 +10,7 @@ import (
 	"unicode/utf8"
 
 	"quicspin/internal/core"
+	"quicspin/internal/dns"
 	"quicspin/internal/resilience"
 	"quicspin/internal/websim"
 )
@@ -70,6 +71,20 @@ func checkAppendJSON(t *testing.T, res *DomainResult, roundTrips bool) {
 	}
 }
 
+// failureOf is a DNS failure of kind k mod 4 naming name: none or one of the
+// three kinds. It is shaped as a scan records one, so it survives a round
+// trip: no failure names nothing, and NXDOMAIN no type.
+func failureOf(k int, name string, aaaa bool) dns.Failure {
+	f := dns.Failure{Kind: dns.Kind(k % 4), Name: name}
+	switch {
+	case f.Kind == 0:
+		f.Name = ""
+	case aaaa && f.Kind != dns.NXDomain:
+		f.Type = dns.TypeAAAA
+	}
+	return f
+}
+
 // TestDomainResultJSONMatchesMarshal runs every result of a fast and an
 // emulated week — hostile servers included — through both encoders.
 func TestDomainResultJSONMatchesMarshal(t *testing.T) {
@@ -118,7 +133,7 @@ func TestDomainResultJSONHostileInputs(t *testing.T) {
 	for i, s := range hostile {
 		for _, ip := range addrs {
 			res := DomainResult{
-				Domain: s, TLD: hostile[(i+1)%len(hostile)], Toplist: i%2 == 0, Resolved: i%3 == 0, DNSErr: s,
+				Domain: s, TLD: hostile[(i+1)%len(hostile)], Toplist: i%2 == 0, Resolved: i%3 == 0, DNSErr: failureOf(i, s, i%2 == 0),
 				Conns: []ConnResult{
 					{Target: s, IP: ip, Hop: -i, Err: s, Server: s, Redirect: s, Status: 1 << 40},
 					{IP: ip, QUIC: true, ZeroPkts: i, OnePkts: -7, Observations: []core.Observation{}, StackRTTs: []time.Duration{}},
@@ -133,6 +148,8 @@ func TestDomainResultJSONHostileInputs(t *testing.T) {
 		_, off := tm.Zone()
 		checkAppendJSON(t, &res, off%60 == 0) // RFC 3339 drops an offset's seconds
 	}
+	// A failure of no kind is refused by both encoders.
+	checkAppendJSON(t, &DomainResult{DNSErr: dns.Failure{Kind: ^dns.Kind(0), Name: "x"}}, false)
 	checkAppendJSON(t, &DomainResult{}, true)                      // Conns null
 	checkAppendJSON(t, &DomainResult{Conns: []ConnResult{}}, true) // Conns []
 }
@@ -176,7 +193,7 @@ func FuzzDomainResultJSON(f *testing.F) {
 		} else if flags&32 != 0 {
 			c.Observations, c.StackRTTs = []core.Observation{}, []time.Duration{}
 		}
-		res := DomainResult{Domain: s, TLD: text, DNSErr: s, Toplist: flags&64 != 0, Resolved: flags&128 != 0}
+		res := DomainResult{Domain: s, TLD: text, DNSErr: failureOf(int(uint64(n)%4), s, n&8 != 0), Toplist: flags&64 != 0, Resolved: flags&128 != 0}
 		switch {
 		case flags&3 == 3:
 			res.Conns = []ConnResult{}

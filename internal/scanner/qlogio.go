@@ -104,7 +104,6 @@ func ReadConnQlog(r io.Reader) (*DomainResult, *ConnResult, int, bool, error) {
 		TLD:      get("tld"),
 		Toplist:  getb("toplist"),
 		Resolved: getb("resolved"),
-		DNSErr:   "",
 	}
 	if d.Domain == "" {
 		return nil, nil, 0, false, fmt.Errorf("scanner: qlog trace lacks domain common field")

@@ -114,7 +114,7 @@ func TestDNSRetryTransient(t *testing.T) {
 		noRetry := base
 		noRetry.Faults = fault.New(1, fault.Rule{Site: fault.DNS, Kind: fault.Timeout, Target: host, P: 1, Times: 2})
 		r := mustRun(t, w, noRetry)
-		if r.Domains[idx].Resolved || !strings.Contains(r.Domains[idx].DNSErr, "timed out") {
+		if r.Domains[idx].Resolved || r.Domains[idx].DNSErr.Kind != dns.Timeout {
 			t.Fatalf("engine %v: without retries, want DNS timeout, got %+v", eng, r.Domains[idx])
 		}
 

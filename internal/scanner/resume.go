@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 
+	"quicspin/internal/dns"
 	"quicspin/internal/resilience"
 	"quicspin/internal/websim"
 )
@@ -70,14 +71,27 @@ func replayResult(replayed map[string]json.RawMessage, key string, d *websim.Dom
 }
 
 // classifyDomain buckets a finished domain by its landing outcome: the DNS
-// error, or else its first connection's class. A connection carries its
-// class; a DNS failure's text is classified here.
+// failure's kind, or else its first connection's class.
 func classifyDomain(res *DomainResult) resilience.Class {
-	if res.DNSErr != "" {
-		return resilience.Classify(res.DNSErr)
+	if !res.DNSErr.IsZero() {
+		return dnsClass(res.DNSErr.Kind)
 	}
 	if len(res.Conns) > 0 {
 		return res.Conns[0].ErrClass
+	}
+	return resilience.ClassNone
+}
+
+// dnsClass is the resilience class of a DNS failure of kind k: the class
+// resilience.Classify gives the failure's text.
+func dnsClass(k dns.Kind) resilience.Class {
+	switch k {
+	case dns.NXDomain:
+		return resilience.ClassNXDomain
+	case dns.Timeout:
+		return resilience.ClassDNSTimeout
+	case dns.NoRecord:
+		return resilience.ClassNoRecord
 	}
 	return resilience.ClassNone
 }

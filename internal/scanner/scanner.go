@@ -272,14 +272,49 @@ func (c *ConnResult) reset(target string, ip netip.Addr, hop int) {
 
 // setErr records text as c's failure: Err, its class and, for a hostile
 // failure, its profile. It is the one place a connection's failure is
-// classified; a reader reads ErrClass and Hostile.
+// classified; a reader reads ErrClass and Hostile. A text the engines write
+// from a fixed set is looked up in fixedErrs; only any other is classified
+// here.
 func (c *ConnResult) setErr(text string) {
 	c.Err = text
+	if e, ok := fixedErrs[text]; ok {
+		c.ErrClass, c.Hostile = e.class, e.profile
+		return
+	}
 	c.ErrClass = resilience.Classify(text)
 	c.Hostile = hostile.None
 	if c.ErrClass == resilience.ClassHostile {
 		c.Hostile = hostile.ProfileOf(text)
 	}
+}
+
+// errClass is what setErr records of a failure text besides the text.
+type errClass struct {
+	class   resilience.Class
+	profile hostile.Profile
+}
+
+// fixedErrs holds the class and profile of every failure text the engines
+// write from a fixed set: the two timeouts, each hostile profile's text and
+// each transport budget's. It is filled once, at package init, by setErr
+// itself, so a fixed text is classified exactly as any other.
+var fixedErrs map[string]errClass
+
+func init() {
+	texts := []string{"timeout: no QUIC handshake", "timeout: no response"}
+	for p := hostile.MalformedHeader; p < hostile.NumProfiles; p++ {
+		texts = append(texts, hostile.ErrText(p))
+	}
+	for _, kind := range budgetKinds {
+		texts = append(texts, hostile.BudgetErrText(kind))
+	}
+	classes := make(map[string]errClass, len(texts))
+	for _, text := range texts {
+		var c ConnResult
+		c.setErr(text)
+		classes[text] = errClass{c.ErrClass, c.Hostile}
+	}
+	fixedErrs = classes
 }
 
 // HasFlips reports whether both spin values were received.
@@ -318,8 +353,11 @@ type DomainResult struct {
 	Toplist bool
 	// Resolved reports DNS success for the scanned address family.
 	Resolved bool
-	DNSErr   string
-	Conns    []ConnResult
+	// DNSErr is the failed landing lookup, zero when it resolved. It holds
+	// the name the domain already held, so recording it allocates nothing;
+	// it encodes as the text dns.ErrText spells.
+	DNSErr dns.Failure
+	Conns  []ConnResult
 }
 
 // clone returns a copy of d that shares no slice with it (strings are
@@ -558,19 +596,16 @@ func endsChain(c *ConnResult, retriesLeft int) bool {
 // resolveRetry resolves the host in the given address family, retrying
 // transient DNS failures within the domain's budget. It returns every
 // resolved address, appended to dst[:0], so connection-level retries can
-// rotate through them (multi-address fallback); a failure is the lookup's
-// bare kind (see dns.Resolver.AppendLookup). A DNS failure carries no class,
-// so its text is classified here, and only with retries on; the kind's own
-// text classifies as the spelled-out one would: the host name adds nothing
-// Classify reads.
-func resolveRetry(dst []netip.Addr, rt *retrier, res *dns.Resolver, host string, t dns.RType) ([]netip.Addr, error) {
+// rotate through them (multi-address fallback), or the last attempt's
+// failure (see dns.Resolver.AppendLookup), classified by its kind.
+func resolveRetry(dst []netip.Addr, rt *retrier, res *dns.Resolver, host string, t dns.RType) ([]netip.Addr, dns.Failure) {
 	for attempt := 0; ; attempt++ {
-		addrs, err := res.AppendLookup(dst[:0], host, t, attempt)
-		if err == nil {
-			return addrs, nil
+		addrs, f := res.AppendLookup(dst[:0], host, t, attempt)
+		if f.IsZero() {
+			return addrs, f
 		}
-		if !rt.policy.Enabled() || !rt.retry(rt.tm.retriesDNS, resilience.Classify(err.Error())) {
-			return nil, err
+		if !rt.policy.Enabled() || !rt.retry(rt.tm.retriesDNS, dnsClass(f.Kind)) {
+			return nil, f
 		}
 	}
 }
@@ -627,9 +662,9 @@ func (st *scanState) runChain(d *websim.Domain, s *slabs, res *DomainResult) {
 	// settled counts the kept connections settled in closed form; a
 	// panicking scan keeps none of them.
 	var settled int64
-	addrs, err := resolveRetry(buf[:0], &rt, st.resolver, target, t)
-	if err != nil {
-		res.DNSErr = dns.ErrText(err, target, t)
+	addrs, fail := resolveRetry(buf[:0], &rt, st.resolver, target, t)
+	if !fail.IsZero() {
+		res.DNSErr = fail
 		if rec != nil {
 			rec.StageEnd(st.clock())
 		}
@@ -652,8 +687,8 @@ func (st *scanState) runChain(d *websim.Domain, s *slabs, res *DomainResult) {
 				break
 			}
 			target, path = next, redirectPath(out.Redirect)
-			naddrs, err := resolveRetry(addrs, &rt, st.resolver, target, t)
-			if err != nil {
+			naddrs, fail := resolveRetry(addrs, &rt, st.resolver, target, t)
+			if !fail.IsZero() {
 				break
 			}
 			addrs = naddrs
@@ -689,7 +724,9 @@ func (st *scanState) traceFinish(rt *retrier, res *DomainResult) {
 	rec.StageEnd(at)
 	rec.AttrInt("retries", int64(rt.used))
 	rec.AttrInt("hops", int64(len(res.Conns)))
-	rec.Error(res.DNSErr)
+	if !res.DNSErr.IsZero() {
+		rec.Error(res.DNSErr.Error())
+	}
 	for i := range res.Conns {
 		if res.Conns[i].Err != "" {
 			rec.Error(res.Conns[i].Err)

@@ -3,6 +3,7 @@ package scanner
 import (
 	"encoding/json"
 	"fmt"
+	"runtime"
 	"runtime/metrics"
 	"slices"
 	"sync"
@@ -10,6 +11,7 @@ import (
 	"time"
 
 	"quicspin/internal/core"
+	"quicspin/internal/dns"
 	"quicspin/internal/fault"
 	"quicspin/internal/hostile"
 	"quicspin/internal/resilience"
@@ -33,8 +35,8 @@ func pipelineBatches(nw int) int { return 2 * (3*nw + 1) }
 // in canonical order, a worker synthesises and scans its domains into
 // results, the sink takes it from the head of the order FIFO once it is
 // done, and the batch goes back to the generator over a bounded free list.
-// Every slice it holds is reused on the next trip, so a steady campaign
-// allocates no batch storage at all.
+// Every slice it holds is reused on the next trip, and by the next run (see
+// spareBatches), so a steady campaign allocates no batch storage at all.
 type batch struct {
 	start, n int
 	// results may be shorter than n when the campaign was interrupted
@@ -68,11 +70,22 @@ type slabs struct {
 // (see tail).
 func keep[T any](s *slabs, slab *[]T, v ...T) []T {
 	first := len(*slab)
-	if poisonBatches && first+len(v) > cap(*slab) && cap(*slab) > 0 {
-		s.outgrown = append(s.outgrown, *slab)
-	}
+	reserve(s, slab, len(v))
 	*slab = append(*slab, v...)
 	return tail(*slab, first)
+}
+
+// reserve grows slab, one of s's slices, to room for n more elements past its
+// length; under poisonBatches the array it grows out of is kept for the
+// poison (see slabs.outgrown).
+func reserve[T any](s *slabs, slab *[]T, n int) {
+	if len(*slab)+n <= cap(*slab) {
+		return
+	}
+	if poisonBatches && cap(*slab) > 0 {
+		s.outgrown = append(s.outgrown, *slab)
+	}
+	*slab = slices.Grow(*slab, n)
 }
 
 // tail returns slab[first:], capped so an append to it cannot reach past
@@ -108,7 +121,7 @@ const poisoned = "poisoned: result storage recycled after its sink call returned
 
 // The values poison writes: no scan produces any of them.
 var (
-	poisonResult = DomainResult{Domain: poisoned, DNSErr: poisoned}
+	poisonResult = DomainResult{Domain: poisoned, DNSErr: dns.Failure{Kind: ^dns.Kind(0), Name: poisoned}}
 	poisonConn   = ConnResult{Target: poisoned, Err: poisoned, ErrClass: ^resilience.Class(0), Hostile: ^hostile.Profile(0), Status: -1, ZeroPkts: -1, OnePkts: -1}
 	poisonObs    = core.Observation{PN: ^uint64(0), VEC: 0xff}
 )
@@ -143,6 +156,50 @@ func fill[T any](s []T, v T) {
 	for i := range s {
 		s[i] = v
 	}
+}
+
+// spareBatches keeps batches between runs. A run takes its batch set from
+// here first and makes only the rest, and gives every batch back once its
+// pipeline has drained, so a campaign's weeks, and a week's population
+// ranges, scan into the storage the run before them grew rather than each
+// growing its own. A batch comes back poisoned when poisonBatches is on:
+// every trip ends with its poison, the last trip of a run included.
+//
+// The list keeps at most maxSpareBatches, one run's set on GOMAXPROCS
+// workers at package init; a batch given back beyond that is dropped.
+// Runs scanned at once (shards) share the list and make what it lacks.
+// Unlike a sync.Pool, the list survives a GC, so what a week allocates does
+// not depend on when the collector ran.
+var spareBatches struct {
+	sync.Mutex
+	list []*batch
+}
+
+// maxSpareBatches is how many batches spareBatches keeps: a constant, fixed
+// at package init so a later GOMAXPROCS change moves nothing a run allocates.
+var maxSpareBatches = pipelineBatches(runtime.GOMAXPROCS(0))
+
+// takeBatches returns n batches, the spare ones first.
+func takeBatches(n int) []*batch {
+	bs := make([]*batch, 0, n)
+	spareBatches.Lock()
+	k := max(len(spareBatches.list)-n, 0)
+	bs = append(bs, spareBatches.list[k:]...)
+	clear(spareBatches.list[k:])
+	spareBatches.list = spareBatches.list[:k]
+	spareBatches.Unlock()
+	for len(bs) < n {
+		bs = append(bs, &batch{done: make(chan struct{}, 1)})
+	}
+	return bs
+}
+
+// giveBatches returns drained batches to spareBatches, up to its bound.
+func giveBatches(bs []*batch) {
+	spareBatches.Lock()
+	defer spareBatches.Unlock()
+	room := max(maxSpareBatches-len(spareBatches.list), 0)
+	spareBatches.list = append(spareBatches.list, bs[:min(room, len(bs))]...)
 }
 
 // campaign is the shared state of one measurement run: configuration,
@@ -414,20 +471,22 @@ func (c *campaign) runPipeline(sink func(i int, res *DomainResult) error) (sinkE
 	if nw > n-lo {
 		nw = 1
 	}
-	// The pipeline owns a fixed set of batches, made here and cycled through
-	// the free list in FIFO order: the generator waits for a delivered batch
-	// rather than making one. The set holds what the work channel, the
-	// workers and the generator can hold at once, plus as many again for
-	// finished batches behind the FIFO head, so storage stays bounded by the
-	// worker count and a run allocates the same batches however its workers
-	// are scheduled. No channel holds more than the set, so the sink's sends
-	// to free and the generator's to order never block.
+	// The pipeline owns a fixed set of batches, taken here (the spare ones
+	// first, see spareBatches) and cycled through the free list in FIFO
+	// order: the generator waits for a delivered batch rather than making
+	// one. The set holds what the work channel, the workers and the
+	// generator can hold at once, plus as many again for finished batches
+	// behind the FIFO head, so storage stays bounded by the worker count and
+	// a run allocates the same batches however its workers are scheduled. No
+	// channel holds more than the set, so the sink's sends to free and the
+	// generator's to order never block.
 	nb := min(pipelineBatches(nw), (n-lo+streamBatchSize-1)/streamBatchSize)
 	work := make(chan *batch, nw)
 	order := make(chan *batch, nb)
 	free := make(chan *batch, nb)
-	for range nb {
-		free <- &batch{done: make(chan struct{}, 1)}
+	set := takeBatches(nb)
+	for _, b := range set {
+		free <- b
 	}
 	go func() {
 		defer close(work)
@@ -484,6 +543,9 @@ func (c *campaign) runPipeline(sink func(i int, res *DomainResult) error) (sinkE
 		}
 	}
 	wg.Wait()
+	// Every batch is back in free, drained and delivered (or never used):
+	// the next run may have the set.
+	giveBatches(set)
 	return sinkErr
 }
 
@@ -508,10 +570,13 @@ func deliver(sink func(i int, res *DomainResult) error, i int, res *DomainResult
 // sink runs on the caller's goroutine. It borrows res for the length of the
 // call: res, res.Conns and every connection's StackRTTs and Observations
 // live in storage the pipeline recycles for later domains once the call
-// returns, so a sink must not keep any of them — it folds what it needs, or
-// copies (as Run does). The strings in a result are immutable and may be
-// kept. Race builds overwrite recycled storage with poison, so a sink that
-// breaks this contract fails its tests there.
+// returns, and the storage outlives the run: the next RunStream (the next
+// week, another population range) scans into the same batches. So a sink
+// must not keep any of them, not even until RunStream returns — it folds
+// what it needs, or copies (as Run does). The strings in a result are
+// immutable and may be kept, DNSErr's Name among them. Race builds
+// overwrite recycled storage with poison after every delivered batch, so a
+// sink that breaks this contract fails its tests there.
 //
 // A non-nil sink error stops the campaign and is returned; so does a panic
 // in sink, as an error naming it. When the campaign is interrupted, sink

@@ -142,13 +142,14 @@ func (w *World) drawRedirect(rng *rand.Rand, i int) (redirects bool, target int)
 }
 
 // redirect points d's landing page at t when t is a resolving QUIC domain
-// (a cross-host redirect), and at d itself otherwise (canonical-self).
+// (a cross-host redirect), and at d itself otherwise (canonical-self), and
+// spells the redirect's URL.
 func (d *Domain) redirect(t *Domain) {
-	if t != nil && t.quic() {
-		d.RedirectTo = t.Name
-		return
+	if t == nil || !t.quic() {
+		t = d
 	}
-	d.RedirectTo = d.Name
+	d.RedirectTo = t.Name
+	d.redirectURL = "https://" + t.host + "/landing"
 }
 
 // mode returns the spin deployment the org's quota assigned to a pooled

@@ -215,17 +215,25 @@ type Domain struct {
 	V4       netip.Addr // zero when unresolvable
 	V6       netip.Addr // zero when no AAAA
 	// RedirectTo, when non-empty, makes requests for path "/" answer with
-	// a 301 to https://www.<RedirectTo>/landing.
+	// a 301 to RedirectURL, https://www.<RedirectTo>/landing.
 	RedirectTo string
 	// BodyBytes is the landing-page size.
 	BodyBytes int
 	// host is the www-form name; Name is its suffix, so one string per
 	// domain serves both.
 	host string
+	// redirectURL is the Location of the redirect, built once where the
+	// redirect is drawn.
+	redirectURL string
 }
 
 // Host returns the www-form name the scanner queries.
 func (d *Domain) Host() string { return d.host }
+
+// RedirectURL returns the Location a request for "/" is redirected to,
+// https://www.<RedirectTo>/landing, or "" when the landing page does not
+// redirect.
+func (d *Domain) RedirectURL() string { return d.redirectURL }
 
 // quic reports whether d resolves to a QUIC-hosting org.
 func (d *Domain) quic() bool { return d.Resolves && d.Org.QUICHosting }

@@ -91,8 +91,10 @@ fi
 # fields; a second classifier of the same text can drift
 # from the first, as telemetry and Table 5 did until they were merged. So
 # outside their own packages resilience.Classify and hostile.ProfileOf run
-# only in setErr and on DNS failure text (resolveRetry, classifyDomain), and
-# internal/scanner writes Err only in setErr and the poisonConn value.
+# only in setErr (which also fills its table of the engines' fixed texts at
+# package init), and internal/scanner writes Err only in setErr and the
+# poisonConn value. A failed lookup is no text at all: it is a dns.Failure,
+# classified by its kind.
 echo "== a connection's failure is classified once, by setErr"
 # funcsites PATTERN DIR...: "file:line: func: text" for every non-comment
 # line of non-test Go matching the awk PATTERN, naming its function.
@@ -107,13 +109,24 @@ funcsites() {
 }
 if funcsites '(resilience\.Classify|hostile\.ProfileOf)\(' cmd internal examples bench |
     grep -v '^internal/resilience/\|^internal/hostile/' |
-    grep -vE '^internal/scanner/scanner\.go:[0-9]+: func \(c \*ConnResult\) setErr\(|^internal/scanner/[a-z]+\.go:[0-9]+: func (resolveRetry|classifyDomain)\(.*Classify\((err\.Error\(\)|res\.DNSErr)\)'; then
+    grep -vE '^internal/scanner/scanner\.go:[0-9]+: func \(c \*ConnResult\) setErr\('; then
     echo "the lines above classify error text; a connection carries its class (ConnResult.ErrClass, set by setErr)" >&2
     exit 1
 fi
 if funcsites '\.Err[ \t]*=[^=]|(^|[^A-Za-z0-9_])Err:' internal/scanner |
     grep -vE '^internal/scanner/scanner\.go:[0-9]+: func \(c \*ConnResult\) setErr\(|^internal/scanner/stream\.go:[0-9]+: [^:]*: [[:space:]]*poisonConn '; then
     echo "the lines above write ConnResult.Err; record a failure with setErr, which classifies it" >&2
+    exit 1
+fi
+
+# Structural gate: a failed lookup stays a value until it is printed. The
+# scanner records a dns.Failure, which holds the name the domain already
+# has; spelling it per unresolved domain with dns.ErrText was one string per
+# failure, 87 % of a fast campaign's allocated objects. Outside internal/dns
+# only a test may spell a failure that way.
+echo "== a failed lookup is a dns.Failure, not dns.ErrText"
+if funcsites 'dns\.ErrText([^A-Za-z0-9_]|$)' cmd internal examples bench | grep -v '^internal/dns/'; then
+    echo "the lines above spell a DNS failure with dns.ErrText; record the dns.Failure and spell it only where it is printed" >&2
     exit 1
 fi
 
