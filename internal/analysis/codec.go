@@ -15,9 +15,9 @@ import (
 
 // Serialized accumulators (wire format version 1).
 //
-// The distributed coordinator ships accumulators between shard workers and
-// the merge process (internal/shard, optionally over internal/udprun), so
-// the encoding is:
+// The encoding is for accumulator state that leaves the process, and for
+// byte-level digests of a fold: the shard runner's ranges are goroutines of
+// one process and merge in memory, never through these bytes. It is:
 //
 //   - compact: uvarint counters, no field names, histogram bin edges are
 //     implied by the analysis constants (Fig3Edges/Fig4Edges);
@@ -671,17 +671,6 @@ func UnmarshalCampaign(data []byte, res *asdb.Resolver) (*CampaignAccumulator, e
 		return nil, decErr("%d trailing bytes", len(d.b))
 	}
 	return c, nil
-}
-
-// clone deep-copies an accumulator by round-tripping it through the wire
-// format (the live dashboard snapshots shard accumulators this way). The
-// encoding is total over fold states, so the round-trip cannot fail.
-func (a *Accumulator) clone() *Accumulator {
-	c, err := UnmarshalAccumulator(a.Marshal(), a.orgs.res)
-	if err != nil {
-		panic("analysis: clone round-trip failed: " + err.Error())
-	}
-	return c
 }
 
 func sortedKeys[V any](m map[string]V) []string {

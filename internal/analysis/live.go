@@ -198,9 +198,9 @@ type LiveSnapshot struct {
 // Snapshot captures the dashboard state, rendering Tables 1–5 from the
 // current week's accumulators — merged across shards when the campaign is
 // sharded. Shards progress independently, so the snapshot merges the
-// shards that have reached the newest (Week, IPv6); clones are taken via
-// the wire-format round-trip under the same mutex every Add holds, so the
-// scan never observes the merge. Nil-safe (returns a zero snapshot).
+// shards that have reached the newest (Week, IPv6) into a fresh accumulator,
+// under the same mutex every Add holds, so the scan never observes the
+// merge. Nil-safe (returns a zero snapshot).
 func (l *Live) Snapshot() LiveSnapshot {
 	if l == nil {
 		return LiveSnapshot{}
@@ -228,8 +228,9 @@ func (l *Live) Snapshot() LiveSnapshot {
 }
 
 // mergedLocked merges the shard accumulators that have reached the newest
-// started (Week, IPv6) into a fresh clone. Caller holds l.mu. With one
-// shard it still clones — renderers then never race with concurrent Adds.
+// started (Week, IPv6) into a fresh accumulator. Caller holds l.mu. Merge
+// only reads the shard accumulators, and with one shard the result is still
+// a copy, so renderers never race with concurrent Adds.
 func (l *Live) mergedLocked() *Accumulator {
 	var lead *Accumulator
 	for _, a := range l.accs {
@@ -240,12 +241,10 @@ func (l *Live) mergedLocked() *Accumulator {
 	if lead == nil {
 		return nil
 	}
-	merged := lead.clone()
+	merged := NewAccumulator(lead.Week, lead.IPv6, lead.orgs.res)
 	for _, a := range l.accs {
-		if a != lead && a.Week == lead.Week && a.IPv6 == lead.IPv6 {
-			// Merge clones: Merge consumes its argument's maps, and the
-			// shard accumulator must keep folding.
-			_ = merged.Merge(a.clone())
+		if a.Week == lead.Week && a.IPv6 == lead.IPv6 {
+			_ = merged.Merge(a)
 		}
 	}
 	return merged

@@ -29,10 +29,10 @@ func (e *MergeError) Error() string {
 }
 
 // Merge folds another accumulator of the same (Week, IPv6) measurement into
-// a. The other accumulator contributes its aggregate state and must not be
-// used afterwards (its maps stay shared). Merging never touches the
-// campaign longitudinal fold — that lives on the CampaignAccumulator and
-// has its own Merge.
+// a. The other accumulator is only read: every fold copies its counts and
+// rows, so o stays valid and may keep folding, and later Adds into either
+// never reach the other. Merging never touches the campaign longitudinal
+// fold — that lives on the CampaignAccumulator and has its own Merge.
 func (a *Accumulator) Merge(o *Accumulator) error {
 	if o == nil {
 		return nil
@@ -125,11 +125,13 @@ func (f *longFold) merge(o *longFold) {
 }
 
 // Merge folds another campaign into c: the longitudinal folds merge by
-// domain name, and weekly accumulators pair up by (Week, IPv6) — weeks only
-// the other campaign scanned are adopted wholesale and rewired onto c's
-// longitudinal fold. This is how the shard coordinator combines campaigns
-// that each scanned a population slice across the same weeks, and equally
-// campaigns that each scanned different week subsets.
+// domain name, and weekly accumulators pair up by (Week, IPv6). A week only
+// the other campaign scanned is adopted as is: c takes o's accumulator
+// itself, not a copy, and rewires it onto c's longitudinal fold, so o must
+// not fold into that week afterwards. A week both campaigns hold merges
+// through Accumulator.Merge, which only reads o's. The shard runner starts
+// the week in c first, so it never adopts; campaigns that each scanned
+// different week subsets merge by adoption.
 func (c *CampaignAccumulator) Merge(o *CampaignAccumulator) error {
 	if o == nil {
 		return nil

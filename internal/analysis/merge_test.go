@@ -372,3 +372,72 @@ func TestMergeMismatch(t *testing.T) {
 		t.Errorf("nil merge returned %v", err)
 	}
 }
+
+// TestMergeOnlyReadsArgument pins the aliasing contract the in-memory merges
+// rely on: the shard runner merges every range's week accumulator into the
+// vantage campaign while the live dashboard keeps rendering those range
+// accumulators, and the dashboard merges them into a fresh accumulator while
+// the scan keeps folding into them. So after a.Merge(b), b must be unchanged,
+// later Adds into b must not reach a, and b must keep folding exactly as if
+// the merge had never happened — at the accumulator and the campaign level.
+func TestMergeOnlyReadsArgument(t *testing.T) {
+	for _, mc := range mergeCases {
+		mc := mc
+		t.Run(mc.name, func(t *testing.T) {
+			world, res := scanCase(t, mc)
+			n := len(res.Domains)
+			lo, hi := n/3, 2*n/3
+			addRange := func(a *Accumulator, from, to int) {
+				for i := from; i < to; i++ {
+					a.Add(&res.Domains[i])
+				}
+			}
+
+			t.Run("accumulator", func(t *testing.T) {
+				a, b := accOver(world, res, 0, lo), accOver(world, res, lo, hi)
+				bBefore := b.Marshal()
+				if err := a.Merge(b); err != nil {
+					t.Fatal(err)
+				}
+				if !bytes.Equal(b.Marshal(), bBefore) {
+					t.Error("a.Merge(b) changed b")
+				}
+				aAfter := a.Marshal()
+				addRange(b, hi, n)
+				if !bytes.Equal(a.Marshal(), aAfter) {
+					t.Error("Adds into b after a.Merge(b) reached a")
+				}
+				if !bytes.Equal(b.Marshal(), accOver(world, res, lo, n).Marshal()) {
+					t.Error("b folds differently after a.Merge(b) than a fresh fold of its domains")
+				}
+			})
+
+			t.Run("campaign", func(t *testing.T) {
+				campOver := func(from, to int) (*CampaignAccumulator, *Accumulator) {
+					c := NewCampaignAccumulator()
+					w := c.StartWeek(res.Week, res.IPv6, world.ASDB())
+					addRange(w, from, to)
+					return c, w
+				}
+				c, _ := campOver(0, lo)
+				o, ow := campOver(lo, hi)
+				oBefore := o.Marshal()
+				if err := c.Merge(o); err != nil {
+					t.Fatal(err)
+				}
+				if !bytes.Equal(o.Marshal(), oBefore) {
+					t.Error("c.Merge(o) changed o")
+				}
+				cAfter := c.Marshal()
+				addRange(ow, hi, n)
+				if !bytes.Equal(c.Marshal(), cAfter) {
+					t.Error("Adds into o's week after c.Merge(o) reached c")
+				}
+				fresh, _ := campOver(lo, n)
+				if !bytes.Equal(o.Marshal(), fresh.Marshal()) {
+					t.Error("o folds differently after c.Merge(o) than a fresh fold of its domains")
+				}
+			})
+		})
+	}
+}

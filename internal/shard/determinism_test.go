@@ -15,8 +15,8 @@ import (
 // and 4, and both engines — the per-domain rng is derived from (seed, week,
 // domain), sink indices are population-global, and merging is the analysis
 // merge algebra, so nothing about the split may leak into the output. Every
-// row merges through the wire format, and one row journals with a one-week
-// retention horizon between the weeks.
+// row merges its ranges' accumulators in memory, and one row journals with a
+// one-week retention horizon between the weeks.
 func TestShardDeterminism(t *testing.T) {
 	engines := []struct {
 		name   string

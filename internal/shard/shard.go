@@ -11,10 +11,10 @@
 // keeps the name of the subsystem the runner grew out of; DESIGN.md §3 says
 // why.)
 //
-// The ranges run as goroutines in this process. Each range's one-week
-// accumulator reaches the merge one way: a round-trip through the versioned
-// wire format (internal/analysis codec), so the merge reads only encoded
-// bytes, as it would from another process.
+// The ranges run as goroutines in this process, so each range's one-week
+// accumulator merges into the vantage's campaign directly, in memory. The
+// versioned wire format (internal/analysis codec) is for state that leaves
+// the process, which no range's does.
 //
 // Multi-vantage campaigns scan every week from each vantage point through
 // its own extra path delay/jitter (scanner.Vantage), and RenderAgreement
@@ -69,13 +69,11 @@ func Plan(n, shards int) []Range {
 	return out
 }
 
-// Transport names the accumulator merge path. The serialized round trip is
-// the only one; the type and Config.Transport stay while bench/ names them
-// (ROADMAP item 1).
+// Transport selects nothing: a campaign has one merge path, in memory. The
+// type and Config.Transport stay while bench/ names them (ROADMAP item 1).
 type Transport int
 
-// TransportSerialized round-trips every range's accumulator through the
-// versioned wire format before merging.
+// TransportSerialized is the one valid Transport; it selects nothing.
 const TransportSerialized Transport = 0
 
 // Config parameterises one campaign.
@@ -128,7 +126,7 @@ type Config struct {
 	// rescan time on resume for bounded disk — results are unaffected
 	// either way (scans are deterministic).
 	RetainWeeks int
-	// Transport must be TransportSerialized, the one merge path.
+	// Transport must be TransportSerialized; it selects nothing.
 	Transport Transport
 	// Telemetry receives the shard/vantage gauges and per-shard progress
 	// counters in addition to the scanner's own campaign metrics.
@@ -275,7 +273,7 @@ type vantageRun struct {
 // each week, for each vantage, the population is planned into
 // max(Shards, 1) ranges; every range is scanned under the supervisor
 // (attempt → restart from its journal → lost) into a week-isolated
-// accumulator; the ranges merge through the wire format; and the week
+// accumulator; the ranges merge in memory; and the week
 // folds into the vantage's campaign only on success, so a failed attempt —
 // worker panic storm, poisoned engine, storage chaos — leaves no partial
 // state behind. Between weeks the week directories past the retention
@@ -425,7 +423,7 @@ func (r *run) scanWeek(vs *vantageRun, sc scanner.Config) error {
 		return fmt.Errorf("shard: week %d: %d of %d shards lost (strict mode; first loss: shard %d: %w)",
 			sc.Week, lost, len(statuses), firstLost.Shard, firstLost.Err)
 	}
-	if err := r.mergeWeek(vs, camps); err != nil {
+	if err := r.mergeWeek(vs, sc, camps); err != nil {
 		return fmt.Errorf("shard: week %d: %w", sc.Week, err)
 	}
 	vs.fold(sc.Week, statuses)
@@ -433,22 +431,16 @@ func (r *run) scanWeek(vs *vantageRun, sc scanner.Config) error {
 }
 
 // mergeWeek folds the surviving ranges' one-week campaigns into the
-// vantage's campaign, in shard order, each through a round trip of the wire
-// format; lost ranges (nil camps) are skipped. Every decode happens before
-// the campaign is touched. Merging is associative and commutative (the
-// analysis merge laws), so the order is a convention, not a correctness
-// requirement.
-func (r *run) mergeWeek(vs *vantageRun, camps []*analysis.CampaignAccumulator) error {
-	for si, camp := range camps {
-		if camp == nil {
-			continue
-		}
-		rt, err := analysis.UnmarshalCampaign(camp.Marshal(), r.w.ASDB())
-		if err != nil {
-			return fmt.Errorf("round-tripping shard %d accumulator: %w", si, err)
-		}
-		camps[si] = rt
-	}
+// vantage's campaign, in shard order; lost ranges (nil camps) are skipped.
+// The week is started in the vantage's campaign first, so every range merges
+// into it and none is adopted: the range accumulators are only read, and the
+// dashboard (Live.ShardSink) may keep rendering them. Merge cannot fail here:
+// every range accumulator comes from scanRange's StartWeek with this week,
+// this address family and the standard views. Merging is associative and
+// commutative (the analysis merge laws), so the order is a convention, not a
+// correctness requirement.
+func (r *run) mergeWeek(vs *vantageRun, sc scanner.Config, camps []*analysis.CampaignAccumulator) error {
+	vs.camp.StartWeek(sc.Week, sc.IPv6, r.w.ASDB())
 	for _, camp := range camps {
 		if err := vs.camp.Merge(camp); err != nil {
 			return err

@@ -177,15 +177,14 @@ for fn in recordDomain connTimeline; do
 done
 
 # Structural gate: the campaign has one merge path. Every population range
-# is a goroutine of one process, and its one-week accumulator reaches the
-# merge through a round trip of the wire format; the loopback-UDP exchange
-# it once also shipped over rendered the same bytes on real-time retransmit
-# timers. The collector and its fault-injecting socket stay a library for the
+# is a goroutine of one process, and its one-week accumulator merges into the
+# campaign in memory; the loopback-UDP exchange it once also shipped over
+# rendered the same bytes on real-time retransmit timers. The collector and its fault-injecting socket stay a library for the
 # benchmark's shard.submit_udp row, so only the collector's own file,
 # internal/udprun and bench/ may name them.
 echo "== one merge path"
 if grep -rnE --include='*.go' --exclude='*_test.go' 'TransportUDP|ParseTransport|shard-transport' cmd internal examples bench ./*.go; then
-    echo "the lines above bring back a second merge path; the campaign merges through the wire format only" >&2
+    echo "the lines above bring back a second merge path; the campaign merges range accumulators in memory only" >&2
     exit 1
 fi
 if grep -rnE --include='*.go' --exclude='*_test.go' '(NewCollector|SubmitWithPolicy|udprun\.NewFaultConn)([^A-Za-z0-9_]|$)' cmd internal examples ./*.go |
